@@ -39,12 +39,31 @@ from .dgla import Dgla, DglaPresentation, disjoint_product, free_product_dgla, i
 from .cdga import Cdga, FreePolynomialCdga, NoAugmentation
 
 
+class CertificateFailure(Exception):
+    """A computed certificate did not hold: the Harrison unit slot, the
+    Hodge splitting of a transfer, a transfer solve, or a minimal-model
+    check."""
+
+
+def _add_scaled(acc: dict, elt: GradedElement, c: Fraction) -> None:
+    """acc += c * elt in place, keeping GradedElement addition's key order
+    and dropping coefficients that cancel."""
+    for key, v in elt.coeffs.items():
+        s = acc.get(key, ZERO) + c * v
+        if s:
+            acc[key] = s
+        else:
+            acc.pop(key, None)
+
+
 class CEComplex:
     """The Chevalley-Eilenberg cdga C(g) = (S Sigma g*, d_I + d_II),
     truncated by word length (or by the weight grading of g when
     truncate_by="weight"), with the canonical augmentation at 0."""
 
     def __init__(self, g: Dgla, bound: int, truncate_by: str = "length"):
+        if bound < 1:
+            raise ValueError("CE truncation bound must be >= 1, got %d" % bound)
         self.g = g
         self.bound = bound
         self.truncate_by = truncate_by
@@ -57,34 +76,32 @@ class CEComplex:
             else:
                 w = 1
             gens.append((self.sigma_of[lab], n + 1, w))
-        dgens = {}
-        for k, (nk, labk) in enumerate(items):
-            val = GradedElement()
-            for nj, labj in items:
-                if nj != nk + 1:
-                    continue
-                Dkj = g.d(g.space.basis_element(nj, labj)).coeff(nk, labk)
-                if Dkj:
-                    val = val + GradedElement(
-                        {(-(nj + 1), self.sigma_of[labj]): Dkj})
-            dgens[self.sigma_of[labk]] = val
-        # d_II needs products of generators; build the algebra first with a
-        # scratch copy to multiply in
-        scratch = FreePolynomialCdga(gens, max(bound, 2), {}, check="skip")
-        for nk, labk in items:
-            val = dgens[self.sigma_of[labk]]
-            for (ni, labi), (nj, labj) in itertools.product(items, repeat=2):
-                if ni + nj != nk:
-                    continue
-                c = g.bracket_labels(ni, labi, nj, labj).coeff(nk, labk)
-                if not c:
-                    continue
-                sign = -ONE if ni % 2 else ONE
-                prod = scratch.multiply(
-                    scratch.generator_element(self.sigma_of[labi]),
-                    scratch.generator_element(self.sigma_of[labj]))
-                val = val + prod.scale(QQ(-1, 2) * sign * c)
-            dgens[self.sigma_of[labk]] = val
+        # both parts are assembled source-first: one differential per basis
+        # element and one bracket per ordered basis pair, scattered over the
+        # targets k in their support; each target still receives its terms
+        # in the order of a loop over k outside the sources
+        acc: dict[str, dict] = {lab: {} for _, lab in items}
+        for nj, labj in items:
+            key = (-(nj + 1), self.sigma_of[labj])
+            for (_, labk), c in g.d(g.space.basis_element(nj, labj)).coeffs.items():
+                acc[labk][key] = c
+        # d_II needs products of generators; multiply in a scratch copy at
+        # the same truncation, so products beyond it are zero
+        scratch = FreePolynomialCdga(gens, bound, {}, check="skip")
+        degrees = {n for n, _ in items}
+        for (ni, labi), (nj, labj) in itertools.product(items, repeat=2):
+            if ni + nj not in degrees:
+                continue
+            br = g.bracket_labels(ni, labi, nj, labj).coeffs
+            if not br:
+                continue
+            prod = scratch.multiply(
+                scratch.generator_element(self.sigma_of[labi]),
+                scratch.generator_element(self.sigma_of[labj]))
+            sign = -ONE if ni % 2 else ONE
+            for (_, labk), c in br.items():
+                _add_scaled(acc[labk], prod, QQ(-1, 2) * sign * c)
+        dgens = {self.sigma_of[lab]: GradedElement(acc[lab]) for _, lab in items}
         aug = {name: ZERO for name, _, _ in
                [(self.sigma_of[lab], 0, 0) for _, lab in items]}
         self.algebra = FreePolynomialCdga(gens, bound, dgens, aug, check="auto")
@@ -145,13 +162,19 @@ def ce_cohomology(g: Dgla, word_bound: int,
                   degree_range: Optional[tuple[int, int]] = None) -> dict:
     """Reduced CE cohomology table with exactness flags.
 
-    For non-negatively graded g the degree-n cohomology only involves word
-    lengths <= n, so it is flagged exact once word_bound >= n; otherwise
-    degrees are flagged by agreement between word_bound and word_bound + 1.
+    For non-negatively graded g every generator has cohomological degree
+    >= 1, so the cochains of degree n have word length <= n and d maps
+    them into word lengths <= n + 1. Degree n is flagged exact once
+    word_bound >= n + 1, or once word_bound >= n when no degree-(n + 1)
+    word of length n + 1 exists: such a word is a product of n + 1
+    distinct odd generators dual to g_0, so none exists when
+    n + 1 > dim g_0. Other degrees are flagged by agreement between
+    word_bound and word_bound + 1.
     """
     ce = ce_complex(g, word_bound)
     dims = ce.reduced_homology_dims()
     nonneg = all(n >= 0 for n in g.space.degrees())
+    dim_g0 = g.space.dim(0)
     if degree_range is None:
         degs = sorted(set(dims) | {0})
         lo, hi = (min(degs), max(degs)) if degs else (0, 0)
@@ -160,7 +183,8 @@ def ce_cohomology(g: Dgla, word_bound: int,
     out = {}
     bigger = None
     for n in range(lo, hi + 1):
-        if nonneg and word_bound >= n:
+        if nonneg and (word_bound >= n + 1
+                       or (word_bound >= n and n + 1 > dim_g0)):
             out[n] = {"dim": dims.get(n, 0), "flag": "exact"}
         else:
             if bigger is None:
@@ -212,7 +236,9 @@ class HarrisonComplex:
                 # rewrite c * b_drop = (c / u_drop) (unit - others)
                 u = a.unit
                 u_drop = u.coeff(dn, dlab)
-                assert u_drop, "unit has no component on the unit slot"
+                if not u_drop:
+                    raise CertificateFailure(
+                        "unit has no component on the unit slot")
                 rest = GradedElement({k: v for k, v in u.coeffs.items()
                                       if k != (dn, dlab)})
                 corr = rest.scale(-cdrop / u_drop)
@@ -228,29 +254,30 @@ class HarrisonComplex:
             gens.append((self.tau_of[lab], cohdeg - 1, 1))
         from .freelie import FreeLieTruncation
         scratch = FreeLieTruncation(gens, 2)
-        dgens = {name: GradedElement() for name, _, _ in gens}
-        for n, lab in plus:
-            val = GradedElement()
-            for n2, lab2 in plus:
-                if n2 - 1 != n:
-                    continue
-                img = plus_coords(a.d(a.space.basis_element(n2, lab2)))
-                c = img.coeff(n, lab)
-                if c:
-                    val = val + scratch.generator(self.tau_of[lab2]).scale(c)
-            for (n1, lab1), (n2, lab2) in itertools.product(plus, repeat=2):
-                if n1 + n2 != n:
-                    continue
-                prod = plus_coords(a.multiply(a.space.basis_element(n1, lab1),
-                                              a.space.basis_element(n2, lab2)))
-                c = prod.coeff(n, lab)
-                if not c:
-                    continue
-                sign = -ONE if (-n1) % 2 else ONE
-                br = scratch.bracket(scratch.generator(self.tau_of[lab1]),
-                                     scratch.generator(self.tau_of[lab2]))
-                val = val + br.scale(QQ(-1, 2) * sign * c)
-            dgens[self.tau_of[lab]] = val
+        # source-first, as in CEComplex: d_I terms first, then d_II with one
+        # product and one bracket per ordered pair, scattered over targets
+        acc: dict[str, dict] = {lab: {} for _, lab in plus}
+        for n2, lab2 in plus:
+            img = plus_coords(a.d(a.space.basis_element(n2, lab2)))
+            for (n, lab), c in img.coeffs.items():
+                if n == n2 - 1:
+                    _add_scaled(acc[lab], scratch.generator(self.tau_of[lab2]), c)
+        degrees = {n for n, _ in plus}
+        for (n1, lab1), (n2, lab2) in itertools.product(plus, repeat=2):
+            if n1 + n2 not in degrees:
+                continue
+            prod = plus_coords(a.multiply(a.space.basis_element(n1, lab1),
+                                          a.space.basis_element(n2, lab2)))
+            terms = [(lab, c) for (n, lab), c in prod.coeffs.items()
+                     if n == n1 + n2]
+            if not terms:
+                continue
+            sign = -ONE if (-n1) % 2 else ONE
+            br = scratch.bracket(scratch.generator(self.tau_of[lab1]),
+                                 scratch.generator(self.tau_of[lab2]))
+            for lab, c in terms:
+                _add_scaled(acc[lab], br, QQ(-1, 2) * sign * c)
+        dgens = {self.tau_of[lab]: GradedElement(acc[lab]) for _, lab in plus}
         pres = LiePresentation(gens, [], dgens)
         self.presentation = DglaPresentation(pres)
         self.dgla = self.presentation.materialize(m)
@@ -570,7 +597,9 @@ class TransferData:
             pres = []
             for beta in self.boundaries.get(n - 1, []):
                 x = g.d_map.solve(beta)
-                assert x is not None
+                if x is None:
+                    raise CertificateFailure(
+                        "boundary in degree %d has no preimage" % (n - 1))
                 pres.append(x)
             self.preimages[n] = pres
         # decomposition matrices per degree
@@ -580,7 +609,8 @@ class TransferData:
                    [g.space.to_vector(v, n) for v in self.h_reps.get(n, [])] + \
                    [g.space.to_vector(v, n) for v in self.preimages.get(n, [])]
             dim = g.space.dim(n)
-            assert len(cols) == dim, "splitting does not span degree %d" % n
+            if len(cols) != dim:
+                raise CertificateFailure("splitting does not span degree %d" % n)
             mat = [[cols[j][i] for j in range(len(cols))] for i in range(dim)]
             self._decomp[n] = mat
 
@@ -588,7 +618,9 @@ class TransferData:
         mat = self._decomp[n]
         vec = self.g.space.to_vector(elt, n)
         x = solve_matrix(mat, len(mat[0]) if mat else 0, vec)
-        assert x is not None
+        if x is None:
+            raise CertificateFailure(
+                "element outside the splitting of degree %d" % n)
         nb = len(self.boundaries.get(n, []))
         nh = len(self.h_reps.get(n, []))
         return x[:nb], x[nb:nb + nh], x[nb + nh:]
@@ -707,6 +739,9 @@ class MinimalModel:
 def minimal_model(g: Dgla, arity_bound: int = 3,
                   degree_range: Optional[tuple[int, int]] = None) -> MinimalModel:
     model = MinimalModel(g, arity_bound)
-    assert model.linear_part_is_zero()
-    assert model.quasi_iso_verified(degree_range)
+    if not model.linear_part_is_zero():
+        raise CertificateFailure("transferred differential has a linear part")
+    if not model.quasi_iso_verified(degree_range):
+        raise CertificateFailure("inclusion of representatives is not a "
+                                 "quasi-isomorphism")
     return model

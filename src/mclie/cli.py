@@ -32,6 +32,7 @@ from .cdga import (
     localize,
 )
 from .cehar import (
+    CertificateFailure,
     ce_cohomology,
     compare_free_product,
     harrison,
@@ -89,6 +90,14 @@ def _echo(args) -> str:
     return " ".join(args)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("expected an integer >= 1, got %s"
+                                         % text)
+    return value
+
+
 def _parse_range(text):
     lo, hi = text.split("..")
     return int(lo), int(hi)
@@ -99,10 +108,7 @@ def cmd_check(ns, argv) -> int:
     for ref in ns.defs:
         alg = load_algebra(ref, ns.size, ns.weight)
         try:
-            if isinstance(alg, Dgla):
-                alg.verify_axioms()
-            else:
-                alg.verify_axioms()
+            alg.verify_axioms()
             rep.verdict("axioms(%s)" % ref, True)
         except (AxiomViolation, CdgaAxiomViolation) as e:
             rep.line("  violation: %s" % e)
@@ -234,10 +240,14 @@ def cmd_verify(ns, argv) -> int:
         rep.value("moduli", report["moduli_count"], "complete")
         rep.verdict("cover-homology-isomorphisms", report["pass"])
     elif what == "free-product-cohomology":
+        m = ns.weight or 4
+        words = ns.words or m - 1
+        if m < 2 or words < m - 1:
+            raise DefinitionError("free-product-cohomology needs --weight >= 2 "
+                                  "and --words >= weight - 1")
         g = load_algebra(ns.defs[0], ns.size, ns.weight)
         h = load_algebra(ns.defs[1], ns.size, ns.weight)
-        report = compare_free_product(g, h, ns.weight or 4,
-                                      ns.words or ((ns.weight or 4) - 1))
+        report = compare_free_product(g, h, m, words)
         for (w, n), cell in sorted(report["cells"].items()):
             rep.value("w=%d,deg=%d" % (w, n),
                       "%d|%d" % (cell["product"], cell["factors"]),
@@ -307,7 +317,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--builtin", action="append", default=[],
                        help="add a builtin definition (may repeat)")
         p.add_argument("--size", type=int, default=None)
-        p.add_argument("--weight", type=int, default=None)
+        p.add_argument("--weight", type=_positive_int, default=None)
         p.add_argument("--json", default=None,
                        help="also write a machine-readable report")
 
@@ -318,7 +328,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", default=None, help="a..b degree range")
     p = sub.add_parser("ce", help="Chevalley-Eilenberg cohomology table")
     common(p)
-    p.add_argument("--words", type=int, required=True)
+    p.add_argument("--words", type=_positive_int, required=True)
     p.add_argument("--range", default=None)
     p = sub.add_parser("harrison", help="Harrison complex of an augmented cdga")
     common(p)
@@ -341,7 +351,7 @@ def make_parser() -> argparse.ArgumentParser:
                                     "free-product-cohomology"])
     common(p)
     p.add_argument("--support", type=int, default=None)
-    p.add_argument("--words", type=int, default=None)
+    p.add_argument("--words", type=_positive_int, default=None)
     p = sub.add_parser("localize", help="localization at a cocycle")
     common(p)
     p.add_argument("--at", required=True)
@@ -349,7 +359,7 @@ def make_parser() -> argparse.ArgumentParser:
     common(p)
     p = sub.add_parser("minimal-model", help="homotopy-transfer minimal model")
     common(p)
-    p.add_argument("--arity", type=int, default=3)
+    p.add_argument("--arity", type=int, choices=[2, 3], default=3)
     return parser
 
 
@@ -410,7 +420,8 @@ def main(argv=None) -> int:
         print("resource cap: %s" % e, file=sys.stderr)
         return 3
     except (NonSplitAlgebra, OddDegreeUnit, NonCocycle, NoAugmentation,
-            IncompleteSolve, AxiomViolation, CdgaAxiomViolation) as e:
+            IncompleteSolve, AxiomViolation, CdgaAxiomViolation,
+            CertificateFailure) as e:
         print("%s: %s" % (type(e).__name__, e), file=sys.stderr)
         return 1
 

@@ -265,7 +265,11 @@ def build_builtin(ref: str, size: Optional[int] = None,
 
     def arg(i, default=None):
         if i < len(args):
-            return int(args[i])
+            try:
+                return int(args[i])
+            except ValueError:
+                raise DefinitionError("builtin %r: argument %r is not an "
+                                      "integer" % (name, args[i]))
         return default
 
     if name == "sphere":
@@ -281,6 +285,8 @@ def build_builtin(ref: str, size: Optional[int] = None,
         m = weight if weight is not None else arg(0)
         if m is None:
             raise DefinitionError("f_xa needs a weight (f_xa:m or --weight)")
+        if m < 1:
+            raise DefinitionError("f_xa needs a weight >= 1, got %d" % m)
         return f_xa_dgla(m)
     if name == "heisenberg":
         return heisenberg_dgla()
@@ -321,6 +327,8 @@ def build_builtin(ref: str, size: Optional[int] = None,
         dd = arg(1)
         if n is None or dd is None:
             raise DefinitionError("omega needs omega:n:D")
+        if n < 0 or dd < 1:
+            raise DefinitionError("omega:n:D needs n >= 0 and D >= 1")
         return omega_simplex(n, dd)
     raise DefinitionError("unknown builtin %r (known: %s)"
                           % (name, ", ".join(sorted(BUILTIN_HELP))))

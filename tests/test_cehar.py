@@ -12,8 +12,13 @@ from mclie.dgla import (
     twist,
     zero_dgla,
 )
-from mclie.cdga import FiniteTableCdga
+from mclie.cdga import FiniteTableCdga, FreePolynomialCdga
+from mclie.defs import load_algebra
+from mclie.dgla import free_product_dgla
 from mclie.cehar import (
+    CEComplex,
+    CertificateFailure,
+    MinimalModel,
     cdga_product,
     ce_cohomology,
     ce_complex,
@@ -130,7 +135,149 @@ def test_ce_weight_stability():
         assert ce3.weight_block_dims(w) == ce5.weight_block_dims(w)
 
 
+def reference_ce_dgens(g, bound, truncate_by="length"):
+    """d on the CE generators with the loop over the target k outside the
+    sources, the way the differential is written."""
+    items = g.basis_items()
+    sigma = {lab: "s(%s)" % lab for _, lab in items}
+    weights = g.weights or {}
+    gens = [(sigma[lab], n + 1,
+             weights.get(lab, 1) if truncate_by == "weight" else 1)
+            for n, lab in items]
+    scratch = FreePolynomialCdga(gens, bound, {}, check="skip")
+    out = {}
+    for nk, labk in items:
+        val = GradedElement()
+        for nj, labj in items:
+            if nj != nk + 1:
+                continue
+            c = g.d(g.space.basis_element(nj, labj)).coeff(nk, labk)
+            if c:
+                val = val + GradedElement({(-(nj + 1), sigma[labj]): c})
+        for (ni, labi), (nj, labj) in itertools.product(items, repeat=2):
+            if ni + nj != nk:
+                continue
+            c = g.bracket_labels(ni, labi, nj, labj).coeff(nk, labk)
+            if not c:
+                continue
+            sign = QQ(-1) if ni % 2 else QQ(1)
+            prod = scratch.multiply(scratch.generator_element(sigma[labi]),
+                                    scratch.generator_element(sigma[labj]))
+            val = val + prod.scale(QQ(-1, 2) * sign * c)
+        out[sigma[labk]] = val
+    return out
+
+
+@pytest.mark.parametrize("case", ["heisenberg", "free-product", "g_S:3",
+                                  "sphere", "f_xa:4"])
+def test_ce_dgens_equal_target_first_reference(case):
+    truncate_by = "length"
+    bound = 3
+    if case == "free-product":
+        # bound 4 reaches the weight-4 targets, several of which receive
+        # two or more distinct products, so the term order is tested
+        g = free_product_dgla(load_algebra("abelian:2:0"),
+                              load_algebra("abelian:1:0"), 4, check="skip")
+        truncate_by = "weight"
+        bound = 4
+    else:
+        g = load_algebra(case)
+    ce = ce_complex(g, bound, truncate_by=truncate_by)
+    ref = reference_ce_dgens(g, bound, truncate_by)
+    got = ce.algebra._dgens
+    assert list(got) == list(ref)
+    assert any(not v.is_zero() for v in ref.values())
+    for name, v in ref.items():
+        # same terms in the same order
+        assert list(v.coeffs.items()) == list(got[name].coeffs.items()), name
+
+
+def test_ce_word_bound_one_and_below():
+    g = heisenberg_dgla()
+    ce = ce_complex(g, 1)
+    # products of two generators lie beyond the truncation
+    assert all(v.is_zero() for v in ce.algebra._dgens.values())
+    with pytest.raises(ValueError):
+        CEComplex(g, 0)
+
+
+def filiform_dgla():
+    c = GradedElement({(0, "c"): QQ(1)})
+    e = GradedElement({(0, "e"): QQ(1)})
+    return dgla_from_table({0: ["a", "b", "c", "e"]},
+                           {("a", "b"): c, ("a", "c"): e})
+
+
+def test_ce_exact_flag_needs_the_next_word_length():
+    # at word bound 2 the length-3 part of d out of degree 2 is cut off,
+    # so H^2 reads 4 there; the true value is 2
+    g = filiform_dgla()
+    table = ce_cohomology(g, 2, (1, 2))
+    assert table[1] == {"dim": 2, "flag": "exact"}
+    assert table[2] == {"dim": 4, "flag": "unstable"}
+    for bound in (3, 4, 5):
+        assert ce_cohomology(g, bound, (2, 2))[2] == {"dim": 2, "flag": "exact"}
+
+
 # --- Harrison -----------------------------------------------------------------
+
+
+def reference_harrison_dgens(a):
+    """d on the Harrison generators with the loop over the target outside
+    the sources, the way the differential is written."""
+    from mclie.freelie import FreeLieTruncation
+    items = a.basis_items()
+    drop = [(n, lab) for n, lab in items if a.augmentation.get(lab, QQ(0))][0]
+    plus = [(n, lab) for n, lab in items if (n, lab) != drop]
+    tau = {lab: "T(%s)" % lab for _, lab in plus}
+
+    def plus_coords(elt):
+        coeffs = dict((elt - a.unit.scale(a.eps(elt))).coeffs)
+        cdrop = coeffs.pop(drop, QQ(0))
+        if cdrop:
+            u_drop = a.unit.coeff(*drop)
+            for k, v in a.unit.coeffs.items():
+                if k != drop:
+                    coeffs[k] = coeffs.get(k, QQ(0)) - cdrop / u_drop * v
+        return GradedElement(coeffs)
+
+    gens = [(tau[lab], -n - 1, 1) for n, lab in plus]
+    scratch = FreeLieTruncation(gens, 2)
+    out = {}
+    for n, lab in plus:
+        val = GradedElement()
+        for n2, lab2 in plus:
+            if n2 - 1 != n:
+                continue
+            c = plus_coords(a.d(a.space.basis_element(n2, lab2))).coeff(n, lab)
+            if c:
+                val = val + scratch.generator(tau[lab2]).scale(c)
+        for (n1, lab1), (n2, lab2) in itertools.product(plus, repeat=2):
+            if n1 + n2 != n:
+                continue
+            c = plus_coords(a.multiply(a.space.basis_element(n1, lab1),
+                                       a.space.basis_element(n2, lab2))
+                            ).coeff(n, lab)
+            if not c:
+                continue
+            sign = QQ(-1) if (-n1) % 2 else QQ(1)
+            br = scratch.bracket(scratch.generator(tau[lab1]),
+                                 scratch.generator(tau[lab2]))
+            val = val + br.scale(QQ(-1, 2) * sign * c)
+        out[tau[lab]] = val
+    return out
+
+
+@pytest.mark.parametrize("case", ["omega:1:2", "qxq", "omega:1:3"])
+def test_harrison_dgens_equal_target_first_reference(case):
+    a = load_algebra(case)
+    got = harrison(a, 3).presentation.pres.dgens
+    ref = reference_harrison_dgens(a)
+    assert list(got) == list(ref)
+    assert any(not v.is_zero() for v in ref.values())
+    for name, v in ref.items():
+        assert list(v.coeffs.items()) == list(got[name].coeffs.items()), name
+
 
 
 def test_harrison_of_two_points_is_sphere():
@@ -286,3 +433,19 @@ def test_harrison_side_of_ground_field_splitting():
                         augmentation={"1": QQ(1), "s": QQ(0)})
     report = harrison_product_comparison(a, q_cdga(), 3)
     assert report["bijective"], report
+
+
+def test_minimal_model_failed_certificate_raises(monkeypatch):
+    monkeypatch.setattr(MinimalModel, "linear_part_is_zero", lambda self: False)
+    with pytest.raises(CertificateFailure):
+        minimal_model(heisenberg_dgla())
+
+
+def test_cehar_has_no_assert_statements():
+    # certificates must survive python -O
+    import ast
+    import mclie.cehar
+    with open(mclie.cehar.__file__) as f:
+        tree = ast.parse(f.read())
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Assert)]

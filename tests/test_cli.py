@@ -225,3 +225,43 @@ d x = 1/2 [x,x]
     for line in out.splitlines():
         if "[stable]" in line:
             assert "= 0 " in line
+
+
+@pytest.mark.parametrize("args", [
+    ["ce", "--builtin", "heisenberg", "--words", "0"],
+    ["ce", "--builtin", "heisenberg", "--words", "-2"],
+    ["homology", "--builtin", "f_xa:-1"],
+    ["homology", "--builtin", "f_xa:0"],
+    ["homology", "--builtin", "f_xa:x"],
+    ["homology", "--builtin", "omega:0:0"],
+    ["harrison", "--builtin", "qxq", "--weight", "0"],
+    ["minimal-model", "--builtin", "heisenberg", "--arity", "1"],
+    ["minimal-model", "--builtin", "heisenberg", "--arity", "5"],
+    ["verify", "free-product-cohomology", "heisenberg", "abelian:1:0",
+     "--weight", "4", "--words", "2"],
+    ["verify", "free-product-cohomology", "heisenberg", "abelian:1:0",
+     "--weight", "1"],
+])
+def test_usage_errors_exit_2_without_traceback(args, capsys):
+    rc, out, err = run_cli(args, capsys)
+    assert rc == 2
+    assert "Traceback" not in err
+    assert err.strip()
+
+
+def test_ce_word_bound_one(capsys):
+    rc, out, err = run_cli(["ce", "heisenberg", "--words", "1"], capsys)
+    assert rc == 0
+    # H^1 needs the length-2 part of d, which word bound 1 cuts off
+    assert "H^1 = 3  [unstable]" in out
+
+
+def test_failed_certificate_exits_1(monkeypatch, capsys):
+    from mclie.cehar import MinimalModel
+    monkeypatch.setattr(MinimalModel, "linear_part_is_zero",
+                        lambda self: False)
+    rc, out, err = run_cli(["minimal-model", "--builtin", "heisenberg"],
+                           capsys)
+    assert rc == 1
+    assert err.startswith("CertificateFailure: ")
+    assert len(err.strip().splitlines()) == 1
