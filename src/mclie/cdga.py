@@ -28,7 +28,11 @@ from .linalg import (
     HomologyReport,
     RowSpace,
     homology as complex_homology,
+    identity_matrix,
     idempotents as algebra_idempotents,
+    mat_mul,
+    mat_vec,
+    rref,
     solve_matrix,
 )
 from .dgla import Dgla
@@ -51,6 +55,10 @@ class NoAugmentation(Exception):
 
 class CdgaAxiomViolation(Exception):
     pass
+
+
+class LocalizationFailure(Exception):
+    """A computed localization contradicts its own construction."""
 
 
 class TruncationNotDgStable(Exception):
@@ -669,21 +677,23 @@ def localize(a: Cdga, u: GradedElement):
     n_total = len(items)
     index = {it: i for i, it in enumerate(items)}
 
-    def mult_u_vec(vec):
-        elt = GradedElement()
-        for i, c in enumerate(vec):
-            if c:
-                n, lab = items[i]
-                elt = elt + a.multiply(u, a.space.basis_element(n, lab)).scale(c)
+    def vec_of_elt(elt: GradedElement):
         out = [ZERO] * n_total
         for key, c in elt.coeffs.items():
             out[index[key]] = c
         return out
 
-    # eventual image of multiplication by u
-    vecs = [[ONE if j == i else ZERO for j in range(n_total)] for i in range(n_total)]
-    for _ in range(n_total):
-        vecs = [mult_u_vec(v) for v in vecs]
+    def elt_of_vec(vec) -> GradedElement:
+        return GradedElement({items[i]: c for i, c in enumerate(vec) if c})
+
+    # multiplication by u, one row per target basis element; u^N e_i spans
+    # the eventual image, and u^N e_i in image coordinates is loc_map[e_i]
+    mult_u = list(zip(*[vec_of_elt(a.multiply(u, a.space.basis_element(n, lab)))
+                        for n, lab in items]))
+    N = n_total
+    vecs = identity_matrix(n_total)
+    for _ in range(N):
+        vecs = [mat_vec(mult_u, v) for v in vecs]
     rs = RowSpace(n_total)
     for v in vecs:
         rs.add(v)
@@ -691,13 +701,14 @@ def localize(a: Cdga, u: GradedElement):
     k = len(image_rows)
 
     # pick labels for the localized algebra, degreewise
-    by_degree: dict[int, list[int]] = {}
     loc_labels: list[str] = []
     basis: dict[int, list[str]] = {}
     row_info = []
     for ridx, row in enumerate(image_rows):
         degs = {items[i][0] for i, c in enumerate(row) if c}
-        assert len(degs) == 1
+        if len(degs) != 1:
+            raise LocalizationFailure("eventual image row %d is not homogeneous"
+                                      % ridx)
         d = degs.pop()
         lab = "loc%d" % ridx
         basis.setdefault(d, []).append(lab)
@@ -705,8 +716,7 @@ def localize(a: Cdga, u: GradedElement):
         row_info.append((d, lab))
     space = GradedVectorSpace(basis)
 
-    def to_coords(vec) -> GradedElement:
-        red = []
+    def coords_of(vec) -> list:
         work = list(vec)
         coords = [ZERO] * k
         for r, row in enumerate(image_rows):
@@ -718,43 +728,32 @@ def localize(a: Cdga, u: GradedElement):
                     if row[j]:
                         work[j] -= f * row[j]
         if any(work):
-            raise ValueError("vector not in the eventual image")
-        return GradedElement({(row_info[r][0], row_info[r][1]): c
-                              for r, c in enumerate(coords) if c})
+            raise LocalizationFailure("vector not in the eventual image")
+        return coords
 
-    def vec_of_elt(elt: GradedElement):
-        out = [ZERO] * n_total
-        for key, c in elt.coeffs.items():
-            out[index[key]] = c
-        return out
+    def elt_of_coords(coords) -> GradedElement:
+        return GradedElement({row_info[r]: c for r, c in enumerate(coords) if c})
 
-    def elt_of_vec(vec) -> GradedElement:
-        return GradedElement({items[i]: c for i, c in enumerate(vec) if c})
+    def to_coords(vec) -> GradedElement:
+        return elt_of_coords(coords_of(vec))
 
-    # inverse of multiplication by u on the eventual image
-    def mult_u_inv(vec):
-        # solve mult_u(x) = vec with x in the image
-        cols = [mult_u_vec(r) for r in image_rows]
-        m = [[cols[j][i] for j in range(k)] for i in range(n_total)]
-        x = solve_matrix(m, k, vec)
-        assert x is not None
-        out = [ZERO] * n_total
-        for j, c in enumerate(x):
-            if c:
-                for t in range(n_total):
-                    out[t] += c * image_rows[j][t]
-        return out
-
-    N = n_total
+    # u^-N on the eventual image, in image coordinates: invert the k x k
+    # matrix of u there once, then take its N-th power
+    u_img = list(zip(*[coords_of(mat_vec(mult_u, r)) for r in image_rows]))
+    red, pivots = rref([list(row) + e for row, e in zip(u_img, identity_matrix(k))],
+                       2 * k)
+    if pivots != list(range(k)):
+        raise LocalizationFailure("u is not invertible on the eventual image")
+    u_inv = [row[k:] for row in red]
+    w = identity_matrix(k)
+    for _ in range(N):
+        w = mat_mul(w, u_inv)
 
     def mult_fn(d1, l1, d2, l2):
         r1 = image_rows[loc_labels.index(l1)]
         r2 = image_rows[loc_labels.index(l2)]
         prod = a.multiply(elt_of_vec(r1), elt_of_vec(r2))
-        vec = vec_of_elt(prod)
-        for _ in range(N):
-            vec = mult_u_inv(vec)
-        return to_coords(vec)
+        return elt_of_coords(mat_vec(w, coords_of(vec_of_elt(prod))))
 
     def d_fn(n, lab):
         r = image_rows[loc_labels.index(lab)]
@@ -763,19 +762,13 @@ def localize(a: Cdga, u: GradedElement):
     d_map = GradedLinearMap.from_function(space, space, -1, d_fn)
     unit_vec = vec_of_elt(a.unit)
     for _ in range(N):
-        unit_vec = mult_u_vec(unit_vec)
+        unit_vec = mat_vec(mult_u, unit_vec)
     unit = to_coords(unit_vec)
     if space.total_dim() == 0:
         loc = Cdga(space, d_map, mult_fn, GradedElement(), check="skip")
     else:
         loc = Cdga(space, d_map, mult_fn, unit, check="auto")
-    loc_map = {}
-    for n, lab in items:
-        vec = [ZERO] * n_total
-        vec[index[(n, lab)]] = ONE
-        for _ in range(N):
-            vec = mult_u_vec(vec)
-        loc_map[lab] = to_coords(vec)
+    loc_map = {lab: to_coords(vecs[i]) for i, (n, lab) in enumerate(items)}
     return loc, loc_map
 
 
@@ -896,11 +889,14 @@ def _strict_factor(a: Cdga, u: GradedElement) -> Cdga:
     return Cdga(space, d_map, mult_fn, express(u), check="auto")
 
 
-def localization_exactness_report(a: Cdga, u: GradedElement) -> dict:
+def localization_exactness_report(a: Cdga, u: GradedElement,
+                                  loc: Optional[Cdga] = None) -> dict:
     """Verify H(A[u^-1]) = H(A)[[u]^-1] per degree: the cohomology of the
     localization against the localization of the cohomology, compared as
-    the eventual image of multiplication by [u] on H(A)."""
-    loc, loc_map = localize(a, u)
+    the eventual image of multiplication by [u] on H(A).  loc, when given,
+    is localize(a, u)[0], already built by the caller."""
+    if loc is None:
+        loc, _ = localize(a, u)
     h_loc = loc.homology()
     h = a.homology()
     # localization of H(A) at [u]: eventual image of [u]-multiplication on
@@ -914,7 +910,9 @@ def localization_exactness_report(a: Cdga, u: GradedElement) -> dict:
                [a.space.to_vector(b, n) for b in bnds.get(n, [])]
         m = [[cols[j][i] for j in range(len(cols))] for i in range(a.space.dim(n))]
         x = solve_matrix(m, len(cols), a.space.to_vector(elt, n))
-        assert x is not None
+        if x is None:
+            raise LocalizationFailure("u times a cycle is not a cycle in "
+                                      "degree %d" % n)
         return x[:len(labs)]
 
     report = {}

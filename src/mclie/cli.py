@@ -24,6 +24,7 @@ from .dgla import (
 from .cdga import (
     Cdga,
     CdgaAxiomViolation,
+    LocalizationFailure,
     NoAugmentation,
     NonCocycle,
     OddDegreeUnit,
@@ -269,7 +270,7 @@ def cmd_localize(ns, argv) -> int:
                  loc.space.total_dim() == 0 else "  cohomology vanishes")
     for n in sorted(dims):
         rep.value("H^%d" % n, dims[n], "exact")
-    exact = localization_exactness_report(alg, u)
+    exact = localization_exactness_report(alg, u, loc)
     rep.verdict("exactness H(A[u^-1]) = H(A)[u^-1]", exact["pass"])
     return rep.emit(ns.json)
 
@@ -421,7 +422,7 @@ def main(argv=None) -> int:
         return 3
     except (NonSplitAlgebra, OddDegreeUnit, NonCocycle, NoAugmentation,
             IncompleteSolve, AxiomViolation, CdgaAxiomViolation,
-            CertificateFailure) as e:
+            CertificateFailure, LocalizationFailure) as e:
         print("%s: %s" % (type(e).__name__, e), file=sys.stderr)
         return 1
 

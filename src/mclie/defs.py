@@ -73,37 +73,35 @@ def parse_rational(tok: str, line: Optional[int] = None) -> Fraction:
 def parse_element(text: str, degree_of: dict[str, int],
                   line: Optional[int] = None) -> GradedElement:
     """Linear combinations like '-1/2 [x,x] + 2 w'; labels contain no
-    whitespace and coefficients are separated from labels by whitespace."""
-    tokens = text.replace("+", " + ").replace(" -", " - ").split()
+    whitespace and coefficients are separated from labels by whitespace.
+    A numeric token names a basis label (such as the unit "1") when there
+    is one and no label follows it: "2 1" is twice the label "1", "1 e" is e."""
+    tokens = (" " + text).replace("+", " + ").replace(" -", " - ").split()
     out = GradedElement()
     sign = QQ(1)
     coeff = None
-    idx = 0
-    for tok in tokens:
-        idx += 1
-        if tok == "+":
-            sign, coeff = QQ(1), None
+    for idx, tok in enumerate(tokens, start=1):
+        if tok in ("+", "-"):
+            if coeff is not None:
+                raise DefinitionError("dangling coefficient", line, idx - 1)
+            sign = QQ(1) if tok == "+" else QQ(-1)
             continue
-        if tok == "-":
-            sign, coeff = QQ(-1), None
-            continue
-        if tok == "0" and coeff is None:
-            continue
-        is_number = True
         try:
             val = QQ(tok)
         except (ValueError, ZeroDivisionError):
-            is_number = False
-        if is_number:
+            val = None
+        ends_term = idx == len(tokens) or tokens[idx] in ("+", "-")
+        if val is not None and not (ends_term and tok in degree_of):
             if coeff is not None:
                 raise DefinitionError("two coefficients in a row", line, idx)
+            if not val and ends_term:
+                continue
             coeff = val
             continue
-        lab = tok
-        if lab not in degree_of:
-            raise DefinitionError("unknown basis label %r" % lab, line, idx)
+        if tok not in degree_of:
+            raise DefinitionError("unknown basis label %r" % tok, line, idx)
         c = sign * (coeff if coeff is not None else QQ(1))
-        out = out + GradedElement({(degree_of[lab], lab): c})
+        out = out + GradedElement({(degree_of[tok], tok): c})
         sign, coeff = QQ(1), None
     if coeff is not None:
         raise DefinitionError("dangling coefficient", line)
@@ -272,15 +270,20 @@ def build_builtin(ref: str, size: Optional[int] = None,
                                       "integer" % (name, args[i]))
         return default
 
+    def size_arg(least, default=None):
+        k = size if size is not None else arg(0, default)
+        if k is None:
+            raise DefinitionError("%s needs a size (%s:k or --size)" % (name, name))
+        if k < least:
+            raise DefinitionError("%s needs a size >= %d, got %d" % (name, least, k))
+        return k
+
     if name == "sphere":
         return sphere_dgla(weight or 2)
     if name == "zero":
         return zero_dgla()
     if name in ("g_S", "g_s"):
-        k = size if size is not None else arg(0)
-        if k is None:
-            raise DefinitionError("g_S needs a size (g_S:k or --size)")
-        return g_s_dgla(k, weight or 2)
+        return g_s_dgla(size_arg(0), weight or 2)
     if name == "f_xa":
         m = weight if weight is not None else arg(0)
         if m is None:
@@ -291,7 +294,7 @@ def build_builtin(ref: str, size: Optional[int] = None,
     if name == "heisenberg":
         return heisenberg_dgla()
     if name == "abelian":
-        k = size if size is not None else arg(0, 1)
+        k = size_arg(0, 1)
         deg = arg(1, 0)
         labels = ["a%d" % (i + 1) for i in range(k)]
         return abelian_dgla({deg: labels})
@@ -302,9 +305,7 @@ def build_builtin(ref: str, size: Optional[int] = None,
         return FiniteTableCdga({0: ["1", "e"]}, {("e", "e"): e}, "1",
                                augmentation={"1": QQ(1), "e": QQ(0)})
     if name == "qk":
-        k = size if size is not None else arg(0)
-        if k is None:
-            raise DefinitionError("qk needs a size (qk:k or --size)")
+        k = size_arg(1)
         labels = ["1"] + ["e%d" % i for i in range(1, k)]
         table = {}
         for i in range(1, k):

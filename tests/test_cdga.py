@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from mclie.linalg import QQ, GradedElement, NonSplitAlgebra
+from mclie.linalg import QQ, GradedElement, NonSplitAlgebra, RowSpace, solve_matrix
 from mclie.dgla import abelian_dgla, sphere_dgla, f_xa_dgla
 from mclie.cdga import (
     CdgaMorphism,
@@ -278,6 +278,126 @@ def test_localization_exactness_randomized():
         assert rep["pass"], rep
         checked += 1
     assert checked == 20
+
+
+def reference_localize(a, u):
+    """The colimit localization computed the slow way: every product is
+    pulled back through u^-N by N solves of u x = v on the eventual image,
+    each against a freshly built matrix.  Returns (products, unit,
+    loc_map), the products keyed by label pair in row-major order."""
+    items = a.basis_items()
+    n = len(items)
+    index = {it: i for i, it in enumerate(items)}
+
+    def vec_of(elt):
+        out = [QQ(0)] * n
+        for key, c in elt.coeffs.items():
+            out[index[key]] = c
+        return out
+
+    def elt_of(vec):
+        return GradedElement({items[i]: c for i, c in enumerate(vec) if c})
+
+    def mult_u(vec):
+        return vec_of(a.multiply(u, elt_of(vec)))
+
+    vecs = [[QQ(int(i == j)) for j in range(n)] for i in range(n)]
+    for _ in range(n):
+        vecs = [mult_u(v) for v in vecs]
+    rs = RowSpace(n)
+    for v in vecs:
+        rs.add(v)
+    rows = rs.rows
+    k = len(rows)
+    keys = [(next(items[i][0] for i, c in enumerate(row) if c), "loc%d" % r)
+            for r, row in enumerate(rows)]
+
+    def to_coords(vec):
+        work = list(vec)
+        coords = [QQ(0)] * k
+        for r, row in enumerate(rows):
+            f = work[rs.pivots[r]]
+            coords[r] = f
+            work = [x - f * y for x, y in zip(work, row)]
+        assert not any(work)
+        return GradedElement({keys[r]: c for r, c in enumerate(coords) if c})
+
+    def mult_u_inv(vec):
+        cols = [mult_u(r) for r in rows]
+        m = [[cols[j][i] for j in range(k)] for i in range(n)]
+        x = solve_matrix(m, k, vec)
+        assert x is not None
+        return [sum((x[j] * rows[j][t] for j in range(k)), QQ(0))
+                for t in range(n)]
+
+    products = {}
+    for i, j in itertools.product(range(k), repeat=2):
+        vec = vec_of(a.multiply(elt_of(rows[i]), elt_of(rows[j])))
+        for _ in range(n):
+            vec = mult_u_inv(vec)
+        products[(keys[i][1], keys[j][1])] = to_coords(vec)
+    unit = vec_of(a.unit)
+    for _ in range(n):
+        unit = mult_u(unit)
+    return products, to_coords(unit), {lab: to_coords(v)
+                                        for (_, lab), v in zip(items, vecs)}
+
+
+def assert_same_localization(a, u):
+    loc, loc_map = localize(a, u)
+    products, unit, ref_map = reference_localize(a, u)
+    got = {}
+    for (d1, l1), (d2, l2) in itertools.product(loc.basis_items(), repeat=2):
+        got[(l1, l2)] = loc.mult_labels(d1, l1, d2, l2)
+
+    def listed(table):
+        return [(key, list(v.coeffs.items())) for key, v in table.items()]
+
+    assert listed(got) == listed(products)
+    assert list(loc.unit.coeffs.items()) == list(unit.coeffs.items())
+    assert listed(loc_map) == listed(ref_map)
+    assert localization_exactness_report(a, u, loc) == \
+        localization_exactness_report(a, u)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_localize_matches_per_product_reference(seed):
+    rng = random.Random(seed)
+    a = random_table_cdga(rng)
+    cocycles = [lab for n, lab in a.basis_items()
+                if n == 0 and a.d(a.element(lab)).is_zero()]
+    u = GradedElement()
+    for lab in cocycles:
+        u = u + a.element(lab).scale(QQ(rng.randrange(-2, 3)))
+    assert_same_localization(a, u)
+
+
+@pytest.mark.parametrize("coeffs", [
+    {"1": 2, "p": -2, "q": -1, "ds": 3},  # p dies, 2 - q + 3 ds on the rest
+    {"1": -1, "p": 2, "q": 2},
+])
+def test_localize_matches_reference_with_scaled_unit(coeffs):
+    # a field block p, a dual number q, an exterior class r and a cone
+    # s -> ds; products of distinct blocks vanish
+    names = ["p", "q", "r", "s", "ds"]
+    table = {pair: GradedElement() for pair in itertools.combinations(names, 2)}
+    table.update({(x, x): GradedElement() for x in names})
+    table[("p", "p")] = GradedElement({(0, "p"): QQ(1)})
+    a = FiniteTableCdga({0: ["1", "p", "q", "ds"], -1: ["r", "s"]}, table, "1",
+                        {"s": GradedElement({(0, "ds"): QQ(1)})}, check="full")
+    u = GradedElement({(0, lab): QQ(c) for lab, c in coeffs.items()})
+    assert_same_localization(a, u)
+
+
+def test_localize_path_has_no_assert_statements():
+    # certificates must survive python -O
+    import ast
+    import inspect
+    import textwrap
+    for fn in (localize, localization_exactness_report):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        assert not [node.lineno for node in ast.walk(tree)
+                    if isinstance(node, ast.Assert)]
 
 
 # --- idempotent splitting -------------------------------------------------------

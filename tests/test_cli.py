@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from mclie.cli import main
+from mclie.linalg import QQ
 
 
 def run_cli(args, capsys):
@@ -247,6 +248,80 @@ def test_usage_errors_exit_2_without_traceback(args, capsys):
     assert rc == 2
     assert "Traceback" not in err
     assert err.strip()
+
+
+@pytest.mark.parametrize("args", [
+    ["homology", "--builtin", "qk:0"],
+    ["homology", "--builtin", "qk:-1"],
+    ["homology", "--builtin", "qk", "--size", "0"],
+    ["mc-moduli", "--builtin", "g_S", "--size", "-1"],
+    ["mc-moduli", "--builtin", "g_S:-1"],
+    ["homology", "--builtin", "abelian:-1:0"],
+    ["homology", "--builtin", "abelian", "--size", "-1"],
+])
+def test_builtin_sizes_below_minimum_exit_2(args, capsys):
+    rc, out, err = run_cli(args, capsys)
+    assert rc == 2
+    assert "Traceback" not in err
+    assert "size >= " in err
+
+
+def test_smallest_builtin_sizes_build(capsys):
+    rc, out, _ = run_cli(["homology", "--builtin", "qk:1"], capsys)
+    assert rc == 0 and "H_0 = 1  [exact]" in out
+    rc, out, _ = run_cli(["mc-moduli", "--builtin", "g_S:0"], capsys)
+    assert rc == 0 and "classes = 1" in out
+
+
+@pytest.mark.parametrize("args", [
+    ["localize", "--builtin", "qxq", "--at", "2 + e"],
+    ["localize", "--builtin", "qxq", "--at", "e - 3"],
+    ["mc-verify", "--builtin", "sphere", "--element", "1 + x"],
+    ["mc-verify", "--builtin", "sphere", "--element", "2 1 x"],
+])
+def test_pending_coefficient_is_an_error(args, capsys):
+    rc, out, err = run_cli(args, capsys)
+    assert rc == 2
+    assert "Traceback" not in err
+    assert err.startswith("parse error: ")
+
+
+@pytest.mark.parametrize("builtin, at, h0", [
+    ("q", "1", 1),
+    ("qxq", "1", 2),
+    ("qxq", "2 1", 2),
+    ("qxq", "- 1", 2),
+    ("qxq", "1 + e", 2),  # (2, 1) on the two factors
+    ("qxq", "1 - e", 1),  # (0, 1)
+    ("qxq", "1 e", 1),  # a coefficient in front of a label: e
+    ("qk:3", "1", 3),
+    ("qk:3", "2 1 - 2 e1", 2),
+])
+def test_numeric_labels_name_the_unit(builtin, at, h0, capsys):
+    rc, out, err = run_cli(["localize", "--builtin", builtin, "--at", at],
+                           capsys)
+    assert rc == 0, err
+    assert "H^0 = %d  [exact]" % h0 in out
+
+
+def test_parse_element_numeric_tokens():
+    from mclie.defs import parse_element
+    degs = {"1": 0, "e": 0}
+    assert parse_element("2 1", degs).coeffs == {(0, "1"): 2}
+    assert parse_element("1 1", degs).coeffs == {(0, "1"): 1}
+    assert parse_element("-1/2 e + 0", degs).coeffs == {(0, "e"): QQ(-1, 2)}
+    assert parse_element("0 e", degs).is_zero()
+    assert parse_element("0", {"e": 0}).is_zero()
+
+
+def test_localization_failure_exits_1(monkeypatch, capsys):
+    import mclie.cdga
+    monkeypatch.setattr(mclie.cdga, "solve_matrix", lambda *args: None)
+    rc, out, err = run_cli(["localize", "--builtin", "qxq", "--at", "e"],
+                           capsys)
+    assert rc == 1
+    assert err.startswith("LocalizationFailure: ")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_ce_word_bound_one(capsys):
