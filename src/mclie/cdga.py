@@ -21,6 +21,7 @@ from .linalg import (
     QQ,
     ZERO,
     ChainComplex,
+    Coordinates,
     FiniteCommutativeAlgebra,
     GradedElement,
     GradedLinearMap,
@@ -30,10 +31,11 @@ from .linalg import (
     homology as complex_homology,
     identity_matrix,
     idempotents as algebra_idempotents,
+    linear_combination,
     mat_mul,
     mat_vec,
+    rank,
     rref,
-    solve_matrix,
 )
 from .dgla import Dgla
 
@@ -59,6 +61,10 @@ class CdgaAxiomViolation(Exception):
 
 class LocalizationFailure(Exception):
     """A computed localization contradicts its own construction."""
+
+
+class EvenDegreeUnit(Exception):
+    """The finite-table colimit model inverts only cocycles of degree 0."""
 
 
 class TruncationNotDgStable(Exception):
@@ -670,9 +676,9 @@ def localize(a: Cdga, u: GradedElement):
     if isinstance(a, FreePolynomialCdga):
         return localize_cell(a, u), None
     if not (deg is None or deg == 0):
-        raise ValueError("the finite-table colimit model needs |u| = 0; "
-                         "present the algebra as a truncated free cdga for "
-                         "the cell model")
+        raise EvenDegreeUnit("the finite-table colimit model needs |u| = 0; "
+                             "present the algebra as a truncated free cdga "
+                             "for the cell model")
     items = a.basis_items()
     n_total = len(items)
     index = {it: i for i, it in enumerate(items)}
@@ -716,18 +722,11 @@ def localize(a: Cdga, u: GradedElement):
         row_info.append((d, lab))
     space = GradedVectorSpace(basis)
 
+    in_image = Coordinates(image_rows, n_total)
+
     def coords_of(vec) -> list:
-        work = list(vec)
-        coords = [ZERO] * k
-        for r, row in enumerate(image_rows):
-            pc = rs.pivots[r]
-            if work[pc]:
-                f = work[pc]
-                coords[r] = f
-                for j in range(n_total):
-                    if row[j]:
-                        work[j] -= f * row[j]
-        if any(work):
+        coords = in_image.coords(vec)
+        if coords is None:
             raise LocalizationFailure("vector not in the eventual image")
         return coords
 
@@ -797,15 +796,12 @@ def cohomology_algebra(a: Cdga, degree: int = 0):
     k = len(reps)
     if k == 0:
         raise ValueError("H is zero in degree %d" % degree)
-    bnds = h.boundaries.get(degree, [])
-    cols = a.space.dim(degree)
-    mat_cols = [a.space.to_vector(r, degree) for r in reps] + \
-               [a.space.to_vector(b, degree) for b in bnds]
-    m = [[mat_cols[j][i] for j in range(len(mat_cols))] for i in range(cols)]
+    cycles = Coordinates([a.space.to_vector(c, degree)
+                          for c in reps + h.boundaries.get(degree, [])],
+                         a.space.dim(degree))
 
     def project(elt: GradedElement):
-        vec = a.space.to_vector(elt, degree)
-        x = solve_matrix(m, len(mat_cols), vec)
+        x = cycles.coords(a.space.to_vector(elt, degree))
         if x is None:
             raise ValueError("element is not a cycle in degree %d" % degree)
         return x[:k]
@@ -846,20 +842,14 @@ def idempotent_split(a: Cdga):
 
 def _strict_factor(a: Cdga, u: GradedElement) -> Cdga:
     """The direct factor u*A of an exact idempotent u."""
-    items = a.basis_items()
     by_degree: dict[int, list[GradedElement]] = {}
+    in_factor: dict[int, Coordinates] = {}
     for n in a.space.degrees():
-        span = RowSpace(a.space.dim(n))
-        vecs = []
-        for lab in a.space.labels(n):
-            img = a.multiply(u, a.space.basis_element(n, lab))
-            v = a.space.to_vector(img, n)
-            if span.add(v):
-                pass
-        for row in span.rows:
-            vecs.append(a.space.from_vector(row, n))
-        if vecs:
-            by_degree[n] = vecs
+        rows, _ = rref([a.space.to_vector(a.multiply(u, e), n)
+                        for e in a.space.basis_elements(n)], a.space.dim(n))
+        in_factor[n] = Coordinates(rows, a.space.dim(n))
+        if rows:
+            by_degree[n] = [a.space.from_vector(row, n) for row in rows]
     basis = {n: ["f%d_%d" % (n, i) for i in range(len(v))]
              for n, v in by_degree.items()}
     space = GradedVectorSpace(basis)
@@ -871,13 +861,10 @@ def _strict_factor(a: Cdga, u: GradedElement) -> Cdga:
     def express(elt: GradedElement) -> GradedElement:
         out = GradedElement()
         for n in sorted(elt.degrees()):
-            part = elt.homogeneous_part(n)
-            labs = space.labels(n)
-            cols = [[vec_of[lab].coeff(n, gl) for lab in labs]
-                    for gl in a.space.labels(n)]
-            x = solve_matrix(cols, len(labs), a.space.to_vector(part, n))
+            x = in_factor[n].coords(a.space.to_vector(elt.homogeneous_part(n), n))
             if x is None:
                 raise ValueError("element not in the factor")
+            labs = space.labels(n)
             out = out + GradedElement({(n, labs[i]): c for i, c in enumerate(x) if c})
         return out
 
@@ -901,40 +888,26 @@ def localization_exactness_report(a: Cdga, u: GradedElement,
     h = a.homology()
     # localization of H(A) at [u]: eventual image of [u]-multiplication on
     # the finite graded algebra H(A)
-    reps = {n: h.representatives[n] for n in h.degrees()}
-    bnds = {n: h.boundaries.get(n, []) for n in h.degrees()}
-
-    def h_coords(elt, n):
-        labs = reps.get(n, [])
-        cols = [a.space.to_vector(r, n) for r in labs] + \
-               [a.space.to_vector(b, n) for b in bnds.get(n, [])]
-        m = [[cols[j][i] for j in range(len(cols))] for i in range(a.space.dim(n))]
-        x = solve_matrix(m, len(cols), a.space.to_vector(elt, n))
-        if x is None:
-            raise LocalizationFailure("u times a cycle is not a cycle in "
-                                      "degree %d" % n)
-        return x[:len(labs)]
-
     report = {}
     ok = True
     for n in sorted(set(h.degrees()) | set(h_loc.degrees())):
-        rs = reps.get(n, [])
+        rs = h.representatives.get(n, [])
         k = len(rs)
-        vecs = [[ONE if j == i else ZERO for j in range(k)] for i in range(k)]
-        for _ in range(max(1, k)):
+        cycles = Coordinates([a.space.to_vector(c, n)
+                              for c in rs + h.boundaries.get(n, [])],
+                             a.space.dim(n))
+        vecs = identity_matrix(k)
+        for _ in range(k):
             new = []
             for v in vecs:
-                elt = GradedElement()
-                for i, c in enumerate(v):
-                    if c:
-                        elt = elt + rs[i].scale(c)
-                img = a.multiply(u, elt)
-                new.append(h_coords(img, n))
+                x = cycles.coords(a.space.to_vector(
+                    a.multiply(u, linear_combination(zip(v, rs))), n))
+                if x is None:
+                    raise LocalizationFailure("u times a cycle is not a cycle "
+                                              "in degree %d" % n)
+                new.append(x[:k])
             vecs = new
-        span = RowSpace(k)
-        for v in vecs:
-            span.add(v)
-        expected = span.dim()
+        expected = rank(vecs, k)
         got = h_loc.dim(n)
         report[n] = {"H(A) localized": expected, "H(A[u^-1])": got}
         if expected != got:
@@ -1043,42 +1016,35 @@ def derivations_report(a: Cdga, rebuilt: Optional[Cdga] = None) -> dict:
             n = p.degree()
             sq[n].add(alg.space.to_vector(p, n))
         # complex I/I^2: coordinates = I-basis reduced mod I^2
-        dims = {}
-        quo_basis: dict[int, list] = {}
-        for n in sorted(ibasis):
-            rows = []
-            for v in ibasis[n]:
-                red = sq[n].reduce(alg.space.to_vector(v, n))
-                rows.append(red)
+        quo_basis: dict[int, list[GradedElement]] = {}
+        quo_coords: dict[int, Coordinates] = {}
+        for n in alg.space.degrees():
             span = RowSpace(alg.space.dim(n))
-            kept = []
-            for i, r in enumerate(rows):
+            kept, rows = [], []
+            for v in ibasis.get(n, []):
+                r = sq[n].reduce(alg.space.to_vector(v, n))
                 if span.add(r):
-                    kept.append(ibasis[n][i])
+                    kept.append(v)
+                    rows.append(r)
             if kept:
-                quo_basis[n] = (kept, sq[n])
+                quo_basis[n] = kept
+            quo_coords[n] = Coordinates(rows, alg.space.dim(n))
         # differential on I/I^2 and its homology, degreewise
-        space = GradedVectorSpace({n: ["q%d_%d" % (n, i) for i in range(len(v[0]))]
+        space = GradedVectorSpace({n: ["q%d_%d" % (n, i) for i in range(len(v))]
                                    for n, v in quo_basis.items()})
 
         def express(elt, n):
-            if n not in quo_basis:
-                if elt.is_zero() or not any(
-                        sq[n].reduce(alg.space.to_vector(elt, n))):
-                    return GradedElement()
-                raise ValueError("element escapes the quotient")
-            kept, sqn = quo_basis[n]
+            if elt.is_zero():
+                return GradedElement()
+            x = quo_coords[n].coords(sq[n].reduce(alg.space.to_vector(elt, n)))
+            if x is None:
+                raise CdgaAxiomViolation("element escapes the quotient I/I^2 "
+                                         "in degree %d" % n)
             labs = space.labels(n)
-            cols = [sqn.reduce(alg.space.to_vector(k, n)) for k in kept]
-            target = sqn.reduce(alg.space.to_vector(elt, n))
-            m = [[cols[j][i] for j in range(len(cols))]
-                 for i in range(alg.space.dim(n))]
-            x = solve_matrix(m, len(cols), target)
-            assert x is not None
             return GradedElement({(n, labs[i]): c for i, c in enumerate(x) if c})
 
         def d_fn(n, lab):
-            kept, _ = quo_basis[n]
+            kept = quo_basis[n]
             i = list(space.labels(n)).index(lab)
             img = alg.d(kept[i])
             img = img - alg.unit.scale(alg.eps(img))

@@ -27,12 +27,12 @@ from .linalg import (
     QQ,
     ZERO,
     ChainComplex,
+    Coordinates,
     GradedElement,
     GradedLinearMap,
     GradedVectorSpace,
-    RowSpace,
     homology as complex_homology,
-    solve_matrix,
+    rank,
 )
 from .freelie import LiePresentation
 from .dgla import Dgla, DglaPresentation, disjoint_product, free_product_dgla, is_mc
@@ -366,13 +366,9 @@ def dgla_map_from_generators(src: Dgla, dst: Dgla,
     if dims_match and d_compatible:
         surjective = True
         for n in src.space.degrees():
-            rs = RowSpace(dst.space.dim(n))
-            for lab in src.space.labels(n):
-                img = image_of(lab)
-                vec = dst.space.to_vector(img, n) if not img.is_zero() else \
-                    [ZERO] * dst.space.dim(n)
-                rs.add(vec)
-            if rs.dim() != dst.space.dim(n):
+            vecs = [dst.space.to_vector(image_of(lab), n)
+                    for lab in src.space.labels(n)]
+            if rank(vecs, dst.space.dim(n)) != dst.space.dim(n):
                 surjective = False
     return {"d_compatible": d_compatible, "dims_match": dims_match,
             "bijective": bool(dims_match and d_compatible and surjective),
@@ -602,22 +598,18 @@ class TransferData:
                         "boundary in degree %d has no preimage" % (n - 1))
                 pres.append(x)
             self.preimages[n] = pres
-        # decomposition matrices per degree
-        self._decomp: dict[int, tuple] = {}
+        # B + H + C coordinates per degree
+        self._decomp: dict[int, Coordinates] = {}
         for n in g.space.degrees():
-            cols = [g.space.to_vector(v, n) for v in self.boundaries.get(n, [])] + \
-                   [g.space.to_vector(v, n) for v in self.h_reps.get(n, [])] + \
-                   [g.space.to_vector(v, n) for v in self.preimages.get(n, [])]
+            cols = [g.space.to_vector(v, n) for v in self.boundaries[n] +
+                    self.h_reps[n] + self.preimages[n]]
             dim = g.space.dim(n)
-            if len(cols) != dim:
+            self._decomp[n] = Coordinates(cols, dim)
+            if len(cols) != dim or self._decomp[n].rank() != dim:
                 raise CertificateFailure("splitting does not span degree %d" % n)
-            mat = [[cols[j][i] for j in range(len(cols))] for i in range(dim)]
-            self._decomp[n] = mat
 
     def coords(self, elt: GradedElement, n: int):
-        mat = self._decomp[n]
-        vec = self.g.space.to_vector(elt, n)
-        x = solve_matrix(mat, len(mat[0]) if mat else 0, vec)
+        x = self._decomp[n].coords(self.g.space.to_vector(elt, n))
         if x is None:
             raise CertificateFailure(
                 "element outside the splitting of degree %d" % n)

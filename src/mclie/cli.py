@@ -24,6 +24,7 @@ from .dgla import (
 from .cdga import (
     Cdga,
     CdgaAxiomViolation,
+    EvenDegreeUnit,
     LocalizationFailure,
     NoAugmentation,
     NonCocycle,
@@ -264,13 +265,14 @@ def cmd_localize(ns, argv) -> int:
     u = parse_element(ns.at, element_degrees(alg))
     loc, _ = localize(alg, u)
     rep = Report(_echo(argv), {"definition": ns.defs[0], "at": ns.at})
-    dims = loc.cohomology_dims()
+    exact = localization_exactness_report(alg, u, loc)
+    dims = {-n: e["H(A[u^-1])"] for n, e in exact.items()
+            if n != "pass" and e["H(A[u^-1])"]}
     if not dims:
         rep.line("  localization is the terminal algebra (1 = 0)" if
                  loc.space.total_dim() == 0 else "  cohomology vanishes")
     for n in sorted(dims):
         rep.value("H^%d" % n, dims[n], "exact")
-    exact = localization_exactness_report(alg, u, loc)
     rep.verdict("exactness H(A[u^-1]) = H(A)[u^-1]", exact["pass"])
     return rep.emit(ns.json)
 
@@ -420,9 +422,9 @@ def main(argv=None) -> int:
     except (TruncationTooLarge,) as e:
         print("resource cap: %s" % e, file=sys.stderr)
         return 3
-    except (NonSplitAlgebra, OddDegreeUnit, NonCocycle, NoAugmentation,
-            IncompleteSolve, AxiomViolation, CdgaAxiomViolation,
-            CertificateFailure, LocalizationFailure) as e:
+    except (NonSplitAlgebra, OddDegreeUnit, EvenDegreeUnit, NonCocycle,
+            NoAugmentation, IncompleteSolve, AxiomViolation,
+            CdgaAxiomViolation, CertificateFailure, LocalizationFailure) as e:
         print("%s: %s" % (type(e).__name__, e), file=sys.stderr)
         return 1
 

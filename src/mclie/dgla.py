@@ -19,6 +19,7 @@ from .linalg import (
     QQ,
     ZERO,
     ChainComplex,
+    Coordinates,
     DegreeMismatch,
     GradedElement,
     GradedLinearMap,
@@ -27,7 +28,6 @@ from .linalg import (
     homology as complex_homology,
     kernel_basis,
     rank as matrix_rank,
-    solve_matrix,
 )
 from .freelie import (
     FreeLieTruncation,
@@ -453,16 +453,16 @@ def connected_cover(g: Dgla) -> tuple[Dgla, GradedLinearMap]:
     dropping negative degrees; returns (cover, inclusion)."""
     basis: dict[int, list[str]] = {}
     incl_vectors: dict[str, GradedElement] = {}
+    ker0 = kernel_basis(g.d_map.block(0), g.space.dim(0))
+    in_ker0 = Coordinates(ker0, g.space.dim(0))
     for n in g.space.degrees():
         if n > 0:
             basis[n] = list(g.space.labels(n))
             for lab in basis[n]:
                 incl_vectors[lab] = g.space.basis_element(n, lab)
         elif n == 0:
-            cols = g.space.dim(0)
-            ker = kernel_basis(g.d_map.block(0), cols)
             labs = []
-            for i, v in enumerate(ker):
+            for i, v in enumerate(ker0):
                 lab = "ker0_%d" % i
                 labs.append(lab)
                 incl_vectors[lab] = g.space.from_vector(v, 0)
@@ -478,13 +478,10 @@ def connected_cover(g: Dgla) -> tuple[Dgla, GradedLinearMap]:
             if n > 0:
                 out = out + GradedElement({(n, lab): c for (_, lab), c in part.coeffs.items()})
             elif n == 0:
-                labs = space.labels(0)
-                cols_matrix = [[incl_vectors[lab].coeff(0, gl) for lab in labs]
-                               for gl in g.space.labels(0)]
-                rhs = g.space.to_vector(part, 0)
-                x = solve_matrix(cols_matrix, len(labs), rhs)
+                x = in_ker0.coords(g.space.to_vector(part, 0))
                 if x is None:
                     raise AxiomViolation("element not in the connected cover")
+                labs = space.labels(0)
                 out = out + GradedElement({(0, labs[i]): c for i, c in enumerate(x) if c})
             else:
                 raise AxiomViolation("negative-degree component in the cover")

@@ -150,40 +150,24 @@ def solve_matrix(rows: Sequence[Sequence[Fraction]], ncols: int,
     return x
 
 
-def reduce_against(red_rows: Sequence[Sequence[Fraction]], pivots: Sequence[int],
-                   vec: Sequence[Fraction]) -> list[Fraction]:
-    """Reduce vec modulo the span of RREF rows (pivot coordinates eliminated)."""
-    v = list(vec)
-    for r, pc in enumerate(pivots):
-        if v[pc]:
-            f = v[pc]
-            row = red_rows[r]
-            for j in range(pc, len(v)):
-                if row[j]:
-                    v[j] -= f * row[j]
-    return v
-
-
 def extend_basis(inner: Sequence[Sequence[Fraction]], outer: Sequence[Sequence[Fraction]],
                  ncols: int) -> list[int]:
     """Indices of outer vectors extending span(inner) to span(inner+outer).
 
     Deterministic: vectors of outer are taken in order.
     """
-    rows = [list(v) for v in inner]
-    red, pivots = rref(rows, ncols)
-    chosen = []
-    for i, v in enumerate(outer):
-        w = reduce_against(red, pivots, v)
-        if any(w):
-            chosen.append(i)
-            red.append(w)
-            red, pivots = rref(red, ncols)
-    return chosen
+    span = RowSpace(ncols)
+    for v in inner:
+        span.add(v)
+    return [i for i, v in enumerate(outer) if span.add(v)]
 
 
 class RowSpace:
-    """Incrementally maintained subspace in reduced row echelon form."""
+    """Incrementally maintained subspace in reduced row echelon form.
+
+    Pivots lie in the first ncols columns; entries past them (as in
+    Coordinates) are carried through every row operation.
+    """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
@@ -195,7 +179,7 @@ class RowSpace:
         for row, pc in zip(self.rows, self.pivots):
             if v[pc]:
                 f = v[pc]
-                for j in range(pc, self.ncols):
+                for j in range(pc, len(v)):
                     if row[j]:
                         v[j] -= f * row[j]
         return v
@@ -219,7 +203,7 @@ class RowSpace:
         for row in self.rows:
             if row[pc]:
                 g = row[pc]
-                for j in range(pc, self.ncols):
+                for j in range(pc, len(v)):
                     if v[j]:
                         row[j] -= g * v[j]
         at = 0
@@ -231,6 +215,36 @@ class RowSpace:
 
     def dim(self) -> int:
         return len(self.rows)
+
+
+class Coordinates:
+    """Coordinates in the span of a fixed list of vectors, reduced once.
+
+    Each echelon row carries after its ncols entries minus the combination
+    of the input vectors that produced it, so reducing v leaves its
+    coordinates there.  A vector enters a row only when it is independent
+    of those before it, so coords(v) is the solution with zero on every
+    dependent vector: exactly solve_matrix on the matrix with these vectors
+    as columns.
+    """
+
+    def __init__(self, vectors: Sequence[Sequence[Fraction]], ncols: int):
+        self.m = len(vectors)
+        self.span = RowSpace(ncols)
+        for i, v in enumerate(vectors):
+            tag = [ZERO] * self.m
+            tag[i] = -ONE
+            self.span.add(list(v) + tag)
+
+    def coords(self, vec: Sequence[Fraction]) -> Optional[list[Fraction]]:
+        """Coefficients on all input vectors, or None outside their span."""
+        v = self.span.reduce(list(vec) + [ZERO] * self.m)
+        if any(v[:self.span.ncols]):
+            return None
+        return v[self.span.ncols:]
+
+    def rank(self) -> int:
+        return self.span.dim()
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +427,7 @@ class GradedLinearMap:
         self.target = target
         self.shift = shift
         self.blocks: dict[int, list[list[Fraction]]] = {}
+        self._columns: dict[int, Coordinates] = {}
         if blocks:
             for n, b in blocks.items():
                 b = [list(map(rational, row)) for row in b]
@@ -484,15 +499,13 @@ class GradedLinearMap:
         """Some preimage under the map, or None.  Deterministic: reduced row
         echelon with free variables pinned to zero (pivot-minimal)."""
         out = GradedElement()
-        by_degree: dict[int, GradedElement] = {}
-        for (d, lab), c in target_elt.coeffs.items():
-            by_degree.setdefault(d, GradedElement())
-            by_degree[d] = by_degree[d] + GradedElement({(d, lab): c})
-        for d, part in by_degree.items():
+        for d in dict.fromkeys(d for d, _ in target_elt.coeffs):
             n = d - self.shift
-            cols = self.source.dim(n)
-            rhs = self.target.to_vector(part, d)
-            x = solve_matrix(self.block(n), cols, rhs)
+            if n not in self._columns:
+                self._columns[n] = Coordinates(list(zip(*self.block(n))),
+                                               self.target.dim(d))
+            x = self._columns[n].coords(
+                self.target.to_vector(target_elt.homogeneous_part(d), d))
             if x is None:
                 return None
             out = out + self.source.from_vector(x, n)
@@ -745,11 +758,10 @@ def idempotents(a: FiniteCommutativeAlgebra) -> list[list[Fraction]]:
                 new_subspaces.append(v_basis)
                 continue
             # restrict mg to the subspace: solve mg*v_i = sum_j r_ji v_j
-            cols_matrix = [[v_basis[j][i] for j in range(k)] for i in range(n)]
+            in_basis = Coordinates(v_basis, n)
             restr = []
             for vb in v_basis:
-                img = mat_vec(mg, vb)
-                coords = solve_matrix(cols_matrix, k, img)
+                coords = in_basis.coords(mat_vec(mg, vb))
                 if coords is None:
                     raise NonSplitAlgebra("subspace not invariant")
                 restr.append(coords)

@@ -23,10 +23,10 @@ from .linalg import (
     ONE,
     QQ,
     ZERO,
+    Coordinates,
     GradedElement,
-    RowSpace,
     kernel_basis,
-    solve_matrix,
+    rank,
 )
 from .dgla import (
     Dgla,
@@ -1053,22 +1053,15 @@ def induced_homology_iso(incl, src: Dgla, dst: Dgla, degree: int) -> bool:
         return True
     reps_d = hd.representatives[degree]
     bnds_d = hd.boundaries.get(degree, [])
-    cols = [dst.space.to_vector(r, degree) for r in reps_d] + \
-           [dst.space.to_vector(b, degree) for b in bnds_d]
-    mat = [[cols[j][i] for j in range(len(cols))]
-           for i in range(dst.space.dim(degree))]
+    cycles = Coordinates([dst.space.to_vector(c, degree) for c in reps_d + bnds_d],
+                         dst.space.dim(degree))
     images = []
     for r in hs.representatives[degree]:
-        img = incl.apply(r)
-        vec = dst.space.to_vector(img, degree)
-        x = solve_matrix(mat, len(cols), vec)
+        x = cycles.coords(dst.space.to_vector(incl.apply(r), degree))
         if x is None:
             return False
         images.append(x[:len(reps_d)])
-    rs = RowSpace(len(reps_d))
-    for v in images:
-        rs.add(v)
-    return rs.dim() == hd.dim(degree)
+    return rank(images, len(reps_d)) == hd.dim(degree)
 
 
 def verify_component_decomposition(g: Dgla, n_max: int = 4,

@@ -19,6 +19,7 @@ from mclie.cehar import (
     CEComplex,
     CertificateFailure,
     MinimalModel,
+    TransferData,
     cdga_product,
     ce_cohomology,
     ce_complex,
@@ -439,6 +440,17 @@ def test_minimal_model_failed_certificate_raises(monkeypatch):
     monkeypatch.setattr(MinimalModel, "linear_part_is_zero", lambda self: False)
     with pytest.raises(CertificateFailure):
         minimal_model(heisenberg_dgla())
+
+
+def test_transfer_rejects_dependent_splitting(monkeypatch):
+    # a zero preimage of the boundary v = du leaves the degree-1 splitting
+    # one vector long but of rank 0
+    from mclie.linalg import GradedLinearMap
+    g = abelian_dgla({1: ["u"], 0: ["v"]}, {"u": GradedElement({(0, "v"): QQ(1)})})
+    TransferData(g)
+    monkeypatch.setattr(GradedLinearMap, "solve", lambda self, elt: GradedElement())
+    with pytest.raises(CertificateFailure, match="degree 1"):
+        TransferData(g)
 
 
 def test_cehar_has_no_assert_statements():

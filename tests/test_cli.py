@@ -315,13 +315,40 @@ def test_parse_element_numeric_tokens():
 
 
 def test_localization_failure_exits_1(monkeypatch, capsys):
-    import mclie.cdga
-    monkeypatch.setattr(mclie.cdga, "solve_matrix", lambda *args: None)
+    from mclie.linalg import Coordinates
+    monkeypatch.setattr(Coordinates, "coords", lambda self, vec: None)
     rc, out, err = run_cli(["localize", "--builtin", "qxq", "--at", "e"],
                            capsys)
     assert rc == 1
     assert err.startswith("LocalizationFailure: ")
     assert len(err.strip().splitlines()) == 1
+
+
+def test_localize_even_degree_unit_exits_1(capsys):
+    rc, out, err = run_cli(["localize", "--builtin", "q_deg2", "--at", "w"],
+                           capsys)
+    assert rc == 1
+    assert err.startswith("EvenDegreeUnit: ")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_localize_computes_each_homology_once(monkeypatch, capsys):
+    import mclie.cdga
+    calls = []
+    inner = mclie.cdga.complex_homology
+
+    def counted(c):
+        calls.append(c)
+        return inner(c)
+
+    monkeypatch.setattr(mclie.cdga, "complex_homology", counted)
+    rc, out, err = run_cli(["localize", "--builtin", "qk:3", "--at", "2 1 - e1"],
+                           capsys)
+    assert rc == 0
+    # one on A[u^-1], one on A
+    assert len(calls) == 2
+    assert "H^0 = 3  [exact]" in out
 
 
 def test_ce_word_bound_one(capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from mclie.linalg import (
     QQ,
     ChainComplex,
+    Coordinates,
     FiniteCommutativeAlgebra,
     GradedElement,
     GradedLinearMap,
@@ -95,6 +96,40 @@ def test_rref_deterministic():
 
 def test_solve_matrix_inconsistent():
     assert solve_matrix([[QQ(0)]], 1, [QQ(1)]) is None
+
+
+def test_coordinates_equal_solve_matrix():
+    # dependent, zero and repeated vectors, empty lists, and right-hand
+    # sides inside and outside the span
+    rng = random.Random(11)
+    outside = 0
+    for trial in range(300):
+        n, m = trial % 5, trial // 5 % 6
+        vecs = [[QQ(rng.randrange(-2, 3)) for _ in range(n)] for _ in range(m)]
+        if m >= 3 and rng.random() < 0.5:
+            vecs[2] = [a - 2 * b for a, b in zip(vecs[0], vecs[1])]
+        if m and rng.random() < 0.3:
+            vecs[rng.randrange(m)] = [QQ(0)] * n
+        if m >= 2 and rng.random() < 0.3:
+            vecs[-1] = list(vecs[0])
+        matrix = [[v[i] for v in vecs] for i in range(n)]
+        coords = Coordinates(vecs, n)
+        assert coords.rank() == rank(vecs, n) == rank(matrix, m)
+        for _ in range(4):
+            if rng.random() < 0.5:
+                b = [QQ(rng.randrange(-3, 4)) for _ in range(n)]
+            else:
+                cs = [QQ(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in vecs]
+                b = [sum((c * v[i] for c, v in zip(cs, vecs)), QQ(0))
+                     for i in range(n)]
+            x = coords.coords(b)
+            assert x == solve_matrix(matrix, m, b)
+            if x is None:
+                outside += 1
+            else:
+                assert [sum((c * v[i] for c, v in zip(x, vecs)), QQ(0))
+                        for i in range(n)] == b
+    assert outside > 20
 
 
 @settings(max_examples=25, deadline=None)
