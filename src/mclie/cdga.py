@@ -48,7 +48,13 @@ class OddDegreeUnit(Exception):
 
 
 class NonCocycle(Exception):
-    """Localization requires du = 0."""
+    """The element is not a cocycle: localization requires du = 0, and only
+    cocycles have classes in H."""
+
+
+class ZeroCohomology(Exception):
+    """H vanishes in the requested degree, so it has no algebra structure
+    to split (H^0 = 0 when the unit is a boundary)."""
 
 
 class NoAugmentation(Exception):
@@ -795,7 +801,7 @@ def cohomology_algebra(a: Cdga, degree: int = 0):
     reps = h.representatives.get(degree, [])
     k = len(reps)
     if k == 0:
-        raise ValueError("H is zero in degree %d" % degree)
+        raise ZeroCohomology("H is zero in degree %d" % degree)
     cycles = Coordinates([a.space.to_vector(c, degree)
                           for c in reps + h.boundaries.get(degree, [])],
                          a.space.dim(degree))
@@ -803,7 +809,7 @@ def cohomology_algebra(a: Cdga, degree: int = 0):
     def project(elt: GradedElement):
         x = cycles.coords(a.space.to_vector(elt, degree))
         if x is None:
-            raise ValueError("element is not a cycle in degree %d" % degree)
+            raise NonCocycle("element is not a cycle in degree %d" % degree)
         return x[:k]
 
     table = {}

@@ -26,34 +26,19 @@ from .linalg import (
     ONE,
     QQ,
     ZERO,
+    CertificateFailure,
     ChainComplex,
     Coordinates,
     GradedElement,
     GradedLinearMap,
     GradedVectorSpace,
+    _add_scaled,
     homology as complex_homology,
     rank,
 )
 from .freelie import LiePresentation
 from .dgla import Dgla, DglaPresentation, disjoint_product, free_product_dgla, is_mc
 from .cdga import Cdga, FreePolynomialCdga, NoAugmentation
-
-
-class CertificateFailure(Exception):
-    """A computed certificate did not hold: the Harrison unit slot, the
-    Hodge splitting of a transfer, a transfer solve, or a minimal-model
-    check."""
-
-
-def _add_scaled(acc: dict, elt: GradedElement, c: Fraction) -> None:
-    """acc += c * elt in place, keeping GradedElement addition's key order
-    and dropping coefficients that cancel."""
-    for key, v in elt.coeffs.items():
-        s = acc.get(key, ZERO) + c * v
-        if s:
-            acc[key] = s
-        else:
-            acc.pop(key, None)
 
 
 class CEComplex:

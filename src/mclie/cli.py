@@ -17,6 +17,7 @@ from .freelie import TruncationTooLarge
 from .dgla import (
     AxiomViolation,
     Dgla,
+    NotMaurerCartan,
     disjoint_product,
     free_product_dgla,
     homology_stability,
@@ -29,6 +30,7 @@ from .cdga import (
     NoAugmentation,
     NonCocycle,
     OddDegreeUnit,
+    ZeroCohomology,
     idempotent_split,
     localization_exactness_report,
     localize,
@@ -423,8 +425,9 @@ def main(argv=None) -> int:
         print("resource cap: %s" % e, file=sys.stderr)
         return 3
     except (NonSplitAlgebra, OddDegreeUnit, EvenDegreeUnit, NonCocycle,
-            NoAugmentation, IncompleteSolve, AxiomViolation,
-            CdgaAxiomViolation, CertificateFailure, LocalizationFailure) as e:
+            ZeroCohomology, NoAugmentation, IncompleteSolve, AxiomViolation,
+            NotMaurerCartan, CdgaAxiomViolation, CertificateFailure,
+            LocalizationFailure) as e:
         print("%s: %s" % (type(e).__name__, e), file=sys.stderr)
         return 1
 

@@ -395,7 +395,8 @@ def adjoin_mc_variable(g: Dgla, m: int, var: str = "x") -> Dgla:
     out.adjoined_variable = var
     x = out.element(var)
     ok, res = is_mc(out, x)
-    assert ok, "adjoined variable fails MC: %r" % res
+    if not ok:
+        raise NotMaurerCartan("adjoined variable fails MC: %r" % res)
     return out
 
 
@@ -430,7 +431,8 @@ def disjoint_product(g: Dgla, h: Dgla, m: int, check: str = "auto") -> Dgla:
     out.second_factor_names = h_renames
     base_point = -out.twist_of
     ok, res = is_mc(out, base_point)
-    assert ok, "distinguished MC element fails: %r" % res
+    if not ok:
+        raise NotMaurerCartan("distinguished MC element fails: %r" % res)
     out.distinguished_mc = base_point
     return out
 
@@ -556,7 +558,8 @@ def gauge_act(g: Dgla, a: GradedElement, xi: GradedElement) -> GradedElement:
         if k > bound:
             raise NotNilpotent("ad of the gauge parameter is not nilpotent")
     ok, res = is_mc(g, out)
-    assert ok, "gauge action broke the MC equation: %r" % res
+    if not ok:
+        raise NotMaurerCartan("gauge action broke the MC equation: %r" % res)
     return out
 
 

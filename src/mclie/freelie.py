@@ -9,6 +9,11 @@ its Lyndon word (coefficient 1, or 2 for squares), so a greedy elimination
 rewrites any Lie element back into the basis.  Everything above the weight
 bound is truncated away, realizing the quotient by the corresponding term
 of the lower central series.
+
+The Lyndon basis is a Z-basis of the free Lie ring, so tensor expansions
+and the bracket's commutators and eliminations run on Python ints; only a
+square's halving can leave the integers (Fraction(c, 2) for odd c).  A
+coefficient becomes a Fraction once, when its GradedElement is built.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ from .linalg import (
     GradedElement,
     GradedVectorSpace,
     RowSpace,
+    _add_scaled,
+    _element_of,
 )
 
 Tree = object  # int leaf or (Tree, Tree) pair
@@ -68,6 +75,21 @@ def foliage(tree) -> Word:
     return foliage(tree[0]) + foliage(tree[1])
 
 
+def _commutator(a: Mapping[Word, int], b: Mapping[Word, int],
+                odd: int) -> dict[Word, int]:
+    """ab - (-1)^odd ba in the tensor algebra; cancelled words stay, as 0."""
+    rsign = 1 if odd else -1
+    out: dict[Word, int] = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            c = c1 * c2
+            w = w1 + w2
+            out[w] = out.get(w, 0) + c
+            wr = w2 + w1
+            out[wr] = out.get(wr, 0) + rsign * c
+    return out
+
+
 class FreeLieTruncation:
     """Free graded Lie algebra on named generators, modulo brackets of
     weight above m.
@@ -99,6 +121,7 @@ class FreeLieTruncation:
             self.gen_weights.append(int(weight))
         self.gen_index = {n: i for i, n in enumerate(self.gen_names)}
 
+        self._wd_cache: dict = {}
         self._build_basis(size_cap)
         self._expand_cache: dict = {}
         self._bracket_cache: dict[tuple[str, str], GradedElement] = {}
@@ -111,11 +134,24 @@ class FreeLieTruncation:
     def word_degree(self, w: Word) -> int:
         return sum(self.gen_degrees[i] for i in w)
 
+    def _weight_degree(self, tree) -> tuple[int, int]:
+        """(weight, degree) of a tree, memoized per tree."""
+        wd = self._wd_cache.get(tree)
+        if wd is None:
+            if isinstance(tree, int):
+                wd = (self.gen_weights[tree], self.gen_degrees[tree])
+            else:
+                w1, d1 = self._weight_degree(tree[0])
+                w2, d2 = self._weight_degree(tree[1])
+                wd = (w1 + w2, d1 + d2)
+            self._wd_cache[tree] = wd
+        return wd
+
     def tree_weight(self, tree) -> int:
-        return self.word_weight(foliage(tree))
+        return self._weight_degree(tree)[0]
 
     def tree_degree(self, tree) -> int:
-        return self.word_degree(foliage(tree))
+        return self._weight_degree(tree)[1]
 
     def _standard_tree(self, w: Word):
         """Standard (right) bracketing of a Lyndon word."""
@@ -155,8 +191,7 @@ class FreeLieTruncation:
                 "basis would have %d elements (cap %d)" % (len(trees), size_cap))
         self.cells: dict[tuple[int, int], list] = {}
         for t in trees:
-            key = (self.tree_weight(t), self.tree_degree(t))
-            self.cells.setdefault(key, []).append(t)
+            self.cells.setdefault(self._weight_degree(t), []).append(t)
         for key in self.cells:
             self.cells[key].sort(key=foliage)
         self.label_of_tree: dict = {}
@@ -190,37 +225,31 @@ class FreeLieTruncation:
 
     # -- tensor algebra expansion and rewriting ---------------------------
 
-    def tensor_expand(self, tree) -> dict[Word, Fraction]:
-        """Expansion in the tensor algebra, [a,b] = ab - (-1)^{|a||b|} ba."""
+    def tensor_expand(self, tree) -> dict[Word, int]:
+        """Expansion in the tensor algebra, [a,b] = ab - (-1)^{|a||b|} ba,
+        with int coefficients."""
         cached = self._expand_cache.get(tree)
         if cached is not None:
             return cached
         if isinstance(tree, int):
-            out = {(tree,): ONE}
+            out = {(tree,): 1}
         else:
             t1, t2 = tree
-            a = self.tensor_expand(t1)
-            b = self.tensor_expand(t2)
-            sign = -ONE if (self.tree_degree(t1) * self.tree_degree(t2)) % 2 else ONE
-            out = {}
-            for w1, c1 in a.items():
-                for w2, c2 in b.items():
-                    w = w1 + w2
-                    out[w] = out.get(w, ZERO) + c1 * c2
-                    wr = w2 + w1
-                    out[wr] = out.get(wr, ZERO) - sign * c1 * c2
-            out = {w: c for w, c in out.items() if c}
+            comm = _commutator(self.tensor_expand(t1), self.tensor_expand(t2),
+                               (self.tree_degree(t1) * self.tree_degree(t2)) % 2)
+            out = {w: c for w, c in comm.items() if c}
         self._expand_cache[tree] = out
         return out
 
-    def rewrite_tensor(self, tensor: Mapping[Word, Fraction]) -> GradedElement:
+    def rewrite_tensor(self, tensor: Mapping[Word, int | Fraction]) -> GradedElement:
         """Rewrite a Lie element of the tensor algebra into the basis.
 
         Greedy triangular elimination on the lexicographically smallest
-        word; raises NotLieElement if the input is not in the span.
+        word; raises NotLieElement if the input is not in the span.  Int
+        coefficients stay ints except where a square halves an odd one.
         """
         work = {w: c for w, c in tensor.items() if c}
-        out: dict[tuple[int, str], Fraction] = {}
+        out: dict[tuple[int, str], int | Fraction] = {}
         while work:
             s = min(work)
             c = work[s]
@@ -231,14 +260,13 @@ class FreeLieTruncation:
                 half = len(s) // 2
                 if len(s) % 2 == 0 and s[:half] == s[half:] and s in self._square_words:
                     tree = self._square_words[s]
-                    coeff = c / 2
+                    coeff = c // 2 if type(c) is int and c % 2 == 0 else Fraction(c, 2)
                 else:
                     raise NotLieElement("smallest word %r is not super-Lyndon" % (s,))
-            lab = self.label_of_tree[tree]
-            deg = self.tree_degree(tree)
-            out[(deg, lab)] = out.get((deg, lab), ZERO) + coeff
+            key = (self.tree_degree(tree), self.label_of_tree[tree])
+            out[key] = out.get(key, 0) + coeff
             for w, cc in self.tensor_expand(tree).items():
-                v = work.get(w, ZERO) - coeff * cc
+                v = work.get(w, 0) - coeff * cc
                 if v:
                     work[w] = v
                 else:
@@ -265,33 +293,25 @@ class FreeLieTruncation:
             return cached
         t1 = self.tree_of_label[lab1]
         t2 = self.tree_of_label[lab2]
-        if self.tree_weight(t1) + self.tree_weight(t2) > self.m:
+        w1, d1 = self._weight_degree(t1)
+        w2, d2 = self._weight_degree(t2)
+        if w1 + w2 > self.m:
             res = GradedElement()
         else:
-            a = self.tensor_expand(t1)
-            b = self.tensor_expand(t2)
-            sign = -ONE if (self.tree_degree(t1) * self.tree_degree(t2)) % 2 else ONE
-            comm: dict[Word, Fraction] = {}
-            for w1, c1 in a.items():
-                for w2, c2 in b.items():
-                    w = w1 + w2
-                    comm[w] = comm.get(w, ZERO) + c1 * c2
-                    wr = w2 + w1
-                    comm[wr] = comm.get(wr, ZERO) - sign * c1 * c2
-            res = self.rewrite_tensor(comm)
+            res = self.rewrite_tensor(_commutator(
+                self.tensor_expand(t1), self.tensor_expand(t2), (d1 * d2) % 2))
         self._bracket_cache[key] = res
         # antisymmetry gives the mirrored pair for free
-        d1, d2 = self.tree_degree(t1), self.tree_degree(t2)
         msign = -ONE if (d1 * d2) % 2 == 0 else ONE
         self._bracket_cache.setdefault((lab2, lab1), res.scale(msign))
         return res
 
     def bracket(self, u: GradedElement, v: GradedElement) -> GradedElement:
-        out = GradedElement()
+        out: dict = {}
         for (d1, l1), c1 in u.coeffs.items():
             for (d2, l2), c2 in v.coeffs.items():
-                out = out + self.bracket_labels(l1, l2).scale(c1 * c2)
-        return out
+                _add_scaled(out, self.bracket_labels(l1, l2), c1 * c2)
+        return _element_of(out)
 
     def ad_nilpotency_bound(self) -> int:
         return self.m
@@ -346,10 +366,10 @@ class FreeDgla:
         return res
 
     def d(self, elt: GradedElement) -> GradedElement:
-        out = GradedElement()
+        out: dict = {}
         for (deg, lab), c in elt.coeffs.items():
-            out = out + self.d_label(lab).scale(c)
-        return out
+            _add_scaled(out, self.d_label(lab), c)
+        return _element_of(out)
 
 
 # ---------------------------------------------------------------------------
@@ -465,12 +485,18 @@ class QuotientLie:
 
     def project(self, elt: GradedElement) -> GradedElement:
         """Image in the quotient, coordinates on the surviving labels."""
-        out = GradedElement()
+        out: dict = {}
         for deg in sorted(elt.degrees()):
             part = elt.homogeneous_part(deg)
-            v = self._ideal[deg].reduce(self._to_vec(part, deg))
-            out = out + self._from_vec(v, deg)
-        return out
+            # one block of keys per degree: the keys never collide
+            if self._ideal[deg].rows:
+                v = self._ideal[deg].reduce(self._to_vec(part, deg))
+                out.update(self._from_vec(v, deg).coeffs)
+            else:
+                # nothing to reduce by: the same terms, in column order
+                idx = self._colindex[deg]
+                out.update(sorted(part.coeffs.items(), key=lambda kv: idx[kv[0][1]]))
+        return _element_of(out)
 
     def _check_differential(self):
         for deg, rs in self._ideal.items():
@@ -492,11 +518,11 @@ class QuotientLie:
         return cached
 
     def bracket(self, u: GradedElement, v: GradedElement) -> GradedElement:
-        out = GradedElement()
+        out: dict = {}
         for (d1, l1), c1 in u.coeffs.items():
             for (d2, l2), c2 in v.coeffs.items():
-                out = out + self.bracket_labels(l1, l2).scale(c1 * c2)
-        return out
+                _add_scaled(out, self.bracket_labels(l1, l2), c1 * c2)
+        return _element_of(out)
 
     def d_label(self, lab: str) -> GradedElement:
         cached = self._d_cache.get(lab)
@@ -506,10 +532,10 @@ class QuotientLie:
         return cached
 
     def d(self, elt: GradedElement) -> GradedElement:
-        out = GradedElement()
+        out: dict = {}
         for (deg, lab), c in elt.coeffs.items():
-            out = out + self.d_label(lab).scale(c)
-        return out
+            _add_scaled(out, self.d_label(lab), c)
+        return _element_of(out)
 
 
 # ---------------------------------------------------------------------------

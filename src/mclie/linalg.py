@@ -4,7 +4,9 @@ primitive idempotents of split finite commutative algebras.
 
 All arithmetic is fractions.Fraction; there is no floating point anywhere.
 Row reduction is deterministic (leftmost pivot, topmost nonzero row), so
-every derived report is reproducible bit for bit.
+every derived report is reproducible bit for bit.  Linear maps are stored
+as sparse columns; dense matrices are built only where row reduction needs
+them (homology, solve, kernel_basis).
 """
 
 from __future__ import annotations
@@ -35,6 +37,12 @@ class NonSplitAlgebra(Exception):
 
 class DegreeMismatch(Exception):
     """An element was not homogeneous of the required degree."""
+
+
+class CertificateFailure(Exception):
+    """A computed certificate did not hold: rank-nullity of a homology
+    block, the Harrison unit slot, the Hodge splitting of a transfer, a
+    transfer solve, or a minimal-model check."""
 
 
 # ---------------------------------------------------------------------------
@@ -406,19 +414,44 @@ class GradedElement:
         return s[2:] if s.startswith("+ ") else s
 
 
+# In-place sums for the package's inner loops, which would otherwise copy the
+# whole dict per term with `out = out + e.scale(c)`.
+
+def _add_scaled(acc: dict, elt: GradedElement, c: Fraction) -> None:
+    """acc += c * elt in place, keeping GradedElement addition's key order
+    and dropping coefficients that cancel."""
+    for key, v in elt.coeffs.items():
+        s = acc.get(key, ZERO) + c * v
+        if s:
+            acc[key] = s
+        else:
+            acc.pop(key, None)
+
+
+def _element_of(coeffs: dict) -> GradedElement:
+    """Wrap a dict of nonzero Fraction coefficients without copying it."""
+    res = GradedElement()
+    res.coeffs = coeffs
+    return res
+
+
 def linear_combination(pairs: Iterable[tuple[Fraction, GradedElement]]) -> GradedElement:
-    out = GradedElement()
+    out: dict = {}
     for c, e in pairs:
         if c:
-            out = out + e.scale(c)
-    return out
+            _add_scaled(out, e, rational(c))
+    return _element_of(out)
 
 
 class GradedLinearMap:
     """Degree-homogeneous linear map between graded spaces.
 
-    Blocks are dense matrices per source degree n, mapping into degree
-    n + shift; absent blocks are zero.
+    Stored as sparse columns: columns[n][j] lists the (row, coefficient)
+    pairs of the image of the j-th basis vector of degree n, in degree
+    n + shift, rows ascending and zeros never stored.  Degrees whose
+    columns are all zero are absent.  apply, compose and is_zero work on
+    the columns at O(nonzeros) cost; block(n) builds the dense matrix on
+    demand.  The constructor takes dense blocks, one per source degree.
     """
 
     def __init__(self, source: GradedVectorSpace, target: GradedVectorSpace,
@@ -426,8 +459,8 @@ class GradedLinearMap:
         self.source = source
         self.target = target
         self.shift = shift
-        self.blocks: dict[int, list[list[Fraction]]] = {}
-        self._columns: dict[int, Coordinates] = {}
+        self.columns: dict[int, list[list[tuple[int, Fraction]]]] = {}
+        self._coordinates: dict[int, Coordinates] = {}
         if blocks:
             for n, b in blocks.items():
                 b = [list(map(rational, row)) for row in b]
@@ -436,80 +469,99 @@ class GradedLinearMap:
                     exp_cols = source.dim(n)
                     if len(b) != exp_rows or any(len(r) != exp_cols for r in b):
                         raise ValueError("block %d has wrong shape" % n)
-                    self.blocks[n] = b
+                    self.columns[n] = [[(i, row[j]) for i, row in enumerate(b) if row[j]]
+                                       for j in range(exp_cols)]
+
+    @classmethod
+    def _of_columns(cls, source: GradedVectorSpace, target: GradedVectorSpace,
+                    shift: int, columns: Mapping[int, list]) -> "GradedLinearMap":
+        out = cls(source, target, shift)
+        out.columns = {n: cols for n, cols in columns.items() if any(cols)}
+        return out
 
     @classmethod
     def from_function(cls, source: GradedVectorSpace, target: GradedVectorSpace,
                       shift: int, fn: Callable[[int, str], GradedElement]):
-        blocks = {}
+        columns = {}
         for n in source.degrees():
-            rows = target.dim(n + shift)
-            cols = source.dim(n)
-            block = zeros(rows, cols)
-            for j, lab in enumerate(source.labels(n)):
-                img = fn(n, lab)
-                if img.is_zero():
-                    continue
-                for (d, tl), c in img.coeffs.items():
+            cols = []
+            for lab in source.labels(n):
+                col = []
+                for (d, tl), c in fn(n, lab).coeffs.items():
                     if d != n + shift:
                         raise DegreeMismatch(
                             "image of (%d,%s) not in degree %d" % (n, lab, n + shift))
-                    block[target.index(d, tl)][j] = c
-            blocks[n] = block
-        return cls(source, target, shift, blocks)
+                    if c:
+                        col.append((target.index(d, tl), rational(c)))
+                col.sort()
+                cols.append(col)
+            columns[n] = cols
+        return cls._of_columns(source, target, shift, columns)
 
     def block(self, n: int) -> list[list[Fraction]]:
-        b = self.blocks.get(n)
-        if b is None:
-            return zeros(self.target.dim(n + self.shift), self.source.dim(n))
+        """The dense matrix of degree n (a new list each call)."""
+        b = zeros(self.target.dim(n + self.shift), self.source.dim(n))
+        for j, col in enumerate(self.columns.get(n, ())):
+            for i, c in col:
+                b[i][j] = c
         return b
 
     def apply(self, elt: GradedElement) -> GradedElement:
-        out = GradedElement()
+        out: dict[tuple[int, str], Fraction] = {}
         for (n, lab), c in elt.coeffs.items():
-            b = self.blocks.get(n)
-            if b is None:
+            cols = self.columns.get(n)
+            if cols is None:
                 continue
-            j = self.source.index(n, lab)
-            tlabels = self.target.labels(n + self.shift)
-            contrib = GradedElement({(n + self.shift, tlabels[i]): b[i][j] * c
-                                     for i in range(len(tlabels)) if b[i][j]})
-            out = out + contrib
-        return out
+            m = n + self.shift
+            tlabels = self.target.labels(m)
+            for i, a in cols[self.source.index(n, lab)]:
+                key = (m, tlabels[i])
+                s = out.get(key, ZERO) + a * c
+                if s:
+                    out[key] = s
+                else:
+                    out.pop(key, None)
+        return _element_of(out)
 
     def compose(self, other: "GradedLinearMap") -> "GradedLinearMap":
         """self after other."""
         if other.target is not self.source and other.target != self.source:
             raise ValueError("composition spaces do not match")
-        blocks = {}
-        for n in other.source.degrees():
-            b1 = other.blocks.get(n)
-            if b1 is None:
+        columns = {}
+        for n, cols1 in other.columns.items():
+            cols2 = self.columns.get(n + other.shift)
+            if cols2 is None:
                 continue
-            b2 = self.blocks.get(n + other.shift)
-            if b2 is None:
-                continue
-            blocks[n] = mat_mul(b2, b1)
-        return GradedLinearMap(other.source, self.target, self.shift + other.shift, blocks)
+            out = []
+            for col in cols1:
+                acc: dict[int, Fraction] = {}
+                for k, a in col:
+                    for i, b in cols2[k]:
+                        acc[i] = acc.get(i, ZERO) + b * a
+                out.append(sorted((i, c) for i, c in acc.items() if c))
+            columns[n] = out
+        return GradedLinearMap._of_columns(other.source, self.target,
+                                           self.shift + other.shift, columns)
 
     def is_zero(self) -> bool:
-        return all(not any(any(row) for row in b) for b in self.blocks.values())
+        return not self.columns
 
     def solve(self, target_elt: GradedElement) -> Optional[GradedElement]:
         """Some preimage under the map, or None.  Deterministic: reduced row
         echelon with free variables pinned to zero (pivot-minimal)."""
-        out = GradedElement()
+        out: dict[tuple[int, str], Fraction] = {}
         for d in dict.fromkeys(d for d, _ in target_elt.coeffs):
             n = d - self.shift
-            if n not in self._columns:
-                self._columns[n] = Coordinates(list(zip(*self.block(n))),
-                                               self.target.dim(d))
-            x = self._columns[n].coords(
+            if n not in self._coordinates:
+                self._coordinates[n] = Coordinates(list(zip(*self.block(n))),
+                                                   self.target.dim(d))
+            x = self._coordinates[n].coords(
                 self.target.to_vector(target_elt.homogeneous_part(d), d))
             if x is None:
                 return None
-            out = out + self.source.from_vector(x, n)
-        return out
+            # one source degree per target degree: the keys never collide
+            out.update(self.source.from_vector(x, n).coeffs)
+        return _element_of(out)
 
 
 # ---------------------------------------------------------------------------
@@ -576,16 +628,16 @@ def homology(c: ChainComplex) -> HomologyReport:
         cols = space.dim(n)
         if cols == 0:
             continue
-        ker = kernel_basis(d.block(n), cols)
+        block = d.block(n)
+        ker = kernel_basis(block, cols)
         cycle_dims[n] = len(ker)
         img_vecs = []
-        up = space.dim(n + 1)
-        if up:
-            b = d.block(n + 1)
-            for j in range(up):
-                col = [b[i][j] for i in range(cols)]
-                if any(col):
-                    img_vecs.append(col)
+        for col in d.columns.get(n + 1, ()):
+            if col:
+                v = [ZERO] * cols
+                for i, c in col:
+                    v[i] = c
+                img_vecs.append(v)
         img_red, img_piv = rref(img_vecs, cols)
         boundary_basis = [list(r) for r in img_red]
         rk_img = len(img_piv)
@@ -593,8 +645,9 @@ def homology(c: ChainComplex) -> HomologyReport:
         chosen = extend_basis(boundary_basis, ker, cols)
         reps[n] = [space.from_vector(ker[i], n) for i in chosen]
         bnds[n] = [space.from_vector(v, n) for v in boundary_basis]
-        # rank-nullity per block, asserted on every run
-        assert rank(d.block(n), cols) + len(ker) == cols
+        # rank-nullity per block, checked on every run
+        if rank(block, cols) + len(ker) != cols:
+            raise CertificateFailure("rank-nullity fails in degree %d" % n)
     dims = {n: v for n, v in dims.items()}
     return HomologyReport(dims, reps, bnds, cycle_dims)
 

@@ -524,3 +524,16 @@ def test_split_z_graded_uses_localization_factors():
             dims_total[n] = dims_total.get(n, 0) + v
         assert f.cohomology_dims().get(0) == 1
     assert dims_total == a.cohomology_dims()
+
+
+def test_cohomology_algebra_raises_named_errors(monkeypatch):
+    from mclie.cdga import ZeroCohomology, cohomology_algebra
+    from mclie.defs import parse_definition
+    a = parse_definition("kind cdga\nbasis 1 0\nbasis y -1\nunit 1\n"
+                         "d y = 1 1\n").build()
+    with pytest.raises(ZeroCohomology, match="degree 0"):
+        cohomology_algebra(a)
+    import mclie.cdga
+    monkeypatch.setattr(mclie.cdga.Coordinates, "coords", lambda self, v: None)
+    with pytest.raises(NonCocycle, match="not a cycle"):
+        cohomology_algebra(qxq())

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from mclie.cli import main
-from mclie.linalg import QQ
+from mclie.linalg import QQ, GradedElement
 
 
 def run_cli(args, capsys):
@@ -366,4 +366,32 @@ def test_failed_certificate_exits_1(monkeypatch, capsys):
                            capsys)
     assert rc == 1
     assert err.startswith("CertificateFailure: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_split_with_unit_a_boundary_exits_1(tmp_path, capsys):
+    # d y = 1 makes the unit a boundary: H^0 = 0 has nothing to split
+    d = tmp_path / "unit_boundary.def"
+    d.write_text("""
+kind cdga
+basis 1 0
+basis y -1
+unit 1
+d y = 1 1
+""")
+    rc, out, err = run_cli(["split", str(d)], capsys)
+    assert rc == 1
+    assert err.startswith("ZeroCohomology: ")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_not_maurer_cartan_exits_1(monkeypatch, capsys):
+    import mclie.dgla
+    monkeypatch.setattr(mclie.dgla, "is_mc",
+                        lambda g, xi: (False, GradedElement()))
+    rc, out, err = run_cli(["disjoint-product", "--builtin", "abelian:1:0",
+                            "--builtin", "zero", "--weight", "3"], capsys)
+    assert rc == 1
+    assert err.startswith("NotMaurerCartan: ")
     assert len(err.strip().splitlines()) == 1

@@ -392,3 +392,38 @@ def test_gauge_moves_are_invertible():
     a = g.element("a").scale(QQ(2, 3))
     x = g.element("x")
     assert gauge_act(g, -a, gauge_act(g, a, x)) == x
+
+
+def test_failed_mc_post_checks_raise_not_maurer_cartan(monkeypatch):
+    # the checks on constructed MC elements must survive python -O
+    import mclie.dgla
+    real = mclie.dgla.is_mc
+    calls = []
+
+    def fails_after(n):
+        def check(g, xi):
+            calls.append(xi)
+            ok, res = real(g, xi)
+            return (ok and len(calls) <= n), res
+        return check
+
+    monkeypatch.setattr(mclie.dgla, "is_mc", fails_after(0))
+    with pytest.raises(NotMaurerCartan, match="adjoined variable"):
+        adjoin_mc_variable(zero_dgla(), 2)
+    with pytest.raises(NotMaurerCartan, match="distinguished MC element"):
+        disjoint_product(abelian_dgla({0: ["a"]}), zero_dgla(), 3)
+    calls.clear()
+    # the first call checks the input, the second the result
+    monkeypatch.setattr(mclie.dgla, "is_mc", fails_after(1))
+    s = sphere_dgla()
+    with pytest.raises(NotMaurerCartan, match="gauge action"):
+        gauge_act(s, GradedElement(), s.element("x"))
+
+
+def test_dgla_has_no_assert_statements():
+    import ast
+    import mclie.dgla
+    with open(mclie.dgla.__file__) as f:
+        tree = ast.parse(f.read())
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Assert)]

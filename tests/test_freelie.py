@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +10,7 @@ from mclie.freelie import (
     TruncationTooLarge,
     bch,
     build_basis,
+    foliage,
     free_product_presentation,
 )
 
@@ -263,3 +265,152 @@ def test_bch_with_zero():
     a = lie.generator("a")
     assert bch(lie, a, GradedElement()) == a
     assert bch(lie, GradedElement(), a) == a
+
+
+# --- the integer kernel against a Fraction reference ------------------------
+
+
+class FractionKernel:
+    """Reference free-Lie kernel on Fraction coefficients: tensor expansion,
+    commutator and greedy elimination as before the switch to ints, with
+    weights and degrees recomputed through foliage on every call."""
+
+    def __init__(self, lie):
+        self.lie = lie
+        self.expand_cache = {}
+        self.bracket_cache = {}
+
+    def degree(self, tree):
+        return self.lie.word_degree(foliage(tree))
+
+    def weight(self, tree):
+        return self.lie.word_weight(foliage(tree))
+
+    def commutator(self, a, b, sign):
+        out = {}
+        for w1, c1 in a.items():
+            for w2, c2 in b.items():
+                w = w1 + w2
+                out[w] = out.get(w, QQ(0)) + c1 * c2
+                wr = w2 + w1
+                out[wr] = out.get(wr, QQ(0)) - sign * c1 * c2
+        return out
+
+    def tensor_expand(self, tree):
+        cached = self.expand_cache.get(tree)
+        if cached is not None:
+            return cached
+        if isinstance(tree, int):
+            out = {(tree,): QQ(1)}
+        else:
+            t1, t2 = tree
+            sign = QQ(-1) if (self.degree(t1) * self.degree(t2)) % 2 else QQ(1)
+            out = self.commutator(self.tensor_expand(t1), self.tensor_expand(t2), sign)
+            out = {w: c for w, c in out.items() if c}
+        self.expand_cache[tree] = out
+        return out
+
+    def rewrite_tensor(self, tensor):
+        lie = self.lie
+        work = {w: c for w, c in tensor.items() if c}
+        out = {}
+        while work:
+            s = min(work)
+            c = work[s]
+            if s in lie._lyndon_set:
+                tree = lie.tree_of_word[s]
+                coeff = c
+            else:
+                half = len(s) // 2
+                assert len(s) % 2 == 0 and s[:half] == s[half:]
+                tree = lie._square_words[s]
+                coeff = c / 2
+            key = (self.degree(tree), lie.label_of_tree[tree])
+            out[key] = out.get(key, QQ(0)) + coeff
+            for w, cc in self.tensor_expand(tree).items():
+                v = work.get(w, QQ(0)) - coeff * cc
+                if v:
+                    work[w] = v
+                else:
+                    work.pop(w, None)
+        return GradedElement(out)
+
+    def bracket_labels(self, lab1, lab2):
+        key = (lab1, lab2)
+        cached = self.bracket_cache.get(key)
+        if cached is not None:
+            return cached
+        t1 = self.lie.tree_of_label[lab1]
+        t2 = self.lie.tree_of_label[lab2]
+        if self.weight(t1) + self.weight(t2) > self.lie.m:
+            res = GradedElement()
+        else:
+            sign = QQ(-1) if (self.degree(t1) * self.degree(t2)) % 2 else QQ(1)
+            res = self.rewrite_tensor(self.commutator(
+                self.tensor_expand(t1), self.tensor_expand(t2), sign))
+        self.bracket_cache[key] = res
+        msign = QQ(-1) if (self.degree(t1) * self.degree(t2)) % 2 == 0 else QQ(1)
+        self.bracket_cache.setdefault((lab2, lab1), res.scale(msign))
+        return res
+
+
+def _free_truncation(case):
+    """The free truncation that materializing the named algebra builds."""
+    from mclie.cehar import harrison
+    from mclie.defs import build_builtin
+    from mclie.dgla import free_product_dgla, presentation_of
+    if case == "abelian:2:0 * abelian:1:0":
+        g = free_product_dgla(build_builtin("abelian:2:0"),
+                              build_builtin("abelian:1:0"), 4)
+    elif case == "harrison omega:1:3":
+        g = harrison(build_builtin("omega:1:3"), 4).dgla
+    else:
+        g = build_builtin(case)
+    return presentation_of(g).pres.materialize(g.weight_bound).free
+
+
+def _items(elt):
+    return list(elt.coeffs.items())
+
+
+@pytest.mark.parametrize("case", ["f_xa:6", "g_S:3", "heisenberg",
+                                  "abelian:2:0 * abelian:1:0",
+                                  "harrison omega:1:3"])
+def test_integer_kernel_matches_fraction_reference(case):
+    lie = _free_truncation(case)
+    ref = FractionKernel(lie)
+    labels = [lab for n in lie.space.degrees() for lab in lie.space.labels(n)]
+    assert len(labels) > 1
+    for lab in labels:
+        tree = lie.tree_of_label[lab]
+        assert list(lie.tensor_expand(tree).items()) == \
+            list(ref.tensor_expand(tree).items())
+        assert lie.tree_weight(tree) == ref.weight(tree)
+        assert lie.tree_degree(tree) == ref.degree(tree)
+    nonzero = 0
+    for l1 in labels:
+        for l2 in labels:
+            got = lie.bracket_labels(l1, l2)
+            assert _items(got) == _items(ref.bracket_labels(l1, l2)), (l1, l2)
+            assert all(type(c) is Fraction for c in got.coeffs.values())
+            nonzero += not got.is_zero()
+    assert nonzero
+    # Fraction input (the bch path): rewrite a scaled basis element back
+    for lab in labels:
+        elt = lie.element_of_tree(lie.tree_of_label[lab]).scale(QQ(-2, 3))
+        tensor = lie.tensor_of_element(elt)
+        assert all(type(c) is Fraction for c in tensor.values())
+        got = lie.rewrite_tensor(tensor)
+        assert _items(got) == _items(ref.rewrite_tensor(tensor)) == _items(elt)
+        assert all(type(c) is Fraction for c in got.coeffs.values())
+
+
+def test_square_halves_odd_int_exactly():
+    lie = FreeLieTruncation([("x", -1)], 2)
+    # xx = 1/2 [x,x] in the tensor algebra
+    got = lie.rewrite_tensor({(0, 0): 1})
+    assert _items(got) == [((-2, "[x,x]"), QQ(1, 2))]
+    assert all(type(c) is Fraction for c in got.coeffs.values())
+    got = lie.rewrite_tensor({(0, 0): 4})
+    assert _items(got) == [((-2, "[x,x]"), QQ(2))]
+    assert all(type(c) is Fraction for c in got.coeffs.values())

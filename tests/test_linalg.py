@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from mclie.linalg import (
     QQ,
+    CertificateFailure,
     ChainComplex,
     Coordinates,
     FiniteCommutativeAlgebra,
@@ -16,6 +17,7 @@ from mclie.linalg import (
     homology,
     idempotents,
     kernel_basis,
+    mat_mul,
     rank,
     rref,
     solve_matrix,
@@ -212,3 +214,133 @@ def test_idempotents_scrambled_basis():
     assert len(idems) == 3
     for e in idems:
         assert b.multiply(e, e) == e
+
+
+# --- sparse-column GradedLinearMap against dense references -------------------
+
+
+def _random_space(rng, prefix):
+    # some degrees empty (dropped by GradedVectorSpace), dims 0..3
+    return GradedVectorSpace({n: ["%s%d.%d" % (prefix, n, i)
+                                  for i in range(rng.randint(0, 3))]
+                              for n in range(-1, 3)})
+
+
+def _random_blocks(rng, source, target, shift):
+    """Dense blocks with zero columns, zero blocks and absent degrees."""
+    blocks = {}
+    for n in source.degrees():
+        kind = rng.random()
+        if kind < 0.15:
+            continue
+        rows, cols = target.dim(n + shift), source.dim(n)
+        b = [[QQ(0)] * cols for _ in range(rows)]
+        if kind > 0.3:
+            for j in range(cols):
+                if rng.random() < 0.3:
+                    continue
+                for i in range(rows):
+                    if rng.random() < 0.5:
+                        b[i][j] = QQ(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
+        blocks[n] = b
+    return blocks
+
+
+def _dense_block(blocks, source, target, shift, n):
+    b = blocks.get(n)
+    if b is None or not any(any(row) for row in b):
+        return [[QQ(0)] * source.dim(n) for _ in range(target.dim(n + shift))]
+    return b
+
+
+def _dense_apply(blocks, source, target, shift, elt):
+    """apply on dense blocks, summing with GradedElement addition."""
+    out = GradedElement()
+    for (n, lab), c in elt.coeffs.items():
+        b = blocks.get(n)
+        if b is None or not any(any(row) for row in b):
+            continue
+        j = source.index(n, lab)
+        tlabels = target.labels(n + shift)
+        out = out + GradedElement({(n + shift, tlabels[i]): b[i][j] * c
+                                   for i in range(len(tlabels)) if b[i][j]})
+    return out
+
+
+def _random_element(rng, space):
+    items = [(n, lab) for n in space.degrees() for lab in space.labels(n)]
+    rng.shuffle(items)
+    return GradedElement({k: QQ(rng.randint(-4, 4), rng.randint(1, 3))
+                          for k in items[:rng.randint(0, len(items))]})
+
+
+def test_sparse_map_matches_dense_reference():
+    rng = random.Random(20261018)
+    for _ in range(200):
+        u, v, w = (_random_space(rng, p) for p in "uvw")
+        s1, s2 = rng.choice([-1, 0, 1]), rng.choice([-1, 0, 1])
+        fb = _random_blocks(rng, u, v, s1)
+        gb = _random_blocks(rng, v, w, s2)
+        f = GradedLinearMap(u, v, s1, fb)
+        g = GradedLinearMap(v, w, s2, gb)
+        for n in range(-3, 5):
+            assert f.block(n) == _dense_block(fb, u, v, s1, n)
+        assert f.is_zero() == all(not any(any(r) for r in b) for b in fb.values())
+        gf = g.compose(f)
+        assert gf.shift == s1 + s2
+        dense_zero = True
+        for n in range(-3, 5):
+            a = _dense_block(gb, v, w, s2, n + s1)
+            b = _dense_block(fb, u, v, s1, n)
+            want = mat_mul(a, b) if a and b and b[0] else \
+                [[QQ(0)] * u.dim(n) for _ in range(w.dim(n + s1 + s2))]
+            assert gf.block(n) == want
+            dense_zero = dense_zero and not any(any(r) for r in want)
+        assert gf.is_zero() == dense_zero
+        for _ in range(3):
+            x = _random_element(rng, u)
+            assert list(f.apply(x).coeffs.items()) == \
+                list(_dense_apply(fb, u, v, s1, x).coeffs.items())
+            for t in (f.apply(x), _random_element(rng, v)):
+                want = GradedElement()
+                for d in dict.fromkeys(d for d, _ in t.coeffs):
+                    n = d - s1
+                    sol = solve_matrix(_dense_block(fb, u, v, s1, n), u.dim(n),
+                                       v.to_vector(t.homogeneous_part(d), d))
+                    if sol is None:
+                        want = None
+                        break
+                    want = want + u.from_vector(sol, n)
+                got = f.solve(t)
+                if want is None:
+                    assert got is None
+                else:
+                    assert list(got.coeffs.items()) == list(want.coeffs.items())
+                    assert f.apply(got) == t
+
+
+def test_map_constructor_rejects_misshapen_blocks():
+    space = GradedVectorSpace({1: ["a"], 0: ["b", "c"]})
+    with pytest.raises(ValueError, match="wrong shape"):
+        GradedLinearMap(space, space, -1, {1: [[QQ(1), QQ(2)]]})
+    # an all-zero block is dropped before its shape is looked at
+    assert GradedLinearMap(space, space, -1, {1: [[QQ(0), QQ(0)]]}).is_zero()
+
+
+def test_rank_nullity_failure_raises_certificate_failure(monkeypatch):
+    import mclie.cehar
+    import mclie.linalg
+    # one class: cehar re-exports the linalg one
+    assert mclie.cehar.CertificateFailure is CertificateFailure
+    monkeypatch.setattr(mclie.linalg, "rank", lambda rows, ncols: -1)
+    with pytest.raises(CertificateFailure, match="rank-nullity"):
+        homology(two_term_identity())
+
+
+def test_linalg_has_no_assert_statements():
+    import ast
+    import mclie.linalg
+    with open(mclie.linalg.__file__) as f:
+        tree = ast.parse(f.read())
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Assert)]
