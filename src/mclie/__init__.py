@@ -66,6 +66,7 @@ from .cehar import (
 )
 from .mc import (
     IncompleteSolve,
+    SolveBudgetExhausted,
     derive_constraints,
     mc_simplices,
     mc_vertices,

@@ -457,15 +457,6 @@ class DeRhamForms(FreePolynomialCdga):
             aug["t%d" % i] = ZERO
         super().__init__(gens, max_degree, dgens, aug, check=check)
 
-    def vertex_evaluation(self, vertex: int) -> "CdgaMorphism":
-        """Evaluation at the vertex e_vertex (0 <= vertex <= n)."""
-        images = {}
-        for i in range(1, self.simplex_dim + 1):
-            images["t%d" % i] = self.unit.scale(ONE if i == vertex else ZERO)
-            images["dt%d" % i] = GradedElement()
-        target = DeRhamForms(0, self.max_weight, check="skip")
-        return CdgaMorphism(self, target, images)
-
 
 class CdgaMorphism:
     """Algebra map of free-polynomial cdgas, given on generators and

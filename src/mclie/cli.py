@@ -45,6 +45,7 @@ from .cehar import (
 from .dgla import mc_residual
 from .mc import (
     IncompleteSolve,
+    SolveBudgetExhausted,
     derive_constraints,
     pi0_moduli,
     verify_component_decomposition,
@@ -249,6 +250,9 @@ def cmd_verify(ns, argv) -> int:
         if m < 2 or words < m - 1:
             raise DefinitionError("free-product-cohomology needs --weight >= 2 "
                                   "and --words >= weight - 1")
+        if len(ns.defs) != 2:
+            raise DefinitionError("free-product-cohomology needs two "
+                                  "definitions")
         g = load_algebra(ns.defs[0], ns.size, ns.weight)
         h = load_algebra(ns.defs[1], ns.size, ns.weight)
         report = compare_free_product(g, h, m, words)
@@ -376,7 +380,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     ns.defs = list(ns.defs) + ["builtin:%s" % b for b in ns.builtin]
-    if not ns.defs and ns.cmd != "verify":
+    if not ns.defs:
         print("error: no definitions given", file=sys.stderr)
         return 2
     try:
@@ -421,7 +425,7 @@ def main(argv=None) -> int:
     except DefinitionError as e:
         print("parse error: %s" % e, file=sys.stderr)
         return 2
-    except (TruncationTooLarge,) as e:
+    except (TruncationTooLarge, SolveBudgetExhausted) as e:
         print("resource cap: %s" % e, file=sys.stderr)
         return 3
     except (NonSplitAlgebra, OddDegreeUnit, EvenDegreeUnit, NonCocycle,

@@ -118,9 +118,17 @@ class Dgla:
         return self.space.total_dim()
 
     def is_abelian(self) -> bool:
+        """Every basis bracket vanishes.  Pairs whose bracket lands in a
+        degree with a basis go first, so a non-abelian g answers early;
+        every pair is still checked before True."""
         items = self.basis_items()
-        return all(self.bracket_labels(d1, l1, d2, l2).is_zero()
-                   for (d1, l1), (d2, l2) in itertools.combinations_with_replacement(items, 2))
+        live = {n for n in self.space.degrees() if self.space.labels(n)}
+        for landing in (True, False):
+            for (d1, l1), (d2, l2) in itertools.combinations_with_replacement(items, 2):
+                if ((d1 + d2) in live) == landing and \
+                        not self.bracket_labels(d1, l1, d2, l2).is_zero():
+                    return False
+        return True
 
     # -- axioms ---------------------------------------------------------------
 

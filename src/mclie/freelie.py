@@ -313,9 +313,6 @@ class FreeLieTruncation:
                 _add_scaled(out, self.bracket_labels(l1, l2), c1 * c2)
         return _element_of(out)
 
-    def ad_nilpotency_bound(self) -> int:
-        return self.m
-
 
 class FreeDgla:
     """Free truncated Lie algebra with a differential given on generators

@@ -30,6 +30,7 @@ from .linalg import (
 )
 from .dgla import (
     Dgla,
+    NotMaurerCartan,
     disjoint_product,
     connected_cover,
     homology_stability,
@@ -42,6 +43,15 @@ from .cdga import omega_face_map, omega_degeneracy_map, tensor_dgla_forms
 
 class IncompleteSolve(Exception):
     """The structured solver could not certify a complete solution list."""
+
+
+class SolveBudgetExhausted(IncompleteSolve):
+    """The structured solver ran out of steps: a resource cap, not a shape
+    the rules cannot decide."""
+
+
+# states the structured solver may pop before it gives up
+MAX_SOLVE_STEPS = 4000
 
 
 # ---------------------------------------------------------------------------
@@ -155,26 +165,37 @@ def poly_d(p, table: SymbolTable):
 
 
 def poly_substitute(p, sym: str, value, table: SymbolTable):
-    """Replace sym by value (a polynomial) and d(sym) by d(value)."""
+    """Replace sym by value (a polynomial) and d(sym) by d(value).
+
+    Returns p itself when sym does not occur in it (polynomials are never
+    mutated in place); monomials without sym keep their coefficient, and
+    the sums keep the dict order of a term-by-term `poly_add`."""
+    plain, diffed = (sym, False), (sym, True)
+    if not any(plain in mono or diffed in mono for mono in p):
+        return p
     dvalue = None
     out = {}
     for mono, c in p.items():
-        pieces = [poly_const(c)]
-        for factor in mono:
-            fsym, fdiff = factor
-            if fsym == sym:
-                if fdiff:
+        if plain in mono or diffed in mono:
+            term = poly_const(c)
+            for factor in mono:
+                if factor == plain:
+                    piece = value
+                elif factor == diffed:
                     if dvalue is None:
                         dvalue = poly_d(value, table)
-                    pieces.append(dvalue)
+                    piece = dvalue
                 else:
-                    pieces.append(value)
+                    piece = {(factor,): ONE}
+                term = poly_mul(term, piece, table)
+        else:
+            term = {mono: c}
+        for m, v in term.items():
+            v = out.get(m, ZERO) + v
+            if v:
+                out[m] = v
             else:
-                pieces.append({(factor,): ONE})
-        term = pieces[0]
-        for piece in pieces[1:]:
-            term = poly_mul(term, piece, table)
-        out = poly_add(out, term)
+                out.pop(m, None)
     return out
 
 
@@ -319,13 +340,14 @@ class SolutionFamily:
 
     def vertex_element(self, system: MCConstraintSystem) -> GradedElement:
         """The solution as an element of g in the discrete constant case."""
-        assert self.is_discrete()
+        if not self.is_discrete():
+            raise IncompleteSolve("vertex of a family with free symbols")
         out = GradedElement()
         for sym, glab in system.unknowns.items():
             val = self.assignments.get(sym, poly_zero())
             c = val.get((), ZERO)
-            rest = {m: v for m, v in val.items() if m != ()}
-            assert not rest, "vertex has non-constant coefficients"
+            if any(m != () for m in val):
+                raise IncompleteSolve("vertex has non-constant coefficients")
             if c:
                 out = out + GradedElement({(-1, glab): c})
         return out
@@ -344,9 +366,15 @@ class SolutionFamily:
 
 
 class SolveResult:
-    def __init__(self, families: list[SolutionFamily], complete: bool):
+    """Solution families with the solver's counters: `steps` states popped
+    and `branches` states split by a branching rule."""
+
+    def __init__(self, families: list[SolutionFamily], complete: bool,
+                 steps: int, branches: int):
         self.families = families
         self.complete = complete
+        self.steps = steps
+        self.branches = branches
 
     def discrete_vertices(self, system: MCConstraintSystem) -> list[GradedElement]:
         if not self.complete:
@@ -363,19 +391,44 @@ class SolveResult:
         return seen
 
 
+def _substitute_state(equations, sym, value, table, occurs):
+    """Substitute sym := value into the equations occurs[sym] names; the
+    labels of those that change join occurs[s] for each symbol s of value."""
+    out = dict(equations)
+    introduced = poly_symbols(value)
+    for lab in occurs.get(sym, ()):
+        p = equations.get(lab)
+        if p is None:
+            continue
+        q = poly_substitute(p, sym, value, table)
+        if q is not p:
+            out[lab] = q
+            for s in introduced:
+                occurs.setdefault(s, set()).add(lab)
+    return out
+
+
 def _rational_roots_quadratic(c1: Fraction, c2: Fraction) -> Optional[list[Fraction]]:
     """Roots of c2 x^2 + c1 x = 0 (c2 != 0)."""
     return [ZERO, -c1 / c2]
 
 
-def solve_structured(system: MCConstraintSystem, max_steps: int = 4000) -> SolveResult:
+def solve_structured(system: MCConstraintSystem,
+                     max_steps: Optional[int] = None) -> SolveResult:
+    """Solve the system by the rules R1-R3; raises SolveBudgetExhausted
+    after max_steps (default MAX_SOLVE_STEPS) popped states."""
+    if max_steps is None:
+        max_steps = MAX_SOLVE_STEPS
     table = system.table
     families: list[SolutionFamily] = []
     incomplete_leaf = False
 
-    def substitute_state(equations, sym, value):
-        return {lab: poly_substitute(p, sym, value, table)
-                for lab, p in equations.items()}
+    # symbol -> labels of the equations it may occur in, in any state of
+    # the search; it only grows, so it stays a superset across branches
+    occurs: dict[str, set] = {}
+    for lab, p in system.equations.items():
+        for sym in poly_symbols(p):
+            occurs.setdefault(sym, set()).add(lab)
 
     def simplify(equations):
         return {lab: p for lab, p in equations.items() if p}
@@ -424,12 +477,14 @@ def solve_structured(system: MCConstraintSystem, max_steps: int = 4000) -> Solve
                               constants)
 
     stack = [(simplify(dict(system.equations)), {}, set(table.constant), [])]
-    steps = 0
+    steps = branches = 0
     while stack:
         steps += 1
         if steps > max_steps:
-            incomplete_leaf = True
-            break
+            raise SolveBudgetExhausted(
+                "structured MC solve used its budget of %d steps on %d "
+                "unknowns and %d equations" % (
+                    max_steps, len(system.unknowns), len(system.equations)))
         equations, assigned, constants, constraints = stack.pop()
         progress = True
         contradiction = False
@@ -458,7 +513,8 @@ def solve_structured(system: MCConstraintSystem, max_steps: int = 4000) -> Solve
                         sym = mono[0][0]
                         assigned = dict(assigned)
                         assigned[sym] = poly_zero()
-                        equations = substitute_state(equations, sym, poly_zero())
+                        equations = _substitute_state(
+                            equations, sym, poly_zero(), table, occurs)
                         progress = True
                         break
                     # single d(alpha) = 0 for a higher form: the form is
@@ -500,7 +556,8 @@ def solve_structured(system: MCConstraintSystem, max_steps: int = 4000) -> Solve
                         if s2 != sym:
                             assigned[s2] = poly_substitute(
                                 assigned[s2], sym, value, table)
-                    equations = substitute_state(equations, sym, value)
+                    equations = _substitute_state(
+                        equations, sym, value, table, occurs)
                     constraints = [poly_substitute(q, sym, value, table)
                                    for q in constraints]
                     progress = True
@@ -534,7 +591,8 @@ def solve_structured(system: MCConstraintSystem, max_steps: int = 4000) -> Solve
                             roots = [ZERO]
                         for root in roots:
                             val = poly_const(root)
-                            eqs2 = substitute_state(equations, sym, val)
+                            eqs2 = _substitute_state(
+                                equations, sym, val, table, occurs)
                             asg2 = dict(assigned)
                             for s2 in list(asg2):
                                 asg2[s2] = poly_substitute(asg2[s2], sym, val, table)
@@ -567,7 +625,7 @@ def solve_structured(system: MCConstraintSystem, max_steps: int = 4000) -> Solve
                         cons2 = list(constraints)
                         if kind == "zero":
                             val = poly_zero()
-                            eqs2 = substitute_state(eqs2, sym, val)
+                            eqs2 = _substitute_state(eqs2, sym, val, table, occurs)
                             for s2 in list(asg2):
                                 asg2[s2] = poly_substitute(asg2[s2], sym, val, table)
                             asg2[sym] = val
@@ -585,7 +643,9 @@ def solve_structured(system: MCConstraintSystem, max_steps: int = 4000) -> Solve
                         stack.append((eqs2, asg2, consts2, cons2))
                     branched = True
                     break
-        if not branched:
+        if branched:
+            branches += 1
+        else:
             incomplete_leaf = True
             fam = finalize(assigned, constants, constraints, False)
             if fam is not None:
@@ -601,7 +661,7 @@ def solve_structured(system: MCConstraintSystem, max_steps: int = 4000) -> Solve
         if key not in seen:
             seen.append(key)
             unique.append(fam)
-    return SolveResult(unique, not incomplete_leaf)
+    return SolveResult(unique, not incomplete_leaf, steps, branches)
 
 
 # ---------------------------------------------------------------------------
@@ -649,10 +709,13 @@ def mc_vertices(g: Dgla, support: Optional[int] = None):
     vertices = result.discrete_vertices(system)
     for v in vertices:
         ok, res = is_mc(ambient, v)
-        assert ok, "solver emitted a non-MC vertex: %r" % res
+        if not ok:
+            raise NotMaurerCartan("solver emitted a non-MC vertex: %r" % res)
         if ambient is not g:
-            ok, _ = is_mc(g, v)
-            assert ok
+            ok, res = is_mc(g, v)
+            if not ok:
+                raise NotMaurerCartan(
+                    "solver vertex is not MC in g: %r" % res)
     return system, result, vertices
 
 
@@ -875,14 +938,6 @@ def instantiate_solution(system: MCConstraintSystem, family: SolutionFamily,
     return xi
 
 
-def closed_form_basis(omega, form_degree: int) -> list[GradedElement]:
-    """Basis of closed forms of the given cohomological degree."""
-    n = -form_degree
-    cols = omega.space.dim(n)
-    ker = kernel_basis(omega.d_map.block(n), cols)
-    return [omega.space.from_vector(v, n) for v in ker]
-
-
 def family_samples(system: MCConstraintSystem, family: SolutionFamily,
                    tensor) -> list[GradedElement]:
     """Instantiations of a solution family: the free symbols range over the
@@ -951,7 +1006,8 @@ def mc_simplices(g: Dgla, n: int, max_degree: int,
             continue  # partial description, not a solution set
         for elt in family_samples(system, fam, tensor):
             ok, res = is_mc(tensor, elt)
-            assert ok, "emitted simplex fails MC: %r" % res
+            if not ok:
+                raise NotMaurerCartan("emitted simplex fails MC: %r" % res)
             if elt not in simplices:
                 simplices.append(elt)
     out = {"system": system, "result": result, "complete": result.complete,
@@ -1007,7 +1063,8 @@ def verify_theorem_f(dglas: Sequence[Dgla], m: int,
     """pi_0 of the iterated disjoint product against the disjoint union of
     the factor moduli, plus the acyclicity of each g u 0 in stabilized
     cells (the homology-level consequence)."""
-    assert dglas, "need at least one factor"
+    if not dglas:
+        raise ValueError("verify_theorem_f needs at least one factor")
     product = dglas[0]
     for h in dglas[1:]:
         product = disjoint_product(product, h, m, check="skip")

@@ -395,3 +395,16 @@ def test_not_maurer_cartan_exits_1(monkeypatch, capsys):
     assert rc == 1
     assert err.startswith("NotMaurerCartan: ")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "theorem-f"],
+    ["verify", "components"],
+    ["verify", "free-product-cohomology"],
+    ["verify", "free-product-cohomology", "--builtin", "heisenberg"],
+])
+def test_verify_without_enough_definitions_exits_2(args, capsys):
+    rc, out, err = run_cli(args, capsys)
+    assert rc == 2
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1

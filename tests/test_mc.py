@@ -370,3 +370,255 @@ def test_default_support_window_stays_desk_sized():
     moduli = pi0_moduli(d)
     assert moduli.count() == 2
     assert moduli.support is not None and moduli.support < 4
+
+
+# --- substitution and the solver against the rebuild-everything reference ------
+
+from fractions import Fraction
+
+import mclie.mc as mc_module
+from hypothesis import example
+from mclie.mc import (
+    MAX_SOLVE_STEPS,
+    MCConstraintSystem,
+    SolveBudgetExhausted,
+    SymbolTable,
+    _sort_factors,
+    poly_add,
+    poly_substitute,
+)
+
+
+def _reference_poly_substitute(p, sym, value, table):
+    """poly_substitute rebuilding every monomial through poly_mul."""
+    dvalue = None
+    out = {}
+    for mono, c in p.items():
+        pieces = [mc_module.poly_const(c)]
+        for factor in mono:
+            fsym, fdiff = factor
+            if fsym == sym:
+                if fdiff:
+                    if dvalue is None:
+                        dvalue = mc_module.poly_d(value, table)
+                    pieces.append(dvalue)
+                else:
+                    pieces.append(value)
+            else:
+                pieces.append({(factor,): QQ(1)})
+        term = pieces[0]
+        for piece in pieces[1:]:
+            term = mc_module.poly_mul(term, piece, table)
+        out = mc_module.poly_add(out, term)
+    return out
+
+
+def _reference_substitute_state(equations, sym, value, table, occurs):
+    """Substitution into every equation, ignoring the occurrence index."""
+    return {lab: _reference_poly_substitute(p, sym, value, table)
+            for lab, p in equations.items()}
+
+
+_SYMS = ("s0", "s1", "s2", "s3")
+
+
+def _poly_table(degrees, constants=()):
+    table = SymbolTable()
+    for sym, deg in zip(_SYMS, degrees):
+        table.add(sym, deg, sym)
+    table.constant.update(constants)
+    return table
+
+
+@st.composite
+def _substitution_cases(draw):
+    degrees = draw(st.lists(st.integers(0, 2), min_size=4, max_size=4))
+    constants = [s for s, deg in zip(_SYMS, degrees)
+                 if deg == 0 and draw(st.booleans())]
+    table = _poly_table(degrees, constants)
+
+    def poly(max_terms):
+        out = {}
+        for _ in range(draw(st.integers(0, max_terms))):
+            factors = draw(st.lists(st.tuples(st.sampled_from(_SYMS),
+                                              st.booleans()), max_size=3))
+            mono, sign = _sort_factors(factors, table)
+            if mono is not None:
+                c = QQ(draw(st.integers(-2, 2)), draw(st.integers(1, 2)))
+                out = poly_add(out, {mono: sign * c})
+        return out
+
+    return table, poly(6), draw(st.sampled_from(_SYMS)), poly(3)
+
+
+def _assert_same_poly(got, want):
+    assert list(got.items()) == list(want.items())
+    assert all(type(c) is Fraction for c in got.values())
+
+
+_X0, _X1, _X2 = ("s0", False), ("s1", False), ("s2", False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_substitution_cases())
+# a substituted term cancels a monomial that passed through, and a later
+# one re-creates it at the end of the dict
+@example((_poly_table([0, 0, 0, 0]),
+          {(_X0,): QQ(1), (_X1,): QQ(-1), (_X0, _X0): QQ(1)},
+          "s0", {(_X1,): QQ(1), (): QQ(1)}))
+# an odd factor repeated by the substitution, and a d(sym) factor
+@example((_poly_table([0, 1, 0, 0]),
+          {(_X0, _X1): QQ(2), (("s0", True), _X2): QQ(1, 2)},
+          "s0", {(_X1,): QQ(1), (_X2,): QQ(3)}))
+def test_poly_substitute_matches_reference(case):
+    table, p, sym, value = case
+    got = poly_substitute(p, sym, value, table)
+    _assert_same_poly(got, _reference_poly_substitute(p, sym, value, table))
+    if not any(f[0] == sym for m in p for f in m):
+        assert got is p
+
+
+def _solver_systems():
+    """Every system the tests of this file and of test_acceptance.py hand
+    to solve_structured, recorded by running the same calls, plus g_S at
+    sizes 12, 16 and 20."""
+    systems = []
+    real = mc_module.solve_structured
+
+    def record(system, *args, **kwargs):
+        systems.append(system)
+        return real(system, *args, **kwargs)
+
+    ab_line = abelian_dgla({0: ["a"]})
+    chain = {"u": GradedElement({(-2, "w"): QQ(1)})}
+    two_to_w = {"u": GradedElement({(-2, "w"): QQ(1)}),
+                "v": GradedElement({(-2, "w"): QQ(2)})}
+    pi0_chain = abelian_dgla({0: ["a"], -1: ["u", "v"], -2: ["w"]},
+                             {"a": GradedElement({(-1, "u"): QQ(1)}),
+                              "v": GradedElement({(-2, "w"): QQ(1)})})
+    calls = [lambda k=k: mc_vertices(g_s_dgla(k, 2)) for k in (1, 2, 3, 12, 16, 20)]
+    calls += [lambda: mc_vertices(sphere_dgla()),
+              lambda: mc_vertices(zero_dgla())]
+    calls += [lambda m=m: mc_vertices(f_xa_dgla(m), support=m) for m in (3, 4, 5)]
+    calls += [lambda size=size, n=n: mc_simplices(g_s_dgla(size, 2), n, 2)
+              for size in (1, 2, 3) for n in (0, 1, 2)]
+    calls += [lambda size=size, n=n: mc_module.solve_structured(
+                  derive_constraints(g_s_dgla(size, 2), n))
+              for size in (1, 2, 3) for n in (0, 1, 2)]
+    calls += [
+        lambda: mc_simplices(abelian_dgla({-1: ["u", "v"], -2: ["w"]}, chain), 1, 2),
+        lambda: mc_simplices(abelian_dgla({-1: ["u", "v"], -2: ["w"]}, two_to_w), 1, 2),
+        lambda: mc_simplices(f_xa_dgla(4), 1, 2, support=4),
+        lambda: pi0_moduli(disjoint_product(ab_line, zero_dgla(), 4), support=2),
+        lambda: pi0_moduli(disjoint_product(heisenberg_dgla(),
+                                            abelian_dgla({0: ["z"]}), 4,
+                                            check="skip")),
+        lambda: [verify_theorem_f([zero_dgla()] * k, 4) for k in (1, 2, 3)],
+        lambda: verify_theorem_f([ab_line, zero_dgla()], 4),
+        lambda: verify_theorem_f([heisenberg_dgla(), abelian_dgla({0: ["z"]})], 4),
+        lambda: [verify_component_decomposition(g, n_max=4) for g in
+                 (pi0_chain, sphere_dgla(), heisenberg_dgla(), g_s_dgla(2, 2))],
+        lambda: [verify_component_decomposition(f_xa_dgla(m), n_max=4, support=m)
+                 for m in (4, 5)],
+    ]
+    mc_module.solve_structured = record
+    try:
+        for call in calls:
+            call()
+    finally:
+        mc_module.solve_structured = real
+    # the two-higher-form product no rule decides
+    table = SymbolTable()
+    table.add("a[p]", 1, "p")
+    table.add("a[q]", 1, "q")
+    eq = {tuple(sorted([("a[p]", False), ("a[q]", False)])): QQ(1)}
+    systems.append(MCConstraintSystem(abelian_dgla({0: ["p", "q"]}), 1, table,
+                                      {"a[p]": "p", "a[q]": "q"}, {"w": eq}))
+    return systems
+
+
+def _family_key(fam):
+    return ([(s, list(v.items())) for s, v in fam.assignments.items()],
+            list(fam.free), [list(c.items()) for c in fam.constraints],
+            fam.complete)
+
+
+def test_solver_matches_rebuild_everything_reference(monkeypatch):
+    # same families (with dict order), completeness and step count as the
+    # solver that rewrites every equation on every assignment
+    systems = _solver_systems()
+    assert len(systems) > 40
+    new = [solve_structured(s) for s in systems]
+    monkeypatch.setattr(mc_module, "poly_substitute", _reference_poly_substitute)
+    monkeypatch.setattr(mc_module, "_substitute_state", _reference_substitute_state)
+    for system, got in zip(systems, new):
+        want = solve_structured(system)
+        assert [_family_key(f) for f in got.families] == \
+            [_family_key(f) for f in want.families]
+        assert (got.complete, got.steps, got.branches) == \
+            (want.complete, want.steps, want.branches)
+    assert [r.steps for r in new[3:6]] == [85, 201, 507]  # g_S 12, 16, 20
+
+
+def test_is_abelian_agrees_with_full_scan():
+    from mclie.defs import build_builtin
+    for ref, expected in [("zero", True), ("abelian:2:0", True),
+                          ("abelian:1:0", True), ("sphere", False),
+                          ("heisenberg", False), ("g_S:3", False),
+                          ("f_xa:5", False)]:
+        g = build_builtin(ref)
+        full = all(g.bracket_labels(d1, l1, d2, l2).is_zero()
+                   for (d1, l1), (d2, l2) in
+                   itertools.combinations_with_replacement(g.basis_items(), 2))
+        assert build_builtin(ref).is_abelian() == full == expected, ref
+
+
+def test_step_budget_is_a_resource_cap(monkeypatch, capsys):
+    from mclie.cli import main
+    system = derive_constraints(g_s_dgla(3, 2), 0)
+    assert solve_structured(system).steps > 3
+    with pytest.raises(SolveBudgetExhausted, match="budget of 3 steps"):
+        solve_structured(system, max_steps=3)
+    assert issubclass(SolveBudgetExhausted, IncompleteSolve)
+    assert MAX_SOLVE_STEPS == 4000
+    monkeypatch.setattr(mc_module, "MAX_SOLVE_STEPS", 3)
+    rc = main(["mc-moduli", "--builtin", "g_S", "--size", "3"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("resource cap: structured MC solve")
+    assert "3 unknowns" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_solver_counts_branches():
+    result = solve_structured(derive_constraints(g_s_dgla(2, 2), 0))
+    assert result.complete and result.steps >= result.branches > 0
+
+
+def test_named_errors_replace_asserts(monkeypatch):
+    from mclie.dgla import NotMaurerCartan
+    g = g_s_dgla(1, 2)
+    monkeypatch.setattr(mc_module, "is_mc", lambda g, xi: (False, GradedElement()))
+    with pytest.raises(NotMaurerCartan):
+        mc_vertices(g)
+    with pytest.raises(NotMaurerCartan):
+        mc_simplices(g, 0, 2)
+    with pytest.raises(ValueError, match="at least one factor"):
+        verify_theorem_f([], 4)
+    system = derive_constraints(abelian_dgla({-1: ["u"]}), 1)
+    family = mc_module.SolutionFamily({}, ["a[u]"], [], True, set())
+    with pytest.raises(IncompleteSolve, match="free symbols"):
+        family.vertex_element(system)
+    family = mc_module.SolutionFamily(
+        {"a[u]": {(("a[u]", False),): QQ(1)}}, [], [], True, set())
+    with pytest.raises(IncompleteSolve, match="non-constant"):
+        family.vertex_element(system)
+
+
+def test_mc_has_no_assert_statements():
+    # certificates must survive python -O
+    import ast
+    with open(mc_module.__file__) as f:
+        tree = ast.parse(f.read())
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Assert)]
