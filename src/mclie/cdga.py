@@ -26,7 +26,6 @@ from .linalg import (
     GradedElement,
     GradedLinearMap,
     GradedVectorSpace,
-    HomologyReport,
     RowSpace,
     homology as complex_homology,
     identity_matrix,
@@ -36,6 +35,9 @@ from .linalg import (
     mat_vec,
     rank,
     rref,
+    _DgAlgebra,
+    _add_scaled,
+    _element_of,
 )
 from .dgla import Dgla
 
@@ -78,50 +80,28 @@ class TruncationNotDgStable(Exception):
     ideal would not be differential-stable."""
 
 
-class Cdga:
-    """Common interface: graded space (homological degrees), lazy basis
-    products, differential, unit element, optional augmentation."""
+class Cdga(_DgAlgebra):
+    """Common interface: graded space (homological degrees), a differential
+    d_fn(n, label), lazy basis products mult_fn(deg1, label1, deg2,
+    label2) (see _DgAlgebra), unit element, optional augmentation."""
 
-    def __init__(self, space: GradedVectorSpace, differential: GradedLinearMap,
+    _SIGN = ONE
+    _SYMMETRY = "graded commutativity"
+    _VIOLATION = CdgaAxiomViolation
+    _TRIPLE_CAP = CDGA_TRIPLE_CAP
+
+    def __init__(self, space: GradedVectorSpace,
+                 d_fn: Optional[Callable[[int, str], GradedElement]],
                  mult_fn: Callable[[int, str, int, str], GradedElement],
                  unit: GradedElement,
                  augmentation: Optional[Mapping[str, Fraction]] = None,
                  check: str = "auto"):
-        self.space = space
-        self.d_map = differential
-        self._mult_fn = mult_fn
-        if not hasattr(self, "_mult_cache"):
-            self._mult_cache: dict[tuple[str, str], GradedElement] = {}
         self.unit = unit
         self.augmentation = dict(augmentation) if augmentation is not None else None
-        dd = differential.compose(differential)
-        if not dd.is_zero():
-            raise CdgaAxiomViolation("d squared is nonzero")
-        if check == "full" or (check == "auto" and space.total_dim() <= CDGA_TRIPLE_CAP):
-            self.verify_axioms()
+        super().__init__(space, d_fn, mult_fn, check)
 
-    # -- structure ----------------------------------------------------------
-
-    def basis_items(self):
-        return [(n, lab) for n in self.space.degrees() for lab in self.space.labels(n)]
-
-    def d(self, elt: GradedElement) -> GradedElement:
-        return self.d_map.apply(elt)
-
-    def mult_labels(self, d1: int, l1: str, d2: int, l2: str) -> GradedElement:
-        key = (l1, l2)
-        out = self._mult_cache.get(key)
-        if out is None:
-            out = self._mult_fn(d1, l1, d2, l2)
-            self._mult_cache[key] = out
-        return out
-
-    def multiply(self, u: GradedElement, v: GradedElement) -> GradedElement:
-        out = GradedElement()
-        for (d1, l1), c1 in u.coeffs.items():
-            for (d2, l2), c2 in v.coeffs.items():
-                out = out + self.mult_labels(d1, l1, d2, l2).scale(c1 * c2)
-        return out
+    mult_labels = _DgAlgebra._product_labels
+    multiply = _DgAlgebra._product
 
     def eps(self, elt: GradedElement) -> Fraction:
         if self.augmentation is None:
@@ -133,22 +113,10 @@ class Cdga:
                 s += c * a
         return s
 
-    def element(self, label: str) -> GradedElement:
-        for n in self.space.degrees():
-            if self.space.has(n, label):
-                return self.space.basis_element(n, label)
-        raise KeyError(label)
-
-    def homology(self) -> HomologyReport:
-        return complex_homology(ChainComplex(self.space, self.d_map))
-
     def cohomology_dims(self) -> dict[int, int]:
         """Cohomological report: degree n is homological degree -n."""
         h = self.homology()
         return {-n: h.dim(n) for n in h.degrees() if h.dim(n)}
-
-    def total_dim(self) -> int:
-        return self.space.total_dim()
 
     # -- axioms ---------------------------------------------------------------
 
@@ -163,20 +131,7 @@ class Cdga:
         if not self.d(self.unit).is_zero():
             raise CdgaAxiomViolation("unit is not a cocycle")
         if n <= pair_cap:
-            for (d1, l1), (d2, l2) in itertools.product(items, repeat=2):
-                u = self.space.basis_element(d1, l1)
-                v = self.space.basis_element(d2, l2)
-                uv = self.mult_labels(d1, l1, d2, l2)
-                vu = self.mult_labels(d2, l2, d1, l1)
-                sign = -ONE if (d1 * d2) % 2 else ONE
-                if not (uv - vu.scale(sign)).is_zero():
-                    raise CdgaAxiomViolation(
-                        "graded commutativity fails on (%s, %s)" % (l1, l2))
-                lhs = self.d(uv)
-                rhs = self.multiply(self.d(u), v) + \
-                    self.multiply(u, self.d(v)).scale(-ONE if d1 % 2 else ONE)
-                if not (lhs - rhs).is_zero():
-                    raise CdgaAxiomViolation("Leibniz fails on (%s, %s)" % (l1, l2))
+            self._check_pairs(items)
         if n <= triple_cap:
             for (d1, l1), (d2, l2), (d3, l3) in itertools.product(items, repeat=3):
                 u = self.space.basis_element(d1, l1)
@@ -217,17 +172,14 @@ class FiniteTableCdga(Cdga):
         full: dict[tuple[str, str], GradedElement] = dict(table)
         for (l1, l2), val in list(full.items()):
             if (l2, l1) not in full:
-                sign = -ONE if (degree_of[l1] * degree_of[l2]) % 2 else ONE
-                full[(l2, l1)] = val.scale(sign)
+                full[(l2, l1)] = val.scale(self._mirror_sign(degree_of[l1], degree_of[l2]))
         for lab, n in degree_of.items():
             full.setdefault((unit_label, lab), space.basis_element(n, lab))
             full.setdefault((lab, unit_label), space.basis_element(n, lab))
         differentials = differentials or {}
-        d_map = GradedLinearMap.from_function(
-            space, space, -1, lambda n, lab: differentials.get(lab, GradedElement()))
         unit = space.basis_element(degree_of[unit_label], unit_label)
         self.table = full
-        super().__init__(space, d_map,
+        super().__init__(space, lambda n, lab: differentials.get(lab, GradedElement()),
                          lambda d1, l1, d2, l2: full.get((l1, l2), GradedElement()),
                          unit, augmentation, check)
 
@@ -283,13 +235,6 @@ class FreePolynomialCdga(Cdga):
                     raise TruncationNotDgStable(
                         "d(%s) lowers truncation weight" % name)
 
-        self._d_cache: dict[str, GradedElement] = {}
-        self._mult_cache = {}
-        self._mult_fn = self._mult_labels_build
-        self.space = space  # needed by multiply during d construction
-        d_map = GradedLinearMap.from_function(
-            space, space, -1, lambda n, lab: self._d_label_build(space, lab))
-
         aug = None
         if self._aug_gens is not None:
             aug = {}
@@ -307,7 +252,7 @@ class FreePolynomialCdga(Cdga):
                     aug[lab] = val
 
         unit = GradedElement({(0, "1"): ONE})
-        super().__init__(space, d_map, self._mult_labels_build, unit, aug, check)
+        super().__init__(space, self._d_label_build, self._mult_labels_build, unit, aug, check)
 
     # monomials are tuples of (generator index, exponent), sorted by index
 
@@ -394,15 +339,12 @@ class FreePolynomialCdga(Cdga):
         lab = self._label_of_mono[merged]
         return GradedElement({(-self._mono_cohdeg(merged), lab): sign})
 
-    def _d_label_build(self, space, lab) -> GradedElement:
-        cached = self._d_cache.get(lab)
-        if cached is not None:
-            return cached
+    def _d_label_build(self, n, lab) -> GradedElement:
         mono = self._mono_of_label[lab]
         letters = []
         for i, e in mono:
             letters.extend([i] * e)
-        out = GradedElement()
+        out: dict = {}
         prefix_parity = 0
         for p, gi in enumerate(letters):
             name, cohdeg, _w = self.generators[gi]
@@ -410,13 +352,10 @@ class FreePolynomialCdga(Cdga):
             if not dg.is_zero():
                 left = self._letters_elt(letters[:p])
                 right = self._letters_elt(letters[p + 1:])
-                term = self.multiply(left, self.multiply(dg, right))
-                if prefix_parity % 2:
-                    term = term.scale(-ONE)
-                out = out + term
+                _add_scaled(out, self.multiply(left, self.multiply(dg, right)),
+                            -ONE if prefix_parity % 2 else ONE)
             prefix_parity += cohdeg
-        self._d_cache[lab] = out
-        return out
+        return _element_of(out)
 
     def _letters_elt(self, letters) -> GradedElement:
         d = {}
@@ -485,10 +424,8 @@ class CdgaMorphism:
         return out
 
     def apply(self, elt: GradedElement) -> GradedElement:
-        out = GradedElement()
-        for (d, lab), c in elt.coeffs.items():
-            out = out + self.apply_label(lab).scale(c)
-        return out
+        return linear_combination((c, self.apply_label(lab))
+                                  for (_, lab), c in elt.coeffs.items())
 
 
 def omega_simplex(n: int, max_degree: int) -> DeRhamForms:
@@ -612,18 +549,14 @@ def path_object(a: Cdga, t_degree: int = 3):
 
     def d_fn(n, name):
         lab, n0, k, e = labels[name]
-        base = a.d(a.space.basis_element(n0, lab))
-        out = embed(base, k, e)
+        out = dict(embed(a.d(a.space.basis_element(n0, lab)), k, e).coeffs)
         if e == 0 and k >= 1:
-            if k - 1 <= K - 1:
-                sign = -ONE if n0 % 2 else ONE
-                out = out + GradedElement(
-                    {(n0 - 1, name_of(lab, n0, k - 1, 1)): sign * QQ(k)})
-        return out
+            # d(t^k) = k t^(k-1) dt, moved past the table factor
+            _add_scaled(out, GradedElement({(n0 - 1, name_of(lab, n0, k - 1, 1)): QQ(k)}),
+                        -ONE if n0 % 2 else ONE)
+        return _element_of(out)
 
-    d_map = GradedLinearMap.from_function(space, space, -1, d_fn)
-    unit = embed(a.unit, 0, 0)
-    path = Cdga(space, d_map, mult_fn, unit, check="auto")
+    path = Cdga(space, d_fn, mult_fn, embed(a.unit, 0, 0), check="auto")
 
     p0 = {name: (a.space.basis_element(n0, lab)
                  if (k == 0 and e == 0) else GradedElement())
@@ -636,10 +569,7 @@ def path_object(a: Cdga, t_degree: int = 3):
 
 
 def apply_linear(mapping: Mapping[str, GradedElement], elt: GradedElement) -> GradedElement:
-    out = GradedElement()
-    for (n, lab), c in elt.coeffs.items():
-        out = out + mapping[lab].scale(c)
-    return out
+    return linear_combination((c, mapping[lab]) for (_, lab), c in elt.coeffs.items())
 
 
 # ---------------------------------------------------------------------------
@@ -755,15 +685,14 @@ def localize(a: Cdga, u: GradedElement):
         r = image_rows[loc_labels.index(lab)]
         return to_coords(vec_of_elt(a.d(elt_of_vec(r))))
 
-    d_map = GradedLinearMap.from_function(space, space, -1, d_fn)
     unit_vec = vec_of_elt(a.unit)
     for _ in range(N):
         unit_vec = mat_vec(mult_u, unit_vec)
     unit = to_coords(unit_vec)
     if space.total_dim() == 0:
-        loc = Cdga(space, d_map, mult_fn, GradedElement(), check="skip")
+        loc = Cdga(space, d_fn, mult_fn, GradedElement(), check="skip")
     else:
-        loc = Cdga(space, d_map, mult_fn, unit, check="auto")
+        loc = Cdga(space, d_fn, mult_fn, unit, check="auto")
     loc_map = {lab: to_coords(vecs[i]) for i, (n, lab) in enumerate(items)}
     return loc, loc_map
 
@@ -826,9 +755,7 @@ def idempotent_split(a: Cdga):
     nonneg = all(n <= 0 for n in a.space.degrees())
     factors = []
     for e in idems:
-        u = GradedElement()
-        for i, c in enumerate(e):
-            u = u + reps[i].scale(c)
+        u = linear_combination(zip(e, reps))
         if nonneg and (a.multiply(u, u) - u).is_zero():
             factors.append((u, _strict_factor(a, u), "strict"))
         else:
@@ -856,21 +783,19 @@ def _strict_factor(a: Cdga, u: GradedElement) -> Cdga:
             vec_of[basis[n][i]] = v
 
     def express(elt: GradedElement) -> GradedElement:
-        out = GradedElement()
+        out: dict = {}
         for n in sorted(elt.degrees()):
             x = in_factor[n].coords(a.space.to_vector(elt.homogeneous_part(n), n))
             if x is None:
                 raise ValueError("element not in the factor")
-            labs = space.labels(n)
-            out = out + GradedElement({(n, labs[i]): c for i, c in enumerate(x) if c})
-        return out
+            out.update(space.from_vector(x, n).coeffs)  # keys never collide
+        return _element_of(out)
 
     def mult_fn(d1, l1, d2, l2):
         return express(a.multiply(vec_of[l1], vec_of[l2]))
 
-    d_map = GradedLinearMap.from_function(
-        space, space, -1, lambda n, lab: express(a.d(vec_of[lab])))
-    return Cdga(space, d_map, mult_fn, express(u), check="auto")
+    return Cdga(space, lambda n, lab: express(a.d(vec_of[lab])), mult_fn, express(u),
+                check="auto")
 
 
 def localization_exactness_report(a: Cdga, u: GradedElement,
@@ -933,12 +858,10 @@ def tensor_dgla_forms(g: Dgla, n: int, max_degree: int, check: str = "auto") -> 
     space = GradedVectorSpace(basis)
 
     def pack(gelt: GradedElement, welt: GradedElement) -> GradedElement:
-        out = GradedElement()
-        for (ng, glab), cg in gelt.coeffs.items():
-            for (nw, wlab), cw in welt.coeffs.items():
-                out = out + GradedElement(
-                    {(ng + nw, "%s|%s" % (glab, wlab)): cg * cw})
-        return out
+        # distinct label pairs are distinct basis labels: no sum collides
+        return GradedElement({(ng + nw, "%s|%s" % (glab, wlab)): cg * cw
+                              for (ng, glab), cg in gelt.coeffs.items()
+                              for (nw, wlab), cw in welt.coeffs.items()})
 
     def bracket_fn(d1, l1, d2, l2):
         ng1, g1, nw1, w1 = info[l1]
@@ -954,16 +877,13 @@ def tensor_dgla_forms(g: Dgla, n: int, max_degree: int, check: str = "auto") -> 
         ng, glab, nw, wlab = info[lab]
         ge = g.space.basis_element(ng, glab)
         we = omega.space.basis_element(nw, wlab)
-        out = pack(g.d(ge), we)
-        sgn = -ONE if ng % 2 else ONE
-        out = out + pack(ge, omega.d(we)).scale(sgn)
-        return out
+        return linear_combination([(ONE, pack(g.d(ge), we)),
+                                   (-ONE if ng % 2 else ONE, pack(ge, omega.d(we)))])
 
-    d_map = GradedLinearMap.from_function(space, space, -1, d_fn)
     weights = None
     if g.weights is not None:
         weights = {lab: g.weights[info[lab][1]] for lab in info}
-    out = Dgla(space, d_map, bracket_fn, weights=weights,
+    out = Dgla(space, d_fn, bracket_fn, weights=weights,
                weight_bound=g.weight_bound, check=check)
     out.form_algebra = omega
     out.coefficient_dgla = g

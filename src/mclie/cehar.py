@@ -33,7 +33,9 @@ from .linalg import (
     GradedLinearMap,
     GradedVectorSpace,
     _add_scaled,
+    _element_of,
     homology as complex_homology,
+    linear_combination,
     rank,
 )
 from .freelie import LiePresentation
@@ -301,14 +303,13 @@ def cdga_product(a: Cdga, b: Cdga) -> Cdga:
         alg = a if s == "A" else b
         return tag(alg.d(alg.space.basis_element(n, base)), s)
 
-    d_map = GradedLinearMap.from_function(space, space, -1, d_fn)
     unit = tag(a.unit, "A") + tag(b.unit, "B")
     aug = {}
     for n, lab in b.basis_items():
         v = b.augmentation.get(lab, ZERO)
         if v:
             aug["B.%s" % lab] = v
-    return Cdga(space, d_map, mult_fn, unit, aug, check="auto")
+    return Cdga(space, d_fn, mult_fn, unit, aug, check="auto")
 
 
 def dgla_map_from_generators(src: Dgla, dst: Dgla,
@@ -338,10 +339,8 @@ def dgla_map_from_generators(src: Dgla, dst: Dgla,
     d_compatible = True
     for name in images:
         u = src.element(name)
-        du = src.d(u)
-        pushed = GradedElement()
-        for (n, lab), c in du.coeffs.items():
-            pushed = pushed + image_of(lab).scale(c)
+        pushed = linear_combination((c, image_of(lab))
+                                    for (_, lab), c in src.d(u).coeffs.items())
         if not (pushed - dst.d(images[name])).is_zero():
             d_compatible = False
             break
@@ -533,9 +532,8 @@ def mc_augmentation_dictionary(g: Dgla, xi: GradedElement, word_bound: int) -> d
     phi_dg = True
     for name, cohdeg, _w in ce.algebra.generators:
         img = ce.algebra._dgens.get(name, GradedElement())
-        pushed = GradedElement()
-        for (n, lab), c in img.coeffs.items():
-            pushed = pushed + phi_apply_label(lab).scale(c)
+        pushed = linear_combination((c, phi_apply_label(lab))
+                                    for (_, lab), c in img.coeffs.items())
         if not (pushed - ce_t.algebra.d(phi[name])).is_zero():
             phi_dg = False
             break
@@ -617,14 +615,13 @@ class TransferData:
         return self.h_reps[n][idx]
 
     def h(self, elt: GradedElement) -> GradedElement:
-        out = GradedElement()
+        out: dict = {}
         for n in sorted(elt.degrees()):
-            part = elt.homogeneous_part(n)
-            bcoords, _, _ = self.coords(part, n)
+            bcoords, _, _ = self.coords(elt.homogeneous_part(n), n)
             for i, c in enumerate(bcoords):
                 if c:
-                    out = out + self.preimages[n + 1][i].scale(c)
-        return out
+                    _add_scaled(out, self.preimages[n + 1][i], c)
+        return _element_of(out)
 
 
 class MinimalModel:
@@ -698,8 +695,7 @@ class MinimalModel:
             return GradedElement({(n, "h%d_%d" % (n, i)): c
                                   for (n, i), c in val.items()})
 
-        d_map = GradedLinearMap(space, space, -1, {})
-        return Dgla(space, d_map, bracket_fn, check="auto")
+        return Dgla(space, None, bracket_fn, check="auto")
 
     def quasi_iso_verified(self, degree_range: Optional[tuple[int, int]] = None) -> bool:
         """The inclusion of representatives induces an isomorphism onto

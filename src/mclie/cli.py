@@ -95,12 +95,20 @@ def _echo(args) -> str:
     return " ".join(args)
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("expected an integer >= 1, got %s"
-                                         % text)
+    if value < low:
+        raise argparse.ArgumentTypeError("expected an integer >= %d, got %s"
+                                         % (low, text))
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _nonnegative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def _parse_range(text):
@@ -350,16 +358,16 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--element", required=True)
     p = sub.add_parser("mc-constraints", help="print the MC constraint system")
     common(p)
-    p.add_argument("--simplex", type=int, required=True)
+    p.add_argument("--simplex", type=_nonnegative_int, required=True)
     p.add_argument("--poly-degree", type=int, required=True)
     p = sub.add_parser("mc-moduli", help="pi_0 with completeness certificate")
     common(p)
-    p.add_argument("--support", type=int, default=None)
+    p.add_argument("--support", type=_positive_int, default=None)
     p = sub.add_parser("verify", help="theorem checks")
     p.add_argument("what", choices=["theorem-f", "components",
                                     "free-product-cohomology"])
     common(p)
-    p.add_argument("--support", type=int, default=None)
+    p.add_argument("--support", type=_positive_int, default=None)
     p.add_argument("--words", type=_positive_int, default=None)
     p = sub.add_parser("localize", help="localization at a cocycle")
     common(p)

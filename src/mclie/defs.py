@@ -32,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .linalg import QQ, GradedElement, rational
+from .linalg import QQ, GradedElement, linear_combination
 from .freelie import LiePresentation
 from .dgla import (
     Dgla,
@@ -77,7 +77,7 @@ def parse_element(text: str, degree_of: dict[str, int],
     A numeric token names a basis label (such as the unit "1") when there
     is one and no label follows it: "2 1" is twice the label "1", "1 e" is e."""
     tokens = (" " + text).replace("+", " + ").replace(" -", " - ").split()
-    out = GradedElement()
+    terms = []
     sign = QQ(1)
     coeff = None
     for idx, tok in enumerate(tokens, start=1):
@@ -100,12 +100,12 @@ def parse_element(text: str, degree_of: dict[str, int],
             continue
         if tok not in degree_of:
             raise DefinitionError("unknown basis label %r" % tok, line, idx)
-        c = sign * (coeff if coeff is not None else QQ(1))
-        out = out + GradedElement({(degree_of[tok], tok): c})
+        terms.append((sign * (coeff if coeff is not None else QQ(1)),
+                      GradedElement({(degree_of[tok], tok): QQ(1)})))
         sign, coeff = QQ(1), None
     if coeff is not None:
         raise DefinitionError("dangling coefficient", line)
-    return out
+    return linear_combination(terms)
 
 
 class AlgebraDefinition:

@@ -18,16 +18,16 @@ from .linalg import (
     ONE,
     QQ,
     ZERO,
-    ChainComplex,
     Coordinates,
     DegreeMismatch,
     GradedElement,
     GradedLinearMap,
     GradedVectorSpace,
-    HomologyReport,
-    homology as complex_homology,
     kernel_basis,
     rank as matrix_rank,
+    _DgAlgebra,
+    _add_scaled,
+    _element_of,
 )
 from .freelie import (
     FreeLieTruncation,
@@ -52,70 +52,32 @@ class AxiomViolation(Exception):
     """A dgla axiom failed on construction."""
 
 
-class Dgla:
-    """Finite-dimensional dgla given by a basis, a differential and a
-    bracket on basis pairs.
+class Dgla(_DgAlgebra):
+    """Finite-dimensional dgla given by a basis, a differential d_fn(n,
+    label) and a bracket bracket_fn(deg1, label1, deg2, label2) on basis
+    pairs, evaluated lazily (see _DgAlgebra)."""
 
-    bracket_fn(deg1, label1, deg2, label2) -> GradedElement is evaluated
-    lazily with a cache, so large truncated quotients never materialize a
-    full structure-constant table.
-    """
+    _SIGN = -ONE
+    _SYMMETRY = "antisymmetry"
+    _VIOLATION = AxiomViolation
+    _TRIPLE_CAP = AXIOM_TRIPLE_CAP
 
-    def __init__(self, space: GradedVectorSpace, differential: GradedLinearMap,
+    def __init__(self, space: GradedVectorSpace,
+                 d_fn: Optional[Callable[[int, str], GradedElement]],
                  bracket_fn: Callable[[int, str, int, str], GradedElement],
                  weights: Optional[Mapping[str, int]] = None,
                  presentation: Optional["DglaPresentation"] = None,
                  weight_bound: Optional[int] = None,
                  twisted_by: Optional[GradedElement] = None,
                  check: str = "auto"):
-        self.space = space
-        self.d_map = differential
-        self._bracket_fn = bracket_fn
-        self._bracket_cache: dict[tuple[str, str], GradedElement] = {}
         self.weights = dict(weights) if weights else None
         self.presentation = presentation
         self.weight_bound = weight_bound
         self.twisted_by = twisted_by
-        dd = differential.compose(differential)
-        if not dd.is_zero():
-            raise AxiomViolation("d squared is nonzero")
-        if check == "full" or (check == "auto" and space.total_dim() <= AXIOM_TRIPLE_CAP):
-            self.verify_axioms()
+        super().__init__(space, d_fn, bracket_fn, check)
 
-    # -- basic operations ---------------------------------------------------
-
-    def basis_items(self) -> list[tuple[int, str]]:
-        return [(n, lab) for n in self.space.degrees() for lab in self.space.labels(n)]
-
-    def d(self, elt: GradedElement) -> GradedElement:
-        return self.d_map.apply(elt)
-
-    def bracket_labels(self, d1: int, l1: str, d2: int, l2: str) -> GradedElement:
-        key = (l1, l2)
-        out = self._bracket_cache.get(key)
-        if out is None:
-            out = self._bracket_fn(d1, l1, d2, l2)
-            self._bracket_cache[key] = out
-        return out
-
-    def bracket(self, u: GradedElement, v: GradedElement) -> GradedElement:
-        out = GradedElement()
-        for (d1, l1), c1 in u.coeffs.items():
-            for (d2, l2), c2 in v.coeffs.items():
-                out = out + self.bracket_labels(d1, l1, d2, l2).scale(c1 * c2)
-        return out
-
-    def element(self, label: str) -> GradedElement:
-        for n in self.space.degrees():
-            if self.space.has(n, label):
-                return self.space.basis_element(n, label)
-        raise KeyError(label)
-
-    def homology(self) -> HomologyReport:
-        return complex_homology(ChainComplex(self.space, self.d_map))
-
-    def total_dim(self) -> int:
-        return self.space.total_dim()
+    bracket_labels = _DgAlgebra._product_labels
+    bracket = _DgAlgebra._product
 
     def is_abelian(self) -> bool:
         """Every basis bracket vanishes.  Pairs whose bracket lands in a
@@ -139,19 +101,7 @@ class Dgla:
         items = self.basis_items()
         n = len(items)
         if n <= pair_cap:
-            for (d1, l1), (d2, l2) in itertools.product(items, repeat=2):
-                b12 = self.bracket_labels(d1, l1, d2, l2)
-                b21 = self.bracket_labels(d2, l2, d1, l1)
-                sign = -ONE if (d1 * d2) % 2 else ONE
-                if not (b12 - b21.scale(-sign)).is_zero():
-                    raise AxiomViolation("antisymmetry fails on (%s, %s)" % (l1, l2))
-                u = self.space.basis_element(d1, l1)
-                v = self.space.basis_element(d2, l2)
-                lhs = self.d(b12)
-                rhs = self.bracket(self.d(u), v) + \
-                    self.bracket(u, self.d(v)).scale(-ONE if d1 % 2 else ONE)
-                if not (lhs - rhs).is_zero():
-                    raise AxiomViolation("Leibniz fails on (%s, %s)" % (l1, l2))
+            self._check_pairs(items)
         if n <= triple_cap:
             for (d1, l1), (d2, l2), (d3, l3) in itertools.product(items, repeat=3):
                 u = self.space.basis_element(d1, l1)
@@ -184,13 +134,11 @@ class DglaPresentation:
 
 
 def dgla_from_quotient(q: QuotientLie, presentation=None, check: str = "auto") -> Dgla:
-    d_map = GradedLinearMap.from_function(
-        q.space, q.space, -1, lambda n, lab: q.d_label(lab))
-
     def bracket_fn(d1, l1, d2, l2):
         return q.bracket_labels(l1, l2)
 
-    return Dgla(q.space, d_map, bracket_fn, weights=q.weight_of_label,
+    return Dgla(q.space, lambda n, lab: q.d_label(lab), bracket_fn,
+                weights=q.weight_of_label,
                 presentation=presentation, weight_bound=q.m, check=check)
 
 
@@ -211,26 +159,22 @@ def dgla_from_table(basis: Mapping[int, Sequence[str]],
         table[(l1, l2)] = val
     for (l1, l2), val in list(table.items()):
         if (l2, l1) not in table:
-            sign = -ONE if (degree_of[l1] * degree_of[l2]) % 2 == 0 else ONE
-            table[(l2, l1)] = val.scale(sign)
+            table[(l2, l1)] = val.scale(Dgla._mirror_sign(degree_of[l1], degree_of[l2]))
 
     differentials = differentials or {}
-    d_map = GradedLinearMap.from_function(
-        space, space, -1, lambda n, lab: differentials.get(lab, GradedElement()))
 
     def bracket_fn(d1, l1, d2, l2):
         return table.get((l1, l2), GradedElement())
 
-    return Dgla(space, d_map, bracket_fn, weights=weights, check=check)
+    return Dgla(space, lambda n, lab: differentials.get(lab, GradedElement()),
+                bracket_fn, weights=weights, check=check)
 
 
 # -- stock algebras -----------------------------------------------------------
 
 
 def zero_dgla() -> Dgla:
-    space = GradedVectorSpace({})
-    d = GradedLinearMap(space, space, -1, {})
-    return Dgla(space, d, lambda *a: GradedElement())
+    return Dgla(GradedVectorSpace({}), None, lambda *a: GradedElement())
 
 
 def sphere_dgla(m: int = 2) -> Dgla:
@@ -377,14 +321,11 @@ def twist(g: Dgla, xi: GradedElement, check: str = "auto") -> Dgla:
     ok, res = is_mc(g, xi)
     if not ok:
         raise NotMaurerCartan("residual %r" % res)
-    d_map = GradedLinearMap.from_function(
-        g.space, g.space, -1,
-        lambda n, lab: g.d(g.space.basis_element(n, lab)) +
-        g.bracket(xi, g.space.basis_element(n, lab)))
-    out = Dgla(g.space, d_map, g._bracket_fn, weights=g.weights,
-               weight_bound=g.weight_bound, twisted_by=xi, check=check)
-    out._bracket_cache = g._bracket_cache
-    return out
+    return Dgla(g.space,
+                lambda n, lab: g.d(g.space.basis_element(n, lab)) +
+                g.bracket(xi, g.space.basis_element(n, lab)),
+                g._product_labels, weights=g.weights,
+                weight_bound=g.weight_bound, twisted_by=xi, check=check)
 
 
 def adjoin_mc_variable(g: Dgla, m: int, var: str = "x") -> Dgla:
@@ -482,30 +423,18 @@ def connected_cover(g: Dgla) -> tuple[Dgla, GradedLinearMap]:
 
     def express(elt: GradedElement) -> GradedElement:
         """Coordinates of an element of the cover subspace."""
-        out = GradedElement()
+        out: dict = {}
         for n in sorted(elt.degrees()):
             part = elt.homogeneous_part(n)
-            if n > 0:
-                out = out + GradedElement({(n, lab): c for (_, lab), c in part.coeffs.items()})
-            elif n == 0:
+            if n == 0:
                 x = in_ker0.coords(g.space.to_vector(part, 0))
                 if x is None:
                     raise AxiomViolation("element not in the connected cover")
-                labs = space.labels(0)
-                out = out + GradedElement({(0, labs[i]): c for i, c in enumerate(x) if c})
-            else:
+                part = space.from_vector(x, 0)
+            elif n < 0:
                 raise AxiomViolation("negative-degree component in the cover")
-        return out
-
-    def incl(elt: GradedElement) -> GradedElement:
-        out = GradedElement()
-        for (n, lab), c in elt.coeffs.items():
-            out = out + incl_vectors[lab].scale(c)
-        return out
-
-    d_map = GradedLinearMap.from_function(
-        space, space, -1,
-        lambda n, lab: express(g.d(incl_vectors[lab])) if n >= 1 else GradedElement())
+            out.update(part.coeffs)  # one degree per part: keys never collide
+        return _element_of(out)
 
     def bracket_fn(d1, l1, d2, l2):
         return express(g.bracket(incl_vectors[l1], incl_vectors[l2]))
@@ -521,7 +450,9 @@ def connected_cover(g: Dgla) -> tuple[Dgla, GradedLinearMap]:
                     weights[lab] = min((g.weights[l2]
                                         for (_, l2) in incl_vectors[lab].coeffs),
                                        default=1)
-    cover = Dgla(space, d_map, bracket_fn, weights=weights,
+    cover = Dgla(space,
+                 lambda n, lab: express(g.d(incl_vectors[lab])) if n >= 1 else GradedElement(),
+                 bracket_fn, weights=weights,
                  weight_bound=g.weight_bound, check="auto")
     inclusion = GradedLinearMap.from_function(space, g.space, 0,
                                               lambda n, lab: incl_vectors[lab])
@@ -544,12 +475,12 @@ def gauge_act(g: Dgla, a: GradedElement, xi: GradedElement) -> GradedElement:
     if not ok:
         raise NotMaurerCartan("residual %r" % res)
     bound = _ad_bound(g)
-    out = GradedElement()
+    acc: dict = {}
     term = xi
     k = 0
     fact = ONE
     while not term.is_zero():
-        out = out + term.scale(ONE / fact)
+        _add_scaled(acc, term, ONE / fact)
         k += 1
         fact *= k
         term = g.bracket(a, term)
@@ -559,12 +490,13 @@ def gauge_act(g: Dgla, a: GradedElement, xi: GradedElement) -> GradedElement:
     k = 0
     fact = ONE  # (k+1)! as k advances
     while not term.is_zero():
-        out = out - term.scale(ONE / fact)
+        _add_scaled(acc, term, -(ONE / fact))
         k += 1
         fact *= k + 1
         term = g.bracket(a, term)
         if k > bound:
             raise NotNilpotent("ad of the gauge parameter is not nilpotent")
+    out = _element_of(acc)
     ok, res = is_mc(g, out)
     if not ok:
         raise NotMaurerCartan("gauge action broke the MC equation: %r" % res)

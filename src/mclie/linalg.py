@@ -1,6 +1,7 @@
 """Exact rational linear algebra: graded vector spaces, sparse elements,
-degree-shifting linear maps, chain complexes and their homology, and
-primitive idempotents of split finite commutative algebras.
+degree-shifting linear maps, chain complexes and their homology, the
+core that dglas and cdgas share, and primitive idempotents of split finite
+commutative algebras.
 
 All arithmetic is fractions.Fraction; there is no floating point anywhere.
 Row reduction is deterministic (leftmost pivot, topmost nonzero row), so
@@ -11,6 +12,7 @@ them (homology, solve, kernel_basis).
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -584,6 +586,95 @@ class ChainComplex:
 
     def homology(self) -> "HomologyReport":
         return homology(self)
+
+
+class _DgAlgebra:
+    """What dglas and cdgas share: a graded space, a differential of shift
+    -1, and a product on basis pairs with one graded symmetry.
+
+    product_fn(deg1, label1, deg2, label2) -> GradedElement is evaluated
+    lazily with a cache, so large truncated quotients never materialize a
+    full structure-constant table.  The differential is built from
+    d_fn(n, label) -> GradedElement (None for the zero map) once the cache
+    exists, so d_fn may multiply.  d*d = 0 is always checked; the
+    subclass's verify_axioms runs when check is "full", or "auto" with at
+    most _TRIPLE_CAP basis elements.
+
+    A subclass sets _SIGN (v*u = _SIGN (-1)^{|u||v|} u*v: -1 for a Lie
+    bracket, +1 for a commutative product), _SYMMETRY (the name of that
+    axiom), _VIOLATION (the exception a failed axiom raises) and
+    _TRIPLE_CAP, and names the product under its own public aliases.  The
+    class and its product methods are underscored because perfbench's
+    tracer times every call of a public name in a span of its own.
+    """
+
+    def __init__(self, space: GradedVectorSpace,
+                 d_fn: Optional[Callable[[int, str], GradedElement]],
+                 product_fn: Callable[[int, str, int, str], GradedElement],
+                 check: str = "auto"):
+        self.space = space
+        self._product_fn = product_fn
+        self._products: dict[tuple[str, str], GradedElement] = {}
+        self.d_map = GradedLinearMap(space, space, -1) if d_fn is None else \
+            GradedLinearMap.from_function(space, space, -1, d_fn)
+        if not self.d_map.compose(self.d_map).is_zero():
+            raise self._VIOLATION("d squared is nonzero")
+        if check == "full" or (check == "auto" and space.total_dim() <= self._TRIPLE_CAP):
+            self.verify_axioms()
+
+    @classmethod
+    def _mirror_sign(cls, d1: int, d2: int) -> Fraction:
+        """s with v*u = s u*v for u, v of degrees d1, d2."""
+        return cls._SIGN * (-ONE if (d1 * d2) % 2 else ONE)
+
+    def basis_items(self) -> list[tuple[int, str]]:
+        return [(n, lab) for n in self.space.degrees() for lab in self.space.labels(n)]
+
+    def d(self, elt: GradedElement) -> GradedElement:
+        return self.d_map.apply(elt)
+
+    def _product_labels(self, d1: int, l1: str, d2: int, l2: str) -> GradedElement:
+        key = (l1, l2)
+        out = self._products.get(key)
+        if out is None:
+            out = self._product_fn(d1, l1, d2, l2)
+            self._products[key] = out
+        return out
+
+    def _product(self, u: GradedElement, v: GradedElement) -> GradedElement:
+        out: dict = {}
+        for (d1, l1), c1 in u.coeffs.items():
+            for (d2, l2), c2 in v.coeffs.items():
+                _add_scaled(out, self._product_labels(d1, l1, d2, l2), c1 * c2)
+        return _element_of(out)
+
+    def element(self, label: str) -> GradedElement:
+        for n in self.space.degrees():
+            if self.space.has(n, label):
+                return self.space.basis_element(n, label)
+        raise KeyError(label)
+
+    def homology(self) -> "HomologyReport":
+        return homology(ChainComplex(self.space, self.d_map))
+
+    def total_dim(self) -> int:
+        return self.space.total_dim()
+
+    def _check_pairs(self, items: list[tuple[int, str]]):
+        """The graded symmetry and the Leibniz rule on every ordered pair
+        of basis elements."""
+        for (d1, l1), (d2, l2) in itertools.product(items, repeat=2):
+            uv = self._product_labels(d1, l1, d2, l2)
+            vu = self._product_labels(d2, l2, d1, l1)
+            if not (uv - vu.scale(self._mirror_sign(d2, d1))).is_zero():
+                raise self._VIOLATION("%s fails on (%s, %s)" % (self._SYMMETRY, l1, l2))
+            u = self.space.basis_element(d1, l1)
+            v = self.space.basis_element(d2, l2)
+            lhs = self.d(uv)
+            rhs = self._product(self.d(u), v) + \
+                self._product(u, self.d(v)).scale(-ONE if d1 % 2 else ONE)
+            if not (lhs - rhs).is_zero():
+                raise self._VIOLATION("Leibniz fails on (%s, %s)" % (l1, l2))
 
 
 class HomologyReport:

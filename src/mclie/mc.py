@@ -26,7 +26,10 @@ from .linalg import (
     Coordinates,
     GradedElement,
     kernel_basis,
+    linear_combination,
     rank,
+    _add_scaled,
+    _element_of,
 )
 from .dgla import (
     Dgla,
@@ -342,15 +345,13 @@ class SolutionFamily:
         """The solution as an element of g in the discrete constant case."""
         if not self.is_discrete():
             raise IncompleteSolve("vertex of a family with free symbols")
-        out = GradedElement()
+        terms = []
         for sym, glab in system.unknowns.items():
             val = self.assignments.get(sym, poly_zero())
-            c = val.get((), ZERO)
             if any(m != () for m in val):
                 raise IncompleteSolve("vertex has non-constant coefficients")
-            if c:
-                out = out + GradedElement({(-1, glab): c})
-        return out
+            terms.append((val.get((), ZERO), GradedElement({(-1, glab): ONE})))
+        return linear_combination(terms)
 
     def describe(self, system: MCConstraintSystem) -> str:
         parts = []
@@ -900,7 +901,7 @@ def instantiate_solution(system: MCConstraintSystem, family: SolutionFamily,
     table = system.table
 
     def eval_poly(p) -> GradedElement:
-        out = GradedElement()
+        terms = []
         for mono, c in p.items():
             term = omega.unit
             for sym, diff in mono:
@@ -913,8 +914,8 @@ def instantiate_solution(system: MCConstraintSystem, family: SolutionFamily,
                 if diff:
                     val = omega.d(val)
                 term = omega.multiply(term, val)
-            out = out + term.scale(c)
-        return out
+            terms.append((c, term))
+        return linear_combination(terms)
 
     xi = GradedElement()
     for sym, glab in system.unknowns.items():
@@ -1017,15 +1018,14 @@ def mc_simplices(g: Dgla, n: int, max_degree: int,
 
 def apply_form_map(tensor_src, tensor_dst, morphism, elt: GradedElement) -> GradedElement:
     """Push an element of g (x) Omega along id (x) (a form morphism)."""
-    out = GradedElement()
-    for (deg, lab), c in elt.coeffs.items():
+    out: dict = {}
+    for (_, lab), c in elt.coeffs.items():
         glab, wlab = lab.split("|", 1)
-        gdeg, _, nw, _ = tensor_src.tensor_info[lab]
+        gdeg = tensor_src.tensor_info[lab][0]
         img = morphism.apply_label(wlab)
-        for (nw2, wlab2), c2 in img.coeffs.items():
-            out = out + GradedElement(
-                {(gdeg + nw2, "%s|%s" % (glab, wlab2)): c * c2})
-    return out
+        _add_scaled(out, GradedElement({(gdeg + nw2, "%s|%s" % (glab, wlab2)): c2
+                                        for (nw2, wlab2), c2 in img.coeffs.items()}), c)
+    return _element_of(out)
 
 
 def faces_preserve_mc(g: Dgla, n: int, max_degree: int,

@@ -6,6 +6,7 @@ import pytest
 from mclie.linalg import QQ, GradedElement, NonSplitAlgebra, RowSpace, solve_matrix
 from mclie.dgla import abelian_dgla, sphere_dgla, f_xa_dgla
 from mclie.cdga import (
+    CdgaAxiomViolation,
     CdgaMorphism,
     DeRhamForms,
     FiniteTableCdga,
@@ -537,3 +538,115 @@ def test_cohomology_algebra_raises_named_errors(monkeypatch):
     monkeypatch.setattr(mclie.cdga.Coordinates, "coords", lambda self, v: None)
     with pytest.raises(NonCocycle, match="not a cycle"):
         cohomology_algebra(qxq())
+
+
+# --- construction-time axiom checks ------------------------------------------
+
+
+def _gen(n, lab, c=1):
+    return GradedElement({(n, lab): QQ(c)})
+
+
+def _raises_exactly(message, build):
+    with pytest.raises(CdgaAxiomViolation) as info:
+        build()
+    assert type(info.value) is CdgaAxiomViolation
+    assert str(info.value) == message
+
+
+def _associativity_breaker(n):
+    """Degree-0 table with a*a = b, a*b = a: (a*a)*b = 0 but a*(a*b) = b;
+    the other n - 3 basis elements multiply to zero."""
+    labels = ["1", "a", "b"] + ["z%d" % i for i in range(n - 3)]
+    return {0: labels}, {("a", "a"): _gen(0, "b"), ("a", "b"): _gen(0, "a")}
+
+
+# cohomological degrees in the basis, homological in the elements
+@pytest.mark.parametrize("message,build", [
+    ("d squared is nonzero",
+     lambda: FiniteTableCdga({0: ["1"], 1: ["a"], 2: ["b"], 3: ["c"]}, {}, "1",
+                             {"a": _gen(-2, "b"), "b": _gen(-3, "c")}, check="skip")),
+    ("unit fails on e",
+     lambda: FiniteTableCdga({0: ["1", "e"]}, {("1", "e"): GradedElement()}, "1")),
+    ("unit is not a cocycle",
+     lambda: FiniteTableCdga({0: ["1"], 1: ["a"]}, {}, "1", {"1": _gen(-1, "a")})),
+    ("graded commutativity fails on (a, b)",
+     lambda: FiniteTableCdga({0: ["1"], 1: ["a", "b"], 2: ["c"]},
+                             {("a", "b"): _gen(-2, "c"), ("b", "a"): _gen(-2, "c")},
+                             "1")),
+    ("Leibniz fails on (x, x)",
+     lambda: FiniteTableCdga({0: ["1", "x"], 1: ["y"]}, {("x", "x"): _gen(0, "x")},
+                             "1", {"x": _gen(-1, "y")})),
+    ("associativity fails on (a, a, b)",
+     lambda: FiniteTableCdga(*_associativity_breaker(3), "1")),
+    ("augmentation nonzero off degree 0",
+     lambda: FiniteTableCdga({0: ["1"], 1: ["a"]}, {}, "1",
+                             augmentation={"1": QQ(1), "a": QQ(1)})),
+    ("augmentation is not a dg map",
+     lambda: FiniteTableCdga({-1: ["z"], 0: ["1", "x"]}, {}, "1", {"z": _gen(0, "x")},
+                             augmentation={"1": QQ(1), "x": QQ(1)})),
+    ("augmentation of the unit is not 1",
+     lambda: FiniteTableCdga({0: ["1"]}, {}, "1", augmentation={"1": QQ(2)})),
+])
+def test_cdga_axiom_failures_name_the_check(message, build):
+    _raises_exactly(message, build)
+
+
+def test_cdga_auto_check_runs_up_to_26_basis_elements():
+    basis, table = _associativity_breaker(26)
+    _raises_exactly("associativity fails on (a, a, b)",
+                    lambda: FiniteTableCdga(basis, table, "1", check="auto"))
+    basis, table = _associativity_breaker(27)
+    a = FiniteTableCdga(basis, table, "1", check="auto")
+    _raises_exactly("associativity fails on (a, a, b)",
+                    lambda: a.verify_axioms(triple_cap=27))
+
+
+def test_cdga_verify_axioms_caps_skip_only_pair_and_triple_loops():
+    a = FiniteTableCdga(*_associativity_breaker(5), "1", check="skip")
+    a.verify_axioms(triple_cap=4)
+    _raises_exactly("associativity fails on (a, a, b)",
+                    lambda: a.verify_axioms(triple_cap=5))
+    b = FiniteTableCdga({0: ["1"], 1: ["a", "b"], 2: ["c"]},
+                        {("a", "b"): _gen(-2, "c"), ("b", "a"): _gen(-2, "c")},
+                        "1", check="skip")
+    b.verify_axioms(pair_cap=3, triple_cap=0)
+    _raises_exactly("graded commutativity fails on (a, b)",
+                    lambda: b.verify_axioms(pair_cap=4, triple_cap=0))
+    # the unit and augmentation checks have no cap
+    c = FiniteTableCdga({0: ["1", "e"]}, {("1", "e"): GradedElement()}, "1",
+                        check="skip")
+    _raises_exactly("unit fails on e", lambda: c.verify_axioms(pair_cap=0, triple_cap=0))
+    d = FiniteTableCdga({0: ["1"]}, {}, "1", augmentation={"1": QQ(2)}, check="skip")
+    _raises_exactly("augmentation of the unit is not 1",
+                    lambda: d.verify_axioms(pair_cap=0, triple_cap=0))
+
+
+def _random_element(rng, a, terms):
+    items = a.basis_items()
+    out = {}
+    for _ in range(terms):
+        out[rng.choice(items)] = QQ(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randrange(1, 4))
+    return GradedElement(out)
+
+
+def reference_product(labels_fn, u, v):
+    """The product the slow way: one copied dict per term."""
+    out = GradedElement()
+    for (d1, l1), c1 in u.coeffs.items():
+        for (d2, l2), c2 in v.coeffs.items():
+            out = out + labels_fn(d1, l1, d2, l2).scale(c1 * c2)
+    return out
+
+
+def test_multiply_matches_copy_per_term_reference():
+    rng = random.Random(11)
+    for _ in range(10):
+        a = random_table_cdga(rng)
+        for _ in range(10):
+            u = _random_element(rng, a, rng.randrange(2, 8))
+            v = _random_element(rng, a, rng.randrange(2, 8))
+            got = a.multiply(u, v)
+            assert list(got.coeffs.items()) == \
+                list(reference_product(a.mult_labels, u, v).coeffs.items())
+            assert all(type(c) is QQ for c in got.coeffs.values())

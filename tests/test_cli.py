@@ -334,15 +334,16 @@ def test_localize_even_degree_unit_exits_1(capsys):
 
 
 def test_localize_computes_each_homology_once(monkeypatch, capsys):
-    import mclie.cdga
+    import mclie.linalg
     calls = []
-    inner = mclie.cdga.complex_homology
+    inner = mclie.linalg.homology
 
     def counted(c):
         calls.append(c)
         return inner(c)
 
-    monkeypatch.setattr(mclie.cdga, "complex_homology", counted)
+    # Cdga.homology is linalg._DgAlgebra.homology, which looks the name up there
+    monkeypatch.setattr(mclie.linalg, "homology", counted)
     rc, out, err = run_cli(["localize", "--builtin", "qk:3", "--at", "2 1 - e1"],
                            capsys)
     assert rc == 0
@@ -408,3 +409,30 @@ def test_verify_without_enough_definitions_exits_2(args, capsys):
     assert rc == 2
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("args,flag,bound", [
+    (["mc-moduli", "--builtin", "f_xa:3", "--support", "0"], "--support", 1),
+    (["mc-moduli", "--builtin", "f_xa:3", "--support", "-1"], "--support", 1),
+    (["verify", "components", "--builtin", "sphere", "--support", "0"], "--support", 1),
+    (["mc-constraints", "--builtin", "g_S:2", "--simplex", "-1", "--poly-degree", "1"],
+     "--simplex", 0),
+])
+def test_out_of_range_counts_exit_2(args, flag, bound, capsys):
+    rc, out, err = run_cli(args, capsys)
+    assert rc == 2
+    assert out == ""
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert errors[0].endswith("argument %s: expected an integer >= %d, got %s"
+                              % (flag, bound, args[args.index(flag) + 1]))
+
+
+def test_smallest_valid_counts_still_run(capsys):
+    rc, out, _ = run_cli(["mc-moduli", "--builtin", "f_xa:3", "--support", "1"], capsys)
+    assert rc == 0
+    assert "classes = 2" in out
+    rc, out, _ = run_cli(["mc-constraints", "--builtin", "g_S:2", "--simplex", "0",
+                          "--poly-degree", "1"], capsys)
+    assert rc == 0

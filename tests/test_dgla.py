@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 
 from mclie.linalg import QQ, GradedElement
 from mclie.dgla import (
+    AxiomViolation,
     NotMaurerCartan,
     NotNilpotent,
     abelian_dgla,
@@ -427,3 +429,92 @@ def test_dgla_has_no_assert_statements():
         tree = ast.parse(f.read())
     assert not [node.lineno for node in ast.walk(tree)
                 if isinstance(node, ast.Assert)]
+
+
+# -- construction-time axiom checks -------------------------------------------
+
+
+def _gen(n, lab, c=1):
+    return GradedElement({(n, lab): QQ(c)})
+
+
+def _raises_exactly(message, build):
+    with pytest.raises(AxiomViolation) as info:
+        build()
+    assert type(info.value) is AxiomViolation
+    assert str(info.value) == message
+
+
+def _jacobi_breaker(n):
+    """n degree-0 basis elements; [a,b] = c and [b,c] = b break Jacobi on
+    (a, b, c), every other bracket is zero, so every pair check passes."""
+    labels = ["a", "b", "c"] + ["z%d" % i for i in range(n - 3)]
+    return {0: labels}, {("a", "b"): _gen(0, "c"), ("b", "c"): _gen(0, "b")}
+
+
+@pytest.mark.parametrize("message,build", [
+    ("d squared is nonzero",
+     lambda: dgla_from_table({0: ["a"], -1: ["b"], -2: ["c"]}, {},
+                             {"a": _gen(-1, "b"), "b": _gen(-2, "c")}, check="skip")),
+    ("antisymmetry fails on (a, b)",
+     lambda: dgla_from_table({0: ["a", "b", "c"]},
+                             {("a", "b"): _gen(0, "c"), ("b", "a"): _gen(0, "c")})),
+    ("Leibniz fails on (y, x)",
+     lambda: dgla_from_table({1: ["x"], 0: ["y"]}, {("x", "y"): _gen(1, "x")},
+                             {"x": _gen(0, "y")})),
+    ("Jacobi fails on (a, b, c)",
+     lambda: dgla_from_table(*_jacobi_breaker(3))),
+])
+def test_dgla_axiom_failures_name_the_check(message, build):
+    _raises_exactly(message, build)
+
+
+def test_dgla_auto_check_runs_up_to_24_basis_elements():
+    _raises_exactly("Jacobi fails on (a, b, c)",
+                    lambda: dgla_from_table(*_jacobi_breaker(24), check="auto"))
+    g = dgla_from_table(*_jacobi_breaker(25), check="auto")
+    _raises_exactly("Jacobi fails on (a, b, c)",
+                    lambda: g.verify_axioms(triple_cap=25))
+
+
+def test_dgla_verify_axioms_caps_skip_whole_loops():
+    g = dgla_from_table(*_jacobi_breaker(5), check="skip")
+    g.verify_axioms(triple_cap=4)
+    _raises_exactly("Jacobi fails on (a, b, c)",
+                    lambda: g.verify_axioms(triple_cap=5))
+    h = dgla_from_table({0: ["a", "b", "c"]},
+                        {("a", "b"): _gen(0, "c"), ("b", "a"): _gen(0, "c")},
+                        check="skip")
+    h.verify_axioms(pair_cap=2, triple_cap=0)
+    _raises_exactly("antisymmetry fails on (a, b)",
+                    lambda: h.verify_axioms(pair_cap=3, triple_cap=0))
+
+
+def _random_element(rng, g, terms):
+    items = g.basis_items()
+    out = {}
+    for _ in range(terms):
+        out[rng.choice(items)] = QQ(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randrange(1, 4))
+    return GradedElement(out)
+
+
+def reference_product(labels_fn, u, v):
+    """The product the slow way: one copied dict per term."""
+    out = GradedElement()
+    for (d1, l1), c1 in u.coeffs.items():
+        for (d2, l2), c2 in v.coeffs.items():
+            out = out + labels_fn(d1, l1, d2, l2).scale(c1 * c2)
+    return out
+
+
+@pytest.mark.parametrize("build", [heisenberg_dgla, lambda: g_s_dgla(3)])
+def test_bracket_matches_copy_per_term_reference(build):
+    g = build()
+    rng = random.Random(7)
+    for _ in range(40):
+        u = _random_element(rng, g, rng.randrange(2, 8))
+        v = _random_element(rng, g, rng.randrange(2, 8))
+        got = g.bracket(u, v)
+        assert list(got.coeffs.items()) == \
+            list(reference_product(g.bracket_labels, u, v).coeffs.items())
+        assert all(type(c) is QQ for c in got.coeffs.values())
