@@ -215,13 +215,12 @@ class FreePolynomialCdga(Cdga):
         self._mono_of_label: dict[str, tuple] = {}
         basis: dict[int, list[str]] = {}
         self.mono_weight: dict[str, int] = {}
-        for mono in monos:
-            lab = self._format(mono)
+        for weight, lab, mono in monos:
             deg = -self._mono_cohdeg(mono)
             self._label_of_mono[mono] = lab
             self._mono_of_label[lab] = mono
             basis.setdefault(deg, []).append(lab)
-            self.mono_weight[lab] = self._mono_weight(mono)
+            self.mono_weight[lab] = weight
         space = GradedVectorSpace(basis)
 
         for name, cohdeg, weight in self.generators:
@@ -258,9 +257,9 @@ class FreePolynomialCdga(Cdga):
 
     def _enumerate_monomials(self, size_cap):
         gens = self.generators
-        monos = [()]
+        monos = {(): 0}  # monomial -> its weight
         for i, (name, cohdeg, weight) in enumerate(gens):
-            new = []
+            new = {}
             if cohdeg % 2:
                 max_e = 1
             else:
@@ -268,17 +267,18 @@ class FreePolynomialCdga(Cdga):
                     raise ValueError(
                         "even generator %r needs truncation weight >= 1" % name)
                 max_e = self.max_weight // weight
-            for mono in monos:
-                w0 = self._mono_weight(mono)
-                new.append(mono)
+            for mono, w0 in monos.items():
+                new[mono] = w0
                 for e in range(1, max_e + 1):
-                    if w0 + e * weight > self.max_weight:
+                    w = w0 + e * weight
+                    if w > self.max_weight:
                         break
-                    new.append(mono + ((i, e),))
+                    new[mono + ((i, e),)] = w
             monos = new
             if len(monos) > size_cap:
                 raise CdgaAxiomViolation("truncated basis exceeds size cap")
-        return sorted(monos, key=lambda m: (self._mono_weight(m), self._format(m)))
+        # (weight, label) is unique, so the monomial itself is never compared
+        return sorted((w, self._format(m), m) for m, w in monos.items())
 
     def _mono_weight(self, mono) -> int:
         return sum(self.generators[i][2] * e for i, e in mono)
@@ -451,14 +451,11 @@ def omega_face_map(omega: DeRhamForms, face: int) -> CdgaMorphism:
             j = i if i < face else i - 1
             if j == 0:
                 # t_0 in the chart is 1 - sum of the rest
-                s = target.unit
-                for k in range(1, n):
-                    s = s - target.generator_element("t%d" % k)
-                ds = GradedElement()
-                for k in range(1, n):
-                    ds = ds - target.generator_element("dt%d" % k)
-                images["t%d" % i] = s
-                images["dt%d" % i] = ds
+                images["t%d" % i] = linear_combination(
+                    [(ONE, target.unit)] +
+                    [(-ONE, target.generator_element("t%d" % k)) for k in range(1, n)])
+                images["dt%d" % i] = linear_combination(
+                    (-ONE, target.generator_element("dt%d" % k)) for k in range(1, n))
             else:
                 images["t%d" % i] = target.generator_element("t%d" % j)
                 images["dt%d" % i] = target.generator_element("dt%d" % j)
@@ -472,25 +469,14 @@ def omega_degeneracy_map(omega: DeRhamForms, j: int) -> CdgaMorphism:
     target = DeRhamForms(n + 1, omega.max_weight, check="skip")
     images = {}
     # vertex v of Delta^{n+1} maps to v if v <= j else v - 1; the pullback
-    # of t_i is the sum of t_v over preimage vertices v.
+    # of t_i is the sum of t_v over preimage vertices v, all of them >= 1
+    # since i >= 1, so t_0 = 1 - sum of the rest never enters.
     for i in range(1, n + 1):
         pre = [v for v in range(n + 2) if (v if v <= j else v - 1) == i]
-        s = GradedElement()
-        ds = GradedElement()
-        for v in pre:
-            if v == 0:
-                u = target.unit
-                du = GradedElement()
-                for k in range(1, n + 2):
-                    u = u - target.generator_element("t%d" % k)
-                    du = du - target.generator_element("dt%d" % k)
-                s = s + u
-                ds = ds + du
-            else:
-                s = s + target.generator_element("t%d" % v)
-                ds = ds + target.generator_element("dt%d" % v)
-        images["t%d" % i] = s
-        images["dt%d" % i] = ds
+        images["t%d" % i] = linear_combination(
+            (ONE, target.generator_element("t%d" % v)) for v in pre)
+        images["dt%d" % i] = linear_combination(
+            (ONE, target.generator_element("dt%d" % v)) for v in pre)
     return CdgaMorphism(omega, target, images)
 
 
@@ -630,7 +616,7 @@ def localize(a: Cdga, u: GradedElement):
     rs = RowSpace(n_total)
     for v in vecs:
         rs.add(v)
-    image_rows = [list(r) for r in rs.rows]
+    image_rows = rs.rows
     k = len(image_rows)
 
     # pick labels for the localized algebra, degreewise

@@ -205,9 +205,7 @@ def cmd_mc_verify(ns, argv) -> int:
 def cmd_mc_constraints(ns, argv) -> int:
     alg = load_algebra(ns.defs[0], ns.size, ns.weight)
     system = derive_constraints(alg, ns.simplex)
-    rep = Report(_echo(argv), {"definition": ns.defs[0],
-                               "simplex": ns.simplex,
-                               "poly-degree": ns.poly_degree})
+    rep = Report(_echo(argv), {"definition": ns.defs[0], "simplex": ns.simplex})
     rep.line("unknowns (coefficient forms):")
     for sym in sorted(system.unknowns):
         p = system.table.form_degree[sym]
@@ -359,7 +357,6 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mc-constraints", help="print the MC constraint system")
     common(p)
     p.add_argument("--simplex", type=_nonnegative_int, required=True)
-    p.add_argument("--poly-degree", type=int, required=True)
     p = sub.add_parser("mc-moduli", help="pi_0 with completeness certificate")
     common(p)
     p.add_argument("--support", type=_positive_int, default=None)

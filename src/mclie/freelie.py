@@ -24,7 +24,6 @@ from typing import Mapping, Optional, Sequence
 from .linalg import (
     ONE,
     ZERO,
-    DegreeMismatch,
     GradedElement,
     GradedVectorSpace,
     RowSpace,
@@ -442,64 +441,45 @@ class QuotientLie:
 
     # free-side vectors ----------------------------------------------------
 
-    def _to_vec(self, elt: GradedElement, deg: int):
-        cols = self._columns.get(deg, [])
-        v = [ZERO] * len(cols)
-        idx = self._colindex.get(deg, {})
+    def _to_vecs(self, elt: GradedElement) -> dict[int, dict[int, Fraction]]:
+        """elt as one sparse {column: coefficient} vector per degree."""
+        vecs: dict[int, dict[int, Fraction]] = {}
         for (d, lab), c in elt.coeffs.items():
-            if d != deg:
-                raise DegreeMismatch("expected degree %d" % deg)
-            v[idx[lab]] = c
-        return v
+            vecs.setdefault(d, {})[self._colindex[d][lab]] = c
+        return vecs
 
-    def _from_vec(self, v, deg: int) -> GradedElement:
+    def _from_vec(self, v: Mapping[int, Fraction], deg: int) -> dict:
+        """The terms of a sparse vector of degree deg, in column order."""
         cols = self._columns[deg]
-        return GradedElement({(deg, cols[i]): c for i, c in enumerate(v) if c})
+        return {(deg, cols[i]): v[i] for i in sorted(v)}
 
     def _saturate(self):
         lie = self.free
-        queue: list[GradedElement] = []
-        for r in self.presentation.relations:
-            mapped = GradedElement({k: c for k, c in r.coeffs.items()})
-            deg = mapped.degree()
-            if deg is None:
-                continue
-            v = self._to_vec(mapped, deg)
-            if self._ideal[deg].add(v):
-                queue.append(mapped)
+        # relations and brackets of homogeneous elements are homogeneous
+        queue = [r for r in self.presentation.relations
+                 if any(self._ideal[d]._add(v) for d, v in self._to_vecs(r).items())]
         # closing under ad of the generators closes under the whole algebra
         gens = [lie.generator(n) for n in lie.gen_names]
         while queue:
             elt = queue.pop()
             for g in gens:
                 nxt = lie.bracket(g, elt)
-                if nxt.is_zero():
-                    continue
-                deg = nxt.degree()
-                v = self._to_vec(nxt, deg)
-                if self._ideal[deg].add(v):
+                if any(self._ideal[d]._add(v) for d, v in self._to_vecs(nxt).items()):
                     queue.append(nxt)
 
     def project(self, elt: GradedElement) -> GradedElement:
         """Image in the quotient, coordinates on the surviving labels."""
         out: dict = {}
-        for deg in sorted(elt.degrees()):
-            part = elt.homogeneous_part(deg)
+        vecs = self._to_vecs(elt)
+        for deg in sorted(vecs):
             # one block of keys per degree: the keys never collide
-            if self._ideal[deg].rows:
-                v = self._ideal[deg].reduce(self._to_vec(part, deg))
-                out.update(self._from_vec(v, deg).coeffs)
-            else:
-                # nothing to reduce by: the same terms, in column order
-                idx = self._colindex[deg]
-                out.update(sorted(part.coeffs.items(), key=lambda kv: idx[kv[0][1]]))
+            out.update(self._from_vec(self._ideal[deg]._reduce(vecs[deg]), deg))
         return _element_of(out)
 
     def _check_differential(self):
         for deg, rs in self._ideal.items():
-            for row in rs.rows:
-                elt = self._from_vec(row, deg)
-                img = self.free_dgla.d(elt)
+            for row in rs._rows.values():
+                img = self.free_dgla.d(_element_of(self._from_vec(row, deg)))
                 if not self.project(img).is_zero():
                     raise InvalidPresentation(
                         "differential does not preserve the relation ideal")

@@ -6,8 +6,10 @@ commutative algebras.
 All arithmetic is fractions.Fraction; there is no floating point anywhere.
 Row reduction is deterministic (leftmost pivot, topmost nonzero row), so
 every derived report is reproducible bit for bit.  Linear maps are stored
-as sparse columns; dense matrices are built only where row reduction needs
-them (homology, solve, kernel_basis).
+as sparse columns.  RowSpace, the incremental echelon form behind
+Coordinates, extend_basis and the quotient Lie algebras, keeps sparse
+rows.  rref, rank, kernel_basis and solve_matrix still reduce dense
+matrices, built where they are needed (homology among them).
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ class CertificateFailure(Exception):
 
 
 # ---------------------------------------------------------------------------
-# dense row-reduction toolkit; matrices are lists of row lists of Fractions
+# row reduction: dense matrices are lists of row lists of Fractions; the
+# incremental RowSpace keeps sparse rows
 # ---------------------------------------------------------------------------
 
 def zeros(nrows: int, ncols: int) -> list[list[Fraction]]:
@@ -175,56 +178,86 @@ def extend_basis(inner: Sequence[Sequence[Fraction]], outer: Sequence[Sequence[F
 class RowSpace:
     """Incrementally maintained subspace in reduced row echelon form.
 
-    Pivots lie in the first ncols columns; entries past them (as in
-    Coordinates) are carried through every row operation.
+    Sparse inside: each row is a {column: Fraction} dict of its nonzeros,
+    keyed by its pivot; it is 1 at its pivot and 0 at every other pivot.
+    So _reduce(v) subtracts only the rows whose pivots occur in v, at
+    O(nnz(v) nnz(row)) cost, and _add rewrites only the rows nonzero at
+    the new pivot.  Pivots lie in the first ncols columns; entries past
+    them (as in Coordinates) are carried through every row operation.
+    reduce and add are dense adapters over the two, for vectors of one
+    width; rows and pivots are read-only views in pivot order, rows as
+    dense lists as wide as the widest vector added.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows: list[list[Fraction]] = []
-        self.pivots: list[int] = []
+        self._rows: dict[int, dict[int, Fraction]] = {}
+        self._width = ncols
 
-    def reduce(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        v = list(vec)
-        for row, pc in zip(self.rows, self.pivots):
-            if v[pc]:
-                f = v[pc]
-                for j in range(pc, len(v)):
-                    if row[j]:
-                        v[j] -= f * row[j]
-        return v
+    @property
+    def pivots(self) -> list[int]:
+        return sorted(self._rows)
 
-    def contains(self, vec: Sequence[Fraction]) -> bool:
-        return not any(self.reduce(vec))
+    @property
+    def rows(self) -> list[list[Fraction]]:
+        out = []
+        for pc in self.pivots:
+            v = [ZERO] * self._width
+            for j, x in self._rows[pc].items():
+                v[j] = x
+            out.append(v)
+        return out
 
-    def add(self, vec: Sequence[Fraction]) -> bool:
+    def _reduce(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
+        """vec minus its components along the rows, as a new dict."""
+        rows = self._rows
+        out = dict(vec)
+        # every row is zero at the other pivots, so vec's own entries there
+        # are the factors
+        for pc, f in [(j, x) for j, x in vec.items() if j in rows]:
+            for j, x in rows[pc].items():
+                s = out.get(j, ZERO) - f * x
+                if s:
+                    out[j] = s
+                else:
+                    del out[j]
+        return out
+
+    def _add(self, vec: dict[int, Fraction]) -> bool:
         """Insert vec; True if it enlarged the span."""
-        v = self.reduce(vec)
-        pc = None
-        for j in range(self.ncols):
-            if v[j]:
-                pc = j
-                break
+        v = self._reduce(vec)
+        pc = min((j for j in v if j < self.ncols), default=None)
         if pc is None:
             return False
         f = v[pc]
         if f != ONE:
-            v = [x / f for x in v]
-        for row in self.rows:
-            if row[pc]:
-                g = row[pc]
-                for j in range(pc, len(v)):
-                    if v[j]:
-                        row[j] -= g * v[j]
-        at = 0
-        while at < len(self.pivots) and self.pivots[at] < pc:
-            at += 1
-        self.rows.insert(at, v)
-        self.pivots.insert(at, pc)
+            v = {j: x / f for j, x in v.items()}
+        for row in self._rows.values():
+            g = row.get(pc)
+            if g:
+                for j, x in v.items():
+                    s = row.get(j, ZERO) - g * x
+                    if s:
+                        row[j] = s
+                    else:
+                        del row[j]
+        self._rows[pc] = v
         return True
 
+    def reduce(self, vec: Sequence[Fraction]) -> list[Fraction]:
+        """vec minus its components along the rows."""
+        out = [ZERO] * len(vec)
+        for j, x in self._reduce({j: x for j, x in enumerate(vec) if x}).items():
+            out[j] = x
+        return out
+
+    def add(self, vec: Sequence[Fraction]) -> bool:
+        """Insert vec; True if it enlarged the span."""
+        self._width = max(self._width, len(vec))
+        return self._add({j: x for j, x in enumerate(vec) if x})
+
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
 
 class Coordinates:

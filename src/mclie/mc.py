@@ -917,7 +917,7 @@ def instantiate_solution(system: MCConstraintSystem, family: SolutionFamily,
             terms.append((c, term))
         return linear_combination(terms)
 
-    xi = GradedElement()
+    xi: dict = {}
     for sym, glab in system.unknowns.items():
         if sym in family.assignments:
             val_poly = family.assignments[sym]
@@ -933,10 +933,10 @@ def instantiate_solution(system: MCConstraintSystem, family: SolutionFamily,
             if tensor.coefficient_dgla.space.has(n2, glab):
                 gdeg = n2
                 break
-        for (nw, wlab), c in omega_val.coeffs.items():
-            if c:
-                xi = xi + GradedElement({(gdeg + nw, "%s|%s" % (glab, wlab)): c})
-    return xi
+        _add_scaled(xi, GradedElement({(gdeg + nw, "%s|%s" % (glab, wlab)): c
+                                       for (nw, wlab), c in omega_val.coeffs.items()}),
+                    ONE)
+    return _element_of(xi)
 
 
 def family_samples(system: MCConstraintSystem, family: SolutionFamily,
@@ -961,14 +961,12 @@ def family_samples(system: MCConstraintSystem, family: SolutionFamily,
     for cons in family.constraints:
         cells: dict = {}
         for j, (sym, mono_elt) in enumerate(coords):
-            val = GradedElement()
+            terms = []
             for m, c in cons.items():
                 (csym, cdiff), = m
-                if csym != sym:
-                    continue
-                v = omega.d(mono_elt) if cdiff else mono_elt
-                val = val + v.scale(c)
-            for key, c in val.coeffs.items():
+                if csym == sym:
+                    terms.append((c, omega.d(mono_elt) if cdiff else mono_elt))
+            for key, c in linear_combination(terms).coeffs.items():
                 cells.setdefault(key, {})[j] = c
         for key in sorted(cells):
             row = cells[key]
@@ -981,12 +979,14 @@ def family_samples(system: MCConstraintSystem, family: SolutionFamily,
     vectors = vectors + [[ZERO] * len(coords)]
     out = []
     for vec in vectors:
-        free_values = {sym: GradedElement() for sym in frees}
+        free_values: dict = {sym: {} for sym in frees}
         for j, c in enumerate(vec):
             if c:
                 sym, mono_elt = coords[j]
-                free_values[sym] = free_values[sym] + mono_elt.scale(c)
-        out.append(instantiate_solution(system, family, tensor, free_values))
+                _add_scaled(free_values[sym], mono_elt, c)
+        out.append(instantiate_solution(
+            system, family, tensor,
+            {sym: _element_of(acc) for sym, acc in free_values.items()}))
     return out
 
 

@@ -38,8 +38,9 @@ def test_verify_theorem_f_line_zero(capsys):
 
 def test_mc_constraints_prints_g_s_system(capsys):
     rc, out, _ = run_cli(["mc-constraints", "--builtin", "g_S:2",
-                          "--simplex", "1", "--poly-degree", "2"], capsys)
+                          "--simplex", "1"], capsys)
     assert rc == 0
+    assert "poly-degree" not in out
     # the three equation shapes of the discrete-space system
     assert "da[x1]" in out                      # d alpha = 0
     assert "a[x1]*a[x1]" in out                 # alpha(1 - alpha) = 0
@@ -415,7 +416,7 @@ def test_verify_without_enough_definitions_exits_2(args, capsys):
     (["mc-moduli", "--builtin", "f_xa:3", "--support", "0"], "--support", 1),
     (["mc-moduli", "--builtin", "f_xa:3", "--support", "-1"], "--support", 1),
     (["verify", "components", "--builtin", "sphere", "--support", "0"], "--support", 1),
-    (["mc-constraints", "--builtin", "g_S:2", "--simplex", "-1", "--poly-degree", "1"],
+    (["mc-constraints", "--builtin", "g_S:2", "--simplex", "-1"],
      "--simplex", 0),
 ])
 def test_out_of_range_counts_exit_2(args, flag, bound, capsys):
@@ -433,6 +434,5 @@ def test_smallest_valid_counts_still_run(capsys):
     rc, out, _ = run_cli(["mc-moduli", "--builtin", "f_xa:3", "--support", "1"], capsys)
     assert rc == 0
     assert "classes = 2" in out
-    rc, out, _ = run_cli(["mc-constraints", "--builtin", "g_S:2", "--simplex", "0",
-                          "--poly-degree", "1"], capsys)
+    rc, out, _ = run_cli(["mc-constraints", "--builtin", "g_S:2", "--simplex", "0"], capsys)
     assert rc == 0

@@ -414,3 +414,107 @@ def test_square_halves_odd_int_exactly():
     got = lie.rewrite_tensor({(0, 0): 4})
     assert _items(got) == [((-2, "[x,x]"), QQ(2))]
     assert all(type(c) is Fraction for c in got.coeffs.values())
+
+
+# --- the quotient's sparse elimination against a dense reference
+
+
+class DenseRowSpace:
+    """The dense RowSpace that QuotientLie used to saturate on: list rows
+    in reduced row echelon form, every reduction a scan of every row."""
+
+    def __init__(self, ncols):
+        self.ncols = ncols
+        self.rows = []
+        self.pivots = []
+
+    def reduce(self, vec):
+        v = list(vec)
+        for row, pc in zip(self.rows, self.pivots):
+            if v[pc]:
+                f = v[pc]
+                for j in range(pc, len(v)):
+                    if row[j]:
+                        v[j] -= f * row[j]
+        return v
+
+    def add(self, vec):
+        v = self.reduce(vec)
+        pc = next((j for j in range(self.ncols) if v[j]), None)
+        if pc is None:
+            return False
+        f = v[pc]
+        if f != 1:
+            v = [x / f for x in v]
+        for row in self.rows:
+            if row[pc]:
+                g = row[pc]
+                for j in range(pc, len(v)):
+                    if v[j]:
+                        row[j] -= g * v[j]
+        at = 0
+        while at < len(self.pivots) and self.pivots[at] < pc:
+            at += 1
+        self.rows.insert(at, v)
+        self.pivots.insert(at, pc)
+        return True
+
+
+def _dense_projection(q):
+    """Saturate q's relations into dense row spaces on q's own column order
+    and return (the row spaces, the projection they define)."""
+    lie, cols, idx = q.free, q._columns, q._colindex
+
+    def vec(elt, deg):
+        v = [QQ(0)] * len(cols[deg])
+        for (_, lab), c in elt.coeffs.items():
+            v[idx[deg][lab]] = c
+        return v
+
+    ideal = {deg: DenseRowSpace(len(c)) for deg, c in cols.items()}
+    queue = [r for r in q.presentation.relations
+             if not r.is_zero() and ideal[r.degree()].add(vec(r, r.degree()))]
+    gens = [lie.generator(n) for n in lie.gen_names]
+    while queue:
+        elt = queue.pop()
+        for g in gens:
+            nxt = lie.bracket(g, elt)
+            if not nxt.is_zero() and ideal[nxt.degree()].add(vec(nxt, nxt.degree())):
+                queue.append(nxt)
+
+    def project(elt):
+        out = {}
+        for deg in sorted(elt.degrees()):
+            v = ideal[deg].reduce(vec(elt.homogeneous_part(deg), deg))
+            out.update({(deg, cols[deg][i]): c for i, c in enumerate(v) if c})
+        return out
+
+    return ideal, project
+
+
+def test_quotient_projection_matches_dense_reference():
+    import random
+
+    from mclie.defs import build_builtin
+    from mclie.dgla import free_product_dgla, presentation_of
+    g = free_product_dgla(build_builtin("heisenberg"), build_builtin("abelian:1:0"), 5)
+    q = presentation_of(g).pres.materialize(5)
+    ideal, project = _dense_projection(q)
+    assert sum(len(rs.rows) for rs in ideal.values()) > 0
+    for deg, rs in ideal.items():
+        assert q._ideal[deg].pivots == rs.pivots
+        assert q._ideal[deg].rows == rs.rows
+    elements = [e for n in q.free.space.degrees() for e in q.free.space.basis_elements(n)]
+    rng = random.Random(5)
+    for _ in range(200):
+        picked = rng.sample(elements, rng.randint(1, 6))
+        elements.append(GradedElement({k: QQ(rng.randint(-5, 5), rng.randint(1, 4))
+                                       for e in picked for k in e.coeffs}))
+    reduced = 0
+    for e in elements:
+        got = q.project(e)
+        want = project(e)
+        assert _items(got) == list(want.items())
+        assert all(type(c) is Fraction for c in got.coeffs.values())
+        reduced += _items(got) != _items(e)
+    assert reduced > 100

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from mclie.linalg import (
     GradedLinearMap,
     GradedVectorSpace,
     NonSplitAlgebra,
+    RowSpace,
     homology,
     idempotents,
     kernel_basis,
@@ -344,3 +346,68 @@ def test_linalg_has_no_assert_statements():
         tree = ast.parse(f.read())
     assert not [node.lineno for node in ast.walk(tree)
                 if isinstance(node, ast.Assert)]
+
+
+# --- RowSpace against dense rref on the same rows
+
+
+def _reduce_by(rows, pivots, v):
+    """v minus its components along reduced echelon rows, densely."""
+    out = list(v)
+    for row, pc in zip(rows, pivots):
+        f = v[pc]
+        if f:
+            out = [x - f * y for x, y in zip(out, row)]
+    return out
+
+
+def _random_rows(rng, width, count):
+    rows = []
+    for _ in range(count):
+        kind = rng.random()
+        if kind < 0.1 or not width:
+            v = [QQ(0)] * width
+        elif kind < 0.2 and rows:
+            v = list(rng.choice(rows))
+        elif kind < 0.35 and len(rows) >= 2:
+            a, b = rng.sample(rows, 2)
+            s, t = QQ(rng.randint(-3, 3), rng.randint(1, 3)), QQ(rng.randint(-3, 3))
+            v = [s * x + t * y for x, y in zip(a, b)]
+        else:
+            density = rng.choice([0.15, 0.4, 1.0])
+            v = [QQ(rng.randint(-4, 4), rng.randint(1, 4)) if rng.random() < density
+                 else QQ(0) for _ in range(width)]
+        rows.append(v)
+    return rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32), st.integers(0, 7), st.integers(0, 3), st.integers(0, 12))
+def test_rowspace_matches_dense_rref(seed, ncols, extra, count):
+    # extra columns are carried, as in Coordinates: no pivot there, but
+    # every row operation applies to them
+    rng = random.Random(seed)
+    width = ncols + extra
+    vecs = _random_rows(rng, width, count)
+    rs = RowSpace(ncols)
+    taken = []
+    for i, v in enumerate(vecs):
+        grew = rank([u[:ncols] for u in vecs[:i + 1]], ncols) > \
+            rank([u[:ncols] for u in vecs[:i]], ncols)
+        assert rs.add(v) == grew
+        if grew:
+            taken.append(v)
+    # the rows that entered are independent on the first ncols columns, so
+    # their full-width rref pivots there and carries the rest along
+    ref_rows, ref_pivots = rref(taken, width)
+    assert ref_pivots == rref([u[:ncols] for u in vecs], ncols)[1]
+    assert rs.pivots == ref_pivots
+    assert rs.dim() == len(ref_pivots)
+    assert rs.rows == ref_rows
+    assert all(type(x) is Fraction for row in rs.rows for x in row)
+    probes = _random_rows(rng, width, 6) + vecs[:3]
+    for v in probes:
+        got = rs.reduce(v)
+        assert got == _reduce_by(ref_rows, ref_pivots, v)
+        assert all(type(x) is Fraction for x in got)
+        assert not any(got[pc] for pc in ref_pivots)
