@@ -12,8 +12,8 @@ import argparse
 import json
 import sys
 
-from .linalg import NonSplitAlgebra
-from .freelie import TruncationTooLarge
+from .linalg import DegreeMismatch, NonSplitAlgebra
+from .freelie import InvalidDifferential, InvalidPresentation, TruncationTooLarge
 from .dgla import (
     AxiomViolation,
     Dgla,
@@ -54,6 +54,10 @@ from .mc import (
 from .defs import DefinitionError, element_degrees, load_algebra, parse_element
 
 PASS, FAIL = "PASS", "FAIL"
+
+
+class UsageError(Exception):
+    """The command line asks for something the subcommand cannot do."""
 
 
 class Report:
@@ -111,15 +115,38 @@ def _nonnegative_int(text: str) -> int:
     return _int_at_least(text, 0)
 
 
-def _parse_range(text):
-    lo, hi = text.split("..")
-    return int(lo), int(hi)
+def _parse_range(text: str) -> tuple[int, int]:
+    try:
+        lo, hi = text.split("..")
+        return int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected a degree range a..b, got %s"
+                                         % text)
+
+
+# the kind of definition each subcommand takes; check and homology take both
+KINDS = {"ce": Dgla, "free-product": Dgla, "disjoint-product": Dgla,
+         "mc-verify": Dgla, "mc-constraints": Dgla, "mc-moduli": Dgla,
+         "verify": Dgla, "minimal-model": Dgla,
+         "harrison": Cdga, "localize": Cdga, "split": Cdga}
+
+
+def _load(ns, ref: str):
+    """Load a definition for the subcommand, checking that it is of the
+    kind the subcommand takes."""
+    alg = load_algebra(ref, ns.size, ns.weight)
+    kind = KINDS.get(ns.cmd)
+    if kind is not None and not isinstance(alg, kind):
+        raise UsageError("%s is a %s; %s takes a %s" % (
+            ref, "dgla" if isinstance(alg, Dgla) else "cdga", ns.cmd,
+            kind.__name__.lower()))
+    return alg
 
 
 def cmd_check(ns, argv) -> int:
     rep = Report(_echo(argv), {"definitions": ", ".join(ns.defs)})
     for ref in ns.defs:
-        alg = load_algebra(ref, ns.size, ns.weight)
+        alg = _load(ns, ref)
         try:
             alg.verify_axioms()
             rep.verdict("axioms(%s)" % ref, True)
@@ -130,13 +157,13 @@ def cmd_check(ns, argv) -> int:
 
 
 def cmd_homology(ns, argv) -> int:
-    alg = load_algebra(ns.defs[0], ns.size, ns.weight)
+    alg = _load(ns, ns.defs[0])
     rep = Report(_echo(argv), {"definition": ns.defs[0]})
     if isinstance(alg, Dgla) and alg.presentation is not None:
         flags = homology_stability(alg)
         degrees = sorted(flags)
         if ns.range:
-            lo, hi = _parse_range(ns.range)
+            lo, hi = ns.range
             degrees = [n for n in degrees if lo <= n <= hi]
         for n in degrees:
             v = flags[n]
@@ -148,7 +175,7 @@ def cmd_homology(ns, argv) -> int:
         h = alg.homology()
         degrees = h.degrees()
         if ns.range:
-            lo, hi = _parse_range(ns.range)
+            lo, hi = ns.range
             degrees = [n for n in degrees if lo <= n <= hi]
         for n in degrees:
             rep.value("H_%d" % n, h.dim(n), "exact")
@@ -156,9 +183,8 @@ def cmd_homology(ns, argv) -> int:
 
 
 def cmd_ce(ns, argv) -> int:
-    alg = load_algebra(ns.defs[0], ns.size, ns.weight)
-    rng = _parse_range(ns.range) if ns.range else None
-    table = ce_cohomology(alg, ns.words, rng)
+    alg = _load(ns, ns.defs[0])
+    table = ce_cohomology(alg, ns.words, ns.range)
     rep = Report(_echo(argv), {"definition": ns.defs[0], "words": ns.words})
     for n in sorted(table):
         rep.value("H^%d" % n, table[n]["dim"], table[n]["flag"])
@@ -166,7 +192,7 @@ def cmd_ce(ns, argv) -> int:
 
 
 def cmd_harrison(ns, argv) -> int:
-    alg = load_algebra(ns.defs[0], ns.size, ns.weight)
+    alg = _load(ns, ns.defs[0])
     h = harrison(alg, ns.weight)
     rep = Report(_echo(argv), {"definition": ns.defs[0], "weight": ns.weight})
     for n in h.dgla.space.degrees():
@@ -177,8 +203,8 @@ def cmd_harrison(ns, argv) -> int:
 
 
 def cmd_product(ns, argv, kind: str) -> int:
-    g = load_algebra(ns.defs[0], ns.size, ns.weight)
-    h = load_algebra(ns.defs[1], ns.size, ns.weight)
+    g = _load(ns, ns.defs[0])
+    h = _load(ns, ns.defs[1])
     if kind == "free":
         p = free_product_dgla(g, h, ns.weight)
     else:
@@ -193,7 +219,7 @@ def cmd_product(ns, argv, kind: str) -> int:
 
 
 def cmd_mc_verify(ns, argv) -> int:
-    alg = load_algebra(ns.defs[0], ns.size, ns.weight)
+    alg = _load(ns, ns.defs[0])
     xi = parse_element(ns.element, element_degrees(alg))
     residual = mc_residual(alg, xi)
     rep = Report(_echo(argv), {"definition": ns.defs[0], "element": ns.element})
@@ -203,7 +229,7 @@ def cmd_mc_verify(ns, argv) -> int:
 
 
 def cmd_mc_constraints(ns, argv) -> int:
-    alg = load_algebra(ns.defs[0], ns.size, ns.weight)
+    alg = _load(ns, ns.defs[0])
     system = derive_constraints(alg, ns.simplex)
     rep = Report(_echo(argv), {"definition": ns.defs[0], "simplex": ns.simplex})
     rep.line("unknowns (coefficient forms):")
@@ -218,7 +244,7 @@ def cmd_mc_constraints(ns, argv) -> int:
 
 
 def cmd_mc_moduli(ns, argv) -> int:
-    alg = load_algebra(ns.defs[0], ns.size, ns.weight)
+    alg = _load(ns, ns.defs[0])
     rep = Report(_echo(argv), {"definition": ns.defs[0],
                                "support": ns.support or "full"})
     moduli = pi0_moduli(alg, support=ns.support)
@@ -236,7 +262,7 @@ def cmd_verify(ns, argv) -> int:
     what = ns.what
     rep = Report(_echo(argv), {"check": what})
     if what == "theorem-f":
-        algs = [load_algebra(ref, ns.size, ns.weight) for ref in ns.defs]
+        algs = [_load(ns, ref) for ref in ns.defs]
         report = verify_theorem_f(algs, ns.weight or 4,
                                   vertex_support=ns.support or 2)
         rep.value("moduli(product)", report["moduli_product"], "complete")
@@ -246,7 +272,7 @@ def cmd_verify(ns, argv) -> int:
         for idx, cell in sorted(report["acyclicity"].items()):
             rep.verdict("acyclicity(g%d u 0)" % idx, cell["pass"])
     elif what == "components":
-        alg = load_algebra(ns.defs[0], ns.size, ns.weight)
+        alg = _load(ns, ns.defs[0])
         report = verify_component_decomposition(alg, support=ns.support)
         rep.value("moduli", report["moduli_count"], "complete")
         rep.verdict("cover-homology-isomorphisms", report["pass"])
@@ -259,8 +285,11 @@ def cmd_verify(ns, argv) -> int:
         if len(ns.defs) != 2:
             raise DefinitionError("free-product-cohomology needs two "
                                   "definitions")
-        g = load_algebra(ns.defs[0], ns.size, ns.weight)
-        h = load_algebra(ns.defs[1], ns.size, ns.weight)
+        g = _load(ns, ns.defs[0])
+        h = _load(ns, ns.defs[1])
+        if not (g.d_map.is_zero() and h.d_map.is_zero()):
+            raise UsageError("free-product-cohomology needs definitions with "
+                             "zero differential")
         report = compare_free_product(g, h, m, words)
         for (w, n), cell in sorted(report["cells"].items()):
             rep.value("w=%d,deg=%d" % (w, n),
@@ -273,7 +302,7 @@ def cmd_verify(ns, argv) -> int:
 
 
 def cmd_localize(ns, argv) -> int:
-    alg = load_algebra(ns.defs[0], ns.size, ns.weight)
+    alg = _load(ns, ns.defs[0])
     u = parse_element(ns.at, element_degrees(alg))
     loc, _ = localize(alg, u)
     rep = Report(_echo(argv), {"definition": ns.defs[0], "at": ns.at})
@@ -290,7 +319,7 @@ def cmd_localize(ns, argv) -> int:
 
 
 def cmd_split(ns, argv) -> int:
-    alg = load_algebra(ns.defs[0], ns.size, ns.weight)
+    alg = _load(ns, ns.defs[0])
     rep = Report(_echo(argv), {"definition": ns.defs[0]})
     factors = idempotent_split(alg)
     rep.value("factors", len(factors), "exact")
@@ -307,7 +336,7 @@ def cmd_split(ns, argv) -> int:
 
 
 def cmd_minimal_model(ns, argv) -> int:
-    alg = load_algebra(ns.defs[0], ns.size, ns.weight)
+    alg = _load(ns, ns.defs[0])
     rep = Report(_echo(argv), {"definition": ns.defs[0], "arity": ns.arity})
     model = minimal_model(alg, ns.arity)
     dims = model.homology_dims()
@@ -317,6 +346,24 @@ def cmd_minimal_model(ns, argv) -> int:
     rep.value("arity-3 corrections", len(model.l3), "exact")
     rep.verdict("quasi-isomorphism-on-homology", model.quasi_iso_verified())
     return rep.emit(ns.json)
+
+
+COMMANDS = {
+    "check": cmd_check,
+    "homology": cmd_homology,
+    "ce": cmd_ce,
+    "harrison": cmd_harrison,
+    "free-product": lambda ns, argv: cmd_product(ns, argv, "free"),
+    "disjoint-product": lambda ns, argv: cmd_product(ns, argv, "disjoint"),
+    "mc-verify": cmd_mc_verify,
+    "mc-constraints": cmd_mc_constraints,
+    "mc-moduli": cmd_mc_moduli,
+    "verify": cmd_verify,
+    "localize": cmd_localize,
+    "split": cmd_split,
+    "minimal-model": cmd_minimal_model,
+}
+NEEDS_WEIGHT = {"harrison", "free-product", "disjoint-product"}
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -340,11 +387,12 @@ def make_parser() -> argparse.ArgumentParser:
     common(p)
     p = sub.add_parser("homology", help="homology table with flags")
     common(p)
-    p.add_argument("--range", default=None, help="a..b degree range")
+    p.add_argument("--range", type=_parse_range, default=None,
+                   help="a..b degree range")
     p = sub.add_parser("ce", help="Chevalley-Eilenberg cohomology table")
     common(p)
     p.add_argument("--words", type=_positive_int, required=True)
-    p.add_argument("--range", default=None)
+    p.add_argument("--range", type=_parse_range, default=None)
     p = sub.add_parser("harrison", help="Harrison complex of an augmented cdga")
     common(p)
     p = sub.add_parser("free-product", help="free product of two dglas")
@@ -389,46 +437,17 @@ def main(argv=None) -> int:
         print("error: no definitions given", file=sys.stderr)
         return 2
     try:
-        if ns.cmd == "check":
-            return cmd_check(ns, argv)
-        if ns.cmd == "homology":
-            return cmd_homology(ns, argv)
-        if ns.cmd == "ce":
-            return cmd_ce(ns, argv)
-        if ns.cmd == "harrison":
-            if ns.weight is None:
-                print("error: harrison requires --weight", file=sys.stderr)
-                return 2
-            return cmd_harrison(ns, argv)
-        if ns.cmd == "free-product":
-            if ns.weight is None:
-                print("error: free-product requires --weight", file=sys.stderr)
-                return 2
-            return cmd_product(ns, argv, "free")
-        if ns.cmd == "disjoint-product":
-            if ns.weight is None:
-                print("error: disjoint-product requires --weight",
-                      file=sys.stderr)
-                return 2
-            return cmd_product(ns, argv, "disjoint")
-        if ns.cmd == "mc-verify":
-            return cmd_mc_verify(ns, argv)
-        if ns.cmd == "mc-constraints":
-            return cmd_mc_constraints(ns, argv)
-        if ns.cmd == "mc-moduli":
-            return cmd_mc_moduli(ns, argv)
-        if ns.cmd == "verify":
-            return cmd_verify(ns, argv)
-        if ns.cmd == "localize":
-            return cmd_localize(ns, argv)
-        if ns.cmd == "split":
-            return cmd_split(ns, argv)
-        if ns.cmd == "minimal-model":
-            return cmd_minimal_model(ns, argv)
-        print("error: unknown command", file=sys.stderr)
-        return 2
+        if ns.cmd in NEEDS_WEIGHT and ns.weight is None:
+            raise UsageError("%s requires --weight" % ns.cmd)
+        return COMMANDS[ns.cmd](ns, argv)
     except DefinitionError as e:
         print("parse error: %s" % e, file=sys.stderr)
+        return 2
+    except UsageError as e:
+        print("error: %s" % e, file=sys.stderr)
+        return 2
+    except (DegreeMismatch, InvalidDifferential, InvalidPresentation) as e:
+        print("%s: %s" % (type(e).__name__, e), file=sys.stderr)
         return 2
     except (TruncationTooLarge, SolveBudgetExhausted) as e:
         print("resource cap: %s" % e, file=sys.stderr)

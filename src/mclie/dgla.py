@@ -17,14 +17,13 @@ from typing import Callable, Mapping, Optional, Sequence
 from .linalg import (
     ONE,
     QQ,
-    ZERO,
     Coordinates,
     DegreeMismatch,
     GradedElement,
     GradedLinearMap,
     GradedVectorSpace,
+    RowSpace,
     kernel_basis,
-    rank as matrix_rank,
     _DgAlgebra,
     _add_scaled,
     _element_of,
@@ -522,39 +521,23 @@ def _weight_homogeneous_shift(g: Dgla) -> Optional[int]:
 def weighted_homology(g: Dgla) -> dict[tuple[int, int], int]:
     """Per-(weight, degree) homology dimensions; requires the differential
     to be weight-homogeneous (each cell is a finite subcomplex)."""
-    if _weight_homogeneous_shift(g) is None:
+    shift = _weight_homogeneous_shift(g)
+    if shift is None:
         raise ValueError("differential is not weight-homogeneous")
     cells: dict[tuple[int, int], list[str]] = {}
     for n, lab in g.basis_items():
         cells.setdefault((g.weights[lab], n), []).append(lab)
+    # the rank of d on each cell, from the sparse images of its basis
+    cols = g.d_map.columns
     ranks: dict[tuple[int, int], int] = {}
-    shift = _weight_homogeneous_shift(g) or 0
-
-    def cell_rank(w, n):
-        key = (w, n)
-        if key in ranks:
-            return ranks[key]
-        src = cells.get((w, n), [])
-        tgt = cells.get((w + shift, n - 1), [])
-        if not src or not tgt:
-            ranks[key] = 0
-            return 0
-        tgt_index = {lab: i for i, lab in enumerate(tgt)}
-        mat = [[ZERO] * len(src) for _ in tgt]
-        for j, lab in enumerate(src):
-            img = g.d(g.space.basis_element(n, lab))
-            for (d2, l2), c in img.coeffs.items():
-                mat[tgt_index[l2]][j] = c
-        ranks[key] = matrix_rank(mat, len(src))
-        return ranks[key]
-
-    out = {}
-    for (w, n), labs in sorted(cells.items()):
-        dim = len(labs)
-        out_rank = cell_rank(w, n)
-        in_rank = cell_rank(w - shift, n + 1)
-        out[(w, n)] = dim - out_rank - in_rank
-    return out
+    for (w, n), labs in cells.items():
+        span = RowSpace(g.space.dim(n - 1))
+        if n in cols:
+            for lab in labs:
+                span._add(dict(cols[n][g.space.index(n, lab)]))
+        ranks[(w, n)] = span.dim()
+    return {(w, n): len(labs) - ranks[(w, n)] - ranks.get((w - shift, n + 1), 0)
+            for (w, n), labs in sorted(cells.items())}
 
 
 def homology_stability(g: Dgla, m: Optional[int] = None) -> dict:

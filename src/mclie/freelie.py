@@ -332,6 +332,10 @@ class FreeDgla:
                 if d != deg - 1:
                     raise InvalidDifferential("d(%s) must be homogeneous of degree %d"
                                               % (name, deg - 1))
+                if lab not in lie.weight_of_label:
+                    raise InvalidDifferential(
+                        "d(%s) has the term %s, beyond the weight-%d truncation"
+                        % (name, lab, lie.m))
                 if lie.weight_of_label[lab] < lie.gen_weights[i]:
                     raise InvalidDifferential(
                         "d(%s) lowers weight; truncation would not be a dg quotient" % name)
@@ -455,6 +459,12 @@ class QuotientLie:
 
     def _saturate(self):
         lie = self.free
+        for r in self.presentation.relations:
+            for _, lab in r.coeffs:
+                if lab not in lie.weight_of_label:
+                    raise InvalidPresentation(
+                        "a relation has the term %s, beyond the weight-%d truncation"
+                        % (lab, self.m))
         # relations and brackets of homogeneous elements are homogeneous
         queue = [r for r in self.presentation.relations
                  if any(self._ideal[d]._add(v) for d, v in self._to_vecs(r).items())]

@@ -4,12 +4,12 @@ core that dglas and cdgas share, and primitive idempotents of split finite
 commutative algebras.
 
 All arithmetic is fractions.Fraction; there is no floating point anywhere.
-Row reduction is deterministic (leftmost pivot, topmost nonzero row), so
-every derived report is reproducible bit for bit.  Linear maps are stored
-as sparse columns.  RowSpace, the incremental echelon form behind
-Coordinates, extend_basis and the quotient Lie algebras, keeps sparse
-rows.  rref, rank, kernel_basis and solve_matrix still reduce dense
-matrices, built where they are needed (homology among them).
+Linear maps are stored as sparse columns.  RowSpace, an incremental
+reduced row echelon form on sparse rows, is the one row reducer: homology,
+the weight cells of dglas and the quotient Lie algebras feed it sparse
+vectors, and Coordinates, rref, rank, kernel_basis and solve_matrix read
+dense vectors into it.  The reduced row echelon form is unique, so every
+derived report is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -44,14 +44,14 @@ class DegreeMismatch(Exception):
 
 
 class CertificateFailure(Exception):
-    """A computed certificate did not hold: rank-nullity of a homology
-    block, the Harrison unit slot, the Hodge splitting of a transfer, a
-    transfer solve, or a minimal-model check."""
+    """A computed certificate did not hold: the boundaries lying inside
+    the cycles of a homology degree, the Harrison unit slot, the Hodge
+    splitting of a transfer, a transfer solve, or a minimal-model check."""
 
 
 # ---------------------------------------------------------------------------
-# row reduction: dense matrices are lists of row lists of Fractions; the
-# incremental RowSpace keeps sparse rows
+# row reduction: dense matrices are lists of row lists of Fractions, read
+# into the incremental RowSpace, which keeps sparse rows
 # ---------------------------------------------------------------------------
 
 def zeros(nrows: int, ncols: int) -> list[list[Fraction]]:
@@ -95,39 +95,13 @@ def mat_vec(a: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> list[Frac
 
 
 def rref(rows: Iterable[Sequence[Fraction]], ncols: int):
-    """Reduced row echelon form.
-
-    Returns (reduced nonzero rows, pivot column indices).  Pivoting is
-    deterministic: scan columns left to right, take the topmost row with a
-    nonzero entry.
-    """
-    m = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pc = m[r][c]
-        if pc != ONE:
-            m[r] = [x / pc for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                mi, mr = m[i], m[r]
-                for j in range(c, ncols):
-                    if mr[j]:
-                        mi[j] -= f * mr[j]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    """Reduced row echelon form of rows ncols wide: (nonzero reduced rows,
+    pivot columns) in pivot order, read off a RowSpace.  The form is
+    unique, so it is the leftmost-pivot Gauss-Jordan result."""
+    span = RowSpace(ncols)
+    for r in rows:
+        span._add({j: x for j, x in enumerate(r) if x})
+    return span.rows, span.pivots
 
 
 def rank(rows: Iterable[Sequence[Fraction]], ncols: int) -> int:
@@ -163,18 +137,6 @@ def solve_matrix(rows: Sequence[Sequence[Fraction]], ncols: int,
     return x
 
 
-def extend_basis(inner: Sequence[Sequence[Fraction]], outer: Sequence[Sequence[Fraction]],
-                 ncols: int) -> list[int]:
-    """Indices of outer vectors extending span(inner) to span(inner+outer).
-
-    Deterministic: vectors of outer are taken in order.
-    """
-    span = RowSpace(ncols)
-    for v in inner:
-        span.add(v)
-    return [i for i, v in enumerate(outer) if span.add(v)]
-
-
 class RowSpace:
     """Incrementally maintained subspace in reduced row echelon form.
 
@@ -185,8 +147,9 @@ class RowSpace:
     the new pivot.  Pivots lie in the first ncols columns; entries past
     them (as in Coordinates) are carried through every row operation.
     reduce and add are dense adapters over the two, for vectors of one
-    width; rows and pivots are read-only views in pivot order, rows as
-    dense lists as wide as the widest vector added.
+    width, used by Coordinates and the cdga sites; rows and pivots are
+    read-only views in pivot order, rows as dense lists as wide as the
+    widest vector added.
     """
 
     def __init__(self, ncols: int):
@@ -736,43 +699,55 @@ class HomologyReport:
         return "HomologyReport(%s)" % {n: self.dims[n] for n in self.degrees()}
 
 
-def homology(c: ChainComplex) -> HomologyReport:
-    """Homology of a chain complex, degreewise.
+def _kernel(span: RowSpace) -> list[dict[int, Fraction]]:
+    """Basis of the right kernel of span's rows, one sparse vector per
+    free column, in column order."""
+    ker = {fc: {fc: ONE} for fc in range(span.ncols) if fc not in span._rows}
+    for pc, row in span._rows.items():
+        for j, x in row.items():
+            if j in ker:
+                ker[j][pc] = -x
+    return list(ker.values())
 
-    dim H_n = dim ker(d_n) - dim im(d_{n+1}); representatives extend the
-    boundary space to the cycle space deterministically.
+
+def homology(c: ChainComplex) -> HomologyReport:
+    """Homology of a chain complex, degreewise, on the sparse columns of d.
+
+    The cycles are the kernel of the reduced rows of d_n; the boundary
+    basis is the reduced columns of d_{n+1}, and the representatives are
+    the cycles that extend it, taken in order.  The two eliminations are
+    independent, so that every boundary is a cycle (exactly dim ker -
+    dim im representatives) is computed evidence, checked in each degree.
     """
     space, d = c.space, c.d
     dims: dict[int, int] = {}
     reps: dict[int, list[GradedElement]] = {}
     bnds: dict[int, list[GradedElement]] = {}
     cycle_dims: dict[int, int] = {}
-    degrees = set(space.degrees())
-    for n in sorted(degrees):
-        cols = space.dim(n)
-        if cols == 0:
-            continue
-        block = d.block(n)
-        ker = kernel_basis(block, cols)
-        cycle_dims[n] = len(ker)
-        img_vecs = []
+    for n in space.degrees():
+        labels = space.labels(n)
+
+        def element(vec: dict[int, Fraction]) -> GradedElement:
+            return _element_of({(n, labels[j]): x for j, x in sorted(vec.items())})
+
+        rows: dict[int, dict[int, Fraction]] = {}
+        for j, col in enumerate(d.columns.get(n, ())):
+            for i, x in col:
+                rows.setdefault(i, {})[j] = x
+        cycles = RowSpace(len(labels))
+        for row in rows.values():
+            cycles._add(row)
+        ker = _kernel(cycles)
+        span = RowSpace(len(labels))
         for col in d.columns.get(n + 1, ()):
-            if col:
-                v = [ZERO] * cols
-                for i, c in col:
-                    v[i] = c
-                img_vecs.append(v)
-        img_red, img_piv = rref(img_vecs, cols)
-        boundary_basis = [list(r) for r in img_red]
-        rk_img = len(img_piv)
-        dims[n] = len(ker) - rk_img
-        chosen = extend_basis(boundary_basis, ker, cols)
-        reps[n] = [space.from_vector(ker[i], n) for i in chosen]
-        bnds[n] = [space.from_vector(v, n) for v in boundary_basis]
-        # rank-nullity per block, checked on every run
-        if rank(block, cols) + len(ker) != cols:
-            raise CertificateFailure("rank-nullity fails in degree %d" % n)
-    dims = {n: v for n, v in dims.items()}
+            span._add(dict(col))
+        bnds[n] = [element(span._rows[pc]) for pc in span.pivots]
+        chosen = [v for v in ker if span._add(v)]
+        if len(chosen) != len(ker) - len(bnds[n]):
+            raise CertificateFailure("boundaries are not all cycles in degree %d" % n)
+        reps[n] = [element(v) for v in chosen]
+        dims[n] = len(chosen)
+        cycle_dims[n] = len(ker)
     return HomologyReport(dims, reps, bnds, cycle_dims)
 
 

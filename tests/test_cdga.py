@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from mclie.linalg import QQ, GradedElement, NonSplitAlgebra, RowSpace, solve_matrix
+from dense_reference import dense_rref, dense_solve
+from mclie.linalg import QQ, GradedElement, NonSplitAlgebra
 from mclie.dgla import abelian_dgla, sphere_dgla, f_xa_dgla
 from mclie.cdga import (
     CdgaAxiomViolation,
@@ -305,10 +306,7 @@ def reference_localize(a, u):
     vecs = [[QQ(int(i == j)) for j in range(n)] for i in range(n)]
     for _ in range(n):
         vecs = [mult_u(v) for v in vecs]
-    rs = RowSpace(n)
-    for v in vecs:
-        rs.add(v)
-    rows = rs.rows
+    rows, pivots = dense_rref(vecs, n)
     k = len(rows)
     keys = [(next(items[i][0] for i, c in enumerate(row) if c), "loc%d" % r)
             for r, row in enumerate(rows)]
@@ -317,7 +315,7 @@ def reference_localize(a, u):
         work = list(vec)
         coords = [QQ(0)] * k
         for r, row in enumerate(rows):
-            f = work[rs.pivots[r]]
+            f = work[pivots[r]]
             coords[r] = f
             work = [x - f * y for x, y in zip(work, row)]
         assert not any(work)
@@ -326,7 +324,7 @@ def reference_localize(a, u):
     def mult_u_inv(vec):
         cols = [mult_u(r) for r in rows]
         m = [[cols[j][i] for j in range(k)] for i in range(n)]
-        x = solve_matrix(m, k, vec)
+        x = dense_solve(m, k, vec)
         assert x is not None
         return [sum((x[j] * rows[j][t] for j in range(k)), QQ(0))
                 for t in range(n)]

@@ -1,8 +1,11 @@
+import contextlib
 import io
 import json
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mclie.cli import main
 from mclie.linalg import QQ, GradedElement
@@ -436,3 +439,149 @@ def test_smallest_valid_counts_still_run(capsys):
     assert "classes = 2" in out
     rc, out, _ = run_cli(["mc-constraints", "--builtin", "g_S:2", "--simplex", "0"], capsys)
     assert rc == 0
+
+
+@pytest.mark.parametrize("args, message", [
+    (["ce", "qxq", "--words", "2"], "qxq is a cdga; ce takes a dgla"),
+    (["mc-moduli", "qxq"], "qxq is a cdga; mc-moduli takes a dgla"),
+    (["mc-constraints", "qxq", "--simplex", "1"],
+     "qxq is a cdga; mc-constraints takes a dgla"),
+    (["minimal-model", "q"], "q is a cdga; minimal-model takes a dgla"),
+    (["free-product", "qxq", "q", "--weight", "2"],
+     "qxq is a cdga; free-product takes a dgla"),
+    (["free-product", "heisenberg", "q", "--weight", "2"],
+     "q is a cdga; free-product takes a dgla"),
+    (["verify", "components", "qxq"], "qxq is a cdga; verify takes a dgla"),
+    (["split", "heisenberg"], "heisenberg is a dgla; split takes a cdga"),
+    (["localize", "heisenberg", "--at", "a"],
+     "heisenberg is a dgla; localize takes a cdga"),
+    (["harrison", "heisenberg", "--weight", "2"],
+     "heisenberg is a dgla; harrison takes a cdga"),
+])
+def test_definition_of_the_wrong_kind_exits_2(args, message, capsys):
+    rc, out, err = run_cli(args, capsys)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("args", [
+    ["homology", "heisenberg", "--range", "x"],
+    ["homology", "heisenberg", "--range", "1..x"],
+    ["homology", "heisenberg", "--range", "1"],
+    ["ce", "heisenberg", "--words", "2", "--range", "x"],
+    ["ce", "heisenberg", "--words", "2", "--range", "1..x"],
+    ["ce", "heisenberg", "--words", "2", "--range", "1"],
+])
+def test_malformed_range_exits_2(args, capsys):
+    rc, out, err = run_cli(args, capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("usage: ")
+    assert err.splitlines()[-1].endswith(
+        "error: argument --range: expected a degree range a..b, got %s" % args[-1])
+
+
+def test_range_filters_degrees(capsys):
+    rc, out, _ = run_cli(["homology", "heisenberg", "--range", "0..0"], capsys)
+    assert rc == 0
+    assert [line for line in out.splitlines() if line.startswith("  H_")] == \
+        ["  H_0 = 3  [stable]"]
+    rc, out, _ = run_cli(["ce", "heisenberg", "--words", "2", "--range", "1..1"],
+                         capsys)
+    assert rc == 0
+    assert [line.split(" = ")[0] for line in out.splitlines()
+            if line.startswith("  H^")] == ["  H^1"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["mc-verify", "heisenberg", "--element", "a"],
+     "DegreeMismatch: MC candidates must be homogeneous of degree -1"),
+    (["harrison", "qxq", "--weight", "1"],
+     "InvalidDifferential: d(T(e)) has the term [T(e),T(e)], beyond the "
+     "weight-1 truncation"),
+    (["harrison", "omega:1:2", "--weight", "1"],
+     "InvalidDifferential: d(T(t1*dt1)) has the term [T(dt1),T(t1)], beyond "
+     "the weight-1 truncation"),
+    (["free-product", "heisenberg", "zero", "--weight", "2"],
+     "InvalidPresentation: a relation has the term [a,c], beyond the "
+     "weight-2 truncation"),
+    (["verify", "free-product-cohomology", "sphere", "abelian:1:0",
+      "--weight", "3"],
+     "error: free-product-cohomology needs definitions with zero differential"),
+])
+def test_inputs_beyond_a_definition_exit_2(args, message, capsys):
+    rc, out, err = run_cli(args, capsys)
+    assert rc == 2
+    assert out == ""
+    assert err == message + "\n"
+
+
+def test_harrison_at_weight_1_keeps_working_reports(capsys):
+    rc, out, _ = run_cli(["harrison", "q_eps", "--weight", "1"], capsys)
+    assert rc == 0
+    assert "dim_-1 = 1  [weight <= 1]" in out
+    assert "generators: T(eps)" in out
+
+
+# --- the exit-code property: every argv ends in 0, 1, 2 or 3, never in a
+# traceback, and a nonzero exit explains itself in one line.  Small builtins
+# of both kinds and counts from -1 to 3 keep each example to milliseconds.
+
+
+DGLA_REFS = ["heisenberg", "sphere", "zero", "g_S:1", "g_S:2", "f_xa:1",
+             "f_xa:3", "abelian:1:0", "abelian:2:-1"]
+CDGA_REFS = ["q", "qxq", "qk:2", "q_eps", "q_deg2", "omega:1:1", "omega:1:2"]
+# the arguments after the first definition: D another definition, N a count
+# (the subcommand's own, else --weight), R a degree range and E an element
+SHAPES = {
+    "check": ["", "D"], "homology": ["", "R"], "ce": ["N", "NR"],
+    "harrison": ["", "N"], "free-product": ["DN"], "disjoint-product": ["DN"],
+    "mc-verify": ["E"], "mc-constraints": ["N"], "mc-moduli": ["", "N"],
+    "verify components": ["", "N"], "verify theorem-f": ["", "D"],
+    "verify free-product-cohomology": ["D", "DN"], "localize": ["E"],
+    "split": [""], "minimal-model": ["", "N"],
+}
+COUNTS = {"ce": "--words", "mc-constraints": "--simplex", "mc-moduli": "--support",
+          "verify components": "--support", "minimal-model": "--arity"}
+RANGES = ["0..1", "-2..2", "2..0", "x", "1..x", "1", "..", ""]
+ELEMENTS = ["x", "a", "e", "1", "0", "2 x", "x1 + x2", "-1/2 x", "t1", "dt1",
+            "eps", "w", "1 + e", "b"]
+
+
+@st.composite
+def cli_argvs(draw):
+    sub = draw(st.sampled_from(sorted(SHAPES)))
+    ref = st.sampled_from(DGLA_REFS + CDGA_REFS)
+    argv = sub.split() + [draw(ref)]
+    for tok in draw(st.sampled_from(SHAPES[sub])):
+        if tok == "D":
+            argv.append(draw(ref))
+        elif tok == "E":
+            argv += ["--element" if sub == "mc-verify" else "--at",
+                     draw(st.sampled_from(ELEMENTS))]
+        elif tok == "R":
+            argv += ["--range", draw(st.sampled_from(RANGES))]
+        else:
+            argv += [COUNTS.get(sub, "--weight"), str(draw(st.integers(-1, 3)))]
+    if draw(st.integers(0, 4)) == 0:
+        argv += ["--weight", str(draw(st.integers(0, 3)))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(cli_argvs())
+def test_every_argv_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if rc:
+        lines = err.getvalue().splitlines()
+        if rc == 2:  # argparse's usage lines may come first
+            lines = [line for line in lines if not line.startswith(("usage:", " "))]
+        if rc == 1 and not lines:  # a failed verdict, reported as such
+            assert ": FAIL" in out.getvalue()
+        else:
+            assert len(lines) == 1

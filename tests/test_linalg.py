@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import dense_rank, dense_rref, dense_solve
 from mclie.linalg import (
     QQ,
     CertificateFailure,
@@ -118,7 +119,7 @@ def test_coordinates_equal_solve_matrix():
             vecs[-1] = list(vecs[0])
         matrix = [[v[i] for v in vecs] for i in range(n)]
         coords = Coordinates(vecs, n)
-        assert coords.rank() == rank(vecs, n) == rank(matrix, m)
+        assert coords.rank() == dense_rank(vecs, n) == dense_rank(matrix, m)
         for _ in range(4):
             if rng.random() < 0.5:
                 b = [QQ(rng.randrange(-3, 4)) for _ in range(n)]
@@ -127,7 +128,7 @@ def test_coordinates_equal_solve_matrix():
                 b = [sum((c * v[i] for c, v in zip(cs, vecs)), QQ(0))
                      for i in range(n)]
             x = coords.coords(b)
-            assert x == solve_matrix(matrix, m, b)
+            assert x == dense_solve(matrix, m, b) == solve_matrix(matrix, m, b)
             if x is None:
                 outside += 1
             else:
@@ -307,8 +308,8 @@ def test_sparse_map_matches_dense_reference():
                 want = GradedElement()
                 for d in dict.fromkeys(d for d, _ in t.coeffs):
                     n = d - s1
-                    sol = solve_matrix(_dense_block(fb, u, v, s1, n), u.dim(n),
-                                       v.to_vector(t.homogeneous_part(d), d))
+                    sol = dense_solve(_dense_block(fb, u, v, s1, n), u.dim(n),
+                                      v.to_vector(t.homogeneous_part(d), d))
                     if sol is None:
                         want = None
                         break
@@ -334,9 +335,59 @@ def test_rank_nullity_failure_raises_certificate_failure(monkeypatch):
     import mclie.linalg
     # one class: cehar re-exports the linalg one
     assert mclie.cehar.CertificateFailure is CertificateFailure
-    monkeypatch.setattr(mclie.linalg, "rank", lambda rows, ncols: -1)
-    with pytest.raises(CertificateFailure, match="rank-nullity"):
+    # drop the last cycle of each degree: in degree 0 that is b = d(a), so
+    # a boundary is no longer among the cycles
+    kernel = mclie.linalg._kernel
+    monkeypatch.setattr(mclie.linalg, "_kernel", lambda span: kernel(span)[:-1])
+    with pytest.raises(CertificateFailure, match="in degree 0$"):
         homology(two_term_identity())
+
+
+def _dense_homology(c):
+    """Per degree (cycle count, representatives, boundary basis) as dense
+    vectors, from dense blocks and the dense reference: kernel vectors
+    from the rref of d_n, the rref of d_{n+1}'s columns, and the kernel
+    vectors that raise the rank of the boundaries, in order."""
+    out = {}
+    for n in c.space.degrees():
+        cols = c.space.dim(n)
+        red, pivots = dense_rref(c.d.block(n), cols)
+        ker = []
+        for fc in range(cols):
+            if fc not in pivots:
+                v = [QQ(0)] * cols
+                v[fc] = QQ(1)
+                for row, pc in zip(red, pivots):
+                    v[pc] = -row[fc]
+                ker.append(v)
+        bnd = dense_rref([list(col) for col in zip(*c.d.block(n + 1))], cols)[0]
+        span, reps = list(bnd), []
+        for v in ker:
+            if dense_rank(span + [v], cols) > len(span):
+                span.append(v)
+                reps.append(v)
+        out[n] = (len(ker), reps, bnd)
+    return out
+
+
+@pytest.mark.parametrize("ref", ["f_xa:5", "g_S:3", "heisenberg", "sphere",
+                                 "omega:1:3", "omega:2:2", "q_deg2"])
+def test_homology_matches_dense_reference(ref):
+    from mclie.cehar import harrison
+    from mclie.defs import load_algebra
+    alg = load_algebra(ref)
+    algs = [alg] + ([harrison(alg, 3).dgla] if ref.startswith("omega") else [])
+    for a in algs:
+        c = ChainComplex(a.space, a.d_map)
+        h = homology(c)
+        want = _dense_homology(c)
+        assert sorted(h.dims) == sorted(want) == a.space.degrees()
+        for n, (cycles, reps, bnd) in want.items():
+            assert h.cycle_dims[n] == cycles
+            assert h.dims[n] == len(reps) == cycles - len(bnd)
+            for got, vecs in ((h.representatives[n], reps), (h.boundaries[n], bnd)):
+                assert [list(e.coeffs.items()) for e in got] == \
+                    [list(a.space.from_vector(v, n).coeffs.items()) for v in vecs]
 
 
 def test_linalg_has_no_assert_statements():
@@ -348,7 +399,7 @@ def test_linalg_has_no_assert_statements():
                 if isinstance(node, ast.Assert)]
 
 
-# --- RowSpace against dense rref on the same rows
+# --- RowSpace against the dense Gauss-Jordan reference on the same rows
 
 
 def _reduce_by(rows, pivots, v):
@@ -392,15 +443,18 @@ def test_rowspace_matches_dense_rref(seed, ncols, extra, count):
     rs = RowSpace(ncols)
     taken = []
     for i, v in enumerate(vecs):
-        grew = rank([u[:ncols] for u in vecs[:i + 1]], ncols) > \
-            rank([u[:ncols] for u in vecs[:i]], ncols)
+        grew = dense_rank([u[:ncols] for u in vecs[:i + 1]], ncols) > \
+            dense_rank([u[:ncols] for u in vecs[:i]], ncols)
         assert rs.add(v) == grew
         if grew:
             taken.append(v)
     # the rows that entered are independent on the first ncols columns, so
     # their full-width rref pivots there and carries the rest along
-    ref_rows, ref_pivots = rref(taken, width)
-    assert ref_pivots == rref([u[:ncols] for u in vecs], ncols)[1]
+    ref_rows, ref_pivots = dense_rref(taken, width)
+    assert ref_pivots == dense_rref([u[:ncols] for u in vecs], ncols)[1]
+    assert rref(taken, width) == (ref_rows, ref_pivots)
+    square = [u[:ncols] for u in vecs]
+    assert rref(square, ncols) == dense_rref(square, ncols)
     assert rs.pivots == ref_pivots
     assert rs.dim() == len(ref_pivots)
     assert rs.rows == ref_rows
