@@ -407,12 +407,18 @@ class CdgaMorphism:
         self.target = target
         self.images = dict(images)
         if check:
-            for name, cohdeg, _w in source.generators:
-                img = self.images[name]
-                lhs = self.apply(source._dgens.get(name, GradedElement()))
-                rhs = target.d(img)
-                if not (lhs - rhs).is_zero():
-                    raise CdgaAxiomViolation("morphism not dg on %s" % name)
+            name = self.non_dg_generator()
+            if name is not None:
+                raise CdgaAxiomViolation("morphism not dg on %s" % name)
+
+    def non_dg_generator(self) -> Optional[str]:
+        """The first generator on which the map does not commute with d,
+        or None."""
+        for name, _cohdeg, _w in self.source.generators:
+            lhs = self.apply(self.source._dgens.get(name, GradedElement()))
+            if not (lhs - self.target.d(self.images[name])).is_zero():
+                return name
+        return None
 
     def apply_label(self, lab: str) -> GradedElement:
         mono = self.source._mono_of_label[lab]

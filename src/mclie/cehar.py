@@ -40,7 +40,7 @@ from .linalg import (
 )
 from .freelie import LiePresentation
 from .dgla import Dgla, DglaPresentation, disjoint_product, free_product_dgla, is_mc
-from .cdga import Cdga, FreePolynomialCdga, NoAugmentation
+from .cdga import Cdga, CdgaMorphism, FreePolynomialCdga, NoAugmentation
 
 
 class CEComplex:
@@ -465,19 +465,25 @@ def evaluation_augmentation(ce: CEComplex, xi: GradedElement) -> dict[str, Fract
     return values
 
 
-def augmentation_is_dg(ce: CEComplex, eps_values: Mapping[str, Fraction]) -> bool:
-    """Whether eps vanishes on the image of d, checked on generators (by
-    the derivation property this decides dg-compatibility)."""
-    for name, cohdeg, _w in ce.algebra.generators:
-        img = ce.algebra._dgens.get(name, GradedElement())
-        s = ZERO
-        for (n, lab), c in img.coeffs.items():
-            v = eps_values.get(lab, ZERO)
-            if v:
-                s += c * v
+def _evaluate(eps_values: Mapping[str, Fraction], elt: GradedElement) -> Fraction:
+    """eps(elt) for eps given on basis monomials."""
+    s = ZERO
+    for (_, lab), c in elt.coeffs.items():
+        v = eps_values.get(lab, ZERO)
+        if v:
+            s += c * v
+    return s
+
+
+def _augmentation_failure(ce: CEComplex, eps_values: Mapping[str, Fraction]):
+    """(name, eps(d name)) for the first generator on whose differential eps
+    is nonzero, or None: eps is dg exactly when it is None (by the
+    derivation property, generators decide dg-compatibility)."""
+    for name, _cohdeg, _w in ce.algebra.generators:
+        s = _evaluate(eps_values, ce.algebra._dgens.get(name, GradedElement()))
         if s:
-            return False
-    return True
+            return name, s
+    return None
 
 
 def mc_augmentation_dictionary(g: Dgla, xi: GradedElement, word_bound: int) -> dict:
@@ -491,21 +497,13 @@ def mc_augmentation_dictionary(g: Dgla, xi: GradedElement, word_bound: int) -> d
     from .dgla import twist
     ce = ce_complex(g, word_bound)
     eps_xi = evaluation_augmentation(ce, xi)
-    eps0 = evaluation_augmentation(ce, GradedElement())
-    is_dg = augmentation_is_dg(ce, eps_xi)
+    failure = _augmentation_failure(ce, eps_xi)
     mc, residual = is_mc(g, xi)
-    out = {"eps_is_dg": is_dg, "is_mc": mc, "match": is_dg == mc}
+    out = {"eps_is_dg": failure is None, "is_mc": mc,
+           "match": (failure is None) == mc}
     if not mc:
-        for name, cohdeg, _w in ce.algebra.generators:
-            img = ce.algebra._dgens.get(name, GradedElement())
-            s = ZERO
-            for (n, lab), c in img.coeffs.items():
-                v = eps_xi.get(lab, ZERO)
-                if v:
-                    s += c * v
-            if s:
-                out["witness"] = {"generator": name, "value": s}
-                break
+        if failure is not None:
+            out["witness"] = {"generator": failure[0], "value": failure[1]}
         return out
     twisted = twist(g, xi, check="skip")
     ce_t = ce_complex(twisted, word_bound)
@@ -518,40 +516,13 @@ def mc_augmentation_dictionary(g: Dgla, xi: GradedElement, word_bound: int) -> d
         if c:
             img = img + ce_t.algebra.unit.scale(c)
         phi[name] = img
-
-    def phi_apply_label(lab: str) -> GradedElement:
-        mono = ce.algebra._mono_of_label[lab]
-        outl = ce_t.algebra.unit
-        for gi, e in mono:
-            name = ce.algebra.generators[gi][0]
-            for _ in range(e):
-                outl = ce_t.algebra.multiply(outl, phi[name])
-        return outl
-
-    # dg-compatibility of phi on generators
-    phi_dg = True
-    for name, cohdeg, _w in ce.algebra.generators:
-        img = ce.algebra._dgens.get(name, GradedElement())
-        pushed = linear_combination((c, phi_apply_label(lab))
-                                    for (_, lab), c in img.coeffs.items())
-        if not (pushed - ce_t.algebra.d(phi[name])).is_zero():
-            phi_dg = False
-            break
-    out["phi_is_dg"] = phi_dg
+    phi_map = CdgaMorphism(ce.algebra, ce_t.algebra, phi, check=False)
+    out["phi_is_dg"] = phi_map.non_dg_generator() is None
     # triangle eps_0(phi(f)) = eps_xi(f) on every monomial
     eps0_t = evaluation_augmentation(ce_t, GradedElement())
-    triangle = True
-    for n, lab in ce.algebra.basis_items():
-        img = phi_apply_label(lab)
-        s = ZERO
-        for (nn, lab2), c in img.coeffs.items():
-            v = eps0_t.get(lab2, ZERO)
-            if v:
-                s += c * v
-        if s != eps_xi.get(lab, ZERO):
-            triangle = False
-            break
-    out["triangle"] = triangle
+    out["triangle"] = all(
+        _evaluate(eps0_t, phi_map.apply_label(lab)) == eps_xi.get(lab, ZERO)
+        for _, lab in ce.algebra.basis_items())
     return out
 
 

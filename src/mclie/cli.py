@@ -425,11 +425,23 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bind_negative_range(argv: list[str]) -> list[str]:
+    """argparse reads "-2..0" after --range as an option; join such a value
+    to its flag, as --range=-2..0."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--range" and arg.startswith("-") and arg[1:2].isdigit():
+            out[-1] = "--range=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = make_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args(_bind_negative_range(argv))
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     ns.defs = list(ns.defs) + ["builtin:%s" % b for b in ns.builtin]

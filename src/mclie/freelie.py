@@ -440,8 +440,6 @@ class QuotientLie:
             dgens[name] = presentation.dgens.get(name, GradedElement())
         self.free_dgla = FreeDgla(lie, dgens)
         self._check_differential()
-        self._bracket_cache: dict[tuple[str, str], GradedElement] = {}
-        self._d_cache: dict[str, GradedElement] = {}
 
     # free-side vectors ----------------------------------------------------
 
@@ -494,15 +492,11 @@ class QuotientLie:
                     raise InvalidPresentation(
                         "differential does not preserve the relation ideal")
 
-    # quotient operations ---------------------------------------------------
+    # quotient operations, uncached: the Dgla built on a quotient caches its
+    # brackets and builds its differential once -----------------------------
 
     def bracket_labels(self, lab1: str, lab2: str) -> GradedElement:
-        key = (lab1, lab2)
-        cached = self._bracket_cache.get(key)
-        if cached is None:
-            cached = self.project(self.free.bracket_labels(lab1, lab2))
-            self._bracket_cache[key] = cached
-        return cached
+        return self.project(self.free.bracket_labels(lab1, lab2))
 
     def bracket(self, u: GradedElement, v: GradedElement) -> GradedElement:
         out: dict = {}
@@ -512,17 +506,7 @@ class QuotientLie:
         return _element_of(out)
 
     def d_label(self, lab: str) -> GradedElement:
-        cached = self._d_cache.get(lab)
-        if cached is None:
-            cached = self.project(self.free_dgla.d_label(lab))
-            self._d_cache[lab] = cached
-        return cached
-
-    def d(self, elt: GradedElement) -> GradedElement:
-        out: dict = {}
-        for (deg, lab), c in elt.coeffs.items():
-            _add_scaled(out, self.d_label(lab), c)
-        return _element_of(out)
+        return self.project(self.free_dgla.d_label(lab))
 
 
 # ---------------------------------------------------------------------------

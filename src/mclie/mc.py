@@ -9,8 +9,15 @@ The solver implements exactly the rules that decide such systems by hand:
   R3  orthogonality products branch over vanishing factors (valid when at
       most one factor is a higher form, since forms are torsion-free over
       0-forms);
-plus linear isolation and back-substitution.  Every other shape is
-reported as an incomplete solve, never guessed.
+plus linear isolation.  Every other shape is reported as an incomplete
+solve, never guessed.
+
+A node of the search is (equations, assigned, constants, constraints).
+Besides moving an equation of pure differentials to the constraints, it
+changes only through two transitions: assigning a symbol, which rewrites
+the equations it may occur in, and closing one, d(sym) = 0.  Values and
+constraints are not rewritten on the way down; each leaf resolves its
+family once, in reverse assignment order.
 """
 
 from __future__ import annotations
@@ -102,6 +109,16 @@ def _sort_factors(factors, table: SymbolTable):
     return tuple(factors), sign
 
 
+def _add_term(out, mono, c) -> None:
+    """out[mono] += c, dropping the monomial when it cancels (a monomial
+    that cancels and comes back goes to the end of the dict)."""
+    v = out.get(mono, ZERO) + c
+    if v:
+        out[mono] = v
+    else:
+        out.pop(mono, None)
+
+
 def poly_zero():
     return {}
 
@@ -117,11 +134,7 @@ def poly_symbol(sym: str, diff: bool = False):
 def poly_add(p, q):
     out = dict(p)
     for m, c in q.items():
-        v = out.get(m, ZERO) + c
-        if v:
-            out[m] = v
-        else:
-            out.pop(m, None)
+        _add_term(out, m, c)
     return out
 
 
@@ -138,11 +151,7 @@ def poly_mul(p, q, table: SymbolTable):
             merged, sign = _sort_factors(m1 + m2, table)
             if merged is None:
                 continue
-            v = out.get(merged, ZERO) + sign * c1 * c2
-            if v:
-                out[merged] = v
-            else:
-                out.pop(merged, None)
+            _add_term(out, merged, sign * c1 * c2)
     return out
 
 
@@ -158,11 +167,7 @@ def poly_d(p, table: SymbolTable):
                 sorted_m, sign = _sort_factors(new, table)
                 if sorted_m is not None:
                     s = (-1 if prefix_parity % 2 else 1) * sign
-                    v = out.get(sorted_m, ZERO) + s * c
-                    if v:
-                        out[sorted_m] = v
-                    else:
-                        out.pop(sorted_m, None)
+                    _add_term(out, sorted_m, s * c)
             prefix_parity += table.factor_parity((sym, diff))
     return out
 
@@ -194,11 +199,7 @@ def poly_substitute(p, sym: str, value, table: SymbolTable):
         else:
             term = {mono: c}
         for m, v in term.items():
-            v = out.get(m, ZERO) + v
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
+            _add_term(out, m, v)
     return out
 
 
@@ -385,11 +386,7 @@ class SolveResult:
             if not fam.is_discrete():
                 raise IncompleteSolve("solution set contains free families")
             out.append(fam.vertex_element(system))
-        seen = []
-        for v in out:
-            if v not in seen:
-                seen.append(v)
-        return seen
+        return list(dict.fromkeys(out))
 
 
 def _substitute_state(equations, sym, value, table, occurs):
@@ -409,9 +406,154 @@ def _substitute_state(equations, sym, value, table, occurs):
     return out
 
 
-def _rational_roots_quadratic(c1: Fraction, c2: Fraction) -> Optional[list[Fraction]]:
-    """Roots of c2 x^2 + c1 x = 0 (c2 != 0)."""
-    return [ZERO, -c1 / c2]
+class _State:
+    """A node of the solve tree.  Its equations mention only free symbols;
+    `assigned` maps each solved symbol, in solving order, to a value in the
+    symbols free at that moment.  Transitions replace `equations` and never
+    mutate it, so children may share it.  `table` and `occurs` (symbol ->
+    labels of the equations it may occur in, in any node; it only grows)
+    belong to the whole search."""
+
+    def __init__(self, equations, assigned, constants, constraints, table, occurs):
+        self.equations = equations
+        self.assigned = assigned
+        self.constants = constants
+        self.constraints = constraints
+        self.table = table
+        self.occurs = occurs
+
+    def child(self) -> "_State":
+        return _State(self.equations, dict(self.assigned), set(self.constants),
+                      list(self.constraints), self.table, self.occurs)
+
+
+def _assign(state: _State, sym: str, value) -> None:
+    """sym := value in the equations; the values assigned before and the
+    constraints take it at the leaf."""
+    state.equations = _substitute_state(state.equations, sym, value,
+                                        state.table, state.occurs)
+    state.assigned[sym] = value
+
+
+def _close(state: _State, sym: str) -> None:
+    """d(sym) = 0 in the equations: a 0-form not yet constant becomes
+    constant, any other symbol gets the constraint d(sym) = 0."""
+    if state.table.form_degree[sym] == 0 and sym not in state.constants:
+        state.constants.add(sym)
+    else:
+        state.constraints.append({((sym, True),): ONE})
+    equations = dict(state.equations)
+    for lab in state.occurs.get(sym, ()):
+        if lab in equations:
+            equations[lab] = poly_mark_constant(equations[lab], sym)
+    state.equations = equations
+
+
+def _isolated(p):
+    """(sym, value) solving p = 0 for a monomial that is a lone symbol
+    occurring in no other monomial, or None."""
+    for mono, c in p.items():
+        if len(mono) == 1 and not mono[0][1]:
+            sym = mono[0][0]
+            if all(f[0] != sym for m in p if m != mono for f in m):
+                return sym, poly_scale({m: v for m, v in p.items() if m != mono},
+                                       -ONE / c)
+    return None
+
+
+def _propagate(state: _State) -> Optional[_State]:
+    """Apply the forced rules, each time to the first equation in label
+    order that one fits, until none fits: c d(alpha) = 0 closes alpha,
+    c alpha = 0 assigns 0, a combination of pure differentials becomes a
+    closedness constraint, and a linearly isolated symbol is solved for.
+    None on a nonzero constant."""
+    while True:
+        state.equations = {lab: p for lab, p in state.equations.items() if p}
+        for lab, p in sorted(state.equations.items()):
+            if len(p) == 1:
+                (mono, _c), = p.items()
+                if not mono:
+                    return None
+                if len(mono) == 1:
+                    sym, diff = mono[0]
+                    if diff:
+                        _close(state, sym)
+                    else:
+                        _assign(state, sym, poly_zero())
+                    break
+            if all(len(m) == 1 and m[0][1] for m in p):
+                state.constraints.append(p)
+                state.equations = {l2: q for l2, q in state.equations.items()
+                                   if l2 != lab}
+                break
+            iso = _isolated(p)
+            if iso is not None:
+                _assign(state, *iso)
+                break
+        else:
+            return state
+
+
+def _branch(state: _State) -> Optional[list[_State]]:
+    """The children, in push order, of the first equation in label order
+    that R2 or R3 fits, or None."""
+    table = state.table
+
+    def child(sym, value):
+        # value None closes sym, anything else is assigned to it
+        node = state.child()
+        if value is None:
+            _close(node, sym)
+        else:
+            _assign(node, sym, value)
+        return node
+
+    for lab, p in sorted(state.equations.items()):
+        syms = poly_symbols(p)
+        # R2: a single-variable quadratic in a 0-form unknown
+        if len(syms) == 1:
+            sym, = syms
+            if table.form_degree[sym] == 0 and \
+                    all(not f[1] for m in p for f in m) and \
+                    {len(m) for m in p} <= {1, 2}:
+                c1 = p.get(((sym, False),), ZERO)
+                c2 = p.get(((sym, False), (sym, False)), ZERO)
+                return [child(sym, poly_const(root))
+                        for root in ([ZERO, -c1 / c2] if c2 else [ZERO])]
+        # R3: a monomial with at most one higher-form factor vanishes when
+        # one of its factors does
+        if len(p) == 1:
+            (mono, _c), = p.items()
+            if mono and sum(table.factor_form_degree(f) >= 1 for f in mono) <= 1:
+                return [child(sym, None if diff else poly_zero())
+                        for sym, diff in dict.fromkeys(mono)]
+    return None
+
+
+def _leaf_family(state: _State, system: MCConstraintSystem,
+                 complete: bool) -> Optional[SolutionFamily]:
+    """Resolve a leaf once.  In reverse solving order, each value takes the
+    resolved values of the symbols solved after it, the only assigned ones
+    it can mention; the constraints take them all.  Then d(c) = 0 for every
+    constant c.  None when a constraint is a nonzero constant."""
+    table, constants = state.table, state.constants
+    order = {sym: i for i, sym in enumerate(state.assigned)}
+
+    def resolve(p, resolved):
+        for sym in sorted(poly_symbols(p) & resolved.keys(), key=order.get):
+            p = poly_substitute(p, sym, resolved[sym], table)
+        return {m: c for m, c in p.items()
+                if not any(f[1] and f[0] in constants for f in m)}
+
+    resolved: dict[str, dict] = {}
+    for sym in reversed(state.assigned):
+        resolved[sym] = resolve(state.assigned[sym], resolved)
+    constraints = [c for c in (resolve(c, resolved) for c in state.constraints) if c]
+    if any(list(c) == [()] for c in constraints):
+        return None
+    assignments = {sym: resolved[sym] for sym in state.assigned}
+    free = [s for s in system.unknowns if s not in assignments]
+    return SolutionFamily(assignments, free, constraints, complete, constants)
 
 
 def solve_structured(system: MCConstraintSystem,
@@ -421,63 +563,14 @@ def solve_structured(system: MCConstraintSystem,
     if max_steps is None:
         max_steps = MAX_SOLVE_STEPS
     table = system.table
-    families: list[SolutionFamily] = []
-    incomplete_leaf = False
-
-    # symbol -> labels of the equations it may occur in, in any state of
-    # the search; it only grows, so it stays a superset across branches
     occurs: dict[str, set] = {}
     for lab, p in system.equations.items():
         for sym in poly_symbols(p):
             occurs.setdefault(sym, set()).add(lab)
-
-    def simplify(equations):
-        return {lab: p for lab, p in equations.items() if p}
-
-    def normalize_assignments(assigned, constants):
-        """Substitute assignments into each other until every value only
-        references free symbols."""
-        assigned = dict(assigned)
-        for _ in range(len(assigned) + 1):
-            changed = False
-            for sym in list(assigned):
-                val = assigned[sym]
-                for other in poly_symbols(val):
-                    if other in assigned and other != sym:
-                        val = poly_substitute(val, other, assigned[other], table)
-                        changed = True
-                for other in list(poly_symbols(val)):
-                    if other in constants:
-                        val = poly_mark_constant(val, other)
-                assigned[sym] = val
-            if not changed:
-                break
-        return assigned
-
-    def is_linear_differential(p) -> bool:
-        """Every monomial is a single differentiated factor."""
-        return all(len(m) == 1 and m[0][1] for m in p) and bool(p)
-
-    def finalize(assigned, constants, constraints, complete):
-        assigned = normalize_assignments(assigned, constants)
-        final_constraints = []
-        for cons in constraints:
-            c = cons
-            for sym in list(poly_symbols(c)):
-                if sym in assigned:
-                    c = poly_substitute(c, sym, assigned[sym], table)
-                if sym in constants:
-                    c = poly_mark_constant(c, sym)
-            if not c:
-                continue
-            if list(c) == [()]:
-                return None  # constraint reduced to a nonzero constant
-            final_constraints.append(c)
-        free = [s for s in system.unknowns if s not in assigned]
-        return SolutionFamily(assigned, free, final_constraints, complete,
-                              constants)
-
-    stack = [(simplify(dict(system.equations)), {}, set(table.constant), [])]
+    equations = {lab: p for lab, p in system.equations.items() if p}
+    stack = [_State(equations, {}, set(table.constant), [], table, occurs)]
+    families: dict[tuple, SolutionFamily] = {}
+    complete = True
     steps = branches = 0
     while stack:
         steps += 1
@@ -486,183 +579,25 @@ def solve_structured(system: MCConstraintSystem,
                 "structured MC solve used its budget of %d steps on %d "
                 "unknowns and %d equations" % (
                     max_steps, len(system.unknowns), len(system.equations)))
-        equations, assigned, constants, constraints = stack.pop()
-        progress = True
-        contradiction = False
-        while progress and not contradiction:
-            progress = False
-            equations = simplify(equations)
-            for lab, p in sorted(equations.items()):
-                if () in p and len(p) == 1:
-                    contradiction = True
-                    break
-                monos = list(p.items())
-                # R1: c * d(alpha) = 0 for a 0-form unknown
-                if len(monos) == 1:
-                    mono, c = monos[0]
-                    if len(mono) == 1 and mono[0][1] and \
-                            table.form_degree[mono[0][0]] == 0 and \
-                            mono[0][0] not in constants:
-                        sym = mono[0][0]
-                        constants = set(constants) | {sym}
-                        equations = {l2: poly_mark_constant(q, sym)
-                                     for l2, q in equations.items()}
-                        progress = True
-                        break
-                    # single linear factor: c * alpha = 0
-                    if len(mono) == 1 and not mono[0][1]:
-                        sym = mono[0][0]
-                        assigned = dict(assigned)
-                        assigned[sym] = poly_zero()
-                        equations = _substitute_state(
-                            equations, sym, poly_zero(), table, occurs)
-                        progress = True
-                        break
-                    # single d(alpha) = 0 for a higher form: the form is
-                    # closed, so its differential vanishes everywhere
-                    if len(mono) == 1 and mono[0][1]:
-                        sym = mono[0][0]
-                        constraints = list(constraints) + [{mono: ONE}]
-                        equations = {l2: poly_mark_constant(q, sym)
-                                     for l2, q in equations.items()}
-                        equations.pop(lab, None)
-                        progress = True
-                        break
-                # linear combination of pure differentials: a closedness
-                # constraint on the family, complete as a description
-                if is_linear_differential(p):
-                    constraints = list(constraints) + [p]
-                    equations = dict(equations)
-                    equations.pop(lab)
-                    progress = True
-                    break
-                # linear isolation: some monomial is a lone non-diff factor
-                # whose symbol appears nowhere else in the equation
-                iso = None
-                for mono, c in monos:
-                    if len(mono) == 1 and not mono[0][1]:
-                        sym = mono[0][0]
-                        others = [m for m, _ in monos if m != mono]
-                        if all(all(f[0] != sym for f in m) for m in others):
-                            iso = (sym, c, mono)
-                            break
-                if iso is not None:
-                    sym, c, mono = iso
-                    rest = {m: v for m, v in p.items() if m != mono}
-                    value = poly_scale(rest, -ONE / c)
-                    assigned = dict(assigned)
-                    assigned[sym] = value
-                    # substitute into previous assignments as well
-                    for s2 in list(assigned):
-                        if s2 != sym:
-                            assigned[s2] = poly_substitute(
-                                assigned[s2], sym, value, table)
-                    equations = _substitute_state(
-                        equations, sym, value, table, occurs)
-                    constraints = [poly_substitute(q, sym, value, table)
-                                   for q in constraints]
-                    progress = True
-                    break
-            if contradiction:
-                break
-        if contradiction:
+        state = _propagate(stack.pop())
+        if state is None:
             continue
-        equations = simplify(equations)
-        if not equations:
-            fam = finalize(assigned, constants, constraints, True)
-            if fam is not None:
-                families.append(fam)
-            continue
-        # branching rules
-        branched = False
-        for lab, p in sorted(equations.items()):
-            syms = poly_symbols(p)
-            # R2: single-variable polynomial in a 0-form unknown
-            if len(syms) == 1:
-                sym = syms.pop()
-                if table.form_degree[sym] == 0 and \
-                        all(not f[1] for m in p for f in m):
-                    degrees = {len(m) for m in p}
-                    if degrees <= {1, 2}:
-                        c1 = p.get(((sym, False),), ZERO)
-                        c2 = p.get(((sym, False), (sym, False)), ZERO)
-                        if c2:
-                            roots = _rational_roots_quadratic(c1, c2)
-                        else:
-                            roots = [ZERO]
-                        for root in roots:
-                            val = poly_const(root)
-                            eqs2 = _substitute_state(
-                                equations, sym, val, table, occurs)
-                            asg2 = dict(assigned)
-                            for s2 in list(asg2):
-                                asg2[s2] = poly_substitute(asg2[s2], sym, val, table)
-                            asg2[sym] = val
-                            cons2 = [poly_substitute(q, sym, val, table)
-                                     for q in constraints]
-                            stack.append((eqs2, asg2, constants, cons2))
-                        branched = True
-                        break
-            # R3 / monomial branching: a single monomial product vanishes
-            if len(p) == 1:
-                (mono, c), = p.items()
-                higher = [f for f in mono
-                          if table.factor_form_degree(f) >= 1]
-                if len(higher) <= 1 and mono:
-                    cases = []
-                    for f in dict.fromkeys(mono):
-                        sym, diff = f
-                        if diff:
-                            if table.form_degree[sym] == 0:
-                                cases.append(("const", sym))
-                            else:
-                                cases.append(("closed", sym))
-                        else:
-                            cases.append(("zero", sym))
-                    for kind, sym in cases:
-                        eqs2 = dict(equations)
-                        asg2 = dict(assigned)
-                        consts2 = set(constants)
-                        cons2 = list(constraints)
-                        if kind == "zero":
-                            val = poly_zero()
-                            eqs2 = _substitute_state(eqs2, sym, val, table, occurs)
-                            for s2 in list(asg2):
-                                asg2[s2] = poly_substitute(asg2[s2], sym, val, table)
-                            asg2[sym] = val
-                            cons2 = [poly_substitute(q, sym, val, table)
-                                     for q in cons2]
-                        elif kind == "const":
-                            consts2.add(sym)
-                            eqs2 = {l2: poly_mark_constant(q, sym)
-                                    for l2, q in eqs2.items()}
-                            cons2 = [poly_mark_constant(q, sym) for q in cons2]
-                        else:
-                            cons2.append({((sym, True),): ONE})
-                            eqs2 = {l2: poly_mark_constant(q, sym)
-                                    for l2, q in eqs2.items()}
-                        stack.append((eqs2, asg2, consts2, cons2))
-                    branched = True
-                    break
-        if branched:
+        children = _branch(state)
+        if children is not None:
             branches += 1
-        else:
-            incomplete_leaf = True
-            fam = finalize(assigned, constants, constraints, False)
-            if fam is not None:
-                families.append(fam)
-    # deduplicate discrete families
-    seen: list = []
-    unique: list[SolutionFamily] = []
-    for fam in families:
-        key = (tuple(sorted((s, tuple(sorted(v.items())))
-                            for s, v in fam.assignments.items())),
-               tuple(sorted(fam.free)),
-               tuple(sorted(tuple(sorted(c.items())) for c in fam.constraints)))
-        if key not in seen:
-            seen.append(key)
-            unique.append(fam)
-    return SolveResult(unique, not incomplete_leaf, steps, branches)
+            stack.extend(children)
+            continue
+        leaf_complete = not state.equations
+        complete = complete and leaf_complete
+        fam = _leaf_family(state, system, leaf_complete)
+        if fam is not None:
+            # discrete families repeat across branches: keep the first
+            key = (tuple(sorted((s, tuple(sorted(v.items())))
+                                for s, v in fam.assignments.items())),
+                   tuple(sorted(fam.free)),
+                   tuple(sorted(tuple(sorted(c.items())) for c in fam.constraints)))
+            families.setdefault(key, fam)
+    return SolveResult(list(families.values()), complete, steps, branches)
 
 
 # ---------------------------------------------------------------------------
@@ -770,21 +705,15 @@ def _gauge_connection(g: Dgla, b: GradedElement, xi: GradedElement,
     per_key: dict = {}
     for key in keys:
         cm = {k: v.coeffs.get(key, ZERO) for k, v in poly.items()}
-        cm = {k: c for k, c in cm.items() if c}
-        target = eta.coeffs.get(key, ZERO)
-        cm[0] = cm.get(0, ZERO) - target
-        cm = {k: c for k, c in cm.items() if c}
-        per_key[key] = cm
+        cm[0] = cm.get(0, ZERO) - eta.coeffs.get(key, ZERO)
+        per_key[key] = {k: c for k, c in cm.items() if c}
     nontrivial = [cm for cm in per_key.values() if cm]
     if not nontrivial:
         return ZERO  # identical elements
-    only_constants = [cm for cm in nontrivial if list(cm) == [0]]
-    if only_constants:
+    if any(list(cm) == [0] for cm in nontrivial):
         return None
     candidates = None
     for cm in nontrivial:
-        if set(cm) == {0}:
-            return None
         roots = set(_poly_rational_roots(cm))
         candidates = roots if candidates is None else (candidates & roots)
         if not candidates:
@@ -928,11 +857,8 @@ def instantiate_solution(system: MCConstraintSystem, family: SolutionFamily,
             omega_val = free_values[sym]
         else:
             raise ValueError("free symbol %s has no value" % sym)
-        gdeg = None
-        for n2 in tensor.coefficient_dgla.space.degrees():
-            if tensor.coefficient_dgla.space.has(n2, glab):
-                gdeg = n2
-                break
+        # the coefficient of an element b is a (|b| + 1)-form
+        gdeg = table.form_degree[sym] - 1
         _add_scaled(xi, GradedElement({(gdeg + nw, "%s|%s" % (glab, wlab)): c
                                        for (nw, wlab), c in omega_val.coeffs.items()}),
                     ONE)
@@ -1158,10 +1084,6 @@ def verify_component_decomposition(g: Dgla, n_max: int = 4,
 # naive expansion oracle for the constraint systems
 # ---------------------------------------------------------------------------
 
-def _cvar(glabel: str, wlabel: str):
-    return (glabel, wlabel)
-
-
 def expand_system_over_forms(system: MCConstraintSystem, tensor) -> dict:
     """Expand the symbolic system over the monomial basis of the form
     algebra: each unknown alpha_b becomes the generic combination
@@ -1174,10 +1096,10 @@ def expand_system_over_forms(system: MCConstraintSystem, tensor) -> dict:
         p = table.form_degree[sym]
         monos = [(nw, wlab) for nw, wlab in omega.basis_items() if nw == -p]
         expansions[(sym, False)] = [
-            (_cvar(glab, wlab), omega.space.basis_element(nw, wlab))
+            ((glab, wlab), omega.space.basis_element(nw, wlab))
             for nw, wlab in monos]
         expansions[(sym, True)] = [
-            (_cvar(glab, wlab), omega.d(omega.space.basis_element(nw, wlab)))
+            ((glab, wlab), omega.d(omega.space.basis_element(nw, wlab)))
             for nw, wlab in monos]
     out: dict = {}
     for elab, poly in system.equations.items():
@@ -1197,11 +1119,7 @@ def expand_system_over_forms(system: MCConstraintSystem, tensor) -> dict:
                 for (nw, wlab), c in val.coeffs.items():
                     key = (elab, wlab)
                     cell = out.setdefault(key, {})
-                    v = cell.get(cmono, ZERO) + c
-                    if v:
-                        cell[cmono] = v
-                    else:
-                        cell.pop(cmono, None)
+                    _add_term(cell, cmono, c)
     return {k: v for k, v in out.items() if v}
 
 
@@ -1231,21 +1149,17 @@ def oracle_system_over_forms(g: Dgla, n: int, max_degree: int,
             glab2, wlab2 = tlab.split("|", 1)
             key = (glab2, wlab2)
             cell = out.setdefault(key, {})
-            v = cell.get(cmono, ZERO) + c
-            if v:
-                cell[cmono] = v
-            else:
-                cell.pop(cmono, None)
+            _add_term(cell, cmono, c)
 
     for lab, wlab, deg, nw in gens:
         b = GradedElement({(deg + nw, "%s|%s" % (lab, wlab)): ONE})
-        accumulate(tensor.d(b), (_cvar(lab, wlab),))
+        accumulate(tensor.d(b), ((lab, wlab),))
     for (l1, w1, d1, nw1), (l2, w2, d2, nw2) in itertools.product(gens, repeat=2):
         b1 = GradedElement({(d1 + nw1, "%s|%s" % (l1, w1)): ONE})
         b2 = GradedElement({(d2 + nw2, "%s|%s" % (l2, w2)): ONE})
         br = tensor.bracket(b1, b2)
         if br.is_zero():
             continue
-        cmono = tuple(sorted((_cvar(l1, w1), _cvar(l2, w2))))
+        cmono = tuple(sorted(((l1, w1), (l2, w2))))
         accumulate(br.scale(QQ(1, 2)), cmono)
     return {k: v for k, v in out.items() if v}

@@ -492,6 +492,16 @@ def test_range_filters_degrees(capsys):
     assert rc == 0
     assert [line.split(" = ")[0] for line in out.splitlines()
             if line.startswith("  H^")] == ["  H^1"]
+    # a range starting at a negative degree, as a separate argument or
+    # joined with "=": the same report apart from the echoed command line
+    reports = []
+    for flag in (["--range", "-2..0"], ["--range=-2..0"]):
+        rc, out, _ = run_cli(["ce", "f_xa:3", "--words", "3"] + flag, capsys)
+        assert rc == 0
+        reports.append(out.splitlines()[1:])
+    assert reports[0] == reports[1]
+    assert [line.split(" = ")[0] for line in reports[0]
+            if line.startswith("  H^")] == ["  H^-2", "  H^-1", "  H^0"]
 
 
 @pytest.mark.parametrize("args, message", [

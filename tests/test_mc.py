@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -481,7 +482,7 @@ def test_poly_substitute_matches_reference(case):
 def _solver_systems():
     """Every system the tests of this file and of test_acceptance.py hand
     to solve_structured, recorded by running the same calls, plus g_S at
-    sizes 12, 16 and 20."""
+    sizes 12, 16 and 20 and two hand-built systems."""
     systems = []
     real = mc_module.solve_structured
 
@@ -534,6 +535,18 @@ def _solver_systems():
     eq = {tuple(sorted([("a[p]", False), ("a[q]", False)])): QQ(1)}
     systems.append(MCConstraintSystem(abelian_dgla({0: ["p", "q"]}), 1, table,
                                       {"a[p]": "p", "a[q]": "q"}, {"w": eq}))
+    # a solved value and a constraint that mention d(g) before the 0-form g
+    # becomes constant: the family must drop those terms
+    table = SymbolTable()
+    for sym, deg in (("a[a]", 1), ("a[b]", 0), ("a[g]", 0), ("a[h]", 0)):
+        table.add(sym, deg, sym[2:-1])
+    dg, dh = ("a[g]", True), ("a[h]", True)
+    equations = {"x": {(("a[a]", False),): QQ(1), (("a[b]", False), dg): QQ(1)},
+                 "y": {(dg,): QQ(1), (dh,): QQ(1)},
+                 "z": {(dg,): QQ(1)}}
+    systems.append(MCConstraintSystem(
+        abelian_dgla({0: ["a"], -1: ["b", "g", "h"]}), 1, table,
+        {sym: sym[2:-1] for sym in table.form_degree}, equations))
     return systems
 
 
@@ -543,12 +556,28 @@ def _family_key(fam):
             fam.complete)
 
 
+def _canonical(result):
+    """(complete, steps, branches, families), every polynomial as its
+    sorted items."""
+    return (result.complete, result.steps, result.branches,
+            [(sorted((s, sorted(v.items())) for s, v in f.assignments.items()),
+              list(f.free), [sorted(c.items()) for c in f.constraints],
+              f.complete, sorted(f.constants)) for f in result.families])
+
+
+# the solver's answers on _solver_systems(), recorded from the solver that
+# rewrote every earlier value and constraint on each assignment
+SOLVER_DIGEST = "cc3b954813c8666b569e9e9506abba7607ec71a63ea7f1b88ba31b92db417d71"
+
+
 def test_solver_matches_rebuild_everything_reference(monkeypatch):
     # same families (with dict order), completeness and step count as the
     # solver that rewrites every equation on every assignment
     systems = _solver_systems()
     assert len(systems) > 40
     new = [solve_structured(s) for s in systems]
+    digest = hashlib.sha256(repr([_canonical(r) for r in new]).encode()).hexdigest()
+    assert digest == SOLVER_DIGEST
     monkeypatch.setattr(mc_module, "poly_substitute", _reference_poly_substitute)
     monkeypatch.setattr(mc_module, "_substitute_state", _reference_substitute_state)
     for system, got in zip(systems, new):
