@@ -257,9 +257,11 @@ class FreePolynomialCdga(Cdga):
 
     def _enumerate_monomials(self, size_cap):
         gens = self.generators
-        monos = {(): 0}  # monomial -> its weight
+        # weight -> the monomials of that weight; a generator extends only
+        # the weights it fits on, so a heavy one costs nothing per monomial
+        by_weight: dict[int, list[tuple]] = {0: [()]}
+        count = 1
         for i, (name, cohdeg, weight) in enumerate(gens):
-            new = {}
             if cohdeg % 2:
                 max_e = 1
             else:
@@ -267,18 +269,21 @@ class FreePolynomialCdga(Cdga):
                     raise ValueError(
                         "even generator %r needs truncation weight >= 1" % name)
                 max_e = self.max_weight // weight
-            for mono, w0 in monos.items():
-                new[mono] = w0
+            new = []
+            for w0, monos in by_weight.items():
                 for e in range(1, max_e + 1):
                     w = w0 + e * weight
                     if w > self.max_weight:
                         break
-                    new[mono + ((i, e),)] = w
-            monos = new
-            if len(monos) > size_cap:
+                    new.append((w, [mono + ((i, e),) for mono in monos]))
+            for w, monos in new:
+                by_weight.setdefault(w, []).extend(monos)
+                count += len(monos)
+            if count > size_cap:
                 raise CdgaAxiomViolation("truncated basis exceeds size cap")
         # (weight, label) is unique, so the monomial itself is never compared
-        return sorted((w, self._format(m), m) for m, w in monos.items())
+        return sorted((w, self._format(m), m)
+                      for w, monos in by_weight.items() for m in monos)
 
     def _mono_weight(self, mono) -> int:
         return sum(self.generators[i][2] * e for i, e in mono)

@@ -39,7 +39,14 @@ from .linalg import (
     rank,
 )
 from .freelie import LiePresentation
-from .dgla import Dgla, DglaPresentation, disjoint_product, free_product_dgla, is_mc
+from .dgla import (
+    Dgla,
+    DglaPresentation,
+    disjoint_product,
+    free_product_dgla,
+    is_mc,
+    presentation_of,
+)
 from .cdga import Cdga, CdgaMorphism, FreePolynomialCdga, NoAugmentation
 
 
@@ -56,13 +63,14 @@ class CEComplex:
         self.truncate_by = truncate_by
         items = g.basis_items()
         self.sigma_of = {lab: "s(%s)" % lab for _, lab in items}
-        gens = []
-        for n, lab in items:
-            if truncate_by == "weight":
-                w = (g.weights or {}).get(lab, 1)
-            else:
-                w = 1
-            gens.append((self.sigma_of[lab], n + 1, w))
+        # the truncation weight of each basis element: its cell's weight in
+        # g, or 1 for every element under truncation by word length
+        if truncate_by == "weight":
+            weight_of = {(n, lab): w for (w, n), labs in g._cells().items()
+                         for lab in labs}
+        else:
+            weight_of = dict.fromkeys(items, 1)
+        gens = [(self.sigma_of[lab], n + 1, weight_of[(n, lab)]) for n, lab in items]
         # both parts are assembled source-first: one differential per basis
         # element and one bracket per ordered basis pair, scattered over the
         # targets k in their support; each target still receives its terms
@@ -73,41 +81,51 @@ class CEComplex:
             for (_, labk), c in g.d(g.space.basis_element(nj, labj)).coeffs.items():
                 acc[labk][key] = c
         # d_II needs products of generators; multiply in a scratch copy at
-        # the same truncation, so products beyond it are zero
+        # the same truncation, so products beyond it are zero.  s(i) s(j)
+        # has weight w_i + w_j, so i meets only the cells of weight at most
+        # bound - w_i, in basis order, and of those only the degrees that
+        # add up with n_i to a degree with a basis
         scratch = FreePolynomialCdga(gens, bound, {}, check="skip")
-        degrees = {n for n, _ in items}
-        for (ni, labi), (nj, labj) in itertools.product(items, repeat=2):
-            if ni + nj not in degrees:
-                continue
-            br = g.bracket_labels(ni, labi, nj, labj).coeffs
-            if not br:
-                continue
-            prod = scratch.multiply(
-                scratch.generator_element(self.sigma_of[labi]),
-                scratch.generator_element(self.sigma_of[labj]))
-            sign = -ONE if ni % 2 else ONE
-            for (_, labk), c in br.items():
-                _add_scaled(acc[labk], prod, QQ(-1, 2) * sign * c)
+        degrees = set(g.space.degrees())
+        partners: dict[int, list[tuple[int, str]]] = {}
+        for ni, labi in items:
+            cap = bound - weight_of[(ni, labi)]
+            if cap not in partners:
+                partners[cap] = [key for key in items if weight_of[key] <= cap]
+            for nj, labj in partners[cap]:
+                if ni + nj not in degrees:
+                    continue
+                br = g.bracket_labels(ni, labi, nj, labj).coeffs
+                if not br:
+                    continue
+                prod = scratch.multiply(
+                    scratch.generator_element(self.sigma_of[labi]),
+                    scratch.generator_element(self.sigma_of[labj]))
+                sign = -ONE if ni % 2 else ONE
+                for (_, labk), c in br.items():
+                    _add_scaled(acc[labk], prod, QQ(-1, 2) * sign * c)
         dgens = {self.sigma_of[lab]: GradedElement(acc[lab]) for _, lab in items}
         aug = {name: ZERO for name, _, _ in
                [(self.sigma_of[lab], 0, 0) for _, lab in items]}
         self.algebra = FreePolynomialCdga(gens, bound, dgens, aug, check="auto")
-        self._gweight_cache: dict[str, int] = {}
+        self._blocks: Optional[dict[int, list[tuple[int, str]]]] = None
 
-    def generator_weight_of_label(self, lab: str) -> int:
-        """Total g-weight of a monomial label (each sigma-factor carries the
-        weight of its dual basis element)."""
-        w = self._gweight_cache.get(lab)
-        if w is None:
-            mono = self.algebra._mono_of_label[lab]
-            weights = self.g.weights or {}
-            w = 0
-            for gi, e in mono:
-                name = self.algebra.generators[gi][0]
-                glab = name[2:-1]  # strip "s(" ... ")"
-                w += weights.get(glab, 1) * e
-            self._gweight_cache[lab] = w
-        return w
+    def _weight_blocks(self) -> dict[int, list[tuple[int, str]]]:
+        """Total g-weight -> the reduced basis monomials of that weight, in
+        basis order, built once; each sigma-factor carries the weight of
+        its dual basis element."""
+        if self._blocks is None:
+            g_weight = {(n, lab): w for (w, n), labs in self.g._cells().items()
+                        for lab in labs}
+            # the algebra's generators are in the order of g's basis
+            gen_weight = [g_weight[key] for key in self.g.basis_items()]
+            blocks: dict[int, list[tuple[int, str]]] = {}
+            for n, lab in self.reduced_labels():
+                w = sum(gen_weight[gi] * e
+                        for gi, e in self.algebra._mono_of_label[lab])
+                blocks.setdefault(w, []).append((n, lab))
+            self._blocks = blocks
+        return self._blocks
 
     def reduced_labels(self):
         return [(n, lab) for n, lab in self.algebra.basis_items() if lab != "1"]
@@ -118,10 +136,10 @@ class CEComplex:
         return {-n: h.dim(n) for n in h.degrees() if h.dim(n)}
 
     def _reduced_homology(self, weight: Optional[int] = None):
-        labels = self.reduced_labels()
-        if weight is not None:
-            labels = [(n, lab) for n, lab in labels
-                      if self.generator_weight_of_label(lab) == weight]
+        if weight is None:
+            labels = self.reduced_labels()
+        else:
+            labels = self._weight_blocks().get(weight, [])
         basis: dict[int, list[str]] = {}
         for n, lab in labels:
             basis.setdefault(n, []).append(lab)
@@ -395,6 +413,18 @@ def harrison_product_comparison(a: Cdga, b: Cdga, m: int) -> dict:
 # free product cohomology comparison (appendix theorems)
 # ---------------------------------------------------------------------------
 
+def _product_truncation(g: Dgla, h: Dgla, m: int) -> int:
+    """m - 1 when the presentations of g and h have no generator
+    differentials and only weight-homogeneous relations of weight below m,
+    else m (see compare_free_product)."""
+    for alg in (g, h):
+        pres = presentation_of(alg).pres
+        if any(not v.is_zero() for v in pres.dgens.values()) or \
+                not all(w is not None and w < m for w in pres.relation_weights()):
+            return m
+    return m - 1
+
+
 def compare_free_product(g: Dgla, h: Dgla, m: int, word_bound: int) -> dict:
     """Per-(weight, degree) comparison of H(C_+(g*h)) against
     H(C_+(g)) + H(C_+(h)) in the faithful window weight < m.
@@ -402,6 +432,21 @@ def compare_free_product(g: Dgla, h: Dgla, m: int, word_bound: int) -> dict:
     Inputs must be weight-graded with zero differential (the appendix
     hypothesis); word_bound must be at least m - 1 so the window is
     complete.
+
+    The CE complexes are truncated at weight m - 1, so they read only the
+    cells of g*h of weight below m, and g*h is built at t = m - 1 instead
+    of m whenever its presentation has no generator differentials and
+    only weight-homogeneous relations of weight below m.  Then the ideal
+    is spanned by homogeneous elements: the relations, and brackets of
+    generators with homogeneous ideal elements.  With columns ordered by
+    weight, the reduced row echelon form of its saturation is
+    block-diagonal by weight, and the weight-w block is spanned by the
+    relations of weight w and by brackets that land in weight w from
+    lower weights, none of which a truncation at t >= w cuts.  So at t
+    the cells of weight below m have the same labels, brackets and
+    differential as at m, and the weight-m cell (the bulk of the basis)
+    is never built.  Any other presentation is built at m as before, so
+    a relation heavier than m is still refused.
     """
     if word_bound < m - 1:
         raise ValueError("need word_bound >= m - 1 for a faithful window")
@@ -413,7 +458,7 @@ def compare_free_product(g: Dgla, h: Dgla, m: int, word_bound: int) -> dict:
     elif g.total_dim() == 0:
         prod = h
     else:
-        prod = free_product_dgla(g, h, m, check="skip")
+        prod = free_product_dgla(g, h, _product_truncation(g, h, m), check="skip")
     ce_p = ce_complex(prod, m - 1, truncate_by="weight") if prod.total_dim() \
         else None
     ce_g = ce_complex(g, m - 1, truncate_by="weight") if g.total_dim() else None

@@ -524,9 +524,7 @@ def weighted_homology(g: Dgla) -> dict[tuple[int, int], int]:
     shift = _weight_homogeneous_shift(g)
     if shift is None:
         raise ValueError("differential is not weight-homogeneous")
-    cells: dict[tuple[int, int], list[str]] = {}
-    for n, lab in g.basis_items():
-        cells.setdefault((g.weights[lab], n), []).append(lab)
+    cells = g._cells()
     # the rank of d on each cell, from the sparse images of its basis
     cols = g.d_map.columns
     ranks: dict[tuple[int, int], int] = {}

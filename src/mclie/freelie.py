@@ -394,6 +394,37 @@ class LiePresentation:
     def materialize(self, m: int, size_cap: int = 20000) -> "QuotientLie":
         return QuotientLie(self, m, size_cap)
 
+    def relation_weights(self) -> list[Optional[int]]:
+        """The weight of each relation, read off the generators in its
+        terms' labels: 0 for a zero relation, None for one whose terms
+        differ in weight or have a label that does not parse."""
+        gen_weight = {name: w for name, _, w in self.generators}
+        out = []
+        for r in self.relations:
+            ws = {_label_weight(lab, gen_weight) for _, lab in r.coeffs}
+            out.append(ws.pop() if len(ws) == 1 else (0 if not ws else None))
+        return out
+
+
+def _label_weight(label: str, gen_weight: Mapping[str, int]) -> Optional[int]:
+    """Weight of a label as FreeLieTruncation.format_tree writes it: a
+    generator's own weight, else the sum over the two halves of "[u,v]"
+    split at its top-level comma; None when the label does not parse."""
+    w = gen_weight.get(label)
+    if w is not None or not (label.startswith("[") and label.endswith("]")):
+        return w
+    depth = 0
+    for i in range(1, len(label) - 1):
+        if label[i] == "[":
+            depth += 1
+        elif label[i] == "]":
+            depth -= 1
+        elif label[i] == "," and depth == 0:
+            left = _label_weight(label[1:i], gen_weight)
+            right = _label_weight(label[i + 1:-1], gen_weight)
+            return None if left is None or right is None else left + right
+    return None
+
 
 class QuotientLie:
     """Weight-m truncation of a presented dgla: the quotient of the

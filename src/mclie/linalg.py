@@ -602,7 +602,12 @@ class _DgAlgebra:
     _TRIPLE_CAP, and names the product under its own public aliases.  The
     class and its product methods are underscored because perfbench's
     tracer times every call of a public name in a span of its own.
+
+    A subclass may set weights ({label: weight}) before calling __init__;
+    _cells() groups the basis by (weight, degree).
     """
+
+    weights: Optional[dict[str, int]] = None
 
     def __init__(self, space: GradedVectorSpace,
                  d_fn: Optional[Callable[[int, str], GradedElement]],
@@ -611,6 +616,7 @@ class _DgAlgebra:
         self.space = space
         self._product_fn = product_fn
         self._products: dict[tuple[str, str], GradedElement] = {}
+        self._cell_index: Optional[dict[tuple[int, int], list[str]]] = None
         self.d_map = GradedLinearMap(space, space, -1) if d_fn is None else \
             GradedLinearMap.from_function(space, space, -1, d_fn)
         if not self.d_map.compose(self.d_map).is_zero():
@@ -625,6 +631,18 @@ class _DgAlgebra:
 
     def basis_items(self) -> list[tuple[int, str]]:
         return [(n, lab) for n in self.space.degrees() for lab in self.space.labels(n)]
+
+    def _cells(self) -> dict[tuple[int, int], list[str]]:
+        """(weight, degree) -> labels in basis order, built once; a label
+        missing from weights (all of them when weights is None) has
+        weight 1."""
+        if self._cell_index is None:
+            weights = self.weights or {}
+            cells: dict[tuple[int, int], list[str]] = {}
+            for n, lab in self.basis_items():
+                cells.setdefault((weights.get(lab, 1), n), []).append(lab)
+            self._cell_index = cells
+        return self._cell_index
 
     def d(self, elt: GradedElement) -> GradedElement:
         return self.d_map.apply(elt)

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from dense_reference import ce_generator_differentials
 from mclie.linalg import QQ, GradedElement, RowSpace, rank
 from mclie.dgla import (
     abelian_dgla,
@@ -12,7 +13,7 @@ from mclie.dgla import (
     twist,
     zero_dgla,
 )
-from mclie.cdga import FiniteTableCdga, FreePolynomialCdga
+from mclie.cdga import FiniteTableCdga
 from mclie.defs import load_algebra
 from mclie.dgla import free_product_dgla
 from mclie.cehar import (
@@ -28,6 +29,7 @@ from mclie.cehar import (
     harrison_product_comparison,
     mc_augmentation_dictionary,
     minimal_model,
+    _product_truncation,
 )
 
 
@@ -136,39 +138,6 @@ def test_ce_weight_stability():
         assert ce3.weight_block_dims(w) == ce5.weight_block_dims(w)
 
 
-def reference_ce_dgens(g, bound, truncate_by="length"):
-    """d on the CE generators with the loop over the target k outside the
-    sources, the way the differential is written."""
-    items = g.basis_items()
-    sigma = {lab: "s(%s)" % lab for _, lab in items}
-    weights = g.weights or {}
-    gens = [(sigma[lab], n + 1,
-             weights.get(lab, 1) if truncate_by == "weight" else 1)
-            for n, lab in items]
-    scratch = FreePolynomialCdga(gens, bound, {}, check="skip")
-    out = {}
-    for nk, labk in items:
-        val = GradedElement()
-        for nj, labj in items:
-            if nj != nk + 1:
-                continue
-            c = g.d(g.space.basis_element(nj, labj)).coeff(nk, labk)
-            if c:
-                val = val + GradedElement({(-(nj + 1), sigma[labj]): c})
-        for (ni, labi), (nj, labj) in itertools.product(items, repeat=2):
-            if ni + nj != nk:
-                continue
-            c = g.bracket_labels(ni, labi, nj, labj).coeff(nk, labk)
-            if not c:
-                continue
-            sign = QQ(-1) if ni % 2 else QQ(1)
-            prod = scratch.multiply(scratch.generator_element(sigma[labi]),
-                                    scratch.generator_element(sigma[labj]))
-            val = val + prod.scale(QQ(-1, 2) * sign * c)
-        out[sigma[labk]] = val
-    return out
-
-
 @pytest.mark.parametrize("case", ["heisenberg", "free-product", "g_S:3",
                                   "sphere", "f_xa:4"])
 def test_ce_dgens_equal_target_first_reference(case):
@@ -184,12 +153,45 @@ def test_ce_dgens_equal_target_first_reference(case):
     else:
         g = load_algebra(case)
     ce = ce_complex(g, bound, truncate_by=truncate_by)
-    ref = reference_ce_dgens(g, bound, truncate_by)
+    ref = ce_generator_differentials(g, bound, truncate_by)
     got = ce.algebra._dgens
     assert list(got) == list(ref)
     assert any(not v.is_zero() for v in ref.values())
     for name, v in ref.items():
         # same terms in the same order
+        assert list(v.coeffs.items()) == list(got[name].coeffs.items()), name
+
+
+@pytest.mark.parametrize("truncate_by,case", [
+    ("length", "heisenberg"), ("length", "sphere"), ("length", "g_S:3"),
+    ("length", "f_xa:4"), ("length", "abelian:2:0"),
+    ("weight", "heisenberg"), ("weight", "abelian:2:0"),
+    ("weight", "abelian:1:1"), ("weight", "free-product")])
+@pytest.mark.parametrize("bound", [1, 2, 3])
+def test_ce_pair_skip_matches_all_pairs_reference(truncate_by, case, bound):
+    # the free product has weight-2 and weight-3 elements with nonzero
+    # brackets, so the bounds 1-3 cut through its cells
+    if case == "free-product":
+        g = free_product_dgla(load_algebra("heisenberg"),
+                              load_algebra("abelian:1:0"), 4, check="skip")
+    else:
+        g = load_algebra(case)
+    weights = (g.weights or {}) if truncate_by == "weight" else {}
+    degrees = set(g.space.degrees())
+    g._products.clear()
+    ce = ce_complex(g, bound, truncate_by=truncate_by)
+    # only the pairs whose product survives the truncation are asked for
+    asked = {(l1, l2) for (n1, l1), (n2, l2) in
+             itertools.product(g.basis_items(), repeat=2)
+             if weights.get(l1, 1) + weights.get(l2, 1) <= bound
+             and n1 + n2 in degrees}
+    assert set(g._products) == asked
+    if truncate_by == "length" and bound == 1:
+        assert not asked
+    ref = ce_generator_differentials(g, bound, truncate_by)
+    got = ce.algebra._dgens
+    assert list(got) == list(ref)
+    for name, v in ref.items():
         assert list(v.coeffs.items()) == list(got[name].coeffs.items()), name
 
 
@@ -323,6 +325,44 @@ def test_compare_free_product_heisenberg_abelian():
     h = abelian_dgla({0: ["z"]})
     report = compare_free_product(g, h, 4, 4)
     assert report["pass"], report
+
+
+@pytest.mark.parametrize("pair,heaviest", [
+    (("heisenberg", "abelian:1:0"), 3), (("abelian:2:0", "abelian:1:0"), 2),
+    (("abelian:1:1", "abelian:1:0"), 2), (("heisenberg", "heisenberg"), 3)])
+def test_product_truncation_keeps_the_cells_below_m(pair, heaviest):
+    # heaviest: the largest relation weight of the two presentations
+    g, h = (load_algebra(ref) for ref in pair)
+    for m in range(2, 6):
+        t = _product_truncation(g, h, m)
+        assert t == (m - 1 if heaviest < m else m)
+        if t == m:
+            continue
+        at_m = free_product_dgla(g, h, m, check="skip")
+        at_t = free_product_dgla(g, h, t, check="skip")
+        assert max(at_t.weights.values()) == m - 1
+        # the same labels, in the same order, in every cell of weight < m
+        assert at_t.basis_items() == [(n, lab) for n, lab in at_m.basis_items()
+                                      if at_m.weights[lab] < m]
+        assert at_t._cells() == {key: labs for key, labs in at_m._cells().items()
+                                 if key[0] < m}
+        items = at_t.basis_items()
+        for (n1, l1), (n2, l2) in itertools.product(items, repeat=2):
+            if at_t.weights[l1] + at_t.weights[l2] < m:
+                assert list(at_t.bracket_labels(n1, l1, n2, l2).coeffs.items()) == \
+                    list(at_m.bracket_labels(n1, l1, n2, l2).coeffs.items())
+        for n, lab in items:
+            e = at_t.space.basis_element(n, lab)
+            assert list(at_t.d(e).coeffs.items()) == list(at_m.d(e).coeffs.items())
+
+
+def test_product_truncation_keeps_m_for_other_presentations():
+    g = heisenberg_dgla()
+    # a relation whose terms differ in weight, and a generator differential
+    mixed = dgla_from_table({0: ["a", "b"]}, {("a", "b"): GradedElement({(0, "a"): QQ(1)})})
+    assert _product_truncation(g, mixed, 5) == 5
+    assert _product_truncation(g, sphere_dgla(), 5) == 5
+    assert _product_truncation(g, abelian_dgla({0: ["z"]}), 5) == 4
 
 
 def test_compare_free_product_with_zero():

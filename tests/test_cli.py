@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -145,6 +146,29 @@ def test_verify_free_product_cohomology(capsys):
                           "--weight", "4"], capsys)
     assert rc == 0
     assert "free-product-cohomology: PASS" in out
+
+
+# four products at weights 2-5, including the weights where a relation of
+# a factor reaches weight m - 1 or m (heisenberg's [a,c] has weight 3), so
+# the product cannot be cut to m - 1 there
+FREE_PRODUCT_PAIRS = [("heisenberg", "abelian:1:0"), ("abelian:2:0", "abelian:1:0"),
+                      ("abelian:1:1", "abelian:1:0"), ("heisenberg", "heisenberg")]
+
+# exit code, stdout and stderr of every run, recorded with g*h built at
+# weight m
+FREE_PRODUCT_DIGEST = "bb6399abe605e53c475682ce50a1252432697d696801b548817b2e1d6713820f"
+
+
+def test_free_product_cohomology_small_weights_digest(capsys):
+    runs = []
+    for pair in FREE_PRODUCT_PAIRS:
+        for m in range(2, 6):
+            argv = ["verify", "free-product-cohomology", *pair, "--weight", str(m)]
+            runs.append((argv, *run_cli(argv, capsys)))
+    # heisenberg at weight 2 exits 2: its relation [a,c] is heavier than 2
+    assert [rc for _, rc, _, _ in runs].count(0) == 14
+    digest = hashlib.sha256(repr(runs).encode()).hexdigest()
+    assert digest == FREE_PRODUCT_DIGEST
 
 
 def test_minimal_model_command(capsys):
