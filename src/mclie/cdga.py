@@ -28,16 +28,12 @@ from .linalg import (
     GradedVectorSpace,
     RowSpace,
     homology as complex_homology,
-    identity_matrix,
     idempotents as algebra_idempotents,
     linear_combination,
-    mat_mul,
-    mat_vec,
-    rank,
-    rref,
     _DgAlgebra,
     _add_scaled,
     _element_of,
+    _sparse,
 )
 from .dgla import Dgla
 
@@ -607,90 +603,66 @@ def localize(a: Cdga, u: GradedElement):
     n_total = len(items)
     index = {it: i for i, it in enumerate(items)}
 
-    def vec_of_elt(elt: GradedElement):
-        out = [ZERO] * n_total
-        for key, c in elt.coeffs.items():
-            out[index[key]] = c
-        return out
+    def vector(elt: GradedElement) -> dict:
+        return {index[key]: c for key, c in elt.coeffs.items()}
 
-    def elt_of_vec(vec) -> GradedElement:
-        return GradedElement({items[i]: c for i, c in enumerate(vec) if c})
-
-    # multiplication by u, one row per target basis element; u^N e_i spans
-    # the eventual image, and u^N e_i in image coordinates is loc_map[e_i]
-    mult_u = list(zip(*[vec_of_elt(a.multiply(u, a.space.basis_element(n, lab)))
-                        for n, lab in items]))
+    # multiplication by u and its N-th power: u^N e_i spans the eventual
+    # image, and u^N e_i in image coordinates is loc_map[e_i].  L_u is
+    # applied N times rather than multiplying by the element u^N, since
+    # associativity is only checked up to CDGA_TRIPLE_CAP
+    mult_u = GradedLinearMap.from_function(
+        a.space, a.space, 0, lambda n, lab: a.multiply(u, a.space.basis_element(n, lab)))
     N = n_total
-    vecs = identity_matrix(n_total)
-    for _ in range(N):
-        vecs = [mat_vec(mult_u, v) for v in vecs]
+    power = mult_u
+    for _ in range(N - 1):
+        power = mult_u.compose(power)
+    pushed = [power.apply(a.space.basis_element(n, lab)) for n, lab in items]
     rs = RowSpace(n_total)
-    for v in vecs:
-        rs.add(v)
-    image_rows = rs.rows
-    k = len(image_rows)
+    for e in pushed:
+        rs._add(vector(e))
+    image_rows = [rs._rows[pc] for pc in rs.pivots]
 
     # pick labels for the localized algebra, degreewise
-    loc_labels: list[str] = []
     basis: dict[int, list[str]] = {}
     row_info = []
+    image: dict[str, GradedElement] = {}
     for ridx, row in enumerate(image_rows):
-        degs = {items[i][0] for i, c in enumerate(row) if c}
+        degs = {items[i][0] for i in row}
         if len(degs) != 1:
             raise LocalizationFailure("eventual image row %d is not homogeneous"
                                       % ridx)
         d = degs.pop()
         lab = "loc%d" % ridx
         basis.setdefault(d, []).append(lab)
-        loc_labels.append(lab)
         row_info.append((d, lab))
+        image[lab] = GradedElement({items[i]: c for i, c in row.items()})
     space = GradedVectorSpace(basis)
 
     in_image = Coordinates(image_rows, n_total)
+    # u^-N on the eventual image: u^-N v is the y with u^N y = v
+    pulled = Coordinates([vector(power.apply(image[lab])) for _, lab in row_info],
+                         n_total)
+    if pulled.rank() != len(image_rows):
+        raise LocalizationFailure("u is not invertible on the eventual image")
 
-    def coords_of(vec) -> list:
-        coords = in_image.coords(vec)
+    def coords_in(basis_of: Coordinates, elt: GradedElement) -> GradedElement:
+        coords = basis_of.coords(vector(elt))
         if coords is None:
             raise LocalizationFailure("vector not in the eventual image")
-        return coords
-
-    def elt_of_coords(coords) -> GradedElement:
         return GradedElement({row_info[r]: c for r, c in enumerate(coords) if c})
 
-    def to_coords(vec) -> GradedElement:
-        return elt_of_coords(coords_of(vec))
-
-    # u^-N on the eventual image, in image coordinates: invert the k x k
-    # matrix of u there once, then take its N-th power
-    u_img = list(zip(*[coords_of(mat_vec(mult_u, r)) for r in image_rows]))
-    red, pivots = rref([list(row) + e for row, e in zip(u_img, identity_matrix(k))],
-                       2 * k)
-    if pivots != list(range(k)):
-        raise LocalizationFailure("u is not invertible on the eventual image")
-    u_inv = [row[k:] for row in red]
-    w = identity_matrix(k)
-    for _ in range(N):
-        w = mat_mul(w, u_inv)
-
     def mult_fn(d1, l1, d2, l2):
-        r1 = image_rows[loc_labels.index(l1)]
-        r2 = image_rows[loc_labels.index(l2)]
-        prod = a.multiply(elt_of_vec(r1), elt_of_vec(r2))
-        return elt_of_coords(mat_vec(w, coords_of(vec_of_elt(prod))))
+        return coords_in(pulled, a.multiply(image[l1], image[l2]))
 
     def d_fn(n, lab):
-        r = image_rows[loc_labels.index(lab)]
-        return to_coords(vec_of_elt(a.d(elt_of_vec(r))))
+        return coords_in(in_image, a.d(image[lab]))
 
-    unit_vec = vec_of_elt(a.unit)
-    for _ in range(N):
-        unit_vec = mat_vec(mult_u, unit_vec)
-    unit = to_coords(unit_vec)
+    unit = coords_in(in_image, power.apply(a.unit))
     if space.total_dim() == 0:
         loc = Cdga(space, d_fn, mult_fn, GradedElement(), check="skip")
     else:
         loc = Cdga(space, d_fn, mult_fn, unit, check="auto")
-    loc_map = {lab: to_coords(vecs[i]) for i, (n, lab) in enumerate(items)}
+    loc_map = {lab: coords_in(in_image, e) for (n, lab), e in zip(items, pushed)}
     return loc, loc_map
 
 
@@ -766,11 +738,16 @@ def _strict_factor(a: Cdga, u: GradedElement) -> Cdga:
     by_degree: dict[int, list[GradedElement]] = {}
     in_factor: dict[int, Coordinates] = {}
     for n in a.space.degrees():
-        rows, _ = rref([a.space.to_vector(a.multiply(u, e), n)
-                        for e in a.space.basis_elements(n)], a.space.dim(n))
+        span = RowSpace(a.space.dim(n))
+        for e in a.space.basis_elements(n):
+            span._add(a.space.to_vector(a.multiply(u, e), n))
+        rows = [span._rows[pc] for pc in span.pivots]
         in_factor[n] = Coordinates(rows, a.space.dim(n))
+        labels = a.space.labels(n)
         if rows:
-            by_degree[n] = [a.space.from_vector(row, n) for row in rows]
+            by_degree[n] = [GradedElement({(n, labels[j]): x
+                                           for j, x in sorted(row.items())})
+                            for row in rows]
     basis = {n: ["f%d_%d" % (n, i) for i in range(len(v))]
              for n, v in by_degree.items()}
     space = GradedVectorSpace(basis)
@@ -815,18 +792,21 @@ def localization_exactness_report(a: Cdga, u: GradedElement,
         cycles = Coordinates([a.space.to_vector(c, n)
                               for c in rs + h.boundaries.get(n, [])],
                              a.space.dim(n))
-        vecs = identity_matrix(k)
+        vecs = [{i: ONE} for i in range(k)]
         for _ in range(k):
             new = []
             for v in vecs:
-                x = cycles.coords(a.space.to_vector(
-                    a.multiply(u, linear_combination(zip(v, rs))), n))
+                x = cycles.coords(a.space.to_vector(a.multiply(
+                    u, linear_combination((c, rs[i]) for i, c in v.items())), n))
                 if x is None:
                     raise LocalizationFailure("u times a cycle is not a cycle "
                                               "in degree %d" % n)
-                new.append(x[:k])
+                new.append(_sparse(x[:k]))
             vecs = new
-        expected = rank(vecs, k)
+        image = RowSpace(k)
+        for v in vecs:
+            image._add(v)
+        expected = image.dim()
         got = h_loc.dim(n)
         report[n] = {"H(A) localized": expected, "H(A[u^-1])": got}
         if expected != got:
@@ -916,8 +896,7 @@ def derivations_report(a: Cdga, rebuilt: Optional[Cdga] = None) -> dict:
                 ivecs.append((n, v))
         ibasis: dict[int, list[GradedElement]] = {}
         for n, v in ivecs:
-            vec = alg.space.to_vector(v, n)
-            if ideal[n].add(vec):
+            if ideal[n]._add(alg.space.to_vector(v, n)):
                 ibasis.setdefault(n, []).append(v)
         # I^2
         sq: dict[int, RowSpace] = {n: RowSpace(alg.space.dim(n))
@@ -928,7 +907,7 @@ def derivations_report(a: Cdga, rebuilt: Optional[Cdga] = None) -> dict:
             if p.is_zero():
                 continue
             n = p.degree()
-            sq[n].add(alg.space.to_vector(p, n))
+            sq[n]._add(alg.space.to_vector(p, n))
         # complex I/I^2: coordinates = I-basis reduced mod I^2
         quo_basis: dict[int, list[GradedElement]] = {}
         quo_coords: dict[int, Coordinates] = {}
@@ -936,8 +915,8 @@ def derivations_report(a: Cdga, rebuilt: Optional[Cdga] = None) -> dict:
             span = RowSpace(alg.space.dim(n))
             kept, rows = [], []
             for v in ibasis.get(n, []):
-                r = sq[n].reduce(alg.space.to_vector(v, n))
-                if span.add(r):
+                r = sq[n]._reduce(alg.space.to_vector(v, n))
+                if span._add(r):
                     kept.append(v)
                     rows.append(r)
             if kept:
@@ -950,7 +929,7 @@ def derivations_report(a: Cdga, rebuilt: Optional[Cdga] = None) -> dict:
         def express(elt, n):
             if elt.is_zero():
                 return GradedElement()
-            x = quo_coords[n].coords(sq[n].reduce(alg.space.to_vector(elt, n)))
+            x = quo_coords[n].coords(sq[n]._reduce(alg.space.to_vector(elt, n)))
             if x is None:
                 raise CdgaAxiomViolation("element escapes the quotient I/I^2 "
                                          "in degree %d" % n)

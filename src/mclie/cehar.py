@@ -32,11 +32,11 @@ from .linalg import (
     GradedElement,
     GradedLinearMap,
     GradedVectorSpace,
+    RowSpace,
     _add_scaled,
     _element_of,
     homology as complex_homology,
     linear_combination,
-    rank,
 )
 from .freelie import LiePresentation
 from .dgla import (
@@ -368,9 +368,10 @@ def dgla_map_from_generators(src: Dgla, dst: Dgla,
     if dims_match and d_compatible:
         surjective = True
         for n in src.space.degrees():
-            vecs = [dst.space.to_vector(image_of(lab), n)
-                    for lab in src.space.labels(n)]
-            if rank(vecs, dst.space.dim(n)) != dst.space.dim(n):
+            span = RowSpace(dst.space.dim(n))
+            for lab in src.space.labels(n):
+                span._add(dst.space.to_vector(image_of(lab), n))
+            if span.dim() != dst.space.dim(n):
                 surjective = False
     return {"d_compatible": d_compatible, "dims_match": dims_match,
             "bijective": bool(dims_match and d_compatible and surjective),
@@ -414,15 +415,17 @@ def harrison_product_comparison(a: Cdga, b: Cdga, m: int) -> dict:
 # ---------------------------------------------------------------------------
 
 def _product_truncation(g: Dgla, h: Dgla, m: int) -> int:
-    """m - 1 when the presentations of g and h have no generator
-    differentials and only weight-homogeneous relations of weight below m,
-    else m (see compare_free_product)."""
+    """max(m - 1, the heaviest relation weight) when the presentations of
+    g and h have no generator differentials and only weight-homogeneous
+    relations, else m (see compare_free_product)."""
+    heaviest = 0
     for alg in (g, h):
         pres = presentation_of(alg).pres
-        if any(not v.is_zero() for v in pres.dgens.values()) or \
-                not all(w is not None and w < m for w in pres.relation_weights()):
+        weights = pres.relation_weights()
+        if any(not v.is_zero() for v in pres.dgens.values()) or None in weights:
             return m
-    return m - 1
+        heaviest = max([heaviest, *weights])
+    return max(m - 1, heaviest)
 
 
 def compare_free_product(g: Dgla, h: Dgla, m: int, word_bound: int) -> dict:
@@ -434,19 +437,20 @@ def compare_free_product(g: Dgla, h: Dgla, m: int, word_bound: int) -> dict:
     complete.
 
     The CE complexes are truncated at weight m - 1, so they read only the
-    cells of g*h of weight below m, and g*h is built at t = m - 1 instead
-    of m whenever its presentation has no generator differentials and
-    only weight-homogeneous relations of weight below m.  Then the ideal
-    is spanned by homogeneous elements: the relations, and brackets of
-    generators with homogeneous ideal elements.  With columns ordered by
-    weight, the reduced row echelon form of its saturation is
+    cells of g*h of weight below m.  When its presentation has no
+    generator differentials and only weight-homogeneous relations, g*h is
+    built at t = max(m - 1, the heaviest relation weight) instead of m.
+    Then the ideal is spanned by homogeneous elements: the relations, and
+    brackets of generators with homogeneous ideal elements.  With columns
+    ordered by weight, the reduced row echelon form of its saturation is
     block-diagonal by weight, and the weight-w block is spanned by the
     relations of weight w and by brackets that land in weight w from
-    lower weights, none of which a truncation at t >= w cuts.  So at t
-    the cells of weight below m have the same labels, brackets and
-    differential as at m, and the weight-m cell (the bulk of the basis)
-    is never built.  Any other presentation is built at m as before, so
-    a relation heavier than m is still refused.
+    lower weights, none of which a truncation at t >= w cuts.  So at any
+    such t the cells of weight below m are the same labels, brackets and
+    differential.  t = m - 1 never builds the weight-m cell (the bulk of
+    the basis), and a relation heavier than m, which a truncation at m
+    cannot hold, raises t to its weight.  Any other presentation is built
+    at m as before, so a heavy relation there is still refused.
     """
     if word_bound < m - 1:
         raise ValueError("need word_bound >= m - 1 for a faithful window")

@@ -27,6 +27,7 @@ from .linalg import (
     _DgAlgebra,
     _add_scaled,
     _element_of,
+    _sparse,
 )
 from .freelie import (
     FreeLieTruncation,
@@ -404,7 +405,7 @@ def connected_cover(g: Dgla) -> tuple[Dgla, GradedLinearMap]:
     basis: dict[int, list[str]] = {}
     incl_vectors: dict[str, GradedElement] = {}
     ker0 = kernel_basis(g.d_map.block(0), g.space.dim(0))
-    in_ker0 = Coordinates(ker0, g.space.dim(0))
+    in_ker0 = Coordinates([_sparse(v) for v in ker0], g.space.dim(0))
     for n in g.space.degrees():
         if n > 0:
             basis[n] = list(g.space.labels(n))

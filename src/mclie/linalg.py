@@ -5,11 +5,13 @@ commutative algebras.
 
 All arithmetic is fractions.Fraction; there is no floating point anywhere.
 Linear maps are stored as sparse columns.  RowSpace, an incremental
-reduced row echelon form on sparse rows, is the one row reducer: homology,
-the weight cells of dglas and the quotient Lie algebras feed it sparse
-vectors, and Coordinates, rref, rank, kernel_basis and solve_matrix read
-dense vectors into it.  The reduced row echelon form is unique, so every
-derived report is reproducible bit for bit.
+reduced row echelon form, is the one row reducer, and sparse vectors
+({column: Fraction} dicts of nonzeros, as GradedVectorSpace.to_vector
+returns them) are its only input: homology, the weight cells of dglas,
+the quotient Lie algebras, Coordinates and the cdga constructions all
+feed it that way.  rref, rank, kernel_basis and solve_matrix are the
+entry points for dense matrices.  The reduced row echelon form is
+unique, so every derived report is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -50,19 +52,13 @@ class CertificateFailure(Exception):
 
 
 # ---------------------------------------------------------------------------
-# row reduction: dense matrices are lists of row lists of Fractions, read
-# into the incremental RowSpace, which keeps sparse rows
+# row reduction: RowSpace keeps sparse {column: Fraction} rows; rref, rank,
+# kernel_basis and solve_matrix read dense matrices (lists of row lists)
+# into it
 # ---------------------------------------------------------------------------
 
 def zeros(nrows: int, ncols: int) -> list[list[Fraction]]:
     return [[ZERO] * ncols for _ in range(nrows)]
-
-
-def identity_matrix(n: int) -> list[list[Fraction]]:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = ONE
-    return m
 
 
 def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]):
@@ -83,25 +79,20 @@ def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]):
     return out
 
 
-def mat_vec(a: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> list[Fraction]:
-    out = []
-    for row in a:
-        s = ZERO
-        for c, x in zip(row, v):
-            if c and x:
-                s += c * x
-        out.append(s)
-    return out
+def _sparse(vec: Sequence[Fraction]) -> dict[int, Fraction]:
+    """The nonzero entries of a dense vector, keyed by column."""
+    return {j: x for j, x in enumerate(vec) if x}
 
 
 def rref(rows: Iterable[Sequence[Fraction]], ncols: int):
-    """Reduced row echelon form of rows ncols wide: (nonzero reduced rows,
-    pivot columns) in pivot order, read off a RowSpace.  The form is
+    """Reduced row echelon form of dense rows ncols wide: (nonzero reduced
+    rows, pivot columns) in pivot order, read off a RowSpace.  The form is
     unique, so it is the leftmost-pivot Gauss-Jordan result."""
     span = RowSpace(ncols)
     for r in rows:
-        span._add({j: x for j, x in enumerate(r) if x})
-    return span.rows, span.pivots
+        span._add(_sparse(r))
+    pivots = span.pivots
+    return [[span._rows[pc].get(j, ZERO) for j in range(ncols)] for pc in pivots], pivots
 
 
 def rank(rows: Iterable[Sequence[Fraction]], ncols: int) -> int:
@@ -138,40 +129,26 @@ def solve_matrix(rows: Sequence[Sequence[Fraction]], ncols: int,
 
 
 class RowSpace:
-    """Incrementally maintained subspace in reduced row echelon form.
+    """Incrementally maintained subspace in reduced row echelon form, on
+    sparse vectors: {column: Fraction} dicts of nonzero entries.
 
-    Sparse inside: each row is a {column: Fraction} dict of its nonzeros,
-    keyed by its pivot; it is 1 at its pivot and 0 at every other pivot.
-    So _reduce(v) subtracts only the rows whose pivots occur in v, at
-    O(nnz(v) nnz(row)) cost, and _add rewrites only the rows nonzero at
-    the new pivot.  Pivots lie in the first ncols columns; entries past
-    them (as in Coordinates) are carried through every row operation.
-    reduce and add are dense adapters over the two, for vectors of one
-    width, used by Coordinates and the cdga sites; rows and pivots are
-    read-only views in pivot order, rows as dense lists as wide as the
-    widest vector added.
+    _rows maps each pivot to its row, which is 1 at its pivot and 0 at
+    every other pivot.  So _reduce(v) subtracts only the rows whose pivots
+    occur in v, at O(nnz(v) nnz(row)) cost, and _add rewrites only the rows
+    nonzero at the new pivot.  Pivots lie in the first ncols columns;
+    entries past them (as in Coordinates) are carried through every row
+    operation.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
         self._rows: dict[int, dict[int, Fraction]] = {}
-        self._width = ncols
 
     @property
     def pivots(self) -> list[int]:
         return sorted(self._rows)
 
-    @property
-    def rows(self) -> list[list[Fraction]]:
-        out = []
-        for pc in self.pivots:
-            v = [ZERO] * self._width
-            for j, x in self._rows[pc].items():
-                v[j] = x
-            out.append(v)
-        return out
-
-    def _reduce(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
+    def _reduce(self, vec: Mapping[int, Fraction]) -> dict[int, Fraction]:
         """vec minus its components along the rows, as a new dict."""
         rows = self._rows
         out = dict(vec)
@@ -186,7 +163,7 @@ class RowSpace:
                     del out[j]
         return out
 
-    def _add(self, vec: dict[int, Fraction]) -> bool:
+    def _add(self, vec: Mapping[int, Fraction]) -> bool:
         """Insert vec; True if it enlarged the span."""
         v = self._reduce(vec)
         pc = min((j for j in v if j < self.ncols), default=None)
@@ -207,47 +184,40 @@ class RowSpace:
         self._rows[pc] = v
         return True
 
-    def reduce(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        """vec minus its components along the rows."""
-        out = [ZERO] * len(vec)
-        for j, x in self._reduce({j: x for j, x in enumerate(vec) if x}).items():
-            out[j] = x
-        return out
-
-    def add(self, vec: Sequence[Fraction]) -> bool:
-        """Insert vec; True if it enlarged the span."""
-        self._width = max(self._width, len(vec))
-        return self._add({j: x for j, x in enumerate(vec) if x})
-
     def dim(self) -> int:
         return len(self._rows)
 
 
 class Coordinates:
-    """Coordinates in the span of a fixed list of vectors, reduced once.
+    """Coordinates in the span of a fixed list of sparse vectors, reduced
+    once.
 
-    Each echelon row carries after its ncols entries minus the combination
-    of the input vectors that produced it, so reducing v leaves its
-    coordinates there.  A vector enters a row only when it is independent
-    of those before it, so coords(v) is the solution with zero on every
-    dependent vector: exactly solve_matrix on the matrix with these vectors
-    as columns.
+    Each echelon row carries, in the columns past ncols, minus the
+    combination of the input vectors that produced it, so reducing v
+    leaves its coordinates there.  A vector enters a row only when it is
+    independent of those before it, so coords(v) is the solution with zero
+    on every dependent vector: exactly solve_matrix on the matrix with
+    these vectors as columns.
     """
 
-    def __init__(self, vectors: Sequence[Sequence[Fraction]], ncols: int):
+    def __init__(self, vectors: Sequence[Mapping[int, Fraction]], ncols: int):
         self.m = len(vectors)
         self.span = RowSpace(ncols)
         for i, v in enumerate(vectors):
-            tag = [ZERO] * self.m
-            tag[i] = -ONE
-            self.span.add(list(v) + tag)
+            tagged = dict(v)
+            tagged[ncols + i] = -ONE
+            self.span._add(tagged)
 
-    def coords(self, vec: Sequence[Fraction]) -> Optional[list[Fraction]]:
-        """Coefficients on all input vectors, or None outside their span."""
-        v = self.span.reduce(list(vec) + [ZERO] * self.m)
-        if any(v[:self.span.ncols]):
-            return None
-        return v[self.span.ncols:]
+    def coords(self, vec: Mapping[int, Fraction]) -> Optional[list[Fraction]]:
+        """The dense list of coefficients on all m input vectors, or None
+        outside their span."""
+        ncols = self.span.ncols
+        out = [ZERO] * self.m
+        for j, x in self.span._reduce(vec).items():
+            if j < ncols:
+                return None
+            out[j - ncols] = x
+        return out
 
     def rank(self) -> int:
         return self.span.dim()
@@ -308,8 +278,9 @@ class GradedVectorSpace:
     def basis_elements(self, n: int) -> list["GradedElement"]:
         return [self.basis_element(n, lab) for lab in self.labels(n)]
 
-    def to_vector(self, elt: "GradedElement", n: int) -> list[Fraction]:
-        v = [ZERO] * self.dim(n)
+    def to_vector(self, elt: "GradedElement", n: int) -> dict[int, Fraction]:
+        """elt as a sparse vector {index: coefficient} of degree n."""
+        v = {}
         for (d, lab), c in elt.coeffs.items():
             if d != n:
                 raise DegreeMismatch("element not concentrated in degree %d" % n)
@@ -551,7 +522,8 @@ class GradedLinearMap:
         for d in dict.fromkeys(d for d, _ in target_elt.coeffs):
             n = d - self.shift
             if n not in self._coordinates:
-                self._coordinates[n] = Coordinates(list(zip(*self.block(n))),
+                cols = self.columns.get(n) or [()] * self.source.dim(n)
+                self._coordinates[n] = Coordinates([dict(col) for col in cols],
                                                    self.target.dim(d))
             x = self._coordinates[n].coords(
                 self.target.to_vector(target_elt.homogeneous_part(d), d))
@@ -917,21 +889,21 @@ def idempotents(a: FiniteCommutativeAlgebra) -> list[list[Fraction]]:
     """
     n = a.n
     # subspaces as lists of coordinate vectors
-    subspaces: list[list[list[Fraction]]] = [identity_matrix(n)]
+    subspaces: list[list[list[Fraction]]] = [
+        [[ONE if t == i else ZERO for t in range(n)] for i in range(n)]]
     for g in range(n):
         eg = [ONE if t == g else ZERO for t in range(n)]
-        mg = a.mult_operator(eg)
         new_subspaces = []
         for v_basis in subspaces:
             k = len(v_basis)
             if k == 1:
                 new_subspaces.append(v_basis)
                 continue
-            # restrict mg to the subspace: solve mg*v_i = sum_j r_ji v_j
-            in_basis = Coordinates(v_basis, n)
+            # restrict e_g* to the subspace: solve e_g*v_i = sum_j r_ji v_j
+            in_basis = Coordinates([_sparse(v) for v in v_basis], n)
             restr = []
             for vb in v_basis:
-                coords = in_basis.coords(mat_vec(mg, vb))
+                coords = in_basis.coords(_sparse(a.multiply(eg, vb)))
                 if coords is None:
                     raise NonSplitAlgebra("subspace not invariant")
                 restr.append(coords)

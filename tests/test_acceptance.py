@@ -71,14 +71,12 @@ def tensor_oracle_dims(degrees, m):
                 deg_acc += dg
             if not vec:
                 continue
-            dense = [QQ(0)] * len(words)
-            for wd, c in vec.items():
-                dense[word_index[wd]] = c
-            by_degree.setdefault(deg_acc, []).append(dense)
+            by_degree.setdefault(deg_acc, []).append(
+                {word_index[wd]: c for wd, c in vec.items()})
         for deg, vecs in by_degree.items():
             rs = RowSpace(len(words))
             for v in vecs:
-                rs.add(v)
+                rs._add(v)
             if rs.dim():
                 dims[(w, deg)] = rs.dim()
     return dims

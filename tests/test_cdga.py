@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -6,6 +7,7 @@ import pytest
 from dense_reference import dense_rref, dense_solve
 from mclie.linalg import QQ, GradedElement, NonSplitAlgebra
 from mclie.dgla import abelian_dgla, sphere_dgla, f_xa_dgla
+from mclie.defs import build_builtin
 from mclie.cdga import (
     CdgaAxiomViolation,
     CdgaMorphism,
@@ -26,6 +28,7 @@ from mclie.cdga import (
     path_object,
     tensor_dgla_forms,
 )
+from test_acceptance import random_table_cdga as acceptance_table_cdga
 
 
 def qxq():
@@ -386,6 +389,63 @@ def test_localize_matches_reference_with_scaled_unit(coeffs):
                         {"s": GradedElement({(0, "ds"): QQ(1)})}, check="full")
     u = GradedElement({(0, lab): QQ(c) for lab, c in coeffs.items()})
     assert_same_localization(a, u)
+
+
+def _localize_cases():
+    """(cdga, u) pairs: seeded tables from the acceptance suite at two
+    sizes, each at a random combination of its degree-0 cocycles, and the
+    builtins qk:3, qxq and q_eps at idempotents, units, nilpotents and 0."""
+    cases = []
+    for seed in range(10):
+        rng = random.Random(seed)
+        a = acceptance_table_cdga(rng, max_dim=12 if seed < 6 else 16)
+        u = GradedElement()
+        for n, lab in a.basis_items():
+            if n == 0 and a.d(a.element(lab)).is_zero():
+                u = u + a.element(lab).scale(QQ(rng.randrange(-2, 3)))
+        cases.append((a, u))
+
+    def at(coeffs):
+        return GradedElement({(0, lab): QQ(c) for lab, c in coeffs.items()})
+
+    qk3, qxq_, qeps = (build_builtin(ref) for ref in ("qk:3", "qxq", "q_eps"))
+    cases += [(qk3, at({"1": 2, "e1": -1})), (qk3, at({"e1": 1})),
+              (qk3, at({"e1": 1, "e2": 3})), (qk3, at({"1": 1})),
+              (qxq_, at({"e": 1})), (qxq_, at({"1": 1, "e": -1})),
+              (qxq_, GradedElement()), (qeps, at({"eps": 1})),
+              (qeps, at({"1": 1, "eps": 1})), (qeps, at({"1": -3, "eps": 2}))]
+    return cases
+
+
+def _localization_structure(a, u):
+    """Everything localize builds, dict order included: the basis per
+    degree, every basis product, d on every basis element, the unit and
+    the localization map."""
+    loc, loc_map = localize(a, u)
+    items = loc.basis_items()
+    return (
+        [(n, loc.space.labels(n)) for n in loc.space.degrees()],
+        [(l1, l2, list(loc.mult_labels(d1, l1, d2, l2).coeffs.items()))
+         for (d1, l1), (d2, l2) in itertools.product(items, repeat=2)],
+        [(lab, list(loc.d(loc.space.basis_element(n, lab)).coeffs.items()))
+         for n, lab in items],
+        list(loc.unit.coeffs.items()),
+        [(lab, list(v.coeffs.items())) for lab, v in loc_map.items()],
+    )
+
+
+# recorded when localize still inverted the k x k matrix of u on the
+# eventual image and raised it to the N-th power
+LOCALIZE_DIGEST = "0280870cc52baa37b2dc098f9d492294cf51ce10fe7d0df5a2abc21e258a5cbb"
+
+
+def test_localize_structure_digest():
+    structures = [_localization_structure(a, u) for a, u in _localize_cases()]
+    assert sum(1 for s in structures if not s[0]) == 2  # the terminal cases
+    assert max(len(s[1]) for s in structures) == 81
+    assert sum(1 for s in structures if any(d for _, d in s[2])) == 9
+    digest = hashlib.sha256(repr(structures).encode()).hexdigest()
+    assert digest == LOCALIZE_DIGEST
 
 
 def test_localize_path_has_no_assert_statements():

@@ -332,28 +332,27 @@ def test_compare_free_product_heisenberg_abelian():
     (("abelian:1:1", "abelian:1:0"), 2), (("heisenberg", "heisenberg"), 3)])
 def test_product_truncation_keeps_the_cells_below_m(pair, heaviest):
     # heaviest: the largest relation weight of the two presentations
+    # t >= m - 1, so the build at t + 1 has every cell the window reads
     g, h = (load_algebra(ref) for ref in pair)
     for m in range(2, 6):
         t = _product_truncation(g, h, m)
-        assert t == (m - 1 if heaviest < m else m)
-        if t == m:
-            continue
-        at_m = free_product_dgla(g, h, m, check="skip")
+        assert t == max(m - 1, heaviest)
+        above = free_product_dgla(g, h, t + 1, check="skip")
         at_t = free_product_dgla(g, h, t, check="skip")
-        assert max(at_t.weights.values()) == m - 1
-        # the same labels, in the same order, in every cell of weight < m
-        assert at_t.basis_items() == [(n, lab) for n, lab in at_m.basis_items()
-                                      if at_m.weights[lab] < m]
-        assert at_t._cells() == {key: labs for key, labs in at_m._cells().items()
-                                 if key[0] < m}
+        assert max(at_t.weights.values()) == t
+        # the same labels, in the same order, in every cell of weight <= t
+        assert at_t.basis_items() == [(n, lab) for n, lab in above.basis_items()
+                                      if above.weights[lab] <= t]
+        assert at_t._cells() == {key: labs for key, labs in above._cells().items()
+                                 if key[0] <= t}
         items = at_t.basis_items()
         for (n1, l1), (n2, l2) in itertools.product(items, repeat=2):
-            if at_t.weights[l1] + at_t.weights[l2] < m:
+            if at_t.weights[l1] + at_t.weights[l2] <= t:
                 assert list(at_t.bracket_labels(n1, l1, n2, l2).coeffs.items()) == \
-                    list(at_m.bracket_labels(n1, l1, n2, l2).coeffs.items())
+                    list(above.bracket_labels(n1, l1, n2, l2).coeffs.items())
         for n, lab in items:
             e = at_t.space.basis_element(n, lab)
-            assert list(at_t.d(e).coeffs.items()) == list(at_m.d(e).coeffs.items())
+            assert list(at_t.d(e).coeffs.items()) == list(above.d(e).coeffs.items())
 
 
 def test_product_truncation_keeps_m_for_other_presentations():

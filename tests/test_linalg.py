@@ -27,6 +27,14 @@ from mclie.linalg import (
 )
 
 
+def sparse(vec):
+    return {j: x for j, x in enumerate(vec) if x}
+
+
+def dense(vec, width):
+    return [vec.get(j, QQ(0)) for j in range(width)]
+
+
 def two_term_identity():
     space = GradedVectorSpace({1: ["a"], 0: ["b"]})
     d = GradedLinearMap(space, space, -1, {1: [[QQ(1)]]})
@@ -118,7 +126,7 @@ def test_coordinates_equal_solve_matrix():
         if m >= 2 and rng.random() < 0.3:
             vecs[-1] = list(vecs[0])
         matrix = [[v[i] for v in vecs] for i in range(n)]
-        coords = Coordinates(vecs, n)
+        coords = Coordinates([sparse(v) for v in vecs], n)
         assert coords.rank() == dense_rank(vecs, n) == dense_rank(matrix, m)
         for _ in range(4):
             if rng.random() < 0.5:
@@ -127,7 +135,7 @@ def test_coordinates_equal_solve_matrix():
                 cs = [QQ(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in vecs]
                 b = [sum((c * v[i] for c, v in zip(cs, vecs)), QQ(0))
                      for i in range(n)]
-            x = coords.coords(b)
+            x = coords.coords(sparse(b))
             assert x == dense_solve(matrix, m, b) == solve_matrix(matrix, m, b)
             if x is None:
                 outside += 1
@@ -309,7 +317,8 @@ def test_sparse_map_matches_dense_reference():
                 for d in dict.fromkeys(d for d, _ in t.coeffs):
                     n = d - s1
                     sol = dense_solve(_dense_block(fb, u, v, s1, n), u.dim(n),
-                                      v.to_vector(t.homogeneous_part(d), d))
+                                      dense(v.to_vector(t.homogeneous_part(d), d),
+                                            v.dim(d)))
                     if sol is None:
                         want = None
                         break
@@ -445,7 +454,7 @@ def test_rowspace_matches_dense_rref(seed, ncols, extra, count):
     for i, v in enumerate(vecs):
         grew = dense_rank([u[:ncols] for u in vecs[:i + 1]], ncols) > \
             dense_rank([u[:ncols] for u in vecs[:i]], ncols)
-        assert rs.add(v) == grew
+        assert rs._add(sparse(v)) == grew
         if grew:
             taken.append(v)
     # the rows that entered are independent on the first ncols columns, so
@@ -455,13 +464,16 @@ def test_rowspace_matches_dense_rref(seed, ncols, extra, count):
     assert rref(taken, width) == (ref_rows, ref_pivots)
     square = [u[:ncols] for u in vecs]
     assert rref(square, ncols) == dense_rref(square, ncols)
+    assert all(type(x) is Fraction for row in rref(square, ncols)[0] for x in row)
     assert rs.pivots == ref_pivots
     assert rs.dim() == len(ref_pivots)
-    assert rs.rows == ref_rows
-    assert all(type(x) is Fraction for row in rs.rows for x in row)
+    assert [dense(rs._rows[pc], width) for pc in rs.pivots] == ref_rows
+    assert all(type(x) is Fraction and x for row in rs._rows.values()
+               for x in row.values())
     probes = _random_rows(rng, width, 6) + vecs[:3]
     for v in probes:
-        got = rs.reduce(v)
+        reduced = rs._reduce(sparse(v))
+        got = dense(reduced, width)
         assert got == _reduce_by(ref_rows, ref_pivots, v)
-        assert all(type(x) is Fraction for x in got)
+        assert all(type(x) is Fraction and x for x in reduced.values())
         assert not any(got[pc] for pc in ref_pivots)
