@@ -39,6 +39,7 @@ from .dgla import Dgla
 
 CDGA_PAIR_CAP = 80
 CDGA_TRIPLE_CAP = 26
+CELL_EXTRA_WEIGHT = 3
 
 
 class OddDegreeUnit(Exception):
@@ -599,80 +600,80 @@ def localize(a: Cdga, u: GradedElement):
         raise EvenDegreeUnit("the finite-table colimit model needs |u| = 0; "
                              "present the algebra as a truncated free cdga "
                              "for the cell model")
-    items = a.basis_items()
-    n_total = len(items)
-    index = {it: i for i, it in enumerate(items)}
-
-    def vector(elt: GradedElement) -> dict:
-        return {index[key]: c for key, c in elt.coeffs.items()}
-
     # multiplication by u and its N-th power: u^N e_i spans the eventual
     # image, and u^N e_i in image coordinates is loc_map[e_i].  L_u is
     # applied N times rather than multiplying by the element u^N, since
     # associativity is only checked up to CDGA_TRIPLE_CAP
-    mult_u = GradedLinearMap.from_function(
-        a.space, a.space, 0, lambda n, lab: a.multiply(u, a.space.basis_element(n, lab)))
-    N = n_total
+    mult_u = _multiplication(a, u)
     power = mult_u
-    for _ in range(N - 1):
+    for _ in range(a.space.total_dim() - 1):
         power = mult_u.compose(power)
-    pushed = [power.apply(a.space.basis_element(n, lab)) for n, lab in items]
-    rs = RowSpace(n_total)
-    for e in pushed:
-        rs._add(vector(e))
-    image_rows = [rs._rows[pc] for pc in rs.pivots]
-
-    # pick labels for the localized algebra, degreewise
-    basis: dict[int, list[str]] = {}
-    row_info = []
-    image: dict[str, GradedElement] = {}
-    for ridx, row in enumerate(image_rows):
-        degs = {items[i][0] for i in row}
-        if len(degs) != 1:
-            raise LocalizationFailure("eventual image row %d is not homogeneous"
-                                      % ridx)
-        d = degs.pop()
-        lab = "loc%d" % ridx
-        basis.setdefault(d, []).append(lab)
-        row_info.append((d, lab))
-        image[lab] = GradedElement({items[i]: c for i, c in row.items()})
-    space = GradedVectorSpace(basis)
-
-    in_image = Coordinates(image_rows, n_total)
-    # u^-N on the eventual image: u^-N v is the y with u^N y = v
-    pulled = Coordinates([vector(power.apply(image[lab])) for _, lab in row_info],
-                         n_total)
-    if pulled.rank() != len(image_rows):
+    counter = itertools.count()
+    inclusion, image = _image_inclusion(power, lambda n, i: "loc%d" % next(counter))
+    space = inclusion.source
+    # u^-N on the eventual image: u^-N v is the y with u^N y = v.  u^N maps
+    # the image into itself, so it is invertible there when it reaches
+    # every basis vector
+    pulled = power.compose(inclusion)
+    if any(pulled.solve(v) is None for v in image.values()):
         raise LocalizationFailure("u is not invertible on the eventual image")
 
-    def coords_in(basis_of: Coordinates, elt: GradedElement) -> GradedElement:
-        coords = basis_of.coords(vector(elt))
-        if coords is None:
+    def preimage(m: GradedLinearMap, elt: GradedElement) -> GradedElement:
+        x = m.solve(elt)
+        if x is None:
             raise LocalizationFailure("vector not in the eventual image")
-        return GradedElement({row_info[r]: c for r, c in enumerate(coords) if c})
+        return x
 
     def mult_fn(d1, l1, d2, l2):
-        return coords_in(pulled, a.multiply(image[l1], image[l2]))
+        return preimage(pulled, a.multiply(image[l1], image[l2]))
 
     def d_fn(n, lab):
-        return coords_in(in_image, a.d(image[lab]))
+        return preimage(inclusion, a.d(image[lab]))
 
-    unit = coords_in(in_image, power.apply(a.unit))
+    unit = preimage(inclusion, power.apply(a.unit))
     if space.total_dim() == 0:
         loc = Cdga(space, d_fn, mult_fn, GradedElement(), check="skip")
     else:
         loc = Cdga(space, d_fn, mult_fn, unit, check="auto")
-    loc_map = {lab: coords_in(in_image, e) for (n, lab), e in zip(items, pushed)}
+    loc_map = {lab: preimage(inclusion, power.apply(a.space.basis_element(n, lab)))
+               for n, lab in a.basis_items()}
     return loc, loc_map
 
 
-def localize_cell(a: FreePolynomialCdga, u: GradedElement, extra_weight: int = 3):
+def _multiplication(a: Cdga, u: GradedElement) -> GradedLinearMap:
+    """Multiplication by u, of degree 0, as a map of A."""
+    return GradedLinearMap.from_function(
+        a.space, a.space, 0, lambda n, lab: a.multiply(u, a.space.basis_element(n, lab)))
+
+
+def _image_inclusion(m: GradedLinearMap, name: Callable[[int, int], str]):
+    """The inclusion of the image of a degree-0 map m, and the image of
+    each label under it: degree by degree, the reduced echelon rows of m's
+    columns in pivot order, the i-th of degree n labelled name(n, i)."""
+    basis: dict[int, list[str]] = {}
+    rows: dict[str, GradedElement] = {}
+    for n in m.target.degrees():
+        span = RowSpace(m.target.dim(n))
+        for col in m.columns.get(n, ()):
+            span._add(dict(col))
+        labels = m.target.labels(n)
+        for i, pc in enumerate(span.pivots):
+            lab = name(n, i)
+            basis.setdefault(n, []).append(lab)
+            rows[lab] = GradedElement({(n, labels[j]): x
+                                       for j, x in sorted(span._rows[pc].items())})
+    return GradedLinearMap.from_function(GradedVectorSpace(basis), m.target, 0,
+                                         lambda n, lab: rows[lab]), rows
+
+
+def localize_cell(a: FreePolynomialCdga, u: GradedElement):
     """Cell model of the localization for a truncated free cdga: adjoin y
-    (cohdeg -|u|) and z (cohdeg -1) with d(z) = u*y - 1, d(y) = 0."""
+    (cohdeg -|u|) and z (cohdeg -1) with d(z) = u*y - 1, d(y) = 0, and
+    truncate CELL_EXTRA_WEIGHT above a."""
     _check_localization_input(a, u)
     cohdeg_u = -(u.degree() or 0)
     gens = list(a.generators) + [("y", -cohdeg_u, 1), ("z", -1, 0)]
-    target_weight = a.max_weight + extra_weight
+    target_weight = a.max_weight + CELL_EXTRA_WEIGHT
     scratch = FreePolynomialCdga(gens, target_weight, a._dgens, check="skip")
     uy = scratch.multiply(GradedElement(u.coeffs), scratch.generator_element("y"))
     dgens = dict(a._dgens)
@@ -682,24 +683,20 @@ def localize_cell(a: FreePolynomialCdga, u: GradedElement, extra_weight: int = 3
     return out
 
 
-def cohomology_algebra(a: Cdga, degree: int = 0):
-    """H at the given homological degree as a FiniteCommutativeAlgebra,
-    together with representative cycles.  For degree 0 this is the H^0 of
-    the idempotent machinery."""
+def cohomology_algebra(a: Cdga):
+    """H^0 as a FiniteCommutativeAlgebra, together with representative
+    cycles: the algebra the idempotents of idempotent_split come from."""
     h = a.homology()
-    reps = h.representatives.get(degree, [])
+    reps = h.representatives.get(0, [])
     k = len(reps)
     if k == 0:
-        raise ZeroCohomology("H is zero in degree %d" % degree)
-    cycles = Coordinates([a.space.to_vector(c, degree)
-                          for c in reps + h.boundaries.get(degree, [])],
-                         a.space.dim(degree))
+        raise ZeroCohomology("H is zero in degree 0")
 
     def project(elt: GradedElement):
-        x = cycles.coords(a.space.to_vector(elt, degree))
+        x = h.class_of(elt, 0)
         if x is None:
-            raise NonCocycle("element is not a cycle in degree %d" % degree)
-        return x[:k]
+            raise NonCocycle("element is not a cycle in degree 0")
+        return x
 
     table = {}
     for i in range(k):
@@ -719,7 +716,7 @@ def idempotent_split(a: Cdga):
     Raises NonSplitAlgebra (from the idempotent machinery) when H^0 is not
     a finite product of copies of Q.
     """
-    h0, reps = cohomology_algebra(a, 0)
+    h0, reps = cohomology_algebra(a)
     idems = algebra_idempotents(h0)
     nonneg = all(n <= 0 for n in a.space.degrees())
     factors = []
@@ -735,41 +732,20 @@ def idempotent_split(a: Cdga):
 
 def _strict_factor(a: Cdga, u: GradedElement) -> Cdga:
     """The direct factor u*A of an exact idempotent u."""
-    by_degree: dict[int, list[GradedElement]] = {}
-    in_factor: dict[int, Coordinates] = {}
-    for n in a.space.degrees():
-        span = RowSpace(a.space.dim(n))
-        for e in a.space.basis_elements(n):
-            span._add(a.space.to_vector(a.multiply(u, e), n))
-        rows = [span._rows[pc] for pc in span.pivots]
-        in_factor[n] = Coordinates(rows, a.space.dim(n))
-        labels = a.space.labels(n)
-        if rows:
-            by_degree[n] = [GradedElement({(n, labels[j]): x
-                                           for j, x in sorted(row.items())})
-                            for row in rows]
-    basis = {n: ["f%d_%d" % (n, i) for i in range(len(v))]
-             for n, v in by_degree.items()}
-    space = GradedVectorSpace(basis)
-    vec_of = {}
-    for n, vs in by_degree.items():
-        for i, v in enumerate(vs):
-            vec_of[basis[n][i]] = v
+    inclusion, image = _image_inclusion(_multiplication(a, u),
+                                        lambda n, i: "f%d_%d" % (n, i))
 
-    def express(elt: GradedElement) -> GradedElement:
-        out: dict = {}
-        for n in sorted(elt.degrees()):
-            x = in_factor[n].coords(a.space.to_vector(elt.homogeneous_part(n), n))
-            if x is None:
-                raise ValueError("element not in the factor")
-            out.update(space.from_vector(x, n).coeffs)  # keys never collide
-        return _element_of(out)
+    def to_factor(elt: GradedElement) -> GradedElement:
+        x = inclusion.solve(elt)
+        if x is None:
+            raise CdgaAxiomViolation("element not in the factor")
+        return x
 
     def mult_fn(d1, l1, d2, l2):
-        return express(a.multiply(vec_of[l1], vec_of[l2]))
+        return to_factor(a.multiply(image[l1], image[l2]))
 
-    return Cdga(space, lambda n, lab: express(a.d(vec_of[lab])), mult_fn, express(u),
-                check="auto")
+    return Cdga(inclusion.source, lambda n, lab: to_factor(a.d(image[lab])), mult_fn,
+                to_factor(u), check="auto")
 
 
 def localization_exactness_report(a: Cdga, u: GradedElement,
@@ -789,19 +765,16 @@ def localization_exactness_report(a: Cdga, u: GradedElement,
     for n in sorted(set(h.degrees()) | set(h_loc.degrees())):
         rs = h.representatives.get(n, [])
         k = len(rs)
-        cycles = Coordinates([a.space.to_vector(c, n)
-                              for c in rs + h.boundaries.get(n, [])],
-                             a.space.dim(n))
         vecs = [{i: ONE} for i in range(k)]
         for _ in range(k):
             new = []
             for v in vecs:
-                x = cycles.coords(a.space.to_vector(a.multiply(
-                    u, linear_combination((c, rs[i]) for i, c in v.items())), n))
+                x = h.class_of(a.multiply(
+                    u, linear_combination((c, rs[i]) for i, c in v.items())), n)
                 if x is None:
                     raise LocalizationFailure("u times a cycle is not a cycle "
                                               "in degree %d" % n)
-                new.append(_sparse(x[:k]))
+                new.append(_sparse(x))
             vecs = new
         image = RowSpace(k)
         for v in vecs:

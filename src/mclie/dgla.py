@@ -17,7 +17,6 @@ from typing import Callable, Mapping, Optional, Sequence
 from .linalg import (
     ONE,
     QQ,
-    Coordinates,
     DegreeMismatch,
     GradedElement,
     GradedLinearMap,
@@ -27,7 +26,6 @@ from .linalg import (
     _DgAlgebra,
     _add_scaled,
     _element_of,
-    _sparse,
 )
 from .freelie import (
     FreeLieTruncation,
@@ -405,7 +403,6 @@ def connected_cover(g: Dgla) -> tuple[Dgla, GradedLinearMap]:
     basis: dict[int, list[str]] = {}
     incl_vectors: dict[str, GradedElement] = {}
     ker0 = kernel_basis(g.d_map.block(0), g.space.dim(0))
-    in_ker0 = Coordinates([_sparse(v) for v in ker0], g.space.dim(0))
     for n in g.space.degrees():
         if n > 0:
             basis[n] = list(g.space.labels(n))
@@ -420,24 +417,17 @@ def connected_cover(g: Dgla) -> tuple[Dgla, GradedLinearMap]:
             if labs:
                 basis[0] = labs
     space = GradedVectorSpace(basis)
+    inclusion = GradedLinearMap.from_function(space, g.space, 0,
+                                              lambda n, lab: incl_vectors[lab])
 
-    def express(elt: GradedElement) -> GradedElement:
-        """Coordinates of an element of the cover subspace."""
-        out: dict = {}
-        for n in sorted(elt.degrees()):
-            part = elt.homogeneous_part(n)
-            if n == 0:
-                x = in_ker0.coords(g.space.to_vector(part, 0))
-                if x is None:
-                    raise AxiomViolation("element not in the connected cover")
-                part = space.from_vector(x, 0)
-            elif n < 0:
-                raise AxiomViolation("negative-degree component in the cover")
-            out.update(part.coeffs)  # one degree per part: keys never collide
-        return _element_of(out)
+    def to_cover(elt: GradedElement) -> GradedElement:
+        x = inclusion.solve(elt)
+        if x is None:
+            raise AxiomViolation("element not in the connected cover")
+        return x
 
     def bracket_fn(d1, l1, d2, l2):
-        return express(g.bracket(incl_vectors[l1], incl_vectors[l2]))
+        return to_cover(g.bracket(incl_vectors[l1], incl_vectors[l2]))
 
     weights = None
     if g.weights is not None:
@@ -450,12 +440,8 @@ def connected_cover(g: Dgla) -> tuple[Dgla, GradedLinearMap]:
                     weights[lab] = min((g.weights[l2]
                                         for (_, l2) in incl_vectors[lab].coeffs),
                                        default=1)
-    cover = Dgla(space,
-                 lambda n, lab: express(g.d(incl_vectors[lab])) if n >= 1 else GradedElement(),
-                 bracket_fn, weights=weights,
-                 weight_bound=g.weight_bound, check="auto")
-    inclusion = GradedLinearMap.from_function(space, g.space, 0,
-                                              lambda n, lab: incl_vectors[lab])
+    cover = Dgla(space, lambda n, lab: to_cover(g.d(incl_vectors[lab])), bracket_fn,
+                 weights=weights, weight_bound=g.weight_bound, check="auto")
     return cover, inclusion
 
 

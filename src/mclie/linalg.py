@@ -12,6 +12,12 @@ the quotient Lie algebras, Coordinates and the cdga constructions all
 feed it that way.  rref, rank, kernel_basis and solve_matrix are the
 entry points for dense matrices.  The reduced row echelon form is
 unique, so every derived report is reproducible bit for bit.
+
+Coordinates in a subspace come from here: a subspace with a basis of its
+own (a connected cover, a strict factor u*A, an eventual image) reads
+them through its inclusion map's GradedLinearMap.solve, and a homology
+class through HomologyReport.class_of.  Outside this module only the
+transfer data and the derivations report build a Coordinates.
 """
 
 from __future__ import annotations
@@ -517,7 +523,9 @@ class GradedLinearMap:
 
     def solve(self, target_elt: GradedElement) -> Optional[GradedElement]:
         """Some preimage under the map, or None.  Deterministic: reduced row
-        echelon with free variables pinned to zero (pivot-minimal)."""
+        echelon with free variables pinned to zero (pivot-minimal).  The
+        preimage's keys come per target degree, in the order the degrees
+        first appear in target_elt, and within a degree in basis order."""
         out: dict[tuple[int, str], Fraction] = {}
         for d in dict.fromkeys(d for d, _ in target_elt.coeffs):
             n = d - self.shift
@@ -664,20 +672,34 @@ class _DgAlgebra:
 
 
 class HomologyReport:
-    """Per-degree homology data: dimension, representative cycles whose
-    classes form a basis, and a basis of the boundary space."""
+    """Per-degree homology data of a complex on space: dimension,
+    representative cycles whose classes form a basis, and a boundary basis."""
 
-    def __init__(self, dims: dict[int, int],
+    def __init__(self, space: GradedVectorSpace, dims: dict[int, int],
                  representatives: dict[int, list[GradedElement]],
                  boundaries: dict[int, list[GradedElement]],
                  cycle_dims: dict[int, int]):
+        self.space = space
         self.dims = dims
         self.representatives = representatives
         self.boundaries = boundaries
         self.cycle_dims = cycle_dims
+        self._cycles: dict[int, Coordinates] = {}
 
     def dim(self, n: int) -> int:
         return self.dims.get(n, 0)
+
+    def class_of(self, elt: GradedElement, n: int) -> Optional[list[Fraction]]:
+        """A degree-n cycle's class as coefficients on the representatives,
+        or None for a non-cycle; the Coordinates over representatives and
+        boundaries is built on first use."""
+        if n not in self._cycles:
+            self._cycles[n] = Coordinates(
+                [self.space.to_vector(c, n) for c in
+                 self.representatives.get(n, []) + self.boundaries.get(n, [])],
+                self.space.dim(n))
+        x = self._cycles[n].coords(self.space.to_vector(elt, n))
+        return None if x is None else x[:self.dim(n)]
 
     def degrees(self) -> list[int]:
         return sorted(self.dims)
@@ -738,7 +760,7 @@ def homology(c: ChainComplex) -> HomologyReport:
         reps[n] = [element(v) for v in chosen]
         dims[n] = len(chosen)
         cycle_dims[n] = len(ker)
-    return HomologyReport(dims, reps, bnds, cycle_dims)
+    return HomologyReport(space, dims, reps, bnds, cycle_dims)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from .linalg import (
     ONE,
     QQ,
     ZERO,
-    Coordinates,
     GradedElement,
     kernel_basis,
     linear_combination,
@@ -1034,24 +1033,23 @@ def induced_homology_iso(incl, src: Dgla, dst: Dgla, degree: int) -> bool:
         return False
     if hs.dim(degree) == 0:
         return True
-    reps_d = hd.representatives[degree]
-    bnds_d = hd.boundaries.get(degree, [])
-    cycles = Coordinates([dst.space.to_vector(c, degree) for c in reps_d + bnds_d],
-                         dst.space.dim(degree))
     images = []
     for r in hs.representatives[degree]:
-        x = cycles.coords(dst.space.to_vector(incl.apply(r), degree))
+        x = hd.class_of(incl.apply(r), degree)
         if x is None:
             return False
-        images.append(x[:len(reps_d)])
-    return rank(images, len(reps_d)) == hd.dim(degree)
+        images.append(x)
+    return rank(images, hd.dim(degree)) == hd.dim(degree)
 
 
-def verify_component_decomposition(g: Dgla, n_max: int = 4,
-                                   support: Optional[int] = None) -> dict:
+COMPONENT_N_MAX = 4
+
+
+def verify_component_decomposition(g: Dgla, support: Optional[int] = None) -> dict:
     """For each pi_0 representative xi: H_{n-1} of the connected cover of
-    g^xi agrees with H_{n-1}(g^xi) for 1 <= n <= n_max, via the inclusion;
-    for abelian g additionally pi_0 MC = H_{-1} along two code paths."""
+    g^xi agrees with H_{n-1}(g^xi) for 1 <= n <= COMPONENT_N_MAX, via the
+    inclusion; for abelian g additionally pi_0 MC = H_{-1} along two code
+    paths."""
     moduli = pi0_moduli(g, support=support)
     per_rep = {}
     ok = True
@@ -1059,7 +1057,7 @@ def verify_component_decomposition(g: Dgla, n_max: int = 4,
         twisted = twist(g, xi, check="skip")
         cover, incl = connected_cover(twisted)
         degrees = {}
-        for n in range(1, n_max + 1):
+        for n in range(1, COMPONENT_N_MAX + 1):
             k = n - 1
             iso = induced_homology_iso(incl, cover, twisted, k)
             degrees[n] = iso

@@ -308,11 +308,11 @@ def test_criterion_07_component_decomposition():
         g_s_dgla(2, 2),
     ]
     for g in battery:
-        report = verify_component_decomposition(g, n_max=4)
+        report = verify_component_decomposition(g)
         ok = ok and report["pass"]
     # stabilized run on a presented truncation: same verdicts at m and m+1
     for m in (4, 5):
-        report = verify_component_decomposition(f_xa_dgla(m), n_max=4, support=m)
+        report = verify_component_decomposition(f_xa_dgla(m), support=m)
         ok = ok and report["pass"] and report["moduli_count"] == 2
     record(7, "Theorem 4 consequence: cover homology isomorphisms", ok)
 

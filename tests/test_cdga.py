@@ -17,6 +17,7 @@ from mclie.cdga import (
     NonCocycle,
     OddDegreeUnit,
     apply_linear,
+    cohomology_algebra,
     derivations_report,
     idempotent_split,
     localization_exactness_report,
@@ -492,6 +493,72 @@ def test_split_strict_for_nonnegative():
     assert total == a.space.total_dim()
 
 
+def _elt(n, **coeffs):
+    return GradedElement({(n, lab): QQ(c) for lab, c in coeffs.items()})
+
+
+def _split_tables():
+    """Two finite tables beside qk:3 and qxq.  The first is non-negatively
+    graded, with orthogonal idempotents p and q, a cone s -> ds on p and an
+    exterior class r on q, so it splits into three strict factors.  The
+    second has p*p = p + ds, so H^0 reads a product through a boundary, and
+    s in cohomological degree -1 sends its split to localizations."""
+    names = ["p", "q", "s", "ds", "r"]
+    table = {pair: GradedElement()
+             for pair in itertools.combinations_with_replacement(names, 2)}
+    table.update({("p", "p"): _elt(0, p=1), ("q", "q"): _elt(0, q=1),
+                  ("p", "s"): _elt(0, s=1), ("p", "ds"): _elt(-1, ds=1),
+                  ("q", "r"): _elt(-1, r=1)})
+    nonneg = FiniteTableCdga({0: ["1", "p", "q", "s"], 1: ["ds", "r"]}, table,
+                             "1", {"s": _elt(-1, ds=1)}, check="full")
+    names = ["p", "ds", "s"]
+    table = {pair: GradedElement()
+             for pair in itertools.combinations_with_replacement(names, 2)}
+    table.update({("p", "p"): _elt(0, p=1, ds=1), ("p", "s"): _elt(1, s=1),
+                  ("p", "ds"): _elt(0, ds=1)})
+    z_graded = FiniteTableCdga({0: ["1", "p", "ds"], -1: ["s"]}, table, "1",
+                               {"s": _elt(0, ds=1)}, check="full")
+    return nonneg, z_graded
+
+
+def _split_structure(a):
+    """cohomology_algebra(a) and every factor of idempotent_split(a), as
+    sorted items: H^0's table, unit and representatives; then per factor its
+    kind, its idempotent, the basis per degree, every basis product, d on
+    every basis element, the unit and the exactness report of A[u^-1]."""
+    h0, reps = cohomology_algebra(a)
+    out = [(h0.labels, sorted(h0.table.items()), h0.unit,
+            [sorted(r.coeffs.items()) for r in reps])]
+    for u, f, kind in idempotent_split(a):
+        items = f.basis_items()
+        out.append((
+            kind, sorted(u.coeffs.items()),
+            [(n, f.space.labels(n)) for n in f.space.degrees()],
+            [(l1, l2, sorted(f.mult_labels(d1, l1, d2, l2).coeffs.items()))
+             for (d1, l1), (d2, l2) in itertools.product(items, repeat=2)],
+            [(lab, sorted(f.d(f.space.basis_element(n, lab)).coeffs.items()))
+             for n, lab in items],
+            sorted(f.unit.coeffs.items()),
+            localization_exactness_report(a, u),
+        ))
+    return out
+
+
+# recorded when cohomology_algebra, _strict_factor and the exactness report
+# still built a Coordinates of their own for each subspace
+SPLIT_DIGEST = "38459e5cc7d269873466ebb566fbed3f07a334e6bf58ac0edc74af623f32882c"
+
+
+def test_split_structure_digest():
+    algebras = [build_builtin("qk:3"), build_builtin("qxq"), *_split_tables()]
+    structures = [_split_structure(a) for a in algebras]
+    assert [[f[0] for f in s[1:]] for s in structures] == [
+        ["strict"] * 3, ["strict"] * 2, ["strict"] * 3, ["localization"] * 2]
+    assert structures[3][0][1][3] == ((1, 1), [QQ(0), QQ(1)])  # p*p = p + ds
+    digest = hashlib.sha256(repr(structures).encode()).hexdigest()
+    assert digest == SPLIT_DIGEST
+
+
 # --- tensor dgla forms ----------------------------------------------------------
 
 
@@ -596,6 +663,18 @@ def test_cohomology_algebra_raises_named_errors(monkeypatch):
     monkeypatch.setattr(mclie.cdga.Coordinates, "coords", lambda self, v: None)
     with pytest.raises(NonCocycle, match="not a cycle"):
         cohomology_algebra(qxq())
+
+
+def test_strict_factor_raises_named_error(monkeypatch):
+    # a product leaving u*A is an axiom violation, which cli.main maps to
+    # exit 1, not a bare ValueError
+    from mclie.cdga import _strict_factor
+    a = build_builtin("qk:3")
+    u = idempotent_split(a)[0][0]
+    import mclie.cdga
+    monkeypatch.setattr(mclie.cdga.Coordinates, "coords", lambda self, v: None)
+    with pytest.raises(CdgaAxiomViolation, match="not in the factor"):
+        _strict_factor(a, u)
 
 
 # --- construction-time axiom checks ------------------------------------------

@@ -397,6 +397,31 @@ def test_homology_matches_dense_reference(ref):
             for got, vecs in ((h.representatives[n], reps), (h.boundaries[n], bnd)):
                 assert [list(e.coeffs.items()) for e in got] == \
                     [list(a.space.from_vector(v, n).coeffs.items()) for v in vecs]
+            _check_class_of(h, a.space, c.d, n, reps, bnd)
+
+
+def _check_class_of(h, space, d, n, reps, bnd):
+    """class_of against the dense vectors: each representative is a unit
+    vector, each boundary zero, a combination of both the representatives'
+    coefficients, and every vector with a nonzero dense image None."""
+    k, cols = len(reps), space.dim(n)
+    zero = [QQ(0)] * k
+    for i, v in enumerate(reps):
+        assert h.class_of(space.from_vector(v, n), n) == \
+            [QQ(int(i == j)) for j in range(k)]
+    for v in bnd:
+        assert h.class_of(space.from_vector(v, n), n) == zero
+    rng = random.Random(cols * 31 + n)
+    coeffs = [QQ(rng.randrange(-3, 4), rng.randrange(1, 4)) for _ in reps + bnd]
+    mix = [sum((c * v[t] for c, v in zip(coeffs, reps + bnd)), QQ(0))
+           for t in range(cols)]
+    assert h.class_of(space.from_vector(mix, n), n) == coeffs[:k]
+    block = d.block(n)
+    for t in range(cols):
+        e = [QQ(int(t == j)) for j in range(cols)]
+        if any(row[t] for row in block):
+            assert h.class_of(space.from_vector(
+                [x + y for x, y in zip(mix, e)], n), n) is None
 
 
 def test_linalg_has_no_assert_statements():

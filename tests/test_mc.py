@@ -6,20 +6,25 @@ import pytest
 from mclie.linalg import QQ, GradedElement
 from mclie.dgla import (
     abelian_dgla,
+    connected_cover,
+    dgla_from_table,
     disjoint_product,
     f_xa_dgla,
     g_s_dgla,
     heisenberg_dgla,
     is_mc,
     sphere_dgla,
+    twist,
     zero_dgla,
 )
 from mclie.cdga import tensor_dgla_forms
+from mclie.defs import build_builtin
 from mclie.mc import (
     IncompleteSolve,
     derive_constraints,
     expand_system_over_forms,
     faces_preserve_mc,
+    induced_homology_iso,
     mc_simplices,
     mc_vertices,
     oracle_system_over_forms,
@@ -281,6 +286,64 @@ def test_component_decomposition_trivial_twist():
     assert report["pass"], report
 
 
+def _cover_structure(g):
+    """connected_cover(g) as sorted items: the basis per degree, every basis
+    bracket, d on every basis element, the weights, the inclusion images
+    and whether the inclusion is an iso on H_0 .. H_3."""
+    cover, incl = connected_cover(g)
+    items = cover.basis_items()
+    return (
+        [(n, cover.space.labels(n)) for n in cover.space.degrees()],
+        [(l1, l2, sorted(cover.bracket_labels(d1, l1, d2, l2).coeffs.items()))
+         for (d1, l1), (d2, l2) in itertools.product(items, repeat=2)],
+        [(lab, sorted(cover.d(cover.space.basis_element(n, lab)).coeffs.items()))
+         for n, lab in items],
+        sorted((cover.weights or {}).items()),
+        [(lab, sorted(incl.apply(cover.space.basis_element(n, lab)).coeffs.items()))
+         for n, lab in items],
+        [induced_homology_iso(incl, cover, g, k) for k in range(4)],
+    )
+
+
+def _twisted_cover_structures(g):
+    """The cover of each twisted g^xi that verify_component_decomposition
+    builds, then the H_iso verdicts of its report."""
+    out = [(repr(xi), _cover_structure(twist(g, xi, check="skip")))
+           for xi in pi0_moduli(g).representatives]
+    report = verify_component_decomposition(g)
+    out.append([(idx, r["xi"], sorted(r["H_iso"].items()))
+                for idx, r in sorted(report["representatives"].items())])
+    return out
+
+
+def _positive_degree_dgla():
+    """y in degree 1 with d(y) = b - c, a, b, c in degree 0 with d(a) = x,
+    [a, b] = b, [a, c] = c and [a, y] = y: ker d_0 = <b, c>, so the cover
+    reads b - c in coordinates of its own."""
+    def elt(n, **coeffs):
+        return GradedElement({(n, lab): QQ(c) for lab, c in coeffs.items()})
+    return dgla_from_table(
+        {1: ["y"], 0: ["a", "b", "c"], -1: ["x"]},
+        {("a", "b"): elt(0, b=1), ("a", "c"): elt(0, c=1), ("a", "y"): elt(1, y=1)},
+        {"y": elt(0, b=1, c=-1), "a": elt(-1, x=1)})
+
+
+# recorded when connected_cover still expressed degree-0 elements through a
+# Coordinates of its own and passed the positive degrees through
+COVER_DIGEST = "e243f4a5ade5ddae28d0b8535fdda3578950568f9925a891398000271d7ec628"
+
+
+def test_connected_cover_structure_digest():
+    structures = [_twisted_cover_structures(build_builtin(ref))
+                  for ref in ("heisenberg", "sphere", "f_xa:3", "g_S:2")]
+    assert [len(s) - 1 for s in structures] == [1, 2, 2, 3]
+    structures.append(_cover_structure(_positive_degree_dgla()))
+    assert structures[-1][0] == [(0, ("ker0_0", "ker0_1")), (1, ("y",))]
+    assert all(all(cover[-1]) for s in structures[:-1] for _, cover in s[:-1])
+    digest = hashlib.sha256(repr(structures).encode()).hexdigest()
+    assert digest == COVER_DIGEST
+
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -517,9 +580,9 @@ def _solver_systems():
         lambda: [verify_theorem_f([zero_dgla()] * k, 4) for k in (1, 2, 3)],
         lambda: verify_theorem_f([ab_line, zero_dgla()], 4),
         lambda: verify_theorem_f([heisenberg_dgla(), abelian_dgla({0: ["z"]})], 4),
-        lambda: [verify_component_decomposition(g, n_max=4) for g in
+        lambda: [verify_component_decomposition(g) for g in
                  (pi0_chain, sphere_dgla(), heisenberg_dgla(), g_s_dgla(2, 2))],
-        lambda: [verify_component_decomposition(f_xa_dgla(m), n_max=4, support=m)
+        lambda: [verify_component_decomposition(f_xa_dgla(m), support=m)
                  for m in (4, 5)],
     ]
     mc_module.solve_structured = record
