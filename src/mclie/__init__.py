@@ -6,7 +6,6 @@ from .linalg import (
     QQ,
     ChainComplex,
     DegreeMismatch,
-    FiniteCommutativeAlgebra,
     GradedElement,
     GradedLinearMap,
     GradedVectorSpace,

@@ -22,7 +22,6 @@ from .linalg import (
     ZERO,
     ChainComplex,
     Coordinates,
-    FiniteCommutativeAlgebra,
     GradedElement,
     GradedLinearMap,
     GradedVectorSpace,
@@ -84,6 +83,7 @@ class Cdga(_DgAlgebra):
 
     _SIGN = ONE
     _SYMMETRY = "graded commutativity"
+    _TRIPLE_LAW = "associativity"
     _VIOLATION = CdgaAxiomViolation
     _TRIPLE_CAP = CDGA_TRIPLE_CAP
 
@@ -118,26 +118,19 @@ class Cdga(_DgAlgebra):
     # -- axioms ---------------------------------------------------------------
 
     def verify_axioms(self, pair_cap: int = CDGA_PAIR_CAP,
-                      triple_cap: int = CDGA_TRIPLE_CAP):
+                      triple_cap: int = CDGA_TRIPLE_CAP) -> list[tuple[str, int, int]]:
+        """The unit, then graded commutativity/Leibniz on basis pairs and
+        associativity on basis triples within the given size caps, then the
+        augmentation; returns the laws the caps skipped (see
+        _check_axioms)."""
         items = self.basis_items()
-        n = len(items)
         for (dd, lab) in items:
             e = self.space.basis_element(dd, lab)
             if not (self.multiply(self.unit, e) - e).is_zero():
                 raise CdgaAxiomViolation("unit fails on %s" % lab)
         if not self.d(self.unit).is_zero():
             raise CdgaAxiomViolation("unit is not a cocycle")
-        if n <= pair_cap:
-            self._check_pairs(items)
-        if n <= triple_cap:
-            for (d1, l1), (d2, l2), (d3, l3) in itertools.product(items, repeat=3):
-                u = self.space.basis_element(d1, l1)
-                v = self.space.basis_element(d2, l2)
-                w = self.space.basis_element(d3, l3)
-                if not (self.multiply(self.multiply(u, v), w) -
-                        self.multiply(u, self.multiply(v, w))).is_zero():
-                    raise CdgaAxiomViolation(
-                        "associativity fails on (%s, %s, %s)" % (l1, l2, l3))
+        skipped = self._check_axioms(pair_cap, triple_cap)
         if self.augmentation is not None:
             for (dd, lab) in items:
                 if dd != 0 and self.augmentation.get(lab, ZERO):
@@ -147,6 +140,11 @@ class Cdga(_DgAlgebra):
                     raise CdgaAxiomViolation("augmentation is not a dg map")
             if self.eps(self.unit) != ONE:
                 raise CdgaAxiomViolation("augmentation of the unit is not 1")
+        return skipped
+
+    def _triple_residual(self, u, v, w, d1: int, d2: int) -> GradedElement:
+        """(uv)w - u(vw)."""
+        return self.multiply(self.multiply(u, v), w) - self.multiply(u, self.multiply(v, w))
 
 
 class FiniteTableCdga(Cdga):
@@ -166,10 +164,7 @@ class FiniteTableCdga(Cdga):
         basis = {-n: labs for n, labs in basis_cohomological.items()}
         space = GradedVectorSpace(basis)
         degree_of = {lab: n for n in space.degrees() for lab in space.labels(n)}
-        full: dict[tuple[str, str], GradedElement] = dict(table)
-        for (l1, l2), val in list(full.items()):
-            if (l2, l1) not in full:
-                full[(l2, l1)] = val.scale(self._mirror_sign(degree_of[l1], degree_of[l2]))
+        full = self._mirror_filled(space, table)
         for lab, n in degree_of.items():
             full.setdefault((unit_label, lab), space.basis_element(n, lab))
             full.setdefault((lab, unit_label), space.basis_element(n, lab))
@@ -684,27 +679,30 @@ def localize_cell(a: FreePolynomialCdga, u: GradedElement):
 
 
 def cohomology_algebra(a: Cdga):
-    """H^0 as a FiniteCommutativeAlgebra, together with representative
-    cycles: the algebra the idempotents of idempotent_split come from."""
+    """H^0 as a Cdga in degree 0 with zero differential, basis h0..h{k-1}
+    the classes of the representative cycles, together with those cycles:
+    the algebra the idempotents of idempotent_split come from.  Its
+    associativity is checked on every triple, whatever k."""
     h = a.homology()
     reps = h.representatives.get(0, [])
     k = len(reps)
     if k == 0:
         raise ZeroCohomology("H is zero in degree 0")
+    labels = ["h%d" % i for i in range(k)]
+    space = GradedVectorSpace({0: labels})
 
-    def project(elt: GradedElement):
+    def project(elt: GradedElement) -> GradedElement:
         x = h.class_of(elt, 0)
         if x is None:
             raise NonCocycle("element is not a cycle in degree 0")
-        return x
+        return space.from_vector(x, 0)
 
-    table = {}
-    for i in range(k):
-        for j in range(k):
-            table[(i, j)] = project(a.multiply(reps[i], reps[j]))
-    unit = project(a.unit)
-    alg = FiniteCommutativeAlgebra(["h%d" % i for i in range(k)], table, unit)
-    return alg, reps
+    table = {(labels[i], labels[j]): project(a.multiply(reps[i], reps[j]))
+             for i in range(k) for j in range(k)}
+    h0 = Cdga(space, None, lambda d1, l1, d2, l2: table[(l1, l2)], project(a.unit),
+              check="skip")
+    h0.verify_axioms(pair_cap=k, triple_cap=k)
+    return h0, reps
 
 
 def idempotent_split(a: Cdga):

@@ -57,6 +57,7 @@ class Dgla(_DgAlgebra):
 
     _SIGN = -ONE
     _SYMMETRY = "antisymmetry"
+    _TRIPLE_LAW = "Jacobi"
     _VIOLATION = AxiomViolation
     _TRIPLE_CAP = AXIOM_TRIPLE_CAP
 
@@ -93,24 +94,17 @@ class Dgla(_DgAlgebra):
     # -- axioms ---------------------------------------------------------------
 
     def verify_axioms(self, pair_cap: int = AXIOM_PAIR_CAP,
-                      triple_cap: int = AXIOM_TRIPLE_CAP):
+                      triple_cap: int = AXIOM_TRIPLE_CAP) -> list[tuple[str, int, int]]:
         """Exhaustive antisymmetry/Leibniz on basis pairs and graded Jacobi
-        on basis triples, within the given size caps."""
-        items = self.basis_items()
-        n = len(items)
-        if n <= pair_cap:
-            self._check_pairs(items)
-        if n <= triple_cap:
-            for (d1, l1), (d2, l2), (d3, l3) in itertools.product(items, repeat=3):
-                u = self.space.basis_element(d1, l1)
-                v = self.space.basis_element(d2, l2)
-                w = self.space.basis_element(d3, l3)
-                lhs = self.bracket(u, self.bracket(v, w))
-                rhs = self.bracket(self.bracket(u, v), w) + \
-                    self.bracket(v, self.bracket(u, w)).scale(
-                        -ONE if (d1 * d2) % 2 else ONE)
-                if not (lhs - rhs).is_zero():
-                    raise AxiomViolation("Jacobi fails on (%s, %s, %s)" % (l1, l2, l3))
+        on basis triples, within the given size caps; returns the laws the
+        caps skipped (see _check_axioms)."""
+        return self._check_axioms(pair_cap, triple_cap)
+
+    def _triple_residual(self, u, v, w, d1: int, d2: int) -> GradedElement:
+        """[u,[v,w]] - [[u,v],w] - (-1)^{|u||v|} [v,[u,w]]."""
+        return self.bracket(u, self.bracket(v, w)) - (
+            self.bracket(self.bracket(u, v), w) +
+            self.bracket(v, self.bracket(u, w)).scale(-ONE if (d1 * d2) % 2 else ONE))
 
 
 class DglaPresentation:
@@ -151,14 +145,7 @@ def dgla_from_table(basis: Mapping[int, Sequence[str]],
     filled in by graded antisymmetry, everything else is zero.
     """
     space = GradedVectorSpace(basis)
-    degree_of = {lab: n for n in space.degrees() for lab in space.labels(n)}
-    table: dict[tuple[str, str], GradedElement] = {}
-    for (l1, l2), val in brackets.items():
-        table[(l1, l2)] = val
-    for (l1, l2), val in list(table.items()):
-        if (l2, l1) not in table:
-            table[(l2, l1)] = val.scale(Dgla._mirror_sign(degree_of[l1], degree_of[l2]))
-
+    table = Dgla._mirror_filled(space, brackets)
     differentials = differentials or {}
 
     def bracket_fn(d1, l1, d2, l2):

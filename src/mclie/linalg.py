@@ -1,7 +1,8 @@
 """Exact rational linear algebra: graded vector spaces, sparse elements,
 degree-shifting linear maps, chain complexes and their homology, the
-core that dglas and cdgas share, and primitive idempotents of split finite
-commutative algebras.
+core that dglas and cdgas share (with their one axiom checker), and the
+primitive idempotents of a split commutative algebra in degree 0: H^0 of
+a cdga, held as a Cdga with zero differential.
 
 All arithmetic is fractions.Fraction; there is no floating point anywhere.
 Linear maps are stored as sparse columns.  RowSpace, an incremental
@@ -566,7 +567,8 @@ class ChainComplex:
 
 class _DgAlgebra:
     """What dglas and cdgas share: a graded space, a differential of shift
-    -1, and a product on basis pairs with one graded symmetry.
+    -1, a product on basis pairs with one graded symmetry, and one axiom
+    checker.
 
     product_fn(deg1, label1, deg2, label2) -> GradedElement is evaluated
     lazily with a cache, so large truncated quotients never materialize a
@@ -578,8 +580,11 @@ class _DgAlgebra:
 
     A subclass sets _SIGN (v*u = _SIGN (-1)^{|u||v|} u*v: -1 for a Lie
     bracket, +1 for a commutative product), _SYMMETRY (the name of that
-    axiom), _VIOLATION (the exception a failed axiom raises) and
-    _TRIPLE_CAP, and names the product under its own public aliases.  The
+    axiom), _TRIPLE_LAW (the law on basis triples, "Jacobi" or
+    "associativity") with its _triple_residual, _VIOLATION (the exception a
+    failed axiom raises) and _TRIPLE_CAP, and names the product under its
+    own public aliases.  Its verify_axioms calls _check_axioms, the one
+    pair loop (the symmetry, then Leibniz) and the one triple loop.  The
     class and its product methods are underscored because perfbench's
     tracer times every call of a public name in a span of its own.
 
@@ -608,6 +613,19 @@ class _DgAlgebra:
     def _mirror_sign(cls, d1: int, d2: int) -> Fraction:
         """s with v*u = s u*v for u, v of degrees d1, d2."""
         return cls._SIGN * (-ONE if (d1 * d2) % 2 else ONE)
+
+    @classmethod
+    def _mirror_filled(cls, space: GradedVectorSpace,
+                       table: Mapping[tuple[str, str], GradedElement]
+                       ) -> dict[tuple[str, str], GradedElement]:
+        """table with each missing mirror pair (l2, l1) filled in by the
+        graded symmetry, after the given pairs in their order."""
+        degree_of = {lab: n for n in space.degrees() for lab in space.labels(n)}
+        full = dict(table)
+        for (l1, l2), val in table.items():
+            if (l2, l1) not in full:
+                full[(l2, l1)] = val.scale(cls._mirror_sign(degree_of[l1], degree_of[l2]))
+        return full
 
     def basis_items(self) -> list[tuple[int, str]]:
         return [(n, lab) for n in self.space.degrees() for lab in self.space.labels(n)]
@@ -654,21 +672,36 @@ class _DgAlgebra:
     def total_dim(self) -> int:
         return self.space.total_dim()
 
-    def _check_pairs(self, items: list[tuple[int, str]]):
+    def _check_axioms(self, pair_cap: int, triple_cap: int) -> list[tuple[str, int, int]]:
         """The graded symmetry and the Leibniz rule on every ordered pair
-        of basis elements."""
-        for (d1, l1), (d2, l2) in itertools.product(items, repeat=2):
-            uv = self._product_labels(d1, l1, d2, l2)
-            vu = self._product_labels(d2, l2, d1, l1)
-            if not (uv - vu.scale(self._mirror_sign(d2, d1))).is_zero():
-                raise self._VIOLATION("%s fails on (%s, %s)" % (self._SYMMETRY, l1, l2))
-            u = self.space.basis_element(d1, l1)
-            v = self.space.basis_element(d2, l2)
-            lhs = self.d(uv)
-            rhs = self._product(self.d(u), v) + \
-                self._product(u, self.d(v)).scale(-ONE if d1 % 2 else ONE)
-            if not (lhs - rhs).is_zero():
-                raise self._VIOLATION("Leibniz fails on (%s, %s)" % (l1, l2))
+        of basis elements when there are at most pair_cap of them, and
+        _TRIPLE_LAW on every ordered triple when at most triple_cap; raises
+        _VIOLATION naming the first failure.  Returns (law, basis size,
+        cap) for each law a cap skipped."""
+        items = self.basis_items()
+        n = len(items)
+        basis = [(d, lab, self.space.basis_element(d, lab)) for d, lab in items]
+        skipped = []
+        if n <= pair_cap:
+            for (d1, l1, u), (d2, l2, v) in itertools.product(basis, repeat=2):
+                uv = self._product_labels(d1, l1, d2, l2)
+                vu = self._product_labels(d2, l2, d1, l1)
+                if not (uv - vu.scale(self._mirror_sign(d2, d1))).is_zero():
+                    raise self._VIOLATION("%s fails on (%s, %s)" % (self._SYMMETRY, l1, l2))
+                rhs = self._product(self.d(u), v) + \
+                    self._product(u, self.d(v)).scale(-ONE if d1 % 2 else ONE)
+                if not (self.d(uv) - rhs).is_zero():
+                    raise self._VIOLATION("Leibniz fails on (%s, %s)" % (l1, l2))
+        else:
+            skipped += [(self._SYMMETRY, n, pair_cap), ("Leibniz", n, pair_cap)]
+        if n <= triple_cap:
+            for (d1, l1, u), (d2, l2, v), (_, l3, w) in itertools.product(basis, repeat=3):
+                if not self._triple_residual(u, v, w, d1, d2).is_zero():
+                    raise self._VIOLATION("%s fails on (%s, %s, %s)"
+                                          % (self._TRIPLE_LAW, l1, l2, l3))
+        else:
+            skipped.append((self._TRIPLE_LAW, n, triple_cap))
+        return skipped
 
 
 class HomologyReport:
@@ -764,80 +797,8 @@ def homology(c: ChainComplex) -> HomologyReport:
 
 
 # ---------------------------------------------------------------------------
-# finite commutative algebras and idempotent splitting
+# idempotent splitting of a commutative algebra in degree 0
 # ---------------------------------------------------------------------------
-
-class FiniteCommutativeAlgebra:
-    """Finite-dimensional commutative associative unital algebra over Q.
-
-    table[(i, j)] is the coefficient vector of e_i * e_j; unit is a
-    coefficient vector.  Commutativity, associativity and unitality are
-    checked on construction.
-    """
-
-    def __init__(self, labels: Sequence[str], table: Mapping[tuple[int, int], Sequence[Fraction]],
-                 unit: Sequence[Fraction]):
-        self.labels = list(labels)
-        n = len(self.labels)
-        self.n = n
-        self.table = {}
-        for i in range(n):
-            for j in range(n):
-                v = table.get((i, j))
-                if v is None:
-                    v = table.get((j, i))
-                if v is None:
-                    v = [ZERO] * n
-                self.table[(i, j)] = [rational(x) for x in v]
-        self.unit = [rational(x) for x in unit]
-        self._check()
-
-    def _check(self):
-        n = self.n
-        for i in range(n):
-            for j in range(i, n):
-                if self.table[(i, j)] != self.table[(j, i)]:
-                    raise ValueError("multiplication table not commutative")
-        for i in range(n):
-            ei = [ONE if k == i else ZERO for k in range(n)]
-            if self.multiply(self.unit, ei) != ei:
-                raise ValueError("unit fails on basis element %d" % i)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    ei = [ONE if t == i else ZERO for t in range(n)]
-                    ej = [ONE if t == j else ZERO for t in range(n)]
-                    ek = [ONE if t == k else ZERO for t in range(n)]
-                    left = self.multiply(self.multiply(ei, ej), ek)
-                    right = self.multiply(ei, self.multiply(ej, ek))
-                    if left != right:
-                        raise ValueError("multiplication not associative")
-
-    def multiply(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
-        n = self.n
-        out = [ZERO] * n
-        for i in range(n):
-            if not u[i]:
-                continue
-            for j in range(n):
-                if not v[j]:
-                    continue
-                c = u[i] * v[j]
-                tij = self.table[(i, j)]
-                for k in range(n):
-                    if tij[k]:
-                        out[k] += c * tij[k]
-        return out
-
-    def mult_operator(self, u: Sequence[Fraction]) -> list[list[Fraction]]:
-        """Matrix of multiplication by u in the given basis."""
-        n = self.n
-        cols = []
-        for j in range(n):
-            ej = [ONE if t == j else ZERO for t in range(n)]
-            cols.append(self.multiply(u, ej))
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
-
 
 def _char_poly(m: list[list[Fraction]]) -> list[Fraction]:
     """Characteristic polynomial coefficients [1, c1, ..., cn] of m
@@ -901,15 +862,28 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     return sorted(roots)
 
 
-def idempotents(a: FiniteCommutativeAlgebra) -> list[list[Fraction]]:
+def idempotents(a) -> list[list[Fraction]]:
     """Orthogonal primitive idempotents of a split algebra, by simultaneous
-    rational eigenspace splitting of the multiplication operators.
+    rational eigenspace splitting of the multiplication operators, as
+    coordinate lists in its basis.
+
+    a is a commutative algebra concentrated in degree 0, a cdga such as the
+    H^0 of cdga.cohomology_algebra: it is read through its degree-0 basis,
+    a.multiply and a.unit.
 
     Raises NonSplitAlgebra when some multiplication operator has an
     irrational or non-semisimple spectrum, i.e. the algebra is not a finite
     product of copies of Q.
     """
-    n = a.n
+    n = a.space.dim(0)
+
+    def dense(elt: GradedElement) -> list[Fraction]:
+        v = a.space.to_vector(elt, 0)
+        return [v.get(t, ZERO) for t in range(n)]
+
+    def multiply(u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
+        return dense(a.multiply(a.space.from_vector(u, 0), a.space.from_vector(v, 0)))
+
     # subspaces as lists of coordinate vectors
     subspaces: list[list[list[Fraction]]] = [
         [[ONE if t == i else ZERO for t in range(n)] for i in range(n)]]
@@ -925,7 +899,7 @@ def idempotents(a: FiniteCommutativeAlgebra) -> list[list[Fraction]]:
             in_basis = Coordinates([_sparse(v) for v in v_basis], n)
             restr = []
             for vb in v_basis:
-                coords = in_basis.coords(_sparse(a.multiply(eg, vb)))
+                coords = in_basis.coords(_sparse(multiply(eg, vb)))
                 if coords is None:
                     raise NonSplitAlgebra("subspace not invariant")
                 restr.append(coords)
@@ -960,7 +934,7 @@ def idempotents(a: FiniteCommutativeAlgebra) -> list[list[Fraction]]:
         raise NonSplitAlgebra("common eigenspaces are not one-dimensional")
     idems = []
     for (vec,) in subspaces:
-        sq = a.multiply(vec, vec)
+        sq = multiply(vec, vec)
         # v*v = mu*v on a common eigenline; mu = 0 would mean a nilpotent line
         mu = None
         for i in range(n):
@@ -974,16 +948,16 @@ def idempotents(a: FiniteCommutativeAlgebra) -> list[list[Fraction]]:
         idems.append([x / mu for x in vec])
     # exact verification of the defining identities
     for i, e in enumerate(idems):
-        if a.multiply(e, e) != e:
+        if multiply(e, e) != e:
             raise NonSplitAlgebra("candidate idempotent fails e*e = e")
         for j in range(i + 1, len(idems)):
-            if any(a.multiply(e, idems[j])):
+            if any(multiply(e, idems[j])):
                 raise NonSplitAlgebra("candidate idempotents not orthogonal")
     s = [ZERO] * n
     for e in idems:
         for t in range(n):
             s[t] += e[t]
-    if s != a.unit:
+    if s != dense(a.unit):
         raise NonSplitAlgebra("idempotents do not sum to the unit")
     idems.sort()
     return idems

@@ -1048,8 +1048,7 @@ COMPONENT_N_MAX = 4
 def verify_component_decomposition(g: Dgla, support: Optional[int] = None) -> dict:
     """For each pi_0 representative xi: H_{n-1} of the connected cover of
     g^xi agrees with H_{n-1}(g^xi) for 1 <= n <= COMPONENT_N_MAX, via the
-    inclusion; for abelian g additionally pi_0 MC = H_{-1} along two code
-    paths."""
+    inclusion."""
     moduli = pi0_moduli(g, support=support)
     per_rep = {}
     ok = True
@@ -1063,19 +1062,8 @@ def verify_component_decomposition(g: Dgla, support: Optional[int] = None) -> di
             degrees[n] = iso
             ok = ok and iso
         per_rep[idx] = {"xi": repr(xi), "H_iso": degrees}
-    out = {"pass": ok, "representatives": per_rep,
-           "moduli_count": moduli.count()}
-    if g.is_abelian():
-        # two paths: the linear-family quotient against the chain-level
-        # homology computation
-        h = g.homology()
-        linear = pi0_moduli(g)
-        out["abelian_pi0_equals_H"] = {
-            "pi0_dim": linear.dims.get("H_-1"), "H_dim": h.dim(-1),
-            "pass": linear.dims.get("H_-1") == h.dim(-1)}
-        ok = ok and out["abelian_pi0_equals_H"]["pass"]
-        out["pass"] = ok
-    return out
+    return {"pass": ok, "representatives": per_rep,
+            "moduli_count": moduli.count()}
 
 
 # ---------------------------------------------------------------------------

@@ -527,7 +527,15 @@ def _split_structure(a):
     kind, its idempotent, the basis per degree, every basis product, d on
     every basis element, the unit and the exactness report of A[u^-1]."""
     h0, reps = cohomology_algebra(a)
-    out = [(h0.labels, sorted(h0.table.items()), h0.unit,
+    labels = list(h0.space.labels(0))
+
+    def dense(elt):
+        v = h0.space.to_vector(elt, 0)
+        return [v.get(t, QQ(0)) for t in range(len(labels))]
+
+    table = {(i, j): dense(h0.mult_labels(0, l1, 0, l2))
+             for i, l1 in enumerate(labels) for j, l2 in enumerate(labels)}
+    out = [(labels, sorted(table.items()), dense(h0.unit),
             [sorted(r.coeffs.items()) for r in reps])]
     for u, f, kind in idempotent_split(a):
         items = f.basis_items()

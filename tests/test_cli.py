@@ -232,6 +232,36 @@ def test_every_builtin_passes_check(capsys):
     assert out.count("PASS") == len(builtins)
 
 
+def _associativity_breaker_27(tmp_path):
+    """27 basis elements in degree 0, one above the cdga triple cap, with
+    (a a) b = c but a (a b) = 0."""
+    d = tmp_path / "breaker27.def"
+    labels = ["1", "a", "b", "c"] + ["z%d" % i for i in range(1, 24)]
+    d.write_text("kind cdga\n" + "".join("basis %s 0\n" % lab for lab in labels)
+                 + "unit 1\nmul a a = 1 a\nmul a b = 1 c\n")
+    return d
+
+
+def test_check_names_the_laws_its_caps_skip(tmp_path, capsys):
+    d = _associativity_breaker_27(tmp_path)
+    rc, out, _ = run_cli(["check", "--builtin", "g_S:8", str(d)], capsys)
+    assert rc == 0
+    assert out.splitlines()[2:] == [
+        "  skipped associativity(%s) = 27  [basis elements > cap 26]" % d,
+        "axioms(%s): PASS" % d,
+        "  skipped Jacobi(builtin:g_S:8) = 44  [basis elements > cap 24]",
+        "axioms(builtin:g_S:8): PASS"]
+
+
+def test_check_under_the_caps_skips_nothing(capsys):
+    rc, out, _ = run_cli(["check", "--builtin", "f_xa:3", "--builtin", "qk:3"],
+                         capsys)
+    assert rc == 0
+    assert "skipped" not in out
+    assert out.splitlines()[2:] == ["axioms(builtin:f_xa:3): PASS",
+                                    "axioms(builtin:qk:3): PASS"]
+
+
 def test_twisted_differential_in_definition_file(tmp_path, capsys):
     # the disjoint product of the line with the zero algebra, written out
     # as an explicit free-dgla definition with the twisted differential
@@ -411,6 +441,16 @@ d y = 1 1
     rc, out, err = run_cli(["split", str(d)], capsys)
     assert rc == 1
     assert err.startswith("ZeroCohomology: ")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_split_checks_associativity_of_h0_above_the_triple_cap(tmp_path, capsys):
+    # construction checks associativity only up to 27 - 1 basis elements;
+    # H^0 is the whole algebra and is checked on every triple
+    rc, out, err = run_cli(["split", str(_associativity_breaker_27(tmp_path))], capsys)
+    assert rc == 1
+    assert err.startswith("CdgaAxiomViolation: associativity fails on (")
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
 
