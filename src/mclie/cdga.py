@@ -183,6 +183,8 @@ class FreePolynomialCdga(Cdga):
     honest dg quotient.
 
     generators: (name, cohomological degree) or (name, cohdeg, weight).
+    weights maps each basis monomial to its truncation weight, so the
+    cells of _cells() are (truncation weight, degree).
     """
 
     def __init__(self, generators: Sequence[tuple], max_weight: int,
@@ -206,13 +208,13 @@ class FreePolynomialCdga(Cdga):
         self._label_of_mono: dict[tuple, str] = {}
         self._mono_of_label: dict[str, tuple] = {}
         basis: dict[int, list[str]] = {}
-        self.mono_weight: dict[str, int] = {}
+        self.weights: dict[str, int] = {}
         for weight, lab, mono in monos:
             deg = -self._mono_cohdeg(mono)
             self._label_of_mono[mono] = lab
             self._mono_of_label[lab] = mono
             basis.setdefault(deg, []).append(lab)
-            self.mono_weight[lab] = weight
+            self.weights[lab] = weight
         space = GradedVectorSpace(basis)
 
         for name, cohdeg, weight in self.generators:
@@ -222,28 +224,32 @@ class FreePolynomialCdga(Cdga):
                     raise CdgaAxiomViolation(
                         "d(%s) must be homogeneous of cohomological degree %d"
                         % (name, cohdeg + 1))
-                if self.mono_weight[lab] < weight:
+                if self.weights[lab] < weight:
                     raise TruncationNotDgStable(
                         "d(%s) lowers truncation weight" % name)
 
-        aug = None
-        if self._aug_gens is not None:
-            aug = {}
-            for mono, lab in self._label_of_mono.items():
-                val = ONE
-                for gi, e in mono:
-                    a = self._aug_gens.get(self.generators[gi][0], ZERO)
-                    if self.generators[gi][1] != 0 and a:
-                        raise CdgaAxiomViolation(
-                            "augmentation nonzero on a nonzero-degree generator")
-                    val *= a ** e
-                    if not val:
-                        break
-                if val:
-                    aug[lab] = val
-
+        aug = None if self._aug_gens is None else self._evaluation(self._aug_gens)
         unit = GradedElement({(0, "1"): ONE})
         super().__init__(space, self._d_label_build, self._mult_labels_build, unit, aug, check)
+
+    def _evaluation(self, values: Mapping[str, Fraction]) -> dict[str, Fraction]:
+        """The algebra map to Q with the given generator values (0 where
+        none is given), extended multiplicatively: its nonzero values on
+        the basis monomials."""
+        out = {}
+        for mono, lab in self._label_of_mono.items():
+            val = ONE
+            for gi, e in mono:
+                a = values.get(self.generators[gi][0], ZERO)
+                if self.generators[gi][1] != 0 and a:
+                    raise CdgaAxiomViolation(
+                        "augmentation nonzero on a nonzero-degree generator")
+                val *= a ** e
+                if not val:
+                    break
+            if val:
+                out[lab] = val
+        return out
 
     # monomials are tuples of (generator index, exponent), sorted by index
 
@@ -276,9 +282,6 @@ class FreePolynomialCdga(Cdga):
         # (weight, label) is unique, so the monomial itself is never compared
         return sorted((w, self._format(m), m)
                       for w, monos in by_weight.items() for m in monos)
-
-    def _mono_weight(self, mono) -> int:
-        return sum(self.generators[i][2] * e for i, e in mono)
 
     def _mono_cohdeg(self, mono) -> int:
         return sum(self.generators[i][1] * e for i, e in mono)
@@ -331,7 +334,7 @@ class FreePolynomialCdga(Cdga):
         if res is None:
             return GradedElement()
         sign, merged = res
-        if self._mono_weight(merged) > self.max_weight:
+        if self.weights[l1] + self.weights[l2] > self.max_weight:
             return GradedElement()
         lab = self._label_of_mono[merged]
         return GradedElement({(-self._mono_cohdeg(merged), lab): sign})

@@ -27,18 +27,15 @@ from .linalg import (
     QQ,
     ZERO,
     CertificateFailure,
-    ChainComplex,
     Coordinates,
     GradedElement,
-    GradedLinearMap,
     GradedVectorSpace,
     RowSpace,
     _add_scaled,
     _element_of,
-    homology as complex_homology,
     linear_combination,
 )
-from .freelie import LiePresentation
+from .freelie import InvalidDifferential, LiePresentation
 from .dgla import (
     Dgla,
     DglaPresentation,
@@ -53,7 +50,12 @@ from .cdga import Cdga, CdgaMorphism, FreePolynomialCdga, NoAugmentation
 class CEComplex:
     """The Chevalley-Eilenberg cdga C(g) = (S Sigma g*, d_I + d_II),
     truncated by word length (or by the weight grading of g when
-    truncate_by="weight"), with the canonical augmentation at 0."""
+    truncate_by="weight"), with the canonical augmentation at 0.
+
+    Under truncate_by="weight" the algebra's (weight, degree) cells are
+    the weight blocks of C(g), and g must be weight-graded (d and the
+    bracket keep weight): a generator differential with a term of another
+    weight raises InvalidDifferential."""
 
     def __init__(self, g: Dgla, bound: int, truncate_by: str = "length"):
         if bound < 1:
@@ -105,58 +107,39 @@ class CEComplex:
                 for (_, labk), c in br.items():
                     _add_scaled(acc[labk], prod, QQ(-1, 2) * sign * c)
         dgens = {self.sigma_of[lab]: GradedElement(acc[lab]) for _, lab in items}
-        aug = {name: ZERO for name, _, _ in
-               [(self.sigma_of[lab], 0, 0) for _, lab in items]}
+        aug = dict.fromkeys(dgens, ZERO)
+        if truncate_by == "weight":
+            # each weight block is a subcomplex only if d keeps weight; a
+            # term missing from scratch is a generator above the bound
+            gen_weight = {name: w for name, _, w in gens}
+            for n, lab in items:
+                w = weight_of[(n, lab)]
+                off = [t for _, t in acc[lab]
+                       if scratch.weights.get(t, gen_weight.get(t)) != w]
+                if off:
+                    raise InvalidDifferential(
+                        "truncation by weight needs a weight-graded dgla: d(%s) "
+                        "has the term %s, not of weight %d"
+                        % (self.sigma_of[lab], off[0], w))
         self.algebra = FreePolynomialCdga(gens, bound, dgens, aug, check="auto")
-        self._blocks: Optional[dict[int, list[tuple[int, str]]]] = None
-
-    def _weight_blocks(self) -> dict[int, list[tuple[int, str]]]:
-        """Total g-weight -> the reduced basis monomials of that weight, in
-        basis order, built once; each sigma-factor carries the weight of
-        its dual basis element."""
-        if self._blocks is None:
-            g_weight = {(n, lab): w for (w, n), labs in self.g._cells().items()
-                        for lab in labs}
-            # the algebra's generators are in the order of g's basis
-            gen_weight = [g_weight[key] for key in self.g.basis_items()]
-            blocks: dict[int, list[tuple[int, str]]] = {}
-            for n, lab in self.reduced_labels():
-                w = sum(gen_weight[gi] * e
-                        for gi, e in self.algebra._mono_of_label[lab])
-                blocks.setdefault(w, []).append((n, lab))
-            self._blocks = blocks
-        return self._blocks
-
-    def reduced_labels(self):
-        return [(n, lab) for n, lab in self.algebra.basis_items() if lab != "1"]
+        self._cell_dims: Optional[dict[tuple[int, int], int]] = None
 
     def reduced_homology_dims(self) -> dict[int, int]:
-        """Cohomological dimensions of H(C_+)."""
-        h = self._reduced_homology()
-        return {-n: h.dim(n) for n in h.degrees() if h.dim(n)}
-
-    def _reduced_homology(self, weight: Optional[int] = None):
-        if weight is None:
-            labels = self.reduced_labels()
-        else:
-            labels = self._weight_blocks().get(weight, [])
-        basis: dict[int, list[str]] = {}
-        for n, lab in labels:
-            basis.setdefault(n, []).append(lab)
-        space = GradedVectorSpace(basis)
-        keep = {lab for _, lab in labels}
-
-        def d_fn(n, lab):
-            img = self.algebra.d(self.algebra.space.basis_element(n, lab))
-            return GradedElement({k: c for k, c in img.coeffs.items()
-                                  if k[1] in keep})
-        d_map = GradedLinearMap.from_function(space, space, -1, d_fn)
-        return complex_homology(ChainComplex(space, d_map))
+        """Cohomological dimensions of H(C_+): d has no constant term, so
+        H(C) = H(C_+) + Q 1, and the unit's class is left out."""
+        h = self.algebra.homology()
+        return {-n: v for n in h.degrees() if (v := h.dim(n) - (n == 0))}
 
     def weight_block_dims(self, weight: int) -> dict[int, int]:
-        """H(C_+) of the given total g-weight block, cohomological keys."""
-        h = self._reduced_homology(weight)
-        return {-n: h.dim(n) for n in h.degrees() if h.dim(n)}
+        """H(C_+) of the given total g-weight block, cohomological keys: the
+        homology of the algebra's cells of that weight, computed once, less
+        the unit's class in the cell (0, 0)."""
+        if self.truncate_by != "weight":
+            raise ValueError("weight blocks need a CE complex truncated by weight")
+        if self._cell_dims is None:
+            self._cell_dims = self.algebra._cell_homology(0)
+            self._cell_dims[(0, 0)] -= 1
+        return {-n: v for (w, n), v in self._cell_dims.items() if w == weight and v}
 
 
 def ce_complex(g: Dgla, word_bound: int, truncate_by: str = "length") -> CEComplex:
@@ -433,8 +416,11 @@ def compare_free_product(g: Dgla, h: Dgla, m: int, word_bound: int) -> dict:
     H(C_+(g)) + H(C_+(h)) in the faithful window weight < m.
 
     Inputs must be weight-graded with zero differential (the appendix
-    hypothesis); word_bound must be at least m - 1 so the window is
-    complete.
+    hypothesis), and both halves are checked: a nonzero differential
+    raises ValueError, and a bracket [u, v] with w(u) + w(v) < m that has
+    a term of another weight raises InvalidDifferential when the CE
+    complexes are built (see CEComplex).
+    word_bound must be at least m - 1 so the window is complete.
 
     The CE complexes are truncated at weight m - 1, so they read only the
     cells of g*h of weight below m.  When its presentation has no
@@ -492,26 +478,10 @@ def compare_free_product(g: Dgla, h: Dgla, m: int, word_bound: int) -> dict:
 
 def evaluation_augmentation(ce: CEComplex, xi: GradedElement) -> dict[str, Fraction]:
     """eps_xi on basis monomials: evaluation at the (degree-0) point
-    Sigma xi; multiplicative, kills every sigma dual to a basis element of
-    degree != -1."""
-    values: dict[str, Fraction] = {}
-    coeff_of = {lab: xi.coeff(-1, lab) for _, lab in ce.g.basis_items()}
-    for n, lab in ce.algebra.basis_items():
-        mono = ce.algebra._mono_of_label[lab]
-        val = ONE
-        for gi, e in mono:
-            name = ce.algebra.generators[gi][0]
-            glab = name[2:-1]
-            c = coeff_of.get(glab, ZERO)
-            if ce.algebra.generators[gi][1] != 0:
-                # sigma of cohomological degree != 0 evaluates to zero
-                c = ZERO
-            val *= c ** e
-            if not val:
-                break
-        if val:
-            values[lab] = val
-    return values
+    Sigma xi, which is xi's coefficient on each s(b) with |b| = -1 and
+    zero on every other generator."""
+    return ce.algebra._evaluation({ce.sigma_of[lab]: xi.coeff(-1, lab)
+                                   for _, lab in ce.g.basis_items()})
 
 
 def _evaluate(eps_values: Mapping[str, Fraction], elt: GradedElement) -> Fraction:

@@ -18,6 +18,7 @@ from .dgla import (
     AxiomViolation,
     Dgla,
     NotMaurerCartan,
+    NotNilpotent,
     disjoint_product,
     free_product_dgla,
     homology_stability,
@@ -468,7 +469,7 @@ def main(argv=None) -> int:
         return 3
     except (NonSplitAlgebra, OddDegreeUnit, EvenDegreeUnit, NonCocycle,
             ZeroCohomology, NoAugmentation, IncompleteSolve, AxiomViolation,
-            NotMaurerCartan, CdgaAxiomViolation, CertificateFailure,
+            NotMaurerCartan, NotNilpotent, CdgaAxiomViolation, CertificateFailure,
             LocalizationFailure) as e:
         print("%s: %s" % (type(e).__name__, e), file=sys.stderr)
         return 1

@@ -124,15 +124,23 @@ class AlgebraDefinition:
         self.d_text: dict[str, tuple[str, int]] = {}
         self.unit: Optional[str] = None
         self.augment: dict[str, Fraction] = {}
+        # (label, line) for each label a unit, mul, bracket, d or augment
+        # line names
+        self.named: list[tuple[str, int]] = []
 
     def build(self):
-        if self.kind == "cdga":
-            return self._build_cdga()
-        if self.kind == "dgla":
-            return self._build_dgla_table()
+        builders = {"cdga": self._build_cdga, "dgla": self._build_dgla_table,
+                    "free-dgla": self._build_free}
+        if self.kind not in builders:
+            raise DefinitionError("unknown kind %r" % self.kind)
         if self.kind == "free-dgla":
-            return self._build_free()
-        raise DefinitionError("unknown kind %r" % self.kind)
+            what, known = "generator", {g[0] for g in self.generators}
+        else:
+            what, known = "basis label", {lab for lab, _ in self.basis}
+        for lab, line in self.named:
+            if lab not in known:
+                raise DefinitionError("unknown %s %r" % (what, lab), line)
+        return builders[self.kind]()
 
     def _build_cdga(self) -> Cdga:
         if self.unit is None:
@@ -215,22 +223,29 @@ def parse_definition(text: str, name: str = "<definition>") -> AlgebraDefinition
             if len(parts) < 5 or parts[3] != "=":
                 raise DefinitionError("bracket L1 L2 = ELEMENT", lineno)
             defn.brackets[(parts[1], parts[2])] = (" ".join(parts[4:]), lineno)
+            defn.named += [(parts[1], lineno), (parts[2], lineno)]
         elif head == "mul":
             if len(parts) < 5 or parts[3] != "=":
                 raise DefinitionError("mul L1 L2 = ELEMENT", lineno)
             defn.mults[(parts[1], parts[2])] = (" ".join(parts[4:]), lineno)
+            defn.named += [(parts[1], lineno), (parts[2], lineno)]
         elif head == "d":
             if len(parts) < 4 or parts[2] != "=":
                 raise DefinitionError("d LABEL = ELEMENT", lineno)
             defn.d_text[parts[1]] = (" ".join(parts[3:]), lineno)
+            defn.named.append((parts[1], lineno))
         elif head == "relation":
             defn.relations_text.append((" ".join(parts[1:]), lineno))
         elif head == "unit":
+            if len(parts) != 2:
+                raise DefinitionError("unit LABEL", lineno)
             defn.unit = parts[1]
+            defn.named.append((parts[1], lineno))
         elif head == "augment":
             if len(parts) != 4 or parts[2] != "=":
                 raise DefinitionError("augment LABEL = RATIONAL", lineno)
             defn.augment[parts[1]] = parse_rational(parts[3], lineno)
+            defn.named.append((parts[1], lineno))
         else:
             raise DefinitionError("unknown directive %r" % head, lineno)
     if defn is None:

@@ -21,8 +21,8 @@ from .linalg import (
     GradedElement,
     GradedLinearMap,
     GradedVectorSpace,
-    RowSpace,
     kernel_basis,
+    linear_combination,
     _DgAlgebra,
     _add_scaled,
     _element_of,
@@ -438,78 +438,39 @@ def _ad_bound(g: Dgla) -> int:
     return g.space.total_dim() + 1
 
 
+def _gauge_series(g: Dgla, a: GradedElement, xi: GradedElement) -> dict[int, GradedElement]:
+    """exp(t a).xi = sum_k t^k (ad_a^k xi - ad_a^{k-1} da) / k! (no da
+    term at k = 0) as {k: coefficient of t^k}, zero coefficients left
+    out; raises NotNilpotent when ad_a^k of xi or of da is nonzero at
+    k = _ad_bound(g)."""
+    bound = _ad_bound(g)
+    series: dict[int, dict] = {}
+    for term, power, sign in ((xi, 0, ONE), (g.d(a), 1, -ONE)):
+        k, fact = 0, ONE  # fact = (power + k)!, as power is 0 or 1
+        while not term.is_zero():
+            if k == bound:
+                raise NotNilpotent("ad of the gauge parameter is not nilpotent")
+            _add_scaled(series.setdefault(power + k, {}), term, sign / fact)
+            k += 1
+            fact *= power + k
+            term = g.bracket(a, term)
+    return {k: _element_of(c) for k, c in sorted(series.items()) if c}
+
+
 def gauge_act(g: Dgla, a: GradedElement, xi: GradedElement) -> GradedElement:
-    """Gauge action exp(a).xi = e^{ad_a} xi - sum_k ad_a^k/(k+1)! (da);
-    requires a of degree 0 with nilpotent ad, and xi MC.  The output
-    satisfies the MC equation exactly."""
+    """Gauge action exp(a).xi = e^{ad_a} xi - sum_k ad_a^k/(k+1)! (da),
+    the gauge series at t = 1; requires a of degree 0 with nilpotent ad,
+    and xi MC.  The output satisfies the MC equation exactly."""
     if not a.is_zero() and a.degree() != 0:
         raise DegreeMismatch("gauge parameters must have degree 0")
     ok, res = is_mc(g, xi)
     if not ok:
         raise NotMaurerCartan("residual %r" % res)
-    bound = _ad_bound(g)
-    acc: dict = {}
-    term = xi
-    k = 0
-    fact = ONE
-    while not term.is_zero():
-        _add_scaled(acc, term, ONE / fact)
-        k += 1
-        fact *= k
-        term = g.bracket(a, term)
-        if k > bound:
-            raise NotNilpotent("ad of the gauge parameter is not nilpotent")
-    term = g.d(a)
-    k = 0
-    fact = ONE  # (k+1)! as k advances
-    while not term.is_zero():
-        _add_scaled(acc, term, -(ONE / fact))
-        k += 1
-        fact *= k + 1
-        term = g.bracket(a, term)
-        if k > bound:
-            raise NotNilpotent("ad of the gauge parameter is not nilpotent")
-    out = _element_of(acc)
+    out = linear_combination((ONE, c) for c in _gauge_series(g, a, xi).values())
     ok, res = is_mc(g, out)
     if not ok:
         raise NotMaurerCartan("gauge action broke the MC equation: %r" % res)
     return out
-
-
-def _weight_homogeneous_shift(g: Dgla) -> Optional[int]:
-    """The uniform weight shift of the differential, or None if mixed."""
-    if g.weights is None:
-        return None
-    shift = None
-    for n, lab in g.basis_items():
-        img = g.d(g.space.basis_element(n, lab))
-        for (_, l2) in img.coeffs:
-            s = g.weights[l2] - g.weights[lab]
-            if shift is None:
-                shift = s
-            elif shift != s:
-                return None
-    return shift
-
-
-def weighted_homology(g: Dgla) -> dict[tuple[int, int], int]:
-    """Per-(weight, degree) homology dimensions; requires the differential
-    to be weight-homogeneous (each cell is a finite subcomplex)."""
-    shift = _weight_homogeneous_shift(g)
-    if shift is None:
-        raise ValueError("differential is not weight-homogeneous")
-    cells = g._cells()
-    # the rank of d on each cell, from the sparse images of its basis
-    cols = g.d_map.columns
-    ranks: dict[tuple[int, int], int] = {}
-    for (w, n), labs in cells.items():
-        span = RowSpace(g.space.dim(n - 1))
-        if n in cols:
-            for lab in labs:
-                span._add(dict(cols[n][g.space.index(n, lab)]))
-        ranks[(w, n)] = span.dim()
-    return {(w, n): len(labs) - ranks[(w, n)] - ranks.get((w - shift, n + 1), 0)
-            for (w, n), labs in sorted(cells.items())}
 
 
 def homology_stability(g: Dgla, m: Optional[int] = None) -> dict:
@@ -527,9 +488,9 @@ def homology_stability(g: Dgla, m: Optional[int] = None) -> dict:
     m = m if m is not None else g.weight_bound
     g1 = g if m == g.weight_bound else g.presentation.materialize(m, check="skip")
     g2 = g.presentation.materialize(m + 1, check="skip")
-    if _weight_homogeneous_shift(g1) == 1 and _weight_homogeneous_shift(g2) == 1:
-        c1 = weighted_homology(g1)
-        c2 = weighted_homology(g2)
+    if g1._weight_shift() == 1 and g2._weight_shift() == 1:
+        c1 = g1._cell_homology(1)
+        c2 = g2._cell_homology(1)
         degrees = sorted({n for (_, n) in c1} | {n for (_, n) in c2} |
                          set(g1.space.degrees()))
         report = {}

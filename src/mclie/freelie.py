@@ -18,6 +18,7 @@ coefficient becomes a Fraction once, when its GradedElement is built.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -188,22 +189,17 @@ class FreeLieTruncation:
         if len(trees) > size_cap:
             raise TruncationTooLarge(
                 "basis would have %d elements (cap %d)" % (len(trees), size_cap))
-        self.cells: dict[tuple[int, int], list] = {}
-        for t in trees:
-            self.cells.setdefault(self._weight_degree(t), []).append(t)
-        for key in self.cells:
-            self.cells[key].sort(key=foliage)
         self.label_of_tree: dict = {}
         self.tree_of_label: dict[str, object] = {}
         basis: dict[int, list[str]] = {}
         self.weight_of_label: dict[str, int] = {}
-        for (w, d) in sorted(self.cells):
-            for t in self.cells[(w, d)]:
-                lab = self.format_tree(t)
-                self.label_of_tree[t] = lab
-                self.tree_of_label[lab] = t
-                basis.setdefault(d, []).append(lab)
-                self.weight_of_label[lab] = w
+        for t in sorted(trees, key=lambda t: (self._weight_degree(t), foliage(t))):
+            w, d = self._weight_degree(t)
+            lab = self.format_tree(t)
+            self.label_of_tree[t] = lab
+            self.tree_of_label[lab] = t
+            basis.setdefault(d, []).append(lab)
+            self.weight_of_label[lab] = w
         self.space = GradedVectorSpace(basis)
 
     def format_tree(self, tree) -> str:
@@ -220,7 +216,9 @@ class FreeLieTruncation:
 
     def dims(self) -> dict[tuple[int, int], int]:
         """Per-(weight, degree) basis dimensions."""
-        return {key: len(v) for key, v in sorted(self.cells.items())}
+        return dict(sorted(Counter((self.weight_of_label[lab], d)
+                                   for d in self.space.degrees()
+                                   for lab in self.space.labels(d)).items()))
 
     # -- tensor algebra expansion and rewriting ---------------------------
 

@@ -8,7 +8,7 @@ All arithmetic is fractions.Fraction; there is no floating point anywhere.
 Linear maps are stored as sparse columns.  RowSpace, an incremental
 reduced row echelon form, is the one row reducer, and sparse vectors
 ({column: Fraction} dicts of nonzeros, as GradedVectorSpace.to_vector
-returns them) are its only input: homology, the weight cells of dglas,
+returns them) are its only input: homology, the (weight, degree) cells,
 the quotient Lie algebras, Coordinates and the cdga constructions all
 feed it that way.  rref, rank, kernel_basis and solve_matrix are the
 entry points for dense matrices.  The reduced row echelon form is
@@ -589,7 +589,8 @@ class _DgAlgebra:
     tracer times every call of a public name in a span of its own.
 
     A subclass may set weights ({label: weight}) before calling __init__;
-    _cells() groups the basis by (weight, degree).
+    _cells() groups the basis by (weight, degree), and _cell_homology reads
+    the homology of each such cell.
     """
 
     weights: Optional[dict[str, int]] = None
@@ -641,6 +642,33 @@ class _DgAlgebra:
                 cells.setdefault((weights.get(lab, 1), n), []).append(lab)
             self._cell_index = cells
         return self._cell_index
+
+    def _weight_shift(self) -> Optional[int]:
+        """The weight shift w(target) - w(source) shared by every term of
+        d, or None when weights is None, d is zero or the shifts differ."""
+        if self.weights is None:
+            return None
+        shifts = {self.weights[self.space.labels(n - 1)[i]] - self.weights[lab]
+                  for n, cols in self.d_map.columns.items()
+                  for lab, col in zip(self.space.labels(n), cols) for i, _ in col}
+        return shifts.pop() if len(shifts) == 1 else None
+
+    def _cell_homology(self, shift: int) -> dict[tuple[int, int], int]:
+        """Homology dimension of each (weight, degree) cell, in sorted
+        order, for a d that shifts the weight of every term by shift (so
+        each cell is mapped into one cell): |cell| - rank(d out of the
+        cell) - rank(d into it), the ranks read off the sparse columns."""
+        cells = self._cells()
+        cols = self.d_map.columns
+        ranks: dict[tuple[int, int], int] = {}
+        for (w, n), labs in cells.items():
+            span = RowSpace(self.space.dim(n - 1))
+            if n in cols:
+                for lab in labs:
+                    span._add(dict(cols[n][self.space.index(n, lab)]))
+            ranks[(w, n)] = span.dim()
+        return {(w, n): len(labs) - ranks[(w, n)] - ranks.get((w - shift, n + 1), 0)
+                for (w, n), labs in sorted(cells.items())}
 
     def d(self, elt: GradedElement) -> GradedElement:
         return self.d_map.apply(elt)

@@ -40,6 +40,7 @@ from .linalg import (
 from .dgla import (
     Dgla,
     NotMaurerCartan,
+    _gauge_series,
     disjoint_product,
     connected_cover,
     homology_stability,
@@ -658,34 +659,6 @@ def mc_vertices(g: Dgla, support: Optional[int] = None):
 # gauge orbits and pi_0
 # ---------------------------------------------------------------------------
 
-def _gauge_polynomial(g: Dgla, b: GradedElement, xi: GradedElement):
-    """Coefficients of gauge(t*b, xi) as a polynomial in t."""
-    coeffs: dict[int, GradedElement] = {}
-    term = xi
-    k = 0
-    fact = ONE
-    bound = (g.weight_bound or g.space.total_dim()) + 2
-    while not term.is_zero():
-        coeffs[k] = coeffs.get(k, GradedElement()) + term.scale(ONE / fact)
-        k += 1
-        fact *= k
-        term = g.bracket(b, term)
-        if k > bound:
-            raise IncompleteSolve("gauge parameter is not nilpotent")
-    term = g.d(b)
-    k = 0
-    fact = ONE
-    while not term.is_zero():
-        prev = coeffs.get(k + 1, GradedElement())
-        coeffs[k + 1] = prev - term.scale(ONE / fact)
-        k += 1
-        fact *= k + 1
-        term = g.bracket(b, term)
-        if k > bound:
-            raise IncompleteSolve("gauge parameter is not nilpotent")
-    return {k: v for k, v in coeffs.items() if not v.is_zero()}
-
-
 def _poly_rational_roots(coeff_map: Mapping[int, Fraction]) -> list[Fraction]:
     from .linalg import _rational_roots
     deg = max(coeff_map)
@@ -696,7 +669,7 @@ def _poly_rational_roots(coeff_map: Mapping[int, Fraction]) -> list[Fraction]:
 def _gauge_connection(g: Dgla, b: GradedElement, xi: GradedElement,
                       eta: GradedElement) -> Optional[Fraction]:
     """Some rational t with gauge(t*b, xi) = eta, or None."""
-    poly = _gauge_polynomial(g, b, xi)
+    poly = _gauge_series(g, b, xi)
     keys = set()
     for coeff in poly.values():
         keys.update(coeff.coeffs)

@@ -466,6 +466,20 @@ def test_not_maurer_cartan_exits_1(monkeypatch, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_not_nilpotent_gauge_parameter_exits_1(monkeypatch, capsys):
+    # mc-moduli f_xa:3 has g_0 != 0, so pi_0 tries gauge moves between
+    # its vertices through the gauge series
+    import mclie.mc
+    from mclie.dgla import NotNilpotent
+
+    def not_nilpotent(g, a, xi):
+        raise NotNilpotent("ad of the gauge parameter is not nilpotent")
+    monkeypatch.setattr(mclie.mc, "_gauge_series", not_nilpotent)
+    rc, out, err = run_cli(["mc-moduli", "f_xa:3"], capsys)
+    assert (rc, out) == (1, "")
+    assert err == "NotNilpotent: ad of the gauge parameter is not nilpotent\n"
+
+
 @pytest.mark.parametrize("args", [
     ["verify", "theorem-f"],
     ["verify", "components"],
@@ -589,6 +603,50 @@ def test_inputs_beyond_a_definition_exit_2(args, message, capsys):
     assert rc == 2
     assert out == ""
     assert err == message + "\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("kind cdga\nbasis 1 0\nbasis e 0\nunit x\n", "unknown basis label 'x' (line 4)"),
+    ("kind cdga\nbasis 1 0\nbasis e 0\nunit 1\nmul e y = 1 e\n",
+     "unknown basis label 'y' (line 5)"),
+    ("kind cdga\nbasis 1 0\nbasis e 0\nunit 1\nmul y e = 1 e\n",
+     "unknown basis label 'y' (line 5)"),
+    ("kind dgla\nbasis a 0\nbasis b 0\nbracket a y = 1 b\n",
+     "unknown basis label 'y' (line 4)"),
+    ("kind cdga\nbasis 1 0\nunit 1\nd y = 1 1\n", "unknown basis label 'y' (line 4)"),
+    ("kind dgla\nbasis a 0\nbasis b -1\nd y = 1 b\n", "unknown basis label 'y' (line 4)"),
+    ("kind free-dgla\nweight 2\ngenerator x -1\nd y = -1/2 [x,x]\n",
+     "unknown generator 'y' (line 4)"),
+    ("kind cdga\nbasis 1 0\nunit 1\naugment 1 = 1\naugment y = 1\n",
+     "unknown basis label 'y' (line 5)"),
+    ("kind cdga\nbasis 1 0\nunit\n", "unit LABEL (line 3)"),
+], ids=["unit", "mul-left", "mul-right", "bracket", "d-cdga", "d-dgla",
+        "d-free-dgla", "augment", "unit-without-label"])
+def test_labels_in_definition_files_are_checked(tmp_path, text, message, capsys):
+    d = tmp_path / "labels.def"
+    d.write_text(text)
+    rc, out, err = run_cli(["check", str(d)], capsys)
+    assert (rc, out, err) == (2, "", "parse error: %s\n" % message)
+
+
+@pytest.mark.parametrize("text,message", [
+    # the relation mixes weights 2 and 3
+    ("kind free-dgla\nweight 4\ngenerator a 0\ngenerator b 0\ngenerator c 0\n"
+     "relation [a,b] - [[a,c],c]\n",
+     "d(s([[a,c],c])) has the term s(a)*s(b), not of weight 3"),
+    # every weight is 1, so [a,b] = c does not add weights
+    ("kind dgla\nbasis a 0\nbasis b 0\nbasis c 0\nbracket a b = 1 c\n",
+     "d(s(c)) has the term s(a)*s(b), not of weight 1"),
+], ids=["free-dgla-relation", "dgla-table"])
+def test_free_product_cohomology_refuses_non_weight_graded(tmp_path, text, message,
+                                                           capsys):
+    d = tmp_path / "mixed.def"
+    d.write_text(text)
+    rc, out, err = run_cli(["verify", "free-product-cohomology", str(d),
+                            "abelian:1:0", "--weight", "4"], capsys)
+    assert (rc, out) == (2, "")
+    assert err == ("InvalidDifferential: truncation by weight needs a "
+                   "weight-graded dgla: %s\n" % message)
 
 
 def test_harrison_at_weight_1_keeps_working_reports(capsys):

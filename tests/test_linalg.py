@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_reference import dense_rank, dense_rref, dense_solve
+from test_cli import FREE_PRODUCT_PAIRS
 from mclie.cdga import Cdga
 from mclie.linalg import (
     QQ,
@@ -519,3 +520,80 @@ def test_rowspace_matches_dense_rref(seed, ncols, extra, count):
         assert got == _reduce_by(ref_rows, ref_pivots, v)
         assert all(type(x) is Fraction and x for x in reduced.values())
         assert not any(got[pc] for pc in ref_pivots)
+
+
+# -- homology per (weight, degree) cell ----------------------------------------
+
+def _check_cell_homology(alg, shift):
+    """_cell_homology(shift) against dense ranks: every term of d lands in
+    the cell shift weights up and one degree down, and each cell's homology
+    is |cell| - rank(d out of it) - rank(d into it)."""
+    cells = alg._cells()
+    cell_of = {lab: key for key, labs in cells.items() for lab in labs}
+    images = {lab: alg.d(alg.space.basis_element(n, lab))
+              for (_, n), labs in cells.items() for lab in labs}
+
+    def dense_block(src, dst):
+        return [[images[lab].coeff(dst[1], row) for lab in cells[src]]
+                for row in cells.get(dst, [])]
+
+    got = alg._cell_homology(shift)
+    assert list(got) == sorted(cells)
+    for (w, n), labs in cells.items():
+        target = (w + shift, n - 1)
+        for lab in labs:
+            assert all(cell_of[l2] == target for _, l2 in images[lab].coeffs), lab
+        out = dense_rank(dense_block((w, n), target), len(labs))
+        source = (w - shift, n + 1)
+        into = dense_rank(dense_block(source, (w, n)), len(cells[source])) \
+            if source in cells else 0
+        assert got[(w, n)] == len(labs) - out - into, (w, n)
+    return got
+
+
+@pytest.mark.parametrize("pair", FREE_PRODUCT_PAIRS)
+@pytest.mark.parametrize("bound", [2, 3, 4, 5])
+def test_cell_homology_of_weight_truncated_ce_matches_dense(pair, bound):
+    # the CE complexes that compare_free_product builds for m = bound + 1
+    from mclie.cehar import _product_truncation, ce_complex
+    from mclie.defs import load_algebra
+    from mclie.dgla import free_product_dgla
+    g, h = (load_algebra(ref) for ref in pair)
+    prod = free_product_dgla(g, h, _product_truncation(g, h, bound + 1), check="skip")
+    ce = ce_complex(prod, bound, truncate_by="weight")
+    got = _check_cell_homology(ce.algebra, 0)
+    assert got[(0, 0)] == 1  # the unit, which C_+ leaves out
+    assert ce.weight_block_dims(0) == {}
+    for w in range(1, bound + 1):
+        assert ce.weight_block_dims(w) == {
+            -n: v for (ww, n), v in got.items() if ww == w and v}
+
+
+@pytest.mark.parametrize("ref", ["f_xa:4", "f_xa:5", "f_xa:6", "f_xa:7", "g_S:3"])
+def test_cell_homology_of_weight_shifting_dgla_matches_dense(ref):
+    from mclie.defs import load_algebra
+    g = load_algebra(ref)
+    assert g._weight_shift() == 1
+    _check_cell_homology(g, 1)
+
+
+@pytest.mark.parametrize("ref", ["heisenberg", "sphere", "f_xa:3", "g_S:3"])
+@pytest.mark.parametrize("words", [2, 3])
+def test_reduced_ce_homology_matches_dense(ref, words):
+    # H(C_+) over the basis without the unit, against dense ranks
+    from mclie.cehar import ce_complex
+    from mclie.defs import load_algebra
+    ce = ce_complex(load_algebra(ref), words)
+    alg = ce.algebra
+    plus = {n: [lab for lab in alg.space.labels(n) if lab != "1"]
+            for n in alg.space.degrees()}
+
+    def rank_of(n):  # d from degree n of C_+ into degree n - 1
+        return dense_rank([[alg.d(alg.space.basis_element(n, lab)).coeff(n - 1, row)
+                            for lab in plus[n]] for row in plus.get(n - 1, [])],
+                          len(plus[n])) if n in plus else 0
+
+    want = {-n: len(labs) - rank_of(n) - rank_of(n + 1) for n, labs in plus.items()}
+    assert ce.reduced_homology_dims() == {n: v for n, v in want.items() if v}
+    with pytest.raises(ValueError):
+        ce.weight_block_dims(1)
