@@ -70,6 +70,13 @@ def parse_rational(tok: str, line: Optional[int] = None) -> Fraction:
         raise DefinitionError("expected a rational number, got %r" % tok, line)
 
 
+def parse_integer(tok: str, line: Optional[int] = None) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise DefinitionError("expected an integer, got %r" % tok, line)
+
+
 def parse_element(text: str, degree_of: dict[str, int],
                   line: Optional[int] = None) -> GradedElement:
     """Linear combinations like '-1/2 [x,x] + 2 w'; labels contain no
@@ -207,18 +214,20 @@ def parse_definition(text: str, name: str = "<definition>") -> AlgebraDefinition
         if defn is None:
             raise DefinitionError("the first directive must be 'kind'", lineno)
         if head == "weight":
-            defn.weight = int(parts[1])
+            if len(parts) != 2:
+                raise DefinitionError("weight WEIGHT", lineno)
+            defn.weight = parse_integer(parts[1], lineno)
         elif head == "generator":
             if defn.kind != "free-dgla":
                 raise DefinitionError("'generator' only in free-dgla", lineno)
             if len(parts) not in (3, 4):
                 raise DefinitionError("generator NAME DEGREE [WEIGHT]", lineno)
-            w = int(parts[3]) if len(parts) == 4 else 1
-            defn.generators.append((parts[1], int(parts[2]), w))
+            w = parse_integer(parts[3], lineno) if len(parts) == 4 else 1
+            defn.generators.append((parts[1], parse_integer(parts[2], lineno), w))
         elif head == "basis":
             if len(parts) != 3:
                 raise DefinitionError("basis LABEL DEGREE", lineno)
-            defn.basis.append((parts[1], int(parts[2])))
+            defn.basis.append((parts[1], parse_integer(parts[2], lineno)))
         elif head == "bracket":
             if len(parts) < 5 or parts[3] != "=":
                 raise DefinitionError("bracket L1 L2 = ELEMENT", lineno)

@@ -48,7 +48,7 @@ from .dgla import (
     twist,
     zero_dgla,
 )
-from .cdga import omega_face_map, omega_degeneracy_map, tensor_dgla_forms
+from .cdga import tensor_dgla_forms
 
 
 class IncompleteSolve(Exception):
@@ -368,15 +368,19 @@ class SolutionFamily:
 
 
 class SolveResult:
-    """Solution families with the solver's counters: `steps` states popped
-    and `branches` states split by a branching rule."""
+    """Solution families with the solver's counters: `steps` states popped,
+    `branches` states split by a branching rule, `leaves` states resolved
+    as leaves and `skipped` states dropped as equal to one already
+    expanded."""
 
     def __init__(self, families: list[SolutionFamily], complete: bool,
-                 steps: int, branches: int):
+                 steps: int, branches: int, leaves: int, skipped: int):
         self.families = families
         self.complete = complete
         self.steps = steps
         self.branches = branches
+        self.leaves = leaves
+        self.skipped = skipped
 
     def discrete_vertices(self, system: MCConstraintSystem) -> list[GradedElement]:
         if not self.complete:
@@ -412,7 +416,12 @@ class _State:
     symbols free at that moment.  Transitions replace `equations` and never
     mutate it, so children may share it.  `table` and `occurs` (symbol ->
     labels of the equations it may occur in, in any node; it only grows)
-    belong to the whole search."""
+    belong to the whole search.
+
+    `key()` identifies a state up to the order of assignment: a value
+    mentions only symbols free when it was assigned, so the map alone fixes
+    the order in which the leaf resolves the values, and the search reads
+    only the equations, constants and constraints."""
 
     def __init__(self, equations, assigned, constants, constraints, table, occurs):
         self.equations = equations
@@ -425,6 +434,17 @@ class _State:
     def child(self) -> "_State":
         return _State(self.equations, dict(self.assigned), set(self.constants),
                       list(self.constraints), self.table, self.occurs)
+
+    def key(self) -> tuple:
+        """Exact key; the constraints keep their multiplicity."""
+        return (tuple(sorted((lab, _poly_key(p)) for lab, p in self.equations.items())),
+                tuple(sorted((s, _poly_key(v)) for s, v in self.assigned.items())),
+                tuple(sorted(self.constants)),
+                tuple(sorted(_poly_key(c) for c in self.constraints)))
+
+
+def _poly_key(p) -> tuple:
+    return tuple(sorted(p.items()))
 
 
 def _assign(state: _State, sym: str, value) -> None:
@@ -558,8 +578,11 @@ def _leaf_family(state: _State, system: MCConstraintSystem,
 
 def solve_structured(system: MCConstraintSystem,
                      max_steps: Optional[int] = None) -> SolveResult:
-    """Solve the system by the rules R1-R3; raises SolveBudgetExhausted
-    after max_steps (default MAX_SOLVE_STEPS) popped states."""
+    """Solve the system by the rules R1-R3, depth first; raises
+    SolveBudgetExhausted after max_steps (default MAX_SOLVE_STEPS) popped
+    states.  A propagated state equal to one already expanded, up to the
+    order of assignment, is skipped: its descendants strictly grow it, so
+    the first copy's subtree is done and gave the same families."""
     if max_steps is None:
         max_steps = MAX_SOLVE_STEPS
     table = system.table
@@ -571,7 +594,8 @@ def solve_structured(system: MCConstraintSystem,
     stack = [_State(equations, {}, set(table.constant), [], table, occurs)]
     families: dict[tuple, SolutionFamily] = {}
     complete = True
-    steps = branches = 0
+    steps = branches = leaves = skipped = 0
+    seen: set[tuple] = set()
     while stack:
         steps += 1
         if steps > max_steps:
@@ -582,22 +606,28 @@ def solve_structured(system: MCConstraintSystem,
         state = _propagate(stack.pop())
         if state is None:
             continue
+        key = state.key()
+        if key in seen:
+            skipped += 1
+            continue
+        seen.add(key)
         children = _branch(state)
         if children is not None:
             branches += 1
             stack.extend(children)
             continue
+        leaves += 1
         leaf_complete = not state.equations
         complete = complete and leaf_complete
         fam = _leaf_family(state, system, leaf_complete)
         if fam is not None:
             # discrete families repeat across branches: keep the first
-            key = (tuple(sorted((s, tuple(sorted(v.items())))
-                                for s, v in fam.assignments.items())),
+            key = (tuple(sorted((s, _poly_key(v)) for s, v in fam.assignments.items())),
                    tuple(sorted(fam.free)),
-                   tuple(sorted(tuple(sorted(c.items())) for c in fam.constraints)))
+                   tuple(sorted(_poly_key(c) for c in fam.constraints)))
             families.setdefault(key, fam)
-    return SolveResult(list(families.values()), complete, steps, branches)
+    return SolveResult(list(families.values()), complete, steps, branches,
+                       leaves, skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -914,44 +944,6 @@ def mc_simplices(g: Dgla, n: int, max_degree: int,
     return out
 
 
-def apply_form_map(tensor_src, tensor_dst, morphism, elt: GradedElement) -> GradedElement:
-    """Push an element of g (x) Omega along id (x) (a form morphism)."""
-    out: dict = {}
-    for (_, lab), c in elt.coeffs.items():
-        glab, wlab = lab.split("|", 1)
-        gdeg = tensor_src.tensor_info[lab][0]
-        img = morphism.apply_label(wlab)
-        _add_scaled(out, GradedElement({(gdeg + nw2, "%s|%s" % (glab, wlab2)): c2
-                                        for (nw2, wlab2), c2 in img.coeffs.items()}), c)
-    return _element_of(out)
-
-
-def faces_preserve_mc(g: Dgla, n: int, max_degree: int,
-                      support: Optional[int] = None) -> bool:
-    """Every emitted n-simplex maps to an MC element under all face maps
-    (and degeneracies into level n+1)."""
-    data = mc_simplices(g, n, max_degree, support)
-    tensor = data["tensor"]
-    ambient = tensor.coefficient_dgla
-    omega = tensor.form_algebra
-    ok = True
-    for elt in data["samples"]:
-        if n >= 1:
-            for face in range(n + 1):
-                phi = omega_face_map(omega, face)
-                dst = tensor_dgla_forms(ambient, n - 1, max_degree, check="skip")
-                img = apply_form_map(tensor, dst, phi, elt)
-                good, _ = is_mc(dst, img)
-                ok = ok and good
-        for j in range(n + 1):
-            phi = omega_degeneracy_map(omega, j)
-            dst = tensor_dgla_forms(ambient, n + 1, max_degree, check="skip")
-            img = apply_form_map(tensor, dst, phi, elt)
-            good, _ = is_mc(dst, img)
-            ok = ok and good
-    return ok
-
-
 # ---------------------------------------------------------------------------
 # theorem checks
 # ---------------------------------------------------------------------------
@@ -1037,88 +1029,3 @@ def verify_component_decomposition(g: Dgla, support: Optional[int] = None) -> di
         per_rep[idx] = {"xi": repr(xi), "H_iso": degrees}
     return {"pass": ok, "representatives": per_rep,
             "moduli_count": moduli.count()}
-
-
-# ---------------------------------------------------------------------------
-# naive expansion oracle for the constraint systems
-# ---------------------------------------------------------------------------
-
-def expand_system_over_forms(system: MCConstraintSystem, tensor) -> dict:
-    """Expand the symbolic system over the monomial basis of the form
-    algebra: each unknown alpha_b becomes the generic combination
-    sum_mu c_{b,mu} mu; returns {(component label, form monomial):
-    {c-monomial: coefficient}}."""
-    omega = tensor.form_algebra
-    table = system.table
-    expansions: dict[tuple, list] = {}
-    for sym, glab in system.unknowns.items():
-        p = table.form_degree[sym]
-        monos = [(nw, wlab) for nw, wlab in omega.basis_items() if nw == -p]
-        expansions[(sym, False)] = [
-            ((glab, wlab), omega.space.basis_element(nw, wlab))
-            for nw, wlab in monos]
-        expansions[(sym, True)] = [
-            ((glab, wlab), omega.d(omega.space.basis_element(nw, wlab)))
-            for nw, wlab in monos]
-    out: dict = {}
-    for elab, poly in system.equations.items():
-        for mono, coeff in poly.items():
-            # expand the product of factors
-            terms = [((), omega.unit.scale(coeff))]
-            for factor in mono:
-                new_terms = []
-                for cmono, val in terms:
-                    for cv, fval in expansions[factor]:
-                        prod = omega.multiply(val, fval)
-                        if prod.is_zero():
-                            continue
-                        new_terms.append((tuple(sorted(cmono + (cv,))), prod))
-                terms = new_terms
-            for cmono, val in terms:
-                for (nw, wlab), c in val.coeffs.items():
-                    key = (elab, wlab)
-                    cell = out.setdefault(key, {})
-                    _add_term(cell, cmono, c)
-    return {k: v for k, v in out.items() if v}
-
-
-def oracle_system_over_forms(g: Dgla, n: int, max_degree: int,
-                             support_weight: Optional[int] = None) -> dict:
-    """Independent expansion: substitute the generic element
-    xi = sum c_{b,mu} (b (x) mu) into the exact residual of the honest
-    tensor dgla and collect coefficients per (component, form monomial)."""
-    tensor = tensor_dgla_forms(g, n, max_degree, check="skip")
-    omega = tensor.form_algebra
-    gens: list[tuple] = []
-    for deg in g.space.degrees():
-        p = deg + 1
-        if p < 0 or p > n:
-            continue
-        for lab in g.space.labels(deg):
-            if support_weight is not None and g.weights is not None and \
-                    g.weights.get(lab, 1) > support_weight:
-                continue
-            for nw, wlab in omega.basis_items():
-                if nw == -p:
-                    gens.append((lab, wlab, deg, nw))
-    out: dict = {}
-
-    def accumulate(elt: GradedElement, cmono):
-        for (dd, tlab), c in elt.coeffs.items():
-            glab2, wlab2 = tlab.split("|", 1)
-            key = (glab2, wlab2)
-            cell = out.setdefault(key, {})
-            _add_term(cell, cmono, c)
-
-    for lab, wlab, deg, nw in gens:
-        b = GradedElement({(deg + nw, "%s|%s" % (lab, wlab)): ONE})
-        accumulate(tensor.d(b), ((lab, wlab),))
-    for (l1, w1, d1, nw1), (l2, w2, d2, nw2) in itertools.product(gens, repeat=2):
-        b1 = GradedElement({(d1 + nw1, "%s|%s" % (l1, w1)): ONE})
-        b2 = GradedElement({(d2 + nw2, "%s|%s" % (l2, w2)): ONE})
-        br = tensor.bracket(b1, b2)
-        if br.is_zero():
-            continue
-        cmono = tuple(sorted(((l1, w1), (l2, w2))))
-        accumulate(br.scale(QQ(1, 2)), cmono)
-    return {k: v for k, v in out.items() if v}

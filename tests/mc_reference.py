@@ -1,0 +1,133 @@
+"""References that the tests compare mclie's MC layer against.
+
+The constraint system of the structured solver expanded over the monomial
+basis of the form algebra, against the residual of the generic element
+computed in the honest tensor dgla; and the face and degeneracy maps of the
+simplicial MC set applied to every emitted simplex."""
+
+import itertools
+from typing import Optional
+
+from mclie.cdga import omega_degeneracy_map, omega_face_map, tensor_dgla_forms
+from mclie.dgla import Dgla, is_mc
+from mclie.linalg import ONE, QQ, GradedElement, _add_scaled, _element_of
+from mclie.mc import MCConstraintSystem, _add_term, mc_simplices
+
+
+def expand_system_over_forms(system: MCConstraintSystem, tensor) -> dict:
+    """Expand the symbolic system over the monomial basis of the form
+    algebra: each unknown alpha_b becomes the generic combination
+    sum_mu c_{b,mu} mu; returns {(component label, form monomial):
+    {c-monomial: coefficient}}."""
+    omega = tensor.form_algebra
+    table = system.table
+    expansions: dict[tuple, list] = {}
+    for sym, glab in system.unknowns.items():
+        p = table.form_degree[sym]
+        monos = [(nw, wlab) for nw, wlab in omega.basis_items() if nw == -p]
+        expansions[(sym, False)] = [
+            ((glab, wlab), omega.space.basis_element(nw, wlab))
+            for nw, wlab in monos]
+        expansions[(sym, True)] = [
+            ((glab, wlab), omega.d(omega.space.basis_element(nw, wlab)))
+            for nw, wlab in monos]
+    out: dict = {}
+    for elab, poly in system.equations.items():
+        for mono, coeff in poly.items():
+            # expand the product of factors
+            terms = [((), omega.unit.scale(coeff))]
+            for factor in mono:
+                new_terms = []
+                for cmono, val in terms:
+                    for cv, fval in expansions[factor]:
+                        prod = omega.multiply(val, fval)
+                        if prod.is_zero():
+                            continue
+                        new_terms.append((tuple(sorted(cmono + (cv,))), prod))
+                terms = new_terms
+            for cmono, val in terms:
+                for (nw, wlab), c in val.coeffs.items():
+                    key = (elab, wlab)
+                    cell = out.setdefault(key, {})
+                    _add_term(cell, cmono, c)
+    return {k: v for k, v in out.items() if v}
+
+
+def oracle_system_over_forms(g: Dgla, n: int, max_degree: int,
+                             support_weight: Optional[int] = None) -> dict:
+    """Independent expansion: substitute the generic element
+    xi = sum c_{b,mu} (b (x) mu) into the exact residual of the honest
+    tensor dgla and collect coefficients per (component, form monomial)."""
+    tensor = tensor_dgla_forms(g, n, max_degree, check="skip")
+    omega = tensor.form_algebra
+    gens: list[tuple] = []
+    for deg in g.space.degrees():
+        p = deg + 1
+        if p < 0 or p > n:
+            continue
+        for lab in g.space.labels(deg):
+            if support_weight is not None and g.weights is not None and \
+                    g.weights.get(lab, 1) > support_weight:
+                continue
+            for nw, wlab in omega.basis_items():
+                if nw == -p:
+                    gens.append((lab, wlab, deg, nw))
+    out: dict = {}
+
+    def accumulate(elt: GradedElement, cmono):
+        for (dd, tlab), c in elt.coeffs.items():
+            glab2, wlab2 = tlab.split("|", 1)
+            key = (glab2, wlab2)
+            cell = out.setdefault(key, {})
+            _add_term(cell, cmono, c)
+
+    for lab, wlab, deg, nw in gens:
+        b = GradedElement({(deg + nw, "%s|%s" % (lab, wlab)): ONE})
+        accumulate(tensor.d(b), ((lab, wlab),))
+    for (l1, w1, d1, nw1), (l2, w2, d2, nw2) in itertools.product(gens, repeat=2):
+        b1 = GradedElement({(d1 + nw1, "%s|%s" % (l1, w1)): ONE})
+        b2 = GradedElement({(d2 + nw2, "%s|%s" % (l2, w2)): ONE})
+        br = tensor.bracket(b1, b2)
+        if br.is_zero():
+            continue
+        cmono = tuple(sorted(((l1, w1), (l2, w2))))
+        accumulate(br.scale(QQ(1, 2)), cmono)
+    return {k: v for k, v in out.items() if v}
+
+
+def apply_form_map(tensor_src, tensor_dst, morphism, elt: GradedElement) -> GradedElement:
+    """Push an element of g (x) Omega along id (x) (a form morphism)."""
+    out: dict = {}
+    for (_, lab), c in elt.coeffs.items():
+        glab, wlab = lab.split("|", 1)
+        gdeg = tensor_src.tensor_info[lab][0]
+        img = morphism.apply_label(wlab)
+        _add_scaled(out, GradedElement({(gdeg + nw2, "%s|%s" % (glab, wlab2)): c2
+                                        for (nw2, wlab2), c2 in img.coeffs.items()}), c)
+    return _element_of(out)
+
+
+def faces_preserve_mc(g: Dgla, n: int, max_degree: int,
+                      support: Optional[int] = None) -> bool:
+    """Every emitted n-simplex maps to an MC element under all face maps
+    (and degeneracies into level n+1)."""
+    data = mc_simplices(g, n, max_degree, support)
+    tensor = data["tensor"]
+    ambient = tensor.coefficient_dgla
+    omega = tensor.form_algebra
+    ok = True
+    for elt in data["samples"]:
+        if n >= 1:
+            for face in range(n + 1):
+                phi = omega_face_map(omega, face)
+                dst = tensor_dgla_forms(ambient, n - 1, max_degree, check="skip")
+                img = apply_form_map(tensor, dst, phi, elt)
+                good, _ = is_mc(dst, img)
+                ok = ok and good
+        for j in range(n + 1):
+            phi = omega_degeneracy_map(omega, j)
+            dst = tensor_dgla_forms(ambient, n + 1, max_degree, check="skip")
+            img = apply_form_map(tensor, dst, phi, elt)
+            good, _ = is_mc(dst, img)
+            ok = ok and good
+    return ok

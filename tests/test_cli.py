@@ -630,6 +630,20 @@ def test_labels_in_definition_files_are_checked(tmp_path, text, message, capsys)
 
 
 @pytest.mark.parametrize("text,message", [
+    ("kind free-dgla\nweight x\n", "expected an integer, got 'x' (line 2)"),
+    ("kind free-dgla\nweight\n", "weight WEIGHT (line 2)"),
+    ("kind dgla\nbasis a x\n", "expected an integer, got 'x' (line 2)"),
+    ("kind free-dgla\nweight 2\ngenerator a 1 x\n",
+     "expected an integer, got 'x' (line 3)"),
+], ids=["weight", "weight-without-value", "basis-degree", "generator-weight"])
+def test_integers_in_definition_files_are_checked(tmp_path, text, message, capsys):
+    d = tmp_path / "integers.def"
+    d.write_text(text)
+    rc, out, err = run_cli(["check", str(d)], capsys)
+    assert (rc, out, err) == (2, "", "parse error: %s\n" % message)
+
+
+@pytest.mark.parametrize("text,message", [
     # the relation mixes weights 2 and 3
     ("kind free-dgla\nweight 4\ngenerator a 0\ngenerator b 0\ngenerator c 0\n"
      "relation [a,b] - [[a,c],c]\n",

@@ -3,6 +3,11 @@ import itertools
 
 import pytest
 
+from mc_reference import (
+    expand_system_over_forms,
+    faces_preserve_mc,
+    oracle_system_over_forms,
+)
 from mclie.linalg import QQ, GradedElement
 from mclie.dgla import (
     abelian_dgla,
@@ -22,12 +27,9 @@ from mclie.defs import build_builtin
 from mclie.mc import (
     IncompleteSolve,
     derive_constraints,
-    expand_system_over_forms,
-    faces_preserve_mc,
     induced_homology_iso,
     mc_simplices,
     mc_vertices,
-    oracle_system_over_forms,
     pi0_moduli,
     pretty_poly,
     solve_structured,
@@ -629,9 +631,13 @@ def _canonical(result):
               f.complete, sorted(f.constants)) for f in result.families])
 
 
-# the solver's answers on _solver_systems(), recorded from the solver that
-# rewrote every earlier value and constraint on each assignment
-SOLVER_DIGEST = "cc3b954813c8666b569e9e9506abba7607ec71a63ea7f1b88ba31b92db417d71"
+# the solver's answers on _solver_systems(): SOLVER_DIGEST with its step and
+# branch counts, re-pinned when the search changes; SOLVER_FAMILIES_DIGEST
+# over (complete, families) only, recorded from the solver that rewrote every
+# earlier value and constraint on each assignment, and never re-pinned
+SOLVER_DIGEST = "21a816632c4154b3ba70546e9e3951792341ccfb935894018f83fd3a4ef43d95"
+SOLVER_FAMILIES_DIGEST = \
+    "f278c297c87b11102ecdaa6712b9790368ae265539161c2bad05d890c6130bd0"
 
 
 def test_solver_matches_rebuild_everything_reference(monkeypatch):
@@ -640,8 +646,12 @@ def test_solver_matches_rebuild_everything_reference(monkeypatch):
     systems = _solver_systems()
     assert len(systems) > 40
     new = [solve_structured(s) for s in systems]
-    digest = hashlib.sha256(repr([_canonical(r) for r in new]).encode()).hexdigest()
+    canonical = [_canonical(r) for r in new]
+    digest = hashlib.sha256(repr(canonical).encode()).hexdigest()
     assert digest == SOLVER_DIGEST
+    families = [(c[0], c[3]) for c in canonical]
+    digest = hashlib.sha256(repr(families).encode()).hexdigest()
+    assert digest == SOLVER_FAMILIES_DIGEST
     monkeypatch.setattr(mc_module, "poly_substitute", _reference_poly_substitute)
     monkeypatch.setattr(mc_module, "_substitute_state", _reference_substitute_state)
     for system, got in zip(systems, new):
@@ -650,7 +660,16 @@ def test_solver_matches_rebuild_everything_reference(monkeypatch):
             [_family_key(f) for f in want.families]
         assert (got.complete, got.steps, got.branches) == \
             (want.complete, want.steps, want.branches)
-    assert [r.steps for r in new[3:6]] == [85, 201, 507]  # g_S 12, 16, 20
+    assert [r.steps for r in new[3:6]] == [31, 47, 63]  # g_S 12, 16, 20
+
+
+def test_solver_skips_states_already_expanded():
+    # R3's overlapping children reach each vertex with the symbols assigned
+    # in different orders; each of those states is expanded once
+    result = solve_structured(derive_constraints(g_s_dgla(24, 2), 0))
+    assert result.complete
+    assert result.leaves == len(result.families) == 25
+    assert result.skipped > 0
 
 
 def test_is_abelian_agrees_with_full_scan():
