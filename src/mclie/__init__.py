@@ -4,7 +4,6 @@ localization machinery of homologically disconnected cdgas."""
 
 from .linalg import (
     QQ,
-    ChainComplex,
     DegreeMismatch,
     GradedElement,
     GradedLinearMap,

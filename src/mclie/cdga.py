@@ -20,7 +20,6 @@ from .linalg import (
     ONE,
     QQ,
     ZERO,
-    ChainComplex,
     Coordinates,
     GradedElement,
     GradedLinearMap,
@@ -32,9 +31,10 @@ from .linalg import (
     _DgAlgebra,
     _add_scaled,
     _element_of,
-    _sparse,
 )
+from . import freelie
 from .dgla import Dgla
+from .freelie import InvalidDifferential, TruncationTooLarge
 
 CDGA_PAIR_CAP = 80
 CDGA_TRIPLE_CAP = 26
@@ -190,7 +190,7 @@ class FreePolynomialCdga(Cdga):
     def __init__(self, generators: Sequence[tuple], max_weight: int,
                  dgens: Optional[Mapping[str, GradedElement]] = None,
                  augmentation_gens: Optional[Mapping[str, Fraction]] = None,
-                 check: str = "auto", size_cap: int = 20000):
+                 check: str = "auto"):
         self.generators = []
         for g in generators:
             if len(g) == 2:
@@ -204,7 +204,7 @@ class FreePolynomialCdga(Cdga):
         self._dgens = dict(dgens or {})
         self._aug_gens = dict(augmentation_gens) if augmentation_gens is not None else None
 
-        monos = self._enumerate_monomials(size_cap)
+        monos = self._enumerate_monomials()
         self._label_of_mono: dict[tuple, str] = {}
         self._mono_of_label: dict[str, tuple] = {}
         basis: dict[int, list[str]] = {}
@@ -224,6 +224,10 @@ class FreePolynomialCdga(Cdga):
                     raise CdgaAxiomViolation(
                         "d(%s) must be homogeneous of cohomological degree %d"
                         % (name, cohdeg + 1))
+                if lab not in self.weights:
+                    raise InvalidDifferential(
+                        "d(%s) has the term %s, beyond the weight-%d truncation"
+                        % (name, lab, max_weight))
                 if self.weights[lab] < weight:
                     raise TruncationNotDgStable(
                         "d(%s) lowers truncation weight" % name)
@@ -253,7 +257,7 @@ class FreePolynomialCdga(Cdga):
 
     # monomials are tuples of (generator index, exponent), sorted by index
 
-    def _enumerate_monomials(self, size_cap):
+    def _enumerate_monomials(self):
         gens = self.generators
         # weight -> the monomials of that weight; a generator extends only
         # the weights it fits on, so a heavy one costs nothing per monomial
@@ -273,12 +277,15 @@ class FreePolynomialCdga(Cdga):
                     w = w0 + e * weight
                     if w > self.max_weight:
                         break
+                    # counted before they are built, so the cap bounds memory
+                    count += len(monos)
+                    if count > freelie.BASIS_SIZE_CAP:
+                        raise TruncationTooLarge(
+                            "truncated basis would have at least %d elements (cap %d)"
+                            % (count, freelie.BASIS_SIZE_CAP))
                     new.append((w, [mono + ((i, e),) for mono in monos]))
             for w, monos in new:
                 by_weight.setdefault(w, []).extend(monos)
-                count += len(monos)
-            if count > size_cap:
-                raise CdgaAxiomViolation("truncated basis exceeds size cap")
         # (weight, label) is unique, so the monomial itself is never compared
         return sorted((w, self._format(m), m)
                       for w, monos in by_weight.items() for m in monos)
@@ -722,7 +729,7 @@ def idempotent_split(a: Cdga):
     nonneg = all(n <= 0 for n in a.space.degrees())
     factors = []
     for e in idems:
-        u = linear_combination(zip(e, reps))
+        u = linear_combination((c, reps[i]) for i, c in e.items())
         if nonneg and (a.multiply(u, u) - u).is_zero():
             factors.append((u, _strict_factor(a, u), "strict"))
         else:
@@ -775,7 +782,7 @@ def localization_exactness_report(a: Cdga, u: GradedElement,
                 if x is None:
                     raise LocalizationFailure("u times a cycle is not a cycle "
                                               "in degree %d" % n)
-                new.append(_sparse(x))
+                new.append(x)
             vecs = new
         image = RowSpace(k)
         for v in vecs:
@@ -907,18 +914,15 @@ def derivations_report(a: Cdga, rebuilt: Optional[Cdga] = None) -> dict:
             if x is None:
                 raise CdgaAxiomViolation("element escapes the quotient I/I^2 "
                                          "in degree %d" % n)
-            labs = space.labels(n)
-            return GradedElement({(n, labs[i]): c for i, c in enumerate(x) if c})
+            return space.from_vector(x, n)
 
         def d_fn(n, lab):
-            kept = quo_basis[n]
-            i = list(space.labels(n)).index(lab)
-            img = alg.d(kept[i])
+            img = alg.d(quo_basis[n][space.index(n, lab)])
             img = img - alg.unit.scale(alg.eps(img))
             return express(img, n - 1)
 
         d_map = GradedLinearMap.from_function(space, space, -1, d_fn)
-        h = complex_homology(ChainComplex(space, d_map))
+        h = complex_homology(space, d_map)
         return {-n: h.dim(n) for n in h.degrees() if h.dim(n)}
 
     dims = quotient_dims(a)

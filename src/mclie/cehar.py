@@ -581,24 +581,23 @@ class TransferData:
             if len(cols) != dim or self._decomp[n].rank() != dim:
                 raise CertificateFailure("splitting does not span degree %d" % n)
 
-    def coords(self, elt: GradedElement, n: int):
-        x = self._decomp[n].coords(self.g.space.to_vector(elt, n))
+    def coords(self, elt: GradedElement, n: int) -> dict[int, Fraction]:
+        """elt's degree-n coordinates {i: c} in index order, over the
+        boundaries, then the representatives, then the preimages."""
+        x = self._decomp[n].coords(self.g.space.to_vector(elt.homogeneous_part(n), n))
         if x is None:
             raise CertificateFailure(
                 "element outside the splitting of degree %d" % n)
-        nb = len(self.boundaries.get(n, []))
-        nh = len(self.h_reps.get(n, []))
-        return x[:nb], x[nb:nb + nh], x[nb + nh:]
+        return x
 
     def p(self, elt: GradedElement) -> dict[tuple[int, int], Fraction]:
         """Projection onto homology coordinates {(degree, index): c}."""
         out = {}
         for n in sorted(elt.degrees()):
-            part = elt.homogeneous_part(n)
-            _, hcoords, _ = self.coords(part, n)
-            for i, c in enumerate(hcoords):
-                if c:
-                    out[(n, i)] = c
+            nb, nh = len(self.boundaries[n]), len(self.h_reps[n])
+            for i, c in self.coords(elt, n).items():
+                if nb <= i < nb + nh:
+                    out[(n, i - nb)] = c
         return out
 
     def i(self, n: int, idx: int) -> GradedElement:
@@ -607,9 +606,9 @@ class TransferData:
     def h(self, elt: GradedElement) -> GradedElement:
         out: dict = {}
         for n in sorted(elt.degrees()):
-            bcoords, _, _ = self.coords(elt.homogeneous_part(n), n)
-            for i, c in enumerate(bcoords):
-                if c:
+            nb = len(self.boundaries[n])
+            for i, c in self.coords(elt, n).items():
+                if i < nb:
                     _add_scaled(out, self.preimages[n + 1][i], c)
         return _element_of(out)
 
@@ -688,13 +687,23 @@ class MinimalModel:
         return Dgla(space, None, bracket_fn, check="auto")
 
     def quasi_iso_verified(self, degree_range: Optional[tuple[int, int]] = None) -> bool:
-        """The inclusion of representatives induces an isomorphism onto
-        H(g) in the requested degree range (all degrees by default)."""
-        h = self.g.homology()
-        degrees = h.degrees() if degree_range is None else \
-            [n for n in h.degrees() if degree_range[0] <= n <= degree_range[1]]
-        for n in degrees:
-            if len(self.transfer.h_reps.get(n, [])) != h.dim(n):
+        """The transfer's side conditions on every basis element of the
+        requested degree range (all degrees by default): d i = 0 and
+        p i = id on the homology basis, p d = 0 and dh + hd = id - i p on
+        the basis of g.  Together they make i a quasi-isomorphism with
+        homotopy inverse p."""
+        t, g = self.transfer, self.g
+        lo, hi = degree_range or (float("-inf"), float("inf"))
+        for n, idx in self.generators:
+            e = t.i(n, idx)
+            if lo <= n <= hi and (not g.d(e).is_zero() or t.p(e) != {(n, idx): ONE}):
+                return False
+        for n, lab in g.basis_items():
+            if not lo <= n <= hi:
+                continue
+            x = g.space.basis_element(n, lab)
+            ip = linear_combination((c, t.i(*key)) for key, c in t.p(x).items())
+            if t.p(g.d(x)) or g.d(t.h(x)) + t.h(g.d(x)) != x - ip:
                 return False
         return True
 

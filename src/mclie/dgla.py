@@ -21,10 +21,10 @@ from .linalg import (
     GradedElement,
     GradedLinearMap,
     GradedVectorSpace,
-    kernel_basis,
     linear_combination,
     _DgAlgebra,
     _add_scaled,
+    _cycles,
     _element_of,
 )
 from .freelie import (
@@ -116,8 +116,8 @@ class DglaPresentation:
         self.pres = pres
         self.twist = twist
 
-    def materialize(self, m: int, size_cap: int = 20000, check: str = "auto") -> Dgla:
-        q = self.pres.materialize(m, size_cap)
+    def materialize(self, m: int, check: str = "auto") -> Dgla:
+        q = self.pres.materialize(m)
         g = dgla_from_quotient(q, presentation=DglaPresentation(self.pres), check=check)
         if self.twist is not None:
             g = twist(g, q.project(self.twist), check=check)
@@ -389,7 +389,7 @@ def connected_cover(g: Dgla) -> tuple[Dgla, GradedLinearMap]:
     dropping negative degrees; returns (cover, inclusion)."""
     basis: dict[int, list[str]] = {}
     incl_vectors: dict[str, GradedElement] = {}
-    ker0 = kernel_basis(g.d_map.block(0), g.space.dim(0))
+    ker0 = _cycles(g.d_map, 0)
     for n in g.space.degrees():
         if n > 0:
             basis[n] = list(g.space.labels(n))

@@ -36,8 +36,13 @@ Tree = object  # int leaf or (Tree, Tree) pair
 Word = tuple  # tuple of generator indices
 
 
+# the most basis elements a truncated free Lie algebra or a truncated free
+# cdga may have; one more raises TruncationTooLarge, a resource cap (exit 3)
+BASIS_SIZE_CAP = 20000
+
+
 class TruncationTooLarge(Exception):
-    """The requested truncated basis exceeds the configured size cap."""
+    """The requested truncated basis exceeds BASIS_SIZE_CAP."""
 
 
 class NotLieElement(Exception):
@@ -99,7 +104,7 @@ class FreeLieTruncation:
     truncated (bracket weight when all weights are 1).
     """
 
-    def __init__(self, generators: Sequence[tuple], m: int, size_cap: int = 20000):
+    def __init__(self, generators: Sequence[tuple], m: int):
         if m < 1:
             raise ValueError("weight bound must be >= 1")
         self.m = m
@@ -122,7 +127,7 @@ class FreeLieTruncation:
         self.gen_index = {n: i for i, n in enumerate(self.gen_names)}
 
         self._wd_cache: dict = {}
-        self._build_basis(size_cap)
+        self._build_basis()
         self._expand_cache: dict = {}
         self._bracket_cache: dict[tuple[str, str], GradedElement] = {}
 
@@ -163,15 +168,15 @@ class FreeLieTruncation:
                 return (self._standard_tree(w[:start]), self._standard_tree(w[start:]))
         raise AssertionError("no Lyndon suffix found for %r" % (w,))
 
-    def _build_basis(self, size_cap: int):
+    def _build_basis(self):
         k = len(self.gen_names)
         words = []
         for w in lyndon_words(k, self.m):
             if self.word_weight(w) <= self.m:
                 words.append(w)
-                if len(words) > size_cap:
+                if len(words) > BASIS_SIZE_CAP:
                     raise TruncationTooLarge(
-                        "basis exceeds the size cap %d" % size_cap)
+                        "basis exceeds the size cap %d" % BASIS_SIZE_CAP)
         self._lyndon_set = set(words)
         self.tree_of_word: dict[Word, object] = {}
         trees = []
@@ -186,9 +191,9 @@ class FreeLieTruncation:
             if self.tree_degree(t) % 2 == 1 and 2 * self.word_weight(w) <= self.m:
                 trees.append((t, t))
                 self._square_words[w + w] = (t, t)
-        if len(trees) > size_cap:
+        if len(trees) > BASIS_SIZE_CAP:
             raise TruncationTooLarge(
-                "basis would have %d elements (cap %d)" % (len(trees), size_cap))
+                "basis would have %d elements (cap %d)" % (len(trees), BASIS_SIZE_CAP))
         self.label_of_tree: dict = {}
         self.tree_of_label: dict[str, object] = {}
         basis: dict[int, list[str]] = {}
@@ -389,8 +394,8 @@ class LiePresentation:
         for r in self.relations:
             r.degree()  # homogeneity check
 
-    def materialize(self, m: int, size_cap: int = 20000) -> "QuotientLie":
-        return QuotientLie(self, m, size_cap)
+    def materialize(self, m: int) -> "QuotientLie":
+        return QuotientLie(self, m)
 
     def relation_weights(self) -> list[Optional[int]]:
         """The weight of each relation, read off the generators in its
@@ -433,10 +438,10 @@ class QuotientLie:
     carries a weight witness and brackets remain weight-filtered.
     """
 
-    def __init__(self, presentation: LiePresentation, m: int, size_cap: int = 20000):
+    def __init__(self, presentation: LiePresentation, m: int):
         self.presentation = presentation
         self.m = m
-        self.free = FreeLieTruncation(presentation.generators, m, size_cap)
+        self.free = FreeLieTruncation(presentation.generators, m)
         lie = self.free
 
         # column order per degree: (weight, label)
@@ -618,10 +623,9 @@ def bch(lie: FreeLieTruncation, a: GradedElement, b: GradedElement) -> GradedEle
 # public constructors
 # ---------------------------------------------------------------------------
 
-def build_basis(generators: Sequence[tuple], m: int,
-                size_cap: int = 20000) -> FreeLieTruncation:
+def build_basis(generators: Sequence[tuple], m: int) -> FreeLieTruncation:
     """Truncated free graded Lie algebra on the given generators."""
-    return FreeLieTruncation(generators, m, size_cap)
+    return FreeLieTruncation(generators, m)
 
 
 def truncated_basis_estimate(generators: Sequence[tuple], m: int,

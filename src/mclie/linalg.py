@@ -1,18 +1,24 @@
 """Exact rational linear algebra: graded vector spaces, sparse elements,
-degree-shifting linear maps, chain complexes and their homology, the
-core that dglas and cdgas share (with their one axiom checker), and the
-primitive idempotents of a split commutative algebra in degree 0: H^0 of
-a cdga, held as a Cdga with zero differential.
+degree-shifting linear maps, homology, the core that dglas and cdgas share
+(with their one axiom checker), and the primitive idempotents of a split
+commutative algebra in degree 0: H^0 of a cdga, held as a Cdga with zero
+differential.
 
 All arithmetic is fractions.Fraction; there is no floating point anywhere.
-Linear maps are stored as sparse columns.  RowSpace, an incremental
-reduced row echelon form, is the one row reducer, and sparse vectors
-({column: Fraction} dicts of nonzeros, as GradedVectorSpace.to_vector
-returns them) are its only input: homology, the (weight, degree) cells,
-the quotient Lie algebras, Coordinates and the cdga constructions all
-feed it that way.  rref, rank, kernel_basis and solve_matrix are the
-entry points for dense matrices.  The reduced row echelon form is
-unique, so every derived report is reproducible bit for bit.
+Vectors are sparse, in and out: {index: Fraction} dicts of nonzero
+entries, as GradedVectorSpace.to_vector returns them and from_vector reads
+them.  Linear maps are stored as sparse columns.  RowSpace, an incremental
+reduced row echelon form, is the one row reducer and takes only sparse
+vectors: homology, the (weight, degree) cells, the quotient Lie algebras,
+Coordinates and the cdga constructions all feed it that way, and
+Coordinates.coords and HomologyReport.class_of answer in sparse
+coordinates, in index order.  The reduced row echelon form is unique, so
+every derived report is reproducible bit for bit.
+
+rref and solve_matrix are the two entry points for dense matrices (lists
+of row lists).  No library code calls them; they stay because the
+per-layer metrics of BENCHMARK.json name them, and perfbench's traced run
+exits 2 when a named function is missing.
 
 Coordinates in a subspace come from here: a subspace with a basis of its
 own (a connected cover, a strict factor u*A, an eventual image) reads
@@ -59,32 +65,9 @@ class CertificateFailure(Exception):
 
 
 # ---------------------------------------------------------------------------
-# row reduction: RowSpace keeps sparse {column: Fraction} rows; rref, rank,
-# kernel_basis and solve_matrix read dense matrices (lists of row lists)
-# into it
+# row reduction: RowSpace keeps sparse {column: Fraction} rows; rref and
+# solve_matrix read dense matrices (lists of row lists) into it
 # ---------------------------------------------------------------------------
-
-def zeros(nrows: int, ncols: int) -> list[list[Fraction]]:
-    return [[ZERO] * ncols for _ in range(nrows)]
-
-
-def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]):
-    if not a or not b:
-        return []
-    n, k, m = len(a), len(b), len(b[0])
-    out = zeros(n, m)
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for j in range(k):
-            c = ai[j]
-            if c:
-                bj = b[j]
-                for l in range(m):
-                    if bj[l]:
-                        oi[l] += c * bj[l]
-    return out
-
 
 def _sparse(vec: Sequence[Fraction]) -> dict[int, Fraction]:
     """The nonzero entries of a dense vector, keyed by column."""
@@ -100,25 +83,6 @@ def rref(rows: Iterable[Sequence[Fraction]], ncols: int):
         span._add(_sparse(r))
     pivots = span.pivots
     return [[span._rows[pc].get(j, ZERO) for j in range(ncols)] for pc in pivots], pivots
-
-
-def rank(rows: Iterable[Sequence[Fraction]], ncols: int) -> int:
-    return len(rref(rows, ncols)[1])
-
-
-def kernel_basis(rows: Iterable[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the right kernel, one vector per free column, in column order."""
-    red, pivots = rref(rows, ncols)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [ZERO] * ncols
-        v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis
 
 
 def solve_matrix(rows: Sequence[Sequence[Fraction]], ncols: int,
@@ -208,23 +172,20 @@ class Coordinates:
     """
 
     def __init__(self, vectors: Sequence[Mapping[int, Fraction]], ncols: int):
-        self.m = len(vectors)
         self.span = RowSpace(ncols)
         for i, v in enumerate(vectors):
             tagged = dict(v)
             tagged[ncols + i] = -ONE
             self.span._add(tagged)
 
-    def coords(self, vec: Mapping[int, Fraction]) -> Optional[list[Fraction]]:
-        """The dense list of coefficients on all m input vectors, or None
-        outside their span."""
+    def coords(self, vec: Mapping[int, Fraction]) -> Optional[dict[int, Fraction]]:
+        """The nonzero coefficients on the input vectors, {i: c} in index
+        order, or None outside their span."""
         ncols = self.span.ncols
-        out = [ZERO] * self.m
-        for j, x in self.span._reduce(vec).items():
-            if j < ncols:
-                return None
-            out[j - ncols] = x
-        return out
+        x = self.span._reduce(vec)
+        if any(j < ncols for j in x):
+            return None
+        return {j - ncols: c for j, c in sorted(x.items())}
 
     def rank(self) -> int:
         return self.span.dim()
@@ -294,9 +255,11 @@ class GradedVectorSpace:
             v[self.index(n, lab)] = c
         return v
 
-    def from_vector(self, v: Sequence[Fraction], n: int) -> "GradedElement":
+    def from_vector(self, v: Mapping[int, Fraction], n: int) -> "GradedElement":
+        """The element of degree n with the sparse vector v as coordinates,
+        its terms in basis order."""
         labels = self.labels(n)
-        return GradedElement({(n, labels[i]): c for i, c in enumerate(v) if c})
+        return GradedElement({(n, labels[i]): v[i] for i in sorted(v)})
 
 
 class GradedElement:
@@ -424,36 +387,19 @@ class GradedLinearMap:
 
     Stored as sparse columns: columns[n][j] lists the (row, coefficient)
     pairs of the image of the j-th basis vector of degree n, in degree
-    n + shift, rows ascending and zeros never stored.  Degrees whose
-    columns are all zero are absent.  apply, compose and is_zero work on
-    the columns at O(nonzeros) cost; block(n) builds the dense matrix on
-    demand.  The constructor takes dense blocks, one per source degree.
+    n + shift, rows ascending and zero entries never stored.  Degrees whose
+    columns are all zero are dropped.  apply, compose, is_zero and solve
+    work on the columns at a cost of O(nonzero entries).
     """
 
     def __init__(self, source: GradedVectorSpace, target: GradedVectorSpace,
-                 shift: int, blocks: Optional[Mapping[int, Sequence[Sequence[Fraction]]]] = None):
+                 shift: int, columns: Optional[Mapping[int, list]] = None):
         self.source = source
         self.target = target
         self.shift = shift
-        self.columns: dict[int, list[list[tuple[int, Fraction]]]] = {}
+        self.columns: dict[int, list[list[tuple[int, Fraction]]]] = {
+            n: cols for n, cols in (columns or {}).items() if any(cols)}
         self._coordinates: dict[int, Coordinates] = {}
-        if blocks:
-            for n, b in blocks.items():
-                b = [list(map(rational, row)) for row in b]
-                if b and any(any(row) for row in b):
-                    exp_rows = target.dim(n + shift)
-                    exp_cols = source.dim(n)
-                    if len(b) != exp_rows or any(len(r) != exp_cols for r in b):
-                        raise ValueError("block %d has wrong shape" % n)
-                    self.columns[n] = [[(i, row[j]) for i, row in enumerate(b) if row[j]]
-                                       for j in range(exp_cols)]
-
-    @classmethod
-    def _of_columns(cls, source: GradedVectorSpace, target: GradedVectorSpace,
-                    shift: int, columns: Mapping[int, list]) -> "GradedLinearMap":
-        out = cls(source, target, shift)
-        out.columns = {n: cols for n, cols in columns.items() if any(cols)}
-        return out
 
     @classmethod
     def from_function(cls, source: GradedVectorSpace, target: GradedVectorSpace,
@@ -472,15 +418,7 @@ class GradedLinearMap:
                 col.sort()
                 cols.append(col)
             columns[n] = cols
-        return cls._of_columns(source, target, shift, columns)
-
-    def block(self, n: int) -> list[list[Fraction]]:
-        """The dense matrix of degree n (a new list each call)."""
-        b = zeros(self.target.dim(n + self.shift), self.source.dim(n))
-        for j, col in enumerate(self.columns.get(n, ())):
-            for i, c in col:
-                b[i][j] = c
-        return b
+        return cls(source, target, shift, columns)
 
     def apply(self, elt: GradedElement) -> GradedElement:
         out: dict[tuple[int, str], Fraction] = {}
@@ -516,8 +454,8 @@ class GradedLinearMap:
                         acc[i] = acc.get(i, ZERO) + b * a
                 out.append(sorted((i, c) for i, c in acc.items() if c))
             columns[n] = out
-        return GradedLinearMap._of_columns(other.source, self.target,
-                                           self.shift + other.shift, columns)
+        return GradedLinearMap(other.source, self.target, self.shift + other.shift,
+                               columns)
 
     def is_zero(self) -> bool:
         return not self.columns
@@ -544,26 +482,8 @@ class GradedLinearMap:
 
 
 # ---------------------------------------------------------------------------
-# chain complexes and homology
+# the dg-algebra core and homology
 # ---------------------------------------------------------------------------
-
-class ChainComplex:
-    """Graded space with a differential of homological shift -1; d*d = 0 is
-    checked on construction.  Cohomological objects are stored with degrees
-    negated, so one sign discipline covers both conventions."""
-
-    def __init__(self, space: GradedVectorSpace, differential: GradedLinearMap):
-        if differential.shift != -1:
-            raise ValueError("differential must have shift -1")
-        self.space = space
-        self.d = differential
-        dd = differential.compose(differential)
-        if not dd.is_zero():
-            raise ValueError("d squared is nonzero")
-
-    def homology(self) -> "HomologyReport":
-        return homology(self)
-
 
 class _DgAlgebra:
     """What dglas and cdgas share: a graded space, a differential of shift
@@ -695,7 +615,7 @@ class _DgAlgebra:
         raise KeyError(label)
 
     def homology(self) -> "HomologyReport":
-        return homology(ChainComplex(self.space, self.d_map))
+        return homology(self.space, self.d_map)
 
     def total_dim(self) -> int:
         return self.space.total_dim()
@@ -738,29 +658,28 @@ class HomologyReport:
 
     def __init__(self, space: GradedVectorSpace, dims: dict[int, int],
                  representatives: dict[int, list[GradedElement]],
-                 boundaries: dict[int, list[GradedElement]],
-                 cycle_dims: dict[int, int]):
+                 boundaries: dict[int, list[GradedElement]]):
         self.space = space
         self.dims = dims
         self.representatives = representatives
         self.boundaries = boundaries
-        self.cycle_dims = cycle_dims
-        self._cycles: dict[int, Coordinates] = {}
+        self._classes: dict[int, Coordinates] = {}
 
     def dim(self, n: int) -> int:
         return self.dims.get(n, 0)
 
-    def class_of(self, elt: GradedElement, n: int) -> Optional[list[Fraction]]:
-        """A degree-n cycle's class as coefficients on the representatives,
-        or None for a non-cycle; the Coordinates over representatives and
-        boundaries is built on first use."""
-        if n not in self._cycles:
-            self._cycles[n] = Coordinates(
+    def class_of(self, elt: GradedElement, n: int) -> Optional[dict[int, Fraction]]:
+        """A degree-n cycle's class as sparse coefficients {i: c} on the
+        representatives, in index order, or None for a non-cycle; the
+        Coordinates over representatives and boundaries is built on first
+        use."""
+        if n not in self._classes:
+            self._classes[n] = Coordinates(
                 [self.space.to_vector(c, n) for c in
                  self.representatives.get(n, []) + self.boundaries.get(n, [])],
                 self.space.dim(n))
-        x = self._cycles[n].coords(self.space.to_vector(elt, n))
-        return None if x is None else x[:self.dim(n)]
+        x = self._classes[n].coords(self.space.to_vector(elt, n))
+        return None if x is None else {i: c for i, c in x.items() if i < self.dim(n)}
 
     def degrees(self) -> list[int]:
         return sorted(self.dims)
@@ -783,45 +702,47 @@ def _kernel(span: RowSpace) -> list[dict[int, Fraction]]:
     return list(ker.values())
 
 
-def homology(c: ChainComplex) -> HomologyReport:
-    """Homology of a chain complex, degreewise, on the sparse columns of d.
+def _cycles(d: GradedLinearMap, n: int) -> list[dict[int, Fraction]]:
+    """Basis of the kernel of d on degree n: the rows of d_n reduced into a
+    RowSpace, then one sparse vector per free column, in column order."""
+    rows: dict[int, dict[int, Fraction]] = {}
+    for j, col in enumerate(d.columns.get(n, ())):
+        for i, x in col:
+            rows.setdefault(i, {})[j] = x
+    span = RowSpace(d.source.dim(n))
+    for row in rows.values():
+        span._add(row)
+    return _kernel(span)
 
-    The cycles are the kernel of the reduced rows of d_n; the boundary
-    basis is the reduced columns of d_{n+1}, and the representatives are
-    the cycles that extend it, taken in order.  The two eliminations are
-    independent, so that every boundary is a cycle (exactly dim ker -
-    dim im representatives) is computed evidence, checked in each degree.
+
+def homology(space: GradedVectorSpace, d: GradedLinearMap) -> HomologyReport:
+    """Homology of the complex (space, d), d of shift -1, degreewise, on
+    the sparse columns of d.  Cohomological objects are stored with degrees
+    negated, so one sign discipline covers both conventions.
+
+    The cycles are _cycles(d, n); the boundary basis is the reduced columns
+    of d_{n+1}, and the representatives are the cycles that extend it,
+    taken in order.  The two eliminations are independent, so that every
+    boundary is a cycle (exactly dim ker - dim im representatives: d*d = 0
+    in degree n + 1) is computed evidence, checked in each degree.
     """
-    space, d = c.space, c.d
+    if d.shift != -1:
+        raise ValueError("differential must have shift -1")
     dims: dict[int, int] = {}
     reps: dict[int, list[GradedElement]] = {}
     bnds: dict[int, list[GradedElement]] = {}
-    cycle_dims: dict[int, int] = {}
     for n in space.degrees():
-        labels = space.labels(n)
-
-        def element(vec: dict[int, Fraction]) -> GradedElement:
-            return _element_of({(n, labels[j]): x for j, x in sorted(vec.items())})
-
-        rows: dict[int, dict[int, Fraction]] = {}
-        for j, col in enumerate(d.columns.get(n, ())):
-            for i, x in col:
-                rows.setdefault(i, {})[j] = x
-        cycles = RowSpace(len(labels))
-        for row in rows.values():
-            cycles._add(row)
-        ker = _kernel(cycles)
-        span = RowSpace(len(labels))
+        ker = _cycles(d, n)
+        span = RowSpace(space.dim(n))
         for col in d.columns.get(n + 1, ()):
             span._add(dict(col))
-        bnds[n] = [element(span._rows[pc]) for pc in span.pivots]
+        bnds[n] = [space.from_vector(span._rows[pc], n) for pc in span.pivots]
         chosen = [v for v in ker if span._add(v)]
         if len(chosen) != len(ker) - len(bnds[n]):
             raise CertificateFailure("boundaries are not all cycles in degree %d" % n)
-        reps[n] = [element(v) for v in chosen]
+        reps[n] = [space.from_vector(v, n) for v in chosen]
         dims[n] = len(chosen)
-        cycle_dims[n] = len(ker)
-    return HomologyReport(space, dims, reps, bnds, cycle_dims)
+    return HomologyReport(space, dims, reps, bnds)
 
 
 # ---------------------------------------------------------------------------
@@ -841,7 +762,8 @@ def _char_poly(m: list[list[Fraction]]) -> list[Fraction]:
             break
         for i in range(n):
             mk[i][i] += ck
-        mk = mat_mul(m, mk)
+        mk = [[sum(m[i][t] * mk[t][j] for t in range(n)) for j in range(n)]
+              for i in range(n)]
     return coeffs
 
 
@@ -890,10 +812,11 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     return sorted(roots)
 
 
-def idempotents(a) -> list[list[Fraction]]:
+def idempotents(a) -> list[dict[int, Fraction]]:
     """Orthogonal primitive idempotents of a split algebra, by simultaneous
     rational eigenspace splitting of the multiplication operators, as
-    coordinate lists in its basis.
+    sparse coordinate vectors {i: c} in its basis, in index order, sorted
+    by their coordinate lists.
 
     a is a commutative algebra concentrated in degree 0, a cdga such as the
     H^0 of cdga.cohomology_algebra: it is read through its degree-0 basis,
@@ -903,57 +826,37 @@ def idempotents(a) -> list[list[Fraction]]:
     irrational or non-semisimple spectrum, i.e. the algebra is not a finite
     product of copies of Q.
     """
-    n = a.space.dim(0)
-
-    def dense(elt: GradedElement) -> list[Fraction]:
-        v = a.space.to_vector(elt, 0)
-        return [v.get(t, ZERO) for t in range(n)]
-
-    def multiply(u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
-        return dense(a.multiply(a.space.from_vector(u, 0), a.space.from_vector(v, 0)))
-
-    # subspaces as lists of coordinate vectors
-    subspaces: list[list[list[Fraction]]] = [
-        [[ONE if t == i else ZERO for t in range(n)] for i in range(n)]]
-    for g in range(n):
-        eg = [ONE if t == g else ZERO for t in range(n)]
+    space = a.space
+    n = space.dim(0)
+    # subspaces as lists of basis elements
+    subspaces = [space.basis_elements(0)]
+    for eg in space.basis_elements(0):
         new_subspaces = []
         for v_basis in subspaces:
             k = len(v_basis)
             if k == 1:
                 new_subspaces.append(v_basis)
                 continue
-            # restrict e_g* to the subspace: solve e_g*v_i = sum_j r_ji v_j
-            in_basis = Coordinates([_sparse(v) for v in v_basis], n)
+            # restrict e_g* to the subspace: solve e_g*v_j = sum_i r_ij v_i
+            in_basis = Coordinates([space.to_vector(v, 0) for v in v_basis], n)
             restr = []
             for vb in v_basis:
-                coords = in_basis.coords(_sparse(multiply(eg, vb)))
+                coords = in_basis.coords(space.to_vector(a.multiply(eg, vb), 0))
                 if coords is None:
                     raise NonSplitAlgebra("subspace not invariant")
                 restr.append(coords)
-            # columns of the restricted operator
-            rmat = [[restr[j][i] for j in range(k)] for i in range(k)]
-            cp = _char_poly(rmat)
-            roots = _rational_roots(cp)
+            rmat = [[restr[j].get(i, ZERO) for j in range(k)] for i in range(k)]
             pieces = []
-            total = 0
-            for lam in roots:
-                shifted = [[rmat[i][j] - (lam if i == j else ZERO) for j in range(k)]
-                           for i in range(k)]
-                ker = kernel_basis(shifted, k)
-                if not ker:
-                    continue
-                total += len(ker)
-                piece = []
-                for kv in ker:
-                    vec = [ZERO] * n
-                    for j, c in enumerate(kv):
-                        if c:
-                            for t in range(n):
-                                vec[t] += c * v_basis[j][t]
-                    piece.append(vec)
-                pieces.append(piece)
-            if total != k:
+            for lam in _rational_roots(_char_poly(rmat)):
+                shifted = RowSpace(k)
+                for i in range(k):
+                    shifted._add(_sparse([x - lam if i == j else x
+                                          for j, x in enumerate(rmat[i])]))
+                ker = _kernel(shifted)
+                if ker:
+                    pieces.append([linear_combination((c, v_basis[j]) for j, c in kv.items())
+                                   for kv in ker])
+            if sum(map(len, pieces)) != k:
                 raise NonSplitAlgebra(
                     "multiplication operator has irrational or non-semisimple spectrum")
             new_subspaces.extend(pieces)
@@ -962,30 +865,23 @@ def idempotents(a) -> list[list[Fraction]]:
         raise NonSplitAlgebra("common eigenspaces are not one-dimensional")
     idems = []
     for (vec,) in subspaces:
-        sq = multiply(vec, vec)
+        sq = a.multiply(vec, vec)
         # v*v = mu*v on a common eigenline; mu = 0 would mean a nilpotent line
-        mu = None
-        for i in range(n):
-            if vec[i]:
-                mu = sq[i] / vec[i]
-                break
+        first = min(vec.coeffs, key=lambda key: space.index(*key))
+        mu = sq.coeffs.get(first, ZERO) / vec.coeffs[first]
         if not mu:
             raise NonSplitAlgebra("nilpotent eigenline")
-        if [mu * x for x in vec] != sq:
+        if vec.scale(mu) != sq:
             raise NonSplitAlgebra("eigenline not multiplicatively closed")
-        idems.append([x / mu for x in vec])
+        idems.append(vec.scale(1 / mu))
     # exact verification of the defining identities
     for i, e in enumerate(idems):
-        if multiply(e, e) != e:
+        if a.multiply(e, e) != e:
             raise NonSplitAlgebra("candidate idempotent fails e*e = e")
-        for j in range(i + 1, len(idems)):
-            if any(multiply(e, idems[j])):
-                raise NonSplitAlgebra("candidate idempotents not orthogonal")
-    s = [ZERO] * n
-    for e in idems:
-        for t in range(n):
-            s[t] += e[t]
-    if s != dense(a.unit):
+        if any(not a.multiply(e, f).is_zero() for f in idems[i + 1:]):
+            raise NonSplitAlgebra("candidate idempotents not orthogonal")
+    if linear_combination((ONE, e) for e in idems) != a.unit:
         raise NonSplitAlgebra("idempotents do not sum to the unit")
-    idems.sort()
-    return idems
+    vectors = [space.to_vector(e, 0) for e in idems]
+    vectors.sort(key=lambda v: [v.get(t, ZERO) for t in range(n)])
+    return [{t: v[t] for t in sorted(v)} for v in vectors]

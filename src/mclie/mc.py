@@ -31,11 +31,11 @@ from .linalg import (
     QQ,
     ZERO,
     GradedElement,
-    kernel_basis,
+    RowSpace,
     linear_combination,
-    rank,
     _add_scaled,
     _element_of,
+    _kernel,
 )
 from .dgla import (
     Dgla,
@@ -885,7 +885,7 @@ def family_samples(system: MCConstraintSystem, family: SolutionFamily,
             monos = [omega.space.basis_element(-p, lab)
                      for lab in omega.space.labels(-p)]
         coords.extend((sym, m) for m in monos)
-    rows: list[list] = []
+    span = RowSpace(len(coords))
     for cons in family.constraints:
         cells: dict = {}
         for j, (sym, mono_elt) in enumerate(coords):
@@ -896,22 +896,14 @@ def family_samples(system: MCConstraintSystem, family: SolutionFamily,
                     terms.append((c, omega.d(mono_elt) if cdiff else mono_elt))
             for key, c in linear_combination(terms).coeffs.items():
                 cells.setdefault(key, {})[j] = c
-        for key in sorted(cells):
-            row = cells[key]
-            rows.append([row.get(j, ZERO) for j in range(len(coords))])
-    if rows:
-        vectors = kernel_basis(rows, len(coords))
-    else:
-        vectors = [[ONE if j == i else ZERO for j in range(len(coords))]
-                   for i in range(len(coords))]
-    vectors = vectors + [[ZERO] * len(coords)]
+        for row in cells.values():
+            span._add(row)
     out = []
-    for vec in vectors:
+    for vec in _kernel(span) + [{}]:
         free_values: dict = {sym: {} for sym in frees}
-        for j, c in enumerate(vec):
-            if c:
-                sym, mono_elt = coords[j]
-                _add_scaled(free_values[sym], mono_elt, c)
+        for j, c in sorted(vec.items()):
+            sym, mono_elt = coords[j]
+            _add_scaled(free_values[sym], mono_elt, c)
         out.append(instantiate_solution(
             system, family, tensor,
             {sym: _element_of(acc) for sym, acc in free_values.items()}))
@@ -998,13 +990,13 @@ def induced_homology_iso(incl, src: Dgla, dst: Dgla, degree: int) -> bool:
         return False
     if hs.dim(degree) == 0:
         return True
-    images = []
+    images = RowSpace(hd.dim(degree))
     for r in hs.representatives[degree]:
         x = hd.class_of(incl.apply(r), degree)
         if x is None:
             return False
-        images.append(x)
-    return rank(images, hd.dim(degree)) == hd.dim(degree)
+        images._add(x)
+    return images.dim() == hd.dim(degree)
 
 
 COMPONENT_N_MAX = 4

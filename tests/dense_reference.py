@@ -2,15 +2,17 @@
 
 A dense Gauss-Jordan eliminator: an independent implementation of the
 reduced row echelon form that mclie's sparse RowSpace (and everything read
-off it) computes.  And the Chevalley-Eilenberg generator differentials
-written the way the formula reads: one loop over the targets, and inside
-it every ordered basis pair, with no pair skipped."""
+off it) computes, with the kernel, solve and matrix product read off it.
+Dense blocks of a GradedLinearMap, both ways.  And the Chevalley-Eilenberg
+generator differentials written the way the formula reads: one loop over
+the targets, and inside it every ordered basis pair, with no pair
+skipped."""
 
 import itertools
 from fractions import Fraction
 
 from mclie.cdga import FreePolynomialCdga
-from mclie.linalg import QQ, GradedElement
+from mclie.linalg import QQ, GradedElement, GradedLinearMap
 
 
 def dense_rref(rows, ncols):
@@ -56,6 +58,45 @@ def dense_solve(rows, ncols, rhs):
     for r, pc in enumerate(pivots):
         x[pc] = red[r][ncols]
     return x
+
+
+def dense_kernel(rows, ncols):
+    """Basis of the right kernel, one vector per free column of the rref,
+    in column order."""
+    red, pivots = dense_rref(rows, ncols)
+    basis = []
+    for fc in range(ncols):
+        if fc not in pivots:
+            v = [Fraction(0)] * ncols
+            v[fc] = Fraction(1)
+            for row, pc in zip(red, pivots):
+                v[pc] = -row[fc]
+            basis.append(v)
+    return basis
+
+
+def dense_product(a, b, rows, cols):
+    """The rows x cols matrix a b; a has rows rows, b has cols columns."""
+    return [[sum((a[i][t] * b[t][j] for t in range(len(b))), Fraction(0))
+             for j in range(cols)] for i in range(rows)]
+
+
+def dense_block(m, n):
+    """The dense matrix of a GradedLinearMap in source degree n."""
+    b = [[Fraction(0)] * m.source.dim(n) for _ in range(m.target.dim(n + m.shift))]
+    for j, col in enumerate(m.columns.get(n, ())):
+        for i, c in col:
+            b[i][j] = c
+    return b
+
+
+def map_from_blocks(source, target, shift, blocks):
+    """The GradedLinearMap with the given dense blocks, one per source
+    degree, each target.dim(n + shift) x source.dim(n)."""
+    return GradedLinearMap(source, target, shift, {
+        n: [[(i, row[j]) for i, row in enumerate(b) if row[j]]
+            for j in range(source.dim(n))]
+        for n, b in blocks.items() if b})
 
 
 def ce_generator_differentials(g, bound, truncate_by="length"):

@@ -7,7 +7,8 @@ import random
 
 import pytest
 
-from mclie.linalg import QQ, GradedElement, NonSplitAlgebra, RowSpace, rank
+from dense_reference import dense_rank
+from mclie.linalg import QQ, GradedElement, NonSplitAlgebra, RowSpace
 from mclie.freelie import build_basis
 from mclie.dgla import (
     abelian_dgla,
@@ -247,13 +248,13 @@ def weighted_exterior_oracle(dim, weights, bracket_coeffs):
             cidx = [i for i, c in enumerate(cols) if weight_of(c) == w]
             ridx = [i for i, r in enumerate(rows) if weight_of(r) == w]
             block = [[m[i][j] for j in cidx] for i in ridx]
-            rank_out = rank(block, len(cidx))
+            rank_out = dense_rank(block, len(cidx))
             m_in, cols_in, rows_in = mats[p - 1]
             cidx_in = [i for i, c in enumerate(cols_in) if weight_of(c) == w]
             ridx_in = [i for i, r in enumerate(rows_in)
                        if weight_of(r) == w]
             block_in = [[m_in[i][j] for j in cidx_in] for i in ridx_in]
-            rank_in = rank(block_in, len(cidx_in)) if cidx_in else 0
+            rank_in = dense_rank(block_in, len(cidx_in)) if cidx_in else 0
             hdim = len(cidx) - rank_out - rank_in
             if hdim:
                 out[(w, p)] = hdim

@@ -1,9 +1,10 @@
+import hashlib
 import itertools
 
 import pytest
 
-from dense_reference import ce_generator_differentials
-from mclie.linalg import QQ, GradedElement, RowSpace, rank
+from dense_reference import ce_generator_differentials, dense_rank
+from mclie.linalg import QQ, GradedElement, RowSpace
 from mclie.dgla import (
     abelian_dgla,
     dgla_from_table,
@@ -16,6 +17,7 @@ from mclie.dgla import (
 from mclie.cdga import FiniteTableCdga
 from mclie.defs import load_algebra
 from mclie.dgla import free_product_dgla
+from mclie.freelie import InvalidDifferential
 from mclie.cehar import (
     CEComplex,
     CertificateFailure,
@@ -108,12 +110,12 @@ def classical_ce_oracle(dim, bracket_coeffs):
     dims = {}
     for p in range(1, dim + 1):
         m_out, ncols = d_matrix(p)
-        rank_out = rank(m_out, ncols)
+        rank_out = dense_rank(m_out, ncols)
         if p == 1:
             rank_in = 0
         else:
             m_in, nc_in = d_matrix(p - 1)
-            rank_in = rank(m_in, nc_in)
+            rank_in = dense_rank(m_in, nc_in)
         dims[p] = ncols - rank_out - rank_in
     return {p: v for p, v in dims.items() if v}
 
@@ -479,6 +481,49 @@ def test_minimal_model_failed_certificate_raises(monkeypatch):
     monkeypatch.setattr(MinimalModel, "linear_part_is_zero", lambda self: False)
     with pytest.raises(CertificateFailure):
         minimal_model(heisenberg_dgla())
+
+
+@pytest.mark.parametrize("ref", ["heisenberg", "sphere", "f_xa:3", "f_xa:5", "g_S:3",
+                                 "abelian:1:0", "harrison omega:1:3"])
+def test_transfer_side_conditions_hold(ref):
+    g = harrison(load_algebra(ref.split()[1]), 3).dgla if " " in ref else load_algebra(ref)
+    assert minimal_model(g).quasi_iso_verified()
+
+
+def test_minimal_model_rejects_a_broken_homotopy(monkeypatch):
+    # with h = 0, dh + hd misses id - i p on u, whose boundary v = du is
+    # exact: the verdict comes from the side conditions, not from a count
+    g = abelian_dgla({1: ["u"], 0: ["v"]}, {"u": GradedElement({(0, "v"): QQ(1)})})
+    assert minimal_model(g).quasi_iso_verified()
+    monkeypatch.setattr(TransferData, "h", lambda self, elt: GradedElement())
+    assert not MinimalModel(g).quasi_iso_verified()
+    with pytest.raises(CertificateFailure, match="quasi-isomorphism"):
+        minimal_model(g)
+
+
+# the l2 and l3 tables of minimal_model, in dict order, recorded when
+# TransferData.coords still returned dense coordinate lists
+MODEL_DIGEST = "7f3bc6b4387af5b64deb17f3184fec69d530536d8218662bb01ecbf33a43461d"
+
+
+def test_minimal_model_structure_digest():
+    models = [minimal_model(heisenberg_dgla()), minimal_model(f_xa_dgla(3)),
+              minimal_model(massey_four_dim(), 3, (0, 3))]
+    tables = [([(k, list(v.items())) for k, v in m.l2.items()],
+               [(k, list(v.items())) for k, v in m.l3.items()]) for m in models]
+    assert [(len(l2), len(l3)) for l2, l3 in tables] == [(2, 0), (0, 0), (0, 1)]
+    digest = hashlib.sha256(repr(tables).encode()).hexdigest()
+    assert digest == MODEL_DIGEST
+
+
+def test_ce_differential_beyond_the_truncation_is_invalid():
+    # s(a) has weight 2, above the weight-1 truncation, so d(s(b)) = s(a)
+    # names a term the truncated algebra does not have
+    b = GradedElement({(-1, "b"): QQ(1)})
+    g = dgla_from_table({0: ["a"], -1: ["b"]}, {}, {"a": b}, weights={"a": 2, "b": 2})
+    with pytest.raises(InvalidDifferential, match=r"^d\(s\(b\)\) has the term s\(a\), "
+                                                  r"beyond the weight-1 truncation$"):
+        ce_complex(g, 1, truncate_by="weight")
 
 
 def test_transfer_rejects_dependent_splitting(monkeypatch):

@@ -220,6 +220,16 @@ generator c 0
     assert "resource cap" in err
 
 
+def test_free_cdga_over_the_basis_cap_exits_3(capsys):
+    # the CE algebra of f_xa:4 at word bound 9 has more monomials than
+    # freelie.BASIS_SIZE_CAP, the cap both truncated free algebras read
+    rc, out, err = run_cli(["ce", "f_xa:4", "--words", "9"], capsys)
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("resource cap: truncated basis would have at least ")
+    assert err.endswith(" elements (cap 20000)\n") and err.count("\n") == 1
+
+
 def test_every_builtin_passes_check(capsys):
     builtins = ["sphere", "zero", "g_S:2", "f_xa:3", "heisenberg",
                 "abelian:2:1", "q", "qxq", "qk:3", "q_eps", "q_deg2",
@@ -396,9 +406,9 @@ def test_localize_computes_each_homology_once(monkeypatch, capsys):
     calls = []
     inner = mclie.linalg.homology
 
-    def counted(c):
-        calls.append(c)
-        return inner(c)
+    def counted(space, d):
+        calls.append(space)
+        return inner(space, d)
 
     # Cdga.homology is linalg._DgAlgebra.homology, which looks the name up there
     monkeypatch.setattr(mclie.linalg, "homology", counted)

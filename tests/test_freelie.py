@@ -146,9 +146,18 @@ def test_antisymmetry_and_jacobi_exhaustive():
         assert (lhs - rhs).is_zero()
 
 
-def test_truncation_cap():
-    with pytest.raises(TruncationTooLarge):
-        build_basis([("a", 0), ("b", 0), ("c", 0)], 6, size_cap=10)
+def test_truncation_cap(monkeypatch):
+    # one cap for both truncated free algebras, read when each is built
+    import mclie.freelie
+    from mclie.cdga import FreePolynomialCdga
+    monkeypatch.setattr(mclie.freelie, "BASIS_SIZE_CAP", 10)
+    with pytest.raises(TruncationTooLarge, match="cap 10$"):
+        build_basis([("a", 0), ("b", 0), ("c", 0)], 6)
+    # 1, x..x^6, y, y^2, y^3 and y^4: the cdga counts each list of new
+    # monomials before building it and stops at the first that passes the
+    # cap, not after all 28
+    with pytest.raises(TruncationTooLarge, match="at least 11 elements \\(cap 10\\)$"):
+        FreePolynomialCdga([("x", 0), ("y", 0)], 6, check="skip")
 
 
 # --- quotients --------------------------------------------------------------

@@ -195,6 +195,22 @@ def test_mc_simplices_f_level_one():
     assert others
 
 
+# the mc_simplices samples, each in dict order, recorded when family_samples
+# still took a dense kernel of the family's linear constraints
+SAMPLES_DIGEST = "6d44717e66c4a6949120e9d619f3cc52038aeb5034a7a57db1c3a3e72aa31388"
+
+
+def test_mc_simplices_samples_digest():
+    chain = {"u": GradedElement({(-2, "w"): QQ(1)})}
+    runs = [mc_simplices(g_s_dgla(3, 2), n, 2) for n in (1, 2)]
+    runs.append(mc_simplices(abelian_dgla({-1: ["u", "v"], -2: ["w"]}, chain), 1, 2))
+    runs.append(mc_simplices(f_xa_dgla(4), 1, 2, support=4))
+    samples = [[list(e.coeffs.items()) for e in r["samples"]] for r in runs]
+    assert [len(s) for s in samples] == [4, 4, 2, 4]
+    digest = hashlib.sha256(repr(samples).encode()).hexdigest()
+    assert digest == SAMPLES_DIGEST
+
+
 def test_zero_dgla_mc():
     g = zero_dgla()
     system, result, vertices = mc_vertices(g)
