@@ -30,6 +30,7 @@ from .linalg import (
     linear_combination,
     _DgAlgebra,
     _add_scaled,
+    _axpy,
     _element_of,
 )
 from . import freelie
@@ -124,9 +125,15 @@ class Cdga(_DgAlgebra):
         augmentation; returns the laws the caps skipped (see
         _check_axioms)."""
         items = self.basis_items()
-        for (dd, lab) in items:
-            e = self.space.basis_element(dd, lab)
-            if not (self.multiply(self.unit, e) - e).is_zero():
+        pos = {key: p for p, key in enumerate(items)}
+        # unit * e_p off the table rows of the unit's support
+        rows = [(c, self._table_row(items, pos, pos[key]))
+                for key, c in self.unit.coeffs.items()]
+        for p, (_, lab) in enumerate(items):
+            acc = {p: -ONE}
+            for c, row in rows:
+                _axpy(acc, row[p], c)
+            if any(acc.values()):
                 raise CdgaAxiomViolation("unit fails on %s" % lab)
         if not self.d(self.unit).is_zero():
             raise CdgaAxiomViolation("unit is not a cocycle")
@@ -142,9 +149,26 @@ class Cdga(_DgAlgebra):
                 raise CdgaAxiomViolation("augmentation of the unit is not 1")
         return skipped
 
-    def _triple_residual(self, u, v, w, d1: int, d2: int) -> GradedElement:
-        """(uv)w - u(vw)."""
-        return self.multiply(self.multiply(u, v), w) - self.multiply(u, self.multiply(v, w))
+    def _triple_failure(self, table: list[list[dict[int, Fraction]]],
+                        degrees: list[int]) -> Optional[tuple[int, int, int]]:
+        """The first basis triple (i, j, k), in itertools.product order,
+        with (uv)w - u(vw) nonzero, contracted over the table; None when
+        associativity holds."""
+        n = len(table)
+        for i, j in itertools.product(range(n), repeat=2):
+            uv, row_i, row_j = table[i][j], table[i], table[j]
+            for k in range(n):
+                vw = row_j[k]
+                if not (uv or vw):
+                    continue
+                acc: dict[int, Fraction] = {}
+                for a, c in uv.items():
+                    _axpy(acc, table[a][k], c)
+                for b, c in vw.items():
+                    _axpy(acc, row_i[b], -c)
+                if any(acc.values()):
+                    return i, j, k
+        return None
 
 
 class FiniteTableCdga(Cdga):
@@ -218,6 +242,10 @@ class FreePolynomialCdga(Cdga):
         space = GradedVectorSpace(basis)
 
         for name, cohdeg, weight in self.generators:
+            if weight > max_weight:
+                # the generator and its differential are zero in the
+                # truncation; a rebuild at a larger weight checks them
+                continue
             val = self._dgens.get(name, GradedElement())
             for (d, lab), _ in val.coeffs.items():
                 if d != -(cohdeg + 1):

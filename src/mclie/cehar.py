@@ -411,15 +411,35 @@ def _product_truncation(g: Dgla, h: Dgla, m: int) -> int:
     return max(m - 1, heaviest)
 
 
+def _check_weight_graded(g: Dgla) -> None:
+    """Raise InvalidDifferential at the first basis bracket [u, v] with a
+    term not of weight w(u) + w(v): every pair of a finite table, and the
+    pairs within the weight bound of a presented dgla (beyond it every
+    bracket is zero)."""
+    weight_of = {lab: w for (w, _), labs in g._cells().items() for lab in labs}
+    for (d1, l1), (d2, l2) in itertools.combinations_with_replacement(g.basis_items(), 2):
+        w = weight_of[l1] + weight_of[l2]
+        if g.weight_bound is not None and w > g.weight_bound:
+            continue
+        off = [lab for _, lab in g.bracket_labels(d1, l1, d2, l2).coeffs
+               if weight_of[lab] != w]
+        if off:
+            raise InvalidDifferential(
+                "truncation by weight needs a weight-graded dgla: [%s,%s] has "
+                "the term %s, not of weight %d" % (l1, l2, off[0], w))
+
+
 def compare_free_product(g: Dgla, h: Dgla, m: int, word_bound: int) -> dict:
     """Per-(weight, degree) comparison of H(C_+(g*h)) against
     H(C_+(g)) + H(C_+(h)) in the faithful window weight < m.
 
     Inputs must be weight-graded with zero differential (the appendix
     hypothesis), and both halves are checked: a nonzero differential
-    raises ValueError, and a bracket [u, v] with w(u) + w(v) < m that has
-    a term of another weight raises InvalidDifferential when the CE
-    complexes are built (see CEComplex).
+    raises ValueError, and a bracket [u, v] with a term of another weight
+    raises InvalidDifferential.  One with w(u) + w(v) < m is refused when
+    the CE complexes are built (see CEComplex); the CE complexes never
+    read the heavier brackets, so each factor's own basis brackets are
+    then checked against its weights (_check_weight_graded).
     word_bound must be at least m - 1 so the window is complete.
 
     The CE complexes are truncated at weight m - 1, so they read only the
@@ -453,6 +473,8 @@ def compare_free_product(g: Dgla, h: Dgla, m: int, word_bound: int) -> dict:
         else None
     ce_g = ce_complex(g, m - 1, truncate_by="weight") if g.total_dim() else None
     ce_h = ce_complex(h, m - 1, truncate_by="weight") if h.total_dim() else None
+    for alg in (g, h):
+        _check_weight_graded(alg)
     table = {}
     ok = True
     for w in range(1, m):

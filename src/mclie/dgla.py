@@ -12,6 +12,7 @@ completeness claims are checked by stabilization.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
 from .linalg import (
@@ -24,6 +25,7 @@ from .linalg import (
     linear_combination,
     _DgAlgebra,
     _add_scaled,
+    _axpy,
     _cycles,
     _element_of,
 )
@@ -100,11 +102,29 @@ class Dgla(_DgAlgebra):
         caps skipped (see _check_axioms)."""
         return self._check_axioms(pair_cap, triple_cap)
 
-    def _triple_residual(self, u, v, w, d1: int, d2: int) -> GradedElement:
-        """[u,[v,w]] - [[u,v],w] - (-1)^{|u||v|} [v,[u,w]]."""
-        return self.bracket(u, self.bracket(v, w)) - (
-            self.bracket(self.bracket(u, v), w) +
-            self.bracket(v, self.bracket(u, w)).scale(-ONE if (d1 * d2) % 2 else ONE))
+    def _triple_failure(self, table: list[list[dict[int, Fraction]]],
+                        degrees: list[int]) -> Optional[tuple[int, int, int]]:
+        """The first basis triple (i, j, k), in itertools.product order,
+        with [u,[v,w]] - [[u,v],w] - (-1)^{|u||v|} [v,[u,w]] nonzero,
+        contracted over the table; None when Jacobi holds."""
+        n = len(table)
+        for i, j in itertools.product(range(n), repeat=2):
+            uv, row_i, row_j = table[i][j], table[i], table[j]
+            odd = (degrees[i] * degrees[j]) % 2
+            for k in range(n):
+                vw, uw = row_j[k], row_i[k]
+                if not (uv or vw or uw):
+                    continue
+                acc: dict[int, Fraction] = {}
+                for b, c in vw.items():
+                    _axpy(acc, row_i[b], c)
+                for a, c in uv.items():
+                    _axpy(acc, table[a][k], -c)
+                for b, c in uw.items():
+                    _axpy(acc, row_j[b], c if odd else -c)
+                if any(acc.values()):
+                    return i, j, k
+        return None
 
 
 class DglaPresentation:

@@ -501,12 +501,25 @@ class _DgAlgebra:
     A subclass sets _SIGN (v*u = _SIGN (-1)^{|u||v|} u*v: -1 for a Lie
     bracket, +1 for a commutative product), _SYMMETRY (the name of that
     axiom), _TRIPLE_LAW (the law on basis triples, "Jacobi" or
-    "associativity") with its _triple_residual, _VIOLATION (the exception a
-    failed axiom raises) and _TRIPLE_CAP, and names the product under its
-    own public aliases.  Its verify_axioms calls _check_axioms, the one
-    pair loop (the symmetry, then Leibniz) and the one triple loop.  The
-    class and its product methods are underscored because perfbench's
-    tracer times every call of a public name in a span of its own.
+    "associativity") with its hook _triple_failure, _VIOLATION (the
+    exception a failed axiom raises) and _TRIPLE_CAP, and names the product
+    under its own public aliases.  Its verify_axioms calls _check_axioms,
+    the one pair loop (the symmetry, then Leibniz) and the one triple loop.
+
+    The checker works on basis positions, not on GradedElements.  Whenever
+    either loop runs it fills one structure-constant table, table[i][j] =
+    e_i * e_j as {k: c} without zeros, from the lazy cache (_table_row),
+    and the pair loop reads d the same way (_d_table).  Each law is then a
+    contraction over the table: the pair loop compares table[i][j] with
+    the mirrored table[j][i] and sums the Leibniz terms into one dict, and
+    _triple_failure(table, degrees) contracts the triple law and returns
+    the first failing triple (i, j, k) in itertools.product order, or None.
+    A triple whose table entries are all empty is skipped at once.
+
+    The class, its product methods and the checker's helpers are
+    underscored because perfbench's tracer times every call of a public
+    name in a span of its own: a public helper called in an inner loop
+    would be timed once per call.
 
     A subclass may set weights ({label: weight}) before calling __init__;
     _cells() groups the basis by (weight, degree), and _cell_homology reads
@@ -620,36 +633,78 @@ class _DgAlgebra:
     def total_dim(self) -> int:
         return self.space.total_dim()
 
+    def _table_row(self, items: Sequence[tuple[int, str]],
+                   pos: Mapping[tuple[int, str], int], i: int) -> list[dict[int, Fraction]]:
+        """Row i of the structure-constant table: e_i * e_j as {k: c} on
+        basis positions, for each j, read through the lazy cache."""
+        d1, l1 = items[i]
+        return [{pos[key]: c for key, c in self._product_labels(d1, l1, d2, l2).coeffs.items()}
+                for d2, l2 in items]
+
+    def _d_table(self) -> list[dict[int, Fraction]]:
+        """The columns of d as {k: c} on basis positions, one per basis
+        element in basis order."""
+        start: dict[int, int] = {}
+        out: list[dict[int, Fraction]] = []
+        for n in self.space.degrees():
+            start[n] = len(out)
+            cols = self.d_map.columns.get(n) or [()] * self.space.dim(n)
+            out.extend({start[n - 1] + r: c for r, c in col} for col in cols)
+        return out
+
     def _check_axioms(self, pair_cap: int, triple_cap: int) -> list[tuple[str, int, int]]:
         """The graded symmetry and the Leibniz rule on every ordered pair
         of basis elements when there are at most pair_cap of them, and
         _TRIPLE_LAW on every ordered triple when at most triple_cap; raises
         _VIOLATION naming the first failure.  Returns (law, basis size,
-        cap) for each law a cap skipped."""
+        cap) for each law a cap skipped.  Both loops contract one table
+        of structure constants (see the class docstring)."""
         items = self.basis_items()
         n = len(items)
-        basis = [(d, lab, self.space.basis_element(d, lab)) for d, lab in items]
         skipped = []
+        if n <= pair_cap or n <= triple_cap:
+            pos = {key: p for p, key in enumerate(items)}
+            table = [self._table_row(items, pos, i) for i in range(n)]
         if n <= pair_cap:
-            for (d1, l1, u), (d2, l2, v) in itertools.product(basis, repeat=2):
-                uv = self._product_labels(d1, l1, d2, l2)
-                vu = self._product_labels(d2, l2, d1, l1)
-                if not (uv - vu.scale(self._mirror_sign(d2, d1))).is_zero():
+            dcols = self._d_table()
+            flip = int(self._SIGN < 0)
+            for i, j in itertools.product(range(n), repeat=2):
+                (d1, l1), (d2, l2) = items[i], items[j]
+                uv, vu = table[i][j], table[j][i]
+                if (d1 * d2 + flip) % 2:  # the mirror sign is -1
+                    vu = {k: -c for k, c in vu.items()}
+                if uv != vu:
                     raise self._VIOLATION("%s fails on (%s, %s)" % (self._SYMMETRY, l1, l2))
-                rhs = self._product(self.d(u), v) + \
-                    self._product(u, self.d(v)).scale(-ONE if d1 % 2 else ONE)
-                if not (self.d(uv) - rhs).is_zero():
+                # d(uv) - d(u) v - (-1)^{|u|} u d(v)
+                du, dv = dcols[i], dcols[j]
+                if not (uv or du or dv):
+                    continue
+                acc: dict[int, Fraction] = {}
+                for a, c in uv.items():
+                    _axpy(acc, dcols[a], c)
+                for a, c in du.items():
+                    _axpy(acc, table[a][j], -c)
+                for b, c in dv.items():
+                    _axpy(acc, table[i][b], c if d1 % 2 else -c)
+                if any(acc.values()):
                     raise self._VIOLATION("Leibniz fails on (%s, %s)" % (l1, l2))
         else:
             skipped += [(self._SYMMETRY, n, pair_cap), ("Leibniz", n, pair_cap)]
         if n <= triple_cap:
-            for (d1, l1, u), (d2, l2, v), (_, l3, w) in itertools.product(basis, repeat=3):
-                if not self._triple_residual(u, v, w, d1, d2).is_zero():
-                    raise self._VIOLATION("%s fails on (%s, %s, %s)"
-                                          % (self._TRIPLE_LAW, l1, l2, l3))
+            failure = self._triple_failure(table, [d for d, _ in items])
+            if failure is not None:
+                raise self._VIOLATION("%s fails on (%s, %s, %s)" % (
+                    (self._TRIPLE_LAW,) + tuple(items[p][1] for p in failure)))
         else:
             skipped.append((self._TRIPLE_LAW, n, triple_cap))
         return skipped
+
+
+def _axpy(acc: dict[int, Fraction], vec: Mapping[int, Fraction], c: Fraction) -> None:
+    """acc += c * vec in place, on position-keyed dicts; cancelled entries
+    stay as zeros."""
+    for k, x in vec.items():
+        acc[k] = acc.get(k, ZERO) + c * x
 
 
 class HomologyReport:

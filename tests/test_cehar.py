@@ -14,7 +14,7 @@ from mclie.dgla import (
     twist,
     zero_dgla,
 )
-from mclie.cdga import FiniteTableCdga
+from mclie.cdga import FiniteTableCdga, FreePolynomialCdga
 from mclie.defs import load_algebra
 from mclie.dgla import free_product_dgla
 from mclie.freelie import InvalidDifferential
@@ -516,14 +516,24 @@ def test_minimal_model_structure_digest():
     assert digest == MODEL_DIGEST
 
 
-def test_ce_differential_beyond_the_truncation_is_invalid():
-    # s(a) has weight 2, above the weight-1 truncation, so d(s(b)) = s(a)
-    # names a term the truncated algebra does not have
+def test_ce_drops_differentials_above_the_truncation():
+    # s(a) and s(b) both have weight 2, above the weight-1 truncation, so
+    # both are zero there, d(s(b)) = s(a) with them, and C(g) is Q
     b = GradedElement({(-1, "b"): QQ(1)})
     g = dgla_from_table({0: ["a"], -1: ["b"]}, {}, {"a": b}, weights={"a": 2, "b": 2})
-    with pytest.raises(InvalidDifferential, match=r"^d\(s\(b\)\) has the term s\(a\), "
+    ce = ce_complex(g, 1, truncate_by="weight")
+    assert ce.algebra.basis_items() == [(0, "1")]
+    assert ce.algebra.cohomology_dims() == {0: 1}
+    assert ce.weight_block_dims(1) == {}
+
+
+def test_free_cdga_differential_beyond_the_truncation_is_invalid():
+    # x has weight 1, inside the truncation, but d(x) = y names a term of
+    # weight 2 that the truncated algebra does not have
+    with pytest.raises(InvalidDifferential, match=r"^d\(x\) has the term y, "
                                                   r"beyond the weight-1 truncation$"):
-        ce_complex(g, 1, truncate_by="weight")
+        FreePolynomialCdga([("x", 0, 1), ("y", 1, 2)], 1,
+                           {"x": GradedElement({(-1, "y"): QQ(1)})})
 
 
 def test_transfer_rejects_dependent_splitting(monkeypatch):

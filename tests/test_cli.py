@@ -673,6 +673,21 @@ def test_free_product_cohomology_refuses_non_weight_graded(tmp_path, text, messa
                    "weight-graded dgla: %s\n" % message)
 
 
+def test_free_product_cohomology_refuses_non_weight_graded_at_every_weight(tmp_path,
+                                                                          capsys):
+    # at weight 2 the CE complexes, truncated at weight 1, read no bracket,
+    # so the factor's own brackets are checked against its weights
+    d = tmp_path / "mixed.def"
+    d.write_text("kind dgla\nbasis a 0\nbasis b 0\nbasis c 0\nbracket a b = 1 c\n")
+    for m in range(2, 6):
+        rc, out, err = run_cli(["verify", "free-product-cohomology", str(d),
+                                "abelian:1:0", "--weight", str(m)], capsys)
+        assert (rc, out) == (2, "")
+        assert err == ("InvalidDifferential: truncation by weight needs a weight-graded "
+                       "dgla: %s\n" % ("[a,b] has the term c, not of weight 2" if m == 2 else
+                                       "d(s(c)) has the term s(a)*s(b), not of weight 1"))
+
+
 def test_harrison_at_weight_1_keeps_working_reports(capsys):
     rc, out, _ = run_cli(["harrison", "q_eps", "--weight", "1"], capsys)
     assert rc == 0
