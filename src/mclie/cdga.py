@@ -104,12 +104,7 @@ class Cdga(_DgAlgebra):
     def eps(self, elt: GradedElement) -> Fraction:
         if self.augmentation is None:
             raise NoAugmentation("cdga has no augmentation")
-        s = ZERO
-        for (n, lab), c in elt.coeffs.items():
-            a = self.augmentation.get(lab, ZERO)
-            if a:
-                s += c * a
-        return s
+        return _evaluate(self.augmentation, elt)
 
     def cohomology_dims(self) -> dict[int, int]:
         """Cohomological report: degree n is homological degree -n."""
@@ -122,7 +117,8 @@ class Cdga(_DgAlgebra):
                       triple_cap: int = CDGA_TRIPLE_CAP) -> list[tuple[str, int, int]]:
         """The unit, then graded commutativity/Leibniz on basis pairs and
         associativity on basis triples within the given size caps, then the
-        augmentation; returns the laws the caps skipped (see
+        augmentation: zero off degree 0, a dg map, 1 on the unit and
+        multiplicative on basis pairs; returns the laws the caps skipped (see
         _check_axioms)."""
         items = self.basis_items()
         pos = {key: p for p, key in enumerate(items)}
@@ -147,6 +143,15 @@ class Cdga(_DgAlgebra):
                     raise CdgaAxiomViolation("augmentation is not a dg map")
             if self.eps(self.unit) != ONE:
                 raise CdgaAxiomViolation("augmentation of the unit is not 1")
+            # eps vanishes off degree 0, so only pairs of degrees adding up
+            # to 0 can break eps(uv) = eps(u) eps(v)
+            aug = self.augmentation
+            for d1, l1 in items:
+                for l2 in self.space.labels(-d1):
+                    if self.eps(self.mult_labels(d1, l1, -d1, l2)) != \
+                            aug.get(l1, ZERO) * aug.get(l2, ZERO):
+                        raise CdgaAxiomViolation(
+                            "augmentation is not multiplicative on (%s, %s)" % (l1, l2))
         return skipped
 
     def _triple_failure(self, table: list[list[dict[int, Fraction]]],
@@ -169,6 +174,17 @@ class Cdga(_DgAlgebra):
                 if any(acc.values()):
                     return i, j, k
         return None
+
+
+def _evaluate(values: Mapping[str, Fraction], elt: GradedElement) -> Fraction:
+    """The linear form with the given values on basis labels (0 where none
+    is given), at elt."""
+    s = ZERO
+    for (_, lab), c in elt.coeffs.items():
+        v = values.get(lab, ZERO)
+        if v:
+            s += c * v
+    return s
 
 
 class FiniteTableCdga(Cdga):
@@ -702,7 +718,9 @@ def _image_inclusion(m: GradedLinearMap, name: Callable[[int, int], str]):
 def localize_cell(a: FreePolynomialCdga, u: GradedElement):
     """Cell model of the localization for a truncated free cdga: adjoin y
     (cohdeg -|u|) and z (cohdeg -1) with d(z) = u*y - 1, d(y) = 0, and
-    truncate CELL_EXTRA_WEIGHT above a."""
+    truncate CELL_EXTRA_WEIGHT above a.  The model has no augmentation: y
+    is nilpotent in the truncation, so eps(y) = 0, and then eps(dz) = -1
+    where a dg map needs 0."""
     _check_localization_input(a, u)
     cohdeg_u = -(u.degree() or 0)
     gens = list(a.generators) + [("y", -cohdeg_u, 1), ("z", -1, 0)]
@@ -711,9 +729,7 @@ def localize_cell(a: FreePolynomialCdga, u: GradedElement):
     uy = scratch.multiply(GradedElement(u.coeffs), scratch.generator_element("y"))
     dgens = dict(a._dgens)
     dgens["z"] = uy - scratch.unit
-    out = FreePolynomialCdga(gens, target_weight, dgens,
-                             a._aug_gens if a._aug_gens else None, check="auto")
-    return out
+    return FreePolynomialCdga(gens, target_weight, dgens, check="auto")
 
 
 def cohomology_algebra(a: Cdga):

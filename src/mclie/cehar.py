@@ -4,16 +4,20 @@ via homotopy transfer.
 
 Sign conventions (calibrated so that d*d = 0 holds on every constructed
 instance and the evaluation at an MC element is a dg augmentation; the
-two-point algebra maps to the sphere dgla on the nose):
+two-point algebra maps to the sphere dgla on the nose).  Both functors
+dualize a basis b with one routine, _dual_differentials: a generator t(b)
+of homological degree -(|b| + 1), and
 
-  CE side, generators s(b) dual to the basis b of g, cohdeg |b|+1:
-      d_I  s(k) = sum_j D_kj s(j)          D_kj = coeff of b_k in d(b_j)
-      d_II s(k) = -1/2 sum_ij (-1)^{|b_i|} c_ij^k s(i) s(j)
+    d_I  t(k) = sum_j D_kj t(j)          D_kj = coeff of b_k in d(b_j)
+    d_II t(k) = -1/2 sum_ij (-1)^{|b_i|} c_ij^k t(i) t(j)
 
-  Harrison side, generators T(b) dual to a basis of the augmentation
-  ideal, homological degree cohdeg(b) - 1:
-      d_I  T(b) = sum_{b'} (coeff of b in d b') T(b')
-      d_II T(b) = -1/2 sum (-1)^{cohdeg b'} (coeff of b in b'b'') [T(b'),T(b'')]
+with c_ij^k the coefficient of b_k in b_i b_j.  The CE side C(g) dualizes
+the basis of g, t = s, as is, and multiplies in the free
+graded-commutative algebra.  The Harrison side L(A) dualizes a basis of
+the augmentation ideal A_+, t = T, and brackets in the free Lie algebra.
+That basis is b - eps(b) 1 for every basis label b but the unit slot, the
+first label where eps and the unit are both nonzero, and coordinates in
+A_+ are read through its inclusion into A.
 """
 
 from __future__ import annotations
@@ -29,13 +33,14 @@ from .linalg import (
     CertificateFailure,
     Coordinates,
     GradedElement,
+    GradedLinearMap,
     GradedVectorSpace,
     RowSpace,
     _add_scaled,
     _element_of,
     linear_combination,
 )
-from .freelie import InvalidDifferential, LiePresentation
+from .freelie import FreeLieTruncation, InvalidDifferential, LiePresentation
 from .dgla import (
     Dgla,
     DglaPresentation,
@@ -44,7 +49,40 @@ from .dgla import (
     is_mc,
     presentation_of,
 )
-from .cdga import Cdga, CdgaMorphism, FreePolynomialCdga, NoAugmentation
+from .cdga import Cdga, CdgaMorphism, FreePolynomialCdga, NoAugmentation, _evaluate
+
+
+def _dual_differentials(items, names, d_of, product_of, partners, multiply):
+    """d_I + d_II (see the module docstring) on the generators names[lab]
+    dual to the basis items (n, lab).  d_of(n, lab) and
+    product_of(n_i, lab_i, n_j, lab_j) give d(b) and b_i b_j in
+    coordinates over items; partners(n, lab) lists the items that item i
+    meets, in basis order (its product with any other is zero), and
+    multiply(t_i, t_j) is the product of two generators.
+
+    Both parts are assembled source-first: one differential per basis
+    element and one product per ordered pair, scattered over the targets k
+    in their support, so each target still receives its terms in the order
+    of a loop over k outside the sources.  A pair whose product lands in a
+    degree without a basis element is never asked for."""
+    degrees = {n for n, _ in items}
+    acc: dict[str, dict] = {lab: {} for _, lab in items}
+    for nj, labj in items:
+        key = (-(nj + 1), names[labj])
+        for (_, labk), c in d_of(nj, labj).coeffs.items():
+            acc[labk][key] = c
+    for ni, labi in items:
+        half = QQ(1, 2) if ni % 2 else QQ(-1, 2)
+        for nj, labj in partners(ni, labi):
+            if ni + nj not in degrees:
+                continue
+            terms = product_of(ni, labi, nj, labj).coeffs
+            if not terms:
+                continue
+            prod = multiply(names[labi], names[labj])
+            for (_, labk), c in terms.items():
+                _add_scaled(acc[labk], prod, half * c)
+    return {names[lab]: GradedElement(acc[lab]) for _, lab in items}
 
 
 class CEComplex:
@@ -73,40 +111,17 @@ class CEComplex:
         else:
             weight_of = dict.fromkeys(items, 1)
         gens = [(self.sigma_of[lab], n + 1, weight_of[(n, lab)]) for n, lab in items]
-        # both parts are assembled source-first: one differential per basis
-        # element and one bracket per ordered basis pair, scattered over the
-        # targets k in their support; each target still receives its terms
-        # in the order of a loop over k outside the sources
-        acc: dict[str, dict] = {lab: {} for _, lab in items}
-        for nj, labj in items:
-            key = (-(nj + 1), self.sigma_of[labj])
-            for (_, labk), c in g.d(g.space.basis_element(nj, labj)).coeffs.items():
-                acc[labk][key] = c
-        # d_II needs products of generators; multiply in a scratch copy at
-        # the same truncation, so products beyond it are zero.  s(i) s(j)
-        # has weight w_i + w_j, so i meets only the cells of weight at most
-        # bound - w_i, in basis order, and of those only the degrees that
-        # add up with n_i to a degree with a basis
+        # d_II multiplies generators in a scratch copy at the same
+        # truncation, so products beyond it are zero.  s(i) s(j) has weight
+        # w_i + w_j, so i meets only the cells of weight at most bound - w_i
         scratch = FreePolynomialCdga(gens, bound, {}, check="skip")
-        degrees = set(g.space.degrees())
-        partners: dict[int, list[tuple[int, str]]] = {}
-        for ni, labi in items:
-            cap = bound - weight_of[(ni, labi)]
-            if cap not in partners:
-                partners[cap] = [key for key in items if weight_of[key] <= cap]
-            for nj, labj in partners[cap]:
-                if ni + nj not in degrees:
-                    continue
-                br = g.bracket_labels(ni, labi, nj, labj).coeffs
-                if not br:
-                    continue
-                prod = scratch.multiply(
-                    scratch.generator_element(self.sigma_of[labi]),
-                    scratch.generator_element(self.sigma_of[labj]))
-                sign = -ONE if ni % 2 else ONE
-                for (_, labk), c in br.items():
-                    _add_scaled(acc[labk], prod, QQ(-1, 2) * sign * c)
-        dgens = {self.sigma_of[lab]: GradedElement(acc[lab]) for _, lab in items}
+        partners = {cap: [key for key in items if weight_of[key] <= cap]
+                    for cap in {bound - w for w in weight_of.values()}}
+        dgens = _dual_differentials(
+            items, self.sigma_of, lambda n, lab: g.d(g.space.basis_element(n, lab)),
+            g.bracket_labels, lambda n, lab: partners[bound - weight_of[(n, lab)]],
+            lambda si, sj: scratch.multiply(scratch.generator_element(si),
+                                            scratch.generator_element(sj)))
         aug = dict.fromkeys(dgens, ZERO)
         if truncate_by == "weight":
             # each weight block is a subcomplex only if d keeps weight; a
@@ -114,7 +129,7 @@ class CEComplex:
             gen_weight = {name: w for name, _, w in gens}
             for n, lab in items:
                 w = weight_of[(n, lab)]
-                off = [t for _, t in acc[lab]
+                off = [t for _, t in dgens[self.sigma_of[lab]].coeffs
                        if scratch.weights.get(t, gen_weight.get(t)) != w]
                 if off:
                     raise InvalidDifferential(
@@ -198,74 +213,39 @@ class HarrisonComplex:
         self.source = a
         self.m = m
         items = a.basis_items()
-        # basis of A_+ : adjusted basis elements b - eps(b) 1 for b not in
-        # the line of the unit; by convention we drop one designated label
-        # with eps != 0 (the "unit slot"), which must exist
-        unit_slots = [(n, lab) for n, lab in items if a.augmentation.get(lab, ZERO)]
-        if not unit_slots:
-            raise NoAugmentation("no basis label with nonzero augmentation")
-        drop = unit_slots[0]
-        plus = [(n, lab) for n, lab in items if (n, lab) != drop]
+        # A_+ has the basis b - eps(b) 1 for b other than the unit slot: the
+        # first label where eps and the unit are both nonzero.  It exists as
+        # sum_b u_b eps(b) = eps(1) = 1, and dropping it leaves a basis
+        slot = next(((n, lab) for n, lab in items
+                     if a.augmentation.get(lab, ZERO) and a.unit.coeff(n, lab)), None)
+        if slot is None:
+            raise NoAugmentation("no basis label where the augmentation and "
+                                 "the unit are both nonzero")
+        plus = [key for key in items if key != slot]
         self.tau_of = {lab: "T(%s)" % lab for _, lab in plus}
         self.plus_items = plus
+        ideal = GradedVectorSpace({n: [lab for d, lab in plus if d == n]
+                                   for n in a.space.degrees()})
+        inclusion = GradedLinearMap.from_function(
+            ideal, a.space, 0, lambda n, lab: a.space.basis_element(n, lab) -
+            a.unit.scale(a.augmentation.get(lab, ZERO)))
 
         def plus_coords(elt: GradedElement) -> GradedElement:
-            """Coordinates of an element of A over the adjusted basis (the
-            unit-slot coordinate is determined by eps = 0)."""
-            adj = elt - a.unit.scale(a.eps(elt))
-            # expand over {b - eps(b) unit}: coordinates equal those of the
-            # non-dropped labels once the drop-label coordinate is
-            # eliminated via the unit expansion
-            coeffs = dict(adj.coeffs)
-            dn, dlab = drop
-            cdrop = coeffs.pop((dn, dlab), ZERO)
-            if cdrop:
-                # drop-label appears inside the unit: unit = sum u_k b_k;
-                # rewrite c * b_drop = (c / u_drop) (unit - others)
-                u = a.unit
-                u_drop = u.coeff(dn, dlab)
-                if not u_drop:
-                    raise CertificateFailure(
-                        "unit has no component on the unit slot")
-                rest = GradedElement({k: v for k, v in u.coeffs.items()
-                                      if k != (dn, dlab)})
-                corr = rest.scale(-cdrop / u_drop)
-                for k, v in corr.coeffs.items():
-                    coeffs[k] = coeffs.get(k, ZERO) + v
-                # the unit itself contributes eps-zero overall, consistent
-                # with adj being in the augmentation ideal
-            return GradedElement(coeffs)
+            """elt - eps(elt) 1 over the adjusted basis of A_+."""
+            x = inclusion.solve(elt - a.unit.scale(a.eps(elt)))
+            if x is None:
+                raise CertificateFailure("element outside the augmentation ideal")
+            return x
 
-        gens = []
-        for n, lab in plus:
-            cohdeg = -n
-            gens.append((self.tau_of[lab], cohdeg - 1, 1))
-        from .freelie import FreeLieTruncation
+        gens = [(self.tau_of[lab], -n - 1, 1) for n, lab in plus]
         scratch = FreeLieTruncation(gens, 2)
-        # source-first, as in CEComplex: d_I terms first, then d_II with one
-        # product and one bracket per ordered pair, scattered over targets
-        acc: dict[str, dict] = {lab: {} for _, lab in plus}
-        for n2, lab2 in plus:
-            img = plus_coords(a.d(a.space.basis_element(n2, lab2)))
-            for (n, lab), c in img.coeffs.items():
-                if n == n2 - 1:
-                    _add_scaled(acc[lab], scratch.generator(self.tau_of[lab2]), c)
-        degrees = {n for n, _ in plus}
-        for (n1, lab1), (n2, lab2) in itertools.product(plus, repeat=2):
-            if n1 + n2 not in degrees:
-                continue
-            prod = plus_coords(a.multiply(a.space.basis_element(n1, lab1),
-                                          a.space.basis_element(n2, lab2)))
-            terms = [(lab, c) for (n, lab), c in prod.coeffs.items()
-                     if n == n1 + n2]
-            if not terms:
-                continue
-            sign = -ONE if (-n1) % 2 else ONE
-            br = scratch.bracket(scratch.generator(self.tau_of[lab1]),
-                                 scratch.generator(self.tau_of[lab2]))
-            for lab, c in terms:
-                _add_scaled(acc[lab], br, QQ(-1, 2) * sign * c)
-        dgens = {self.tau_of[lab]: GradedElement(acc[lab]) for _, lab in plus}
+        dgens = _dual_differentials(
+            plus, self.tau_of,
+            lambda n, lab: plus_coords(a.d(a.space.basis_element(n, lab))),
+            lambda n1, l1, n2, l2: plus_coords(a.multiply(
+                a.space.basis_element(n1, l1), a.space.basis_element(n2, l2))),
+            lambda n, lab: plus,
+            lambda ti, tj: scratch.bracket(scratch.generator(ti), scratch.generator(tj)))
         pres = LiePresentation(gens, [], dgens)
         self.presentation = DglaPresentation(pres)
         self.dgla = self.presentation.materialize(m)
@@ -364,30 +344,27 @@ def dgla_map_from_generators(src: Dgla, dst: Dgla,
 def harrison_product_comparison(a: Cdga, b: Cdga, m: int) -> dict:
     """The Harrison functor takes products to disjoint products:
     L(A x B) and L(A) u L(B) are isomorphic, checked as truncated structure
-    constants under the generator matching T(A.1) -> -x, T(A.b) -> T(b),
-    T(B.c) -> T(c)."""
+    constants under the generator matching T(A.s) -> -x for the unit slot
+    s of A, T(A.b) -> T(b), T(B.c) -> T(c)."""
     prod = cdga_product(a, b)
     lhs = harrison(prod, m)
     la = harrison(a, m)
     lb = harrison(b, m)
     rhs = disjoint_product(la.dgla, lb.dgla, m)
-    # the unit slot dropped on the product side is B.<unit slot of B>; the
-    # A.1-type generator present is the one with eps_A != 0 dropped... the
-    # product's augmentation lives on the B side, so all A-labels survive.
+    # the product is augmented through B, so its unit slot is B's and every
+    # A-label has a generator; the one with none in L(A), A's unit slot,
+    # maps to -x
     images = {}
-    x = rhs.twist_of
-    a_unit_labels = [lab for _, lab in a.basis_items()
-                     if (a.augmentation or {}).get(lab, ZERO)]
     renames = rhs.second_factor_names
     for n, lab in lhs.plus_items:
         side, base = lab.split(".", 1)
         name = lhs.tau_of[lab]
-        if side == "A" and base in a_unit_labels:
-            images[name] = -x
-        elif side == "A":
+        if side == "B":
+            images[name] = rhs.element(renames[lb.tau_of[base]])
+        elif base in la.tau_of:
             images[name] = rhs.element(la.tau_of[base])
         else:
-            images[name] = rhs.element(renames[lb.tau_of[base]])
+            images[name] = -rhs.twist_of
     report = dgla_map_from_generators(lhs.dgla, rhs, images)
     report.pop("images")
     return report
@@ -504,16 +481,6 @@ def evaluation_augmentation(ce: CEComplex, xi: GradedElement) -> dict[str, Fract
     zero on every other generator."""
     return ce.algebra._evaluation({ce.sigma_of[lab]: xi.coeff(-1, lab)
                                    for _, lab in ce.g.basis_items()})
-
-
-def _evaluate(eps_values: Mapping[str, Fraction], elt: GradedElement) -> Fraction:
-    """eps(elt) for eps given on basis monomials."""
-    s = ZERO
-    for (_, lab), c in elt.coeffs.items():
-        v = eps_values.get(lab, ZERO)
-        if v:
-            s += c * v
-    return s
 
 
 def _augmentation_failure(ce: CEComplex, eps_values: Mapping[str, Fraction]):

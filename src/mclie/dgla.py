@@ -69,12 +69,10 @@ class Dgla(_DgAlgebra):
                  weights: Optional[Mapping[str, int]] = None,
                  presentation: Optional["DglaPresentation"] = None,
                  weight_bound: Optional[int] = None,
-                 twisted_by: Optional[GradedElement] = None,
                  check: str = "auto"):
         self.weights = dict(weights) if weights else None
         self.presentation = presentation
         self.weight_bound = weight_bound
-        self.twisted_by = twisted_by
         super().__init__(space, d_fn, bracket_fn, check)
 
     bracket_labels = _DgAlgebra._product_labels
@@ -330,7 +328,7 @@ def twist(g: Dgla, xi: GradedElement, check: str = "auto") -> Dgla:
                 lambda n, lab: g.d(g.space.basis_element(n, lab)) +
                 g.bracket(xi, g.space.basis_element(n, lab)),
                 g._product_labels, weights=g.weights,
-                weight_bound=g.weight_bound, twisted_by=xi, check=check)
+                weight_bound=g.weight_bound, check=check)
 
 
 def adjoin_mc_variable(g: Dgla, m: int, var: str = "x") -> Dgla:
@@ -346,7 +344,6 @@ def adjoin_mc_variable(g: Dgla, m: int, var: str = "x") -> Dgla:
         pres_g.relations,
         dict(pres_g.dgens, **{var: GradedElement({(-2, sq): QQ(-1, 2)})}))
     out = DglaPresentation(adjoined).materialize(m)
-    out.adjoined_variable = var
     x = out.element(var)
     ok, res = is_mc(out, x)
     if not ok:
@@ -379,9 +376,7 @@ def disjoint_product(g: Dgla, h: Dgla, m: int, check: str = "auto") -> Dgla:
         dgens[name] = pres_h.dgens.get(name, GradedElement())
     pres = LiePresentation(gens, list(pres_g.relations) + list(pres_h.relations), dgens)
     out = DglaPresentation(pres).materialize(m, check=check)
-    out.presentation = DglaPresentation(pres)
     out.twist_of = out.element(var)
-    out.variable_name = var
     out.second_factor_names = h_renames
     base_point = -out.twist_of
     ok, res = is_mc(out, base_point)

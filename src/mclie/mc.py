@@ -75,12 +75,10 @@ MAX_SOLVE_STEPS = 4000
 class SymbolTable:
     def __init__(self):
         self.form_degree: dict[str, int] = {}
-        self.glabel: dict[str, str] = {}
         self.constant: set[str] = set()
 
-    def add(self, symbol: str, form_degree: int, glabel: str):
+    def add(self, symbol: str, form_degree: int):
         self.form_degree[symbol] = form_degree
-        self.glabel[symbol] = glabel
 
     def factor_parity(self, factor) -> int:
         sym, diff = factor
@@ -287,7 +285,7 @@ def derive_constraints(g: Dgla, n: int, support_weight: Optional[int] = None
                     g.weights.get(lab, 1) > support_weight:
                 continue
             sym = unknown_symbol(lab)
-            table.add(sym, p, lab)
+            table.add(sym, p)
             if n == 0:
                 table.constant.add(sym)
             unknowns[sym] = lab

@@ -74,4 +74,11 @@ def verify_axioms(alg, pair_cap, triple_cap):
                 raise CdgaAxiomViolation("augmentation is not a dg map")
         if alg.eps(alg.unit) != ONE:
             raise CdgaAxiomViolation("augmentation of the unit is not 1")
+        for (d1, l1), (d2, l2) in itertools.product(items, repeat=2):
+            if d1 + d2 == 0 and alg.eps(alg.multiply(
+                    alg.space.basis_element(d1, l1), alg.space.basis_element(d2, l2))) != \
+                    alg.eps(alg.space.basis_element(d1, l1)) * \
+                    alg.eps(alg.space.basis_element(d2, l2)):
+                raise CdgaAxiomViolation(
+                    "augmentation is not multiplicative on (%s, %s)" % (l1, l2))
     return skipped

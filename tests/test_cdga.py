@@ -208,7 +208,7 @@ def test_localize_odd_degree_rejected():
 
 def test_localize_cell_model():
     # free cdga on one even degree-0 generator u with d = 0; inverting u
-    a = FreePolynomialCdga([("u", 0, 1)], 3, {}, {"u": QQ(1)})
+    a = FreePolynomialCdga([("u", 0, 1)], 3, {}, {"u": QQ(0)})
     u = a.generator_element("u")
     out = localize_cell(a, u)
     # z is odd with dz = u y - 1
@@ -216,6 +216,17 @@ def test_localize_cell_model():
     dz = out.d(z)
     uy = out.multiply(out.generator_element("u"), out.generator_element("y"))
     assert dz == uy - out.unit
+
+
+def test_localize_cell_model_has_no_augmentation():
+    # eps(y) = 0 as y is nilpotent, so no eps is dg on dz = u y - 1; the
+    # 56-element model is past the construction check and is checked here
+    a = FreePolynomialCdga([("u", 0, 1)], 3, {}, {"u": QQ(0)})
+    out = localize_cell(a, a.generator_element("u"))
+    assert out.space.total_dim() == 56
+    assert out.augmentation is None
+    assert out.verify_axioms(pair_cap=0, triple_cap=0) == [
+        ("graded commutativity", 56, 0), ("Leibniz", 56, 0), ("associativity", 56, 0)]
 
 
 def random_table_cdga(rng, max_dim=8):
@@ -633,7 +644,7 @@ def test_derivations_of_ce_algebra_of_abelian_line():
 
 
 def test_localize_dispatches_cell_model_for_free_input():
-    a = FreePolynomialCdga([("u", 0, 1)], 3, {}, {"u": QQ(1)})
+    a = FreePolynomialCdga([("u", 0, 1)], 3, {}, {"u": QQ(0)})
     model, loc_map = localize(a, a.generator_element("u"))
     assert loc_map is None
     assert "z" in {name for name, _, _ in model.generators}
@@ -732,6 +743,12 @@ def _associativity_breaker(n):
                              augmentation={"1": QQ(1), "x": QQ(1)})),
     ("augmentation of the unit is not 1",
      lambda: FiniteTableCdga({0: ["1"]}, {}, "1", augmentation={"1": QQ(2)})),
+    ("augmentation is not multiplicative on (e, e)",
+     lambda: FiniteTableCdga({0: ["1", "e"]}, {("e", "e"): _gen(0, "e")}, "1",
+                             augmentation={"1": QQ(1), "e": QQ(5)})),
+    # u -> 1 on Q[u]/(u^4): eps(u u^3) = eps(0) = 0, not 1
+    ("augmentation is not multiplicative on (u, u^3)",
+     lambda: FreePolynomialCdga([("u", 0, 1)], 3, {}, {"u": QQ(1)})),
 ])
 def test_cdga_axiom_failures_name_the_check(message, build):
     _raises_exactly(message, build)

@@ -46,6 +46,11 @@ def q_deg2_cdga():
                            "1", augmentation={"1": QQ(1), "w": QQ(0)})
 
 
+def q_eps_cdga():
+    return FiniteTableCdga({0: ["1", "eps"]}, {("eps", "eps"): GradedElement()},
+                           "1", augmentation={"1": QQ(1), "eps": QQ(0)})
+
+
 def q_cdga():
     return FiniteTableCdga({0: ["1"]}, {}, "1", augmentation={"1": QQ(1)})
 
@@ -296,6 +301,24 @@ def test_harrison_of_two_points_is_sphere():
     assert [s.space.dim(n) for n in (-1, -2)] == [1, 1]
 
 
+def reordered_qxq_cdga():
+    """Q x Q with e listed before the unit and augmented through e."""
+    e = GradedElement({(0, "e"): QQ(1)})
+    return FiniteTableCdga({0: ["e", "1"]}, {("e", "e"): e}, "1",
+                           augmentation={"1": QQ(1), "e": QQ(1)})
+
+
+def test_harrison_unit_slot_is_on_the_unit():
+    # e is the first label with eps != 0, but the unit has no e-component:
+    # the slot is 1, and L(Q x Q) is the acyclic sphere model as for qxq
+    h = harrison(reordered_qxq_cdga(), 2)
+    assert h.plus_items == [(0, "e")]
+    g = h.dgla
+    tau = g.element("T(e)")
+    assert g.d(tau) == g.bracket(tau, tau).scale(QQ(-1, 2))
+    assert all(g.homology().dim(n) == 0 for n in (-1, -2))
+
+
 def test_harrison_of_ground_field_is_zero():
     h = harrison(q_cdga(), 3)
     assert h.dgla.space.total_dim() == 0
@@ -303,7 +326,9 @@ def test_harrison_of_ground_field_is_zero():
 
 def test_harrison_product_comparison():
     m = 3
-    for a, b in itertools.product([qxq_cdga(), q_deg2_cdga()], repeat=2):
+    # A's unit slot maps to -x, also when it is not A's first label with eps != 0
+    pairs = [(reordered_qxq_cdga(), q_eps_cdga()), (reordered_qxq_cdga(), qxq_cdga())]
+    for a, b in [*itertools.product([qxq_cdga(), q_deg2_cdga()], repeat=2), *pairs]:
         report = harrison_product_comparison(a, b, m)
         assert report["d_compatible"], (a, b, report)
         assert report["dims_match"], (a, b, report)
@@ -514,6 +539,34 @@ def test_minimal_model_structure_digest():
     assert [(len(l2), len(l3)) for l2, l3 in tables] == [(2, 0), (0, 0), (0, 1)]
     digest = hashlib.sha256(repr(tables).encode()).hexdigest()
     assert digest == MODEL_DIGEST
+
+
+# the generator differentials of CE complexes truncated by length (bound 3)
+# and by weight (bound 4, the free product built as compare_free_product
+# builds it at --weight 5), and the generators and generator differentials
+# of Harrison complexes, every term in order: recorded while CEComplex and
+# HarrisonComplex each had their own d_I + d_II loop
+DUAL_DIGEST = "35d1e2e5216c4b840b4951cb23f1f2bf98e98b528329d2ae78ca3340bb3bfcae"
+
+
+def test_dual_structure_digest():
+    def terms(dgens):
+        return [(name, list(v.coeffs.items())) for name, v in dgens.items()]
+
+    g, h = load_algebra("heisenberg"), load_algebra("abelian:1:0")
+    prod = free_product_dgla(g, h, _product_truncation(g, h, 5), check="skip")
+    out = [("length", ref, terms(ce_complex(load_algebra(ref), 3).algebra._dgens))
+           for ref in ["heisenberg", "f_xa:3", "sphere"]]
+    for ref, alg in [("heisenberg", g), ("abelian:2:0", load_algebra("abelian:2:0")),
+                     ("heisenberg*abelian:1:0", prod)]:
+        out.append(("weight", ref,
+                    terms(ce_complex(alg, 4, truncate_by="weight").algebra._dgens)))
+    for ref in ["qxq", "q_eps", "qk:3", "q_deg2", "omega:1:3"]:
+        pres = harrison(load_algebra(ref), 3).presentation.pres
+        out.append(("harrison", ref, pres.generators, terms(pres.dgens)))
+    assert [len(entry[2]) for entry in out] == [3, 6, 2, 3, 2, 25, 1, 1, 2, 1, 6]
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()
+    assert digest == DUAL_DIGEST
 
 
 def test_ce_drops_differentials_above_the_truncation():

@@ -143,8 +143,8 @@ def test_solve_incomplete_is_flagged():
     # build a fake system: the product of two 1-form unknowns
     from mclie.mc import MCConstraintSystem, SymbolTable
     table = SymbolTable()
-    table.add("a[p]", 1, "p")
-    table.add("a[q]", 1, "q")
+    table.add("a[p]", 1)
+    table.add("a[q]", 1)
     eq = {tuple(sorted([("a[p]", False), ("a[q]", False)])): QQ(1)}
     system = MCConstraintSystem(g, 1, table, {"a[p]": "p", "a[q]": "q"},
                                 {"w": eq})
@@ -508,7 +508,7 @@ _SYMS = ("s0", "s1", "s2", "s3")
 def _poly_table(degrees, constants=()):
     table = SymbolTable()
     for sym, deg in zip(_SYMS, degrees):
-        table.add(sym, deg, sym)
+        table.add(sym, deg)
     table.constant.update(constants)
     return table
 
@@ -612,8 +612,8 @@ def _solver_systems():
         mc_module.solve_structured = real
     # the two-higher-form product no rule decides
     table = SymbolTable()
-    table.add("a[p]", 1, "p")
-    table.add("a[q]", 1, "q")
+    table.add("a[p]", 1)
+    table.add("a[q]", 1)
     eq = {tuple(sorted([("a[p]", False), ("a[q]", False)])): QQ(1)}
     systems.append(MCConstraintSystem(abelian_dgla({0: ["p", "q"]}), 1, table,
                                       {"a[p]": "p", "a[q]": "q"}, {"w": eq}))
@@ -621,7 +621,7 @@ def _solver_systems():
     # becomes constant: the family must drop those terms
     table = SymbolTable()
     for sym, deg in (("a[a]", 1), ("a[b]", 0), ("a[g]", 0), ("a[h]", 0)):
-        table.add(sym, deg, sym[2:-1])
+        table.add(sym, deg)
     dg, dh = ("a[g]", True), ("a[h]", True)
     equations = {"x": {(("a[a]", False),): QQ(1), (("a[b]", False), dg): QQ(1)},
                  "y": {(dg,): QQ(1), (dh,): QQ(1)},
