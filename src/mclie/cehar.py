@@ -226,9 +226,10 @@ class HarrisonComplex:
         self.plus_items = plus
         ideal = GradedVectorSpace({n: [lab for d, lab in plus if d == n]
                                    for n in a.space.degrees()})
-        inclusion = GradedLinearMap.from_function(
-            ideal, a.space, 0, lambda n, lab: a.space.basis_element(n, lab) -
-            a.unit.scale(a.augmentation.get(lab, ZERO)))
+        adjusted = {lab: a.space.basis_element(n, lab) -
+                    a.unit.scale(a.augmentation.get(lab, ZERO)) for n, lab in plus}
+        inclusion = GradedLinearMap.from_function(ideal, a.space, 0,
+                                                  lambda n, lab: adjusted[lab])
 
         def plus_coords(elt: GradedElement) -> GradedElement:
             """elt - eps(elt) 1 over the adjusted basis of A_+."""
@@ -242,8 +243,7 @@ class HarrisonComplex:
         dgens = _dual_differentials(
             plus, self.tau_of,
             lambda n, lab: plus_coords(a.d(a.space.basis_element(n, lab))),
-            lambda n1, l1, n2, l2: plus_coords(a.multiply(
-                a.space.basis_element(n1, l1), a.space.basis_element(n2, l2))),
+            lambda n1, l1, n2, l2: plus_coords(a.multiply(adjusted[l1], adjusted[l2])),
             lambda n, lab: plus,
             lambda ti, tj: scratch.bracket(scratch.generator(ti), scratch.generator(tj)))
         pres = LiePresentation(gens, [], dgens)
@@ -299,8 +299,7 @@ def dgla_map_from_generators(src: Dgla, dst: Dgla,
     labels (through the free tree structure), check d-compatibility on
     every generator, and compare dimensions; returns a report with the
     label-by-label image map."""
-    q = src.presentation.pres.materialize(src.weight_bound)
-
+    free = FreeLieTruncation(src.presentation.pres.generators, src.weight_bound)
     label_images: dict[str, GradedElement] = {}
 
     def image_of(lab: str) -> GradedElement:
@@ -309,11 +308,9 @@ def dgla_map_from_generators(src: Dgla, dst: Dgla,
         if lab in images:
             label_images[lab] = images[lab]
             return images[lab]
-        tree = q.free.tree_of_label[lab]
-        t1, t2 = tree
-        l1 = q.free.label_of_tree[t1]
-        l2 = q.free.label_of_tree[t2]
-        out = dst.bracket(image_of(l1), image_of(l2))
+        t1, t2 = free.tree_of_label[lab]
+        out = dst.bracket(image_of(free.label_of_tree[t1]),
+                          image_of(free.label_of_tree[t2]))
         label_images[lab] = out
         return out
 
@@ -344,8 +341,9 @@ def dgla_map_from_generators(src: Dgla, dst: Dgla,
 def harrison_product_comparison(a: Cdga, b: Cdga, m: int) -> dict:
     """The Harrison functor takes products to disjoint products:
     L(A x B) and L(A) u L(B) are isomorphic, checked as truncated structure
-    constants under the generator matching T(A.s) -> -x for the unit slot
-    s of A, T(A.b) -> T(b), T(B.c) -> T(c)."""
+    constants under the generator matching T(A.b) -> T(b), T(B.c) -> T'(c)
+    (T' the renamed generators of L(B)) and, for the unit slot s of A,
+    T(A.s) -> -x - sum_b eps_A(b) T(b) + sum_c eps_B(c) T'(c)."""
     prod = cdga_product(a, b)
     lhs = harrison(prod, m)
     la = harrison(a, m)
@@ -353,18 +351,17 @@ def harrison_product_comparison(a: Cdga, b: Cdga, m: int) -> dict:
     rhs = disjoint_product(la.dgla, lb.dgla, m)
     # the product is augmented through B, so its unit slot is B's and every
     # A-label has a generator; the one with none in L(A), A's unit slot,
-    # maps to -x
-    images = {}
+    # takes the eps-corrections of the adjusted bases of A_+ and B_+
     renames = rhs.second_factor_names
+    t_a = {lab: rhs.element(name) for lab, name in la.tau_of.items()}
+    t_b = {lab: rhs.element(renames[name]) for lab, name in lb.tau_of.items()}
+    slot = -rhs.twist_of - \
+        linear_combination((a.augmentation.get(lab, ZERO), t) for lab, t in t_a.items()) + \
+        linear_combination((b.augmentation.get(lab, ZERO), t) for lab, t in t_b.items())
+    images = {}
     for n, lab in lhs.plus_items:
         side, base = lab.split(".", 1)
-        name = lhs.tau_of[lab]
-        if side == "B":
-            images[name] = rhs.element(renames[lb.tau_of[base]])
-        elif base in la.tau_of:
-            images[name] = rhs.element(la.tau_of[base])
-        else:
-            images[name] = -rhs.twist_of
+        images[lhs.tau_of[lab]] = (t_b if side == "B" else t_a).get(base, slot)
     report = dgla_map_from_generators(lhs.dgla, rhs, images)
     report.pop("images")
     return report

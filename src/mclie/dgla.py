@@ -7,6 +7,10 @@ twisted differential is d(y) + [y, xi].  Finite dglas carry an optional
 per-basis-element weight witness certifying nilpotence; algebras built from
 presentations can be re-materialized at any truncation weight, which is how
 completeness claims are checked by stabilization.
+
+One MC-variable adjunction (_adjoin_variable, plain or twisted by the
+variable) and one free product (_free_product) build the sphere, g_S, f_xa,
+g<x>, the disjoint product (g * s)^x * h and the free product g * h.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from .linalg import (
 from .freelie import (
     FreeLieTruncation,
     LiePresentation,
-    QuotientLie,
     free_product_presentation,
 )
 
@@ -126,30 +129,18 @@ class Dgla(_DgAlgebra):
 
 
 class DglaPresentation:
-    """Re-materializable origin of a dgla: a Lie presentation plus an
-    optional twisting MC element (coordinates in quotient labels, valid in
-    any deeper truncation)."""
+    """Re-materializable origin of a dgla: a Lie presentation."""
 
-    def __init__(self, pres: LiePresentation, twist: Optional[GradedElement] = None):
+    def __init__(self, pres: LiePresentation):
         self.pres = pres
-        self.twist = twist
 
     def materialize(self, m: int, check: str = "auto") -> Dgla:
+        """The weight-m truncation, on the quotient's basis and weights."""
         q = self.pres.materialize(m)
-        g = dgla_from_quotient(q, presentation=DglaPresentation(self.pres), check=check)
-        if self.twist is not None:
-            g = twist(g, q.project(self.twist), check=check)
-            g.presentation = self
-        return g
-
-
-def dgla_from_quotient(q: QuotientLie, presentation=None, check: str = "auto") -> Dgla:
-    def bracket_fn(d1, l1, d2, l2):
-        return q.bracket_labels(l1, l2)
-
-    return Dgla(q.space, lambda n, lab: q.d_label(lab), bracket_fn,
-                weights=q.weight_of_label,
-                presentation=presentation, weight_bound=q.m, check=check)
+        return Dgla(q.space, lambda n, lab: q.d_label(lab),
+                    lambda d1, l1, d2, l2: q.bracket_labels(l1, l2),
+                    weights=q.weight_of_label, presentation=self,
+                    weight_bound=m, check=check)
 
 
 def dgla_from_table(basis: Mapping[int, Sequence[str]],
@@ -183,9 +174,7 @@ def zero_dgla() -> Dgla:
 def sphere_dgla(m: int = 2) -> Dgla:
     """The model of the 0-sphere: spanned by x and [x,x] with |x| = -1 and
     d(x) = -1/2 [x,x]."""
-    pres = LiePresentation(
-        [("x", -1)],
-        dgens={"x": GradedElement({(-2, "[x,x]"): QQ(-1, 2)})})
+    pres = _adjoin_variable(LiePresentation([]), "x")
     return DglaPresentation(pres).materialize(max(m, 2))
 
 
@@ -197,8 +186,7 @@ def abelian_dgla(basis: Mapping[int, Sequence[str]],
 def heisenberg_dgla() -> Dgla:
     """3-dimensional Heisenberg algebra in degree 0, weight-graded with the
     central generator in weight 2."""
-    pres = heisenberg_presentation()
-    return DglaPresentation(pres).materialize(3)
+    return DglaPresentation(heisenberg_presentation()).materialize(3)
 
 
 def heisenberg_presentation() -> LiePresentation:
@@ -211,20 +199,16 @@ def heisenberg_presentation() -> LiePresentation:
 def g_s_dgla(size: int, m: int = 2) -> Dgla:
     """Free dgla on degree -1 generators x_1..x_size with
     d(x_s) = -1/2 [x_s, x_s]; models the discrete space S + basepoint."""
-    gens = [("x%d" % (s + 1), -1) for s in range(size)]
-    dgens = {}
-    for name, _ in gens:
-        dgens[name] = GradedElement({(-2, "[%s,%s]" % (name, name)): QQ(-1, 2)})
-    pres = LiePresentation(gens, dgens=dgens)
+    pres = LiePresentation([])
+    for s in range(size):
+        pres = _adjoin_variable(pres, "x%d" % (s + 1))
     return DglaPresentation(pres).materialize(m)
 
 
 def f_xa_dgla(m: int) -> Dgla:
     """The free dgla on x (degree -1) and a (degree 0) with
     d(x) = -1/2 [x,x], d(a) = 0, truncated at weight m."""
-    pres = LiePresentation(
-        [("a", 0), ("x", -1)],
-        dgens={"x": GradedElement({(-2, "[x,x]"): QQ(-1, 2)})})
+    pres = _adjoin_variable(LiePresentation([("a", 0)]), "x")
     return DglaPresentation(pres).materialize(m)
 
 
@@ -251,16 +235,20 @@ def presentation_of(g: Dgla) -> DglaPresentation:
     return DglaPresentation(LiePresentation(gens, rels, dgens))
 
 
+def _fresh(name: str, taken) -> str:
+    """name, primed until it is not in taken."""
+    while name in taken:
+        name += "'"
+    return name
+
+
 def _rename_generators(pres: LiePresentation, taken: set[str]):
     """Rename clashing generator names by priming; returns the renamed
     presentation and the old -> new mapping."""
     mapping = {}
     for name, deg, w in pres.generators:
-        new = name
-        while new in taken:
-            new += "'"
-        mapping[name] = new
-        taken.add(new)
+        mapping[name] = _fresh(name, taken)
+        taken.add(mapping[name])
     if all(k == v for k, v in mapping.items()):
         return pres, mapping
 
@@ -331,21 +319,40 @@ def twist(g: Dgla, xi: GradedElement, check: str = "auto") -> Dgla:
                 weight_bound=g.weight_bound, check=check)
 
 
-def adjoin_mc_variable(g: Dgla, m: int, var: str = "x") -> Dgla:
+def _adjoin_variable(pres: LiePresentation, var: str,
+                     twisted: bool = False) -> LiePresentation:
+    """pres with var (degree -1, weight 1) appended last and
+    d(var) = -1/2 [var,var].  twisted gives the twist by var instead:
+    d(var) = +1/2 [var,var] and d(u) + [var,u] on each generator u of pres."""
+    gens = pres.generators + [(var, -1, 1)]
+    dgens = dict(pres.dgens)
+    if twisted:
+        free = FreeLieTruncation(gens, 1 + max(w for _, _, w in gens))
+        for name, _, _ in pres.generators:
+            dgens[name] = pres.dgens.get(name, GradedElement()) + \
+                free.bracket(free.generator(var), free.generator(name))
+    dgens[var] = GradedElement({(-2, "[%s,%s]" % (var, var)): QQ(1 if twisted else -1, 2)})
+    return LiePresentation(gens, pres.relations, dgens)
+
+
+def _free_product(first: LiePresentation, h: Dgla, m: int, check: str) -> Dgla:
+    """first * h truncated at weight m, h's generators primed away from
+    first's; the renaming is recorded as .second_factor_names."""
+    taken = {name for name, _, _ in first.generators}
+    second, renames = _rename_generators(presentation_of(h).pres, taken)
+    out = DglaPresentation(free_product_presentation(first, second)).materialize(
+        m, check=check)
+    out.second_factor_names = renames
+    return out
+
+
+def adjoin_mc_variable(g: Dgla, m: int) -> Dgla:
     """g<x>: freely adjoin x with |x| = -1 and d(x) = -1/2 [x,x], truncated
     at weight m.  x is MC in the result."""
-    pres_g = presentation_of(g).pres
-    taken = {name for name, _, _ in pres_g.generators}
-    while var in taken:
-        var += "'"
-    sq = "[%s,%s]" % (var, var)
-    adjoined = LiePresentation(
-        list(pres_g.generators) + [(var, -1, 1)],
-        pres_g.relations,
-        dict(pres_g.dgens, **{var: GradedElement({(-2, sq): QQ(-1, 2)})}))
-    out = DglaPresentation(adjoined).materialize(m)
-    x = out.element(var)
-    ok, res = is_mc(out, x)
+    pres = presentation_of(g).pres
+    var = _fresh("x", {name for name, _, _ in pres.generators})
+    out = DglaPresentation(_adjoin_variable(pres, var)).materialize(m)
+    ok, res = is_mc(out, out.element(var))
     if not ok:
         raise NotMaurerCartan("adjoined variable fails MC: %r" % res)
     return out
@@ -355,29 +362,9 @@ def disjoint_product(g: Dgla, h: Dgla, m: int, check: str = "auto") -> Dgla:
     """(g * s)^x * h truncated at weight m, carrying the distinguished MC
     element -x (the twist datum x is recorded as .twist_of)."""
     pres_g = presentation_of(g).pres
-    taken = {name for name, _, _ in pres_g.generators}
-    var = "x"
-    while var in taken:
-        var += "'"
-    taken.add(var)
-    pres_h, h_renames = _rename_generators(presentation_of(h).pres, taken)
-    sq = "[%s,%s]" % (var, var)
-    # twisted differential: d^x(u) = d(u) + [u, x] on the g*s factor
-    dgens = {}
-    gen_elts = {}
-    gens = list(pres_g.generators) + [(var, -1, 1)] + list(pres_h.generators)
-    names_g = [name for name, _, _ in pres_g.generators]
-    free = FreeLieTruncation(gens, 2 + max(w for _, _, w in gens) if gens else 2)
-    for name, deg, w in pres_g.generators:
-        base = pres_g.dgens.get(name, GradedElement())
-        dgens[name] = base + free.bracket(free.generator(var), free.generator(name))
-    dgens[var] = GradedElement({(-2, sq): QQ(1, 2)})
-    for name, deg, w in pres_h.generators:
-        dgens[name] = pres_h.dgens.get(name, GradedElement())
-    pres = LiePresentation(gens, list(pres_g.relations) + list(pres_h.relations), dgens)
-    out = DglaPresentation(pres).materialize(m, check=check)
+    var = _fresh("x", {name for name, _, _ in pres_g.generators})
+    out = _free_product(_adjoin_variable(pres_g, var, twisted=True), h, m, check)
     out.twist_of = out.element(var)
-    out.second_factor_names = h_renames
     base_point = -out.twist_of
     ok, res = is_mc(out, base_point)
     if not ok:
@@ -388,15 +375,7 @@ def disjoint_product(g: Dgla, h: Dgla, m: int, check: str = "auto") -> Dgla:
 
 def free_product_dgla(g: Dgla, h: Dgla, m: int, check: str = "auto") -> Dgla:
     """Plain (untwisted) free product g * h truncated at weight m."""
-    pres_g = presentation_of(g).pres
-    taken = {name for name, _, _ in pres_g.generators}
-    pres_h, h_renames = _rename_generators(presentation_of(h).pres, taken)
-    pres = free_product_presentation(
-        pres_g.generators, pres_g.relations, pres_g.dgens,
-        pres_h.generators, pres_h.relations, pres_h.dgens)
-    out = DglaPresentation(pres).materialize(m, check=check)
-    out.second_factor_names = h_renames
-    return out
+    return _free_product(presentation_of(g).pres, h, m, check)
 
 
 def connected_cover(g: Dgla) -> tuple[Dgla, GradedLinearMap]:

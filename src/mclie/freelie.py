@@ -8,7 +8,9 @@ algebra: the expansion of a basis bracket is triangular with smallest word
 its Lyndon word (coefficient 1, or 2 for squares), so a greedy elimination
 rewrites any Lie element back into the basis.  Everything above the weight
 bound is truncated away, realizing the quotient by the corresponding term
-of the lower central series.
+of the lower central series.  A presented quotient (QuotientLie) carries
+its own free differential, checked on construction to descend to the
+truncation and to the quotient.
 
 The Lyndon basis is a Z-basis of the free Lie ring, so tensor expansions
 and the bracket's commutators and eliminations run on Python ints; only a
@@ -316,65 +318,6 @@ class FreeLieTruncation:
         return _element_of(out)
 
 
-class FreeDgla:
-    """Free truncated Lie algebra with a differential given on generators
-    and extended by the graded Leibniz rule.
-
-    The differential must not decrease weight (so that it descends to the
-    weight truncation); d*d = 0 on generators is checked, which by the
-    Leibniz rule gives d*d = 0 everywhere within the truncation.
-    """
-
-    def __init__(self, lie: FreeLieTruncation, dgens: Mapping[str, GradedElement]):
-        self.lie = lie
-        self.dgens: dict[str, GradedElement] = {}
-        for i, name in enumerate(lie.gen_names):
-            val = dgens.get(name, GradedElement())
-            deg = lie.gen_degrees[i]
-            for (d, lab), _ in val.coeffs.items():
-                if d != deg - 1:
-                    raise InvalidDifferential("d(%s) must be homogeneous of degree %d"
-                                              % (name, deg - 1))
-                if lab not in lie.weight_of_label:
-                    raise InvalidDifferential(
-                        "d(%s) has the term %s, beyond the weight-%d truncation"
-                        % (name, lab, lie.m))
-                if lie.weight_of_label[lab] < lie.gen_weights[i]:
-                    raise InvalidDifferential(
-                        "d(%s) lowers weight; truncation would not be a dg quotient" % name)
-            self.dgens[name] = val
-        self._d_cache: dict[str, GradedElement] = {}
-        for name in lie.gen_names:
-            dd = self.d(self.dgens[name])
-            if not dd.is_zero():
-                raise InvalidDifferential("d(d(%s)) = %r is nonzero" % (name, dd))
-
-    def d_label(self, lab: str) -> GradedElement:
-        cached = self._d_cache.get(lab)
-        if cached is not None:
-            return cached
-        tree = self.lie.tree_of_label[lab]
-        if isinstance(tree, int):
-            res = self.dgens[self.lie.gen_names[tree]]
-        else:
-            t1, t2 = tree
-            l1 = self.lie.label_of_tree[t1]
-            l2 = self.lie.label_of_tree[t2]
-            e1 = self.lie.element_of_tree(t1)
-            e2 = self.lie.element_of_tree(t2)
-            sgn = -ONE if self.lie.tree_degree(t1) % 2 else ONE
-            res = self.lie.bracket(self.d_label(l1), e2) + \
-                self.lie.bracket(e1, self.d_label(l2)).scale(sgn)
-        self._d_cache[lab] = res
-        return res
-
-    def d(self, elt: GradedElement) -> GradedElement:
-        out: dict = {}
-        for (deg, lab), c in elt.coeffs.items():
-            _add_scaled(out, self.d_label(lab), c)
-        return _element_of(out)
-
-
 # ---------------------------------------------------------------------------
 # presentations and truncated quotients
 # ---------------------------------------------------------------------------
@@ -435,7 +378,9 @@ class QuotientLie:
 
     The quotient basis consists of the non-pivot free basis labels under a
     deterministic weight-then-label elimination order, so each basis label
-    carries a weight witness and brackets remain weight-filtered.
+    carries a weight witness and brackets remain weight-filtered.  The
+    differential is the presentation's, extended from the generators to
+    the free algebra by the graded Leibniz rule and projected.
     """
 
     def __init__(self, presentation: LiePresentation, m: int):
@@ -469,10 +414,9 @@ class QuotientLie:
                     self.weight_of_label[lab] = lie.weight_of_label[lab]
         self.space = GradedVectorSpace(basis)
 
-        dgens = {}
-        for name, degree, _w in presentation.generators:
-            dgens[name] = presentation.dgens.get(name, GradedElement())
-        self.free_dgla = FreeDgla(lie, dgens)
+        self._dgens = {name: presentation.dgens.get(name, GradedElement())
+                       for name in lie.gen_names}
+        self._d_cache: dict[str, GradedElement] = {}
         self._check_differential()
 
     # free-side vectors ----------------------------------------------------
@@ -518,10 +462,58 @@ class QuotientLie:
             out.update(self._from_vec(self._ideal[deg]._reduce(vecs[deg]), deg))
         return _element_of(out)
 
+    # the free differential: given on generators, extended by the graded
+    # Leibniz rule ------------------------------------------------------------
+
+    def _free_d_label(self, lab: str) -> GradedElement:
+        cached = self._d_cache.get(lab)
+        if cached is not None:
+            return cached
+        lie = self.free
+        tree = lie.tree_of_label[lab]
+        if isinstance(tree, int):
+            res = self._dgens[lie.gen_names[tree]]
+        else:
+            t1, t2 = tree
+            e1, e2 = lie.element_of_tree(t1), lie.element_of_tree(t2)
+            sgn = -ONE if lie.tree_degree(t1) % 2 else ONE
+            res = lie.bracket(self._free_d_label(lie.label_of_tree[t1]), e2) + \
+                lie.bracket(e1, self._free_d_label(lie.label_of_tree[t2])).scale(sgn)
+        self._d_cache[lab] = res
+        return res
+
+    def _free_d(self, elt: GradedElement) -> GradedElement:
+        out: dict = {}
+        for (deg, lab), c in elt.coeffs.items():
+            _add_scaled(out, self._free_d_label(lab), c)
+        return _element_of(out)
+
     def _check_differential(self):
+        """d descends to the truncated quotient: on each generator it has
+        degree one less, stays within the truncation and does not lower
+        weight; d*d vanishes on generators, so by the Leibniz rule
+        everywhere; and d keeps the relation ideal."""
+        lie = self.free
+        for i, name in enumerate(lie.gen_names):
+            deg = lie.gen_degrees[i]
+            for (d, lab), _ in self._dgens[name].coeffs.items():
+                if d != deg - 1:
+                    raise InvalidDifferential("d(%s) must be homogeneous of degree %d"
+                                              % (name, deg - 1))
+                if lab not in lie.weight_of_label:
+                    raise InvalidDifferential(
+                        "d(%s) has the term %s, beyond the weight-%d truncation"
+                        % (name, lab, lie.m))
+                if lie.weight_of_label[lab] < lie.gen_weights[i]:
+                    raise InvalidDifferential(
+                        "d(%s) lowers weight; truncation would not be a dg quotient" % name)
+        for name in lie.gen_names:
+            dd = self._free_d(self._dgens[name])
+            if not dd.is_zero():
+                raise InvalidDifferential("d(d(%s)) = %r is nonzero" % (name, dd))
         for deg, rs in self._ideal.items():
             for row in rs._rows.values():
-                img = self.free_dgla.d(_element_of(self._from_vec(row, deg)))
+                img = self._free_d(_element_of(self._from_vec(row, deg)))
                 if not self.project(img).is_zero():
                     raise InvalidPresentation(
                         "differential does not preserve the relation ideal")
@@ -532,15 +524,8 @@ class QuotientLie:
     def bracket_labels(self, lab1: str, lab2: str) -> GradedElement:
         return self.project(self.free.bracket_labels(lab1, lab2))
 
-    def bracket(self, u: GradedElement, v: GradedElement) -> GradedElement:
-        out: dict = {}
-        for (d1, l1), c1 in u.coeffs.items():
-            for (d2, l2), c2 in v.coeffs.items():
-                _add_scaled(out, self.bracket_labels(l1, l2), c1 * c2)
-        return _element_of(out)
-
     def d_label(self, lab: str) -> GradedElement:
-        return self.project(self.free_dgla.d_label(lab))
+        return self.project(self._free_d_label(lab))
 
 
 # ---------------------------------------------------------------------------
@@ -642,13 +627,14 @@ def truncated_basis_estimate(generators: Sequence[tuple], m: int,
     return count
 
 
-def free_product_presentation(gens1, rels1, dgens1, gens2, rels2, dgens2) -> LiePresentation:
+def free_product_presentation(first: LiePresentation,
+                              second: LiePresentation) -> LiePresentation:
     """Presentation of the free product: disjoint generators, the union of
     the relations, no cross relations."""
-    names1 = {g[0] for g in gens1}
-    for g in gens2:
-        if g[0] in names1:
+    names = {g[0] for g in first.generators}
+    for g in second.generators:
+        if g[0] in names:
             raise ValueError("generator name clash in free product: %r" % (g[0],))
-    dg = dict(dgens1)
-    dg.update(dgens2)
-    return LiePresentation(list(gens1) + list(gens2), list(rels1) + list(rels2), dg)
+    return LiePresentation(first.generators + second.generators,
+                           first.relations + second.relations,
+                           {**first.dgens, **second.dgens})

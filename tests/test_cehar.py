@@ -310,13 +310,35 @@ def reordered_qxq_cdga():
 
 def test_harrison_unit_slot_is_on_the_unit():
     # e is the first label with eps != 0, but the unit has no e-component:
-    # the slot is 1, and L(Q x Q) is the acyclic sphere model as for qxq
+    # the slot is 1, and A_+ is spanned by e - 1 with (e - 1)^2 = -(e - 1),
+    # so L(Q x Q) is the acyclic sphere model on -T(e)
     h = harrison(reordered_qxq_cdga(), 2)
     assert h.plus_items == [(0, "e")]
     g = h.dgla
     tau = g.element("T(e)")
-    assert g.d(tau) == g.bracket(tau, tau).scale(QQ(-1, 2))
+    assert g.d(tau) == g.bracket(tau, tau).scale(QQ(1, 2))
     assert all(g.homology().dim(n) == 0 for n in (-1, -2))
+
+
+def q_cubed_cdga():
+    """Q^3 on 1, f, e with eps(f) = 1: A_+ is spanned by the orthogonal
+    idempotents f - 1 and e."""
+    f, e, one = (GradedElement({(0, lab): QQ(1)}) for lab in ("f", "e", "1"))
+    return FiniteTableCdga({0: ["1", "f", "e"]},
+                           {("f", "f"): f.scale(3) - one.scale(2), ("f", "e"): e,
+                            ("e", "e"): e}, "1",
+                           augmentation={"1": QQ(1), "f": QQ(1), "e": QQ(0)})
+
+
+def test_harrison_reads_products_of_the_adjusted_basis():
+    # eps(f) = 1 off the unit slot: read off f f = 3 f - 2 instead of
+    # (f - 1)(f - 1) = f - 1, d(d(T(e))) would be 2 [T(f),[T(f),T(e)]]
+    for m in (2, 3, 4):
+        h = harrison(q_cubed_cdga(), m)
+        assert [lab for _, lab in h.plus_items] == ["f", "e"]
+        g, ref = h.dgla.homology(), harrison(load_algebra("qk:3"), m).dgla.homology()
+        degrees = set(g.degrees()) | set(ref.degrees())
+        assert {n: g.dim(n) for n in degrees} == {n: ref.dim(n) for n in degrees}
 
 
 def test_harrison_of_ground_field_is_zero():
@@ -326,9 +348,11 @@ def test_harrison_of_ground_field_is_zero():
 
 def test_harrison_product_comparison():
     m = 3
-    # A's unit slot maps to -x, also when it is not A's first label with eps != 0
-    pairs = [(reordered_qxq_cdga(), q_eps_cdga()), (reordered_qxq_cdga(), qxq_cdga())]
-    for a, b in [*itertools.product([qxq_cdga(), q_deg2_cdga()], repeat=2), *pairs]:
+    # A's unit slot maps to -x plus the eps-corrections, also when it is not
+    # A's first label with eps != 0 and when eps is nonzero off the slot
+    algebras = [qxq_cdga(), q_eps_cdga(), q_deg2_cdga(), reordered_qxq_cdga(),
+                q_cubed_cdga()]
+    for a, b in itertools.product(algebras, repeat=2):
         report = harrison_product_comparison(a, b, m)
         assert report["d_compatible"], (a, b, report)
         assert report["dims_match"], (a, b, report)

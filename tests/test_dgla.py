@@ -343,8 +343,7 @@ def test_twist_of_adjoined_variable_is_disjoint_with_zero():
 
 
 def test_twisted_disjoint_product_swaps_factors():
-    # (g u h)^{-x} = h u g via the identity on g, h and x -> -x
-    from mclie.dgla import DglaPresentation
+    # h u g = (g u h)^{-x} via the identity on g, h and x -> -x
     from mclie.cehar import dgla_map_from_generators
     g = abelian_dgla({0: ["p"]})
     h = abelian_dgla({0: ["q"]})
@@ -352,12 +351,11 @@ def test_twisted_disjoint_product_swaps_factors():
     guh = disjoint_product(g, h, m)
     ok, _ = is_mc(guh, -guh.twist_of)
     assert ok
-    retwisted = DglaPresentation(guh.presentation.pres,
-                                 twist=-guh.twist_of).materialize(m)
+    retwisted = twist(guh, -guh.twist_of)
     hug = disjoint_product(h, g, m)
-    images = {"p": hug.element("p"), "q": hug.element("q"),
-              "x": -hug.element("x")}
-    report = dgla_map_from_generators(retwisted, hug, images)
+    images = {"p": retwisted.element("p"), "q": retwisted.element("q"),
+              "x": -retwisted.element("x")}
+    report = dgla_map_from_generators(hug, retwisted, images)
     report.pop("images")
     assert report == {"d_compatible": True, "dims_match": True,
                       "bijective": True}
@@ -519,3 +517,78 @@ def test_bracket_matches_copy_per_term_reference(build):
         assert list(got.coeffs.items()) == \
             list(reference_product(g.bracket_labels, u, v).coeffs.items())
         assert all(type(c) is QQ for c in got.coeffs.values())
+
+
+# every presented dgla in _presented_builds(): its basis, weights, weight
+# bound, the columns of d, the bracket of every ordered basis pair, its
+# presentation (generators, relations, nonzero generator differentials) and
+# the MC data of a disjoint product, every term in order; a build that
+# raises is recorded by its exception.  Recorded while each construction
+# adjoined its MC variable and took its free product by hand
+PRESENTATION_DIGEST = "5917dd429c646f56218a2a6742aa1c8122264d7abe21359bf92ca61753bd7211"
+
+
+def _presented_builds():
+    from mclie.cehar import harrison
+    from mclie.defs import load_algebra
+    u, v = (GradedElement({(-1, lab): QQ(1)}) for lab in "uv")
+    # [a,u] = v and d(a) = u
+    table = lambda: dgla_from_table({0: ["a"], -1: ["u", "v"]}, {("a", "u"): v}, {"a": u})
+    line = lambda: abelian_dgla({0: ["a"]})
+    named = [("line", line), ("heisenberg", heisenberg_dgla), ("sphere", sphere_dgla),
+             ("zero", zero_dgla), ("g_S:2", lambda: load_algebra("g_S:2")),
+             ("abelian:2:0", lambda: load_algebra("abelian:2:0")), ("table", table),
+             ("f_xa:2", lambda: load_algebra("f_xa:2"))]
+    builds = [("sphere", m, lambda m=m: sphere_dgla(m)) for m in (2, 3, 4)]
+    builds += [("g_S:%d" % k, m, lambda k=k, m=m: g_s_dgla(k, m))
+               for k in (1, 2, 3, 5) for m in (2, 3)]
+    builds += [("f_xa", m, lambda m=m: f_xa_dgla(m)) for m in (1, 2, 3, 5)]
+    builds.append(("heisenberg", 3, heisenberg_dgla))
+    adjoin_to = [named[i] for i in (0, 1, 2, 7, 3, 4, 6)]
+    builds += [("%s<x>" % name, m, lambda g=g, m=m: adjoin_mc_variable(g(), m))
+               for name, g in adjoin_to for m in (2, 3, 4)]
+    for (n1, g), (n2, h) in itertools.product(named, repeat=2):
+        for m in (2, 3):
+            builds.append(("%s u %s" % (n1, n2), m, lambda g=g, h=h, m=m:
+                           disjoint_product(g(), h(), m, check="skip")))
+            builds.append(("%s * %s" % (n1, n2), m, lambda g=g, h=h, m=m:
+                           free_product_dgla(g(), h(), m, check="skip")))
+    builds.append(("(line u line) u line", 3, lambda: disjoint_product(
+        disjoint_product(line(), line(), 3), line(), 3)))
+    builds += [("harrison %s" % ref, m, lambda ref=ref, m=m:
+                harrison(load_algebra(ref), m).dgla)
+               for ref, m in [("qxq", 3), ("q_eps", 3), ("omega:1:2", 3), ("q_deg2", 4)]]
+    return builds
+
+
+def _presented_record(build):
+    try:
+        g = build()
+    except Exception as exc:
+        return ("raises", type(exc).__name__, str(exc))
+
+    def terms(elt):
+        return None if elt is None else list(elt.coeffs.items())
+
+    items = g.basis_items()
+    pres = g.presentation.pres
+    return (items, g.weights, g.weight_bound,
+            [terms(g.d(g.space.basis_element(n, lab))) for n, lab in items],
+            [terms(g.bracket_labels(d1, l1, d2, l2))
+             for (d1, l1), (d2, l2) in itertools.product(items, repeat=2)],
+            pres.generators, [terms(r) for r in pres.relations],
+            [(name, terms(pres.dgens[name])) for name, _, _ in pres.generators
+             if not pres.dgens.get(name, GradedElement()).is_zero()],
+            terms(getattr(g, "twist_of", None)), terms(getattr(g, "distinguished_mc", None)),
+            getattr(g, "second_factor_names", None))
+
+
+def test_presented_dgla_digest():
+    import hashlib
+    records = [(name, m, _presented_record(build)) for name, m, build in _presented_builds()]
+    # f_xa at m = 1 and everything with heisenberg at m = 2 raise: d(x) and
+    # the relation [a,c] do not fit the truncation
+    assert len(records) == 298
+    assert sum(rec[0] == "raises" for _, _, rec in records) == 32
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == PRESENTATION_DIGEST
