@@ -18,7 +18,6 @@ from .freelie import (
     FreeLieTruncation,
     LiePresentation,
     TruncationTooLarge,
-    bch,
     build_basis,
 )
 from .dgla import (

@@ -3,19 +3,22 @@ weight, with a canonical super-Lyndon basis.
 
 Basis elements are standard bracketings of Lyndon words on the generator
 alphabet (ordered by declaration), together with squares [u,u] of basis
-brackets u of odd total degree.  Bracket expansion goes through the tensor
-algebra: the expansion of a basis bracket is triangular with smallest word
-its Lyndon word (coefficient 1, or 2 for squares), so a greedy elimination
-rewrites any Lie element back into the basis.  Everything above the weight
-bound is truncated away, realizing the quotient by the corresponding term
-of the lower central series.  A presented quotient (QuotientLie) carries
-its own free differential, checked on construction to descend to the
-truncation and to the quotient.
+brackets u of odd total degree.  Lyndon words with their standard
+factorization form a Hall set (Reutenauer, Free Lie Algebras, 1993,
+ch. 4-5), so the bracket of two basis trees rewrites into the basis by
+antisymmetry and the Jacobi identity alone, on Python ints: the Lyndon
+basis is a Z-basis of the free Lie ring, and a coefficient becomes a
+Fraction once, when its GradedElement is built.  Everything above the
+weight bound is truncated away, realizing the quotient by the
+corresponding term of the lower central series.  A presented quotient
+(QuotientLie) carries its own free differential, checked on construction
+to descend to the truncation and to the quotient.
 
-The Lyndon basis is a Z-basis of the free Lie ring, so tensor expansions
-and the bracket's commutators and eliminations run on Python ints; only a
-square's halving can leave the integers (Fraction(c, 2) for odd c).  A
-coefficient becomes a Fraction once, when its GradedElement is built.
+The expansion of a basis bracket in the tensor algebra is triangular with
+smallest word its Lyndon word, so a greedy elimination rewrites a Lie
+element of the tensor algebra into the basis.  tensor_expand and
+rewrite_tensor do that on ints, off the bracket path; the tests'
+tensor-algebra oracles (BCH, the embedding of a Lie element) run on them.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from typing import Mapping, Optional, Sequence
 
 from .linalg import (
     ONE,
-    ZERO,
     GradedElement,
     GradedVectorSpace,
     RowSpace,
@@ -76,10 +78,9 @@ def lyndon_words(k: int, maxlen: int):
             w.pop()
 
 
-def foliage(tree) -> Word:
-    if isinstance(tree, int):
-        return (tree,)
-    return foliage(tree[0]) + foliage(tree[1])
+def _is_square(tree) -> bool:
+    """Whether a basis tree is an odd square (u, u)."""
+    return not isinstance(tree, int) and tree[0] == tree[1]
 
 
 def _commutator(a: Mapping[Word, int], b: Mapping[Word, int],
@@ -131,6 +132,7 @@ class FreeLieTruncation:
         self._wd_cache: dict = {}
         self._build_basis()
         self._expand_cache: dict = {}
+        self._hall_cache: dict = {}
         self._bracket_cache: dict[tuple[str, str], GradedElement] = {}
 
     # -- basis ------------------------------------------------------------
@@ -160,16 +162,6 @@ class FreeLieTruncation:
     def tree_degree(self, tree) -> int:
         return self._weight_degree(tree)[1]
 
-    def _standard_tree(self, w: Word):
-        """Standard (right) bracketing of a Lyndon word."""
-        if len(w) == 1:
-            return w[0]
-        # longest proper Lyndon suffix
-        for start in range(1, len(w)):
-            if w[start:] in self._lyndon_set:
-                return (self._standard_tree(w[:start]), self._standard_tree(w[start:]))
-        raise AssertionError("no Lyndon suffix found for %r" % (w,))
-
     def _build_basis(self):
         k = len(self.gen_names)
         words = []
@@ -179,40 +171,49 @@ class FreeLieTruncation:
                 if len(words) > BASIS_SIZE_CAP:
                     raise TruncationTooLarge(
                         "basis exceeds the size cap %d" % BASIS_SIZE_CAP)
-        self._lyndon_set = set(words)
+        # the standard factorization of a Lyndon word (its longest proper
+        # Lyndon suffix and the rest) has two shorter Lyndon words, so
+        # walking by length finds both factors' trees built
         self.tree_of_word: dict[Word, object] = {}
-        trees = []
-        for w in sorted(words):
-            t = self._standard_tree(w)
-            self.tree_of_word[w] = t
-            trees.append(t)
+        for w in sorted(words, key=len):
+            if len(w) == 1:
+                self.tree_of_word[w] = w[0]
+                continue
+            start = next(i for i in range(1, len(w)) if w[i:] in self.tree_of_word)
+            self.tree_of_word[w] = (self.tree_of_word[w[:start]],
+                                    self.tree_of_word[w[start:]])
         # odd squares [u,u]
-        self._square_words = {}
-        for w in sorted(words):
-            t = self.tree_of_word[w]
-            if self.tree_degree(t) % 2 == 1 and 2 * self.word_weight(w) <= self.m:
-                trees.append((t, t))
-                self._square_words[w + w] = (t, t)
-        if len(trees) > BASIS_SIZE_CAP:
+        self._square_words = {
+            w + w: (t, t) for w, t in self.tree_of_word.items()
+            if self.tree_degree(t) % 2 == 1 and 2 * self.word_weight(w) <= self.m}
+        size = len(words) + len(self._square_words)
+        if size > BASIS_SIZE_CAP:
             raise TruncationTooLarge(
-                "basis would have %d elements (cap %d)" % (len(trees), BASIS_SIZE_CAP))
+                "basis would have %d elements (cap %d)" % (size, BASIS_SIZE_CAP))
+        # labels in the same by-length order, each from its children's
+        self._word: dict = {}
         self.label_of_tree: dict = {}
         self.tree_of_label: dict[str, object] = {}
-        basis: dict[int, list[str]] = {}
-        self.weight_of_label: dict[str, int] = {}
-        for t in sorted(trees, key=lambda t: (self._weight_degree(t), foliage(t))):
-            w, d = self._weight_degree(t)
-            lab = self.format_tree(t)
+        for w, t in [*self.tree_of_word.items(), *self._square_words.items()]:
+            if isinstance(t, int):
+                lab = self.gen_names[t]
+            else:
+                lab = "[%s,%s]" % (self.label_of_tree[t[0]], self.label_of_tree[t[1]])
+            if lab in self.tree_of_label:
+                raise InvalidPresentation(
+                    "two basis elements have the label %s: generator names "
+                    "must not look like brackets" % lab)
+            self._word[t] = w
             self.label_of_tree[t] = lab
             self.tree_of_label[lab] = t
+        basis: dict[int, list[str]] = {}
+        self.weight_of_label: dict[str, int] = {}
+        for t in sorted(self._word, key=lambda t: (self._weight_degree(t), self._word[t])):
+            w, d = self._weight_degree(t)
+            lab = self.label_of_tree[t]
             basis.setdefault(d, []).append(lab)
             self.weight_of_label[lab] = w
         self.space = GradedVectorSpace(basis)
-
-    def format_tree(self, tree) -> str:
-        if isinstance(tree, int):
-            return self.gen_names[tree]
-        return "[%s,%s]" % (self.format_tree(tree[0]), self.format_tree(tree[1]))
 
     def generator(self, name: str) -> GradedElement:
         i = self.gen_index[name]
@@ -257,7 +258,7 @@ class FreeLieTruncation:
         while work:
             s = min(work)
             c = work[s]
-            if s in self._lyndon_set:
+            if s in self.tree_of_word:
                 tree = self.tree_of_word[s]
                 coeff = c
             else:
@@ -277,18 +278,52 @@ class FreeLieTruncation:
                     work.pop(w, None)
         return GradedElement(out)
 
-    def tensor_of_element(self, elt: GradedElement) -> dict[Word, Fraction]:
-        out: dict[Word, Fraction] = {}
-        for (d, lab), c in elt.coeffs.items():
-            for w, cc in self.tensor_expand(self.tree_of_label[lab]).items():
-                v = out.get(w, ZERO) + c * cc
-                if v:
-                    out[w] = v
-                else:
-                    out.pop(w, None)
+    # -- bracket -----------------------------------------------------------
+
+    def _hall(self, h, k) -> dict:
+        """[h, k] for basis trees h and k whose weights add up to at most
+        m, as {basis tree: int}, memoized per pair.  Trees compare by their
+        words; every bracket the rules call for has the same weight."""
+        key = (h, k)
+        out = self._hall_cache.get(key)
+        if out is not None:
+            return out
+        dh, dk = self._weight_degree(h)[1], self._weight_degree(k)[1]
+        word = self._word
+        out = {}
+        if _is_square(h):
+            # [[t,t],k] = 2 [t,[t,k]], and [[t,t],t] = 0
+            if h[0] != k:
+                self._hall_nested(out, 2, h[0], h[0], k)
+        elif _is_square(k):
+            out = {t: -c for t, c in self._hall(k, h).items()}
+        elif word[h] > word[k]:
+            sign = 1 if dh * dk % 2 else -1
+            out = {t: sign * c for t, c in self._hall(k, h).items()}
+        elif h == k:
+            if dh % 2:
+                out = {(h, h): 1}
+        elif isinstance(h, int) or word[h[1]] >= word[k]:
+            # h < k, and h a letter or its right factor >= k: a Hall tree
+            out = {(h, k): 1}
+        else:
+            # [[a,b],k] = [a,[b,k]] - (-1)^{|a||b|} [b,[a,k]]
+            a, b = h
+            self._hall_nested(out, 1, a, b, k)
+            odd = self._weight_degree(a)[1] * self._weight_degree(b)[1] % 2
+            self._hall_nested(out, 1 if odd else -1, b, a, k)
+        self._hall_cache[key] = out
         return out
 
-    # -- bracket -----------------------------------------------------------
+    def _hall_nested(self, out: dict, c: int, x, y, k) -> None:
+        """out += c [x,[y,k]] for basis trees x, y and k."""
+        for s, c1 in self._hall(y, k).items():
+            for t, c2 in self._hall(x, s).items():
+                v = out.get(t, 0) + c * c1 * c2
+                if v:
+                    out[t] = v
+                else:
+                    out.pop(t, None)
 
     def bracket_labels(self, lab1: str, lab2: str) -> GradedElement:
         key = (lab1, lab2)
@@ -302,8 +337,10 @@ class FreeLieTruncation:
         if w1 + w2 > self.m:
             res = GradedElement()
         else:
-            res = self.rewrite_tensor(_commutator(
-                self.tensor_expand(t1), self.tensor_expand(t2), (d1 * d2) % 2))
+            terms = self._hall(t1, t2)
+            # one weight and degree: word order is basis order
+            res = GradedElement({(d1 + d2, self.label_of_tree[t]): terms[t]
+                                 for t in sorted(terms, key=self._word.__getitem__)})
         self._bracket_cache[key] = res
         # antisymmetry gives the mirrored pair for free
         msign = -ONE if (d1 * d2) % 2 == 0 else ONE
@@ -353,9 +390,9 @@ class LiePresentation:
 
 
 def _label_weight(label: str, gen_weight: Mapping[str, int]) -> Optional[int]:
-    """Weight of a label as FreeLieTruncation.format_tree writes it: a
-    generator's own weight, else the sum over the two halves of "[u,v]"
-    split at its top-level comma; None when the label does not parse."""
+    """Weight of a label as FreeLieTruncation writes it: a generator's own
+    weight, else the sum over the two halves of "[u,v]" split at its
+    top-level comma; None when the label does not parse."""
     w = gen_weight.get(label)
     if w is not None or not (label.startswith("[") and label.endswith("]")):
         return w
@@ -526,82 +563,6 @@ class QuotientLie:
 
     def d_label(self, lab: str) -> GradedElement:
         return self.project(self._free_d_label(lab))
-
-
-# ---------------------------------------------------------------------------
-# truncated tensor-algebra exponentials (gauge and BCH checks)
-# ---------------------------------------------------------------------------
-
-def tensor_product(a: Mapping[Word, Fraction], b: Mapping[Word, Fraction],
-                   lie: FreeLieTruncation, max_weight: int) -> dict[Word, Fraction]:
-    out: dict[Word, Fraction] = {}
-    for w1, c1 in a.items():
-        for w2, c2 in b.items():
-            w = w1 + w2
-            if lie.word_weight(w) > max_weight:
-                continue
-            v = out.get(w, ZERO) + c1 * c2
-            if v:
-                out[w] = v
-            else:
-                out.pop(w, None)
-    return out
-
-
-def tensor_exp(a: Mapping[Word, Fraction], lie: FreeLieTruncation,
-               max_weight: int) -> dict[Word, Fraction]:
-    """exp of a weight >= 1 element in the truncated tensor algebra."""
-    out: dict[Word, Fraction] = {(): ONE}
-    term: dict[Word, Fraction] = {(): ONE}
-    k = 0
-    while term:
-        k += 1
-        term = tensor_product(term, a, lie, max_weight)
-        term = {w: c / k for w, c in term.items()}
-        for w, c in term.items():
-            v = out.get(w, ZERO) + c
-            if v:
-                out[w] = v
-            else:
-                out.pop(w, None)
-        if k > max_weight:
-            break
-    return out
-
-
-def tensor_log(a: Mapping[Word, Fraction], lie: FreeLieTruncation,
-               max_weight: int) -> dict[Word, Fraction]:
-    """log of 1 + nilpotent in the truncated tensor algebra."""
-    n = dict(a)
-    if n.get((), ZERO) != ONE:
-        raise ValueError("log requires constant term 1")
-    n.pop(())
-    out: dict[Word, Fraction] = {}
-    term: dict[Word, Fraction] = {(): ONE}
-    k = 0
-    while True:
-        k += 1
-        term = tensor_product(term, n, lie, max_weight)
-        if not term or k > max_weight:
-            break
-        sign = ONE if k % 2 == 1 else -ONE
-        for w, c in term.items():
-            v = out.get(w, ZERO) + sign * c / k
-            if v:
-                out[w] = v
-            else:
-                out.pop(w, None)
-    return out
-
-
-def bch(lie: FreeLieTruncation, a: GradedElement, b: GradedElement) -> GradedElement:
-    """Baker-Campbell-Hausdorff product log(exp a * exp b) within the
-    truncation, rewritten into the basis."""
-    ta = lie.tensor_of_element(a)
-    tb = lie.tensor_of_element(b)
-    prod = tensor_product(tensor_exp(ta, lie, lie.m), tensor_exp(tb, lie, lie.m),
-                          lie, lie.m)
-    return lie.rewrite_tensor(tensor_log(prod, lie, lie.m))
 
 
 # ---------------------------------------------------------------------------

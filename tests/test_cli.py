@@ -465,6 +465,26 @@ def test_split_checks_associativity_of_h0_above_the_triple_cap(tmp_path, capsys)
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("args", [
+    ["disjoint-product", "FILE", "zero"],
+    ["free-product", "FILE", "zero"],
+    ["verify", "free-product-cohomology", "FILE", "abelian:1:0"],
+])
+@pytest.mark.parametrize("table", ["", "bracket a b = 1 [a,b]\n"],
+                         ids=["abelian", "bracket"])
+def test_generator_named_like_a_bracket_exits_2(tmp_path, capsys, args, table):
+    # presentation_of names one generator per basis label, so the bracket
+    # of a and b would get the label of the generator [a,b]
+    d = tmp_path / "bracket_label.def"
+    d.write_text("kind dgla\nbasis a 0\nbasis b 0\nbasis [a,b] 0\n" + table)
+    assert run_cli(["check", str(d)], capsys)[0] == 0
+    argv = [str(d) if a == "FILE" else a for a in args] + ["--weight", "3"]
+    rc, out, err = run_cli(argv, capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("InvalidPresentation: two basis elements have the label [a,b]")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_not_maurer_cartan_exits_1(monkeypatch, capsys):
     import mclie.dgla
     monkeypatch.setattr(mclie.dgla, "is_mc",

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from dense_reference import dense_block
+from freelie_reference import bch
 from mclie.linalg import QQ, GradedElement
 from mclie.dgla import (
     AxiomViolation,
@@ -27,7 +28,6 @@ from mclie.dgla import (
     twist,
     zero_dgla,
 )
-from mclie.freelie import bch
 
 
 def test_sphere_basis_and_homology():

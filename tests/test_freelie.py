@@ -2,15 +2,17 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from freelie_reference import FractionKernel, bch, tensor_of_element
 from mclie.linalg import QQ, GradedElement, RowSpace
 from mclie.freelie import (
     FreeLieTruncation,
+    InvalidPresentation,
     LiePresentation,
     TruncationTooLarge,
-    bch,
     build_basis,
-    foliage,
     free_product_presentation,
 )
 
@@ -111,8 +113,8 @@ def test_bracket_tensor_embedding_is_lie_map():
         u = GradedElement({(d1, l1): QQ(1)})
         v = GradedElement({(d2, l2): QQ(1)})
         br = lie.bracket(u, v)
-        tu = lie.tensor_of_element(u)
-        tv = lie.tensor_of_element(v)
+        tu = tensor_of_element(lie, u)
+        tv = tensor_of_element(lie, v)
         sign = QQ(-1) if (d1 * d2) % 2 else QQ(1)
         comm = {}
         for w1, c1 in tu.items():
@@ -122,7 +124,7 @@ def test_bracket_tensor_embedding_is_lie_map():
                 comm[w1 + w2] = comm.get(w1 + w2, QQ(0)) + c1 * c2
                 comm[w2 + w1] = comm.get(w2 + w1, QQ(0)) - sign * c1 * c2
         comm = {k: v for k, v in comm.items() if v}
-        assert lie.tensor_of_element(br) == comm
+        assert tensor_of_element(lie, br) == comm
 
 
 def _basis_elements(lie):
@@ -281,95 +283,23 @@ def test_bch_with_zero():
     assert bch(lie, GradedElement(), a) == a
 
 
-# --- the integer kernel against a Fraction reference ------------------------
+# --- the Hall-set kernel against a Fraction reference -----------------------
 
 
-class FractionKernel:
-    """Reference free-Lie kernel on Fraction coefficients: tensor expansion,
-    commutator and greedy elimination as before the switch to ints, with
-    weights and degrees recomputed through foliage on every call."""
-
-    def __init__(self, lie):
-        self.lie = lie
-        self.expand_cache = {}
-        self.bracket_cache = {}
-
-    def degree(self, tree):
-        return self.lie.word_degree(foliage(tree))
-
-    def weight(self, tree):
-        return self.lie.word_weight(foliage(tree))
-
-    def commutator(self, a, b, sign):
-        out = {}
-        for w1, c1 in a.items():
-            for w2, c2 in b.items():
-                w = w1 + w2
-                out[w] = out.get(w, QQ(0)) + c1 * c2
-                wr = w2 + w1
-                out[wr] = out.get(wr, QQ(0)) - sign * c1 * c2
-        return out
-
-    def tensor_expand(self, tree):
-        cached = self.expand_cache.get(tree)
-        if cached is not None:
-            return cached
-        if isinstance(tree, int):
-            out = {(tree,): QQ(1)}
-        else:
-            t1, t2 = tree
-            sign = QQ(-1) if (self.degree(t1) * self.degree(t2)) % 2 else QQ(1)
-            out = self.commutator(self.tensor_expand(t1), self.tensor_expand(t2), sign)
-            out = {w: c for w, c in out.items() if c}
-        self.expand_cache[tree] = out
-        return out
-
-    def rewrite_tensor(self, tensor):
-        lie = self.lie
-        work = {w: c for w, c in tensor.items() if c}
-        out = {}
-        while work:
-            s = min(work)
-            c = work[s]
-            if s in lie._lyndon_set:
-                tree = lie.tree_of_word[s]
-                coeff = c
-            else:
-                half = len(s) // 2
-                assert len(s) % 2 == 0 and s[:half] == s[half:]
-                tree = lie._square_words[s]
-                coeff = c / 2
-            key = (self.degree(tree), lie.label_of_tree[tree])
-            out[key] = out.get(key, QQ(0)) + coeff
-            for w, cc in self.tensor_expand(tree).items():
-                v = work.get(w, QQ(0)) - coeff * cc
-                if v:
-                    work[w] = v
-                else:
-                    work.pop(w, None)
-        return GradedElement(out)
-
-    def bracket_labels(self, lab1, lab2):
-        key = (lab1, lab2)
-        cached = self.bracket_cache.get(key)
-        if cached is not None:
-            return cached
-        t1 = self.lie.tree_of_label[lab1]
-        t2 = self.lie.tree_of_label[lab2]
-        if self.weight(t1) + self.weight(t2) > self.lie.m:
-            res = GradedElement()
-        else:
-            sign = QQ(-1) if (self.degree(t1) * self.degree(t2)) % 2 else QQ(1)
-            res = self.rewrite_tensor(self.commutator(
-                self.tensor_expand(t1), self.tensor_expand(t2), sign))
-        self.bracket_cache[key] = res
-        msign = QQ(-1) if (self.degree(t1) * self.degree(t2)) % 2 == 0 else QQ(1)
-        self.bracket_cache.setdefault((lab2, lab1), res.scale(msign))
-        return res
+# free truncations on their own: an odd degree-3 generator beside odd
+# squares, generator weights above 1, and the f_xa alphabet in the other
+# declaration order, deeper than any builtin case
+FREE_CASES = {
+    "p,q,r in degrees -1,1,3 at m=6": ([("p", -1), ("q", 1), ("r", 3)], 6),
+    "weights 1,2,3 at m=8": ([("a", -1, 1), ("b", 0, 2), ("c", 1, 3)], 8),
+    "x,a at m=9": ([("x", -1), ("a", 0)], 9),
+}
 
 
 def _free_truncation(case):
     """The free truncation that materializing the named algebra builds."""
+    if case in FREE_CASES:
+        return FreeLieTruncation(*FREE_CASES[case])
     from mclie.cehar import harrison
     from mclie.defs import build_builtin
     from mclie.dgla import free_product_dgla, presentation_of
@@ -389,7 +319,7 @@ def _items(elt):
 
 @pytest.mark.parametrize("case", ["f_xa:6", "g_S:3", "heisenberg",
                                   "abelian:2:0 * abelian:1:0",
-                                  "harrison omega:1:3"])
+                                  "harrison omega:1:3", *FREE_CASES])
 def test_integer_kernel_matches_fraction_reference(case):
     lie = _free_truncation(case)
     ref = FractionKernel(lie)
@@ -412,11 +342,56 @@ def test_integer_kernel_matches_fraction_reference(case):
     # Fraction input (the bch path): rewrite a scaled basis element back
     for lab in labels:
         elt = lie.element_of_tree(lie.tree_of_label[lab]).scale(QQ(-2, 3))
-        tensor = lie.tensor_of_element(elt)
+        tensor = tensor_of_element(lie, elt)
         assert all(type(c) is Fraction for c in tensor.values())
         got = lie.rewrite_tensor(tensor)
         assert _items(got) == _items(ref.rewrite_tensor(tensor)) == _items(elt)
         assert all(type(c) is Fraction for c in got.coeffs.values())
+
+
+JACOBI_LIE = FreeLieTruncation([("x", -1), ("a", 0), ("y", 1)], 7)
+# every basis element of weight <= 4, squares among them
+JACOBI_POOL = [(d, lab) for d in JACOBI_LIE.space.degrees()
+               for lab in JACOBI_LIE.space.labels(d)
+               if JACOBI_LIE.weight_of_label[lab] <= 4]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.tuples(*[st.sampled_from(JACOBI_POOL)] * 3))
+def test_hall_bracket_is_graded_lie(triple):
+    lie = JACOBI_LIE
+    (du, lu), (dv, lv), (dw, lw) = triple
+    u, v, w = (GradedElement({key: QQ(1)}) for key in triple)
+    sign_uv = QQ(-1) if du * dv % 2 else QQ(1)
+    assert (lie.bracket(u, v) + lie.bracket(v, u).scale(sign_uv)).is_zero()
+    # derivation form of graded Jacobi
+    lhs = lie.bracket(u, lie.bracket(v, w))
+    rhs = lie.bracket(lie.bracket(u, v), w) + \
+        lie.bracket(v, lie.bracket(u, w)).scale(sign_uv)
+    assert (lhs - rhs).is_zero()
+
+
+def test_hall_pool_has_squares():
+    squares = {JACOBI_LIE.label_of_tree[t] for t in JACOBI_LIE._square_words.values()}
+    assert squares & {lab for _, lab in JACOBI_POOL} == \
+        {"[x,x]", "[y,y]", "[[x,a],[x,a]]", "[[a,y],[a,y]]"}
+
+
+@pytest.mark.parametrize("t", ["x", "[a,x]"])
+def test_square_bracketed_with_its_root_vanishes(t):
+    # [[t,t],t] = 0 for odd t: the base case of the square rule
+    lie = build_basis([("a", 0), ("x", -1)], 6)
+    sq = "[%s,%s]" % (t, t)
+    assert lie.bracket_labels(sq, t).is_zero()
+    assert lie.bracket_labels(t, sq).is_zero()
+    assert not lie.bracket_labels(t, t).is_zero()
+
+
+def test_bracket_label_that_is_a_generator_name_is_refused():
+    with pytest.raises(InvalidPresentation, match=r"label \[a,b\]"):
+        FreeLieTruncation([("a", 0), ("b", 0), ("[a,b]", 0)], 2)
+    # below the bracket's weight there is nothing to confuse
+    assert FreeLieTruncation([("a", 0), ("b", 0), ("[a,b]", 0)], 1).space.total_dim() == 3
 
 
 def test_square_halves_odd_int_exactly():
