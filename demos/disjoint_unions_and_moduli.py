@@ -25,7 +25,7 @@ print("free dgla on 3 square-zero generators: pi_0 =", moduli.count(),
 
 line = abelian_dgla({0: ["a"]})
 gu0 = disjoint_product(line, zero_dgla(), 4)
-flags = homology_stability(gu0, 4)
+flags = homology_stability(gu0)
 print("abelian line u 0: stable homology cells all vanish:")
 for n in sorted(flags):
     print("  H_%d = %d  [%s]" % (n, flags[n]["dim"],

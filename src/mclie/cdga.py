@@ -231,14 +231,7 @@ class FreePolynomialCdga(Cdga):
                  dgens: Optional[Mapping[str, GradedElement]] = None,
                  augmentation_gens: Optional[Mapping[str, Fraction]] = None,
                  check: str = "auto"):
-        self.generators = []
-        for g in generators:
-            if len(g) == 2:
-                name, cohdeg = g
-                weight = 1
-            else:
-                name, cohdeg, weight = g
-            self.generators.append((str(name), int(cohdeg), int(weight)))
+        self.generators = freelie._read_generators(generators)
         self.max_weight = max_weight
         self._gen_index = {n: i for i, (n, _, _) in enumerate(self.generators)}
         self._dgens = dict(dgens or {})

@@ -22,6 +22,7 @@ A_+ are read through its inclusion into A.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from typing import Mapping, Optional
@@ -40,7 +41,7 @@ from .linalg import (
     _element_of,
     linear_combination,
 )
-from .freelie import FreeLieTruncation, InvalidDifferential, LiePresentation
+from .freelie import FreeLieTruncation, InvalidDifferential, LiePresentation, _label_tree
 from .dgla import (
     Dgla,
     DglaPresentation,
@@ -296,23 +297,18 @@ def cdga_product(a: Cdga, b: Cdga) -> Cdga:
 def dgla_map_from_generators(src: Dgla, dst: Dgla,
                              images: Mapping[str, GradedElement]) -> dict:
     """Extend a generator assignment of a presented dgla to all basis
-    labels (through the free tree structure), check d-compatibility on
-    every generator, and compare dimensions; returns a report with the
-    label-by-label image map."""
-    free = FreeLieTruncation(src.presentation.pres.generators, src.weight_bound)
-    label_images: dict[str, GradedElement] = {}
+    labels (over the tree each label reads as), check d-compatibility on
+    every generator, and compare dimensions."""
+    names = [name for name, _, _ in src.presentation.pres.generators]
+
+    @functools.cache
+    def image_of_tree(tree) -> GradedElement:
+        if isinstance(tree, int):
+            return images[names[tree]]
+        return dst.bracket(image_of_tree(tree[0]), image_of_tree(tree[1]))
 
     def image_of(lab: str) -> GradedElement:
-        if lab in label_images:
-            return label_images[lab]
-        if lab in images:
-            label_images[lab] = images[lab]
-            return images[lab]
-        t1, t2 = free.tree_of_label[lab]
-        out = dst.bracket(image_of(free.label_of_tree[t1]),
-                          image_of(free.label_of_tree[t2]))
-        label_images[lab] = out
-        return out
+        return image_of_tree(_label_tree(lab, names))
 
     d_compatible = True
     for name in images:
@@ -334,8 +330,7 @@ def dgla_map_from_generators(src: Dgla, dst: Dgla,
             if span.dim() != dst.space.dim(n):
                 surjective = False
     return {"d_compatible": d_compatible, "dims_match": dims_match,
-            "bijective": bool(dims_match and d_compatible and surjective),
-            "images": label_images}
+            "bijective": bool(dims_match and d_compatible and surjective)}
 
 
 def harrison_product_comparison(a: Cdga, b: Cdga, m: int) -> dict:
@@ -362,9 +357,7 @@ def harrison_product_comparison(a: Cdga, b: Cdga, m: int) -> dict:
     for n, lab in lhs.plus_items:
         side, base = lab.split(".", 1)
         images[lhs.tau_of[lab]] = (t_b if side == "B" else t_a).get(base, slot)
-    report = dgla_map_from_generators(lhs.dgla, rhs, images)
-    report.pop("images")
-    return report
+    return dgla_map_from_generators(lhs.dgla, rhs, images)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,8 @@ from .linalg import (
 from .freelie import (
     FreeLieTruncation,
     LiePresentation,
+    _fresh,
+    _tree_label,
     free_product_presentation,
 )
 
@@ -235,59 +237,6 @@ def presentation_of(g: Dgla) -> DglaPresentation:
     return DglaPresentation(LiePresentation(gens, rels, dgens))
 
 
-def _fresh(name: str, taken) -> str:
-    """name, primed until it is not in taken."""
-    while name in taken:
-        name += "'"
-    return name
-
-
-def _rename_generators(pres: LiePresentation, taken: set[str]):
-    """Rename clashing generator names by priming; returns the renamed
-    presentation and the old -> new mapping."""
-    mapping = {}
-    for name, deg, w in pres.generators:
-        mapping[name] = _fresh(name, taken)
-        taken.add(mapping[name])
-    if all(k == v for k, v in mapping.items()):
-        return pres, mapping
-
-    def rename_elt(e: GradedElement) -> GradedElement:
-        out = {}
-        for (d, lab), c in e.coeffs.items():
-            new = lab
-            # labels of relations/differentials only involve generator names
-            # and brackets of them; rename leaf names longest-first
-            for old in sorted(mapping, key=len, reverse=True):
-                new = _replace_label(new, old, mapping[old])
-            out[(d, new)] = c
-        return GradedElement(out)
-
-    gens = [(mapping[n], d, w) for n, d, w in pres.generators]
-    rels = [rename_elt(r) for r in pres.relations]
-    dgens = {mapping[n]: rename_elt(v) for n, v in pres.dgens.items()}
-    return LiePresentation(gens, rels, dgens), mapping
-
-
-def _replace_label(label: str, old: str, new: str) -> str:
-    """Replace the generator name old by new inside a bracket label,
-    matching only complete names (delimited by [ , ])."""
-    out = []
-    i = 0
-    while i < len(label):
-        if label.startswith(old, i):
-            before = label[i - 1] if i else ""
-            j = i + len(old)
-            after = label[j] if j < len(label) else ""
-            if before in ("", "[", ",") and after in ("", ",", "]"):
-                out.append(new)
-                i = j
-                continue
-        out.append(label[i])
-        i += 1
-    return "".join(out)
-
-
 # -- MC elements, twisting, covers, gauge -------------------------------------
 
 
@@ -331,7 +280,7 @@ def _adjoin_variable(pres: LiePresentation, var: str,
         for name, _, _ in pres.generators:
             dgens[name] = pres.dgens.get(name, GradedElement()) + \
                 free.bracket(free.generator(var), free.generator(name))
-    dgens[var] = GradedElement({(-2, "[%s,%s]" % (var, var)): QQ(1 if twisted else -1, 2)})
+    dgens[var] = GradedElement({(-2, _tree_label((0, 0), [var])): QQ(1 if twisted else -1, 2)})
     return LiePresentation(gens, pres.relations, dgens)
 
 
@@ -339,7 +288,7 @@ def _free_product(first: LiePresentation, h: Dgla, m: int, check: str) -> Dgla:
     """first * h truncated at weight m, h's generators primed away from
     first's; the renaming is recorded as .second_factor_names."""
     taken = {name for name, _, _ in first.generators}
-    second, renames = _rename_generators(presentation_of(h).pres, taken)
+    second, renames = presentation_of(h).pres.primed(taken)
     out = DglaPresentation(free_product_presentation(first, second)).materialize(
         m, check=check)
     out.second_factor_names = renames
@@ -467,8 +416,9 @@ def gauge_act(g: Dgla, a: GradedElement, xi: GradedElement) -> GradedElement:
     return out
 
 
-def homology_stability(g: Dgla, m: Optional[int] = None) -> dict:
-    """Per-degree homology at truncation m with stabilization flags.
+def homology_stability(g: Dgla) -> dict:
+    """Per-degree homology of a presented dgla at its truncation weight m,
+    with stabilization flags.
 
     For weight-graded truncations with a differential of uniform weight
     shift +1, the cells of weight <= m-1 are final; "dim" reports their sum
@@ -476,17 +426,13 @@ def homology_stability(g: Dgla, m: Optional[int] = None) -> dict:
     cells re-verified against the m+1 truncation.  Otherwise "dim" is the
     full per-degree dimension and "stable" means it is unchanged at m+1.
     """
-    if g.presentation is None or (m is None and g.weight_bound is None):
-        h = g.homology()
-        return {n: {"dim": h.dim(n), "stable": True, "edge": 0} for n in h.degrees()}
-    m = m if m is not None else g.weight_bound
-    g1 = g if m == g.weight_bound else g.presentation.materialize(m, check="skip")
+    m = g.weight_bound
     g2 = g.presentation.materialize(m + 1, check="skip")
-    if g1._weight_shift() == 1 and g2._weight_shift() == 1:
-        c1 = g1._cell_homology(1)
+    if g._weight_shift() == 1 and g2._weight_shift() == 1:
+        c1 = g._cell_homology(1)
         c2 = g2._cell_homology(1)
         degrees = sorted({n for (_, n) in c1} | {n for (_, n) in c2} |
-                         set(g1.space.degrees()))
+                         set(g.space.degrees()))
         report = {}
         for n in degrees:
             final = sum(v for (w, nn), v in c1.items() if nn == n and w <= m - 1)
@@ -495,8 +441,8 @@ def homology_stability(g: Dgla, m: Optional[int] = None) -> dict:
                             for (w, nn), v in c1.items() if nn == n and w <= m - 1)
             report[n] = {"dim": final, "stable": confirmed, "edge": edge}
         return report
-    h1, h2 = g1.homology(), g2.homology()
+    h1, h2 = g.homology(), g2.homology()
     degrees = sorted(set(h1.degrees()) | set(h2.degrees()) |
-                     set(g1.space.degrees()) | set(g2.space.degrees()))
+                     set(g.space.degrees()) | set(g2.space.degrees()))
     return {n: {"dim": h1.dim(n), "stable": h1.dim(n) == h2.dim(n), "edge": 0}
             for n in degrees}

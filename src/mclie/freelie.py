@@ -19,10 +19,16 @@ smallest word its Lyndon word, so a greedy elimination rewrites a Lie
 element of the tensor algebra into the basis.  tensor_expand and
 rewrite_tensor do that on ints, off the bracket path; the tests'
 tensor-algebra oracles (BCH, the embedding of a Lie element) run on them.
+
+This module alone writes and reads a label, a generator's name or "[u,v]"
+for the bracket of the trees labelled u and v (_tree_label, _label_tree),
+and a generator list of (name, degree[, weight]) tuples (_read_generators).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from collections import Counter
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -62,20 +68,70 @@ class InvalidPresentation(Exception):
     """Relations or differentials of a presentation are inconsistent."""
 
 
-def lyndon_words(k: int, maxlen: int):
-    """All Lyndon words on {0..k-1} of length <= maxlen, lexicographic
-    (Duval's algorithm)."""
-    if k == 0 or maxlen == 0:
+def lyndon_words(weights: Sequence[int], m: int):
+    """The Lyndon words on {0..k-1}, k = len(weights), of weight at most m,
+    in lexicographic order: Duval's walk (Theoret. Comput. Sci. 60, 1988),
+    pruned.  A word over m is not extended: every word the walk reaches
+    before the next one of no greater length extends it."""
+    if not weights:
         return
-    w = [-1]
-    while w:
-        w[-1] += 1
-        yield tuple(w)
-        m = len(w)
-        while len(w) < maxlen:
-            w.append(w[len(w) - m])
+    k, maxlen = len(weights), m // min(weights)
+    w, wt = [0], weights[0]
+    while True:
+        if wt <= m:
+            yield tuple(w)
+            n = len(w)
+            while len(w) < maxlen:
+                w.append(w[len(w) - n])
+                wt += weights[w[-1]]
         while w and w[-1] == k - 1:
-            w.pop()
+            wt -= weights[w.pop()]
+        if not w:
+            return
+        w[-1] += 1
+        wt += weights[w[-1]] - weights[w[-1] - 1]
+
+
+def _read_generators(generators: Sequence[tuple]) -> list[tuple[str, int, int]]:
+    """(name, degree, weight) triples; the weight defaults to 1."""
+    return [(str(g[0]), int(g[1]), int(g[2]) if len(g) == 3 else 1)
+            for g in generators]
+
+
+def _bracket_label(lab1: str, lab2: str) -> str:
+    return "[%s,%s]" % (lab1, lab2)
+
+
+def _tree_label(tree, names: Sequence[str]) -> str:
+    if isinstance(tree, int):
+        return names[tree]
+    return _bracket_label(_tree_label(tree[0], names), _tree_label(tree[1], names))
+
+
+def _label_tree(label: str, names: Sequence[str]):
+    """The tree of generator indices a label reads as, None when there is
+    none: a generator's name, else "[u,v]" split at the first comma where
+    both halves read.  Every split is tried, as names may hold commas."""
+    index = {name: i for i, name in enumerate(names)}
+
+    @functools.cache
+    def read(lo: int, hi: int):
+        tree = index.get(label[lo:hi])
+        if tree is None and hi - lo > 2 and label[lo] + label[hi - 1] == "[]":
+            for i in range(lo + 1, hi - 1):
+                if label[i] == "," and read(lo + 1, i) is not None and \
+                        read(i + 1, hi - 1) is not None:
+                    return read(lo + 1, i), read(i + 1, hi - 1)
+        return tree
+
+    return read(0, len(label))
+
+
+def _fresh(name: str, taken) -> str:
+    """name, primed until it is not in taken."""
+    while name in taken:
+        name += "'"
+    return name
 
 
 def _is_square(tree) -> bool:
@@ -114,19 +170,14 @@ class FreeLieTruncation:
         self.gen_names: list[str] = []
         self.gen_degrees: list[int] = []
         self.gen_weights: list[int] = []
-        for g in generators:
-            if len(g) == 2:
-                name, degree = g
-                weight = 1
-            else:
-                name, degree, weight = g
+        for name, degree, weight in _read_generators(generators):
             if name in self.gen_names:
                 raise ValueError("duplicate generator %r" % name)
             if weight < 1:
                 raise ValueError("generator weights must be >= 1")
-            self.gen_names.append(str(name))
-            self.gen_degrees.append(int(degree))
-            self.gen_weights.append(int(weight))
+            self.gen_names.append(name)
+            self.gen_degrees.append(degree)
+            self.gen_weights.append(weight)
         self.gen_index = {n: i for i, n in enumerate(self.gen_names)}
 
         self._wd_cache: dict = {}
@@ -163,14 +214,10 @@ class FreeLieTruncation:
         return self._weight_degree(tree)[1]
 
     def _build_basis(self):
-        k = len(self.gen_names)
-        words = []
-        for w in lyndon_words(k, self.m):
-            if self.word_weight(w) <= self.m:
-                words.append(w)
-                if len(words) > BASIS_SIZE_CAP:
-                    raise TruncationTooLarge(
-                        "basis exceeds the size cap %d" % BASIS_SIZE_CAP)
+        words = list(itertools.islice(lyndon_words(self.gen_weights, self.m),
+                                      BASIS_SIZE_CAP + 1))
+        if len(words) > BASIS_SIZE_CAP:
+            raise TruncationTooLarge("basis exceeds the size cap %d" % BASIS_SIZE_CAP)
         # the standard factorization of a Lyndon word (its longest proper
         # Lyndon suffix and the rest) has two shorter Lyndon words, so
         # walking by length finds both factors' trees built
@@ -198,7 +245,7 @@ class FreeLieTruncation:
             if isinstance(t, int):
                 lab = self.gen_names[t]
             else:
-                lab = "[%s,%s]" % (self.label_of_tree[t[0]], self.label_of_tree[t[1]])
+                lab = _bracket_label(self.label_of_tree[t[0]], self.label_of_tree[t[1]])
             if lab in self.tree_of_label:
                 raise InvalidPresentation(
                     "two basis elements have the label %s: generator names "
@@ -367,8 +414,7 @@ class LiePresentation:
     def __init__(self, generators: Sequence[tuple],
                  relations: Sequence[GradedElement] = (),
                  dgens: Optional[Mapping[str, GradedElement]] = None):
-        self.generators = [tuple(g) if len(g) == 3 else (g[0], g[1], 1)
-                           for g in generators]
+        self.generators = _read_generators(generators)
         self.relations = list(relations)
         self.dgens = dict(dgens or {})
         for r in self.relations:
@@ -378,35 +424,48 @@ class LiePresentation:
         return QuotientLie(self, m)
 
     def relation_weights(self) -> list[Optional[int]]:
-        """The weight of each relation, read off the generators in its
-        terms' labels: 0 for a zero relation, None for one whose terms
-        differ in weight or have a label that does not parse."""
-        gen_weight = {name: w for name, _, w in self.generators}
+        """The weight of each relation, summed over the tree of each term's
+        label: 0 for a zero relation, None for one whose terms differ in
+        weight or have a label that reads as no tree."""
+        names = [name for name, _, _ in self.generators]
+
+        def weight(tree) -> int:
+            if isinstance(tree, int):
+                return self.generators[tree][2]
+            return weight(tree[0]) + weight(tree[1])
+
         out = []
         for r in self.relations:
-            ws = {_label_weight(lab, gen_weight) for _, lab in r.coeffs}
+            trees = [_label_tree(lab, names) for _, lab in r.coeffs]
+            ws = {None if t is None else weight(t) for t in trees}
             out.append(ws.pop() if len(ws) == 1 else (0 if not ws else None))
         return out
 
+    def primed(self, taken: set[str]) -> tuple["LiePresentation", dict[str, str]]:
+        """The presentation with its generator names primed away from taken,
+        which gains them, and the old -> new map; self when none changes.
+        Each label is read into its tree and written with the new names."""
+        old, new = [name for name, _, _ in self.generators], []
+        for name in old:
+            new.append(_fresh(name, taken))
+            taken.add(new[-1])
+        mapping = dict(zip(old, new))
+        if old == new:
+            return self, mapping
 
-def _label_weight(label: str, gen_weight: Mapping[str, int]) -> Optional[int]:
-    """Weight of a label as FreeLieTruncation writes it: a generator's own
-    weight, else the sum over the two halves of "[u,v]" split at its
-    top-level comma; None when the label does not parse."""
-    w = gen_weight.get(label)
-    if w is not None or not (label.startswith("[") and label.endswith("]")):
-        return w
-    depth = 0
-    for i in range(1, len(label) - 1):
-        if label[i] == "[":
-            depth += 1
-        elif label[i] == "]":
-            depth -= 1
-        elif label[i] == "," and depth == 0:
-            left = _label_weight(label[1:i], gen_weight)
-            right = _label_weight(label[i + 1:-1], gen_weight)
-            return None if left is None or right is None else left + right
-    return None
+        def relabel(e: GradedElement) -> GradedElement:
+            out = {}
+            for (d, lab), c in e.coeffs.items():
+                tree = _label_tree(lab, old)
+                if tree is None:
+                    raise InvalidPresentation(
+                        "the label %s is no bracket of the generators" % lab)
+                out[(d, _tree_label(tree, new))] = c
+            return GradedElement(out)
+
+        return LiePresentation([(mapping[n], d, w) for n, d, w in self.generators],
+                               [relabel(r) for r in self.relations],
+                               {mapping[n]: relabel(v) for n, v in self.dgens.items()}), mapping
 
 
 class QuotientLie:
@@ -578,14 +637,9 @@ def truncated_basis_estimate(generators: Sequence[tuple], m: int,
                              cap: int) -> Optional[int]:
     """Number of Lyndon words of weight <= m over the generators, or None
     once the count exceeds cap; cheap (no trees or expansions built)."""
-    weights = [g[2] if len(g) == 3 else 1 for g in generators]
-    count = 0
-    for w in lyndon_words(len(weights), m):
-        if sum(weights[i] for i in w) <= m:
-            count += 1
-            if count > cap:
-                return None
-    return count
+    weights = [w for _, _, w in _read_generators(generators)]
+    count = sum(1 for _ in itertools.islice(lyndon_words(weights, m), cap + 1))
+    return count if count <= cap else None
 
 
 def free_product_presentation(first: LiePresentation,

@@ -414,7 +414,8 @@ class _State:
     symbols free at that moment.  Transitions replace `equations` and never
     mutate it, so children may share it.  `table` and `occurs` (symbol ->
     labels of the equations it may occur in, in any node; it only grows)
-    belong to the whole search.
+    belong to the whole search.  `equations` stays in label order: sorted
+    once, then copied in order, and no label is ever added.
 
     `key()` identifies a state up to the order of assignment: a value
     mentions only symbols free when it was assigned, so the map alone fixes
@@ -435,7 +436,7 @@ class _State:
 
     def key(self) -> tuple:
         """Exact key; the constraints keep their multiplicity."""
-        return (tuple(sorted((lab, _poly_key(p)) for lab, p in self.equations.items())),
+        return (tuple((lab, _poly_key(p)) for lab, p in self.equations.items()),
                 tuple(sorted((s, _poly_key(v)) for s, v in self.assigned.items())),
                 tuple(sorted(self.constants)),
                 tuple(sorted(_poly_key(c) for c in self.constraints)))
@@ -487,7 +488,7 @@ def _propagate(state: _State) -> Optional[_State]:
     None on a nonzero constant."""
     while True:
         state.equations = {lab: p for lab, p in state.equations.items() if p}
-        for lab, p in sorted(state.equations.items()):
+        for lab, p in state.equations.items():
             if len(p) == 1:
                 (mono, _c), = p.items()
                 if not mono:
@@ -526,7 +527,7 @@ def _branch(state: _State) -> Optional[list[_State]]:
             _assign(node, sym, value)
         return node
 
-    for lab, p in sorted(state.equations.items()):
+    for lab, p in state.equations.items():
         syms = poly_symbols(p)
         # R2: a single-variable quadratic in a 0-form unknown
         if len(syms) == 1:
@@ -588,7 +589,7 @@ def solve_structured(system: MCConstraintSystem,
     for lab, p in system.equations.items():
         for sym in poly_symbols(p):
             occurs.setdefault(sym, set()).add(lab)
-    equations = {lab: p for lab, p in system.equations.items() if p}
+    equations = {lab: p for lab, p in sorted(system.equations.items()) if p}
     stack = [_State(equations, {}, set(table.constant), [], table, occurs)]
     families: dict[tuple, SolutionFamily] = {}
     complete = True
@@ -963,7 +964,7 @@ def verify_theorem_f(dglas: Sequence[Dgla], m: int,
     all_acyclic = True
     for idx, gi in enumerate(dglas):
         gu0 = disjoint_product(gi, zero_dgla(), m, check="skip")
-        flags = homology_stability(gu0, m)
+        flags = homology_stability(gu0)
         stable_zero = all(v["dim"] == 0 for v in flags.values() if v["stable"])
         has_stable = any(v["stable"] for v in flags.values())
         acyclicity[idx] = {"flags": flags,

@@ -5,12 +5,33 @@ expanding both trees into words, multiplying the expansions and eliminating
 the product greedily (the bracket as it was before the integer kernel and
 the Hall-set rewriting), the embedding of a Lie element into the tensor
 algebra, and the Baker-Campbell-Hausdorff product through truncated tensor
-exponentials."""
+exponentials.  And the Lyndon words of bounded weight: Duval's walk over
+every word up to the bound in length, filtered by weight afterwards."""
 
 from fractions import Fraction
 
 from mclie.freelie import FreeLieTruncation
 from mclie.linalg import ONE, QQ, ZERO, GradedElement
+
+
+def filtered_lyndon_words(weights, m):
+    """The Lyndon words on {0..k-1}, k = len(weights), of weight at most m:
+    Duval's walk over every word of length <= m, in lexicographic order,
+    each word kept when its weight is at most m."""
+    k, out = len(weights), []
+    if k == 0 or m < 1:
+        return out
+    w = [-1]
+    while w:
+        w[-1] += 1
+        if sum(weights[i] for i in w) <= m:
+            out.append(tuple(w))
+        n = len(w)
+        while len(w) < m:
+            w.append(w[len(w) - n])
+        while w and w[-1] == k - 1:
+            w.pop()
+    return out
 
 
 def foliage(tree):

@@ -415,6 +415,24 @@ def test_product_truncation_keeps_m_for_other_presentations():
     assert _product_truncation(g, abelian_dgla({0: ["z"]}), 5) == 4
 
 
+def _table_heisenberg(a, b, c):
+    """The Heisenberg algebra as a table, [a,b] = c with c of weight 2."""
+    return dgla_from_table({0: [a, b, c]}, {(a, b): GradedElement({(0, c): QQ(1)})},
+                           weights={a: 1, b: 1, c: 2})
+
+
+def test_product_truncation_reads_generator_names_with_commas_and_brackets():
+    # relation weights sum over the tree each label reads as, so the names
+    # a,b  x[  q] weigh their relations like a b c: the product is built at
+    # m - 1, where the cells below m are the same, so the report is too
+    plain = _table_heisenberg("a", "b", "c")
+    awkward = _table_heisenberg("a,b", "x[", "q]")
+    h = abelian_dgla({0: ["z"]})
+    for m in (4, 5):
+        assert _product_truncation(awkward, h, m) == _product_truncation(plain, h, m) == m - 1
+        assert compare_free_product(awkward, h, m, m) == compare_free_product(plain, h, m, m)
+
+
 def test_compare_free_product_with_zero():
     g = heisenberg_dgla()
     report = compare_free_product(g, zero_dgla(), 4, 4)

@@ -84,6 +84,18 @@ d x = -1/2 [x,x]
     assert "H_-1 = 0" in out
 
 
+def test_heavy_generators_finish(tmp_path, capsys):
+    # five weight-6 generators beside a at weight 12: the Lyndon walk
+    # extends no word over the weight, so building the 46-element basis
+    # (and the 76-element one at 13) costs about as much as its size
+    d = tmp_path / "heavy.def"
+    d.write_text("kind free-dgla\nweight 12\ngenerator a 0\n" +
+                 "".join("generator %s 0 6\n" % n for n in "bcdef"))
+    rc, out, err = run_cli(["homology", str(d)], capsys)
+    assert (rc, err) == (0, "")
+    assert "  H_0 = 46  [unstable]" in out.splitlines()
+
+
 def test_cdga_definition_and_split(tmp_path, capsys):
     d = tmp_path / "qxq.def"
     d.write_text("""

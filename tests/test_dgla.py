@@ -126,7 +126,7 @@ def test_disjoint_product_with_zero_acyclic():
     # g u 0 is acyclic in degrees stable between m and m+1
     for g in (abelian_dgla({0: ["a"]}), heisenberg_dgla()):
         gu0 = disjoint_product(g, zero_dgla(), 4)
-        flags = homology_stability(gu0, 4)
+        flags = homology_stability(gu0)
         assert any(v["stable"] for v in flags.values())
         for n, v in flags.items():
             if v["stable"]:
@@ -138,7 +138,7 @@ def test_disjoint_product_quasi_iso_to_h():
     g = abelian_dgla({0: ["a"]})
     h = abelian_dgla({1: ["b"]})
     guh = disjoint_product(g, h, 4)
-    flags = homology_stability(guh, 4)
+    flags = homology_stability(guh)
     hh = h.homology()
     for n, v in flags.items():
         if v["stable"]:
@@ -154,6 +154,7 @@ def test_disjoint_product_distinguished_mc():
 
 def test_disjoint_product_associativity_jarka():
     # (g u h) u a ~ g u (h u a) by f fixing g,h,a, f(x) = x' + y', f(y) = y'
+    from mclie.cehar import dgla_map_from_generators
     ga = abelian_dgla({0: ["p"]})
     hb = abelian_dgla({0: ["q"]})
     ac = abelian_dgla({0: ["r"]})
@@ -162,74 +163,21 @@ def test_disjoint_product_associativity_jarka():
     right = disjoint_product(ga, disjoint_product(hb, ac, m), m)  # (g u (h u a))
     # in 'right' the outer variable is x (g's), the inner is x' (h's);
     # in 'left' the inner is x (g's), the outer is x' (a's side)
-    f_gen = {"p": "p", "q": "q", "r": "r", "x": None, "x'": None}
-    x_right = right.element("x")
-    y_right = right.element("x'")
     x_left = left.element("x")     # g's variable in (g u h)
     y_left = left.element("x'")    # outer variable
     images = {"p": left.element("p"), "q": left.element("q"), "r": left.element("r"),
               "x": x_left + y_left, "x'": y_left}
-
-    def push(elt):
-        # extend images to brackets of generators by multiplicativity
-        out = GradedElement()
-        for (d, lab), c in elt.coeffs.items():
-            out = out + _push_label(right, left, images, lab).scale(c)
-        return out
-
-    def _push_label(src, dst, images, lab):
-        tree = src.presentation.pres  # not used; expand via free structure
-        raise NotImplementedError
-
-    # check d-compatibility on the generators directly: f(d u) = d f(u)
-    for name in ("p", "q", "r", "x", "x'"):
-        u = right.element(name)
-        du = right.d(u)
-        # expand du over generators and brackets: verify by re-deriving both
-        # sides inside 'left' using the generator images
-        fu = images[name]
-        dfu = left.d(fu)
-        fdu = _map_element(right, left, images, du)
-        assert (dfu - fdu).is_zero(), name
-
-
-def _map_element(src, dst, images, elt):
-    """Push an element along a map given on generators, using the free-Lie
-    label structure of the source quotient."""
-    free = src.presentation.pres
-    out = GradedElement()
-    for (d, lab), c in elt.coeffs.items():
-        out = out + _map_label(src, dst, images, lab).scale(c)
-    return out
-
-
-def _map_label(src, dst, images, lab):
-    if lab in images:
-        return images[lab]
-    # lab is a bracket label [u,v]; decompose via the source's tree
-    # structure
-    q = _quotient_of(src)
-    tree = q.free.tree_of_label[lab]
-    t1, t2 = tree
-    l1 = q.free.label_of_tree[t1]
-    l2 = q.free.label_of_tree[t2]
-    return dst.bracket(_map_label(src, dst, images, l1),
-                       _map_label(src, dst, images, l2))
-
-
-def _quotient_of(g):
-    # re-materialize to access the quotient structure
-    return g.presentation.pres.materialize(g.weight_bound)
+    assert dgla_map_from_generators(right, left, images) == \
+        {"d_compatible": True, "dims_match": True, "bijective": True}
 
 
 def test_iterated_disjoint_products_of_zero_match_g_s():
     # g_{*} ~ 0 u 0: map x1 -> -x intertwines the differentials
+    from mclie.cehar import dgla_map_from_generators
     g1 = g_s_dgla(1, 3)
     z2 = disjoint_product(zero_dgla(), zero_dgla(), 3)
-    images = {"x1": -z2.element("x")}
-    for name in ("x1",):
-        u = g1.element(name)
-        assert (_map_element(g1, z2, images, g1.d(u)) - z2.d(images[name])).is_zero()
+    assert dgla_map_from_generators(g1, z2, {"x1": -z2.element("x")}) == \
+        {"d_compatible": True, "dims_match": True, "bijective": True}
 
 
 def test_connected_cover_nonnegative_unchanged():
@@ -320,10 +268,21 @@ def test_free_product_dgla_dims():
     assert p.space.total_dim() == 3
 
 
+def test_free_product_primes_the_second_factors_clashing_names():
+    g = heisenberg_dgla()
+    p = free_product_dgla(g, g, 3)
+    assert p.second_factor_names == {"a": "a'", "b": "b'", "c": "c'"}
+    assert [list(r.coeffs.items()) for r in p.presentation.pres.relations[3:]] == \
+        [[((0, "[a',c']"), 1)], [((0, "[b',c']"), 1)],
+         [((0, "[a',b']"), 1), ((0, "c'"), -1)]]
+    assert p.bracket(p.element("a'"), p.element("b'")) == p.element("c'")
+    assert p.bracket(p.element("a"), p.element("b'")) != GradedElement()
+
+
 def test_homology_of_f_truncation_stabilized():
     # H(f) should match H(abelian line) + acyclic part in stable degrees
     g = f_xa_dgla(4)
-    flags = homology_stability(g, 4)
+    flags = homology_stability(g)
     line = abelian_dgla({0: ["a"]})
     hl = line.homology()
     for n, v in flags.items():
@@ -355,9 +314,7 @@ def test_twisted_disjoint_product_swaps_factors():
     hug = disjoint_product(h, g, m)
     images = {"p": retwisted.element("p"), "q": retwisted.element("q"),
               "x": -retwisted.element("x")}
-    report = dgla_map_from_generators(hug, retwisted, images)
-    report.pop("images")
-    assert report == {"d_compatible": True, "dims_match": True,
+    assert dgla_map_from_generators(hug, retwisted, images) == {"d_compatible": True, "dims_match": True,
                       "bijective": True}
 
 
@@ -381,9 +338,7 @@ def test_iterated_zeros_match_g_s_two_points():
                            zero_dgla(), m)
     x, xp = dst.element("x"), dst.element("x'")
     images = {"x1": -(x + xp), "x2": -xp}
-    report = dgla_map_from_generators(src, dst, images)
-    report.pop("images")
-    assert report == {"d_compatible": True, "dims_match": True,
+    assert dgla_map_from_generators(src, dst, images) == {"d_compatible": True, "dims_match": True,
                       "bijective": True}
 
 

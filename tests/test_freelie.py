@@ -5,15 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freelie_reference import FractionKernel, bch, tensor_of_element
+from freelie_reference import FractionKernel, bch, filtered_lyndon_words, tensor_of_element
 from mclie.linalg import QQ, GradedElement, RowSpace
 from mclie.freelie import (
     FreeLieTruncation,
     InvalidPresentation,
     LiePresentation,
     TruncationTooLarge,
+    _is_square,
+    _label_tree,
+    _tree_label,
     build_basis,
     free_product_presentation,
+    lyndon_words,
 )
 
 
@@ -392,6 +396,51 @@ def test_bracket_label_that_is_a_generator_name_is_refused():
         FreeLieTruncation([("a", 0), ("b", 0), ("[a,b]", 0)], 2)
     # below the bracket's weight there is nothing to confuse
     assert FreeLieTruncation([("a", 0), ("b", 0), ("[a,b]", 0)], 1).space.total_dim() == 3
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(1, 4), max_size=5), st.integers(0, 8))
+def test_weighted_lyndon_walk_matches_filtered_oracle(weights, m):
+    assert list(lyndon_words(weights, m)) == filtered_lyndon_words(weights, m)
+
+
+# odd squares, weights 2-3, primed names, and names with commas and brackets
+LABEL_CASES = {
+    "x,a,y in degrees -1,0,1 at m=6": ([("x", -1), ("a", 0), ("y", 1)], 6),
+    "weights 2,3,1 at m=8": ([("a", -1, 2), ("b", 0, 3), ("c", 1)], 8),
+    "primed names at m=5": ([("x", -1), ("x'", 0), ("x''", -1)], 5),
+    "names a,b x[ q] at m=5": ([("a,b", -1), ("x[", 0), ("q]", 1)], 5),
+}
+
+
+@pytest.mark.parametrize("case", LABEL_CASES)
+def test_labels_read_back_into_their_trees(case):
+    lie = FreeLieTruncation(*LABEL_CASES[case])
+    names = lie.gen_names
+    assert any(_is_square(t) for t in lie.label_of_tree)
+    for tree, lab in lie.label_of_tree.items():
+        assert _tree_label(tree, names) == lab
+        assert _label_tree(lab, names) == tree
+    bad = _tree_label((0, 1), names)
+    for lab in ("", "[]", bad[:-1], bad + "]", "[%s]" % names[0], bad.replace(names[1], "?")):
+        assert _label_tree(lab, names) is None, lab
+
+
+def test_primed_presentation_relabels_through_the_trees():
+    a = GradedElement({(-1, "[a,b,x[]"): QQ(1)})
+    pres = LiePresentation([("a,b", -1), ("x[", 0)], [a], {"x[": a})
+    same, mapping = pres.primed({"z"})
+    assert same is pres and mapping == {"a,b": "a,b", "x[": "x["}
+    taken = {"x["}
+    primed, mapping = pres.primed(taken)
+    assert mapping == {"a,b": "a,b", "x[": "x['"} and taken == {"x[", "x['", "a,b"}
+    assert primed.generators == [("a,b", -1, 1), ("x['", 0, 1)]
+    relabelled = [((-1, "[a,b,x[']"), QQ(1))]
+    assert list(primed.relations[0].coeffs.items()) == relabelled
+    assert list(primed.dgens["x['"].coeffs.items()) == relabelled
+    unreadable = LiePresentation([("a", 0)], [GradedElement({(0, "[a,z]"): QQ(1)})])
+    with pytest.raises(InvalidPresentation, match=r"\[a,z\] is no bracket"):
+        unreadable.primed({"a"})
 
 
 def test_square_halves_odd_int_exactly():
