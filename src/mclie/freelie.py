@@ -11,8 +11,9 @@ basis is a Z-basis of the free Lie ring, and a coefficient becomes a
 Fraction once, when its GradedElement is built.  Everything above the
 weight bound is truncated away, realizing the quotient by the
 corresponding term of the lower central series.  A presented quotient
-(QuotientLie) carries its own free differential, checked on construction
-to descend to the truncation and to the quotient.
+(QuotientLie) carries its own free differential, extended by the Leibniz
+rule over the same int brackets and checked on construction to descend
+to the truncation and to the quotient.
 
 The expansion of a basis bracket in the tensor algebra is triangular with
 smallest word its Lyndon word, so a greedy elimination rewrites a Lie
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -154,6 +156,16 @@ def _commutator(a: Mapping[Word, int], b: Mapping[Word, int],
     return out
 
 
+def _accumulate(out: dict, terms: Mapping, c) -> None:
+    """out += c terms in place, dropping what cancels."""
+    for t, x in terms.items():
+        v = out.get(t, 0) + c * x
+        if v:
+            out[t] = v
+        else:
+            out.pop(t, None)
+
+
 class FreeLieTruncation:
     """Free graded Lie algebra on named generators, modulo brackets of
     weight above m.
@@ -266,9 +278,6 @@ class FreeLieTruncation:
         i = self.gen_index[name]
         return GradedElement({(self.gen_degrees[i], self.gen_names[i]): ONE})
 
-    def element_of_tree(self, tree) -> GradedElement:
-        return GradedElement({(self.tree_degree(tree), self.label_of_tree[tree]): ONE})
-
     def dims(self) -> dict[tuple[int, int], int]:
         """Per-(weight, degree) basis dimensions."""
         return dict(sorted(Counter((self.weight_of_label[lab], d)
@@ -365,12 +374,7 @@ class FreeLieTruncation:
     def _hall_nested(self, out: dict, c: int, x, y, k) -> None:
         """out += c [x,[y,k]] for basis trees x, y and k."""
         for s, c1 in self._hall(y, k).items():
-            for t, c2 in self._hall(x, s).items():
-                v = out.get(t, 0) + c * c1 * c2
-                if v:
-                    out[t] = v
-                else:
-                    out.pop(t, None)
+            _accumulate(out, self._hall(x, s), c * c1)
 
     def bracket_labels(self, lab1: str, lab2: str) -> GradedElement:
         key = (lab1, lab2)
@@ -476,7 +480,10 @@ class QuotientLie:
     deterministic weight-then-label elimination order, so each basis label
     carries a weight witness and brackets remain weight-filtered.  The
     differential is the presentation's, extended from the generators to
-    the free algebra by the graded Leibniz rule and projected.
+    the free algebra by the graded Leibniz rule and projected.  The
+    extension runs on basis trees and ints, den d(tree) through the Hall
+    brackets, where den is the lcm of the denominators of d on the
+    generators; it is divided by den on the way into the projection.
     """
 
     def __init__(self, presentation: LiePresentation, m: int):
@@ -512,7 +519,10 @@ class QuotientLie:
 
         self._dgens = {name: presentation.dgens.get(name, GradedElement())
                        for name in lie.gen_names}
-        self._d_cache: dict[str, GradedElement] = {}
+        # by the Leibniz rule every coefficient of d lies in (1/den)Z
+        self._den = math.lcm(*(c.denominator for e in self._dgens.values()
+                               for c in e.coeffs.values()))
+        self._d_cache: dict = {}
         self._check_differential()
 
     # free-side vectors ----------------------------------------------------
@@ -561,28 +571,42 @@ class QuotientLie:
     # the free differential: given on generators, extended by the graded
     # Leibniz rule ------------------------------------------------------------
 
-    def _free_d_label(self, lab: str) -> GradedElement:
-        cached = self._d_cache.get(lab)
-        if cached is not None:
-            return cached
+    def _free_d_tree(self, tree) -> dict:
+        """den d(tree) as {basis tree: int}, memoized per tree:
+        d[t1,t2] = [d t1, t2] + (-1)^{|t1|} [t1, d t2] on the Hall brackets,
+        each pair over the weight bound dropped."""
+        out = self._d_cache.get(tree)
+        if out is not None:
+            return out
         lie = self.free
-        tree = lie.tree_of_label[lab]
         if isinstance(tree, int):
-            res = self._dgens[lie.gen_names[tree]]
+            out = {lie.tree_of_label[lab]: c.numerator * (self._den // c.denominator)
+                   for (_, lab), c in self._dgens[lie.gen_names[tree]].coeffs.items()}
         else:
             t1, t2 = tree
-            e1, e2 = lie.element_of_tree(t1), lie.element_of_tree(t2)
-            sgn = -ONE if lie.tree_degree(t1) % 2 else ONE
-            res = lie.bracket(self._free_d_label(lie.label_of_tree[t1]), e2) + \
-                lie.bracket(e1, self._free_d_label(lie.label_of_tree[t2])).scale(sgn)
-        self._d_cache[lab] = res
-        return res
+            (w1, d1), (w2, _) = lie._weight_degree(t1), lie._weight_degree(t2)
+            out = {}
+            for s, c in self._free_d_tree(t1).items():
+                if lie._weight_degree(s)[0] + w2 <= self.m:
+                    _accumulate(out, lie._hall(s, t2), c)
+            for s, c in self._free_d_tree(t2).items():
+                if w1 + lie._weight_degree(s)[0] <= self.m:
+                    _accumulate(out, lie._hall(t1, s), -c if d1 % 2 else c)
+        self._d_cache[tree] = out
+        return out
 
-    def _free_d(self, elt: GradedElement) -> GradedElement:
+    def _free_d_sum(self, terms) -> dict:
+        """den d(sum c t) over (basis tree t, c) pairs, as {basis tree: c}."""
         out: dict = {}
-        for (deg, lab), c in elt.coeffs.items():
-            _add_scaled(out, self._free_d_label(lab), c)
-        return _element_of(out)
+        for t, c in terms:
+            _accumulate(out, self._free_d_tree(t), c)
+        return out
+
+    def _free_element(self, terms: Mapping, den: int = 1) -> GradedElement:
+        """The free element sum (c / den) t over {basis tree t: c}."""
+        lie = self.free
+        return _element_of({(lie.tree_degree(t), lie.label_of_tree[t]): Fraction(c, den)
+                            for t, c in terms.items()})
 
     def _check_differential(self):
         """d descends to the truncated quotient: on each generator it has
@@ -603,14 +627,16 @@ class QuotientLie:
                 if lie.weight_of_label[lab] < lie.gen_weights[i]:
                     raise InvalidDifferential(
                         "d(%s) lowers weight; truncation would not be a dg quotient" % name)
-        for name in lie.gen_names:
-            dd = self._free_d(self._dgens[name])
-            if not dd.is_zero():
-                raise InvalidDifferential("d(d(%s)) = %r is nonzero" % (name, dd))
+        for i, name in enumerate(lie.gen_names):
+            dd = self._free_d_sum(self._free_d_tree(i).items())
+            if dd:
+                raise InvalidDifferential("d(d(%s)) = %r is nonzero" % (
+                    name, self._free_element(dd, self._den ** 2)))
         for deg, rs in self._ideal.items():
+            cols = self._columns[deg]
             for row in rs._rows.values():
-                img = self._free_d(_element_of(self._from_vec(row, deg)))
-                if not self.project(img).is_zero():
+                img = self._free_d_sum((lie.tree_of_label[cols[j]], x) for j, x in row.items())
+                if not self.project(self._free_element(img)).is_zero():
                     raise InvalidPresentation(
                         "differential does not preserve the relation ideal")
 
@@ -621,7 +647,8 @@ class QuotientLie:
         return self.project(self.free.bracket_labels(lab1, lab2))
 
     def d_label(self, lab: str) -> GradedElement:
-        return self.project(self._free_d_label(lab))
+        tree = self.free.tree_of_label[lab]
+        return self.project(self._free_element(self._free_d_tree(tree), self._den))
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,17 @@ degree-shifting linear maps, homology, the core that dglas and cdgas share
 commutative algebra in degree 0: H^0 of a cdga, held as a Cdga with zero
 differential.
 
-All arithmetic is fractions.Fraction; there is no floating point anywhere.
-Vectors are sparse, in and out: {index: Fraction} dicts of nonzero
-entries, as GradedVectorSpace.to_vector returns them and from_vector reads
-them.  Linear maps are stored as sparse columns.  RowSpace, an incremental
-reduced row echelon form, is the one row reducer and takes only sparse
-vectors: homology, the (weight, degree) cells, the quotient Lie algebras,
-Coordinates and the cdga constructions all feed it that way, and
-Coordinates.coords and HomologyReport.class_of answer in sparse
-coordinates, in index order.  The reduced row echelon form is unique, so
-every derived report is reproducible bit for bit.
+All arithmetic is exact, on fractions.Fraction or, where a kernel clears
+denominators first (GradedLinearMap.compose), on Python ints; there is no
+floating point anywhere.  Vectors are sparse, in and out: {index: Fraction}
+dicts of nonzero entries, as GradedVectorSpace.to_vector returns them and
+from_vector reads them.  Linear maps are stored as sparse columns.
+RowSpace, an incremental reduced row echelon form, is the one row reducer
+and takes only sparse vectors: homology, the (weight, degree) cells, the
+quotient Lie algebras, Coordinates and the cdga constructions all feed it
+that way, and Coordinates.coords and HomologyReport.class_of answer in
+sparse coordinates, in index order.  The reduced row echelon form is
+unique, so every derived report is reproducible bit for bit.
 
 rref and solve_matrix are the two entry points for dense matrices (lists
 of row lists).  No library code calls them; they stay because the
@@ -30,6 +31,7 @@ transfer data and the derivations report build a Coordinates.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -438,7 +440,8 @@ class GradedLinearMap:
         return _element_of(out)
 
     def compose(self, other: "GradedLinearMap") -> "GradedLinearMap":
-        """self after other."""
+        """self after other, on ints: each block is scaled by the lcm of its
+        denominators, and a Fraction is built only for a nonzero sum."""
         if other.target is not self.source and other.target != self.source:
             raise ValueError("composition spaces do not match")
         columns = {}
@@ -446,13 +449,18 @@ class GradedLinearMap:
             cols2 = self.columns.get(n + other.shift)
             if cols2 is None:
                 continue
+            den1, den2 = (math.lcm(*(c.denominator for col in cols for _, c in col))
+                          for cols in (cols1, cols2))
+            ints2 = [[(i, b.numerator * (den2 // b.denominator)) for i, b in col]
+                     for col in cols2]
             out = []
             for col in cols1:
-                acc: dict[int, Fraction] = {}
+                acc: dict[int, int] = {}
                 for k, a in col:
-                    for i, b in cols2[k]:
-                        acc[i] = acc.get(i, ZERO) + b * a
-                out.append(sorted((i, c) for i, c in acc.items() if c))
+                    a = a.numerator * (den1 // a.denominator)
+                    for i, b in ints2[k]:
+                        acc[i] = acc.get(i, 0) + b * a
+                out.append([(i, QQ(c, den1 * den2)) for i, c in sorted(acc.items()) if c])
             columns[n] = out
         return GradedLinearMap(other.source, self.target, self.shift + other.shift,
                                columns)

@@ -5,8 +5,12 @@ expanding both trees into words, multiplying the expansions and eliminating
 the product greedily (the bracket as it was before the integer kernel and
 the Hall-set rewriting), the embedding of a Lie element into the tensor
 algebra, and the Baker-Campbell-Hausdorff product through truncated tensor
-exponentials.  And the Lyndon words of bounded weight: Duval's walk over
-every word up to the bound in length, filtered by weight afterwards."""
+exponentials.  The Lyndon words of bounded weight: Duval's walk over
+every word up to the bound in length, filtered by weight afterwards.  And
+the free differential of a presented quotient, extended from the
+generators by the graded Leibniz rule on Fraction elements through the
+bracket (as QuotientLie extended it before its kernel ran on trees and
+ints)."""
 
 from fractions import Fraction
 
@@ -203,3 +207,22 @@ def bch(lie: FreeLieTruncation, a: GradedElement, b: GradedElement) -> GradedEle
     prod = tensor_product(tensor_exp(ta, lie, lie.m), tensor_exp(tb, lie, lie.m),
                           lie, lie.m)
     return lie.rewrite_tensor(tensor_log(prod, lie, lie.m))
+
+
+# --- the free differential by the Leibniz rule, on Fractions ---------------
+
+
+def leibniz_reference(q, label: str) -> GradedElement:
+    """d(label) in the free truncation of the QuotientLie q, before the
+    projection: d of a generator as presented, and
+    d[t1,t2] = [d t1, t2] + (-1)^{|t1|} [t1, d t2] on GradedElements."""
+    lie = q.free
+    tree = lie.tree_of_label[label]
+    if isinstance(tree, int):
+        return q.presentation.dgens.get(lie.gen_names[tree], GradedElement())
+    t1, t2 = tree
+    e1, e2 = (GradedElement({(lie.tree_degree(t), lie.label_of_tree[t]): ONE})
+              for t in tree)
+    sgn = -ONE if lie.tree_degree(t1) % 2 else ONE
+    return lie.bracket(leibniz_reference(q, lie.label_of_tree[t1]), e2) + \
+        lie.bracket(e1, leibniz_reference(q, lie.label_of_tree[t2])).scale(sgn)

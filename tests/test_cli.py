@@ -647,6 +647,52 @@ def test_inputs_beyond_a_definition_exit_2(args, message, capsys):
     assert err == message + "\n"
 
 
+FREE_DGLA_COEFFS = ["1", "-1", "3", "-1/2", "2/3", "-5/7", "1/11"]
+
+
+@st.composite
+def free_dgla_files(draw):
+    """kind free-dgla definitions with random d lines over the basis labels:
+    fractional coefficients, and d that may break d*d = 0, the degree, the
+    weight or the relation ideal."""
+    from mclie.freelie import FreeLieTruncation
+    m = draw(st.integers(2, 4))
+    names = draw(st.lists(st.sampled_from("abxyz"), min_size=1, max_size=3, unique=True))
+    gens = [(name, draw(st.integers(-2, 1)), draw(st.integers(1, 2))) for name in names]
+    free = FreeLieTruncation(gens, m)
+    labels = st.sampled_from([lab for d in free.space.degrees()
+                              for lab in free.space.labels(d)])
+    lines = ["kind free-dgla", "weight %d" % m] + ["generator %s %d %d" % g for g in gens]
+    for name, degree, _ in gens:
+        # mostly of the degree d needs, so that d*d and the ideal are reached
+        right = free.space.labels(degree - 1)
+        pool = st.sampled_from(right) if right and draw(st.integers(0, 3)) else labels
+        terms = draw(st.lists(pool, max_size=3, unique=True))
+        if terms:
+            lines.append("d %s = %s" % (name, " + ".join(
+                "%s %s" % (draw(st.sampled_from(FREE_DGLA_COEFFS)), t) for t in terms)))
+    if draw(st.integers(0, 3)) == 0:
+        lines.append("relation %s" % draw(labels))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(free_dgla_files())
+def test_generated_free_dgla_files_exit_cleanly(text):
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        path = "%s/free.def" % tmp
+        with open(path, "w") as f:
+            f.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["homology", path])
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if rc:
+        assert len(err.getvalue().splitlines()) == 1
+
+
 @pytest.mark.parametrize("text,message", [
     ("kind cdga\nbasis 1 0\nbasis e 0\nunit x\n", "unknown basis label 'x' (line 4)"),
     ("kind cdga\nbasis 1 0\nbasis e 0\nunit 1\nmul e y = 1 e\n",

@@ -366,6 +366,42 @@ def test_sparse_map_matches_dense_reference():
                     assert f.apply(got) == t
 
 
+def _mixed_blocks(rng, source, target, shift):
+    """Dense blocks whose entries mix integers with fifths, sevenths and
+    1/(2^61 - 1)."""
+    dens = [1, 1, 5, 7, 2 ** 61 - 1]
+    return {n: [[QQ(rng.randint(-9, 9), rng.choice(dens)) if rng.random() < 0.6 else QQ(0)
+                 for _ in range(source.dim(n))] for _ in range(target.dim(n + shift))]
+            for n in source.degrees()}
+
+
+def test_compose_clears_mixed_denominators():
+    # compose scales each block by the lcm of its denominators and
+    # multiplies on ints
+    rng = random.Random(20261019)
+    for _ in range(100):
+        u, v, w = (_random_space(rng, p) for p in "uvw")
+        s1, s2 = rng.choice([-1, 0, 1]), rng.choice([-1, 0, 1])
+        fb, gb = _mixed_blocks(rng, u, v, s1), _mixed_blocks(rng, v, w, s2)
+        gf = map_from_blocks(v, w, s2, gb).compose(map_from_blocks(u, v, s1, fb))
+        for n in range(-3, 5):
+            want = dense_product(_dense_block(gb, v, w, s2, n + s1),
+                                 _dense_block(fb, u, v, s1, n),
+                                 w.dim(n + s1 + s2), u.dim(n))
+            assert dense_block(gf, n) == want
+            assert all(type(c) is Fraction for col in gf.columns.get(n, ()) for _, c in col)
+    # a product that cancels exactly: (1/7, -1/(5p)) . (1/p, 5/7) = 0
+    p = 2 ** 61 - 1
+    line = GradedVectorSpace({0: ["e"]})
+    plane = GradedVectorSpace({0: ["a", "b"]})
+    f = map_from_blocks(line, plane, 0, {0: [[QQ(1, p)], [QQ(5, 7)]]})
+    g = map_from_blocks(plane, line, 0, {0: [[QQ(1, 7), QQ(-1, 5 * p)]]})
+    assert not f.is_zero() and not g.is_zero()
+    assert g.compose(f).is_zero()
+    assert f.compose(g).columns == {0: [[(0, QQ(1, 7 * p)), (1, QQ(5, 49))],
+                                        [(0, QQ(-1, 5 * p * p)), (1, QQ(-1, 7 * p))]]}
+
+
 def test_rank_nullity_failure_raises_certificate_failure(monkeypatch):
     import mclie.cehar
     import mclie.linalg
