@@ -32,7 +32,7 @@ for i, (u, f, kind) in enumerate(idempotent_split(a)):
 
 print("\npath object A[t,dt]:")
 path, p0, p1, inc = path_object(a, 3)
-et = path.element("e*t^2")
+et = path.element("e|t1^2")
 print("  p0(e t^2) =", apply_linear(p0, et), " p1(e t^2) =",
       apply_linear(p1, et))
 print("  H(A[t,dt]) =", path.cohomology_dims(), "= H(A) =",

@@ -1,7 +1,8 @@
 """Commutative dg algebras: finite multiplication tables and truncated free
-graded-commutative presentations, Sullivan-de Rham forms on simplices, path
-objects, localization at a cocycle, idempotent splitting, and the tensor of
-a dgla with polynomial forms.
+graded-commutative presentations, Sullivan-de Rham forms on simplices,
+localization at a cocycle, idempotent splitting, and tensors with
+polynomial forms: one construction builds both the path object
+A (x) Omega(Delta^1) and the dgla g (x) Omega(Delta^n).
 
 Degrees are stored homologically (a cohomological degree n sits in
 homological degree -n); constructors take cohomological degrees where that
@@ -18,7 +19,6 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from .linalg import (
     ONE,
-    QQ,
     ZERO,
     Coordinates,
     GradedElement,
@@ -531,77 +531,90 @@ def omega_degeneracy_map(omega: DeRhamForms, j: int) -> CdgaMorphism:
 
 
 # ---------------------------------------------------------------------------
-# path objects
+# tensors with polynomial forms: the path object and g (x) Omega(Delta^n)
 # ---------------------------------------------------------------------------
 
-def path_object(a: Cdga, t_degree: int = 3):
-    """D[t,dt] = D (x) k[t,dt] with |t| = 0, d(t) = dt, truncated at
-    polynomial degree t_degree; returns (path, p0, p1, i) where p0, p1 are
-    the evaluations at 0 and 1 and i the constant inclusion.
+def _tensor_label(a: str, w: str) -> str:
+    """The label of the basis element a (x) w of a tensor with forms."""
+    return "%s|%s" % (a, w)
 
-    p0, p1, i are returned as linear maps on basis labels (dicts
-    label -> GradedElement into the factor / path algebra).
-    """
-    K = t_degree
-    labels = {}
+
+def _tensor_with_forms(alg: _DgAlgebra, omega: DeRhamForms,
+                       product_labels: Callable[[int, str, int, str], GradedElement]):
+    """alg (x) omega, with a (x) u in homological degree |a| + |u| (|u| is
+    -p on p-forms): returns its space; info, each label's (|a|, a, |u|, u);
+    the product (a(x)u)(b(x)v) = (-1)^{|u||b|} ab (x) uv, ab from alg's
+    product_labels; the differential d(a(x)u) = da(x)u + (-1)^{|a|} a(x)du;
+    and pack(x, y) = x (x) y."""
     basis: dict[int, list[str]] = {}
-    for n, lab in a.basis_items():
-        for k in range(K + 1):
-            name = lab if k == 0 else "%s*t^%d" % (lab, k)
-            basis.setdefault(n, []).append(name)
-            labels[name] = (lab, n, k, 0)
-        for k in range(K):
-            name = "%s*t^%d*dt" % (lab, k) if k else "%s*dt" % lab
-            basis.setdefault(n - 1, []).append(name)
-            labels[name] = (lab, n, k, 1)
+    info = {}
+    for na, alab in alg.basis_items():
+        for nw, wlab in omega.basis_items():
+            lab = _tensor_label(alab, wlab)
+            basis.setdefault(na + nw, []).append(lab)
+            info[lab] = (na, alab, nw, wlab)
     space = GradedVectorSpace(basis)
 
-    def name_of(lab, n, k, e):
-        if e == 0:
-            return lab if k == 0 else "%s*t^%d" % (lab, k)
-        return "%s*t^%d*dt" % (lab, k) if k else "%s*dt" % lab
+    def pack(x: GradedElement, y: GradedElement) -> GradedElement:
+        # distinct label pairs are distinct basis labels: no sum collides
+        return GradedElement({(na + nw, _tensor_label(alab, wlab)): cx * cy
+                              for (na, alab), cx in x.coeffs.items()
+                              for (nw, wlab), cy in y.coeffs.items()})
 
-    def embed(elt: GradedElement, k, e) -> GradedElement:
-        out = {}
-        for (n, lab), c in elt.coeffs.items():
-            out[(n - e, name_of(lab, n, k, e))] = c
-        return GradedElement(out)
-
-    def mult_fn(d1, l1, d2, l2):
-        lab1, n1, k1, e1 = labels[l1]
-        lab2, n2, k2, e2 = labels[l2]
-        if e1 and e2:
+    def product(d1, l1, d2, l2):
+        na1, a1, nw1, w1 = info[l1]
+        na2, a2, nw2, w2 = info[l2]
+        ab = product_labels(na1, a1, na2, a2)
+        uv = omega.mult_labels(nw1, w1, nw2, w2)
+        if ab.is_zero() or uv.is_zero():
             return GradedElement()
-        # truncation keeps t^k for k <= K and t^k dt for k <= K-1
-        k, e = k1 + k2, e1 + e2
-        if e == 0 and k > K:
-            return GradedElement()
-        if e == 1 and k > K - 1:
-            return GradedElement()
-        prod = a.mult_labels(n1, lab1, n2, lab2)
-        # sign: move t^{k1} dt^{e1} past the second table factor
-        sign = -ONE if (e1 * n2) % 2 else ONE
-        return embed(prod, k, e).scale(sign)
+        return pack(ab, uv).scale(-ONE if (nw1 * na2) % 2 else ONE)
 
-    def d_fn(n, name):
-        lab, n0, k, e = labels[name]
-        out = dict(embed(a.d(a.space.basis_element(n0, lab)), k, e).coeffs)
-        if e == 0 and k >= 1:
-            # d(t^k) = k t^(k-1) dt, moved past the table factor
-            _add_scaled(out, GradedElement({(n0 - 1, name_of(lab, n0, k - 1, 1)): QQ(k)}),
-                        -ONE if n0 % 2 else ONE)
-        return _element_of(out)
+    def d(deg, lab):
+        na, alab, nw, wlab = info[lab]
+        x = alg.space.basis_element(na, alab)
+        u = omega.space.basis_element(nw, wlab)
+        return linear_combination([(ONE, pack(alg.d(x), u)),
+                                   (-ONE if na % 2 else ONE, pack(x, omega.d(u)))])
 
-    path = Cdga(space, d_fn, mult_fn, embed(a.unit, 0, 0), check="auto")
+    return space, info, product, d, pack
 
-    p0 = {name: (a.space.basis_element(n0, lab)
-                 if (k == 0 and e == 0) else GradedElement())
-          for name, (lab, n0, k, e) in labels.items()}
-    p1 = {name: (a.space.basis_element(n0, lab) if e == 0 else GradedElement())
-          for name, (lab, n0, k, e) in labels.items()}
-    inc = {lab: embed(a.space.basis_element(n, lab), 0, 0)
-           for n, lab in a.basis_items()}
+
+def path_object(a: Cdga, t_degree: int = 3):
+    """The path object A (x) Omega(Delta^1), forms truncated at polynomial
+    degree t_degree >= 1 (ValueError below it); returns (path, p0, p1, inc)
+    where p0, p1 are the evaluations at t1 = 0 and t1 = 1 and inc, a |-> a (x) 1,
+    the constant inclusion, each a dict label -> GradedElement (see
+    apply_linear)."""
+    omega = omega_simplex(1, t_degree)
+    space, info, product, d, pack = _tensor_with_forms(a, omega, a.mult_labels)
+    path = Cdga(space, d, product, pack(a.unit, omega.unit), check="auto")
+
+    def evaluation(face: CdgaMorphism) -> dict[str, GradedElement]:
+        # Omega(Delta^0) is spanned by its unit: a face map values each form
+        value = {wlab: face.apply_label(wlab).coeff(0, "1") for _, wlab in omega.basis_items()}
+        return {lab: a.space.basis_element(na, alab).scale(value[wlab])
+                for lab, (na, alab, _, wlab) in info.items()}
+
+    # face 1 sends t1 to 0 (vertex 0), face 0 sends t1 to 1 (vertex 1)
+    p0, p1 = evaluation(omega_face_map(omega, 1)), evaluation(omega_face_map(omega, 0))
+    inc = {lab: pack(a.space.basis_element(n, lab), omega.unit) for n, lab in a.basis_items()}
     return path, p0, p1, inc
+
+
+def tensor_dgla_forms(g: Dgla, n: int, max_degree: int, check: str = "auto") -> Dgla:
+    """g (x) Omega(Delta^n), a dgla with g_q (x) Omega^p in homological
+    degree q - p (see _tensor_with_forms), weighted by g's weights."""
+    omega = omega_simplex(n, max_degree)
+    space, info, bracket, d, _ = _tensor_with_forms(g, omega, g.bracket_labels)
+    weights = None
+    if g.weights is not None:
+        weights = {lab: g.weights[info[lab][1]] for lab in info}
+    out = Dgla(space, d, bracket, weights=weights, weight_bound=g.weight_bound, check=check)
+    out.form_algebra = omega
+    out.coefficient_dgla = g
+    out.tensor_info = info
+    return out
 
 
 def apply_linear(mapping: Mapping[str, GradedElement], elt: GradedElement) -> GradedElement:
@@ -834,61 +847,26 @@ def localization_exactness_report(a: Cdga, u: GradedElement,
 
 
 # ---------------------------------------------------------------------------
-# tensor of a dgla with forms
-# ---------------------------------------------------------------------------
-
-def tensor_dgla_forms(g: Dgla, n: int, max_degree: int, check: str = "auto") -> Dgla:
-    """g (x) Omega(Delta^n), a dgla with Omega^p (x) g_q in homological
-    degree q - p; bracket [u(x)a, v(x)b] = (-1)^{|a||v|}[u,v](x)ab and
-    d(u(x)a) = du(x)a + (-1)^{|u|} u(x)da."""
-    omega = omega_simplex(n, max_degree)
-    basis: dict[int, list[str]] = {}
-    info = {}
-    for ng, glab in g.basis_items():
-        for nw, wlab in omega.basis_items():
-            deg = ng + nw  # nw is -p for p-forms
-            lab = "%s|%s" % (glab, wlab)
-            basis.setdefault(deg, []).append(lab)
-            info[lab] = (ng, glab, nw, wlab)
-    space = GradedVectorSpace(basis)
-
-    def pack(gelt: GradedElement, welt: GradedElement) -> GradedElement:
-        # distinct label pairs are distinct basis labels: no sum collides
-        return GradedElement({(ng + nw, "%s|%s" % (glab, wlab)): cg * cw
-                              for (ng, glab), cg in gelt.coeffs.items()
-                              for (nw, wlab), cw in welt.coeffs.items()})
-
-    def bracket_fn(d1, l1, d2, l2):
-        ng1, g1, nw1, w1 = info[l1]
-        ng2, g2, nw2, w2 = info[l2]
-        sign = -ONE if (nw1 * ng2) % 2 else ONE
-        br = g.bracket_labels(ng1, g1, ng2, g2)
-        prod = omega.mult_labels(nw1, w1, nw2, w2)
-        if br.is_zero() or prod.is_zero():
-            return GradedElement()
-        return pack(br, prod).scale(sign)
-
-    def d_fn(deg, lab):
-        ng, glab, nw, wlab = info[lab]
-        ge = g.space.basis_element(ng, glab)
-        we = omega.space.basis_element(nw, wlab)
-        return linear_combination([(ONE, pack(g.d(ge), we)),
-                                   (-ONE if ng % 2 else ONE, pack(ge, omega.d(we)))])
-
-    weights = None
-    if g.weights is not None:
-        weights = {lab: g.weights[info[lab][1]] for lab in info}
-    out = Dgla(space, d_fn, bracket_fn, weights=weights,
-               weight_bound=g.weight_bound, check=check)
-    out.form_algebra = omega
-    out.coefficient_dgla = g
-    out.tensor_info = info
-    return out
-
-
-# ---------------------------------------------------------------------------
 # derivations report
 # ---------------------------------------------------------------------------
+
+def _augmentation_ideal(a: Cdga):
+    """A basis of the augmentation ideal A_+ of an augmented cdga: the
+    items (n, lab) other than the unit slot, and each one's vector
+    b - eps(b) 1.  The slot is the first label where eps and the unit are
+    both nonzero; it exists as sum_b u_b eps(b) = eps(1) = 1, and dropping
+    it leaves a basis."""
+    items = a.basis_items()
+    aug = a.augmentation or {}
+    slot = next(((n, lab) for n, lab in items
+                 if aug.get(lab, ZERO) and a.unit.coeff(n, lab)), None)
+    if slot is None:
+        raise NoAugmentation("no basis label where the augmentation and "
+                             "the unit are both nonzero")
+    plus = [key for key in items if key != slot]
+    return plus, {lab: a.space.basis_element(n, lab) - a.unit.scale(aug.get(lab, ZERO))
+                  for n, lab in plus}
+
 
 def derivations_report(a: Cdga, rebuilt: Optional[Cdga] = None) -> dict:
     """Per-degree dimensions of H(I/I^2) for the augmentation ideal I,
@@ -902,20 +880,10 @@ def derivations_report(a: Cdga, rebuilt: Optional[Cdga] = None) -> dict:
         raise NoAugmentation("derivations need an augmentation")
 
     def quotient_dims(alg: Cdga) -> dict[int, int]:
-        items = alg.basis_items()
-        ideal: dict[int, RowSpace] = {}
-        for n in alg.space.degrees():
-            ideal[n] = RowSpace(alg.space.dim(n))
-        ivecs = []
-        for n, lab in items:
-            e = alg.space.basis_element(n, lab)
-            v = e - alg.unit.scale(alg.eps(e))
-            if not v.is_zero():
-                ivecs.append((n, v))
+        plus, adjusted = _augmentation_ideal(alg)
         ibasis: dict[int, list[GradedElement]] = {}
-        for n, v in ivecs:
-            if ideal[n]._add(alg.space.to_vector(v, n)):
-                ibasis.setdefault(n, []).append(v)
+        for n, lab in plus:
+            ibasis.setdefault(n, []).append(adjusted[lab])
         # I^2
         sq: dict[int, RowSpace] = {n: RowSpace(alg.space.dim(n))
                                    for n in alg.space.degrees()}

@@ -50,7 +50,8 @@ from .dgla import (
     is_mc,
     presentation_of,
 )
-from .cdga import Cdga, CdgaMorphism, FreePolynomialCdga, NoAugmentation, _evaluate
+from .cdga import (Cdga, CdgaMorphism, FreePolynomialCdga, NoAugmentation,
+                   _augmentation_ideal, _evaluate)
 
 
 def _dual_differentials(items, names, d_of, product_of, partners, multiply):
@@ -213,22 +214,11 @@ class HarrisonComplex:
             raise NoAugmentation("the Harrison complex needs an augmentation")
         self.source = a
         self.m = m
-        items = a.basis_items()
-        # A_+ has the basis b - eps(b) 1 for b other than the unit slot: the
-        # first label where eps and the unit are both nonzero.  It exists as
-        # sum_b u_b eps(b) = eps(1) = 1, and dropping it leaves a basis
-        slot = next(((n, lab) for n, lab in items
-                     if a.augmentation.get(lab, ZERO) and a.unit.coeff(n, lab)), None)
-        if slot is None:
-            raise NoAugmentation("no basis label where the augmentation and "
-                                 "the unit are both nonzero")
-        plus = [key for key in items if key != slot]
+        plus, adjusted = _augmentation_ideal(a)
         self.tau_of = {lab: "T(%s)" % lab for _, lab in plus}
         self.plus_items = plus
         ideal = GradedVectorSpace({n: [lab for d, lab in plus if d == n]
                                    for n in a.space.degrees()})
-        adjusted = {lab: a.space.basis_element(n, lab) -
-                    a.unit.scale(a.augmentation.get(lab, ZERO)) for n, lab in plus}
         inclusion = GradedLinearMap.from_function(ideal, a.space, 0,
                                                   lambda n, lab: adjusted[lab])
 

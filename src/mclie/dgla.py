@@ -35,6 +35,8 @@ from .linalg import (
 )
 from .freelie import (
     FreeLieTruncation,
+    InvalidDifferential,
+    InvalidPresentation,
     LiePresentation,
     _fresh,
     _tree_label,
@@ -425,9 +427,16 @@ def homology_stability(g: Dgla) -> dict:
     and "edge" the provisional top-weight contribution, with the final
     cells re-verified against the m+1 truncation.  Otherwise "dim" is the
     full per-degree dimension and "stable" means it is unchanged at m+1.
+    When the presentation is no dgla at m+1 (d*d or the relation ideal
+    fails only above m), every degree is the weight-m homology, unstable.
     """
     m = g.weight_bound
-    g2 = g.presentation.materialize(m + 1, check="skip")
+    try:
+        g2 = g.presentation.materialize(m + 1, check="skip")
+    except (InvalidDifferential, InvalidPresentation):
+        h = g.homology()
+        return {n: {"dim": h.dim(n), "stable": False, "edge": 0}
+                for n in sorted(set(h.degrees()) | set(g.space.degrees()))}
     if g._weight_shift() == 1 and g2._weight_shift() == 1:
         c1 = g._cell_homology(1)
         c2 = g2._cell_homology(1)

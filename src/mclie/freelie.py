@@ -611,8 +611,8 @@ class QuotientLie:
     def _check_differential(self):
         """d descends to the truncated quotient: on each generator it has
         degree one less, stays within the truncation and does not lower
-        weight; d*d vanishes on generators, so by the Leibniz rule
-        everywhere; and d keeps the relation ideal."""
+        weight; d*d lies in the relation ideal on generators, so by the
+        Leibniz rule everywhere; and d keeps the relation ideal."""
         lie = self.free
         for i, name in enumerate(lie.gen_names):
             deg = lie.gen_degrees[i]
@@ -628,10 +628,10 @@ class QuotientLie:
                     raise InvalidDifferential(
                         "d(%s) lowers weight; truncation would not be a dg quotient" % name)
         for i, name in enumerate(lie.gen_names):
-            dd = self._free_d_sum(self._free_d_tree(i).items())
-            if dd:
-                raise InvalidDifferential("d(d(%s)) = %r is nonzero" % (
-                    name, self._free_element(dd, self._den ** 2)))
+            dd = self._free_element(self._free_d_sum(self._free_d_tree(i).items()),
+                                    self._den ** 2)
+            if not self.project(dd).is_zero():
+                raise InvalidDifferential("d(d(%s)) = %r is nonzero" % (name, dd))
         for deg, rs in self._ideal.items():
             cols = self._columns[deg]
             for row in rs._rows.values():

@@ -48,7 +48,7 @@ from .dgla import (
     twist,
     zero_dgla,
 )
-from .cdga import tensor_dgla_forms
+from .cdga import _tensor_label, tensor_dgla_forms
 
 
 class IncompleteSolve(Exception):
@@ -860,7 +860,7 @@ def instantiate_solution(system: MCConstraintSystem, family: SolutionFamily,
             raise ValueError("free symbol %s has no value" % sym)
         # the coefficient of an element b is a (|b| + 1)-form
         gdeg = table.form_degree[sym] - 1
-        _add_scaled(xi, GradedElement({(gdeg + nw, "%s|%s" % (glab, wlab)): c
+        _add_scaled(xi, GradedElement({(gdeg + nw, _tensor_label(glab, wlab)): c
                                        for (nw, wlab), c in omega_val.coeffs.items()}),
                     ONE)
     return _element_of(xi)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import path_reference
 from dense_reference import dense_rref, dense_solve
 from mclie.linalg import QQ, GradedElement, NonSplitAlgebra
 from mclie.dgla import abelian_dgla, sphere_dgla, f_xa_dgla
@@ -106,11 +107,11 @@ def test_path_object_projections():
     a = qxq()
     path, p0, p1, inc = path_object(a, 3)
     e = a.element("e")
-    et = path.element("e*t^2")
+    et = path.element("e|t1^2")
     # p0 kills positive t-powers, p1 evaluates at 1
     assert apply_linear(p0, et).is_zero()
     assert apply_linear(p1, et) == e
-    assert apply_linear(p0, path.element("e")) == e
+    assert apply_linear(p0, path.element("e|1")) == e
     # sections: p_j . i = id
     for lab in ("1", "e"):
         v = apply_linear(inc, a.element(lab))
@@ -136,13 +137,10 @@ def test_path_object_projection_is_algebra_map():
     K = 2
     path, p0, p1, inc = path_object(a, K)
 
+    omega = omega_simplex(1, K)
+
     def t_degree(lab):
-        deg = 0
-        if "*t^" in lab:
-            deg = int(lab.split("*t^")[1].split("*")[0])
-        if lab.endswith("dt"):
-            deg += 1
-        return deg
+        return omega.weights[lab.split("|", 1)[1]]
 
     items = path.basis_items()
     for (d1, l1), (d2, l2) in itertools.product(items, repeat=2):
@@ -160,6 +158,52 @@ def test_path_object_projection_is_algebra_map():
         u = path.space.basis_element(d1, l1)
         for p in (p0, p1):
             assert (apply_linear(p, path.d(u)) - a.d(apply_linear(p, u))).is_zero()
+
+
+def _w_table():
+    return FiniteTableCdga({0: ["1"], 1: ["w"]}, {("w", "w"): GradedElement()}, "1")
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+@pytest.mark.parametrize("ref", ["qxq", "q_eps", "q_deg2", "qk:3", "omega:1:2", "w"])
+def test_path_object_matches_hand_rolled_reference(ref, K):
+    # A (x) Omega(Delta^1) is the hand-rolled A[t,dt] under the relabeling
+    # lab*t^k[*dt] <-> lab|t1^k[*dt1]: structure constants, d, unit, p0, p1
+    # and inc
+    a = _w_table() if ref == "w" else build_builtin(ref)
+    path, p0, p1, inc = path_object(a, K)
+    old, q0, q1, qinc = path_reference.path_object(a, K)
+    omega = omega_simplex(1, K)
+    new_label = {}
+    for _, lab in a.basis_items():
+        for k in range(K + 1):
+            for e in (0, 1):
+                if k + e <= K:
+                    (_, w), = omega.monomial([("t1", k), ("dt1", e)]).coeffs
+                    new_label[path_reference.old_label(lab, k, e)] = "%s|%s" % (lab, w)
+
+    def relabel(elt):
+        return GradedElement({(n, new_label[lab]): c for (n, lab), c in elt.coeffs.items()})
+
+    assert sorted((n, new_label[lab]) for n, lab in old.basis_items()) == \
+        sorted(path.basis_items())
+    items = old.basis_items()
+    for (d1, l1), (d2, l2) in itertools.product(items, repeat=2):
+        assert relabel(old.mult_labels(d1, l1, d2, l2)) == \
+            path.mult_labels(d1, new_label[l1], d2, new_label[l2])
+    for n, lab in items:
+        assert relabel(old.d(old.space.basis_element(n, lab))) == \
+            path.d(path.space.basis_element(n, new_label[lab]))
+        assert (q0[lab], q1[lab]) == (p0[new_label[lab]], p1[new_label[lab]])
+    assert relabel(old.unit) == path.unit
+    assert {lab: relabel(v) for lab, v in qinc.items()} == inc
+
+
+@pytest.mark.parametrize("K", [0, -1])
+def test_path_object_needs_forms_of_degree_one(K):
+    # K = 0 would make P -> A x A the diagonal: no path object
+    with pytest.raises(ValueError):
+        path_object(build_builtin("qxq"), K)
 
 
 # --- localization --------------------------------------------------------------

@@ -679,18 +679,60 @@ def free_dgla_files(draw):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(free_dgla_files())
 def test_generated_free_dgla_files_exit_cleanly(text):
+    # check and homology accept and refuse the same files: homology reads
+    # the weight-m dgla that check checks, whatever happens at m + 1
     import tempfile
+    codes = []
     with tempfile.TemporaryDirectory() as tmp:
         path = "%s/free.def" % tmp
         with open(path, "w") as f:
             f.write(text)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(["homology", path])
-    assert rc in (0, 1, 2, 3)
-    assert "Traceback" not in out.getvalue() + err.getvalue()
-    if rc:
-        assert len(err.getvalue().splitlines()) == 1
+        for command in ("homology", "check"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main([command, path])
+            assert rc in (0, 1, 2, 3)
+            assert "Traceback" not in out.getvalue() + err.getvalue()
+            if rc:
+                assert len(err.getvalue().splitlines()) == 1
+            codes.append(rc)
+    assert codes[0] == codes[1]
+
+
+@pytest.mark.parametrize("weight,lines", [
+    # d(d(x)) = [[x,y],y] has weight 5 and lies in the ideal of relation y;
+    # the weight-5 rebuild is a dgla, so H_1 and H_2 are confirmed there
+    (4, ["  H_1 = 2  [stable]", "  H_2 = 3  [stable]",
+         "  H_3 = 1  [unstable]", "  H_4 = 0  [unstable]"]),
+    (5, ["  H_1 = 2  [stable]", "  H_2 = 3  [stable]", "  H_3 = 2  [stable]",
+         "  H_4 = 1  [unstable]", "  H_5 = 0  [unstable]"]),
+])
+def test_homology_when_d_squared_lies_in_the_ideal(tmp_path, weight, lines, capsys):
+    d = tmp_path / "free.def"
+    d.write_text("kind free-dgla\nweight %d\ngenerator a 1 2\ngenerator x 1 1\n"
+                 "generator y -1 2\nd x = 1 [x,y] + -5/7 [a,y]\nrelation y\n" % weight)
+    assert run_cli(["check", str(d)], capsys)[0] == 0
+    rc, out, err = run_cli(["homology", str(d)], capsys)
+    assert (rc, err) == (0, "")
+    assert [l for l in out.splitlines() if l.startswith("  H_")] == lines
+
+
+def test_homology_is_unstable_when_the_rebuild_is_no_dgla(tmp_path, capsys):
+    # d(d(x)) = [[x,y],y] has weight 5 and no relation: the weight-4 file is
+    # a dgla, its weight-5 rebuild is not, so every degree is unstable
+    d = tmp_path / "free.def"
+    text = "kind free-dgla\nweight %d\ngenerator x 1 1\ngenerator y -1 2\nd x = 1 [x,y]\n"
+    d.write_text(text % 4)
+    assert run_cli(["check", str(d)], capsys)[0] == 0
+    rc, out, err = run_cli(["homology", str(d)], capsys)
+    assert (rc, err) == (0, "")
+    assert [l for l in out.splitlines() if l.startswith("  H_")] == [
+        "  H_-2 = 1  [unstable]", "  H_-1 = 1  [unstable]", "  H_0 = 0  [unstable]",
+        "  H_1 = 0  [unstable]", "  H_2 = 0  [unstable]"]
+    d.write_text(text % 5)
+    for command in ("check", "homology"):
+        assert run_cli([command, str(d)], capsys) == (
+            2, "", "InvalidDifferential: d(d(x)) = [[x,y],y] is nonzero\n")
 
 
 @pytest.mark.parametrize("text,message", [

@@ -665,6 +665,20 @@ def test_leibniz_random_presentations_reach_odd_generators_and_mixed_denominator
     assert any(q._den % 21 == 0 for q in seen)
 
 
+def test_d_squared_in_the_relation_ideal_vanishes_on_the_quotient():
+    # d(d(x)) = [[x,y],y] is nonzero in the free algebra at weight 5, but
+    # the relation y puts it in the ideal: the quotient is a dgla
+    pres = LiePresentation([("a", 1, 2), ("x", 1, 1), ("y", -1, 2)],
+                           [GradedElement({(-1, "y"): QQ(1)})],
+                           {"x": GradedElement({(0, "[x,y]"): QQ(1), (0, "[a,y]"): QQ(-5, 7)})})
+    q, g = _quotient_and_dgla(pres, 5)
+    x = q.free.gen_names.index("x")
+    dd = q._free_element(q._free_d_sum(q._free_d_tree(x).items()), q._den ** 2)
+    assert dd == GradedElement({(-1, "[[x,y],y]"): QQ(1)})
+    for n, lab in g.basis_items():
+        assert g.d(g.d(g.space.basis_element(n, lab))).is_zero()
+
+
 @pytest.mark.parametrize("gens,rels,dgens,m,error", [
     ([("x", -1), ("y", 0)], [],
      {"x": {(-2, "[x,x]"): QQ(-1, 2)}, "y": {(-1, "x"): QQ(2, 3)}}, 3,
