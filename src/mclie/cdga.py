@@ -14,6 +14,7 @@ exactly on the truncation, with no edge caveats.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -29,7 +30,6 @@ from .linalg import (
     idempotents as algebra_idempotents,
     linear_combination,
     _DgAlgebra,
-    _add_scaled,
     _axpy,
     _element_of,
 )
@@ -234,6 +234,7 @@ class FreePolynomialCdga(Cdga):
         self.generators = freelie._read_generators(generators)
         self.max_weight = max_weight
         self._gen_index = {n: i for i, (n, _, _) in enumerate(self.generators)}
+        self._odd = [cohdeg % 2 == 1 for _, cohdeg, _ in self.generators]
         self._dgens = dict(dgens or {})
         self._aug_gens = dict(augmentation_gens) if augmentation_gens is not None else None
 
@@ -250,7 +251,10 @@ class FreePolynomialCdga(Cdga):
             self.weights[lab] = weight
         space = GradedVectorSpace(basis)
 
-        for name, cohdeg, weight in self.generators:
+        # the generator differentials inside the truncation, once, as
+        # {generator index: [(monomial, int)]} over one denominator _den
+        inside = {}
+        for i, (name, cohdeg, weight) in enumerate(self.generators):
             if weight > max_weight:
                 # the generator and its differential are zero in the
                 # truncation; a rebuild at a larger weight checks them
@@ -268,6 +272,14 @@ class FreePolynomialCdga(Cdga):
                 if self.weights[lab] < weight:
                     raise TruncationNotDgStable(
                         "d(%s) lowers truncation weight" % name)
+            if val.coeffs:
+                inside[i] = val.coeffs
+        self._den = math.lcm(*(c.denominator for coeffs in inside.values()
+                               for c in coeffs.values()))
+        self._dgen_terms = {
+            i: [(self._mono_of_label[lab], c.numerator * (self._den // c.denominator))
+                for (_, lab), c in coeffs.items()]
+            for i, coeffs in inside.items()}
 
         aug = None if self._aug_gens is None else self._evaluation(self._aug_gens)
         unit = GradedElement({(0, "1"): ONE})
@@ -294,48 +306,64 @@ class FreePolynomialCdga(Cdga):
 
     # monomials are tuples of (generator index, exponent), sorted by index
 
+    @staticmethod
+    def _check_size(generators, max_weight: int) -> None:
+        """Count the truncated basis as _enumerate_monomials walks it,
+        building nothing, and raise TruncationTooLarge once the count
+        passes freelie.BASIS_SIZE_CAP."""
+        by_weight = {0: 1}
+        count = 1
+        for name, cohdeg, weight in generators:
+            if not cohdeg % 2 and weight < 1:
+                raise ValueError("even generator %r needs truncation weight >= 1" % name)
+            max_e = 1 if cohdeg % 2 else max_weight // weight
+            new = []
+            for w0, k in by_weight.items():
+                for e in range(1, max_e + 1):
+                    if w0 + e * weight > max_weight:
+                        break
+                    count += k
+                    if count > freelie.BASIS_SIZE_CAP:
+                        raise TruncationTooLarge(
+                            "truncated basis would have at least %d elements (cap %d)"
+                            % (count, freelie.BASIS_SIZE_CAP))
+                    new.append((w0 + e * weight, k))
+            for w, k in new:
+                by_weight[w] = by_weight.get(w, 0) + k
+
     def _enumerate_monomials(self):
         gens = self.generators
+        self._check_size(gens, self.max_weight)
         # weight -> the monomials of that weight; a generator extends only
         # the weights it fits on, so a heavy one costs nothing per monomial
         by_weight: dict[int, list[tuple]] = {0: [()]}
-        count = 1
         for i, (name, cohdeg, weight) in enumerate(gens):
-            if cohdeg % 2:
-                max_e = 1
-            else:
-                if weight < 1:
-                    raise ValueError(
-                        "even generator %r needs truncation weight >= 1" % name)
-                max_e = self.max_weight // weight
+            max_e = 1 if cohdeg % 2 else self.max_weight // weight
             new = []
             for w0, monos in by_weight.items():
                 for e in range(1, max_e + 1):
                     w = w0 + e * weight
                     if w > self.max_weight:
                         break
-                    # counted before they are built, so the cap bounds memory
-                    count += len(monos)
-                    if count > freelie.BASIS_SIZE_CAP:
-                        raise TruncationTooLarge(
-                            "truncated basis would have at least %d elements (cap %d)"
-                            % (count, freelie.BASIS_SIZE_CAP))
                     new.append((w, [mono + ((i, e),) for mono in monos]))
             for w, monos in new:
                 by_weight.setdefault(w, []).extend(monos)
         # (weight, label) is unique, so the monomial itself is never compared
-        return sorted((w, self._format(m), m)
+        return sorted((w, self._format(gens, m), m)
                       for w, monos in by_weight.items() for m in monos)
 
     def _mono_cohdeg(self, mono) -> int:
         return sum(self.generators[i][1] * e for i, e in mono)
 
-    def _format(self, mono) -> str:
+    @staticmethod
+    def _format(generators, mono) -> str:
+        """The label of a monomial over generators (name, cohdeg, weight):
+        the unit 1, else name or name^e per letter, joined by *."""
         if not mono:
             return "1"
         parts = []
         for i, e in mono:
-            name = self.generators[i][0]
+            name = generators[i][0]
             parts.append(name if e == 1 else "%s^%d" % (name, e))
         return "*".join(parts)
 
@@ -348,28 +376,20 @@ class FreePolynomialCdga(Cdga):
     def generator_element(self, name: str) -> GradedElement:
         return self.monomial([(name, 1)])
 
-    def _odd_letters(self, mono):
-        return [i for i, e in mono if self.generators[i][1] % 2]
-
     def _merge_sign_and_mono(self, m1, m2):
         """Product of two monomials: None for zero (odd square), else
-        (sign, merged monomial)."""
-        odd1 = self._odd_letters(m1)
-        odd2 = self._odd_letters(m2)
-        if set(odd1) & set(odd2):
-            return None
+        (sign, merged monomial), the int sign (-1)^(odd letters of m2 that
+        pass an odd letter of m1)."""
+        odd = self._odd
+        merged = dict(m1)
         inversions = 0
-        for i in odd1:
-            for j in odd2:
-                if j < i:
-                    inversions += 1
-        d = {}
-        for i, e in m1:
-            d[i] = d.get(i, 0) + e
-        for i, e in m2:
-            d[i] = d.get(i, 0) + e
-        merged = tuple(sorted(d.items()))
-        return (-ONE if inversions % 2 else ONE), merged
+        for j, e in m2:
+            if odd[j]:
+                if j in merged:
+                    return None
+                inversions += sum(1 for i, _ in m1 if i > j and odd[i])
+            merged[j] = merged.get(j, 0) + e
+        return (-1 if inversions % 2 else 1), tuple(sorted(merged.items()))
 
     def _mult_labels_build(self, d1, l1, d2, l2) -> GradedElement:
         m1 = self._mono_of_label[l1]
@@ -384,30 +404,35 @@ class FreePolynomialCdga(Cdga):
         return GradedElement({(-self._mono_cohdeg(merged), lab): sign})
 
     def _d_label_build(self, n, lab) -> GradedElement:
+        """d of a basis monomial by the graded Leibniz rule, on monomial
+        tuples and ints over _den.  The letter x^e gives e terms
+        (-1)^(|letters before x|) (before) d(x) (after) = e t (mono / x) per
+        term t of d(x): the Koszul sign stays for odd x and cancels for even
+        x, against moving the odd t to the front.  A product with an odd
+        square, or over max_weight and so no basis monomial, is dropped."""
         mono = self._mono_of_label[lab]
-        letters = []
-        for i, e in mono:
-            letters.extend([i] * e)
-        out: dict = {}
-        prefix_parity = 0
-        for p, gi in enumerate(letters):
-            name, cohdeg, _w = self.generators[gi]
-            dg = self._dgens.get(name, GradedElement())
-            if not dg.is_zero():
-                left = self._letters_elt(letters[:p])
-                right = self._letters_elt(letters[p + 1:])
-                _add_scaled(out, self.multiply(left, self.multiply(dg, right)),
-                            -ONE if prefix_parity % 2 else ONE)
-            prefix_parity += cohdeg
-        return _element_of(out)
-
-    def _letters_elt(self, letters) -> GradedElement:
-        d = {}
-        for i in letters:
-            d[i] = d.get(i, 0) + 1
-        mono = tuple(sorted(d.items()))
-        lab = self._label_of_mono[mono]
-        return GradedElement({(-self._mono_cohdeg(mono), lab): ONE})
+        acc: dict[tuple, int] = {}
+        parity = 0
+        for p, (i, e) in enumerate(mono):
+            terms = self._dgen_terms.get(i)
+            if terms:
+                rest = mono[:p] + ((i, e - 1),) + mono[p + 1:] if e > 1 else \
+                    mono[:p] + mono[p + 1:]
+                scale = -e if parity and self._odd[i] else e
+                for t, c in terms:
+                    res = self._merge_sign_and_mono(t, rest)
+                    if res is None or res[1] not in self._label_of_mono:
+                        continue
+                    sign, merged = res
+                    v = acc.get(merged, 0) + sign * scale * c
+                    if v:
+                        acc[merged] = v
+                    else:
+                        del acc[merged]
+            # an odd letter has exponent 1
+            parity ^= self._odd[i]
+        return _element_of({(n - 1, self._label_of_mono[m]): Fraction(v, self._den)
+                            for m, v in acc.items()})
 
     def rebuild(self, max_weight: int, check: str = "skip") -> "FreePolynomialCdga":
         return FreePolynomialCdga(self.generators, max_weight, self._dgens,

@@ -12,8 +12,10 @@ of homological degree -(|b| + 1), and
     d_II t(k) = -1/2 sum_ij (-1)^{|b_i|} c_ij^k t(i) t(j)
 
 with c_ij^k the coefficient of b_k in b_i b_j.  The CE side C(g) dualizes
-the basis of g, t = s, as is, and multiplies in the free
-graded-commutative algebra.  The Harrison side L(A) dualizes a basis of
+the basis of g, t = s, as is, and reads the product s(i) s(j) in the free
+graded-commutative algebra off the generator indices
+(_generator_products): zero over the truncation and for an odd square,
+-1 when both are odd and i > j.  The Harrison side L(A) dualizes a basis of
 the augmentation ideal A_+, t = T, and brackets in the free Lie algebra.
 That basis is b - eps(b) 1 for every basis label b but the unit slot, the
 first label where eps and the unit are both nonzero, and coordinates in
@@ -87,6 +89,27 @@ def _dual_differentials(items, names, d_of, product_of, partners, multiply):
     return {names[lab]: GradedElement(acc[lab]) for _, lab in items}
 
 
+def _generator_products(gens, bound):
+    """multiply(s_i, s_j) in the free cdga on gens = [(name, cohdeg,
+    weight)] truncated at bound, read off the generator indices (see the
+    module docstring), and {label: weight} over the generators and every
+    product written."""
+    index = {name: i for i, (name, _, _) in enumerate(gens)}
+    label_weight = {name: w for name, _, w in gens}
+
+    def multiply(si, sj):
+        i, j = index[si], index[sj]
+        (_, ci, wi), (_, cj, wj) = gens[i], gens[j]
+        odd = ci % 2 and cj % 2
+        if wi + wj > bound or (i == j and odd):
+            return GradedElement()
+        mono = ((i, 2),) if i == j else ((min(i, j), 1), (max(i, j), 1))
+        lab = FreePolynomialCdga._format(gens, mono)
+        label_weight[lab] = wi + wj
+        return _element_of({(-(ci + cj), lab): -ONE if odd and i > j else ONE})
+    return multiply, label_weight
+
+
 class CEComplex:
     """The Chevalley-Eilenberg cdga C(g) = (S Sigma g*, d_I + d_II),
     truncated by word length (or by the weight grading of g when
@@ -113,26 +136,24 @@ class CEComplex:
         else:
             weight_of = dict.fromkeys(items, 1)
         gens = [(self.sigma_of[lab], n + 1, weight_of[(n, lab)]) for n, lab in items]
-        # d_II multiplies generators in a scratch copy at the same
-        # truncation, so products beyond it are zero.  s(i) s(j) has weight
-        # w_i + w_j, so i meets only the cells of weight at most bound - w_i
-        scratch = FreePolynomialCdga(gens, bound, {}, check="skip")
+        # the size cap fires before d_II asks for a single bracket
+        FreePolynomialCdga._check_size(gens, bound)
+        # s(i) s(j) has weight w_i + w_j, so i meets only the cells of
+        # weight at most bound - w_i
         partners = {cap: [key for key in items if weight_of[key] <= cap]
                     for cap in {bound - w for w in weight_of.values()}}
+        multiply, label_weight = _generator_products(gens, bound)
         dgens = _dual_differentials(
             items, self.sigma_of, lambda n, lab: g.d(g.space.basis_element(n, lab)),
             g.bracket_labels, lambda n, lab: partners[bound - weight_of[(n, lab)]],
-            lambda si, sj: scratch.multiply(scratch.generator_element(si),
-                                            scratch.generator_element(sj)))
+            multiply)
         aug = dict.fromkeys(dgens, ZERO)
         if truncate_by == "weight":
-            # each weight block is a subcomplex only if d keeps weight; a
-            # term missing from scratch is a generator above the bound
-            gen_weight = {name: w for name, _, w in gens}
+            # each weight block is a subcomplex only if d keeps weight
             for n, lab in items:
                 w = weight_of[(n, lab)]
                 off = [t for _, t in dgens[self.sigma_of[lab]].coeffs
-                       if scratch.weights.get(t, gen_weight.get(t)) != w]
+                       if label_weight[t] != w]
                 if off:
                     raise InvalidDifferential(
                         "truncation by weight needs a weight-graded dgla: d(%s) "

@@ -284,6 +284,13 @@ def build_builtin(ref: str, size: Optional[int] = None,
     flags override positional arguments."""
     parts = ref.split(":")
     name, args = parts[0], parts[1:]
+    # the arguments each builtin reads, as its BUILTIN_HELP key spells them
+    arity = {key.split(":")[0]: key.count(":") for key in BUILTIN_HELP}
+    arity["g_s"] = arity["g_S"]
+    if name in arity and len(args) > arity[name]:
+        most = {0: "no arguments", 1: "at most 1 argument"}.get(
+            arity[name], "at most %d arguments" % arity[name])
+        raise DefinitionError("builtin %r takes %s, got %r" % (name, most, ref))
 
     def arg(i, default=None):
         if i < len(args):

@@ -3,8 +3,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import path_reference
+from cdga_reference import leibniz_reference, multiply_reference
 from dense_reference import dense_rref, dense_solve
 from mclie.linalg import QQ, GradedElement, NonSplitAlgebra
 from mclie.dgla import abelian_dgla, sphere_dgla, f_xa_dgla
@@ -856,3 +859,140 @@ def test_multiply_matches_copy_per_term_reference():
             assert list(got.coeffs.items()) == \
                 list(reference_product(a.mult_labels, u, v).coeffs.items())
             assert all(type(c) is QQ for c in got.coeffs.values())
+
+
+# --- the Leibniz kernel against the GradedElement oracle ----------------------
+
+LEIBNIZ_COEFFS = [QQ(2, 3), QQ(-5, 7), QQ(1, 11), QQ(1), QQ(-3)]
+
+
+def cohdeg_of(alg, lab):
+    return sum(alg.generators[i][1] * e for i, e in alg._mono_of_label[lab])
+
+
+def named_monomial(alg, lab):
+    """A basis monomial as (name, exponent) pairs, which keep their meaning
+    when the generator order changes."""
+    return [(alg.generators[i][0], e) for i, e in alg._mono_of_label[lab]]
+
+
+@st.composite
+def free_cdgas(draw):
+    """A truncated free cdga with d*d = 0 by construction: cocycles c_k;
+    generators y_k whose d is a combination of monomials in the c_k; at
+    most one z whose d is the boundary of a combination of monomials with
+    a letter y_k, so d(z) has letters with a nonzero d; and one generator
+    h heavier than the truncation; all in a drawn order.  The degree and
+    weight of y_k and z are read off a drawn monomial that their d may
+    reach, so most draws have a nonzero d."""
+    m = draw(st.integers(1, 5))
+    cocycles = [("c%d" % k, draw(st.integers(-2, 2)), draw(st.integers(1, 3)))
+                for k in range(draw(st.integers(1, 3)))]
+    heavy = ("h", draw(st.integers(-2, 2)), m + 1)
+
+    def combination(alg, letters, shift):
+        """(cohdeg, weight, terms) for a generator of the drawn degree and
+        weight: terms pairs a drawn basis label with a letter among
+        letters, of cohomological degree cohdeg + shift, with up to two
+        more of its degree and of weight at least weight, each with a
+        drawn coefficient."""
+        targets = [lab for lab, mono in alg._mono_of_label.items()
+                   if -2 <= cohdeg_of(alg, lab) - shift <= 2
+                   and any(alg.generators[i][0] in letters for i, _ in mono)]
+        if not targets:
+            return None
+        first = draw(st.sampled_from(targets))
+        cohdeg = cohdeg_of(alg, first)
+        weight = draw(st.integers(1, min(3, alg.weights[first])))
+        more = [lab for lab in alg.space.labels(-cohdeg)
+                if lab != first and alg.weights[lab] >= weight]
+        picked = [first] + (draw(st.lists(st.sampled_from(more), unique=True, max_size=2))
+                            if more else [])
+        return cohdeg - shift, weight, [(named_monomial(alg, lab),
+                                        draw(st.sampled_from(LEIBNIZ_COEFFS)))
+                                       for lab in picked]
+
+    def element(alg, terms):
+        out = GradedElement()
+        for pairs, c in terms:
+            out = out + alg.monomial(pairs).scale(c)
+        return out
+
+    base = FreePolynomialCdga(cocycles, m, {}, check="skip")
+    ys, d_y = [], {}
+    for k in range(draw(st.integers(0, 2))):
+        drawn = combination(base, {name for name, _, _ in cocycles}, 1)
+        if drawn is not None:
+            ys.append(("y%d" % k, drawn[0], drawn[1]))
+            d_y["y%d" % k] = drawn[2]
+    order = draw(st.permutations(cocycles + ys + [heavy, ("z", 0, 0)]))
+    # z has no letter in mid, so mid writes the labels of the final algebra
+    gens = [g for g in order if g[0] != "z"]
+    dgens = {"h": GradedElement({(-(heavy[1] + 1), "beyond"): QQ(1)})}
+    mid = FreePolynomialCdga(gens, m, {}, check="skip")
+    dgens.update({y: element(mid, terms) for y, terms in d_y.items()})
+    mid = FreePolynomialCdga(gens, m, dgens, check="skip")
+    drawn = combination(mid, set(d_y), 0) if draw(st.booleans()) else None
+    if drawn is not None:
+        dgens["z"] = leibniz_reference_of(mid, element(mid, drawn[2]))
+        gens = [("z", drawn[0], drawn[1]) if g[0] == "z" else g for g in order]
+    return FreePolynomialCdga(gens, m, dgens, check="skip")
+
+
+def leibniz_reference_of(alg, elt):
+    out = GradedElement()
+    for (_, lab), c in elt.coeffs.items():
+        out = out + leibniz_reference(alg, lab).scale(c)
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(free_cdgas())
+def test_leibniz_kernel_matches_graded_element_reference(alg):
+    for n, lab in alg.basis_items():
+        assert alg.d(alg.space.basis_element(n, lab)) == leibniz_reference(alg, lab), lab
+    if alg.space.total_dim() <= 60:
+        for (n1, l1), (n2, l2) in itertools.product(alg.basis_items(), repeat=2):
+            u, v = alg.space.basis_element(n1, l1), alg.space.basis_element(n2, l2)
+            assert alg.mult_labels(n1, l1, n2, l2) == multiply_reference(alg, u, v)
+
+
+def test_leibniz_reference_draws_the_cases_that_matter():
+    # what the derandomized test relies on: an odd letter with a nonzero d
+    # behind an odd letter (the Koszul sign), an even letter of exponent
+    # above 1 with a nonzero d (the multiplicity), terms of d(x) (mono / x)
+    # over the truncation and with an odd square, a generator differential
+    # with a letter whose own d is nonzero, and fractional coefficients
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(free_cdgas())
+    def record(alg):
+        gens, terms = alg.generators, alg._dgen_terms
+        for lab, mono in alg._mono_of_label.items():
+            parity = 0
+            for i, e in mono:
+                odd = gens[i][1] % 2
+                if terms.get(i) and odd and parity:
+                    seen.add("odd letter after an odd prefix")
+                if terms.get(i) and not odd and e > 1:
+                    seen.add("even letter of exponent > 1")
+                for t, _ in terms.get(i, ()):
+                    t_lab = alg._label_of_mono[t]
+                    if alg.weights[t_lab] + alg.weights[lab] - gens[i][2] > alg.max_weight:
+                        seen.add("term over the truncation")
+                    rest = dict(mono)
+                    rest[i] -= 1
+                    if any(gens[j][1] % 2 and rest.get(j) for j, _ in t):
+                        seen.add("odd square")
+                parity ^= odd
+        for i, ts in terms.items():
+            if any(terms.get(j) for t, _ in ts for j, _ in t):
+                seen.add("d with a letter of nonzero d")
+        if any(c.denominator > 1 for v in alg._dgens.values() for c in v.coeffs.values()):
+            seen.add("fractional coefficient")
+
+    record()
+    assert seen == {"odd letter after an odd prefix", "even letter of exponent > 1",
+                    "term over the truncation", "odd square",
+                    "d with a letter of nonzero d", "fractional coefficient"}

@@ -17,7 +17,7 @@ from mclie.dgla import (
 from mclie.cdga import FiniteTableCdga, FreePolynomialCdga
 from mclie.defs import load_algebra
 from mclie.dgla import free_product_dgla
-from mclie.freelie import InvalidDifferential
+from mclie.freelie import InvalidDifferential, TruncationTooLarge
 from mclie.cehar import (
     CEComplex,
     CertificateFailure,
@@ -31,6 +31,7 @@ from mclie.cehar import (
     harrison_product_comparison,
     mc_augmentation_dictionary,
     minimal_model,
+    _generator_products,
     _product_truncation,
 )
 
@@ -169,6 +170,37 @@ def test_ce_dgens_equal_target_first_reference(case):
         assert list(v.coeffs.items()) == list(got[name].coeffs.items()), name
 
 
+@pytest.mark.parametrize("case", ["heisenberg", "free-product", "g_S:3",
+                                  "sphere", "f_xa:4"])
+def test_ce_generator_products_match_scratch_algebra(case):
+    # the products d_II reads off generator indices equal the products of
+    # the generators in a free cdga at the same truncation, and the weight
+    # of each label they write is that monomial's weight there
+    truncate_by, bound = "length", 3
+    if case == "free-product":
+        g = free_product_dgla(load_algebra("abelian:2:0"),
+                              load_algebra("abelian:1:0"), 4, check="skip")
+        truncate_by, bound = "weight", 4
+    else:
+        g = load_algebra(case)
+    gens = ce_complex(g, bound, truncate_by=truncate_by).algebra.generators
+    scratch = FreePolynomialCdga(gens, bound, {}, check="skip")
+    multiply, label_weight = _generator_products(gens, bound)
+    inside = [name for name, _, w in gens if w <= bound]
+    odd_pairs = 0
+    for si, sj in itertools.product(inside, repeat=2):
+        got = multiply(si, sj)
+        want = scratch.multiply(scratch.generator_element(si),
+                                scratch.generator_element(sj))
+        assert list(got.coeffs.items()) == list(want.coeffs.items()), (si, sj)
+        for _, lab in got.coeffs:
+            assert label_weight[lab] == scratch.weights[lab]
+        odd_pairs += -QQ(1) in got.coeffs.values()
+    # two odd generators out of order multiply with the sign -1
+    assert bool(odd_pairs) == (sum(c % 2 for _, c, _ in gens) > 1)
+    assert {name: w for name, _, w in gens}.items() <= label_weight.items()
+
+
 @pytest.mark.parametrize("truncate_by,case", [
     ("length", "heisenberg"), ("length", "sphere"), ("length", "g_S:3"),
     ("length", "f_xa:4"), ("length", "abelian:2:0"),
@@ -200,6 +232,16 @@ def test_ce_pair_skip_matches_all_pairs_reference(truncate_by, case, bound):
     assert list(got) == list(ref)
     for name, v in ref.items():
         assert list(v.coeffs.items()) == list(got[name].coeffs.items()), name
+
+
+def test_ce_size_cap_fires_before_any_bracket():
+    # the CE algebra of f_xa:11 at word bound 2 is one monomial over the
+    # cap: the count runs before d_II asks g for a bracket
+    g = load_algebra("f_xa:11")
+    g._products.clear()
+    with pytest.raises(TruncationTooLarge, match=r"at least 20001 elements \(cap 20000\)$"):
+        ce_complex(g, 2)
+    assert not g._products
 
 
 def test_ce_word_bound_one_and_below():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mclie.cli import main
+from mclie.defs import BUILTIN_HELP
 from mclie.linalg import QQ, GradedElement
 
 
@@ -252,6 +253,38 @@ def test_every_builtin_passes_check(capsys):
     rc, out, _ = run_cli(args, capsys)
     assert rc == 0
     assert out.count("PASS") == len(builtins)
+
+
+# the arguments each builtin reads, in range
+BUILTIN_ARGS = {"g_S": ["3"], "f_xa": ["3"], "abelian": ["1", "0"], "qk": ["2"],
+                "omega": ["1", "2"]}
+
+
+@pytest.mark.parametrize("key", sorted(BUILTIN_HELP))
+def test_builtin_refuses_an_argument_it_does_not_read(key, capsys):
+    name = key.split(":")[0]
+    args = BUILTIN_ARGS.get(name, [])
+    assert len(args) == key.count(":")
+    rc, out, _ = run_cli(["check", "--builtin", ":".join([name] + args)], capsys)
+    assert rc == 0 and "PASS" in out
+    ref = ":".join([name] + args + ["7"])
+    for argv in (["check", "--builtin", ref], ["check", ref]):
+        rc, out, err = run_cli(argv, capsys)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("parse error: builtin %r takes " % name)
+        assert err.endswith(", got %r\n" % ref) and err.count("\n") == 1
+
+
+def test_builtin_flags_still_override_arguments(capsys):
+    rc, out, _ = run_cli(["harrison", "omega:1:3", "--weight", "2"], capsys)
+    assert rc == 0
+    assert "generators: T(dt1), T(t1*dt1), T(t1^2*dt1), T(t1), T(t1^2), T(t1^3)" in out
+    rc, out, _ = run_cli(["check", "g_S", "--size", "3"], capsys)
+    assert rc == 0 and "PASS" in out
+    rc, _, err = run_cli(["homology", "f_xa:10:3"], capsys)
+    assert rc == 2 and err == "parse error: builtin 'f_xa' takes at most 1 " \
+        "argument, got 'f_xa:10:3'\n"
 
 
 def _associativity_breaker_27(tmp_path):
