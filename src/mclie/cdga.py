@@ -30,7 +30,7 @@ from .linalg import (
     idempotents as algebra_idempotents,
     linear_combination,
     _DgAlgebra,
-    _axpy,
+    _accumulate,
     _element_of,
 )
 from . import freelie
@@ -128,8 +128,8 @@ class Cdga(_DgAlgebra):
         for p, (_, lab) in enumerate(items):
             acc = {p: -ONE}
             for c, row in rows:
-                _axpy(acc, row[p], c)
-            if any(acc.values()):
+                _accumulate(acc, row[p], c)
+            if acc:
                 raise CdgaAxiomViolation("unit fails on %s" % lab)
         if not self.d(self.unit).is_zero():
             raise CdgaAxiomViolation("unit is not a cocycle")
@@ -168,10 +168,10 @@ class Cdga(_DgAlgebra):
                     continue
                 acc: dict[int, Fraction] = {}
                 for a, c in uv.items():
-                    _axpy(acc, table[a][k], c)
+                    _accumulate(acc, table[a][k], c)
                 for b, c in vw.items():
-                    _axpy(acc, row_i[b], -c)
-                if any(acc.values()):
+                    _accumulate(acc, row_i[b], -c)
+                if acc:
                     return i, j, k
         return None
 

@@ -39,7 +39,7 @@ from .linalg import (
     GradedLinearMap,
     GradedVectorSpace,
     RowSpace,
-    _add_scaled,
+    _accumulate,
     _element_of,
     linear_combination,
 )
@@ -85,7 +85,7 @@ def _dual_differentials(items, names, d_of, product_of, partners, multiply):
                 continue
             prod = multiply(names[labi], names[labj])
             for (_, labk), c in terms.items():
-                _add_scaled(acc[labk], prod, half * c)
+                _accumulate(acc[labk], prod.coeffs, half * c)
     return {names[lab]: GradedElement(acc[lab]) for _, lab in items}
 
 
@@ -599,7 +599,7 @@ class TransferData:
             nb = len(self.boundaries[n])
             for i, c in self.coords(elt, n).items():
                 if i < nb:
-                    _add_scaled(out, self.preimages[n + 1][i], c)
+                    _accumulate(out, self.preimages[n + 1][i].coeffs, c)
         return _element_of(out)
 
 
@@ -700,10 +700,14 @@ class MinimalModel:
 
 def minimal_model(g: Dgla, arity_bound: int = 3,
                   degree_range: Optional[tuple[int, int]] = None) -> MinimalModel:
+    """The minimal model of g, with model.verdicts from one run of each
+    certificate by report key; a failed one raises CertificateFailure."""
     model = MinimalModel(g, arity_bound)
-    if not model.linear_part_is_zero():
+    model.verdicts = {"differential-has-no-linear-part": model.linear_part_is_zero()}
+    if not model.verdicts["differential-has-no-linear-part"]:
         raise CertificateFailure("transferred differential has a linear part")
-    if not model.quasi_iso_verified(degree_range):
+    model.verdicts["quasi-isomorphism-on-homology"] = model.quasi_iso_verified(degree_range)
+    if not model.verdicts["quasi-isomorphism-on-homology"]:
         raise CertificateFailure("inclusion of representatives is not a "
                                  "quasi-isomorphism")
     return model

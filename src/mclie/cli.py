@@ -345,9 +345,10 @@ def cmd_minimal_model(ns, argv) -> int:
     dims = model.homology_dims()
     for n in sorted(dims):
         rep.value("generators in degree %d" % n, dims[n], "exact")
-    rep.verdict("differential-has-no-linear-part", model.linear_part_is_zero())
+    linear, quasi_iso = model.verdicts.items()
+    rep.verdict(*linear)
     rep.value("arity-3 corrections", len(model.l3), "exact")
-    rep.verdict("quasi-isomorphism-on-homology", model.quasi_iso_verified())
+    rep.verdict(*quasi_iso)
     return rep.emit(ns.json)
 
 

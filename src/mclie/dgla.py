@@ -28,8 +28,7 @@ from .linalg import (
     GradedVectorSpace,
     linear_combination,
     _DgAlgebra,
-    _add_scaled,
-    _axpy,
+    _accumulate,
     _cycles,
     _element_of,
 )
@@ -122,12 +121,12 @@ class Dgla(_DgAlgebra):
                     continue
                 acc: dict[int, Fraction] = {}
                 for b, c in vw.items():
-                    _axpy(acc, row_i[b], c)
+                    _accumulate(acc, row_i[b], c)
                 for a, c in uv.items():
-                    _axpy(acc, table[a][k], -c)
+                    _accumulate(acc, table[a][k], -c)
                 for b, c in uw.items():
-                    _axpy(acc, row_j[b], c if odd else -c)
-                if any(acc.values()):
+                    _accumulate(acc, row_j[b], c if odd else -c)
+                if acc:
                     return i, j, k
         return None
 
@@ -395,7 +394,7 @@ def _gauge_series(g: Dgla, a: GradedElement, xi: GradedElement) -> dict[int, Gra
         while not term.is_zero():
             if k == bound:
                 raise NotNilpotent("ad of the gauge parameter is not nilpotent")
-            _add_scaled(series.setdefault(power + k, {}), term, sign / fact)
+            _accumulate(series.setdefault(power + k, {}), term.coeffs, sign / fact)
             k += 1
             fact *= power + k
             term = g.bracket(a, term)

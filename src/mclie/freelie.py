@@ -10,10 +10,14 @@ antisymmetry and the Jacobi identity alone, on Python ints: the Lyndon
 basis is a Z-basis of the free Lie ring, and a coefficient becomes a
 Fraction once, when its GradedElement is built.  Everything above the
 weight bound is truncated away, realizing the quotient by the
-corresponding term of the lower central series.  A presented quotient
-(QuotientLie) carries its own free differential, extended by the Leibniz
-rule over the same int brackets and checked on construction to descend
-to the truncation and to the quotient.
+corresponding term of the lower central series.
+
+A presented quotient (QuotientLie) holds a free element in one form,
+{basis tree: coefficient}, and works on it through the same Hall
+brackets: it saturates the relation ideal, bracketing with the generators
+what the ideal leaves of each element that enlarges it; it projects onto
+the quotient; and it extends its free differential by the Leibniz rule,
+checked on construction to descend to the truncation and to the quotient.
 
 The expansion of a basis bracket in the tensor algebra is triangular with
 smallest word its Lyndon word, so a greedy elimination rewrites a Lie
@@ -40,7 +44,7 @@ from .linalg import (
     GradedElement,
     GradedVectorSpace,
     RowSpace,
-    _add_scaled,
+    _accumulate,
     _element_of,
 )
 
@@ -156,16 +160,6 @@ def _commutator(a: Mapping[Word, int], b: Mapping[Word, int],
     return out
 
 
-def _accumulate(out: dict, terms: Mapping, c) -> None:
-    """out += c terms in place, dropping what cancels."""
-    for t, x in terms.items():
-        v = out.get(t, 0) + c * x
-        if v:
-            out[t] = v
-        else:
-            out.pop(t, None)
-
-
 class FreeLieTruncation:
     """Free graded Lie algebra on named generators, modulo brackets of
     weight above m.
@@ -196,7 +190,6 @@ class FreeLieTruncation:
         self._build_basis()
         self._expand_cache: dict = {}
         self._hall_cache: dict = {}
-        self._bracket_cache: dict[tuple[str, str], GradedElement] = {}
 
     # -- basis ------------------------------------------------------------
 
@@ -377,32 +370,22 @@ class FreeLieTruncation:
             _accumulate(out, self._hall(x, s), c * c1)
 
     def bracket_labels(self, lab1: str, lab2: str) -> GradedElement:
-        key = (lab1, lab2)
-        cached = self._bracket_cache.get(key)
-        if cached is not None:
-            return cached
         t1 = self.tree_of_label[lab1]
         t2 = self.tree_of_label[lab2]
         w1, d1 = self._weight_degree(t1)
         w2, d2 = self._weight_degree(t2)
         if w1 + w2 > self.m:
-            res = GradedElement()
-        else:
-            terms = self._hall(t1, t2)
-            # one weight and degree: word order is basis order
-            res = GradedElement({(d1 + d2, self.label_of_tree[t]): terms[t]
-                                 for t in sorted(terms, key=self._word.__getitem__)})
-        self._bracket_cache[key] = res
-        # antisymmetry gives the mirrored pair for free
-        msign = -ONE if (d1 * d2) % 2 == 0 else ONE
-        self._bracket_cache.setdefault((lab2, lab1), res.scale(msign))
-        return res
+            return GradedElement()
+        terms = self._hall(t1, t2)
+        # one weight and degree: word order is basis order
+        return GradedElement({(d1 + d2, self.label_of_tree[t]): terms[t]
+                              for t in sorted(terms, key=self._word.__getitem__)})
 
     def bracket(self, u: GradedElement, v: GradedElement) -> GradedElement:
         out: dict = {}
         for (d1, l1), c1 in u.coeffs.items():
             for (d2, l2), c2 in v.coeffs.items():
-                _add_scaled(out, self.bracket_labels(l1, l2), c1 * c2)
+                _accumulate(out, self.bracket_labels(l1, l2).coeffs, c1 * c2)
         return _element_of(out)
 
 
@@ -476,14 +459,16 @@ class QuotientLie:
     """Weight-m truncation of a presented dgla: the quotient of the
     truncated free algebra by the saturated ideal of the relations.
 
-    The quotient basis consists of the non-pivot free basis labels under a
-    deterministic weight-then-label elimination order, so each basis label
+    A free element is {basis tree: coefficient}, bracketed by the Hall
+    rewriting (FreeLieTruncation._hall).  The ideal is a RowSpace per
+    degree on its basis trees in (weight, label) order, saturated by
+    bracketing with the generators what it leaves of each element that
+    enlarges it.  The quotient basis is the non-pivot labels, so each
     carries a weight witness and brackets remain weight-filtered.  The
-    differential is the presentation's, extended from the generators to
-    the free algebra by the graded Leibniz rule and projected.  The
-    extension runs on basis trees and ints, den d(tree) through the Hall
-    brackets, where den is the lcm of the denominators of d on the
-    generators; it is divided by den on the way into the projection.
+    differential is the presentation's, extended to the free algebra by
+    the graded Leibniz rule on ints as den d(tree), where den is the lcm of
+    the denominators of d on the generators, and divided by den as it is
+    projected.
     """
 
     def __init__(self, presentation: LiePresentation, m: int):
@@ -492,29 +477,26 @@ class QuotientLie:
         self.free = FreeLieTruncation(presentation.generators, m)
         lie = self.free
 
-        # column order per degree: (weight, label)
-        self._columns: dict[int, list[str]] = {}
-        self._colindex: dict[int, dict[str, int]] = {}
-        for deg in lie.space.degrees():
-            labs = sorted(lie.space.labels(deg),
-                          key=lambda l: (lie.weight_of_label[l], l))
-            self._columns[deg] = labs
-            self._colindex[deg] = {l: i for i, l in enumerate(labs)}
-
+        # each degree's columns: its basis trees by (weight, label); _column
+        # maps a tree to its degree and column
+        self._columns: dict[int, list] = {
+            deg: [lie.tree_of_label[l] for l in sorted(
+                lie.space.labels(deg), key=lambda l: (lie.weight_of_label[l], l))]
+            for deg in lie.space.degrees()}
+        self._column = {t: (deg, i) for deg, cols in self._columns.items()
+                        for i, t in enumerate(cols)}
         self._ideal: dict[int, RowSpace] = {
             deg: RowSpace(len(cols)) for deg, cols in self._columns.items()}
         self._saturate()
 
         basis: dict[int, list[str]] = {}
-        self.weight_of_label: dict[str, int] = {}
         for deg in sorted(self._columns):
-            cols = self._columns[deg]
-            pivot_set = set(self._ideal[deg].pivots)
-            keep = [lab for i, lab in enumerate(cols) if i not in pivot_set]
+            keep = [lie.label_of_tree[t] for i, t in enumerate(self._columns[deg])
+                    if i not in self._ideal[deg]._rows]
             if keep:
                 basis[deg] = keep
-                for lab in keep:
-                    self.weight_of_label[lab] = lie.weight_of_label[lab]
+        self.weight_of_label = {lab: lie.weight_of_label[lab]
+                                for labs in basis.values() for lab in labs}
         self.space = GradedVectorSpace(basis)
 
         self._dgens = {name: presentation.dgens.get(name, GradedElement())
@@ -525,48 +507,63 @@ class QuotientLie:
         self._d_cache: dict = {}
         self._check_differential()
 
-    # free-side vectors ----------------------------------------------------
+    # free elements, {basis tree: c} ------------------------------------------
 
-    def _to_vecs(self, elt: GradedElement) -> dict[int, dict[int, Fraction]]:
-        """elt as one sparse {column: coefficient} vector per degree."""
-        vecs: dict[int, dict[int, Fraction]] = {}
-        for (d, lab), c in elt.coeffs.items():
-            vecs.setdefault(d, {})[self._colindex[d][lab]] = c
+    def _vecs(self, terms: Mapping) -> dict[int, dict]:
+        """A free element as one sparse {column: c} vector per degree."""
+        vecs: dict = {}
+        for t, c in terms.items():
+            deg, i = self._column[t]
+            vecs.setdefault(deg, {})[i] = c
         return vecs
-
-    def _from_vec(self, v: Mapping[int, Fraction], deg: int) -> dict:
-        """The terms of a sparse vector of degree deg, in column order."""
-        cols = self._columns[deg]
-        return {(deg, cols[i]): v[i] for i in sorted(v)}
 
     def _saturate(self):
         lie = self.free
+        queue: list[dict] = []
+
+        def enlarge(terms):
+            # queue what the ideal leaves of an element, once added: the
+            # rest of the element is a sum of elements queued before
+            for deg, vec in self._vecs(terms).items():
+                rest = self._ideal[deg]._reduce(vec)
+                if rest:
+                    self._ideal[deg]._add(rest)
+                    queue.append({self._columns[deg][i]: c for i, c in rest.items()})
+
         for r in self.presentation.relations:
             for _, lab in r.coeffs:
                 if lab not in lie.weight_of_label:
                     raise InvalidPresentation(
                         "a relation has the term %s, beyond the weight-%d truncation"
                         % (lab, self.m))
-        # relations and brackets of homogeneous elements are homogeneous
-        queue = [r for r in self.presentation.relations
-                 if any(self._ideal[d]._add(v) for d, v in self._to_vecs(r).items())]
+            enlarge({lie.tree_of_label[lab]: c for (_, lab), c in r.coeffs.items()})
         # closing under ad of the generators closes under the whole algebra
-        gens = [lie.generator(n) for n in lie.gen_names]
         while queue:
             elt = queue.pop()
-            for g in gens:
-                nxt = lie.bracket(g, elt)
-                if any(self._ideal[d]._add(v) for d, v in self._to_vecs(nxt).items()):
-                    queue.append(nxt)
+            for i, w in enumerate(lie.gen_weights):
+                nxt: dict = {}
+                for t, c in elt.items():
+                    if w + lie.tree_weight(t) <= self.m:
+                        _accumulate(nxt, lie._hall(i, t), c)
+                enlarge(nxt)
+
+    def _project(self, terms: Mapping, den: int = 1) -> GradedElement:
+        """The image of sum (c / den) t over {basis tree t: c} in the
+        quotient, coordinates on the surviving labels in column order."""
+        out: dict = {}
+        vecs = self._vecs(terms)
+        for deg in sorted(vecs):
+            cols = self._columns[deg]
+            v = self._ideal[deg]._reduce(vecs[deg])
+            # one block of keys per degree: the keys never collide
+            out.update({(deg, self.free.label_of_tree[cols[i]]): Fraction(v[i], den)
+                        for i in sorted(v)})
+        return _element_of(out)
 
     def project(self, elt: GradedElement) -> GradedElement:
         """Image in the quotient, coordinates on the surviving labels."""
-        out: dict = {}
-        vecs = self._to_vecs(elt)
-        for deg in sorted(vecs):
-            # one block of keys per degree: the keys never collide
-            out.update(self._from_vec(self._ideal[deg]._reduce(vecs[deg]), deg))
-        return _element_of(out)
+        tree = self.free.tree_of_label
+        return self._project({tree[lab]: c for (_, lab), c in elt.coeffs.items()})
 
     # the free differential: given on generators, extended by the graded
     # Leibniz rule ------------------------------------------------------------
@@ -628,15 +625,14 @@ class QuotientLie:
                     raise InvalidDifferential(
                         "d(%s) lowers weight; truncation would not be a dg quotient" % name)
         for i, name in enumerate(lie.gen_names):
-            dd = self._free_element(self._free_d_sum(self._free_d_tree(i).items()),
-                                    self._den ** 2)
-            if not self.project(dd).is_zero():
-                raise InvalidDifferential("d(d(%s)) = %r is nonzero" % (name, dd))
+            dd = self._free_d_sum(self._free_d_tree(i).items())
+            if not self._project(dd).is_zero():
+                raise InvalidDifferential("d(d(%s)) = %r is nonzero"
+                                          % (name, self._free_element(dd, self._den ** 2)))
         for deg, rs in self._ideal.items():
             cols = self._columns[deg]
             for row in rs._rows.values():
-                img = self._free_d_sum((lie.tree_of_label[cols[j]], x) for j, x in row.items())
-                if not self.project(self._free_element(img)).is_zero():
+                if not self._project(self._free_d_sum((cols[j], x) for j, x in row.items())).is_zero():
                     raise InvalidPresentation(
                         "differential does not preserve the relation ideal")
 
@@ -644,11 +640,14 @@ class QuotientLie:
     # brackets and builds its differential once -----------------------------
 
     def bracket_labels(self, lab1: str, lab2: str) -> GradedElement:
-        return self.project(self.free.bracket_labels(lab1, lab2))
+        lie = self.free
+        t1, t2 = lie.tree_of_label[lab1], lie.tree_of_label[lab2]
+        if lie.tree_weight(t1) + lie.tree_weight(t2) > self.m:
+            return GradedElement()
+        return self._project(lie._hall(t1, t2))
 
     def d_label(self, lab: str) -> GradedElement:
-        tree = self.free.tree_of_label[lab]
-        return self.project(self._free_element(self._free_d_tree(tree), self._den))
+        return self._project(self._free_d_tree(self.free.tree_of_label[lab]), self._den)
 
 
 # ---------------------------------------------------------------------------

@@ -355,14 +355,15 @@ class GradedElement:
         return s[2:] if s.startswith("+ ") else s
 
 
-# In-place sums for the package's inner loops, which would otherwise copy the
-# whole dict per term with `out = out + e.scale(c)`.
+# The one in-place sum for the package's inner loops, which would otherwise
+# copy the whole dict per term with `out = out + e.scale(c)`.
 
-def _add_scaled(acc: dict, elt: GradedElement, c: Fraction) -> None:
-    """acc += c * elt in place, keeping GradedElement addition's key order
-    and dropping coefficients that cancel."""
-    for key, v in elt.coeffs.items():
-        s = acc.get(key, ZERO) + c * v
+def _accumulate(acc: dict, terms: Mapping, c) -> None:
+    """acc += c * terms in place, on any keys, keeping GradedElement
+    addition's key order and dropping what cancels.  The int 0 default
+    keeps int sums on ints."""
+    for key, v in terms.items():
+        s = acc.get(key, 0) + c * v
         if s:
             acc[key] = s
         else:
@@ -380,7 +381,7 @@ def linear_combination(pairs: Iterable[tuple[Fraction, GradedElement]]) -> Grade
     out: dict = {}
     for c, e in pairs:
         if c:
-            _add_scaled(out, e, rational(c))
+            _accumulate(out, e.coeffs, rational(c))
     return _element_of(out)
 
 
@@ -626,7 +627,7 @@ class _DgAlgebra:
         out: dict = {}
         for (d1, l1), c1 in u.coeffs.items():
             for (d2, l2), c2 in v.coeffs.items():
-                _add_scaled(out, self._product_labels(d1, l1, d2, l2), c1 * c2)
+                _accumulate(out, self._product_labels(d1, l1, d2, l2).coeffs, c1 * c2)
         return _element_of(out)
 
     def element(self, label: str) -> GradedElement:
@@ -689,12 +690,12 @@ class _DgAlgebra:
                     continue
                 acc: dict[int, Fraction] = {}
                 for a, c in uv.items():
-                    _axpy(acc, dcols[a], c)
+                    _accumulate(acc, dcols[a], c)
                 for a, c in du.items():
-                    _axpy(acc, table[a][j], -c)
+                    _accumulate(acc, table[a][j], -c)
                 for b, c in dv.items():
-                    _axpy(acc, table[i][b], c if d1 % 2 else -c)
-                if any(acc.values()):
+                    _accumulate(acc, table[i][b], c if d1 % 2 else -c)
+                if acc:
                     raise self._VIOLATION("Leibniz fails on (%s, %s)" % (l1, l2))
         else:
             skipped += [(self._SYMMETRY, n, pair_cap), ("Leibniz", n, pair_cap)]
@@ -706,13 +707,6 @@ class _DgAlgebra:
         else:
             skipped.append((self._TRIPLE_LAW, n, triple_cap))
         return skipped
-
-
-def _axpy(acc: dict[int, Fraction], vec: Mapping[int, Fraction], c: Fraction) -> None:
-    """acc += c * vec in place, on position-keyed dicts; cancelled entries
-    stay as zeros."""
-    for k, x in vec.items():
-        acc[k] = acc.get(k, ZERO) + c * x
 
 
 class HomologyReport:

@@ -33,7 +33,7 @@ from .linalg import (
     GradedElement,
     RowSpace,
     linear_combination,
-    _add_scaled,
+    _accumulate,
     _element_of,
     _kernel,
 )
@@ -860,9 +860,8 @@ def instantiate_solution(system: MCConstraintSystem, family: SolutionFamily,
             raise ValueError("free symbol %s has no value" % sym)
         # the coefficient of an element b is a (|b| + 1)-form
         gdeg = table.form_degree[sym] - 1
-        _add_scaled(xi, GradedElement({(gdeg + nw, _tensor_label(glab, wlab)): c
-                                       for (nw, wlab), c in omega_val.coeffs.items()}),
-                    ONE)
+        _accumulate(xi, {(gdeg + nw, _tensor_label(glab, wlab)): c
+                         for (nw, wlab), c in omega_val.coeffs.items()}, ONE)
     return _element_of(xi)
 
 
@@ -902,7 +901,7 @@ def family_samples(system: MCConstraintSystem, family: SolutionFamily,
         free_values: dict = {sym: {} for sym in frees}
         for j, c in sorted(vec.items()):
             sym, mono_elt = coords[j]
-            _add_scaled(free_values[sym], mono_elt, c)
+            _accumulate(free_values[sym], mono_elt.coeffs, c)
         out.append(instantiate_solution(
             system, family, tensor,
             {sym: _element_of(acc) for sym, acc in free_values.items()}))

@@ -8,7 +8,7 @@ the truncation weight is zero).  A test oracle for the Leibniz kernel
 FreePolynomialCdga._d_label_build and for the CE complex's generator
 products."""
 
-from mclie.linalg import ONE, GradedElement, _add_scaled, _element_of
+from mclie.linalg import ONE, GradedElement, _accumulate, _element_of
 
 
 def merge_reference(alg, m1, m2):
@@ -38,7 +38,7 @@ def multiply_reference(alg, u: GradedElement, v: GradedElement) -> GradedElement
             if res is None or alg.weights[l1] + alg.weights[l2] > alg.max_weight:
                 continue
             sign, merged = res
-            _add_scaled(out, monomial_element(alg, merged), sign * c1 * c2)
+            _accumulate(out, monomial_element(alg, merged).coeffs, sign * c1 * c2)
     return _element_of(out)
 
 
@@ -63,7 +63,7 @@ def leibniz_reference(alg, lab: str) -> GradedElement:
         if not dg.is_zero():
             left = letters_element(alg, letters[:p])
             right = letters_element(alg, letters[p + 1:])
-            _add_scaled(out, multiply_reference(alg, left, multiply_reference(alg, dg, right)),
-                        -ONE if prefix_parity % 2 else ONE)
+            term = multiply_reference(alg, left, multiply_reference(alg, dg, right))
+            _accumulate(out, term.coeffs, -ONE if prefix_parity % 2 else ONE)
         prefix_parity += cohdeg
     return _element_of(out)

@@ -10,7 +10,7 @@ from typing import Optional
 
 from mclie.cdga import omega_degeneracy_map, omega_face_map, tensor_dgla_forms
 from mclie.dgla import Dgla, is_mc
-from mclie.linalg import ONE, QQ, GradedElement, _add_scaled, _element_of
+from mclie.linalg import ONE, QQ, GradedElement, _accumulate, _element_of
 from mclie.mc import MCConstraintSystem, _add_term, mc_simplices
 
 
@@ -102,8 +102,8 @@ def apply_form_map(tensor_src, tensor_dst, morphism, elt: GradedElement) -> Grad
         glab, wlab = lab.split("|", 1)
         gdeg = tensor_src.tensor_info[lab][0]
         img = morphism.apply_label(wlab)
-        _add_scaled(out, GradedElement({(gdeg + nw2, "%s|%s" % (glab, wlab2)): c2
-                                        for (nw2, wlab2), c2 in img.coeffs.items()}), c)
+        _accumulate(out, {(gdeg + nw2, "%s|%s" % (glab, wlab2)): c2
+                          for (nw2, wlab2), c2 in img.coeffs.items()}, c)
     return _element_of(out)
 
 

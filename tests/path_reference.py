@@ -5,7 +5,7 @@ oracle for cdga.path_object: the same algebra and maps under the relabeling
 lab*t^k[*dt] <-> lab|t1^k[*dt1]."""
 
 from mclie.cdga import Cdga
-from mclie.linalg import ONE, QQ, GradedElement, GradedVectorSpace, _add_scaled, _element_of
+from mclie.linalg import ONE, QQ, GradedElement, GradedVectorSpace, _accumulate, _element_of
 
 
 def old_label(lab: str, k: int, e: int) -> str:
@@ -59,7 +59,7 @@ def path_object(a: Cdga, t_degree: int = 3):
         out = dict(embed(a.d(a.space.basis_element(n0, lab)), k, e).coeffs)
         if e == 0 and k >= 1:
             # d(t^k) = k t^(k-1) dt, moved past the table factor
-            _add_scaled(out, GradedElement({(n0 - 1, old_label(lab, k - 1, 1)): QQ(k)}),
+            _accumulate(out, {(n0 - 1, old_label(lab, k - 1, 1)): QQ(k)},
                         -ONE if n0 % 2 else ONE)
         return _element_of(out)
 

@@ -191,6 +191,24 @@ def test_minimal_model_command(capsys):
     assert "differential-has-no-linear-part: PASS" in out
 
 
+def test_minimal_model_runs_each_certificate_once(monkeypatch, capsys):
+    # each verdict line is the result of the check that minimal_model ran
+    from mclie.cehar import MinimalModel
+    calls = {}
+    for name in ("linear_part_is_zero", "quasi_iso_verified"):
+        def counted(self, *args, _check=getattr(MinimalModel, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _check(self, *args)
+        monkeypatch.setattr(MinimalModel, name, counted)
+    for ref in ("heisenberg", "sphere", "f_xa:4"):
+        calls.clear()
+        rc, out, _ = run_cli(["minimal-model", ref], capsys)
+        assert rc == 0
+        assert calls == {"linear_part_is_zero": 1, "quasi_iso_verified": 1}, ref
+        assert "differential-has-no-linear-part: PASS" in out
+        assert "quasi-isomorphism-on-homology: PASS" in out
+
+
 def test_reports_byte_identical(capsys):
     args = ["mc-moduli", "--builtin", "g_S", "--size", "2"]
     rc1, out1, _ = run_cli(args, capsys)

@@ -505,10 +505,36 @@ class DenseRowSpace:
         return True
 
 
+def _quotient_of(case):
+    """The quotient that materializing the named algebra builds."""
+    from mclie.cehar import harrison
+    from mclie.defs import build_builtin
+    from mclie.dgla import disjoint_product, free_product_dgla, presentation_of
+    if case == "harrison omega:1:3":
+        g = harrison(build_builtin("omega:1:3"), 4).dgla
+    elif case == "heisenberg * abelian:1:0":
+        g = free_product_dgla(build_builtin("heisenberg"), build_builtin("abelian:1:0"), 5)
+    elif case == "heisenberg * heisenberg":
+        g = free_product_dgla(build_builtin("heisenberg"), build_builtin("heisenberg"), 5)
+    elif case == "heisenberg disjoint abelian:1:0":
+        g = disjoint_product(build_builtin("heisenberg"), build_builtin("abelian:1:0"), 4)
+    elif case == "d = 0":
+        return LiePresentation([("a", 0), ("x", -1), ("y", 1, 2)]).materialize(5)
+    elif case == "[x,x] = 0":
+        # the relation is an odd generator's square
+        return LiePresentation([("x", -1), ("a", 0)],
+                               [GradedElement({(-2, "[x,x]"): QQ(1)})]).materialize(5)
+    else:
+        g = build_builtin(case)
+    return presentation_of(g).pres.materialize(g.weight_bound)
+
+
 def _dense_projection(q):
     """Saturate q's relations into dense row spaces on q's own column order
     and return (the row spaces, the projection they define)."""
-    lie, cols, idx = q.free, q._columns, q._colindex
+    lie = q.free
+    cols = {deg: [lie.label_of_tree[t] for t in trees] for deg, trees in q._columns.items()}
+    idx = {deg: {lab: i for i, lab in enumerate(labs)} for deg, labs in cols.items()}
 
     def vec(elt, deg):
         v = [QQ(0)] * len(cols[deg])
@@ -537,13 +563,12 @@ def _dense_projection(q):
     return ideal, project
 
 
-def test_quotient_projection_matches_dense_reference():
+@pytest.mark.parametrize("case", ["heisenberg * abelian:1:0", "heisenberg * heisenberg",
+                                  "heisenberg disjoint abelian:1:0", "[x,x] = 0"])
+def test_quotient_projection_matches_dense_reference(case):
     import random
 
-    from mclie.defs import build_builtin
-    from mclie.dgla import free_product_dgla, presentation_of
-    g = free_product_dgla(build_builtin("heisenberg"), build_builtin("abelian:1:0"), 5)
-    q = presentation_of(g).pres.materialize(5)
+    q = _quotient_of(case)
     ideal, project = _dense_projection(q)
     assert sum(len(rs.rows) for rs in ideal.values()) > 0
     for deg, rs in ideal.items():
@@ -569,24 +594,6 @@ def test_quotient_projection_matches_dense_reference():
 # --- the Leibniz extension on trees and ints against the Fraction oracle
 
 
-def _leibniz_quotient(case):
-    """The quotient that materializing the named algebra builds."""
-    from mclie.cehar import harrison
-    from mclie.defs import build_builtin
-    from mclie.dgla import disjoint_product, free_product_dgla, presentation_of
-    if case == "harrison omega:1:3":
-        g = harrison(build_builtin("omega:1:3"), 4).dgla
-    elif case == "heisenberg * abelian:1:0":
-        g = free_product_dgla(build_builtin("heisenberg"), build_builtin("abelian:1:0"), 5)
-    elif case == "heisenberg disjoint abelian:1:0":
-        g = disjoint_product(build_builtin("heisenberg"), build_builtin("abelian:1:0"), 4)
-    elif case == "d = 0":
-        return LiePresentation([("a", 0), ("x", -1), ("y", 1, 2)]).materialize(5)
-    else:
-        g = build_builtin(case)
-    return presentation_of(g).pres.materialize(g.weight_bound)
-
-
 def _check_leibniz(q):
     """d_label on every free basis label equals the oracle's projection,
     term for term, and the int kernel over den equals the oracle before
@@ -608,7 +615,7 @@ def _check_leibniz(q):
                                   "heisenberg * abelian:1:0",
                                   "heisenberg disjoint abelian:1:0", "d = 0"])
 def test_leibniz_extension_matches_fraction_reference(case):
-    q = _leibniz_quotient(case)
+    q = _quotient_of(case)
     nonzero = _check_leibniz(q)
     # d vanishes on the generators of both factors of the free product
     assert (nonzero == 0) == (case in ("d = 0", "heisenberg * abelian:1:0"))
