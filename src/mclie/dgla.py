@@ -85,15 +85,20 @@ class Dgla(_DgAlgebra):
     bracket = _DgAlgebra._product
 
     def is_abelian(self) -> bool:
-        """Every basis bracket vanishes.  Pairs whose bracket lands in a
-        degree with a basis go first, so a non-abelian g answers early;
-        every pair is still checked before True."""
-        items = self.basis_items()
-        live = {n for n in self.space.degrees() if self.space.labels(n)}
-        for landing in (True, False):
-            for (d1, l1), (d2, l2) in itertools.combinations_with_replacement(items, 2):
-                if ((d1 + d2) in live) == landing and \
-                        not self.bracket_labels(d1, l1, d2, l2).is_zero():
+        """Every basis bracket vanishes.  Degree pairs whose bracket lands
+        in a degree with a basis go first, so a non-abelian g answers after
+        a few brackets; every pair is still checked before True."""
+        live = [n for n in self.space.degrees() if self.space.labels(n)]
+        pairs = sorted(itertools.combinations_with_replacement(live, 2),
+                       key=lambda dd: dd[0] + dd[1] not in live)
+        for d1, d2 in pairs:
+            labels = self.space.labels(d1)
+            if d1 == d2:
+                label_pairs = itertools.combinations_with_replacement(labels, 2)
+            else:
+                label_pairs = itertools.product(labels, self.space.labels(d2))
+            for l1, l2 in label_pairs:
+                if not self.bracket_labels(d1, l1, d2, l2).is_zero():
                     return False
         return True
 
@@ -202,9 +207,8 @@ def heisenberg_presentation() -> LiePresentation:
 def g_s_dgla(size: int, m: int = 2) -> Dgla:
     """Free dgla on degree -1 generators x_1..x_size with
     d(x_s) = -1/2 [x_s, x_s]; models the discrete space S + basepoint."""
-    pres = LiePresentation([])
-    for s in range(size):
-        pres = _adjoin_variable(pres, "x%d" % (s + 1))
+    pres = _adjoin_variable(LiePresentation([]),
+                            *["x%d" % (s + 1) for s in range(size)])
     return DglaPresentation(pres).materialize(m)
 
 
@@ -269,19 +273,22 @@ def twist(g: Dgla, xi: GradedElement, check: str = "auto") -> Dgla:
                 weight_bound=g.weight_bound, check=check)
 
 
-def _adjoin_variable(pres: LiePresentation, var: str,
+def _adjoin_variable(pres: LiePresentation, *variables: str,
                      twisted: bool = False) -> LiePresentation:
-    """pres with var (degree -1, weight 1) appended last and
-    d(var) = -1/2 [var,var].  twisted gives the twist by var instead:
-    d(var) = +1/2 [var,var] and d(u) + [var,u] on each generator u of pres."""
-    gens = pres.generators + [(var, -1, 1)]
+    """pres with the variables (degree -1, weight 1) appended last, in
+    order, and d(var) = -1/2 [var,var] on each.  twisted gives the twist by
+    the one variable var instead: d(var) = +1/2 [var,var] and d(u) + [var,u]
+    on each generator u of pres."""
+    gens = pres.generators + [(var, -1, 1) for var in variables]
     dgens = dict(pres.dgens)
     if twisted:
+        var, = variables
         free = FreeLieTruncation(gens, 1 + max(w for _, _, w in gens))
         for name, _, _ in pres.generators:
             dgens[name] = pres.dgens.get(name, GradedElement()) + \
                 free.bracket(free.generator(var), free.generator(name))
-    dgens[var] = GradedElement({(-2, _tree_label((0, 0), [var])): QQ(1 if twisted else -1, 2)})
+    for var in variables:
+        dgens[var] = GradedElement({(-2, _tree_label((0, 0), [var])): QQ(1 if twisted else -1, 2)})
     return LiePresentation(gens, pres.relations, dgens)
 
 

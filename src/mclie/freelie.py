@@ -176,15 +176,16 @@ class FreeLieTruncation:
         self.gen_names: list[str] = []
         self.gen_degrees: list[int] = []
         self.gen_weights: list[int] = []
+        self.gen_index: dict[str, int] = {}
         for name, degree, weight in _read_generators(generators):
-            if name in self.gen_names:
+            if name in self.gen_index:
                 raise ValueError("duplicate generator %r" % name)
             if weight < 1:
                 raise ValueError("generator weights must be >= 1")
+            self.gen_index[name] = len(self.gen_names)
             self.gen_names.append(name)
             self.gen_degrees.append(degree)
             self.gen_weights.append(weight)
-        self.gen_index = {n: i for i, n in enumerate(self.gen_names)}
 
         self._wd_cache: dict = {}
         self._build_basis()

@@ -22,6 +22,7 @@ family once, in reverse assignment order.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -202,8 +203,10 @@ def poly_substitute(p, sym: str, value, table: SymbolTable):
 
 
 def poly_mark_constant(p, sym: str):
-    """Drop monomials containing d(sym) after sym is marked constant."""
-    return {m: c for m, c in p.items() if (sym, True) not in m}
+    """Drop monomials containing d(sym) after sym is marked constant; p
+    itself when none does."""
+    out = {m: c for m, c in p.items() if (sym, True) not in m}
+    return out if len(out) < len(p) else p
 
 
 def poly_symbols(p):
@@ -392,9 +395,10 @@ class SolveResult:
 
 
 def _substitute_state(equations, sym, value, table, occurs):
-    """Substitute sym := value into the equations occurs[sym] names; the
-    labels of those that change join occurs[s] for each symbol s of value."""
-    out = dict(equations)
+    """The equations occurs[sym] names that sym := value changes, as
+    {label: new polynomial}; their labels join occurs[s] for each symbol s
+    of value."""
+    changed = {}
     introduced = poly_symbols(value)
     for lab in occurs.get(sym, ()):
         p = equations.get(lab)
@@ -402,10 +406,10 @@ def _substitute_state(equations, sym, value, table, occurs):
             continue
         q = poly_substitute(p, sym, value, table)
         if q is not p:
-            out[lab] = q
+            changed[lab] = q
             for s in introduced:
                 occurs.setdefault(s, set()).add(lab)
-    return out
+    return changed
 
 
 class _State:
@@ -415,15 +419,26 @@ class _State:
     mutate it, so children may share it.  `table` and `occurs` (symbol ->
     labels of the equations it may occur in, in any node; it only grows)
     belong to the whole search.  `equations` stays in label order: sorted
-    once, then copied in order, and no label is ever added.
+    once, then copied in order, and no label is ever added.  `keys` holds
+    each equation's `_poly_key` in the same order, computed when the
+    equation changes.
+
+    `queue` is a heap of the labels whose equations changed since the
+    forced rules last looked at them.  The worklist invariant: an equation
+    whose label is not queued fits no forced rule.  The root queues every
+    label; a child queues only those its branch assignment or closure
+    changed, as its parent fit no rule.
 
     `key()` identifies a state up to the order of assignment: a value
     mentions only symbols free when it was assigned, so the map alone fixes
     the order in which the leaf resolves the values, and the search reads
     only the equations, constants and constraints."""
 
-    def __init__(self, equations, assigned, constants, constraints, table, occurs):
+    def __init__(self, equations, keys, queue, assigned, constants,
+                 constraints, table, occurs):
         self.equations = equations
+        self.keys = keys
+        self.queue = queue
         self.assigned = assigned
         self.constants = constants
         self.constraints = constraints
@@ -431,26 +446,45 @@ class _State:
         self.occurs = occurs
 
     def child(self) -> "_State":
-        return _State(self.equations, dict(self.assigned), set(self.constants),
-                      list(self.constraints), self.table, self.occurs)
+        return _State(self.equations, self.keys, [], dict(self.assigned),
+                      set(self.constants), list(self.constraints), self.table,
+                      self.occurs)
 
     def key(self) -> tuple:
         """Exact key; the constraints keep their multiplicity."""
-        return (tuple((lab, _poly_key(p)) for lab, p in self.equations.items()),
+        return (tuple(self.keys.items()),
                 tuple(sorted((s, _poly_key(v)) for s, v in self.assigned.items())),
                 tuple(sorted(self.constants)),
                 tuple(sorted(_poly_key(c) for c in self.constraints)))
 
 
 def _poly_key(p) -> tuple:
-    return tuple(sorted(p.items()))
+    """p's terms in monomial order, each coefficient as its (numerator,
+    denominator) ints, which hash without Fraction.__hash__."""
+    return tuple(sorted((m, (c.numerator, c.denominator)) for m, c in p.items()))
+
+
+def _rewrite(state: _State, changed) -> None:
+    """Replace the equations changed names ({label: polynomial}): a zero
+    one is dropped, any other is re-keyed and queued."""
+    if not changed:
+        return
+    equations, keys = dict(state.equations), dict(state.keys)
+    for lab, q in changed.items():
+        if q:
+            equations[lab] = q
+            keys[lab] = _poly_key(q)
+            heapq.heappush(state.queue, lab)
+        else:
+            del equations[lab], keys[lab]
+    state.equations, state.keys = equations, keys
 
 
 def _assign(state: _State, sym: str, value) -> None:
     """sym := value in the equations; the values assigned before and the
     constraints take it at the leaf."""
-    state.equations = _substitute_state(state.equations, sym, value,
-                                        state.table, state.occurs)
+    _rewrite(state, _substitute_state(state.equations, sym, value,
+                                      state.table, state.occurs))
     state.assigned[sym] = value
 
 
@@ -461,11 +495,14 @@ def _close(state: _State, sym: str) -> None:
         state.constants.add(sym)
     else:
         state.constraints.append({((sym, True),): ONE})
-    equations = dict(state.equations)
+    changed = {}
     for lab in state.occurs.get(sym, ()):
-        if lab in equations:
-            equations[lab] = poly_mark_constant(equations[lab], sym)
-    state.equations = equations
+        p = state.equations.get(lab)
+        if p is not None:
+            q = poly_mark_constant(p, sym)
+            if q is not p:
+                changed[lab] = q
+    _rewrite(state, changed)
 
 
 def _isolated(p):
@@ -485,32 +522,38 @@ def _propagate(state: _State) -> Optional[_State]:
     order that one fits, until none fits: c d(alpha) = 0 closes alpha,
     c alpha = 0 assigns 0, a combination of pure differentials becomes a
     closedness constraint, and a linearly isolated symbol is solved for.
-    None on a nonzero constant."""
-    while True:
-        state.equations = {lab: p for lab, p in state.equations.items() if p}
-        for lab, p in state.equations.items():
-            if len(p) == 1:
-                (mono, _c), = p.items()
-                if not mono:
-                    return None
-                if len(mono) == 1:
-                    sym, diff = mono[0]
-                    if diff:
-                        _close(state, sym)
-                    else:
-                        _assign(state, sym, poly_zero())
-                    break
-            if all(len(m) == 1 and m[0][1] for m in p):
-                state.constraints.append(p)
-                state.equations = {l2: q for l2, q in state.equations.items()
-                                   if l2 != lab}
-                break
-            iso = _isolated(p)
-            if iso is not None:
-                _assign(state, *iso)
-                break
-        else:
-            return state
+    None on a nonzero constant.
+
+    Only queued labels are checked, least first.  Whether a rule fits reads
+    only the polynomial, and an equation left out of the queue was checked,
+    fit none, and has not changed since (the worklist invariant of
+    `_State`); so the least queued label that fits is the first in label
+    order that fits.  A rule re-queues only the equations it changed."""
+    queue = state.queue
+    while queue:
+        lab = heapq.heappop(queue)
+        p = state.equations.get(lab)
+        if p is None or (queue and queue[0] == lab):
+            continue  # dropped, or checked when its last copy is popped
+        if len(p) == 1:
+            (mono, _c), = p.items()
+            if not mono:
+                return None
+            if len(mono) == 1:
+                sym, diff = mono[0]
+                if diff:
+                    _close(state, sym)
+                else:
+                    _assign(state, sym, poly_zero())
+                continue
+        if all(len(m) == 1 and m[0][1] for m in p):
+            state.constraints.append(p)
+            _rewrite(state, {lab: poly_zero()})
+            continue
+        iso = _isolated(p)
+        if iso is not None:
+            _assign(state, *iso)
+    return state
 
 
 def _branch(state: _State) -> Optional[list[_State]]:
@@ -590,7 +633,9 @@ def solve_structured(system: MCConstraintSystem,
         for sym in poly_symbols(p):
             occurs.setdefault(sym, set()).add(lab)
     equations = {lab: p for lab, p in sorted(system.equations.items()) if p}
-    stack = [_State(equations, {}, set(table.constant), [], table, occurs)]
+    keys = {lab: _poly_key(p) for lab, p in equations.items()}
+    stack = [_State(equations, keys, list(equations), {}, set(table.constant),
+                    [], table, occurs)]
     families: dict[tuple, SolutionFamily] = {}
     complete = True
     steps = branches = leaves = skipped = 0

@@ -2,8 +2,10 @@
 
 The constraint system of the structured solver expanded over the monomial
 basis of the form algebra, against the residual of the generic element
-computed in the honest tensor dgla; and the face and degeneracy maps of the
-simplicial MC set applied to every emitted simplex."""
+computed in the honest tensor dgla; the face and degeneracy maps of the
+simplicial MC set applied to every emitted simplex; and the solver's
+propagation as a full rescan of the equations after every rule, with
+states keyed on their Fraction coefficients."""
 
 import itertools
 from typing import Optional
@@ -11,7 +13,8 @@ from typing import Optional
 from mclie.cdga import omega_degeneracy_map, omega_face_map, tensor_dgla_forms
 from mclie.dgla import Dgla, is_mc
 from mclie.linalg import ONE, QQ, GradedElement, _accumulate, _element_of
-from mclie.mc import MCConstraintSystem, _add_term, mc_simplices
+from mclie.mc import (MCConstraintSystem, _add_term, _assign, _close,
+                      _isolated, mc_simplices, poly_zero)
 
 
 def expand_system_over_forms(system: MCConstraintSystem, tensor) -> dict:
@@ -131,3 +134,47 @@ def faces_preserve_mc(g: Dgla, n: int, max_degree: int,
             good, _ = is_mc(dst, img)
             ok = ok and good
     return ok
+
+
+def rescan_propagate(state):
+    """The forced rules of the structured solver, each time applied to the
+    first equation in label order that one fits, found by scanning every
+    equation again after each rule; None on a nonzero constant."""
+    while True:
+        state.equations = {lab: p for lab, p in state.equations.items() if p}
+        for lab, p in state.equations.items():
+            if len(p) == 1:
+                (mono, _c), = p.items()
+                if not mono:
+                    return None
+                if len(mono) == 1:
+                    sym, diff = mono[0]
+                    if diff:
+                        _close(state, sym)
+                    else:
+                        _assign(state, sym, poly_zero())
+                    break
+            if all(len(m) == 1 and m[0][1] for m in p):
+                state.constraints.append(p)
+                state.equations = {l2: q for l2, q in state.equations.items()
+                                   if l2 != lab}
+                break
+            iso = _isolated(p)
+            if iso is not None:
+                _assign(state, *iso)
+                break
+        else:
+            return state
+
+
+def fraction_poly_key(p) -> tuple:
+    return tuple(sorted(p.items()))
+
+
+def fraction_state_key(state) -> tuple:
+    """A solver state's key read off its equations, each sorted and keyed
+    on its Fraction coefficients on every call."""
+    return (tuple((lab, fraction_poly_key(p)) for lab, p in state.equations.items()),
+            tuple(sorted((s, fraction_poly_key(v)) for s, v in state.assigned.items())),
+            tuple(sorted(state.constants)),
+            tuple(sorted(fraction_poly_key(c) for c in state.constraints)))

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -259,6 +260,17 @@ def test_free_cdga_over_the_basis_cap_exits_3(capsys):
     assert out == ""
     assert err.startswith("resource cap: truncated basis would have at least ")
     assert err.endswith(" elements (cap 20000)\n") and err.count("\n") == 1
+
+
+def test_mc_moduli_over_the_basis_cap_exits_3_quickly(capsys):
+    # the basis cap must fire before any cost quadratic in the number of
+    # generators, which at this size would run for minutes
+    start = time.perf_counter()
+    rc, out, err = run_cli(["mc-moduli", "g_S", "--size", "100000"], capsys)
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("resource cap: ") and err.count("\n") == 1
+    assert time.perf_counter() - start < 20
 
 
 def test_every_builtin_passes_check(capsys):

@@ -6,7 +6,10 @@ import pytest
 from mc_reference import (
     expand_system_over_forms,
     faces_preserve_mc,
+    fraction_poly_key,
+    fraction_state_key,
     oracle_system_over_forms,
+    rescan_propagate,
 )
 from mclie.linalg import QQ, GradedElement
 from mclie.dgla import (
@@ -679,6 +682,34 @@ def test_solver_matches_rebuild_everything_reference(monkeypatch):
     assert [r.steps for r in new[3:6]] == [31, 47, 63]  # g_S 12, 16, 20
 
 
+def _search(result):
+    return ([_family_key(f) for f in result.families], result.complete,
+            result.steps, result.branches, result.leaves, result.skipped)
+
+
+def test_worklist_matches_full_rescan_reference(monkeypatch):
+    # popping the least queued label finds the first equation in label order
+    # that a rule fits, as a rescan of every equation does: the same search,
+    # counter by counter, and the same families in the same order
+    systems = _solver_systems() + [derive_constraints(g_s_dgla(size, 2), 0)
+                                   for size in (24, 36)]
+    got = [_search(solve_structured(s)) for s in systems]
+    monkeypatch.setattr(mc_module, "_propagate", rescan_propagate)
+    monkeypatch.setattr(mc_module, "_poly_key", fraction_poly_key)
+    monkeypatch.setattr(mc_module._State, "key", fraction_state_key)
+    assert got == [_search(solve_structured(s)) for s in systems]
+
+
+def test_propagation_rechecks_only_changed_equations(monkeypatch):
+    # a rescan of every equation after every rule makes 7,989 checks here
+    calls = []
+    real = mc_module._isolated
+    monkeypatch.setattr(mc_module, "_isolated", lambda p: calls.append(p) or real(p))
+    result = solve_structured(derive_constraints(g_s_dgla(20, 2), 0))
+    assert (result.steps, len(result.families)) == (63, 21)
+    assert len(calls) < 1000
+
+
 def test_solver_skips_states_already_expanded():
     # R3's overlapping children reach each vertex with the symbols assigned
     # in different orders; each of those states is expanded once
@@ -699,6 +730,17 @@ def test_is_abelian_agrees_with_full_scan():
                    for (d1, l1), (d2, l2) in
                    itertools.combinations_with_replacement(g.basis_items(), 2))
         assert build_builtin(ref).is_abelian() == full == expected, ref
+
+
+def test_is_abelian_answers_after_a_few_brackets(monkeypatch):
+    # g_S:100 has 5,050 brackets in degree -2, and their 13M pairs land in
+    # degree -4, where there is no basis; the pairs of generators land
+    g = g_s_dgla(100, 2)
+    calls = []
+    real = g.bracket_labels
+    monkeypatch.setattr(g, "bracket_labels", lambda *a: calls.append(a) or real(*a))
+    assert not g.is_abelian()
+    assert len(calls) <= 3
 
 
 def test_step_budget_is_a_resource_cap(monkeypatch, capsys):
