@@ -224,7 +224,8 @@ class FreePolynomialCdga(Cdga):
 
     generators: (name, cohomological degree) or (name, cohdeg, weight).
     weights maps each basis monomial to its truncation weight, so the
-    cells of _cells() are (truncation weight, degree).
+    cells of its homology report are (truncation weight, degree) whenever
+    d shifts every truncation weight alike.
     """
 
     def __init__(self, generators: Sequence[tuple], max_weight: int,
@@ -769,7 +770,7 @@ def cohomology_algebra(a: Cdga):
     the algebra the idempotents of idempotent_split come from.  Its
     associativity is checked on every triple, whatever k."""
     h = a.homology()
-    reps = h.representatives.get(0, [])
+    reps = h.representatives(0)
     k = len(reps)
     if k == 0:
         raise ZeroCohomology("H is zero in degree 0")
@@ -846,7 +847,7 @@ def localization_exactness_report(a: Cdga, u: GradedElement,
     report = {}
     ok = True
     for n in sorted(set(h.degrees()) | set(h_loc.degrees())):
-        rs = h.representatives.get(n, [])
+        rs = h.representatives(n)
         k = len(rs)
         vecs = [{i: ONE} for i in range(k)]
         for _ in range(k):

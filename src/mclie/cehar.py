@@ -128,13 +128,11 @@ class CEComplex:
         self.truncate_by = truncate_by
         items = g.basis_items()
         self.sigma_of = {lab: "s(%s)" % lab for _, lab in items}
-        # the truncation weight of each basis element: its cell's weight in
-        # g, or 1 for every element under truncation by word length
-        if truncate_by == "weight":
-            weight_of = {(n, lab): w for (w, n), labs in g._cells().items()
-                         for lab in labs}
-        else:
-            weight_of = dict.fromkeys(items, 1)
+        # the truncation weight of each basis element: its weight in g (1
+        # where g gives none), or 1 for every element under truncation by
+        # word length
+        weights = (g.weights or {}) if truncate_by == "weight" else {}
+        weight_of = {(n, lab): weights.get(lab, 1) for n, lab in items}
         gens = [(self.sigma_of[lab], n + 1, weight_of[(n, lab)]) for n, lab in items]
         # the size cap fires before d_II asks for a single bracket
         FreePolynomialCdga._check_size(gens, bound)
@@ -160,7 +158,6 @@ class CEComplex:
                         "has the term %s, not of weight %d"
                         % (self.sigma_of[lab], off[0], w))
         self.algebra = FreePolynomialCdga(gens, bound, dgens, aug, check="auto")
-        self._cell_dims: Optional[dict[tuple[int, int], int]] = None
 
     def reduced_homology_dims(self) -> dict[int, int]:
         """Cohomological dimensions of H(C_+): d has no constant term, so
@@ -170,14 +167,12 @@ class CEComplex:
 
     def weight_block_dims(self, weight: int) -> dict[int, int]:
         """H(C_+) of the given total g-weight block, cohomological keys: the
-        homology of the algebra's cells of that weight, computed once, less
-        the unit's class in the cell (0, 0)."""
+        homology of the algebra's cells of that weight, less the unit's
+        class in the cell (0, 0)."""
         if self.truncate_by != "weight":
             raise ValueError("weight blocks need a CE complex truncated by weight")
-        if self._cell_dims is None:
-            self._cell_dims = self.algebra._cell_homology(0)
-            self._cell_dims[(0, 0)] -= 1
-        return {-n: v for (w, n), v in self._cell_dims.items() if w == weight and v}
+        return {-n: v for (w, n), c in self.algebra.homology().cell_dims.items()
+                if w == weight and (v := c - ((w, n) == (0, 0)))}
 
 
 def ce_complex(g: Dgla, word_bound: int, truncate_by: str = "length") -> CEComplex:
@@ -394,7 +389,8 @@ def _check_weight_graded(g: Dgla) -> None:
     term not of weight w(u) + w(v): every pair of a finite table, and the
     pairs within the weight bound of a presented dgla (beyond it every
     bracket is zero)."""
-    weight_of = {lab: w for (w, _), labs in g._cells().items() for lab in labs}
+    weights = g.weights or {}
+    weight_of = {lab: weights.get(lab, 1) for _, lab in g.basis_items()}
     for (d1, l1), (d2, l2) in itertools.combinations_with_replacement(g.basis_items(), 2):
         w = weight_of[l1] + weight_of[l2]
         if g.weight_bound is not None and w > g.weight_bound:
@@ -546,15 +542,12 @@ class TransferData:
 
     def __init__(self, g: Dgla):
         self.g = g
-        h = g.homology()
-        self.h_reps: dict[int, list[GradedElement]] = {
-            n: h.representatives.get(n, []) for n in g.space.degrees()}
-        self.boundaries: dict[int, list[GradedElement]] = {
-            n: h.boundaries.get(n, []) for n in g.space.degrees()}
+        self.homology = h = g.homology()
+        # preimages[n + 1] holds one preimage per boundary of degree n
         self.preimages: dict[int, list[GradedElement]] = {}
         for n in g.space.degrees():
             pres = []
-            for beta in self.boundaries.get(n - 1, []):
+            for beta in h.boundaries(n - 1):
                 x = g.d_map.solve(beta)
                 if x is None:
                     raise CertificateFailure(
@@ -564,8 +557,8 @@ class TransferData:
         # B + H + C coordinates per degree
         self._decomp: dict[int, Coordinates] = {}
         for n in g.space.degrees():
-            cols = [g.space.to_vector(v, n) for v in self.boundaries[n] +
-                    self.h_reps[n] + self.preimages[n]]
+            cols = [g.space.to_vector(v, n) for v in h.boundaries(n) +
+                    h.representatives(n) + self.preimages[n]]
             dim = g.space.dim(n)
             self._decomp[n] = Coordinates(cols, dim)
             if len(cols) != dim or self._decomp[n].rank() != dim:
@@ -584,19 +577,19 @@ class TransferData:
         """Projection onto homology coordinates {(degree, index): c}."""
         out = {}
         for n in sorted(elt.degrees()):
-            nb, nh = len(self.boundaries[n]), len(self.h_reps[n])
+            nb, nh = len(self.preimages.get(n + 1, ())), self.homology.dim(n)
             for i, c in self.coords(elt, n).items():
                 if nb <= i < nb + nh:
                     out[(n, i - nb)] = c
         return out
 
     def i(self, n: int, idx: int) -> GradedElement:
-        return self.h_reps[n][idx]
+        return self.homology.representatives(n)[idx]
 
     def h(self, elt: GradedElement) -> GradedElement:
         out: dict = {}
         for n in sorted(elt.degrees()):
-            nb = len(self.boundaries[n])
+            nb = len(self.preimages.get(n + 1, ()))
             for i, c in self.coords(elt, n).items():
                 if i < nb:
                     _accumulate(out, self.preimages[n + 1][i].coeffs, c)
@@ -615,8 +608,8 @@ class MinimalModel:
         self.arity_bound = arity_bound
         self.transfer = TransferData(g)
         t = self.transfer
-        self.generators = [(n, i) for n in sorted(t.h_reps)
-                           for i in range(len(t.h_reps[n]))]
+        h = t.homology
+        self.generators = [(n, i) for n in h.degrees() for i in range(h.dim(n))]
         self.l2: dict[tuple, dict] = {}
         for (n1, i1), (n2, i2) in itertools.product(self.generators, repeat=2):
             val = t.p(g.bracket(t.i(n1, i1), t.i(n2, i2)))
@@ -650,8 +643,8 @@ class MinimalModel:
         return True
 
     def homology_dims(self) -> dict[int, int]:
-        return {n: len(self.transfer.h_reps[n])
-                for n in self.transfer.h_reps if self.transfer.h_reps[n]}
+        h = self.transfer.homology
+        return {n: h.dim(n) for n in h.degrees() if h.dim(n)}
 
     def has_higher_corrections(self) -> bool:
         return bool(self.l3)

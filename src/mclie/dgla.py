@@ -443,9 +443,9 @@ def homology_stability(g: Dgla) -> dict:
         h = g.homology()
         return {n: {"dim": h.dim(n), "stable": False, "edge": 0}
                 for n in sorted(set(h.degrees()) | set(g.space.degrees()))}
-    if g._weight_shift() == 1 and g2._weight_shift() == 1:
-        c1 = g._cell_homology(1)
-        c2 = g2._cell_homology(1)
+    h1, h2 = g.homology(), g2.homology()
+    if h1.shift == 1 and h2.shift == 1:
+        c1, c2 = h1.cell_dims, h2.cell_dims
         degrees = sorted({n for (_, n) in c1} | {n for (_, n) in c2} |
                          set(g.space.degrees()))
         report = {}
@@ -456,7 +456,6 @@ def homology_stability(g: Dgla) -> dict:
                             for (w, nn), v in c1.items() if nn == n and w <= m - 1)
             report[n] = {"dim": final, "stable": confirmed, "edge": edge}
         return report
-    h1, h2 = g.homology(), g2.homology()
     degrees = sorted(set(h1.degrees()) | set(h2.degrees()) |
                      set(g.space.degrees()) | set(g2.space.degrees()))
     return {n: {"dim": h1.dim(n), "stable": h1.dim(n) == h2.dim(n), "edge": 0}

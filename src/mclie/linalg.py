@@ -1,8 +1,9 @@
 """Exact rational linear algebra: graded vector spaces, sparse elements,
-degree-shifting linear maps, homology, the core that dglas and cdgas share
-(with their one axiom checker), and the primitive idempotents of a split
-commutative algebra in degree 0: H^0 of a cdga, held as a Cdga with zero
-differential.
+degree-shifting linear maps, homology (one HomologyReport: ranks per
+(weight, degree) cell for every reader, cycles and representatives only
+when read), the core that dglas and cdgas share (with their one axiom
+checker), and the primitive idempotents of a split commutative algebra in
+degree 0: H^0 of a cdga, held as a Cdga with zero differential.
 
 All arithmetic is exact, on fractions.Fraction or, where a kernel clears
 denominators first (GradedLinearMap.compose), on Python ints; there is no
@@ -10,7 +11,7 @@ floating point anywhere.  Vectors are sparse, in and out: {index: Fraction}
 dicts of nonzero entries, as GradedVectorSpace.to_vector returns them and
 from_vector reads them.  Linear maps are stored as sparse columns.
 RowSpace, an incremental reduced row echelon form, is the one row reducer
-and takes only sparse vectors: homology, the (weight, degree) cells, the
+and takes only sparse vectors: the homology cells and cycles, the
 quotient Lie algebras, Coordinates and the cdga constructions all feed it
 that way, and Coordinates.coords and HomologyReport.class_of answer in
 sparse coordinates, in index order.  The reduced row echelon form is
@@ -531,8 +532,8 @@ class _DgAlgebra:
     would be timed once per call.
 
     A subclass may set weights ({label: weight}) before calling __init__;
-    _cells() groups the basis by (weight, degree), and _cell_homology reads
-    the homology of each such cell.
+    homology() hands them to the one HomologyReport, which splits the basis
+    into (weight, degree) cells when d shifts every weight alike.
     """
 
     weights: Optional[dict[str, int]] = None
@@ -544,7 +545,7 @@ class _DgAlgebra:
         self.space = space
         self._product_fn = product_fn
         self._products: dict[tuple[str, str], GradedElement] = {}
-        self._cell_index: Optional[dict[tuple[int, int], list[str]]] = None
+        self._homology: Optional[HomologyReport] = None
         self.d_map = GradedLinearMap(space, space, -1) if d_fn is None else \
             GradedLinearMap.from_function(space, space, -1, d_fn)
         if not self.d_map.compose(self.d_map).is_zero():
@@ -573,45 +574,6 @@ class _DgAlgebra:
     def basis_items(self) -> list[tuple[int, str]]:
         return [(n, lab) for n in self.space.degrees() for lab in self.space.labels(n)]
 
-    def _cells(self) -> dict[tuple[int, int], list[str]]:
-        """(weight, degree) -> labels in basis order, built once; a label
-        missing from weights (all of them when weights is None) has
-        weight 1."""
-        if self._cell_index is None:
-            weights = self.weights or {}
-            cells: dict[tuple[int, int], list[str]] = {}
-            for n, lab in self.basis_items():
-                cells.setdefault((weights.get(lab, 1), n), []).append(lab)
-            self._cell_index = cells
-        return self._cell_index
-
-    def _weight_shift(self) -> Optional[int]:
-        """The weight shift w(target) - w(source) shared by every term of
-        d, or None when weights is None, d is zero or the shifts differ."""
-        if self.weights is None:
-            return None
-        shifts = {self.weights[self.space.labels(n - 1)[i]] - self.weights[lab]
-                  for n, cols in self.d_map.columns.items()
-                  for lab, col in zip(self.space.labels(n), cols) for i, _ in col}
-        return shifts.pop() if len(shifts) == 1 else None
-
-    def _cell_homology(self, shift: int) -> dict[tuple[int, int], int]:
-        """Homology dimension of each (weight, degree) cell, in sorted
-        order, for a d that shifts the weight of every term by shift (so
-        each cell is mapped into one cell): |cell| - rank(d out of the
-        cell) - rank(d into it), the ranks read off the sparse columns."""
-        cells = self._cells()
-        cols = self.d_map.columns
-        ranks: dict[tuple[int, int], int] = {}
-        for (w, n), labs in cells.items():
-            span = RowSpace(self.space.dim(n - 1))
-            if n in cols:
-                for lab in labs:
-                    span._add(dict(cols[n][self.space.index(n, lab)]))
-            ranks[(w, n)] = span.dim()
-        return {(w, n): len(labs) - ranks[(w, n)] - ranks.get((w - shift, n + 1), 0)
-                for (w, n), labs in sorted(cells.items())}
-
     def d(self, elt: GradedElement) -> GradedElement:
         return self.d_map.apply(elt)
 
@@ -637,7 +599,10 @@ class _DgAlgebra:
         raise KeyError(label)
 
     def homology(self) -> "HomologyReport":
-        return homology(self.space, self.d_map)
+        """The homology report, built once; __init__ checked d*d = 0."""
+        if self._homology is None:
+            self._homology = HomologyReport(self.space, self.d_map, self.weights)
+        return self._homology
 
     def total_dim(self) -> int:
         return self.space.total_dim()
@@ -710,20 +675,78 @@ class _DgAlgebra:
 
 
 class HomologyReport:
-    """Per-degree homology data of a complex on space: dimension,
-    representative cycles whose classes form a basis, and a boundary basis."""
+    """Homology of the complex (space, d), d of shift -1, on the sparse
+    columns of d; cohomological objects are stored with degrees negated.
+    d*d = 0 is taken as checked, once per differential: _DgAlgebra.__init__
+    checks it, and homology() does for a bare complex.
 
-    def __init__(self, space: GradedVectorSpace, dims: dict[int, int],
-                 representatives: dict[int, list[GradedElement]],
-                 boundaries: dict[int, list[GradedElement]]):
+    The basis splits into cells, (weight, degree) blocks; a label missing
+    from weights has weight 1.  The weights are kept only when every term
+    of d shifts weight by one amount, shift (0 for d = 0), so that d maps
+    each cell into one cell; otherwise each cell is a whole degree and
+    shift is 0.  One RowSpace per cell reduces the columns of d out of it:
+    cell_dims[(w, n)] = |cell| - rank(d out of it) - rank(d into it), in
+    sorted order, and dims sums them per degree.  The cells' rows into
+    degree n have disjoint supports, so together they are the reduced
+    boundary basis; representatives(n), built on first read, are the
+    cycles _cycles(d, n) that extend it, in order.
+    """
+
+    def __init__(self, space: GradedVectorSpace, d: GradedLinearMap,
+                 weights: Optional[Mapping[str, int]] = None):
+        if d.shift != -1:
+            raise ValueError("differential must have shift -1")
         self.space = space
-        self.dims = dims
-        self.representatives = representatives
-        self.boundaries = boundaries
+        self.d = d
+        weights = weights or {}
+        shifts = {weights.get(space.labels(n - 1)[i], 1) - weights.get(lab, 1)
+                  for n, cols in d.columns.items()
+                  for lab, col in zip(space.labels(n), cols) for i, _ in col}
+        if len(shifts) > 1:
+            weights = {}
+        self.shift = shifts.pop() if len(shifts) == 1 else 0
+        cells: dict[tuple[int, int], list[int]] = {}
+        for n in space.degrees():
+            for i, lab in enumerate(space.labels(n)):
+                cells.setdefault((weights.get(lab, 1), n), []).append(i)
+        self._spans: dict[tuple[int, int], RowSpace] = {}
+        for (w, n), idx in cells.items():
+            span = self._spans[(w, n)] = RowSpace(space.dim(n - 1))
+            for i in idx if n in d.columns else ():
+                span._add(dict(d.columns[n][i]))
+        rank = {key: span.dim() for key, span in self._spans.items()}
+        self.cell_dims = {(w, n): len(idx) - rank[(w, n)] - rank.get((w - self.shift, n + 1), 0)
+                          for (w, n), idx in sorted(cells.items())}
+        self.dims = {n: sum(v for (_, m), v in self.cell_dims.items() if m == n)
+                     for n in space.degrees()}
+        self._reps: dict[int, list[GradedElement]] = {}
         self._classes: dict[int, Coordinates] = {}
 
     def dim(self, n: int) -> int:
         return self.dims.get(n, 0)
+
+    def _boundary_rows(self, n: int) -> dict[int, dict[int, Fraction]]:
+        return {pc: row for (_, m), span in self._spans.items() if m == n + 1
+                for pc, row in span._rows.items()}
+
+    def boundaries(self, n: int) -> list[GradedElement]:
+        """The reduced boundary basis of degree n, in pivot order."""
+        rows = self._boundary_rows(n)
+        return [self.space.from_vector(rows[pc], n) for pc in sorted(rows)]
+
+    def representatives(self, n: int) -> list[GradedElement]:
+        """Cycles of degree n whose classes form a basis of H_n."""
+        if n not in self._reps:
+            rows = self._boundary_rows(n)
+            span = RowSpace(self.space.dim(n))
+            span._rows = {pc: dict(row) for pc, row in rows.items()}
+            ker = _cycles(self.d, n)
+            chosen = [v for v in ker if span._add(v)]
+            # computed evidence that every boundary is a cycle
+            if len(chosen) != len(ker) - len(rows):
+                raise CertificateFailure("boundaries are not all cycles in degree %d" % n)
+            self._reps[n] = [self.space.from_vector(v, n) for v in chosen]
+        return self._reps[n]
 
     def class_of(self, elt: GradedElement, n: int) -> Optional[dict[int, Fraction]]:
         """A degree-n cycle's class as sparse coefficients {i: c} on the
@@ -733,7 +756,7 @@ class HomologyReport:
         if n not in self._classes:
             self._classes[n] = Coordinates(
                 [self.space.to_vector(c, n) for c in
-                 self.representatives.get(n, []) + self.boundaries.get(n, [])],
+                 self.representatives(n) + self.boundaries(n)],
                 self.space.dim(n))
         x = self._classes[n].coords(self.space.to_vector(elt, n))
         return None if x is None else {i: c for i, c in x.items() if i < self.dim(n)}
@@ -773,33 +796,15 @@ def _cycles(d: GradedLinearMap, n: int) -> list[dict[int, Fraction]]:
 
 
 def homology(space: GradedVectorSpace, d: GradedLinearMap) -> HomologyReport:
-    """Homology of the complex (space, d), d of shift -1, degreewise, on
-    the sparse columns of d.  Cohomological objects are stored with degrees
-    negated, so one sign discipline covers both conventions.
-
-    The cycles are _cycles(d, n); the boundary basis is the reduced columns
-    of d_{n+1}, and the representatives are the cycles that extend it,
-    taken in order.  The two eliminations are independent, so that every
-    boundary is a cycle (exactly dim ker - dim im representatives: d*d = 0
-    in degree n + 1) is computed evidence, checked in each degree.
-    """
-    if d.shift != -1:
-        raise ValueError("differential must have shift -1")
-    dims: dict[int, int] = {}
-    reps: dict[int, list[GradedElement]] = {}
-    bnds: dict[int, list[GradedElement]] = {}
-    for n in space.degrees():
-        ker = _cycles(d, n)
-        span = RowSpace(space.dim(n))
-        for col in d.columns.get(n + 1, ()):
-            span._add(dict(col))
-        bnds[n] = [space.from_vector(span._rows[pc], n) for pc in span.pivots]
-        chosen = [v for v in ker if span._add(v)]
-        if len(chosen) != len(ker) - len(bnds[n]):
-            raise CertificateFailure("boundaries are not all cycles in degree %d" % n)
-        reps[n] = [space.from_vector(v, n) for v in chosen]
-        dims[n] = len(chosen)
-    return HomologyReport(space, dims, reps, bnds)
+    """The HomologyReport of a bare complex (space, d), one cell per
+    degree, after checking d*d = 0: a nonzero d_n d_{n+1} names the lowest
+    degree n whose boundaries are not all cycles."""
+    h = HomologyReport(space, d)
+    dd = d.compose(d)
+    if not dd.is_zero():
+        raise CertificateFailure(
+            "boundaries are not all cycles in degree %d" % (min(dd.columns) - 1))
+    return h
 
 
 # ---------------------------------------------------------------------------

@@ -297,9 +297,10 @@ def derive_constraints(g: Dgla, n: int, support_weight: Optional[int] = None
     equations: dict[str, dict] = {}
 
     def accumulate(target: GradedElement, poly):
-        for (dd, lab2), c in target.coeffs.items():
-            cur = equations.get(lab2, {})
-            equations[lab2] = poly_add(cur, poly_scale(poly, c))
+        for (_, lab2), c in target.coeffs.items():
+            eq = equations.setdefault(lab2, {})
+            for mono, v in poly.items():
+                _add_term(eq, mono, v * c)
 
     # d xi = sum (d b) alpha_b + (-1)^{|b|} b d(alpha_b)
     for sym, deg, lab in terms:
@@ -850,7 +851,7 @@ def pi0_moduli(g: Dgla, support: Optional[int] = None) -> MCModuli:
     gauge moves with exact rational connection solving."""
     if g.is_abelian():
         h = g.homology()
-        reps = h.representatives.get(-1, [])
+        reps = h.representatives(-1)
         return MCModuli(reps if reps else [GradedElement()],
                         [[r] for r in reps] if reps else [[GradedElement()]],
                         {}, "abelian-linear",
@@ -1034,7 +1035,7 @@ def induced_homology_iso(incl, src: Dgla, dst: Dgla, degree: int) -> bool:
     if hs.dim(degree) == 0:
         return True
     images = RowSpace(hd.dim(degree))
-    for r in hs.representatives[degree]:
+    for r in hs.representatives(degree):
         x = hd.class_of(incl.apply(r), degree)
         if x is None:
             return False

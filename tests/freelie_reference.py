@@ -97,7 +97,9 @@ class FractionKernel:
                 coeff = c
             else:
                 half = len(s) // 2
-                assert len(s) % 2 == 0 and s[:half] == s[half:]
+                if len(s) % 2 or s[:half] != s[half:]:
+                    raise ValueError("the smallest word %r is neither a Lyndon "
+                                     "word nor the square of one" % (s,))
                 tree = lie._square_words[s]
                 coeff = c / 2
             key = (self.degree(tree), lie.label_of_tree[tree])

@@ -89,7 +89,7 @@ def test_omega_h0_is_constants():
     for n in (1, 2):
         w = omega_simplex(n, 3)
         h = w.homology()
-        reps = h.representatives[0]
+        reps = h.representatives(0)
         assert len(reps) == 1
         assert reps[0].coeffs == {(0, "1"): list(reps[0].coeffs.values())[0]}
 

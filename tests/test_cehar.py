@@ -436,8 +436,7 @@ def test_product_truncation_keeps_the_cells_below_m(pair, heaviest):
         # the same labels, in the same order, in every cell of weight <= t
         assert at_t.basis_items() == [(n, lab) for n, lab in above.basis_items()
                                       if above.weights[lab] <= t]
-        assert at_t._cells() == {key: labs for key, labs in above._cells().items()
-                                 if key[0] <= t}
+        assert at_t.weights == {lab: w for lab, w in above.weights.items() if w <= t}
         items = at_t.basis_items()
         for (n1, l1), (n2, l2) in itertools.product(items, repeat=2):
             if at_t.weights[l1] + at_t.weights[l2] <= t:

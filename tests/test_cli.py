@@ -479,20 +479,39 @@ def test_localize_even_degree_unit_exits_1(capsys):
 def test_localize_computes_each_homology_once(monkeypatch, capsys):
     import mclie.linalg
     calls = []
-    inner = mclie.linalg.homology
+    inner = mclie.linalg.HomologyReport
 
-    def counted(space, d):
+    def counted(space, *args):
         calls.append(space)
-        return inner(space, d)
+        return inner(space, *args)
 
     # Cdga.homology is linalg._DgAlgebra.homology, which looks the name up there
-    monkeypatch.setattr(mclie.linalg, "homology", counted)
+    monkeypatch.setattr(mclie.linalg, "HomologyReport", counted)
     rc, out, err = run_cli(["localize", "--builtin", "qk:3", "--at", "2 1 - e1"],
                            capsys)
     assert rc == 0
     # one on A[u^-1], one on A
     assert len(calls) == 2
     assert "H^0 = 3  [exact]" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["ce", "f_xa:3", "--words", "3"],
+    ["homology", "f_xa:6"],
+    ["homology", "abelian:2:0"],
+    ["verify", "free-product-cohomology", "heisenberg", "abelian:1:0", "--weight", "5"]])
+def test_dims_only_reports_never_compute_cycles(argv, monkeypatch, capsys):
+    # these reports read ranks per cell only: with the kernel of d out of
+    # reach they still exit 0 with the same report
+    import mclie.linalg
+    want = run_cli(argv, capsys)
+
+    def refuse(d, n):
+        raise AssertionError("cycles computed in degree %d" % n)
+
+    monkeypatch.setattr(mclie.linalg, "_cycles", refuse)
+    assert run_cli(argv, capsys) == want
+    assert want[0] == 0
 
 
 def test_ce_word_bound_one(capsys):

@@ -23,6 +23,7 @@ from mclie.linalg import (
     GradedElement,
     GradedLinearMap,
     GradedVectorSpace,
+    HomologyReport,
     NonSplitAlgebra,
     RowSpace,
     _cycles,
@@ -57,7 +58,7 @@ def test_homology_zero_differential():
     h = homology(space, d)
     assert [h.dim(n) for n in (0, 1, 2)] == [1, 2, 1]
     # representatives are honest cycles spanning everything
-    assert len(h.representatives[1]) == 2
+    assert len(h.representatives(1)) == 2
 
 
 def test_homology_sphere_complex():
@@ -411,8 +412,9 @@ def test_rank_nullity_failure_raises_certificate_failure(monkeypatch):
     # a boundary is no longer among the cycles
     kernel = mclie.linalg._kernel
     monkeypatch.setattr(mclie.linalg, "_kernel", lambda span: kernel(span)[:-1])
+    h = homology(*two_term_identity())
     with pytest.raises(CertificateFailure, match="in degree 0$"):
-        homology(*two_term_identity())
+        h.representatives(0)
 
 
 def _dense_homology(space, d):
@@ -448,7 +450,7 @@ def test_homology_matches_dense_reference(ref):
         for n, (cycles, reps, bnd) in want.items():
             assert [dense(v, a.space.dim(n)) for v in _cycles(a.d_map, n)] == cycles
             assert h.dims[n] == len(reps) == len(cycles) - len(bnd)
-            for got, vecs in ((h.representatives[n], reps), (h.boundaries[n], bnd)):
+            for got, vecs in ((h.representatives(n), reps), (h.boundaries(n), bnd)):
                 assert [list(e.coeffs.items()) for e in got] == \
                     [list(a.space.from_vector(sparse(v), n).coeffs.items()) for v in vecs]
             _check_class_of(h, a.space, a.d_map, n, reps, bnd)
@@ -560,10 +562,13 @@ def test_rowspace_matches_dense_rref(seed, ncols, extra, count):
 # -- homology per (weight, degree) cell ----------------------------------------
 
 def _check_cell_homology(alg, shift):
-    """_cell_homology(shift) against dense ranks: every term of d lands in
-    the cell shift weights up and one degree down, and each cell's homology
+    """The homology report's cell_dims against dense ranks: the report
+    keeps the weights with the given shift, every term of d lands in the
+    cell shift weights up and one degree down, and each cell's homology
     is |cell| - rank(d out of it) - rank(d into it)."""
-    cells = alg._cells()
+    cells = {}
+    for n, lab in alg.basis_items():
+        cells.setdefault(((alg.weights or {}).get(lab, 1), n), []).append(lab)
     cell_of = {lab: key for key, labs in cells.items() for lab in labs}
     images = {lab: alg.d(alg.space.basis_element(n, lab))
               for (_, n), labs in cells.items() for lab in labs}
@@ -572,7 +577,9 @@ def _check_cell_homology(alg, shift):
         return [[images[lab].coeff(dst[1], row) for lab in cells[src]]
                 for row in cells.get(dst, [])]
 
-    got = alg._cell_homology(shift)
+    h = alg.homology()
+    assert h.shift == shift
+    got = h.cell_dims
     assert list(got) == sorted(cells)
     for (w, n), labs in cells.items():
         target = (w + shift, n - 1)
@@ -607,9 +614,36 @@ def test_cell_homology_of_weight_truncated_ce_matches_dense(pair, bound):
 @pytest.mark.parametrize("ref", ["f_xa:4", "f_xa:5", "f_xa:6", "f_xa:7", "g_S:3"])
 def test_cell_homology_of_weight_shifting_dgla_matches_dense(ref):
     from mclie.defs import load_algebra
-    g = load_algebra(ref)
-    assert g._weight_shift() == 1
-    _check_cell_homology(g, 1)
+    _check_cell_homology(load_algebra(ref), 1)
+
+
+def _weighted_algebra(ref):
+    """A builtin, or the CE algebra truncated by weight at bound 4 of the
+    free product that compare_free_product builds at --weight 5."""
+    from mclie.cehar import _product_truncation, ce_complex
+    from mclie.defs import load_algebra
+    from mclie.dgla import free_product_dgla
+    if ref != "ce":
+        return load_algebra(ref)
+    g, h = load_algebra("heisenberg"), load_algebra("abelian:1:0")
+    prod = free_product_dgla(g, h, _product_truncation(g, h, 5), check="skip")
+    return ce_complex(prod, 4, truncate_by="weight").algebra
+
+
+@pytest.mark.parametrize("ref", ["f_xa:5", "heisenberg", "ce"])
+def test_homology_report_is_the_same_with_and_without_weights(ref):
+    # cells by weight only split the rank work: dims, the boundary basis
+    # and the representatives are those of one cell per degree
+    a = _weighted_algebra(ref)
+    split = HomologyReport(a.space, a.d_map, a.weights)
+    whole = HomologyReport(a.space, a.d_map)
+    assert len(split.cell_dims) > len(whole.cell_dims) == len(a.space.degrees())
+    assert list(split.dims.items()) == list(whole.dims.items())
+    for n in a.space.degrees():
+        for got, want in ((split.boundaries(n), whole.boundaries(n)),
+                          (split.representatives(n), whole.representatives(n))):
+            assert [list(e.coeffs.items()) for e in got] == \
+                [list(e.coeffs.items()) for e in want]
 
 
 @pytest.mark.parametrize("ref", ["heisenberg", "sphere", "f_xa:3", "g_S:3"])
