@@ -29,6 +29,7 @@ Builtins are referenced as name or name:arg:...; see BUILTIN_HELP.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Optional
 
@@ -63,11 +64,26 @@ class DefinitionError(Exception):
         super().__init__(message + where)
 
 
-def parse_rational(tok: str, line: Optional[int] = None) -> Fraction:
+_EXPONENT = re.compile(r"[-+]?[\d_.]*\d[\d_.]*[eE][-+]?[\d_]+")
+
+
+def _number(tok: str, line: Optional[int], column: Optional[int] = None) -> Optional[Fraction]:
+    """tok as a rational number (an integer, p/q or a decimal), None when
+    it reads as none.  Exponent notation is refused: 1e5000 would be a
+    5001-digit integer, slow to build and too long to print."""
+    if _EXPONENT.fullmatch(tok):
+        raise DefinitionError("exponent notation is not allowed, got %r" % tok, line, column)
     try:
         return QQ(tok)
     except (ValueError, ZeroDivisionError):
+        return None
+
+
+def parse_rational(tok: str, line: Optional[int] = None) -> Fraction:
+    val = _number(tok, line)
+    if val is None:
         raise DefinitionError("expected a rational number, got %r" % tok, line)
+    return val
 
 
 def parse_integer(tok: str, line: Optional[int] = None) -> int:
@@ -93,10 +109,7 @@ def parse_element(text: str, degree_of: dict[str, int],
                 raise DefinitionError("dangling coefficient", line, idx - 1)
             sign = QQ(1) if tok == "+" else QQ(-1)
             continue
-        try:
-            val = QQ(tok)
-        except (ValueError, ZeroDivisionError):
-            val = None
+        val = _number(tok, line, idx)
         ends_term = idx == len(tokens) or tokens[idx] in ("+", "-")
         if val is not None and not (ends_term and tok in degree_of):
             if coeff is not None:
@@ -115,6 +128,11 @@ def parse_element(text: str, degree_of: dict[str, int],
     return linear_combination(terms)
 
 
+def _parse_elements(texts: dict, degree_of: dict[str, int]) -> dict:
+    """parse_element on each (text, line) value of texts, by key."""
+    return {key: parse_element(text, degree_of, line) for key, (text, line) in texts.items()}
+
+
 class AlgebraDefinition:
     """Parsed definition: either a dgla (finite table or free presentation)
     or a cdga finite table."""
@@ -126,7 +144,6 @@ class AlgebraDefinition:
         self.basis: list[tuple[str, int]] = []
         self.brackets: dict = {}
         self.mults: dict = {}
-        self.differentials: dict = {}
         self.relations_text: list[tuple[str, int]] = []
         self.d_text: dict[str, tuple[str, int]] = {}
         self.unit: Optional[str] = None
@@ -156,12 +173,8 @@ class AlgebraDefinition:
         basis: dict[int, list[str]] = {}
         for lab, deg in self.basis:
             basis.setdefault(deg, []).append(lab)
-        table = {}
-        for (l1, l2), (text, line) in self.mults.items():
-            table[(l1, l2)] = parse_element(text, degree_of, line)
-        diffs = {}
-        for lab, (text, line) in self.d_text.items():
-            diffs[lab] = parse_element(text, degree_of, line)
+        table = _parse_elements(self.mults, degree_of)
+        diffs = _parse_elements(self.d_text, degree_of)
         aug = self.augment if self.augment else None
         return FiniteTableCdga(basis, table, self.unit, diffs, aug)
 
@@ -176,9 +189,7 @@ class AlgebraDefinition:
             raise DefinitionError(
                 "free-dgla definitions must state the truncation 'weight'")
         degree_of = self._degree_map_free(self.weight)
-        dgens = {}
-        for name, (text, line) in self.d_text.items():
-            dgens[name] = parse_element(text, degree_of, line)
+        dgens = _parse_elements(self.d_text, degree_of)
         rels = [parse_element(text, degree_of, line)
                 for text, line in self.relations_text]
         pres = LiePresentation(self.generators, rels, dgens)
@@ -189,13 +200,8 @@ class AlgebraDefinition:
         basis: dict[int, list[str]] = {}
         for lab, deg in self.basis:
             basis.setdefault(deg, []).append(lab)
-        brackets = {}
-        for (l1, l2), (text, line) in self.brackets.items():
-            brackets[(l1, l2)] = parse_element(text, degree_of, line)
-        diffs = {}
-        for lab, (text, line) in self.d_text.items():
-            diffs[lab] = parse_element(text, degree_of, line)
-        return dgla_from_table(basis, brackets, diffs)
+        return dgla_from_table(basis, _parse_elements(self.brackets, degree_of),
+                               _parse_elements(self.d_text, degree_of))
 
 
 def parse_definition(text: str, name: str = "<definition>") -> AlgebraDefinition:

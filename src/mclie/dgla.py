@@ -59,9 +59,9 @@ class AxiomViolation(Exception):
 
 
 class Dgla(_DgAlgebra):
-    """Finite-dimensional dgla given by a basis, a differential d_fn(n,
-    label) and a bracket bracket_fn(deg1, label1, deg2, label2) on basis
-    pairs, evaluated lazily (see _DgAlgebra)."""
+    """Finite-dimensional dgla given by a basis, a differential d and a
+    bracket bracket_fn(deg1, label1, deg2, label2) on basis pairs,
+    evaluated lazily (see _DgAlgebra)."""
 
     _SIGN = -ONE
     _SYMMETRY = "antisymmetry"
@@ -70,7 +70,7 @@ class Dgla(_DgAlgebra):
     _TRIPLE_CAP = AXIOM_TRIPLE_CAP
 
     def __init__(self, space: GradedVectorSpace,
-                 d_fn: Optional[Callable[[int, str], GradedElement]],
+                 d: "GradedLinearMap | Callable[[int, str], GradedElement] | None",
                  bracket_fn: Callable[[int, str, int, str], GradedElement],
                  weights: Optional[Mapping[str, int]] = None,
                  presentation: Optional["DglaPresentation"] = None,
@@ -79,7 +79,7 @@ class Dgla(_DgAlgebra):
         self.weights = dict(weights) if weights else None
         self.presentation = presentation
         self.weight_bound = weight_bound
-        super().__init__(space, d_fn, bracket_fn, check)
+        super().__init__(space, d, bracket_fn, check)
 
     bracket_labels = _DgAlgebra._product_labels
     bracket = _DgAlgebra._product
@@ -145,7 +145,7 @@ class DglaPresentation:
     def materialize(self, m: int, check: str = "auto") -> Dgla:
         """The weight-m truncation, on the quotient's basis and weights."""
         q = self.pres.materialize(m)
-        return Dgla(q.space, lambda n, lab: q.d_label(lab),
+        return Dgla(q.space, q.d_map(),
                     lambda d1, l1, d2, l2: q.bracket_labels(l1, l2),
                     weights=q.weight_of_label, presentation=self,
                     weight_bound=m, check=check)

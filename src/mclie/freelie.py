@@ -8,16 +8,19 @@ factorization form a Hall set (Reutenauer, Free Lie Algebras, 1993,
 ch. 4-5), so the bracket of two basis trees rewrites into the basis by
 antisymmetry and the Jacobi identity alone, on Python ints: the Lyndon
 basis is a Z-basis of the free Lie ring, and a coefficient becomes a
-Fraction once, when its GradedElement is built.  Everything above the
-weight bound is truncated away, realizing the quotient by the
-corresponding term of the lower central series.
+Fraction once, when its GradedElement is built.  A basis tree is an int
+id, with tables of its children, weight, degree and label, so the
+rewriting and its memo run on ints.  Everything above the weight bound is
+truncated away, realizing the quotient by the corresponding term of the
+lower central series.
 
 A presented quotient (QuotientLie) holds a free element in one form,
-{basis tree: coefficient}, and works on it through the same Hall
-brackets: it saturates the relation ideal, bracketing with the generators
-what the ideal leaves of each element that enlarges it; it projects onto
-the quotient; and it extends its free differential by the Leibniz rule,
-checked on construction to descend to the truncation and to the quotient.
+{tree id: coefficient}, and works on it through the same Hall brackets:
+it saturates the relation ideal, bracketing with the generators what the
+ideal leaves of each element that enlarges it; it projects onto the
+quotient; and it extends its free differential by the Leibniz rule,
+checked on construction to descend to the truncation and to the quotient,
+into the dgla's sparse columns, one Fraction per nonzero entry.
 
 The expansion of a basis bracket in the tensor algebra is triangular with
 smallest word its Lyndon word, so a greedy elimination rewrites a Lie
@@ -26,8 +29,9 @@ rewrite_tensor do that on ints, off the bracket path; the tests'
 tensor-algebra oracles (BCH, the embedding of a Lie element) run on them.
 
 This module alone writes and reads a label, a generator's name or "[u,v]"
-for the bracket of the trees labelled u and v (_tree_label, _label_tree),
-and a generator list of (name, degree[, weight]) tuples (_read_generators).
+for the bracket of the trees labelled u and v (_tree_label, _label_tree,
+on trees of nested pairs of generator indices), and a generator list of
+(name, degree[, weight]) tuples (_read_generators).
 """
 
 from __future__ import annotations
@@ -42,13 +46,13 @@ from typing import Mapping, Optional, Sequence
 from .linalg import (
     ONE,
     GradedElement,
+    GradedLinearMap,
     GradedVectorSpace,
     RowSpace,
     _accumulate,
     _element_of,
 )
 
-Tree = object  # int leaf or (Tree, Tree) pair
 Word = tuple  # tuple of generator indices
 
 
@@ -140,11 +144,6 @@ def _fresh(name: str, taken) -> str:
     return name
 
 
-def _is_square(tree) -> bool:
-    """Whether a basis tree is an odd square (u, u)."""
-    return not isinstance(tree, int) and tree[0] == tree[1]
-
-
 def _commutator(a: Mapping[Word, int], b: Mapping[Word, int],
                 odd: int) -> dict[Word, int]:
     """ab - (-1)^odd ba in the tensor algebra; cancelled words stay, as 0."""
@@ -167,6 +166,15 @@ class FreeLieTruncation:
     generators: sequence of (name, degree) or (name, degree, weight);
     weights default to 1 and give the grading by which the algebra is
     truncated (bracket weight when all weights are 1).
+
+    Each basis tree is an int id, numbered in the lexicographic order of
+    the words, so trees compare by their words as ids.  Tree t is a letter
+    when left[t] is -1, and right[t] is then its generator's index; else
+    it is the bracket of left[t] and right[t], an odd square when the two
+    are equal.  weight, degree and label_of_tree are tables on the ids as
+    well, _pair maps (left, right) to the id of a bracket, and letters
+    lists the generators' ids in order (a generator heavier than m has
+    none).
     """
 
     def __init__(self, generators: Sequence[tuple], m: int):
@@ -187,85 +195,64 @@ class FreeLieTruncation:
             self.gen_degrees.append(degree)
             self.gen_weights.append(weight)
 
-        self._wd_cache: dict = {}
         self._build_basis()
         self._expand_cache: dict = {}
         self._hall_cache: dict = {}
 
     # -- basis ------------------------------------------------------------
 
-    def word_weight(self, w: Word) -> int:
-        return sum(self.gen_weights[i] for i in w)
-
-    def word_degree(self, w: Word) -> int:
-        return sum(self.gen_degrees[i] for i in w)
-
-    def _weight_degree(self, tree) -> tuple[int, int]:
-        """(weight, degree) of a tree, memoized per tree."""
-        wd = self._wd_cache.get(tree)
-        if wd is None:
-            if isinstance(tree, int):
-                wd = (self.gen_weights[tree], self.gen_degrees[tree])
-            else:
-                w1, d1 = self._weight_degree(tree[0])
-                w2, d2 = self._weight_degree(tree[1])
-                wd = (w1 + w2, d1 + d2)
-            self._wd_cache[tree] = wd
-        return wd
-
-    def tree_weight(self, tree) -> int:
-        return self._weight_degree(tree)[0]
-
-    def tree_degree(self, tree) -> int:
-        return self._weight_degree(tree)[1]
-
     def _build_basis(self):
         words = list(itertools.islice(lyndon_words(self.gen_weights, self.m),
                                       BASIS_SIZE_CAP + 1))
         if len(words) > BASIS_SIZE_CAP:
             raise TruncationTooLarge("basis exceeds the size cap %d" % BASIS_SIZE_CAP)
-        # the standard factorization of a Lyndon word (its longest proper
-        # Lyndon suffix and the rest) has two shorter Lyndon words, so
-        # walking by length finds both factors' trees built
-        self.tree_of_word: dict[Word, object] = {}
-        for w in sorted(words, key=len):
-            if len(w) == 1:
-                self.tree_of_word[w] = w[0]
-                continue
-            start = next(i for i in range(1, len(w)) if w[i:] in self.tree_of_word)
-            self.tree_of_word[w] = (self.tree_of_word[w[:start]],
-                                    self.tree_of_word[w[start:]])
-        # odd squares [u,u]
-        self._square_words = {
-            w + w: (t, t) for w, t in self.tree_of_word.items()
-            if self.tree_degree(t) % 2 == 1 and 2 * self.word_weight(w) <= self.m}
-        size = len(words) + len(self._square_words)
+        # odd squares [u,u], of weight at most m
+        squares = [w + w for w in lyndon_words(self.gen_weights, self.m // 2)
+                   if sum(self.gen_degrees[i] for i in w) % 2]
+        size = len(words) + len(squares)
         if size > BASIS_SIZE_CAP:
             raise TruncationTooLarge(
                 "basis would have %d elements (cap %d)" % (size, BASIS_SIZE_CAP))
-        # labels in the same by-length order, each from its children's
-        self._word: dict = {}
-        self.label_of_tree: dict = {}
-        self.tree_of_label: dict[str, object] = {}
-        for w, t in [*self.tree_of_word.items(), *self._square_words.items()]:
-            if isinstance(t, int):
-                lab = self.gen_names[t]
+        # the walk is in word order, so the sort only merges the squares in
+        order = sorted(words + squares)
+        self._id_of_word = ids = {w: t for t, w in enumerate(order)}
+        lyndon = set(words)
+        self.left, self.right = [-1] * size, [0] * size
+        self.weight, self.degree = [0] * size, [0] * size
+        self.label_of_tree: list[str] = [""] * size
+        self.tree_of_label: dict[str, int] = {}
+        self._pair: dict[tuple[int, int], int] = {}
+        # by length, squares last, so a tree's children come before it: the
+        # standard factorization of a Lyndon word splits off its longest
+        # proper Lyndon suffix, and a square splits in half
+        for w in sorted(words, key=len) + sorted(squares, key=len):
+            t = ids[w]
+            if len(w) == 1:
+                i = self.right[t] = w[0]
+                self.weight[t], self.degree[t] = self.gen_weights[i], self.gen_degrees[i]
+                lab = self.gen_names[i]
             else:
-                lab = _bracket_label(self.label_of_tree[t[0]], self.label_of_tree[t[1]])
+                start = next(i for i in range(1, len(w)) if w[i:] in lyndon) \
+                    if w in lyndon else len(w) // 2
+                a, b = self.left[t], self.right[t] = ids[w[:start]], ids[w[start:]]
+                self._pair[(a, b)] = t
+                self.weight[t] = self.weight[a] + self.weight[b]
+                self.degree[t] = self.degree[a] + self.degree[b]
+                lab = _bracket_label(self.label_of_tree[a], self.label_of_tree[b])
             if lab in self.tree_of_label:
                 raise InvalidPresentation(
                     "two basis elements have the label %s: generator names "
                     "must not look like brackets" % lab)
-            self._word[t] = w
             self.label_of_tree[t] = lab
             self.tree_of_label[lab] = t
+        self.letters = [ids[(i,)] for i in range(len(self.gen_names)) if (i,) in ids]
         basis: dict[int, list[str]] = {}
         self.weight_of_label: dict[str, int] = {}
-        for t in sorted(self._word, key=lambda t: (self._weight_degree(t), self._word[t])):
-            w, d = self._weight_degree(t)
+        # a stable sort: word order within each (weight, degree)
+        for t in sorted(range(size), key=lambda t: (self.weight[t], self.degree[t])):
             lab = self.label_of_tree[t]
-            basis.setdefault(d, []).append(lab)
-            self.weight_of_label[lab] = w
+            basis.setdefault(self.degree[t], []).append(lab)
+            self.weight_of_label[lab] = self.weight[t]
         self.space = GradedVectorSpace(basis)
 
     def generator(self, name: str) -> GradedElement:
@@ -274,24 +261,22 @@ class FreeLieTruncation:
 
     def dims(self) -> dict[tuple[int, int], int]:
         """Per-(weight, degree) basis dimensions."""
-        return dict(sorted(Counter((self.weight_of_label[lab], d)
-                                   for d in self.space.degrees()
-                                   for lab in self.space.labels(d)).items()))
+        return dict(sorted(Counter(zip(self.weight, self.degree)).items()))
 
     # -- tensor algebra expansion and rewriting ---------------------------
 
-    def tensor_expand(self, tree) -> dict[Word, int]:
+    def tensor_expand(self, tree: int) -> dict[Word, int]:
         """Expansion in the tensor algebra, [a,b] = ab - (-1)^{|a||b|} ba,
         with int coefficients."""
         cached = self._expand_cache.get(tree)
         if cached is not None:
             return cached
-        if isinstance(tree, int):
-            out = {(tree,): 1}
+        a, b = self.left[tree], self.right[tree]
+        if a < 0:
+            out = {(b,): 1}
         else:
-            t1, t2 = tree
-            comm = _commutator(self.tensor_expand(t1), self.tensor_expand(t2),
-                               (self.tree_degree(t1) * self.tree_degree(t2)) % 2)
+            comm = _commutator(self.tensor_expand(a), self.tensor_expand(b),
+                               (self.degree[a] * self.degree[b]) % 2)
             out = {w: c for w, c in comm.items() if c}
         self._expand_cache[tree] = out
         return out
@@ -308,17 +293,12 @@ class FreeLieTruncation:
         while work:
             s = min(work)
             c = work[s]
-            if s in self.tree_of_word:
-                tree = self.tree_of_word[s]
-                coeff = c
-            else:
-                half = len(s) // 2
-                if len(s) % 2 == 0 and s[:half] == s[half:] and s in self._square_words:
-                    tree = self._square_words[s]
-                    coeff = c // 2 if type(c) is int and c % 2 == 0 else Fraction(c, 2)
-                else:
-                    raise NotLieElement("smallest word %r is not super-Lyndon" % (s,))
-            key = (self.tree_degree(tree), self.label_of_tree[tree])
+            tree = self._id_of_word.get(s)
+            if tree is None:
+                raise NotLieElement("smallest word %r is not super-Lyndon" % (s,))
+            coeff = c if self.left[tree] != self.right[tree] else \
+                c // 2 if type(c) is int and c % 2 == 0 else Fraction(c, 2)
+            key = (self.degree[tree], self.label_of_tree[tree])
             out[key] = out.get(key, 0) + coeff
             for w, cc in self.tensor_expand(tree).items():
                 v = work.get(w, 0) - coeff * cc
@@ -330,42 +310,40 @@ class FreeLieTruncation:
 
     # -- bracket -----------------------------------------------------------
 
-    def _hall(self, h, k) -> dict:
+    def _hall(self, h: int, k: int) -> dict[int, int]:
         """[h, k] for basis trees h and k whose weights add up to at most
-        m, as {basis tree: int}, memoized per pair.  Trees compare by their
-        words; every bracket the rules call for has the same weight."""
+        m, as {tree: int}, memoized per pair.  Every bracket the rules call
+        for has the same weight."""
         key = (h, k)
         out = self._hall_cache.get(key)
         if out is not None:
             return out
-        dh, dk = self._weight_degree(h)[1], self._weight_degree(k)[1]
-        word = self._word
+        left, right, degree = self.left, self.right, self.degree
         out = {}
-        if _is_square(h):
+        if left[h] == right[h]:
             # [[t,t],k] = 2 [t,[t,k]], and [[t,t],t] = 0
-            if h[0] != k:
-                self._hall_nested(out, 2, h[0], h[0], k)
-        elif _is_square(k):
+            if left[h] != k:
+                self._hall_nested(out, 2, left[h], left[h], k)
+        elif left[k] == right[k]:
             out = {t: -c for t, c in self._hall(k, h).items()}
-        elif word[h] > word[k]:
-            sign = 1 if dh * dk % 2 else -1
+        elif h > k:
+            sign = 1 if degree[h] * degree[k] % 2 else -1
             out = {t: sign * c for t, c in self._hall(k, h).items()}
         elif h == k:
-            if dh % 2:
-                out = {(h, h): 1}
-        elif isinstance(h, int) or word[h[1]] >= word[k]:
+            if degree[h] % 2:
+                out = {self._pair[(h, h)]: 1}
+        elif left[h] < 0 or right[h] >= k:
             # h < k, and h a letter or its right factor >= k: a Hall tree
-            out = {(h, k): 1}
+            out = {self._pair[(h, k)]: 1}
         else:
             # [[a,b],k] = [a,[b,k]] - (-1)^{|a||b|} [b,[a,k]]
-            a, b = h
+            a, b = left[h], right[h]
             self._hall_nested(out, 1, a, b, k)
-            odd = self._weight_degree(a)[1] * self._weight_degree(b)[1] % 2
-            self._hall_nested(out, 1 if odd else -1, b, a, k)
+            self._hall_nested(out, 1 if degree[a] * degree[b] % 2 else -1, b, a, k)
         self._hall_cache[key] = out
         return out
 
-    def _hall_nested(self, out: dict, c: int, x, y, k) -> None:
+    def _hall_nested(self, out: dict, c: int, x: int, y: int, k: int) -> None:
         """out += c [x,[y,k]] for basis trees x, y and k."""
         for s, c1 in self._hall(y, k).items():
             _accumulate(out, self._hall(x, s), c * c1)
@@ -373,14 +351,12 @@ class FreeLieTruncation:
     def bracket_labels(self, lab1: str, lab2: str) -> GradedElement:
         t1 = self.tree_of_label[lab1]
         t2 = self.tree_of_label[lab2]
-        w1, d1 = self._weight_degree(t1)
-        w2, d2 = self._weight_degree(t2)
-        if w1 + w2 > self.m:
+        if self.weight[t1] + self.weight[t2] > self.m:
             return GradedElement()
         terms = self._hall(t1, t2)
         # one weight and degree: word order is basis order
-        return GradedElement({(d1 + d2, self.label_of_tree[t]): terms[t]
-                              for t in sorted(terms, key=self._word.__getitem__)})
+        d = self.degree[t1] + self.degree[t2]
+        return GradedElement({(d, self.label_of_tree[t]): terms[t] for t in sorted(terms)})
 
     def bracket(self, u: GradedElement, v: GradedElement) -> GradedElement:
         out: dict = {}
@@ -460,7 +436,7 @@ class QuotientLie:
     """Weight-m truncation of a presented dgla: the quotient of the
     truncated free algebra by the saturated ideal of the relations.
 
-    A free element is {basis tree: coefficient}, bracketed by the Hall
+    A free element is {tree id: coefficient}, bracketed by the Hall
     rewriting (FreeLieTruncation._hall).  The ideal is a RowSpace per
     degree on its basis trees in (weight, label) order, saturated by
     bracketing with the generators what it leaves of each element that
@@ -468,8 +444,9 @@ class QuotientLie:
     carries a weight witness and brackets remain weight-filtered.  The
     differential is the presentation's, extended to the free algebra by
     the graded Leibniz rule on ints as den d(tree), where den is the lcm of
-    the denominators of d on the generators, and divided by den as it is
-    projected.
+    the denominators of d on the generators.  d_map reduces that of each
+    surviving column against the ideal one degree below and divides by
+    den there, one Fraction per nonzero entry of the quotient's d.
     """
 
     def __init__(self, presentation: LiePresentation, m: int):
@@ -478,44 +455,43 @@ class QuotientLie:
         self.free = FreeLieTruncation(presentation.generators, m)
         lie = self.free
 
-        # each degree's columns: its basis trees by (weight, label); _column
-        # maps a tree to its degree and column
-        self._columns: dict[int, list] = {
-            deg: [lie.tree_of_label[l] for l in sorted(
-                lie.space.labels(deg), key=lambda l: (lie.weight_of_label[l], l))]
+        # each degree's columns: its basis trees by (weight, label); _pos
+        # maps a tree to its column in its degree
+        self._columns: dict[int, list[int]] = {
+            deg: sorted((lie.tree_of_label[l] for l in lie.space.labels(deg)),
+                        key=lambda t: (lie.weight[t], lie.label_of_tree[t]))
             for deg in lie.space.degrees()}
-        self._column = {t: (deg, i) for deg, cols in self._columns.items()
-                        for i, t in enumerate(cols)}
+        self._pos = {t: i for cols in self._columns.values() for i, t in enumerate(cols)}
         self._ideal: dict[int, RowSpace] = {
             deg: RowSpace(len(cols)) for deg, cols in self._columns.items()}
         self._saturate()
 
-        basis: dict[int, list[str]] = {}
-        for deg in sorted(self._columns):
-            keep = [lie.label_of_tree[t] for i, t in enumerate(self._columns[deg])
-                    if i not in self._ideal[deg]._rows]
-            if keep:
-                basis[deg] = keep
-        self.weight_of_label = {lab: lie.weight_of_label[lab]
-                                for labs in basis.values() for lab in labs}
-        self.space = GradedVectorSpace(basis)
+        # each degree's surviving columns, mapped to their quotient positions
+        self._kept = {deg: {i: p for p, i in enumerate(
+            i for i in range(len(cols)) if i not in self._ideal[deg]._rows)}
+            for deg, cols in self._columns.items()}
+        self.space = GradedVectorSpace({
+            deg: [lie.label_of_tree[self._columns[deg][i]] for i in keep]
+            for deg, keep in sorted(self._kept.items()) if keep})
+        self.weight_of_label = {lab: lie.weight_of_label[lab] for n in self.space.degrees()
+                                for lab in self.space.labels(n)}
 
         self._dgens = {name: presentation.dgens.get(name, GradedElement())
                        for name in lie.gen_names}
         # by the Leibniz rule every coefficient of d lies in (1/den)Z
         self._den = math.lcm(*(c.denominator for e in self._dgens.values()
                                for c in e.coeffs.values()))
-        self._d_cache: dict = {}
+        self._d_cache: list = [None] * len(lie.weight)
         self._check_differential()
 
-    # free elements, {basis tree: c} ------------------------------------------
+    # free elements, {tree id: c} ---------------------------------------------
 
-    def _vecs(self, terms: Mapping) -> dict[int, dict]:
+    def _vecs(self, terms: Mapping[int, int]) -> dict[int, dict]:
         """A free element as one sparse {column: c} vector per degree."""
         vecs: dict = {}
+        degree, pos = self.free.degree, self._pos
         for t, c in terms.items():
-            deg, i = self._column[t]
-            vecs.setdefault(deg, {})[i] = c
+            vecs.setdefault(degree[t], {})[pos[t]] = c
         return vecs
 
     def _saturate(self):
@@ -541,16 +517,16 @@ class QuotientLie:
         # closing under ad of the generators closes under the whole algebra
         while queue:
             elt = queue.pop()
-            for i, w in enumerate(lie.gen_weights):
+            for g in lie.letters:
                 nxt: dict = {}
                 for t, c in elt.items():
-                    if w + lie.tree_weight(t) <= self.m:
-                        _accumulate(nxt, lie._hall(i, t), c)
+                    if lie.weight[g] + lie.weight[t] <= self.m:
+                        _accumulate(nxt, lie._hall(g, t), c)
                 enlarge(nxt)
 
-    def _project(self, terms: Mapping, den: int = 1) -> GradedElement:
-        """The image of sum (c / den) t over {basis tree t: c} in the
-        quotient, coordinates on the surviving labels in column order."""
+    def _project(self, terms: Mapping[int, int], den: int = 1) -> GradedElement:
+        """The image of sum (c / den) t over {tree t: c} in the quotient,
+        coordinates on the surviving labels in column order."""
         out: dict = {}
         vecs = self._vecs(terms)
         for deg in sorted(vecs):
@@ -569,41 +545,43 @@ class QuotientLie:
     # the free differential: given on generators, extended by the graded
     # Leibniz rule ------------------------------------------------------------
 
-    def _free_d_tree(self, tree) -> dict:
-        """den d(tree) as {basis tree: int}, memoized per tree:
+    def _free_d_tree(self, tree: int) -> dict[int, int]:
+        """den d(tree) as {tree: int}, memoized per tree:
         d[t1,t2] = [d t1, t2] + (-1)^{|t1|} [t1, d t2] on the Hall brackets,
         each pair over the weight bound dropped."""
-        out = self._d_cache.get(tree)
+        out = self._d_cache[tree]
         if out is not None:
             return out
         lie = self.free
-        if isinstance(tree, int):
+        t1, t2 = lie.left[tree], lie.right[tree]
+        if t1 < 0:
             out = {lie.tree_of_label[lab]: c.numerator * (self._den // c.denominator)
-                   for (_, lab), c in self._dgens[lie.gen_names[tree]].coeffs.items()}
+                   for (_, lab), c in self._dgens[lie.gen_names[t2]].coeffs.items()}
         else:
-            t1, t2 = tree
-            (w1, d1), (w2, _) = lie._weight_degree(t1), lie._weight_degree(t2)
+            weight, hall, m = lie.weight, lie._hall, self.m
+            w1, w2 = weight[t1], weight[t2]
             out = {}
             for s, c in self._free_d_tree(t1).items():
-                if lie._weight_degree(s)[0] + w2 <= self.m:
-                    _accumulate(out, lie._hall(s, t2), c)
+                if weight[s] + w2 <= m:
+                    _accumulate(out, hall(s, t2), c)
+            sign = -1 if lie.degree[t1] % 2 else 1
             for s, c in self._free_d_tree(t2).items():
-                if w1 + lie._weight_degree(s)[0] <= self.m:
-                    _accumulate(out, lie._hall(t1, s), -c if d1 % 2 else c)
+                if w1 + weight[s] <= m:
+                    _accumulate(out, hall(t1, s), sign * c)
         self._d_cache[tree] = out
         return out
 
-    def _free_d_sum(self, terms) -> dict:
-        """den d(sum c t) over (basis tree t, c) pairs, as {basis tree: c}."""
+    def _free_d_sum(self, terms) -> dict[int, int]:
+        """den d(sum c t) over (tree t, c) pairs, as {tree: c}."""
         out: dict = {}
         for t, c in terms:
             _accumulate(out, self._free_d_tree(t), c)
         return out
 
-    def _free_element(self, terms: Mapping, den: int = 1) -> GradedElement:
-        """The free element sum (c / den) t over {basis tree t: c}."""
+    def _free_element(self, terms: Mapping[int, int], den: int = 1) -> GradedElement:
+        """The free element sum (c / den) t over {tree t: c}."""
         lie = self.free
-        return _element_of({(lie.tree_degree(t), lie.label_of_tree[t]): Fraction(c, den)
+        return _element_of({(lie.degree[t], lie.label_of_tree[t]): Fraction(c, den)
                             for t, c in terms.items()})
 
     def _check_differential(self):
@@ -612,8 +590,7 @@ class QuotientLie:
         weight; d*d lies in the relation ideal on generators, so by the
         Leibniz rule everywhere; and d keeps the relation ideal."""
         lie = self.free
-        for i, name in enumerate(lie.gen_names):
-            deg = lie.gen_degrees[i]
+        for name, deg, weight in zip(lie.gen_names, lie.gen_degrees, lie.gen_weights):
             for (d, lab), _ in self._dgens[name].coeffs.items():
                 if d != deg - 1:
                     raise InvalidDifferential("d(%s) must be homogeneous of degree %d"
@@ -622,14 +599,15 @@ class QuotientLie:
                     raise InvalidDifferential(
                         "d(%s) has the term %s, beyond the weight-%d truncation"
                         % (name, lab, lie.m))
-                if lie.weight_of_label[lab] < lie.gen_weights[i]:
+                if lie.weight_of_label[lab] < weight:
                     raise InvalidDifferential(
                         "d(%s) lowers weight; truncation would not be a dg quotient" % name)
-        for i, name in enumerate(lie.gen_names):
-            dd = self._free_d_sum(self._free_d_tree(i).items())
+        # a generator heavier than m has no letter, and d = 0 on it
+        for g in lie.letters:
+            dd = self._free_d_sum(self._free_d_tree(g).items())
             if not self._project(dd).is_zero():
-                raise InvalidDifferential("d(d(%s)) = %r is nonzero"
-                                          % (name, self._free_element(dd, self._den ** 2)))
+                raise InvalidDifferential("d(d(%s)) = %r is nonzero" % (
+                    lie.label_of_tree[g], self._free_element(dd, self._den ** 2)))
         for deg, rs in self._ideal.items():
             cols = self._columns[deg]
             for row in rs._rows.values():
@@ -638,17 +616,29 @@ class QuotientLie:
                         "differential does not preserve the relation ideal")
 
     # quotient operations, uncached: the Dgla built on a quotient caches its
-    # brackets and builds its differential once -----------------------------
+    # brackets and holds d_map -------------------------------------------------
 
     def bracket_labels(self, lab1: str, lab2: str) -> GradedElement:
         lie = self.free
         t1, t2 = lie.tree_of_label[lab1], lie.tree_of_label[lab2]
-        if lie.tree_weight(t1) + lie.tree_weight(t2) > self.m:
+        if lie.weight[t1] + lie.weight[t2] > self.m:
             return GradedElement()
         return self._project(lie._hall(t1, t2))
 
-    def d_label(self, lab: str) -> GradedElement:
-        return self._project(self._free_d_tree(self.free.tree_of_label[lab]), self._den)
+    def d_map(self) -> GradedLinearMap:
+        """d on the quotient as sparse columns: den d of each surviving
+        column, reduced against the ideal one degree below, at the quotient
+        positions, over den."""
+        columns = {}
+        for deg, keep in self._kept.items():
+            below, rank = self._ideal.get(deg - 1), self._kept.get(deg - 1)
+            cols, pos, out = self._columns[deg], self._pos, []
+            for i in keep:
+                dt = self._free_d_tree(cols[i])
+                v = below._reduce({pos[s]: c for s, c in dt.items()}) if dt else dt
+                out.append([(rank[j], Fraction(v[j], self._den)) for j in sorted(v)])
+            columns[deg] = out
+        return GradedLinearMap(self.space, self.space, -1, columns)
 
 
 # ---------------------------------------------------------------------------

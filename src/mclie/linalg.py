@@ -502,9 +502,10 @@ class _DgAlgebra:
 
     product_fn(deg1, label1, deg2, label2) -> GradedElement is evaluated
     lazily with a cache, so large truncated quotients never materialize a
-    full structure-constant table.  The differential is built from
-    d_fn(n, label) -> GradedElement (None for the zero map) once the cache
-    exists, so d_fn may multiply.  d*d = 0 is always checked; the
+    full structure-constant table.  The differential d is a GradedLinearMap
+    of shift -1 on space (a presented dgla's quotient builds its own), None
+    for the zero map, or d(n, label) -> GradedElement, read once the cache
+    exists, so that it may multiply.  d*d = 0 is always checked; the
     subclass's verify_axioms runs when check is "full", or "auto" with at
     most _TRIPLE_CAP basis elements.
 
@@ -539,15 +540,16 @@ class _DgAlgebra:
     weights: Optional[dict[str, int]] = None
 
     def __init__(self, space: GradedVectorSpace,
-                 d_fn: Optional[Callable[[int, str], GradedElement]],
+                 d: "GradedLinearMap | Callable[[int, str], GradedElement] | None",
                  product_fn: Callable[[int, str, int, str], GradedElement],
                  check: str = "auto"):
         self.space = space
         self._product_fn = product_fn
         self._products: dict[tuple[str, str], GradedElement] = {}
         self._homology: Optional[HomologyReport] = None
-        self.d_map = GradedLinearMap(space, space, -1) if d_fn is None else \
-            GradedLinearMap.from_function(space, space, -1, d_fn)
+        self.d_map = d if isinstance(d, GradedLinearMap) else \
+            GradedLinearMap(space, space, -1) if d is None else \
+            GradedLinearMap.from_function(space, space, -1, d)
         if not self.d_map.compose(self.d_map).is_zero():
             raise self._VIOLATION("d squared is nonzero")
         if check == "full" or (check == "auto" and space.total_dim() <= self._TRIPLE_CAP):

@@ -10,11 +10,12 @@ every word up to the bound in length, filtered by weight afterwards.  And
 the free differential of a presented quotient, extended from the
 generators by the graded Leibniz rule on Fraction elements through the
 bracket (as QuotientLie extended it before its kernel ran on trees and
-ints)."""
+ints).  Each reads a basis element's tree off its label (_label_tree),
+not from the truncation's tree ids."""
 
 from fractions import Fraction
 
-from mclie.freelie import FreeLieTruncation
+from mclie.freelie import FreeLieTruncation, _label_tree, _tree_label
 from mclie.linalg import ONE, QQ, ZERO, GradedElement
 
 
@@ -45,21 +46,37 @@ def foliage(tree):
     return foliage(tree[0]) + foliage(tree[1])
 
 
+def word_weight(lie, word):
+    """The weight of a word: its letters' generator weights, summed."""
+    return sum(lie.gen_weights[i] for i in word)
+
+
+def tree_degree(lie, tree):
+    """The degree of a tree of nested pairs: its leaves' degrees, summed."""
+    return sum(lie.gen_degrees[i] for i in foliage(tree))
+
+
 class FractionKernel:
     """Reference free-Lie kernel on Fraction coefficients: tensor expansion,
-    commutator and greedy elimination, with weights and degrees recomputed
-    through foliage on every call."""
+    commutator and greedy elimination.  A basis element's tree is read off
+    its label (_label_tree, nested pairs of generator indices), never taken
+    from the truncation's own tree ids, and weights and degrees are
+    recomputed through foliage on every call."""
 
     def __init__(self, lie):
         self.lie = lie
         self.expand_cache = {}
         self.bracket_cache = {}
+        self.tree_of_label = {lab: _label_tree(lab, lie.gen_names)
+                              for n in lie.space.degrees() for lab in lie.space.labels(n)}
+        # a basis element's word is the foliage of its tree
+        self.label_of_word = {foliage(t): lab for lab, t in self.tree_of_label.items()}
 
     def degree(self, tree):
-        return self.lie.word_degree(foliage(tree))
+        return tree_degree(self.lie, tree)
 
     def weight(self, tree):
-        return self.lie.word_weight(foliage(tree))
+        return word_weight(self.lie, foliage(tree))
 
     def commutator(self, a, b, sign):
         out = {}
@@ -86,23 +103,20 @@ class FractionKernel:
         return out
 
     def rewrite_tensor(self, tensor):
-        lie = self.lie
         work = {w: c for w, c in tensor.items() if c}
         out = {}
         while work:
             s = min(work)
             c = work[s]
-            if s in lie.tree_of_word:
-                tree = lie.tree_of_word[s]
-                coeff = c
-            else:
-                half = len(s) // 2
-                if len(s) % 2 or s[:half] != s[half:]:
-                    raise ValueError("the smallest word %r is neither a Lyndon "
-                                     "word nor the square of one" % (s,))
-                tree = lie._square_words[s]
-                coeff = c / 2
-            key = (self.degree(tree), lie.label_of_tree[tree])
+            lab = self.label_of_word.get(s)
+            if lab is None:
+                raise ValueError("the smallest word %r is neither a Lyndon "
+                                 "word nor the square of one" % (s,))
+            tree = self.tree_of_label[lab]
+            # no Lyndon word is a square uu
+            half = len(s) // 2
+            coeff = c / 2 if len(s) % 2 == 0 and s[:half] == s[half:] else c
+            key = (self.degree(tree), lab)
             out[key] = out.get(key, QQ(0)) + coeff
             for w, cc in self.tensor_expand(tree).items():
                 v = work.get(w, QQ(0)) - coeff * cc
@@ -117,8 +131,8 @@ class FractionKernel:
         cached = self.bracket_cache.get(key)
         if cached is not None:
             return cached
-        t1 = self.lie.tree_of_label[lab1]
-        t2 = self.lie.tree_of_label[lab2]
+        t1 = self.tree_of_label[lab1]
+        t2 = self.tree_of_label[lab2]
         if self.weight(t1) + self.weight(t2) > self.lie.m:
             res = GradedElement()
         else:
@@ -160,7 +174,7 @@ def tensor_product(a: dict, b: dict, lie: FreeLieTruncation, max_weight: int) ->
     for w1, c1 in a.items():
         for w2, c2 in b.items():
             w = w1 + w2
-            if lie.word_weight(w) <= max_weight:
+            if word_weight(lie, w) <= max_weight:
                 _add_into(out, w, c1 * c2)
     return out
 
@@ -217,14 +231,15 @@ def bch(lie: FreeLieTruncation, a: GradedElement, b: GradedElement) -> GradedEle
 def leibniz_reference(q, label: str) -> GradedElement:
     """d(label) in the free truncation of the QuotientLie q, before the
     projection: d of a generator as presented, and
-    d[t1,t2] = [d t1, t2] + (-1)^{|t1|} [t1, d t2] on GradedElements."""
-    lie = q.free
-    tree = lie.tree_of_label[label]
+    d[t1,t2] = [d t1, t2] + (-1)^{|t1|} [t1, d t2] on GradedElements, each
+    tree read off its label."""
+    lie, names = q.free, q.free.gen_names
+    tree = _label_tree(label, names)
     if isinstance(tree, int):
-        return q.presentation.dgens.get(lie.gen_names[tree], GradedElement())
-    t1, t2 = tree
-    e1, e2 = (GradedElement({(lie.tree_degree(t), lie.label_of_tree[t]): ONE})
-              for t in tree)
-    sgn = -ONE if lie.tree_degree(t1) % 2 else ONE
-    return lie.bracket(leibniz_reference(q, lie.label_of_tree[t1]), e2) + \
-        lie.bracket(e1, leibniz_reference(q, lie.label_of_tree[t2])).scale(sgn)
+        return q.presentation.dgens.get(names[tree], GradedElement())
+    l1, l2 = (_tree_label(t, names) for t in tree)
+    e1, e2 = (GradedElement({(tree_degree(lie, t), lab): ONE})
+              for t, lab in zip(tree, (l1, l2)))
+    sgn = -ONE if tree_degree(lie, tree[0]) % 2 else ONE
+    return lie.bracket(leibniz_reference(q, l1), e2) + \
+        lie.bracket(e1, leibniz_reference(q, l2)).scale(sgn)

@@ -429,6 +429,31 @@ def test_pending_coefficient_is_an_error(args, capsys):
     assert err.startswith("parse error: ")
 
 
+@pytest.mark.parametrize("args", [
+    ["mc-verify", "sphere", "--element", "1e5000 x"],
+    ["mc-verify", "sphere", "--element", "-1/2 x + 1E-3 x"],
+    ["localize", "qxq", "--at", "1e2000000 e"],
+])
+def test_exponent_notation_is_a_parse_error(args, capsys):
+    # 1e5000 would be a 5001-digit coefficient, past what str() may print
+    rc, out, err = run_cli(args, capsys)
+    assert rc == 2 and not out
+    assert err.startswith("parse error: exponent notation is not allowed")
+    assert len(err.splitlines()) == 1
+
+
+def test_parse_rational_refuses_exponent_notation():
+    from mclie.defs import DefinitionError, parse_element, parse_rational
+    assert parse_rational("-3/7") == QQ(-3, 7) and parse_rational("1.5") == QQ(3, 2)
+    for tok in ("1e5", "2E-3", ".5e1", "-1_0e+2"):
+        with pytest.raises(DefinitionError, match="exponent notation"):
+            parse_rational(tok, 4)
+    # labels that merely hold an e are labels
+    degs = {"e": 0, "1e": 0, "e5": 0}
+    assert parse_element("2 e + 3 1e - e5", degs).coeffs == \
+        {(0, "e"): 2, (0, "1e"): 3, (0, "e5"): -1}
+
+
 @pytest.mark.parametrize("builtin, at, h0", [
     ("q", "1", 1),
     ("qxq", "1", 2),
@@ -919,7 +944,7 @@ COUNTS = {"ce": "--words", "mc-constraints": "--simplex", "mc-moduli": "--suppor
           "verify components": "--support", "minimal-model": "--arity"}
 RANGES = ["0..1", "-2..2", "2..0", "x", "1..x", "1", "..", ""]
 ELEMENTS = ["x", "a", "e", "1", "0", "2 x", "x1 + x2", "-1/2 x", "t1", "dt1",
-            "eps", "w", "1 + e", "b"]
+            "eps", "w", "1 + e", "b", "1e5000 x"]
 
 
 @st.composite

@@ -11,15 +11,15 @@ from freelie_reference import (
     filtered_lyndon_words,
     leibniz_reference,
     tensor_of_element,
+    word_weight,
 )
-from mclie.linalg import QQ, GradedElement, RowSpace
+from mclie.linalg import QQ, GradedElement, GradedLinearMap, RowSpace
 from mclie.freelie import (
     FreeLieTruncation,
     InvalidDifferential,
     InvalidPresentation,
     LiePresentation,
     TruncationTooLarge,
-    _is_square,
     _label_tree,
     _tree_label,
     build_basis,
@@ -130,7 +130,7 @@ def test_bracket_tensor_embedding_is_lie_map():
         comm = {}
         for w1, c1 in tu.items():
             for w2, c2 in tv.items():
-                if lie.word_weight(w1 + w2) > lie.m:
+                if word_weight(lie, w1 + w2) > lie.m:
                     continue
                 comm[w1 + w2] = comm.get(w1 + w2, QQ(0)) + c1 * c2
                 comm[w2 + w1] = comm.get(w2 + w1, QQ(0)) - sign * c1 * c2
@@ -328,6 +328,11 @@ def _items(elt):
     return list(elt.coeffs.items())
 
 
+def _is_square(shape):
+    """Whether a tree of nested pairs is a square (u, u)."""
+    return not isinstance(shape, int) and shape[0] == shape[1]
+
+
 @pytest.mark.parametrize("case", ["f_xa:6", "g_S:3", "heisenberg",
                                   "abelian:2:0 * abelian:1:0",
                                   "harrison omega:1:3", *FREE_CASES])
@@ -337,11 +342,11 @@ def test_integer_kernel_matches_fraction_reference(case):
     labels = [lab for n in lie.space.degrees() for lab in lie.space.labels(n)]
     assert len(labels) > 1
     for lab in labels:
-        tree = lie.tree_of_label[lab]
+        tree, shape = lie.tree_of_label[lab], _label_tree(lab, lie.gen_names)
         assert list(lie.tensor_expand(tree).items()) == \
-            list(ref.tensor_expand(tree).items())
-        assert lie.tree_weight(tree) == ref.weight(tree)
-        assert lie.tree_degree(tree) == ref.degree(tree)
+            list(ref.tensor_expand(shape).items())
+        assert lie.weight[tree] == ref.weight(shape)
+        assert lie.degree[tree] == ref.degree(shape)
     nonzero = 0
     for l1 in labels:
         for l2 in labels:
@@ -352,7 +357,7 @@ def test_integer_kernel_matches_fraction_reference(case):
     assert nonzero
     # Fraction input (the bch path): rewrite a scaled basis element back
     for lab in labels:
-        elt = GradedElement({(lie.tree_degree(lie.tree_of_label[lab]), lab): QQ(-2, 3)})
+        elt = GradedElement({(lie.degree[lie.tree_of_label[lab]], lab): QQ(-2, 3)})
         tensor = tensor_of_element(lie, elt)
         assert all(type(c) is Fraction for c in tensor.values())
         got = lie.rewrite_tensor(tensor)
@@ -383,7 +388,8 @@ def test_hall_bracket_is_graded_lie(triple):
 
 
 def test_hall_pool_has_squares():
-    squares = {JACOBI_LIE.label_of_tree[t] for t in JACOBI_LIE._square_words.values()}
+    squares = {lab for lab in JACOBI_LIE.label_of_tree
+               if _is_square(_label_tree(lab, JACOBI_LIE.gen_names))}
     assert squares & {lab for _, lab in JACOBI_POOL} == \
         {"[x,x]", "[y,y]", "[[x,a],[x,a]]", "[[a,y],[a,y]]"}
 
@@ -424,10 +430,16 @@ LABEL_CASES = {
 def test_labels_read_back_into_their_trees(case):
     lie = FreeLieTruncation(*LABEL_CASES[case])
     names = lie.gen_names
-    assert any(_is_square(t) for t in lie.label_of_tree)
-    for tree, lab in lie.label_of_tree.items():
-        assert _tree_label(tree, names) == lab
-        assert _label_tree(lab, names) == tree
+    shapes = [_label_tree(lab, names) for lab in lie.label_of_tree]
+    assert any(_is_square(shape) for shape in shapes)
+    for tree, (lab, shape) in enumerate(zip(lie.label_of_tree, shapes)):
+        assert _tree_label(shape, names) == lab
+        # the tree's id tables agree with the shape its label reads as
+        if isinstance(shape, int):
+            assert (lie.left[tree], lie.right[tree]) == (-1, shape)
+        else:
+            assert shape == tuple(_label_tree(lie.label_of_tree[t], names)
+                                  for t in (lie.left[tree], lie.right[tree]))
     bad = _tree_label((0, 1), names)
     for lab in ("", "[]", bad[:-1], bad + "]", "[%s]" % names[0], bad.replace(names[1], "?")):
         assert _label_tree(lab, names) is None, lab
@@ -524,6 +536,12 @@ def _quotient_of(case):
         # the relation is an odd generator's square
         return LiePresentation([("x", -1), ("a", 0)],
                                [GradedElement({(-2, "[x,x]"): QQ(1)})]).materialize(5)
+    elif case == "d(x) in the ideal of y":
+        # d(x) and d(d(x)) = [[x,y],y] lie in the ideal: d reaches its pivots
+        return LiePresentation([("a", 1, 2), ("x", 1, 1), ("y", -1, 2)],
+                               [GradedElement({(-1, "y"): QQ(1)})],
+                               {"x": GradedElement({(0, "[x,y]"): QQ(1), (0, "[a,y]"): QQ(-5, 7)})}
+                               ).materialize(5)
     else:
         g = build_builtin(case)
     return presentation_of(g).pres.materialize(g.weight_bound)
@@ -595,33 +613,44 @@ def test_quotient_projection_matches_dense_reference(case):
 
 
 def _check_leibniz(q):
-    """d_label on every free basis label equals the oracle's projection,
-    term for term, and the int kernel over den equals the oracle before
-    the projection; returns how many labels have a nonzero d."""
+    """The int kernel over den equals the oracle on every free basis label
+    before the projection, and its projection equals the oracle's, term
+    for term; the materialized dgla's d, built from the kernel as sparse
+    columns, equals the map read off the oracle's projections.  Returns
+    how many labels have a nonzero d."""
+    from mclie.dgla import DglaPresentation
     lie, nonzero = q.free, 0
     for n in lie.space.degrees():
         for lab in lie.space.labels(n):
             want = leibniz_reference(q, lab)
             tree = lie.tree_of_label[lab]
             assert q._free_element(q._free_d_tree(tree), q._den) == want, lab
-            got = q.d_label(lab)
+            got = q._project(q._free_d_tree(tree), q._den)
             assert _items(got) == _items(q.project(want)), lab
             assert all(type(c) is Fraction for c in got.coeffs.values())
             nonzero += not want.is_zero()
+    g = DglaPresentation(q.presentation).materialize(q.m)
+    assert g.space == q.space
+    want = GradedLinearMap.from_function(q.space, q.space, -1,
+                                         lambda n, lab: q.project(leibniz_reference(q, lab)))
+    assert g.d_map.columns == want.columns
+    assert all(type(c) is Fraction for cols in g.d_map.columns.values()
+               for col in cols for _, c in col)
     return nonzero
 
 
 @pytest.mark.parametrize("case", ["f_xa:8", "sphere", "g_S:3", "harrison omega:1:3",
                                   "heisenberg * abelian:1:0",
-                                  "heisenberg disjoint abelian:1:0", "d = 0"])
+                                  "heisenberg disjoint abelian:1:0", "d = 0",
+                                  "d(x) in the ideal of y"])
 def test_leibniz_extension_matches_fraction_reference(case):
     q = _quotient_of(case)
     nonzero = _check_leibniz(q)
     # d vanishes on the generators of both factors of the free product
     assert (nonzero == 0) == (case in ("d = 0", "heisenberg * abelian:1:0"))
-    # every other case has a d(x) = -1/2 [x,x] or a Harrison 1/2
+    # every other case has a d(x) = -1/2 [x,x], a Harrison 1/2 or a 5/7
     assert (q._den == 1) == (nonzero == 0)
-    if case.startswith("heisenberg"):
+    if case.startswith("heisenberg") or "ideal" in case:
         assert any(rs.dim() for rs in q._ideal.values())
 
 
@@ -655,6 +684,27 @@ def test_leibniz_extension_on_random_presentations(q):
     assert _check_leibniz(q)
 
 
+@pytest.mark.parametrize("case", ["f_xa:8", "g_S:3", "heisenberg * heisenberg"])
+def test_presented_dgla_builds_d_without_from_function(case, monkeypatch):
+    # the quotient hands the dgla its d as sparse columns, read off the
+    # Leibniz kernel: materializing calls no per-label d function
+    from mclie.defs import build_builtin
+    from mclie.dgla import DglaPresentation, free_product_dgla
+
+    if case == "heisenberg * heisenberg":
+        g = free_product_dgla(build_builtin("heisenberg"), build_builtin("heisenberg"), 5)
+    else:
+        g = build_builtin(case)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("from_function called")
+
+    monkeypatch.setattr(GradedLinearMap, "from_function", refuse)
+    h = DglaPresentation(g.presentation.pres).materialize(g.weight_bound)
+    assert h.space == g.space and h.d_map.columns == g.d_map.columns
+    assert h.d_map.columns or case == "heisenberg * heisenberg"
+
+
 def test_leibniz_random_presentations_reach_odd_generators_and_mixed_denominators():
     # what the derandomized test draws: an odd generator with a nonzero d,
     # generator weights 2-3, and a den divisible by 3 and 7
@@ -679,7 +729,7 @@ def test_d_squared_in_the_relation_ideal_vanishes_on_the_quotient():
                            [GradedElement({(-1, "y"): QQ(1)})],
                            {"x": GradedElement({(0, "[x,y]"): QQ(1), (0, "[a,y]"): QQ(-5, 7)})})
     q, g = _quotient_and_dgla(pres, 5)
-    x = q.free.gen_names.index("x")
+    x = q.free.tree_of_label["x"]
     dd = q._free_element(q._free_d_sum(q._free_d_tree(x).items()), q._den ** 2)
     assert dd == GradedElement({(-1, "[[x,y],y]"): QQ(1)})
     for n, lab in g.basis_items():
