@@ -4,6 +4,10 @@ localization at a cocycle, idempotent splitting, and tensors with
 polynomial forms: one construction builds both the path object
 A (x) Omega(Delta^1) and the dgla g (x) Omega(Delta^n).
 
+Every cdga here is finite, so localization A[u^-1] at a degree-0 cocycle
+and the strict factor u*A of an exact idempotent are one construction: the
+algebra on the image of u^N, for N = dim A - 1 and N = 1 respectively.
+
 Degrees are stored homologically (a cohomological degree n sits in
 homological degree -n); constructors take cohomological degrees where that
 is the natural reading and negate internally.  Truncated free algebras are
@@ -39,7 +43,6 @@ from .freelie import InvalidDifferential, TruncationTooLarge
 
 CDGA_PAIR_CAP = 80
 CDGA_TRIPLE_CAP = 26
-CELL_EXTRA_WEIGHT = 3
 
 
 class OddDegreeUnit(Exception):
@@ -65,11 +68,12 @@ class CdgaAxiomViolation(Exception):
 
 
 class LocalizationFailure(Exception):
-    """A computed localization contradicts its own construction."""
+    """A computed localization or strict factor contradicts its own
+    construction."""
 
 
 class EvenDegreeUnit(Exception):
-    """The finite-table colimit model inverts only cocycles of degree 0."""
+    """The colimit model inverts only cocycles of degree 0."""
 
 
 class TruncationNotDgStable(Exception):
@@ -661,63 +665,30 @@ def _check_localization_input(a: Cdga, u: GradedElement):
 
 
 def localize(a: Cdga, u: GradedElement):
-    """Localization A[u^-1] at an even-degree cocycle.
-
-    Finite tables with |u| = 0 use the stabilized colimit of multiplication
-    by u and return (localized cdga, localization map as a label dict);
-    truncated free algebras (or any even |u| != 0) get the weakly
-    equivalent cell model A[y, z] with d(z) = u*y - 1 and return
-    (model, None).
+    """Localization A[u^-1] at a degree-0 cocycle of a finite cdga (a
+    table or a truncated free algebra): the stabilized colimit of
+    multiplication by u, realized on the eventual image of u^N for N =
+    dim A - 1.  Returns (localized cdga, localization map as a label
+    dict).  An even |u| != 0 is refused: no finite model is built for it.
 
     H(A[u^-1]) is the localization of H(A) at [u] (exactness), which
-    localization_exactness_report verifies instance by instance on the
-    colimit path.
+    localization_exactness_report verifies instance by instance.
     """
     _check_localization_input(a, u)
     deg = u.degree()
-    if isinstance(a, FreePolynomialCdga):
-        return localize_cell(a, u), None
     if not (deg is None or deg == 0):
-        raise EvenDegreeUnit("the finite-table colimit model needs |u| = 0; "
-                             "present the algebra as a truncated free cdga "
-                             "for the cell model")
-    # multiplication by u and its N-th power: u^N e_i spans the eventual
-    # image, and u^N e_i in image coordinates is loc_map[e_i].  L_u is
-    # applied N times rather than multiplying by the element u^N, since
-    # associativity is only checked up to CDGA_TRIPLE_CAP
+        raise EvenDegreeUnit("localization inverts cocycles of degree 0 only; "
+                             "u has cohomological degree %d" % -deg)
+    # u^N e_i spans the eventual image, and u^N e_i in image coordinates is
+    # loc_map[e_i].  L_u is applied N times rather than multiplying by the
+    # element u^N, since associativity is only checked up to CDGA_TRIPLE_CAP
     mult_u = _multiplication(a, u)
     power = mult_u
     for _ in range(a.space.total_dim() - 1):
         power = mult_u.compose(power)
     counter = itertools.count()
-    inclusion, image = _image_inclusion(power, lambda n, i: "loc%d" % next(counter))
-    space = inclusion.source
-    # u^-N on the eventual image: u^-N v is the y with u^N y = v.  u^N maps
-    # the image into itself, so it is invertible there when it reaches
-    # every basis vector
-    pulled = power.compose(inclusion)
-    if any(pulled.solve(v) is None for v in image.values()):
-        raise LocalizationFailure("u is not invertible on the eventual image")
-
-    def preimage(m: GradedLinearMap, elt: GradedElement) -> GradedElement:
-        x = m.solve(elt)
-        if x is None:
-            raise LocalizationFailure("vector not in the eventual image")
-        return x
-
-    def mult_fn(d1, l1, d2, l2):
-        return preimage(pulled, a.multiply(image[l1], image[l2]))
-
-    def d_fn(n, lab):
-        return preimage(inclusion, a.d(image[lab]))
-
-    unit = preimage(inclusion, power.apply(a.unit))
-    if space.total_dim() == 0:
-        loc = Cdga(space, d_fn, mult_fn, GradedElement(), check="skip")
-    else:
-        loc = Cdga(space, d_fn, mult_fn, unit, check="auto")
-    loc_map = {lab: preimage(inclusion, power.apply(a.space.basis_element(n, lab)))
-               for n, lab in a.basis_items()}
+    loc, to_image = _image_algebra(a, power, lambda n, i: "loc%d" % next(counter))
+    loc_map = {lab: to_image(a.space.basis_element(n, lab)) for n, lab in a.basis_items()}
     return loc, loc_map
 
 
@@ -727,41 +698,49 @@ def _multiplication(a: Cdga, u: GradedElement) -> GradedLinearMap:
         a.space, a.space, 0, lambda n, lab: a.multiply(u, a.space.basis_element(n, lab)))
 
 
-def _image_inclusion(m: GradedLinearMap, name: Callable[[int, int], str]):
-    """The inclusion of the image of a degree-0 map m, and the image of
-    each label under it: degree by degree, the reduced echelon rows of m's
-    columns in pivot order, the i-th of degree n labelled name(n, i)."""
+def _image_algebra(a: Cdga, power: GradedLinearMap, name: Callable[[int, int], str]):
+    """The cdga on the image of power, a degree-0 power u^N of
+    multiplication by u, and the map x -> u^N x into it.  Its basis is, degree
+    by degree, the reduced echelon rows of power's columns in pivot order,
+    the i-th of degree n labelled name(n, i).  The product of v and w is the
+    y with u^N y = v w, so u^N must be invertible on the image; d and the
+    unit are read through the inclusion."""
     basis: dict[int, list[str]] = {}
-    rows: dict[str, GradedElement] = {}
-    for n in m.target.degrees():
-        span = RowSpace(m.target.dim(n))
-        for col in m.columns.get(n, ()):
+    image: dict[str, GradedElement] = {}
+    for n in power.target.degrees():
+        span = RowSpace(power.target.dim(n))
+        for col in power.columns.get(n, ()):
             span._add(dict(col))
-        labels = m.target.labels(n)
+        labels = power.target.labels(n)
         for i, pc in enumerate(span.pivots):
             lab = name(n, i)
             basis.setdefault(n, []).append(lab)
-            rows[lab] = GradedElement({(n, labels[j]): x
-                                       for j, x in sorted(span._rows[pc].items())})
-    return GradedLinearMap.from_function(GradedVectorSpace(basis), m.target, 0,
-                                         lambda n, lab: rows[lab]), rows
+            image[lab] = GradedElement({(n, labels[j]): x
+                                        for j, x in sorted(span._rows[pc].items())})
+    space = GradedVectorSpace(basis)
+    inclusion = GradedLinearMap.from_function(space, a.space, 0, lambda n, lab: image[lab])
+    pulled = power.compose(inclusion)
+    if any(pulled.solve(v) is None for v in image.values()):
+        raise LocalizationFailure("u is not invertible on the image of u^N")
 
+    def preimage(m: GradedLinearMap, elt: GradedElement) -> GradedElement:
+        x = m.solve(elt)
+        if x is None:
+            raise LocalizationFailure("vector not in the image of u^N")
+        return x
 
-def localize_cell(a: FreePolynomialCdga, u: GradedElement):
-    """Cell model of the localization for a truncated free cdga: adjoin y
-    (cohdeg -|u|) and z (cohdeg -1) with d(z) = u*y - 1, d(y) = 0, and
-    truncate CELL_EXTRA_WEIGHT above a.  The model has no augmentation: y
-    is nilpotent in the truncation, so eps(y) = 0, and then eps(dz) = -1
-    where a dg map needs 0."""
-    _check_localization_input(a, u)
-    cohdeg_u = -(u.degree() or 0)
-    gens = list(a.generators) + [("y", -cohdeg_u, 1), ("z", -1, 0)]
-    target_weight = a.max_weight + CELL_EXTRA_WEIGHT
-    scratch = FreePolynomialCdga(gens, target_weight, a._dgens, check="skip")
-    uy = scratch.multiply(GradedElement(u.coeffs), scratch.generator_element("y"))
-    dgens = dict(a._dgens)
-    dgens["z"] = uy - scratch.unit
-    return FreePolynomialCdga(gens, target_weight, dgens, check="auto")
+    def mult_fn(d1, l1, d2, l2):
+        return preimage(pulled, a.multiply(image[l1], image[l2]))
+
+    def d_fn(n, lab):
+        return preimage(inclusion, a.d(image[lab]))
+
+    def to_image(elt: GradedElement) -> GradedElement:
+        return preimage(inclusion, power.apply(elt))
+
+    if space.total_dim() == 0:
+        return Cdga(space, d_fn, mult_fn, GradedElement(), check="skip"), to_image
+    return Cdga(space, d_fn, mult_fn, to_image(a.unit), check="auto"), to_image
 
 
 def cohomology_algebra(a: Cdga):
@@ -815,21 +794,9 @@ def idempotent_split(a: Cdga):
 
 
 def _strict_factor(a: Cdga, u: GradedElement) -> Cdga:
-    """The direct factor u*A of an exact idempotent u."""
-    inclusion, image = _image_inclusion(_multiplication(a, u),
-                                        lambda n, i: "f%d_%d" % (n, i))
-
-    def to_factor(elt: GradedElement) -> GradedElement:
-        x = inclusion.solve(elt)
-        if x is None:
-            raise CdgaAxiomViolation("element not in the factor")
-        return x
-
-    def mult_fn(d1, l1, d2, l2):
-        return to_factor(a.multiply(image[l1], image[l2]))
-
-    return Cdga(inclusion.source, lambda n, lab: to_factor(a.d(image[lab])), mult_fn,
-                to_factor(u), check="auto")
+    """The direct factor u*A of an exact idempotent u: the image algebra of
+    multiplication by u, which acts as the identity there."""
+    return _image_algebra(a, _multiplication(a, u), lambda n, i: "f%d_%d" % (n, i))[0]
 
 
 def localization_exactness_report(a: Cdga, u: GradedElement,

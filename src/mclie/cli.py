@@ -452,6 +452,11 @@ def main(argv=None) -> int:
     if not ns.defs:
         print("error: no definitions given", file=sys.stderr)
         return 2
+    # defs bounds the numerals it reads, but an exact result may be longer
+    # than Python's default int -> str bound, and is printed whole
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         if ns.cmd in NEEDS_WEIGHT and ns.weight is None:
             raise UsageError("%s requires --weight" % ns.cmd)
@@ -474,6 +479,9 @@ def main(argv=None) -> int:
             LocalizationFailure) as e:
         print("%s: %s" % (type(e).__name__, e), file=sys.stderr)
         return 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

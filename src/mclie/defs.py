@@ -64,15 +64,32 @@ class DefinitionError(Exception):
         super().__init__(message + where)
 
 
-_EXPONENT = re.compile(r"[-+]?[\d_.]*\d[\d_.]*[eE][-+]?[\d_]+")
+# the lookahead asks for a digit before the e without backtracking over
+# every split of a long run of digits
+_EXPONENT = re.compile(r"[-+]?(?=[\d_.]*\d)[\d_.]*[eE][-+]?[\d_]+")
+_NUMERAL = re.compile(r"[-+]?[\d_./]+")
+# the most digits a numeral may have: Python's default bound on int <-> str
+# conversion, which cli.main lifts so that longer exact results still print
+MAX_DIGITS = 4300
+
+
+def _bounded(tok: str, line: Optional[int], column: Optional[int] = None) -> str:
+    digits = sum(ch.isdigit() for ch in tok)
+    if digits > MAX_DIGITS:
+        raise DefinitionError("a numeral of %d digits is longer than the %d allowed"
+                              % (digits, MAX_DIGITS), line, column)
+    return tok
 
 
 def _number(tok: str, line: Optional[int], column: Optional[int] = None) -> Optional[Fraction]:
     """tok as a rational number (an integer, p/q or a decimal), None when
     it reads as none.  Exponent notation is refused: 1e5000 would be a
-    5001-digit integer, slow to build and too long to print."""
+    5001-digit integer, slow to build and too long to print; so is a
+    numeral of more than MAX_DIGITS digits."""
     if _EXPONENT.fullmatch(tok):
         raise DefinitionError("exponent notation is not allowed, got %r" % tok, line, column)
+    if _NUMERAL.fullmatch(tok):
+        _bounded(tok, line, column)
     try:
         return QQ(tok)
     except (ValueError, ZeroDivisionError):
@@ -88,7 +105,7 @@ def parse_rational(tok: str, line: Optional[int] = None) -> Fraction:
 
 def parse_integer(tok: str, line: Optional[int] = None) -> int:
     try:
-        return int(tok)
+        return int(_bounded(tok, line))
     except ValueError:
         raise DefinitionError("expected an integer, got %r" % tok, line)
 
@@ -301,7 +318,7 @@ def build_builtin(ref: str, size: Optional[int] = None,
     def arg(i, default=None):
         if i < len(args):
             try:
-                return int(args[i])
+                return int(_bounded(args[i], None))
             except ValueError:
                 raise DefinitionError("builtin %r: argument %r is not an "
                                       "integer" % (name, args[i]))

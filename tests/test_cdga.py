@@ -26,7 +26,6 @@ from mclie.cdga import (
     idempotent_split,
     localization_exactness_report,
     localize,
-    localize_cell,
     omega_degeneracy_map,
     omega_face_map,
     omega_simplex,
@@ -253,27 +252,62 @@ def test_localize_odd_degree_rejected():
         localize(b, b.element("w"))
 
 
-def test_localize_cell_model():
-    # free cdga on one even degree-0 generator u with d = 0; inverting u
-    a = FreePolynomialCdga([("u", 0, 1)], 3, {}, {"u": QQ(0)})
-    u = a.generator_element("u")
-    out = localize_cell(a, u)
-    # z is odd with dz = u y - 1
-    z = out.generator_element("z")
-    dz = out.d(z)
-    uy = out.multiply(out.generator_element("u"), out.generator_element("y"))
-    assert dz == uy - out.unit
+def _table_copy(a):
+    """a as a FiniteTableCdga: the same basis, product table, d and unit."""
+    items = a.basis_items()
+    table = {(l1, l2): a.mult_labels(d1, l1, d2, l2)
+             for (d1, l1), (d2, l2) in itertools.product(items, repeat=2)}
+    d = {lab: a.d(a.space.basis_element(n, lab)) for n, lab in items}
+    basis = {-n: list(a.space.labels(n)) for n in a.space.degrees()}
+    (unit_label,) = [lab for _, lab in a.unit.coeffs]
+    return FiniteTableCdga(basis, table, unit_label, d, check="skip")
 
 
-def test_localize_cell_model_has_no_augmentation():
-    # eps(y) = 0 as y is nilpotent, so no eps is dg on dz = u y - 1; the
-    # 56-element model is past the construction check and is checked here
-    a = FreePolynomialCdga([("u", 0, 1)], 3, {}, {"u": QQ(0)})
-    out = localize_cell(a, a.generator_element("u"))
-    assert out.space.total_dim() == 56
-    assert out.augmentation is None
-    assert out.verify_axioms(pair_cap=0, triple_cap=0) == [
-        ("graded commutativity", 56, 0), ("Leibniz", 56, 0), ("associativity", 56, 0)]
+def _truncated_polynomial():
+    """Q[u]/u^4 as a truncated free cdga: u in degree 0 with d = 0."""
+    return FreePolynomialCdga([("u", 0, 1)], 3, {}, {"u": QQ(0)})
+
+
+FREE_LOCALIZE_CASES = [(_truncated_polynomial, "u"),
+                       (lambda: omega_simplex(1, 2), "t1"),
+                       (lambda: omega_simplex(2, 2), "t1")]
+FREE_LOCALIZE_IDS = ["truncated_polynomial", "omega_1_2", "omega_2_2"]
+
+
+@pytest.mark.parametrize("build, x", FREE_LOCALIZE_CASES, ids=FREE_LOCALIZE_IDS)
+def test_free_localization_matches_its_table_copy(build, x):
+    # a truncated free cdga is a finite cdga: localize builds on it exactly
+    # what it builds on the same table written out.  On omega, 1 + t1 and
+    # 2 - 3 t1 are not cocycles, and both copies refuse them alike
+    free = build()
+    table = _table_copy(free)
+    one, gen = free.unit, free.space.basis_element(0, x)
+    for u in (GradedElement(), one, one + gen, one.scale(QQ(2)) - gen.scale(QQ(3))):
+        outcomes = []
+        for alg in (free, table):
+            try:
+                outcomes.append(_localization_structure(alg, u))
+            except NonCocycle as e:
+                outcomes.append(str(e))
+        assert outcomes[0] == outcomes[1]
+        assert isinstance(outcomes[0], str) == (x == "t1" and u.coeff(0, x) != 0)
+
+
+@pytest.mark.parametrize("build, x", FREE_LOCALIZE_CASES, ids=FREE_LOCALIZE_IDS)
+def test_free_localization_at_a_unit_is_exact(build, x):
+    a = build()
+    one, gen = a.unit, a.space.basis_element(0, x)
+    units = [one, one.scale(QQ(-2, 3))]
+    if x == "u":
+        units += [one + gen, one.scale(QQ(2)) - gen.scale(QQ(3))]
+    for u in units:
+        loc, loc_map = localize(a, u)
+        assert loc.space.total_dim() == a.space.total_dim()
+        report = localization_exactness_report(a, u, loc)
+        assert report["pass"]
+        assert report[0] == {"H(A) localized": a.cohomology_dims()[0],
+                             "H(A[u^-1])": a.cohomology_dims()[0]}
+    assert a.cohomology_dims()[0] == (4 if x == "u" else 1)
 
 
 def random_table_cdga(rng, max_dim=8):
@@ -690,13 +724,6 @@ def test_derivations_of_ce_algebra_of_abelian_line():
     assert rep["dims"] == {1: 1}
 
 
-def test_localize_dispatches_cell_model_for_free_input():
-    a = FreePolynomialCdga([("u", 0, 1)], 3, {}, {"u": QQ(0)})
-    model, loc_map = localize(a, a.generator_element("u"))
-    assert loc_map is None
-    assert "z" in {name for name, _, _ in model.generators}
-
-
 def test_split_z_graded_uses_localization_factors():
     # a Z-graded disconnected algebra: the idempotent factors come from the
     # localization colimit rather than a strict product decomposition
@@ -731,16 +758,24 @@ def test_cohomology_algebra_raises_named_errors(monkeypatch):
         cohomology_algebra(qxq())
 
 
-def test_strict_factor_raises_named_error(monkeypatch):
-    # a product leaving u*A is an axiom violation, which cli.main maps to
-    # exit 1, not a bare ValueError
-    from mclie.cdga import _strict_factor
+def test_strict_factor_raises_named_error(monkeypatch, capsys):
+    # u*A is built like A[u^-1], so a vector leaving it is the image
+    # algebra's LocalizationFailure, which cli.main maps to exit 1, not a
+    # bare ValueError
+    from mclie.cdga import LocalizationFailure, _strict_factor
+    from mclie.cli import main
     a = build_builtin("qk:3")
     u = idempotent_split(a)[0][0]
     import mclie.cdga
     monkeypatch.setattr(mclie.cdga.Coordinates, "coords", lambda self, v: None)
-    with pytest.raises(CdgaAxiomViolation, match="not in the factor"):
+    with pytest.raises(LocalizationFailure, match="not invertible on the image"):
         _strict_factor(a, u)
+    monkeypatch.undo()
+    # through the CLI, with only the image algebra's solves failing
+    monkeypatch.setattr(mclie.cdga.GradedLinearMap, "solve", lambda self, v: None)
+    assert main(["split", "qk:3"]) == 1
+    err = capsys.readouterr().err
+    assert err == "LocalizationFailure: u is not invertible on the image of u^N\n"
 
 
 # --- construction-time axiom checks ------------------------------------------

@@ -454,6 +454,48 @@ def test_parse_rational_refuses_exponent_notation():
         {(0, "e"): 2, (0, "1e"): 3, (0, "e5"): -1}
 
 
+def test_long_exact_result_prints_whole(tmp_path, capsys):
+    # the residual (c^2 - c)/2 [x,x] of c = 2,200 sevens has 4,400 digits,
+    # past Python's default int -> str bound; main lifts it and restores it
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4321)
+    try:
+        rc, out, err = run_cli(["mc-verify", "sphere", "--element", "7" * 2200 + " x",
+                                "--json", str(tmp_path / "r.json")], capsys)
+        assert sys.get_int_max_str_digits() == 4321
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (rc, err) == (1, "")
+    assert out.endswith("maurer-cartan: FAIL\n")
+    c = (10 ** 2200 - 1) // 9 * 7
+    sys.set_int_max_str_digits(0)
+    try:
+        residual = "%d [x,x]" % ((c * c - c) // 2)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(residual) == 4400 + len(" [x,x]")
+    assert "  residual = %s  [exact]\n" % residual in out
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["results"]["residual"]["value"] == residual
+    # a numeral of exactly the bound still reads
+    from mclie.defs import parse_element
+    assert parse_element("7" * 4300 + " x", {"x": -1}).coeff(-1, "x") == \
+        (10 ** 4300 - 1) // 9 * 7
+
+
+@pytest.mark.parametrize("args, digits", [
+    (["mc-verify", "sphere", "--element", "7" * 5000 + " x"], 5000),
+    (["mc-verify", "sphere", "--element", "x + -1/" + "3" * 4301 + " x"], 4302),
+    (["localize", "qxq", "--at", "1." + "5" * 4400 + " e"], 4401),
+    (["mc-moduli", "g_S:" + "1" * 4301], 4301),
+])
+def test_numeral_over_the_digit_bound_is_a_parse_error(args, digits, capsys):
+    rc, out, err = run_cli(args, capsys)
+    assert (rc, out) == (2, "")
+    assert err == ("parse error: a numeral of %d digits is longer than the 4300 "
+                   "allowed\n" % digits)
+
+
 @pytest.mark.parametrize("builtin, at, h0", [
     ("q", "1", 1),
     ("qxq", "1", 2),
@@ -983,3 +1025,58 @@ def test_every_argv_exits_cleanly(argv):
             assert ": FAIL" in out.getvalue()
         else:
             assert len(lines) == 1
+
+
+LONG_NUMERALS = st.tuples(st.sampled_from(["", "-", "+"]), st.sampled_from("123456789"),
+                          st.integers(4000, 5000)).map(lambda t: t[0] + t[1] * t[2])
+COEFFICIENT_TOKENS = st.one_of(
+    LONG_NUMERALS, LONG_NUMERALS,
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.tuples(st.integers(-99, 99), st.integers(0, 99)).map(lambda pq: "%d/%d" % pq),
+    st.tuples(st.integers(-99, 99), st.integers(0, 999)).map(lambda ab: "%d.%d" % ab),
+    st.sampled_from([".5", "5.", "+3", "-0", "+-3", "1_000", "1__0", "-", "+", "/",
+                     "1/", "/2", "1e5", "2E-3", "-.5e1", "1e2000000", "1_0e+2"]))
+LABEL_TOKENS = st.sampled_from(["x", "x", "x", "[x,x]", "[x,[x,x]]", "[[x,x],x]", "[x",
+                                "x]", "[x,x", "[]", "[,]", "[x,y]", "y", "1", "0"])
+
+
+@st.composite
+def element_texts(draw):
+    parts = [draw(st.sampled_from(["", "", "-", "+", "- "]))]
+    for i in range(draw(st.integers(1, 3))):
+        if i:
+            parts.append(draw(st.sampled_from([" + ", " - ", " +", " -", " "])))
+        if draw(st.integers(0, 3)):
+            parts.append(draw(COEFFICIENT_TOKENS) + " ")
+        if draw(st.integers(0, 5)):
+            parts.append(draw(LABEL_TOKENS))
+    return "".join(parts)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(element_texts())
+def test_generated_coefficients_parse_or_exit_cleanly(text):
+    # parse_element parses or raises DefinitionError; mc-verify exits 0, 1
+    # or 2, writes one stderr line unless a verdict failed, and never lets
+    # an exception out, whatever the numeral's length
+    from mclie.defs import DefinitionError, element_degrees, parse_element
+    from mclie.dgla import sphere_dgla
+    try:
+        parse_element(text, element_degrees(sphere_dgla()))
+    except DefinitionError:
+        pass
+    limit = sys.get_int_max_str_digits()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        # joined to its flag, so that argparse does not read "-x" as one
+        rc = main(["mc-verify", "sphere", "--element=" + text])
+    assert sys.get_int_max_str_digits() == limit
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    lines = err.getvalue().splitlines()
+    if rc == 1 and not lines:
+        assert out.getvalue().endswith("maurer-cartan: FAIL\n")
+    elif rc:
+        assert len(lines) == 1
+    else:
+        assert not lines
