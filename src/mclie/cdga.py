@@ -6,7 +6,7 @@ A (x) Omega(Delta^1) and the dgla g (x) Omega(Delta^n).
 
 Every cdga here is finite, so localization A[u^-1] at a degree-0 cocycle
 and the strict factor u*A of an exact idempotent are one construction: the
-algebra on the image of u^N, for N = dim A - 1 and N = 1 respectively.
+algebra on the image of u^N, for N = dim A and N = 1 respectively.
 
 Degrees are stored homologically (a cohomological degree n sits in
 homological degree -n); constructors take cohomological degrees where that
@@ -668,7 +668,7 @@ def localize(a: Cdga, u: GradedElement):
     """Localization A[u^-1] at a degree-0 cocycle of a finite cdga (a
     table or a truncated free algebra): the stabilized colimit of
     multiplication by u, realized on the eventual image of u^N for N =
-    dim A - 1.  Returns (localized cdga, localization map as a label
+    dim A.  Returns (localized cdga, localization map as a label
     dict).  An even |u| != 0 is refused: no finite model is built for it.
 
     H(A[u^-1]) is the localization of H(A) at [u] (exactness), which
@@ -680,16 +680,30 @@ def localize(a: Cdga, u: GradedElement):
         raise EvenDegreeUnit("localization inverts cocycles of degree 0 only; "
                              "u has cohomological degree %d" % -deg)
     # u^N e_i spans the eventual image, and u^N e_i in image coordinates is
-    # loc_map[e_i].  L_u is applied N times rather than multiplying by the
-    # element u^N, since associativity is only checked up to CDGA_TRIPLE_CAP
-    mult_u = _multiplication(a, u)
-    power = mult_u
-    for _ in range(a.space.total_dim() - 1):
-        power = mult_u.compose(power)
+    # loc_map[e_i]
     counter = itertools.count()
-    loc, to_image = _image_algebra(a, power, lambda n, i: "loc%d" % next(counter))
+    loc, to_image = _image_algebra(a, _eventual_power(a, u),
+                                   lambda n, i: "loc%d" % next(counter))
     loc_map = {lab: to_image(a.space.basis_element(n, lab)) for n, lab in a.basis_items()}
     return loc, loc_map
+
+
+def _eventual_power(a: Cdga, u: GradedElement) -> GradedLinearMap:
+    """L_u^N for N = dim A (at least 1), L_u multiplication by u, by
+    repeated squaring: the rank of L_u^k stops falling by k = dim A, so the
+    image of L_u^N is the eventual image.  Powers of L_u are composed rather
+    than the element u^N formed, since associativity is only checked up to
+    CDGA_TRIPLE_CAP."""
+    square = _multiplication(a, u)
+    power = None
+    n = max(a.space.total_dim(), 1)
+    while True:
+        if n & 1:
+            power = square if power is None else square.compose(power)
+        n >>= 1
+        if not n:
+            return power
+        square = square.compose(square)
 
 
 def _multiplication(a: Cdga, u: GradedElement) -> GradedLinearMap:

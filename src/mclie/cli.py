@@ -9,6 +9,7 @@ to its exactness or stabilization flag.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -370,6 +371,8 @@ COMMANDS = {
 NEEDS_WEIGHT = {"harrison", "free-product", "disjoint-product"}
 
 
+# built on first use and shared by every main() call; never mutate it
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mclie",
@@ -429,13 +432,20 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _bind_negative_range(argv: list[str]) -> list[str]:
-    """argparse reads "-2..0" after --range as an option; join such a value
-    to its flag, as --range=-2..0."""
+# flags whose value may begin with "-": a degree range such as -2..0, or
+# an element such as -x
+DASH_VALUE_FLAGS = ("--range", "--element", "--at")
+
+
+def _bind_dash_values(argv: list[str]) -> list[str]:
+    """argparse reads a value that begins with "-" as an option; join such
+    a value to its flag, as --range=-2..0 or --at=-e, unless it is itself
+    an option (-h, --json)."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] == "--range" and arg.startswith("-") and arg[1:2].isdigit():
-            out[-1] = "--range=" + arg
+        if (out and out[-1] in DASH_VALUE_FLAGS and arg.startswith("-")
+                and not arg.startswith("--") and arg != "-h"):
+            out[-1] += "=" + arg
         else:
             out.append(arg)
     return out
@@ -445,7 +455,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = make_parser()
     try:
-        ns = parser.parse_args(_bind_negative_range(argv))
+        ns = parser.parse_args(_bind_dash_values(argv))
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     ns.defs = list(ns.defs) + ["builtin:%s" % b for b in ns.builtin]

@@ -31,6 +31,8 @@ from mclie.cdga import (
     omega_simplex,
     path_object,
     tensor_dgla_forms,
+    _eventual_power,
+    _multiplication,
 )
 from test_acceptance import random_table_cdga as acceptance_table_cdga
 
@@ -455,8 +457,9 @@ def assert_same_localization(a, u):
         localization_exactness_report(a, u)
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_localize_matches_per_product_reference(seed):
+def _seeded_table_at_cocycle(seed):
+    """A seeded random table and a random combination of its degree-0
+    cocycles."""
     rng = random.Random(seed)
     a = random_table_cdga(rng)
     cocycles = [lab for n, lab in a.basis_items()
@@ -464,7 +467,36 @@ def test_localize_matches_per_product_reference(seed):
     u = GradedElement()
     for lab in cocycles:
         u = u + a.element(lab).scale(QQ(rng.randrange(-2, 3)))
-    assert_same_localization(a, u)
+    return a, u
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_localize_matches_per_product_reference(seed):
+    assert_same_localization(*_seeded_table_at_cocycle(seed))
+
+
+def _power_cases():
+    cases = [_seeded_table_at_cocycle(seed) for seed in range(12)]
+    omega = omega_simplex(3, 3)
+    cases.append((omega, omega.unit))
+    quv = FreePolynomialCdga([("u", 0, 1), ("v", 0, 1)], 3, {}, {"u": QQ(0), "v": QQ(0)})
+    cases.append((quv, quv.unit.scale(QQ(2)) - quv.space.basis_element(0, "u").scale(QQ(3))))
+    q = build_builtin("q")
+    cases.append((q, q.unit.scale(QQ(3))))  # dim A = 1: L_u itself
+    return cases
+
+
+def test_eventual_power_by_squaring_matches_repeated_composition():
+    # L_u^(dim A) by squaring: the columns, dict order included, of L_u
+    # composed with itself dim A - 1 times
+    for a, u in _power_cases():
+        mult_u = _multiplication(a, u)
+        ref = mult_u
+        for _ in range(a.space.total_dim() - 1):
+            ref = mult_u.compose(ref)
+        power = _eventual_power(a, u)
+        assert (power.source, power.target, power.shift) == (ref.source, ref.target, ref.shift)
+        assert list(power.columns.items()) == list(ref.columns.items())
 
 
 @pytest.mark.parametrize("coeffs", [

@@ -2,6 +2,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import random
 import sys
 import time
 
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mclie.cli import main
+from mclie.cli import main, make_parser
 from mclie.defs import BUILTIN_HELP
 from mclie.linalg import QQ, GradedElement
 
@@ -773,6 +775,84 @@ def test_range_filters_degrees(capsys):
             if line.startswith("  H^")] == ["  H^-2", "  H^-1", "  H^0"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["mc-verify", "sphere", "--element", "-x"],
+    ["mc-verify", "sphere", "--element", "- 2 x"],
+    ["mc-verify", "sphere", "--element", "-1/2 x + 3 x"],
+    ["localize", "qxq", "--at", "-e"],
+    ["localize", "qxq", "--at", "-2 1 + e"],
+    ["localize", "--at", "-e", "qxq"],
+])
+def test_element_values_may_begin_with_a_minus(argv, capsys):
+    # read as the value of its flag, as if joined with "="; the report
+    # echoes the command line as given
+    i = argv.index("--element" if "--element" in argv else "--at")
+    joined = argv[:i] + [argv[i] + "=" + argv[i + 1]] + argv[i + 2:]
+    rc, out, err = run_cli(argv, capsys)
+    rc_joined, out_joined, err_joined = run_cli(joined, capsys)
+    assert (rc, out.splitlines()[1:], err) == \
+        (rc_joined, out_joined.splitlines()[1:], err_joined)
+    assert rc in (0, 1) and err == ""
+    assert out.splitlines()[0] == "command: " + " ".join(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["localize", "qxq", "--at", "--json"],
+    ["localize", "qxq", "--at", "-h"],
+    ["mc-verify", "sphere", "--element", "--builtin", "x"],
+])
+def test_an_option_after_an_element_flag_stays_an_option(argv, capsys):
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.splitlines()[-1].endswith("expected one argument")
+
+
+def test_parser_reuse_leaks_no_state(tmp_path):
+    # main builds its parser once per process: every argv, in any order,
+    # gives what it gives on a freshly built parser
+    json_out = str(tmp_path / "out.json")
+    argvs = [
+        ["check", "--builtin", "sphere", "--builtin", "qxq"],
+        ["check", "heisenberg"],
+        ["--help"],
+        ["ce", "--help"],
+        ["nonsense", "sphere"],
+        ["ce", "heisenberg"],
+        ["localize", "qxq"],
+        ["ce", "f_xa:3", "--words", "3", "--range", "-2..0"],
+        ["homology", "heisenberg", "--range", "-2..0", "--json", json_out],
+        ["mc-verify", "sphere", "--element", "-x", "--json", json_out],
+        ["localize", "--builtin", "qxq", "--at", "-e"],
+        ["localize", "qk:2", "--at", "e1"],
+    ]
+
+    def run(argv):
+        if os.path.exists(json_out):
+            os.remove(json_out)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        payload = None
+        if os.path.exists(json_out):
+            with open(json_out) as f:
+                payload = f.read()
+        return rc, out.getvalue(), err.getvalue(), payload
+
+    fresh = []
+    for argv in argvs:
+        make_parser.cache_clear()
+        fresh.append(run(argv))
+    assert [r[0] for r in fresh] == [0, 0, 0, 0, 2, 2, 2, 0, 0, 1, 0, 0]
+    order = list(range(len(argvs))) + random.Random(31).sample(range(len(argvs)),
+                                                                len(argvs))
+    make_parser.cache_clear()
+    for i in order:
+        assert run(argvs[i]) == fresh[i], argvs[i]
+    info = make_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(order) - 1)
+
+
 @pytest.mark.parametrize("args, message", [
     (["mc-verify", "heisenberg", "--element", "a"],
      "DegreeMismatch: MC candidates must be homogeneous of degree -1"),
@@ -1068,8 +1148,7 @@ def test_generated_coefficients_parse_or_exit_cleanly(text):
     limit = sys.get_int_max_str_digits()
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        # joined to its flag, so that argparse does not read "-x" as one
-        rc = main(["mc-verify", "sphere", "--element=" + text])
+        rc = main(["mc-verify", "sphere", "--element", text])
     assert sys.get_int_max_str_digits() == limit
     assert rc in (0, 1, 2)
     assert "Traceback" not in out.getvalue() + err.getvalue()
