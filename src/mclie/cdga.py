@@ -35,7 +35,7 @@ from .linalg import (
     linear_combination,
     _DgAlgebra,
     _accumulate,
-    _element_of,
+    _fractions,
 )
 from . import freelie
 from .dgla import Dgla
@@ -83,8 +83,9 @@ class TruncationNotDgStable(Exception):
 
 class Cdga(_DgAlgebra):
     """Common interface: graded space (homological degrees), a differential
-    d_fn(n, label), lazy basis products mult_fn(deg1, label1, deg2,
-    label2) (see _DgAlgebra), unit element, optional augmentation."""
+    (a GradedLinearMap, or d_fn(n, label)), lazy basis products
+    mult_fn(deg1, label1, deg2, label2) (see _DgAlgebra), unit element,
+    optional augmentation."""
 
     _SIGN = ONE
     _SYMMETRY = "graded commutativity"
@@ -93,7 +94,7 @@ class Cdga(_DgAlgebra):
     _TRIPLE_CAP = CDGA_TRIPLE_CAP
 
     def __init__(self, space: GradedVectorSpace,
-                 d_fn: Optional[Callable[[int, str], GradedElement]],
+                 d_fn: "GradedLinearMap | Callable[[int, str], GradedElement] | None",
                  mult_fn: Callable[[int, str, int, str], GradedElement],
                  unit: GradedElement,
                  augmentation: Optional[Mapping[str, Fraction]] = None,
@@ -229,7 +230,9 @@ class FreePolynomialCdga(Cdga):
     generators: (name, cohomological degree) or (name, cohdeg, weight).
     weights maps each basis monomial to its truncation weight, so the
     cells of its homology report are (truncation weight, degree) whenever
-    d shifts every truncation weight alike.
+    d shifts every truncation weight alike.  d is built once, by the
+    Leibniz rule on monomial tuples and ints over the lcm _den of the
+    generator differentials' denominators, and handed over as int blocks.
     """
 
     def __init__(self, generators: Sequence[tuple], max_weight: int,
@@ -288,7 +291,7 @@ class FreePolynomialCdga(Cdga):
 
         aug = None if self._aug_gens is None else self._evaluation(self._aug_gens)
         unit = GradedElement({(0, "1"): ONE})
-        super().__init__(space, self._d_label_build, self._mult_labels_build, unit, aug, check)
+        super().__init__(space, self._d_build(space), self._mult_labels_build, unit, aug, check)
 
     def _evaluation(self, values: Mapping[str, Fraction]) -> dict[str, Fraction]:
         """The algebra map to Q with the given generator values (0 where
@@ -408,14 +411,23 @@ class FreePolynomialCdga(Cdga):
         lab = self._label_of_mono[merged]
         return GradedElement({(-self._mono_cohdeg(merged), lab): sign})
 
-    def _d_label_build(self, n, lab) -> GradedElement:
-        """d of a basis monomial by the graded Leibniz rule, on monomial
-        tuples and ints over _den.  The letter x^e gives e terms
+    def _d_build(self, space: GradedVectorSpace) -> GradedLinearMap:
+        """d as int blocks over _den: each basis monomial's column from
+        _d_mono, at the positions of its terms one degree below."""
+        blocks = {}
+        for n in space.degrees():
+            blocks[n] = ([sorted((space.index(n - 1, self._label_of_mono[m]), v)
+                                 for m, v in self._d_mono(self._mono_of_label[lab]).items())
+                          for lab in space.labels(n)], self._den)
+        return GradedLinearMap._from_blocks(space, space, -1, blocks)
+
+    def _d_mono(self, mono) -> dict[tuple, int]:
+        """_den d of a basis monomial by the graded Leibniz rule, as
+        {monomial: int} on monomial tuples.  The letter x^e gives e terms
         (-1)^(|letters before x|) (before) d(x) (after) = e t (mono / x) per
         term t of d(x): the Koszul sign stays for odd x and cancels for even
         x, against moving the odd t to the front.  A product with an odd
         square, or over max_weight and so no basis monomial, is dropped."""
-        mono = self._mono_of_label[lab]
         acc: dict[tuple, int] = {}
         parity = 0
         for p, (i, e) in enumerate(mono):
@@ -436,8 +448,7 @@ class FreePolynomialCdga(Cdga):
                         del acc[merged]
             # an odd letter has exponent 1
             parity ^= self._odd[i]
-        return _element_of({(n - 1, self._label_of_mono[m]): Fraction(v, self._den)
-                            for m, v in acc.items()})
+        return acc
 
     def rebuild(self, max_weight: int, check: str = "skip") -> "FreePolynomialCdga":
         return FreePolynomialCdga(self.generators, max_weight, self._dgens,
@@ -723,8 +734,9 @@ def _image_algebra(a: Cdga, power: GradedLinearMap, name: Callable[[int, int], s
     image: dict[str, GradedElement] = {}
     for n in power.target.degrees():
         span = RowSpace(power.target.dim(n))
-        for col in power.columns.get(n, ()):
-            span._add(dict(col))
+        cols, den = power._blocks.get(n, ((), 1))
+        for col in cols:
+            span._add(_fractions(col, den))
         labels = power.target.labels(n)
         for i, pc in enumerate(span.pivots):
             lab = name(n, i)

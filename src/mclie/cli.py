@@ -120,10 +120,14 @@ def _nonnegative_int(text: str) -> int:
 def _parse_range(text: str) -> tuple[int, int]:
     try:
         lo, hi = text.split("..")
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
     except ValueError:
         raise argparse.ArgumentTypeError("expected a degree range a..b, got %s"
                                          % text)
+    if lo > hi:
+        raise argparse.ArgumentTypeError(
+            "expected a degree range a..b with a <= b, got %s" % text)
+    return lo, hi
 
 
 # the kind of definition each subcommand takes; check and homology take both
@@ -255,7 +259,13 @@ def cmd_mc_moduli(ns, argv) -> int:
     flag = "complete" if moduli.kind == "gauge-orbits" else moduli.kind
     if moduli.support is not None:
         flag += ", support %d" % moduli.support
-    rep.value("classes", moduli.count(), flag)
+    # pi_0 of an abelian dgla is the vector space H_-1: when it is nonzero
+    # the representatives are a basis of it, not the classes
+    dim = moduli.dims.get("H_-1", 0)
+    if moduli.kind == "abelian-linear" and dim:
+        rep.value("classes", "Q^%d" % dim, flag + ", basis of H_-1")
+    else:
+        rep.value("classes", moduli.count(), flag)
     for i, r in enumerate(moduli.representatives):
         rep.line("  class %d: %r" % (i, r))
     rep.verdict("completeness-certificate", True)

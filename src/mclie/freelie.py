@@ -20,7 +20,7 @@ it saturates the relation ideal, bracketing with the generators what the
 ideal leaves of each element that enlarges it; it projects onto the
 quotient; and it extends its free differential by the Leibniz rule,
 checked on construction to descend to the truncation and to the quotient,
-into the dgla's sparse columns, one Fraction per nonzero entry.
+into the dgla's sparse int columns over one denominator.
 
 The expansion of a basis bracket in the tensor algebra is triangular with
 smallest word its Lyndon word, so a greedy elimination rewrites a Lie
@@ -50,6 +50,7 @@ from .linalg import (
     GradedVectorSpace,
     RowSpace,
     _accumulate,
+    _cleared,
     _element_of,
 )
 
@@ -444,9 +445,11 @@ class QuotientLie:
     carries a weight witness and brackets remain weight-filtered.  The
     differential is the presentation's, extended to the free algebra by
     the graded Leibniz rule on ints as den d(tree), where den is the lcm of
-    the denominators of d on the generators.  d_map reduces that of each
-    surviving column against the ideal one degree below and divides by
-    den there, one Fraction per nonzero entry of the quotient's d.
+    the denominators of d on the generators.  d_map hands the quotient's d
+    to its GradedLinearMap as those ints over den, one block per degree:
+    as they are where the ideal one degree below has no rows (a free
+    presentation), else reduced against them first, with the rows'
+    denominators cleared into the block's.
     """
 
     def __init__(self, presentation: LiePresentation, m: int):
@@ -626,19 +629,25 @@ class QuotientLie:
         return self._project(lie._hall(t1, t2))
 
     def d_map(self) -> GradedLinearMap:
-        """d on the quotient as sparse columns: den d of each surviving
-        column, reduced against the ideal one degree below, at the quotient
-        positions, over den."""
-        columns = {}
+        """d on the quotient as int blocks over den: den d of each surviving
+        column at the quotient positions, reduced against the ideal one
+        degree below when that has rows (and its denominators cleared)."""
+        blocks = {}
         for deg, keep in self._kept.items():
             below, rank = self._ideal.get(deg - 1), self._kept.get(deg - 1)
             cols, pos, out = self._columns[deg], self._pos, []
+            if below is None or not below._rows:
+                # nothing to reduce: every column below survives in place
+                for i in keep:
+                    out.append(sorted((pos[s], c) for s, c in self._free_d_tree(cols[i]).items()))
+                blocks[deg] = (out, self._den)
+                continue
             for i in keep:
                 dt = self._free_d_tree(cols[i])
                 v = below._reduce({pos[s]: c for s, c in dt.items()}) if dt else dt
-                out.append([(rank[j], Fraction(v[j], self._den)) for j in sorted(v)])
-            columns[deg] = out
-        return GradedLinearMap(self.space, self.space, -1, columns)
+                out.append([(rank[j], v[j]) for j in sorted(v)])
+            blocks[deg] = _cleared(out, self._den)
+        return GradedLinearMap._from_blocks(self.space, self.space, -1, blocks)
 
 
 # ---------------------------------------------------------------------------

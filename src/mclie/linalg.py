@@ -5,11 +5,14 @@ when read), the core that dglas and cdgas share (with their one axiom
 checker), and the primitive idempotents of a split commutative algebra in
 degree 0: H^0 of a cdga, held as a Cdga with zero differential.
 
-All arithmetic is exact, on fractions.Fraction or, where a kernel clears
-denominators first (GradedLinearMap.compose), on Python ints; there is no
-floating point anywhere.  Vectors are sparse, in and out: {index: Fraction}
-dicts of nonzero entries, as GradedVectorSpace.to_vector returns them and
-from_vector reads them.  Linear maps are stored as sparse columns.
+All arithmetic is exact, on fractions.Fraction or on Python ints; there is
+no floating point anywhere.  Vectors are sparse, in and out: {index:
+Fraction} dicts of nonzero entries, as GradedVectorSpace.to_vector returns
+them and from_vector reads them.  A linear map stores each degree once, as
+sparse int columns over one least denominator: the presented dgla's d and a
+truncated free cdga's d arrive as ints, compose (and so the d*d check)
+multiplies ints, and a reader builds a Fraction only for an entry it hands
+out.
 RowSpace, an incremental reduced row echelon form, is the one row reducer
 and takes only sparse vectors: the homology cells and cycles, the
 quotient Lie algebras, Coordinates and the cdga constructions all feed it
@@ -386,14 +389,36 @@ def linear_combination(pairs: Iterable[tuple[Fraction, GradedElement]]) -> Grade
     return _element_of(out)
 
 
+def _cleared(cols: Sequence[Sequence[tuple[int, "int | Fraction"]]], den: int = 1):
+    """Columns whose entries are ints or Fractions, all over den, as (int
+    columns, denominator): every entry scaled by the lcm of the entries'
+    denominators, and den by it too."""
+    m = math.lcm(*(x.denominator for col in cols for _, x in col))
+    return [[(i, x.numerator * (m // x.denominator)) for i, x in col]
+            for col in cols], den * m
+
+
+def _fractions(col: Sequence[tuple[int, int]], den: int) -> dict[int, Fraction]:
+    """An int column over den as a sparse {row: Fraction} vector."""
+    return {i: QQ(x, den) for i, x in col}
+
+
 class GradedLinearMap:
     """Degree-homogeneous linear map between graded spaces.
 
-    Stored as sparse columns: columns[n][j] lists the (row, coefficient)
-    pairs of the image of the j-th basis vector of degree n, in degree
-    n + shift, rows ascending and zero entries never stored.  Degrees whose
-    columns are all zero are dropped.  apply, compose, is_zero and solve
-    work on the columns at a cost of O(nonzero entries).
+    Each degree is stored once, as one block of sparse int columns over one
+    positive denominator: _blocks[n] = (cols, den), where cols[j] lists the
+    (row, int) pairs of den times the image of the j-th basis vector of
+    degree n, in degree n + shift, rows ascending and zero entries never
+    stored.  den is the least one: its gcd with the block's entries is 1.
+    Degrees whose columns are all zero are dropped.  apply, compose,
+    is_zero and solve work on the blocks at a cost of O(nonzero entries),
+    and build a Fraction only for an entry they hand out.
+
+    The constructor and from_function take columns of Fractions and clear
+    their denominators once; a builder that already holds ints over one
+    denominator hands them over as they are, through _from_blocks.
+    columns reads the blocks back as Fractions, built on each read.
     """
 
     def __init__(self, source: GradedVectorSpace, target: GradedVectorSpace,
@@ -401,9 +426,38 @@ class GradedLinearMap:
         self.source = source
         self.target = target
         self.shift = shift
-        self.columns: dict[int, list[list[tuple[int, Fraction]]]] = {
-            n: cols for n, cols in (columns or {}).items() if any(cols)}
+        self._blocks = self._reduced({n: _cleared(cols) for n, cols in (columns or {}).items()})
         self._coordinates: dict[int, Coordinates] = {}
+
+    @classmethod
+    def _from_blocks(cls, source: GradedVectorSpace, target: GradedVectorSpace,
+                     shift: int, blocks: Mapping[int, tuple[list, int]]) -> "GradedLinearMap":
+        """The map with the given blocks {n: (int columns, den > 0)}, each
+        reduced to its least denominator."""
+        m = cls(source, target, shift)
+        m._blocks = cls._reduced(blocks)
+        return m
+
+    @staticmethod
+    def _reduced(blocks: Mapping[int, tuple[list, int]]) -> dict[int, tuple[list, int]]:
+        """The nonzero blocks, each divided by the gcd of its denominator
+        and its entries."""
+        out = {}
+        for n, (cols, den) in blocks.items():
+            if not any(cols):
+                continue
+            g = math.gcd(den, *(x for col in cols for _, x in col)) if den != 1 else 1
+            if g != 1:
+                cols, den = [[(i, x // g) for i, x in col] for col in cols], den // g
+            out[n] = (cols, den)
+        return out
+
+    @property
+    def columns(self) -> dict[int, list[list[tuple[int, Fraction]]]]:
+        """The columns as Fractions, {n: [[(row, Fraction)]]}, built on each
+        read from the blocks."""
+        return {n: [[(i, QQ(x, den)) for i, x in col] for col in cols]
+                for n, (cols, den) in self._blocks.items()}
 
     @classmethod
     def from_function(cls, source: GradedVectorSpace, target: GradedVectorSpace,
@@ -425,12 +479,17 @@ class GradedLinearMap:
         return cls(source, target, shift, columns)
 
     def apply(self, elt: GradedElement) -> GradedElement:
+        """The image of elt: den times it summed per target degree, then
+        one division per nonzero coefficient."""
         out: dict[tuple[int, str], Fraction] = {}
+        dens: dict[int, int] = {}
         for (n, lab), c in elt.coeffs.items():
-            cols = self.columns.get(n)
-            if cols is None:
+            block = self._blocks.get(n)
+            if block is None:
                 continue
+            cols, den = block
             m = n + self.shift
+            dens[m] = den
             tlabels = self.target.labels(m)
             for i, a in cols[self.source.index(n, lab)]:
                 key = (m, tlabels[i])
@@ -439,36 +498,35 @@ class GradedLinearMap:
                     out[key] = s
                 else:
                     out.pop(key, None)
-        return _element_of(out)
+        return _element_of({key: s / dens[key[0]] if dens[key[0]] != 1 else s
+                            for key, s in out.items()})
 
     def compose(self, other: "GradedLinearMap") -> "GradedLinearMap":
-        """self after other, on ints: each block is scaled by the lcm of its
-        denominators, and a Fraction is built only for a nonzero sum."""
+        """self after other, on ints: a block of the product is the product
+        of the two int blocks over the product of their denominators,
+        reduced to its least denominator (so the squarings of a power keep
+        it small)."""
         if other.target is not self.source and other.target != self.source:
             raise ValueError("composition spaces do not match")
-        columns = {}
-        for n, cols1 in other.columns.items():
-            cols2 = self.columns.get(n + other.shift)
-            if cols2 is None:
+        blocks = {}
+        for n, (cols1, den1) in other._blocks.items():
+            block2 = self._blocks.get(n + other.shift)
+            if block2 is None:
                 continue
-            den1, den2 = (math.lcm(*(c.denominator for col in cols for _, c in col))
-                          for cols in (cols1, cols2))
-            ints2 = [[(i, b.numerator * (den2 // b.denominator)) for i, b in col]
-                     for col in cols2]
+            cols2, den2 = block2
             out = []
             for col in cols1:
                 acc: dict[int, int] = {}
                 for k, a in col:
-                    a = a.numerator * (den1 // a.denominator)
-                    for i, b in ints2[k]:
+                    for i, b in cols2[k]:
                         acc[i] = acc.get(i, 0) + b * a
-                out.append([(i, QQ(c, den1 * den2)) for i, c in sorted(acc.items()) if c])
-            columns[n] = out
-        return GradedLinearMap(other.source, self.target, self.shift + other.shift,
-                               columns)
+                out.append([(i, c) for i, c in sorted(acc.items()) if c])
+            blocks[n] = (out, den1 * den2)
+        return GradedLinearMap._from_blocks(other.source, self.target,
+                                            self.shift + other.shift, blocks)
 
     def is_zero(self) -> bool:
-        return not self.columns
+        return not self._blocks
 
     def solve(self, target_elt: GradedElement) -> Optional[GradedElement]:
         """Some preimage under the map, or None.  Deterministic: reduced row
@@ -479,8 +537,8 @@ class GradedLinearMap:
         for d in dict.fromkeys(d for d, _ in target_elt.coeffs):
             n = d - self.shift
             if n not in self._coordinates:
-                cols = self.columns.get(n) or [()] * self.source.dim(n)
-                self._coordinates[n] = Coordinates([dict(col) for col in cols],
+                cols, den = self._blocks.get(n, ([()] * self.source.dim(n), 1))
+                self._coordinates[n] = Coordinates([_fractions(col, den) for col in cols],
                                                    self.target.dim(d))
             x = self._coordinates[n].coords(
                 self.target.to_vector(target_elt.homogeneous_part(d), d))
@@ -503,9 +561,10 @@ class _DgAlgebra:
     product_fn(deg1, label1, deg2, label2) -> GradedElement is evaluated
     lazily with a cache, so large truncated quotients never materialize a
     full structure-constant table.  The differential d is a GradedLinearMap
-    of shift -1 on space (a presented dgla's quotient builds its own), None
-    for the zero map, or d(n, label) -> GradedElement, read once the cache
-    exists, so that it may multiply.  d*d = 0 is always checked; the
+    of shift -1 on space (a presented dgla's quotient and a truncated free
+    cdga build their own, as int blocks), None for the zero map, or
+    d(n, label) -> GradedElement, read once the cache exists, so that it
+    may multiply.  d*d = 0 is always checked, by composing d with itself; the
     subclass's verify_axioms runs when check is "full", or "auto" with at
     most _TRIPLE_CAP basis elements.
 
@@ -624,8 +683,8 @@ class _DgAlgebra:
         out: list[dict[int, Fraction]] = []
         for n in self.space.degrees():
             start[n] = len(out)
-            cols = self.d_map.columns.get(n) or [()] * self.space.dim(n)
-            out.extend({start[n - 1] + r: c for r, c in col} for col in cols)
+            cols, den = self.d_map._blocks.get(n, ([()] * self.space.dim(n), 1))
+            out.extend({start[n - 1] + r: QQ(x, den) for r, x in col} for col in cols)
         return out
 
     def _check_axioms(self, pair_cap: int, triple_cap: int) -> list[tuple[str, int, int]]:
@@ -702,7 +761,7 @@ class HomologyReport:
         self.d = d
         weights = weights or {}
         shifts = {weights.get(space.labels(n - 1)[i], 1) - weights.get(lab, 1)
-                  for n, cols in d.columns.items()
+                  for n, (cols, _) in d._blocks.items()
                   for lab, col in zip(space.labels(n), cols) for i, _ in col}
         if len(shifts) > 1:
             weights = {}
@@ -714,8 +773,9 @@ class HomologyReport:
         self._spans: dict[tuple[int, int], RowSpace] = {}
         for (w, n), idx in cells.items():
             span = self._spans[(w, n)] = RowSpace(space.dim(n - 1))
-            for i in idx if n in d.columns else ():
-                span._add(dict(d.columns[n][i]))
+            cols, den = d._blocks.get(n, ((), 1))
+            for i in idx if cols else ():
+                span._add(_fractions(cols[i], den))
         rank = {key: span.dim() for key, span in self._spans.items()}
         self.cell_dims = {(w, n): len(idx) - rank[(w, n)] - rank.get((w - self.shift, n + 1), 0)
                           for (w, n), idx in sorted(cells.items())}
@@ -788,9 +848,10 @@ def _cycles(d: GradedLinearMap, n: int) -> list[dict[int, Fraction]]:
     """Basis of the kernel of d on degree n: the rows of d_n reduced into a
     RowSpace, then one sparse vector per free column, in column order."""
     rows: dict[int, dict[int, Fraction]] = {}
-    for j, col in enumerate(d.columns.get(n, ())):
+    cols, den = d._blocks.get(n, ((), 1))
+    for j, col in enumerate(cols):
         for i, x in col:
-            rows.setdefault(i, {})[j] = x
+            rows.setdefault(i, {})[j] = QQ(x, den)
     span = RowSpace(d.source.dim(n))
     for row in rows.values():
         span._add(row)
@@ -805,7 +866,7 @@ def homology(space: GradedVectorSpace, d: GradedLinearMap) -> HomologyReport:
     dd = d.compose(d)
     if not dd.is_zero():
         raise CertificateFailure(
-            "boundaries are not all cycles in degree %d" % (min(dd.columns) - 1))
+            "boundaries are not all cycles in degree %d" % (min(dd._blocks) - 1))
     return h
 
 

@@ -5,8 +5,8 @@ list of letters, and for each letter x at position p the Fraction product
 of GradedElements, with its own product of monomials (odd squares vanish,
 the sign counts the odd letters that pass each other, and a product over
 the truncation weight is zero).  A test oracle for the Leibniz kernel
-FreePolynomialCdga._d_label_build and for the CE complex's generator
-products."""
+FreePolynomialCdga._d_mono, column by column for the int blocks of d that
+it feeds, and for the CE complex's generator products."""
 
 from mclie.linalg import ONE, GradedElement, _accumulate, _element_of
 

@@ -10,13 +10,14 @@ every word up to the bound in length, filtered by weight afterwards.  And
 the free differential of a presented quotient, extended from the
 generators by the graded Leibniz rule on Fraction elements through the
 bracket (as QuotientLie extended it before its kernel ran on trees and
-ints).  Each reads a basis element's tree off its label (_label_tree),
+ints), and the quotient's d with one Fraction per entry (as d_map built it
+before its int blocks).  Each reads a basis element's tree off its label (_label_tree),
 not from the truncation's tree ids."""
 
 from fractions import Fraction
 
 from mclie.freelie import FreeLieTruncation, _label_tree, _tree_label
-from mclie.linalg import ONE, QQ, ZERO, GradedElement
+from mclie.linalg import ONE, QQ, ZERO, GradedElement, GradedLinearMap
 
 
 def filtered_lyndon_words(weights, m):
@@ -243,3 +244,24 @@ def leibniz_reference(q, label: str) -> GradedElement:
     sgn = -ONE if tree_degree(lie, tree[0]) % 2 else ONE
     return lie.bracket(leibniz_reference(q, l1), e2) + \
         lie.bracket(e1, leibniz_reference(q, l2)).scale(sgn)
+
+
+# --- the quotient's d, one Fraction per entry -------------------------------
+
+
+def d_map_reference(q):
+    """d on the quotient q as QuotientLie.d_map built it before its int
+    blocks: den d of each surviving column, reduced against the ideal one
+    degree below (rows or none), at the quotient positions, each entry
+    divided by den as its own Fraction, read through from_function."""
+    lie = q.free
+
+    def image(n, lab):
+        dt = q._free_d_tree(lie.tree_of_label[lab])
+        if not dt:
+            return GradedElement()
+        v = q._ideal[n - 1]._reduce({q._pos[s]: c for s, c in dt.items()})
+        labels, rank = q.space.labels(n - 1), q._kept[n - 1]
+        return GradedElement({(n - 1, labels[rank[j]]): Fraction(v[j], q._den) for j in v})
+
+    return GradedLinearMap.from_function(q.space, q.space, -1, image)

@@ -499,6 +499,26 @@ def test_eventual_power_by_squaring_matches_repeated_composition():
         assert list(power.columns.items()) == list(ref.columns.items())
 
 
+def test_eventual_power_keeps_its_denominator_reduced():
+    # u = 1 + v/2 on Q[u, v] truncated at weight 3 (dim 10): u^10 =
+    # 1 + 5 v + 45/4 v^2 + 15 v^3, so L_u^10 is stored over 4, where the
+    # product of the squarings' denominators would be 2^10
+    import math
+    from dense_reference import dense_block, dense_product
+    a = FreePolynomialCdga([("u", 0, 1), ("v", 0, 1)], 3, {}, {"u": QQ(0), "v": QQ(0)})
+    u = a.unit + a.space.basis_element(0, "v").scale(QQ(1, 2))
+    mult_u, power = _multiplication(a, u), _eventual_power(a, u)
+    assert a.space.total_dim() == 10
+    assert {den for _, den in mult_u._blocks.values()} == {2}
+    ref = dense_block(mult_u, 0)
+    for _ in range(9):
+        ref = dense_product(dense_block(mult_u, 0), ref, 10, 10)
+    assert dense_block(power, 0) == ref
+    for n, (cols, den) in power._blocks.items():
+        assert den == math.lcm(*(c.denominator for col in power.columns[n] for _, c in col))
+    assert power._blocks[0][1] == 4
+
+
 @pytest.mark.parametrize("coeffs", [
     {"1": 2, "p": -2, "q": -1, "ds": 3},  # p dies, 2 - q + 3 ds on the rest
     {"1": -1, "p": 2, "q": 2},
@@ -1022,6 +1042,39 @@ def test_leibniz_kernel_matches_graded_element_reference(alg):
         for (n1, l1), (n2, l2) in itertools.product(alg.basis_items(), repeat=2):
             u, v = alg.space.basis_element(n1, l1), alg.space.basis_element(n2, l2)
             assert alg.mult_labels(n1, l1, n2, l2) == multiply_reference(alg, u, v)
+
+
+def _free_cdga_cases():
+    from mclie.cehar import ce_complex
+    half = FreePolynomialCdga(
+        [("x", 1), ("y", 2), ("z", 2, 2), ("w", 3, 2)], 6,
+        {"z": GradedElement({(-3, "x*y"): QQ(1, 2)}),
+         "w": GradedElement({(-4, "y^2"): QQ(-5, 7)})})
+    return [omega_simplex(2, 3), ce_complex(build_builtin("heisenberg"), 3).algebra,
+            ce_complex(f_xa_dgla(4), 3).algebra, half]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_free_cdga_d_columns_match_the_reference(case):
+    # the d that FreePolynomialCdga hands over as int blocks over _den,
+    # column by column against the GradedElement Leibniz rule, each block
+    # over its least denominator
+    import math
+    from mclie.linalg import GradedLinearMap
+    alg = _free_cdga_cases()[case]
+    want = GradedLinearMap.from_function(alg.space, alg.space, -1,
+                                         lambda n, lab: leibniz_reference(alg, lab))
+    assert alg.d_map.columns == want.columns and not alg.d_map.is_zero()
+    assert alg.d_map._blocks == want._blocks
+    for n, (cols, den) in alg.d_map._blocks.items():
+        assert all(type(x) is int for col in cols for _, x in col)
+        assert den == math.lcm(*(c.denominator for col in want.columns[n] for _, c in col))
+    dens = {den for _, den in alg.d_map._blocks.values()}
+    # de Rham forms and the CE complex of heisenberg have integer d; f_xa's
+    # 1/2 and the 1/2 and 5/7 above give den 2 and 14, which blocks that
+    # meet only one of the two reduce to 7 or 2
+    assert dens == [{1}, {1}, {2}, {2, 7, 14}][case]
+    assert alg._den == max(dens)
 
 
 def test_leibniz_reference_draws_the_cases_that_matter():

@@ -387,6 +387,7 @@ d x = 1/2 [x,x]
      "--weight", "4", "--words", "2"],
     ["verify", "free-product-cohomology", "heisenberg", "abelian:1:0",
      "--weight", "1"],
+    ["homology", "f_xa:3", "--range", "3..1"],
 ])
 def test_usage_errors_exit_2_without_traceback(args, capsys):
     rc, out, err = run_cli(args, capsys)
@@ -416,6 +417,26 @@ def test_smallest_builtin_sizes_build(capsys):
     assert rc == 0 and "H_0 = 1  [exact]" in out
     rc, out, _ = run_cli(["mc-moduli", "--builtin", "g_S:0"], capsys)
     assert rc == 0 and "classes = 1" in out
+
+
+def test_abelian_mc_moduli_reports_h_minus_one_not_a_count(tmp_path, capsys):
+    # pi_0 of an abelian dgla is the vector space H_-1 = Q^2, with
+    # infinitely many classes: the report names the space and lists a
+    # basis of it
+    j = tmp_path / "r.json"
+    rc, out, _ = run_cli(["mc-moduli", "abelian:2:-1", "--json", str(j)], capsys)
+    assert rc == 0
+    lines = out.splitlines()
+    i = lines.index("  classes = Q^2  [abelian-linear, basis of H_-1]")
+    assert lines[i + 1:i + 3] == ["  class 0: a1", "  class 1: a2"]
+    assert json.loads(j.read_text())["results"]["classes"] == \
+        {"value": "Q^2", "flag": "abelian-linear, basis of H_-1"}
+    # H_-1 = 0: the one class 0, counted as before
+    rc, out, _ = run_cli(["mc-moduli", "g_S:0", "--json", str(j)], capsys)
+    assert rc == 0
+    assert "  classes = 1  [abelian-linear]\n  class 0: 0\n" in out
+    assert json.loads(j.read_text())["results"]["classes"] == \
+        {"value": 1, "flag": "abelian-linear"}
 
 
 @pytest.mark.parametrize("args", [
@@ -751,6 +772,19 @@ def test_malformed_range_exits_2(args, capsys):
     assert err.startswith("usage: ")
     assert err.splitlines()[-1].endswith(
         "error: argument --range: expected a degree range a..b, got %s" % args[-1])
+
+
+@pytest.mark.parametrize("args", [
+    ["homology", "f_xa:3", "--range", "3..1"],
+    ["ce", "heisenberg", "--words", "2", "--range", "1..-1"],
+])
+def test_inverted_range_exits_2(args, capsys):
+    rc, out, err = run_cli(args, capsys)
+    assert rc == 2
+    assert out == "" and "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "mclie %s: error: argument --range: expected a degree range a..b with "
+        "a <= b, got %s" % (args[0], args[-1])]
 
 
 def test_range_filters_degrees(capsys):

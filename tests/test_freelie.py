@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from freelie_reference import (
     FractionKernel,
     bch,
+    d_map_reference,
     filtered_lyndon_words,
     leibniz_reference,
     tensor_of_element,
@@ -542,6 +543,11 @@ def _quotient_of(case):
                                [GradedElement({(-1, "y"): QQ(1)})],
                                {"x": GradedElement({(0, "[x,y]"): QQ(1), (0, "[a,y]"): QQ(-5, 7)})}
                                ).materialize(5)
+    elif case == "d(w) hits a relation row":
+        # the row of 2y + 3z is y + 3/2 z, so d(w) = y/5 reduces to -3/10 z
+        return LiePresentation([("y", 0), ("z", 0), ("w", 1)],
+                               [GradedElement({(0, "y"): QQ(2), (0, "z"): QQ(3)})],
+                               {"w": GradedElement({(0, "y"): QQ(1, 5)})}).materialize(3)
     else:
         g = build_builtin(case)
     return presentation_of(g).pres.materialize(g.weight_bound)
@@ -703,6 +709,34 @@ def test_presented_dgla_builds_d_without_from_function(case, monkeypatch):
     h = DglaPresentation(g.presentation.pres).materialize(g.weight_bound)
     assert h.space == g.space and h.d_map.columns == g.d_map.columns
     assert h.d_map.columns or case == "heisenberg * heisenberg"
+
+
+@pytest.mark.parametrize("case", ["harrison omega:1:3", "heisenberg * abelian:1:0",
+                                  "heisenberg disjoint abelian:1:0",
+                                  "d(x) in the ideal of y", "d(w) hits a relation row"])
+def test_d_map_int_blocks_match_per_entry_fraction_reference(case):
+    # Harrison's L(A) is free, with no ideal rows below any degree and den
+    # 2 from its 1/2; the free product has relation rows and d = 0; the
+    # last three reduce a free d against relation rows, which leave a
+    # twisted d on the disjoint product, kill d(x) in the ideal of y and
+    # turn d(w) = y/5 into -3/10 z over den 10.  Each block of d is stored
+    # once, as ints over its least denominator
+    import math
+    q = _quotient_of(case)
+    got, want = q.d_map(), d_map_reference(q)
+    assert got.columns == want.columns
+    assert got._blocks == want._blocks
+    assert got.is_zero() == (case in ("heisenberg * abelian:1:0", "d(x) in the ideal of y"))
+    for n, (cols, den) in got._blocks.items():
+        assert all(type(x) is int for col in cols for _, x in col)
+        assert den == math.lcm(*(c.denominator for col in got.columns[n] for _, c in col))
+    if case.startswith("harrison"):
+        assert q._den == 2 and not any(rs.dim() for rs in q._ideal.values())
+        assert any(den == 2 for _, den in got._blocks.values())
+    else:
+        assert any(rs.dim() for rs in q._ideal.values())
+    if case == "d(w) hits a relation row":
+        assert got._blocks[1] == ([[(0, -3)], [], []], 10)
 
 
 def test_leibniz_random_presentations_reach_odd_generators_and_mixed_denominators():

@@ -403,6 +403,51 @@ def test_compose_clears_mixed_denominators():
                                         [(0, QQ(-1, 5 * p * p)), (1, QQ(-1, 7 * p))]]}
 
 
+def test_compose_of_int_blocks_over_different_denominators():
+    # f over den 35 and g over den 6 (and 1 in degree 1): the product is
+    # nonzero, equals the dense product, reads back as Fractions in lowest
+    # terms and is stored over its least denominator
+    import math
+    u = GradedVectorSpace({0: ["a", "b"], 1: ["c"]})
+    v = GradedVectorSpace({0: ["p", "q", "r"], 1: ["s", "t"]})
+    w = GradedVectorSpace({0: ["x", "y"], 1: ["z"]})
+    fb = {0: [[QQ(1, 5), QQ(2, 7)], [QQ(0), QQ(-3, 5)], [QQ(4, 7), QQ(1)]],
+          1: [[QQ(6, 35)], [QQ(-1, 7)]]}
+    gb = {0: [[QQ(1, 2), QQ(5, 3), QQ(0)], [QQ(7, 6), QQ(0), QQ(-1, 3)]],
+          1: [[QQ(2), QQ(3)]]}
+    f, g = map_from_blocks(u, v, 0, fb), map_from_blocks(v, w, 0, gb)
+    assert {n: den for n, (_, den) in f._blocks.items()} == {0: 35, 1: 35}
+    assert {n: den for n, (_, den) in g._blocks.items()} == {0: 6, 1: 1}
+    gf = g.compose(f)
+    assert not gf.is_zero()
+    for n in (0, 1):
+        assert dense_block(gf, n) == dense_product(gb[n], fb[n], w.dim(n), u.dim(n))
+        entries = [c for col in gf.columns[n] for _, c in col]
+        assert entries and all(type(c) is Fraction and math.gcd(c.numerator, c.denominator) == 1
+                               for c in entries)
+        cols, den = gf._blocks[n]
+        assert all(type(x) is int for col in cols for _, x in col)
+        assert den == math.lcm(*(c.denominator for c in entries))
+
+
+def test_nonzero_d_squared_from_int_blocks_is_refused():
+    # d a = b/2 and d b = 3c/2, handed over as int blocks over den 2:
+    # d d a = 3c/4, so the construction fails however d arrives
+    space = GradedVectorSpace({1: ["a"], 0: ["b"], -1: ["c"]})
+    d = GradedLinearMap._from_blocks(space, space, -1, {1: ([[(0, 1)]], 2),
+                                                        0: ([[(0, 3)]], 2)})
+    assert d.compose(d).columns == {1: [[(0, QQ(3, 4))]]}
+    with pytest.raises(CertificateFailure, match="boundaries are not all cycles in degree 0"):
+        homology(space, d)
+    from mclie.cdga import CdgaAxiomViolation
+    from mclie.dgla import AxiomViolation, Dgla
+    unit = GradedElement({(0, "b"): QQ(1)})
+    with pytest.raises(CdgaAxiomViolation, match="d squared is nonzero"):
+        Cdga(space, d, lambda d1, l1, d2, l2: GradedElement(), unit, check="skip")
+    with pytest.raises(AxiomViolation, match="d squared is nonzero"):
+        Dgla(space, d, lambda d1, l1, d2, l2: GradedElement(), check="skip")
+
+
 def test_rank_nullity_failure_raises_certificate_failure(monkeypatch):
     import mclie.cehar
     import mclie.linalg
