@@ -46,6 +46,7 @@ from .cehar import (
 )
 from .dgla import mc_residual
 from .mc import (
+    COMPONENT_N_MAX,
     IncompleteSolve,
     SolveBudgetExhausted,
     derive_constraints,
@@ -289,6 +290,11 @@ def cmd_verify(ns, argv) -> int:
         alg = _load(ns, ns.defs[0])
         report = verify_component_decomposition(alg, support=ns.support)
         rep.value("moduli", report["moduli_count"], "complete")
+        reps = report["representatives"].values()
+        vacuous = sum(len(r["vacuous"]) for r in reps)
+        checked = sum(len(r["H_iso"]) for r in reps) - vacuous
+        rep.value("degrees", "%d checked, %d vacuous" % (checked, vacuous),
+                  "H_0..H_%d per class" % (COMPONENT_N_MAX - 1))
         rep.verdict("cover-homology-isomorphisms", report["pass"])
     elif what == "free-product-cohomology":
         m = ns.weight or 4

@@ -662,9 +662,24 @@ def build_basis(generators: Sequence[tuple], m: int) -> FreeLieTruncation:
 def truncated_basis_estimate(generators: Sequence[tuple], m: int,
                              cap: int) -> Optional[int]:
     """Number of Lyndon words of weight <= m over the generators, or None
-    once the count exceeds cap; cheap (no trees or expansions built)."""
-    weights = [w for _, _, w in _read_generators(generators)]
-    count = sum(1 for _ in itertools.islice(lyndon_words(weights, m), cap + 1))
+    once the count exceeds cap; counted, not listed.  With f_k generators of
+    weight k, the words factor uniquely into Lyndon words, so 1/(1 - F) =
+    prod_n (1 - t^n)^(-L_n) for F = sum f_k t^k, and the coefficients p_n
+    of tF'/(1 - F) are sum over d | n of d L_d: the weighted necklace
+    count, solved for L_n weight by weight."""
+    f = Counter(w for _, _, w in _read_generators(generators))
+    p = [0] * (m + 1)
+    below = [0] * (m + 1)  # below[n]: d L_d summed over the divisors d < n
+    count = 0
+    for n in range(1, m + 1):
+        p[n] = n * f[n] + sum(c * p[n - k] for k, c in f.items() if k < n)
+        lyndon = (p[n] - below[n]) // n
+        if lyndon:
+            count += lyndon
+            if count > cap:
+                return None
+            for j in range(2 * n, m + 1, n):
+                below[j] += n * lyndon
     return count if count <= cap else None
 
 

@@ -110,12 +110,18 @@ def _sort_factors(factors, table: SymbolTable):
 
 def _add_term(out, mono, c) -> None:
     """out[mono] += c, dropping the monomial when it cancels (a monomial
-    that cancels and comes back goes to the end of the dict)."""
-    v = out.get(mono, ZERO) + c
-    if v:
-        out[mono] = v
+    that cancels and comes back goes to the end of the dict); a fresh
+    monomial stores c as it is."""
+    v = out.get(mono)
+    if v is None:
+        if c:
+            out[mono] = c
     else:
-        out.pop(mono, None)
+        v += c
+        if v:
+            out[mono] = v
+        else:
+            del out[mono]
 
 
 def poly_zero():
@@ -124,10 +130,6 @@ def poly_zero():
 
 def poly_const(c: Fraction):
     return {(): c} if c else {}
-
-
-def poly_symbol(sym: str, diff: bool = False):
-    return {((sym, diff),): ONE}
 
 
 def poly_add(p, q):
@@ -176,12 +178,31 @@ def poly_substitute(p, sym: str, value, table: SymbolTable):
 
     Returns p itself when sym does not occur in it (polynomials are never
     mutated in place); monomials without sym keep their coefficient, and
-    the sums keep the dict order of a term-by-term `poly_add`."""
+    the sums keep the dict order of a term-by-term `poly_add`.
+
+    A constant value, 0 or k (every value R1, R2 and c alpha = 0 assign),
+    substitutes by filtering, with no product: a monomial with d(sym)
+    vanishes, sym^e becomes k^e, and the other factors stay sorted, with
+    sign +1, as a constant is even.  Only a value from linear isolation
+    with a symbol in it takes the general path through poly_mul."""
     plain, diffed = (sym, False), (sym, True)
+    out = {}
+    if not value or (len(value) == 1 and () in value):
+        k, hit = value.get(()), False
+        for mono, c in p.items():
+            if plain in mono or diffed in mono:
+                hit = True
+                if k is None or diffed in mono:
+                    continue
+                rest = tuple([f for f in mono if f != plain])
+                e = len(mono) - len(rest)
+                c = c * (k if e == 1 else k ** e)
+                mono = rest
+            _add_term(out, mono, c)
+        return out if hit else p
     if not any(plain in mono or diffed in mono for mono in p):
         return p
     dvalue = None
-    out = {}
     for mono, c in p.items():
         if plain in mono or diffed in mono:
             term = poly_const(c)
@@ -296,28 +317,30 @@ def derive_constraints(g: Dgla, n: int, support_weight: Optional[int] = None
 
     equations: dict[str, dict] = {}
 
-    def accumulate(target: GradedElement, poly):
+    def accumulate(target: GradedElement, mono, scale):
+        # every label target touches gets its equation, even when the
+        # monomial vanishes (mono None), so the dict keeps its label order
         for (_, lab2), c in target.coeffs.items():
             eq = equations.setdefault(lab2, {})
-            for mono, v in poly.items():
-                _add_term(eq, mono, v * c)
+            if mono is not None:
+                _add_term(eq, mono, scale * c)
 
     # d xi = sum (d b) alpha_b + (-1)^{|b|} b d(alpha_b)
     for sym, deg, lab in terms:
-        db = g.d(g.space.basis_element(deg, lab))
-        accumulate(db, poly_symbol(sym))
-        sgn = -ONE if deg % 2 else ONE
-        accumulate(g.space.basis_element(deg, lab),
-                   poly_scale(poly_symbol(sym, diff=True), sgn))
-    # 1/2 [xi, xi]: [b a, c b'] = (-1)^{p_a |c|} [b, c] a b'
+        b = g.space.basis_element(deg, lab)
+        accumulate(g.d(b), ((sym, False),), ONE)
+        accumulate(b, ((sym, True),), -ONE if deg % 2 else ONE)
+    # 1/2 [xi, xi]: [b a, c b'] = (-1)^{p_a |c|} [b, c] a b', and a b'
+    # sorts with its Koszul sign
+    half = {1: QQ(1, 2), -1: QQ(-1, 2)}
     for (s1, d1, l1), (s2, d2, l2) in itertools.product(terms, repeat=2):
         br = g.bracket_labels(d1, l1, d2, l2)
         if br.is_zero():
             continue
-        p1 = d1 + 1
-        sign = -ONE if (p1 * d2) % 2 else ONE
-        prod = poly_mul(poly_symbol(s1), poly_symbol(s2), table)
-        accumulate(br, poly_scale(prod, sign * QQ(1, 2)))
+        mono, sign = _sort_factors(((s1, False), (s2, False)), table)
+        if ((d1 + 1) * d2) % 2:
+            sign = -sign
+        accumulate(br, mono, half.get(sign))
 
     equations = {lab: p for lab, p in equations.items() if p}
     return MCConstraintSystem(g, n, table, unknowns, equations,
@@ -416,13 +439,18 @@ def _substitute_state(equations, sym, value, table, occurs):
 class _State:
     """A node of the solve tree.  Its equations mention only free symbols;
     `assigned` maps each solved symbol, in solving order, to a value in the
-    symbols free at that moment.  Transitions replace `equations` and never
-    mutate it, so children may share it.  `table` and `occurs` (symbol ->
-    labels of the equations it may occur in, in any node; it only grows)
-    belong to the whole search.  `equations` stays in label order: sorted
-    once, then copied in order, and no label is ever added.  `keys` holds
-    each equation's `_poly_key` in the same order, computed when the
-    equation changes.
+    symbols free at that moment.  `assigned_keys` and `constraint_keys`
+    hold the `_poly_key` of each value and constraint, computed once.
+    `table` and `occurs` (symbol -> labels of the equations it may occur
+    in, in any node; it only grows) belong to the whole search.
+    `equations` stays in label order: sorted once, then rewritten in place
+    or copied in order, and no label is ever added.  `keys` holds each
+    equation's `_poly_key` in the same order, computed when the equation
+    changes.  A child shares `equations` and `keys` with its parent
+    (`shared`) until its first rewrite copies them; after that it rewrites
+    its own copies in place, so a parent never changes under its children.
+    Every value R1, R2 and c alpha = 0 assign is a constant, which
+    `poly_substitute` puts in by filtering the monomials.
 
     `queue` is a heap of the labels whose equations changed since the
     forced rules last looked at them.  The worklist invariant: an equation
@@ -435,34 +463,42 @@ class _State:
     the order in which the leaf resolves the values, and the search reads
     only the equations, constants and constraints."""
 
-    def __init__(self, equations, keys, queue, assigned, constants,
-                 constraints, table, occurs):
+    def __init__(self, equations, keys, queue, table, occurs):
         self.equations = equations
         self.keys = keys
+        self.shared = False
         self.queue = queue
-        self.assigned = assigned
-        self.constants = constants
-        self.constraints = constraints
+        self.assigned: dict[str, dict] = {}
+        self.assigned_keys: dict[str, tuple] = {}
+        self.constants = set(table.constant)
+        self.constraints: list[dict] = []
+        self.constraint_keys: list[tuple] = []
         self.table = table
         self.occurs = occurs
 
     def child(self) -> "_State":
-        return _State(self.equations, self.keys, [], dict(self.assigned),
-                      set(self.constants), list(self.constraints), self.table,
-                      self.occurs)
+        node = object.__new__(_State)
+        node.__dict__.update(self.__dict__)
+        node.shared, node.queue = True, []
+        node.assigned = dict(self.assigned)
+        node.assigned_keys = dict(self.assigned_keys)
+        node.constants = set(self.constants)
+        node.constraints = list(self.constraints)
+        node.constraint_keys = list(self.constraint_keys)
+        return node
 
     def key(self) -> tuple:
         """Exact key; the constraints keep their multiplicity."""
         return (tuple(self.keys.items()),
-                tuple(sorted((s, _poly_key(v)) for s, v in self.assigned.items())),
+                tuple(sorted(self.assigned_keys.items())),
                 tuple(sorted(self.constants)),
-                tuple(sorted(_poly_key(c) for c in self.constraints)))
+                tuple(sorted(self.constraint_keys)))
 
 
 def _poly_key(p) -> tuple:
     """p's terms in monomial order, each coefficient as its (numerator,
     denominator) ints, which hash without Fraction.__hash__."""
-    return tuple(sorted((m, (c.numerator, c.denominator)) for m, c in p.items()))
+    return tuple(sorted([(m, (c.numerator, c.denominator)) for m, c in p.items()]))
 
 
 def _rewrite(state: _State, changed) -> None:
@@ -470,7 +506,10 @@ def _rewrite(state: _State, changed) -> None:
     one is dropped, any other is re-keyed and queued."""
     if not changed:
         return
-    equations, keys = dict(state.equations), dict(state.keys)
+    if state.shared:
+        state.equations, state.keys = dict(state.equations), dict(state.keys)
+        state.shared = False
+    equations, keys = state.equations, state.keys
     for lab, q in changed.items():
         if q:
             equations[lab] = q
@@ -478,7 +517,6 @@ def _rewrite(state: _State, changed) -> None:
             heapq.heappush(state.queue, lab)
         else:
             del equations[lab], keys[lab]
-    state.equations, state.keys = equations, keys
 
 
 def _assign(state: _State, sym: str, value) -> None:
@@ -487,6 +525,12 @@ def _assign(state: _State, sym: str, value) -> None:
     _rewrite(state, _substitute_state(state.equations, sym, value,
                                       state.table, state.occurs))
     state.assigned[sym] = value
+    state.assigned_keys[sym] = _poly_key(value)
+
+
+def _constrain(state: _State, p) -> None:
+    state.constraints.append(p)
+    state.constraint_keys.append(_poly_key(p))
 
 
 def _close(state: _State, sym: str) -> None:
@@ -495,7 +539,7 @@ def _close(state: _State, sym: str) -> None:
     if state.table.form_degree[sym] == 0 and sym not in state.constants:
         state.constants.add(sym)
     else:
-        state.constraints.append({((sym, True),): ONE})
+        _constrain(state, {((sym, True),): ONE})
     changed = {}
     for lab in state.occurs.get(sym, ()):
         p = state.equations.get(lab)
@@ -548,7 +592,7 @@ def _propagate(state: _State) -> Optional[_State]:
                     _assign(state, sym, poly_zero())
                 continue
         if all(len(m) == 1 and m[0][1] for m in p):
-            state.constraints.append(p)
+            _constrain(state, p)
             _rewrite(state, {lab: poly_zero()})
             continue
         iso = _isolated(p)
@@ -603,7 +647,10 @@ def _leaf_family(state: _State, system: MCConstraintSystem,
     order = {sym: i for i, sym in enumerate(state.assigned)}
 
     def resolve(p, resolved):
-        for sym in sorted(poly_symbols(p) & resolved.keys(), key=order.get):
+        syms = poly_symbols(p)
+        if not syms:
+            return p
+        for sym in sorted(syms & resolved.keys(), key=order.get):
             p = poly_substitute(p, sym, resolved[sym], table)
         return {m: c for m, c in p.items()
                 if not any(f[1] and f[0] in constants for f in m)}
@@ -635,8 +682,7 @@ def solve_structured(system: MCConstraintSystem,
             occurs.setdefault(sym, set()).add(lab)
     equations = {lab: p for lab, p in sorted(system.equations.items()) if p}
     keys = {lab: _poly_key(p) for lab, p in equations.items()}
-    stack = [_State(equations, keys, list(equations), {}, set(table.constant),
-                    [], table, occurs)]
+    stack = [_State(equations, keys, list(equations), table, occurs)]
     families: dict[tuple, SolutionFamily] = {}
     complete = True
     steps = branches = leaves = skipped = 0
@@ -1049,7 +1095,8 @@ COMPONENT_N_MAX = 4
 def verify_component_decomposition(g: Dgla, support: Optional[int] = None) -> dict:
     """For each pi_0 representative xi: H_{n-1} of the connected cover of
     g^xi agrees with H_{n-1}(g^xi) for 1 <= n <= COMPONENT_N_MAX, via the
-    inclusion."""
+    inclusion.  `vacuous` lists the n where neither has a basis element in
+    degree n - 1, so that the comparison reads 0 against 0."""
     moduli = pi0_moduli(g, support=support)
     per_rep = {}
     ok = True
@@ -1062,6 +1109,8 @@ def verify_component_decomposition(g: Dgla, support: Optional[int] = None) -> di
             iso = induced_homology_iso(incl, cover, twisted, k)
             degrees[n] = iso
             ok = ok and iso
-        per_rep[idx] = {"xi": repr(xi), "H_iso": degrees}
+        vacuous = [n for n in degrees if not cover.space.labels(n - 1)
+                   and not twisted.space.labels(n - 1)]
+        per_rep[idx] = {"xi": repr(xi), "H_iso": degrees, "vacuous": vacuous}
     return {"pass": ok, "representatives": per_rep,
             "moduli_count": moduli.count()}

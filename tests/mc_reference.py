@@ -3,7 +3,8 @@
 The constraint system of the structured solver expanded over the monomial
 basis of the form algebra, against the residual of the generic element
 computed in the honest tensor dgla; the face and degeneracy maps of the
-simplicial MC set applied to every emitted simplex; and the solver's
+simplicial MC set applied to every emitted simplex; the constraint system
+expanded pair by pair through the polynomial product; and the solver's
 propagation as a full rescan of the equations after every rule, with
 states keyed on their Fraction coefficients."""
 
@@ -12,9 +13,10 @@ from typing import Optional
 
 from mclie.cdga import omega_degeneracy_map, omega_face_map, tensor_dgla_forms
 from mclie.dgla import Dgla, is_mc
-from mclie.linalg import ONE, QQ, GradedElement, _accumulate, _element_of
-from mclie.mc import (MCConstraintSystem, _add_term, _assign, _close,
-                      _isolated, mc_simplices, poly_zero)
+from mclie.linalg import ONE, QQ, ZERO, GradedElement, _accumulate, _element_of
+from mclie.mc import (MCConstraintSystem, SymbolTable, _add_term, _assign,
+                      _close, _constrain, _isolated, mc_simplices, poly_mul,
+                      poly_scale, poly_zero, unknown_symbol)
 
 
 def expand_system_over_forms(system: MCConstraintSystem, tensor) -> dict:
@@ -98,6 +100,62 @@ def oracle_system_over_forms(g: Dgla, n: int, max_degree: int,
     return {k: v for k, v in out.items() if v}
 
 
+def pair_expansion_constraints(g: Dgla, n: int,
+                               support_weight: Optional[int] = None):
+    """derive_constraints with every term built as a polynomial: each pair
+    of unknowns multiplied by poly_mul and scaled by +-1/2, each sum taken
+    as 0 + c.  Returns (table, unknowns, equations)."""
+    def add(out, mono, c):
+        v = out.get(mono, ZERO) + c
+        if v:
+            out[mono] = v
+        else:
+            out.pop(mono, None)
+
+    def symbol(sym, diff=False):
+        return {((sym, diff),): ONE}
+
+    table = SymbolTable()
+    unknowns: dict[str, str] = {}
+    terms = []
+    for deg in g.space.degrees():
+        p = deg + 1
+        if p < 0 or p > n:
+            continue
+        for lab in g.space.labels(deg):
+            if support_weight is not None and g.weights is not None and \
+                    g.weights.get(lab, 1) > support_weight:
+                continue
+            sym = unknown_symbol(lab)
+            table.add(sym, p)
+            if n == 0:
+                table.constant.add(sym)
+            unknowns[sym] = lab
+            terms.append((sym, deg, lab))
+    equations: dict[str, dict] = {}
+
+    def accumulate(target: GradedElement, poly):
+        for (_, lab2), c in target.coeffs.items():
+            eq = equations.setdefault(lab2, {})
+            for mono, v in poly.items():
+                add(eq, mono, v * c)
+
+    for sym, deg, lab in terms:
+        accumulate(g.d(g.space.basis_element(deg, lab)), symbol(sym))
+        sgn = -ONE if deg % 2 else ONE
+        accumulate(g.space.basis_element(deg, lab),
+                   poly_scale(symbol(sym, diff=True), sgn))
+    for (s1, d1, l1), (s2, d2, l2) in itertools.product(terms, repeat=2):
+        br = g.bracket_labels(d1, l1, d2, l2)
+        if br.is_zero():
+            continue
+        sign = -ONE if ((d1 + 1) * d2) % 2 else ONE
+        prod = poly_mul(symbol(s1), symbol(s2), table)
+        accumulate(br, poly_scale(prod, sign * QQ(1, 2)))
+    equations = {lab: p for lab, p in equations.items() if p}
+    return table, unknowns, equations
+
+
 def apply_form_map(tensor_src, tensor_dst, morphism, elt: GradedElement) -> GradedElement:
     """Push an element of g (x) Omega along id (x) (a form morphism)."""
     out: dict = {}
@@ -155,7 +213,7 @@ def rescan_propagate(state):
                         _assign(state, sym, poly_zero())
                     break
             if all(len(m) == 1 and m[0][1] for m in p):
-                state.constraints.append(p)
+                _constrain(state, p)
                 state.equations = {l2: q for l2, q in state.equations.items()
                                    if l2 != lab}
                 break

@@ -100,6 +100,41 @@ def test_heavy_generators_finish(tmp_path, capsys):
     assert "  H_0 = 46  [unstable]" in out.splitlines()
 
 
+# the degree >= 0 part of tests/test_mc.py::_positive_degree_dgla() with
+# z = [y, y] in degree 2: a cover equal to g, nonzero in degrees 0, 1 and 2
+POSITIVE_DEGREE_DEF = """kind dgla
+basis z 2
+basis y 1
+basis a 0
+basis b 0
+basis c 0
+bracket y y = 1 z
+bracket a b = 1 b
+bracket a c = 1 c
+bracket a y = 1 y
+bracket a z = 2 z
+d y = 1 b - 1 c
+"""
+
+
+def test_verify_components_counts_vacuous_degrees(tmp_path, capsys):
+    # a degree where neither the cover nor g^xi has a basis element
+    # compares 0 with 0: the report counts those apart from the others
+    d = tmp_path / "positive.def"
+    d.write_text(POSITIVE_DEGREE_DEF)
+    for ref, line in [(str(d), "3 checked, 1 vacuous"),
+                      ("sphere", "0 checked, 8 vacuous"),
+                      ("heisenberg", "1 checked, 3 vacuous"),
+                      # the cover of g^x is 0 in degree 0, where g^x has a
+                      ("f_xa:3", "2 checked, 6 vacuous"),
+                      ("g_S:2", "0 checked, 12 vacuous")]:
+        rc, out, err = run_cli(["verify", "components", ref], capsys)
+        assert (rc, err) == (0, ""), ref
+        lines = out.splitlines()
+        assert "  degrees = %s  [H_0..H_3 per class]" % line in lines, ref
+        assert lines[-1] == "cover-homology-isomorphisms: PASS"
+
+
 def test_cdga_definition_and_split(tmp_path, capsys):
     d = tmp_path / "qxq.def"
     d.write_text("""

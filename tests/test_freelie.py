@@ -26,6 +26,7 @@ from mclie.freelie import (
     build_basis,
     free_product_presentation,
     lyndon_words,
+    truncated_basis_estimate,
 )
 
 
@@ -416,6 +417,17 @@ def test_bracket_label_that_is_a_generator_name_is_refused():
 @given(st.lists(st.integers(1, 4), max_size=5), st.integers(0, 8))
 def test_weighted_lyndon_walk_matches_filtered_oracle(weights, m):
     assert list(lyndon_words(weights, m)) == filtered_lyndon_words(weights, m)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(1, 4), max_size=5), st.integers(0, 9),
+       st.integers(-1, 400))
+def test_basis_estimate_counts_the_filtered_walk(weights, m, cap):
+    # the weighted necklace count gives the number of words the walk lists,
+    # or None past the cap
+    count = len(filtered_lyndon_words(weights, m))
+    gens = [("g%d" % i, i % 2 - 1, w) for i, w in enumerate(weights)]
+    assert truncated_basis_estimate(gens, m, cap) == (count if count <= cap else None)
 
 
 # odd squares, weights 2-3, primed names, and names with commas and brackets

@@ -9,6 +9,7 @@ from mc_reference import (
     fraction_poly_key,
     fraction_state_key,
     oracle_system_over_forms,
+    pair_expansion_constraints,
     rescan_propagate,
 )
 from mclie.linalg import QQ, GradedElement
@@ -98,6 +99,32 @@ def test_constraints_oracle_identical_system():
         lhs = expand_system_over_forms(system, tensor)
         rhs = oracle_system_over_forms(g, n, D)
         assert lhs == rhs
+
+
+def test_derive_constraints_matches_reference():
+    # one sort and one +-1/2 c per bracket term give the pair expansion's
+    # equations, terms and coefficients, in the same dict order; the
+    # degree-0 elements of _positive_degree_dgla() are 1-forms at n = 1, so
+    # their products carry Koszul signs
+    cases = [(g_s_dgla(k, 2), n) for k in (1, 2, 3) for n in (0, 1, 2)]
+    cases += [(sphere_dgla(), n) for n in (0, 1, 2)]
+    cases += [(heisenberg_dgla(), 1), (f_xa_dgla(4), 0), (f_xa_dgla(4), 1),
+              (_positive_degree_dgla(), 1)]
+    for g, n in cases:
+        system = derive_constraints(g, n)
+        table, unknowns, equations = pair_expansion_constraints(g, n)
+        assert list(system.unknowns.items()) == list(unknowns.items())
+        assert system.table.form_degree == table.form_degree
+        assert system.table.constant == table.constant
+        assert list(system.equations) == list(equations)
+        assert [list(p.items()) for p in system.equations.values()] == \
+            [list(p.items()) for p in equations.values()]
+        assert all(type(c) is Fraction
+                   for p in system.equations.values() for c in p.values())
+    # a support weight leaves the heavy elements out of the ansatz only
+    system = derive_constraints(f_xa_dgla(4), 1, support_weight=2)
+    assert list(system.equations.items()) == \
+        list(pair_expansion_constraints(f_xa_dgla(4), 1, 2)[2].items())
 
 
 # --- solver ------------------------------------------------------------------
@@ -306,6 +333,8 @@ def test_component_decomposition_trivial_twist():
     g = heisenberg_dgla()
     report = verify_component_decomposition(g)
     assert report["pass"], report
+    # heisenberg lives in degrees <= 0: only H_0 compares anything
+    assert report["representatives"][0]["vacuous"] == [2, 3, 4]
 
 
 def _cover_structure(g):
@@ -534,7 +563,15 @@ def _substitution_cases(draw):
                 out = poly_add(out, {mono: sign * c})
         return out
 
-    return table, poly(6), draw(st.sampled_from(_SYMS)), poly(3)
+    # half the values are constants, the shape R1, R2 and c alpha = 0 assign
+    kind = draw(st.sampled_from(("zero", "constant", "polynomial", "polynomial")))
+    if kind == "zero":
+        value = {}
+    elif kind == "constant":
+        value = {(): QQ(draw(st.sampled_from((-2, -1, 1, 3))), draw(st.integers(1, 2)))}
+    else:
+        value = poly(3)
+    return table, poly(6), draw(st.sampled_from(_SYMS)), value
 
 
 def _assert_same_poly(got, want):
@@ -556,6 +593,20 @@ _X0, _X1, _X2 = ("s0", False), ("s1", False), ("s2", False)
 @example((_poly_table([0, 1, 0, 0]),
           {(_X0, _X1): QQ(2), (("s0", True), _X2): QQ(1, 2)},
           "s0", {(_X1,): QQ(1), (_X2,): QQ(3)}))
+# constants: s0^2 -> 4, d(s0) -> 0, and 2 s1 from s0 s1 cancels the -2 s1
+# that passed through; 1/4 s0^2 s1 re-creates s1 at the end of the dict
+@example((_poly_table([0, 0, 0, 0]),
+          {(_X1,): QQ(-2), (_X2,): QQ(1), (_X0, _X1): QQ(1),
+           (("s0", True), _X2): QQ(3), (_X0, _X0, _X1): QQ(1, 4)},
+          "s0", {(): QQ(2)}))
+# an odd s0 set to a constant keeps the order of the factors left, and a
+# zero value drops every monomial with s0 or d(s0)
+@example((_poly_table([1, 1, 0, 0]),
+          {(_X0, _X1): QQ(2), (("s0", True), _X1): QQ(1), (_X2,): QQ(-1)},
+          "s0", {(): QQ(-3, 2)}))
+@example((_poly_table([1, 1, 0, 0]),
+          {(_X0, _X1): QQ(2), (("s0", True), _X1): QQ(1), (_X2,): QQ(-1)},
+          "s0", {}))
 def test_poly_substitute_matches_reference(case):
     table, p, sym, value = case
     got = poly_substitute(p, sym, value, table)
@@ -708,6 +759,37 @@ def test_propagation_rechecks_only_changed_equations(monkeypatch):
     result = solve_structured(derive_constraints(g_s_dgla(20, 2), 0))
     assert (result.steps, len(result.families)) == (63, 21)
     assert len(calls) < 1000
+
+
+def test_children_leave_their_parent_unchanged():
+    # a child shares its parent's equations and keys until its first
+    # rewrite copies them, then rewrites its copies in place: once the
+    # whole search is done, every branched state holds what it held when
+    # it branched
+    real = mc_module._branch
+    parents = []
+
+    def contents(state):
+        return ([(lab, list(p.items())) for lab, p in state.equations.items()],
+                list(state.keys.items()))
+
+    def branch(state):
+        children = real(state)
+        if children:
+            parents.append((state, state.equations, state.keys, contents(state),
+                            children))
+        return children
+
+    mc_module._branch = branch
+    try:
+        result = solve_structured(derive_constraints(g_s_dgla(3, 2), 0))
+    finally:
+        mc_module._branch = real
+    assert result.complete and len(parents) == result.branches > 1
+    for state, equations, keys, before, children in parents:
+        assert state.equations is equations and state.keys is keys
+        assert contents(state) == before
+        assert all(child.equations is not equations for child in children)
 
 
 def test_solver_skips_states_already_expanded():
