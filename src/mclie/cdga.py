@@ -25,17 +25,15 @@ from typing import Callable, Mapping, Optional, Sequence
 from .linalg import (
     ONE,
     ZERO,
-    Coordinates,
+    CertificateFailure,
     GradedElement,
     GradedLinearMap,
     GradedVectorSpace,
     RowSpace,
-    homology as complex_homology,
     idempotents as algebra_idempotents,
     linear_combination,
     _DgAlgebra,
     _accumulate,
-    _fractions,
 )
 from . import freelie
 from .dgla import Dgla
@@ -705,16 +703,7 @@ def _eventual_power(a: Cdga, u: GradedElement) -> GradedLinearMap:
     image of L_u^N is the eventual image.  Powers of L_u are composed rather
     than the element u^N formed, since associativity is only checked up to
     CDGA_TRIPLE_CAP."""
-    square = _multiplication(a, u)
-    power = None
-    n = max(a.space.total_dim(), 1)
-    while True:
-        if n & 1:
-            power = square if power is None else square.compose(power)
-        n >>= 1
-        if not n:
-            return power
-        square = square.compose(square)
+    return _multiplication(a, u).power(max(a.space.total_dim(), 1))
 
 
 def _multiplication(a: Cdga, u: GradedElement) -> GradedLinearMap:
@@ -733,16 +722,10 @@ def _image_algebra(a: Cdga, power: GradedLinearMap, name: Callable[[int, int], s
     basis: dict[int, list[str]] = {}
     image: dict[str, GradedElement] = {}
     for n in power.target.degrees():
-        span = RowSpace(power.target.dim(n))
-        cols, den = power._blocks.get(n, ((), 1))
-        for col in cols:
-            span._add(_fractions(col, den))
-        labels = power.target.labels(n)
-        for i, pc in enumerate(span.pivots):
+        for i, v in enumerate(power.image(n)):
             lab = name(n, i)
             basis.setdefault(n, []).append(lab)
-            image[lab] = GradedElement({(n, labels[j]): x
-                                        for j, x in sorted(span._rows[pc].items())})
+            image[lab] = power.target.from_vector(v, n)
     space = GradedVectorSpace(basis)
     inclusion = GradedLinearMap.from_function(space, a.space, 0, lambda n, lab: image[lab])
     pulled = power.compose(inclusion)
@@ -828,40 +811,28 @@ def _strict_factor(a: Cdga, u: GradedElement) -> Cdga:
 def localization_exactness_report(a: Cdga, u: GradedElement,
                                   loc: Optional[Cdga] = None) -> dict:
     """Verify H(A[u^-1]) = H(A)[[u]^-1] per degree: the cohomology of the
-    localization against the localization of the cohomology, compared as
-    the eventual image of multiplication by [u] on H(A).  loc, when given,
-    is localize(a, u)[0], already built by the caller."""
+    localization against the localization of the cohomology, the eventual
+    image of multiplication by [u] on H(A).  [u]* is built once, as a
+    degree-0 map on the classes of the representatives, raised to N = dim
+    H(A) by squaring, and the image of [u]^N is read per degree.  loc, when
+    given, is localize(a, u)[0], already built by the caller."""
     if loc is None:
         loc, _ = localize(a, u)
     h_loc = loc.homology()
     h = a.homology()
-    # localization of H(A) at [u]: eventual image of [u]-multiplication on
-    # the finite graded algebra H(A)
-    report = {}
-    ok = True
-    for n in sorted(set(h.degrees()) | set(h_loc.degrees())):
-        rs = h.representatives(n)
-        k = len(rs)
-        vecs = [{i: ONE} for i in range(k)]
-        for _ in range(k):
-            new = []
-            for v in vecs:
-                x = h.class_of(a.multiply(
-                    u, linear_combination((c, rs[i]) for i, c in v.items())), n)
-                if x is None:
-                    raise LocalizationFailure("u times a cycle is not a cycle "
-                                              "in degree %d" % n)
-                new.append(x)
-            vecs = new
-        image = RowSpace(k)
-        for v in vecs:
-            image._add(v)
-        expected = image.dim()
-        got = h_loc.dim(n)
-        report[n] = {"H(A) localized": expected, "H(A[u^-1])": got}
-        if expected != got:
-            ok = False
-    report["pass"] = ok
+    classes = GradedVectorSpace({n: ["h%d" % i for i in range(h.dim(n))] for n in h.degrees()})
+
+    def times_u(n, lab):
+        x = h.class_of(a.multiply(u, h.representatives(n)[classes.index(n, lab)]), n)
+        if x is None:
+            raise LocalizationFailure("u times a cycle is not a cycle in degree %d" % n)
+        return classes.from_vector(x, n)
+
+    power = GradedLinearMap.from_function(classes, classes, 0, times_u).power(
+        max(classes.total_dim(), 1))
+    report = {n: {"H(A) localized": len(power.image(n)), "H(A[u^-1])": h_loc.dim(n)}
+              for n in sorted(set(h.degrees()) | set(h_loc.degrees()))}
+    report["pass"] = all(v["H(A) localized"] == v["H(A[u^-1])"] for v in report.values())
     return report
 
 
@@ -892,6 +863,16 @@ def derivations_report(a: Cdga, rebuilt: Optional[Cdga] = None) -> dict:
     reported by cohomological degree; this is the dual complex of the
     derivation space Der_eps(A, k).
 
+    Every number is a rank.  With r(n, X) = dim(I^2_n + span X) and the
+    differential dbar(x) = dx - eps(dx) 1: (I/I^2)_n has dimension
+    r(n, I_n) - r(n, {}), and dbar has rank r(n - 1, dbar I_n) - r(n - 1,
+    {}) out of degree n.  Three certificates come first, each degree from
+    the lowest up: dbar maps I into I + I^2 (else CdgaAxiomViolation,
+    "escapes the quotient"), dbar maps I^2 into I^2 (else
+    CdgaAxiomViolation), so that the ranks are those of a map on I/I^2,
+    and dbar dbar vanishes on I/I^2 (else CertificateFailure naming the
+    middle degree).
+
     For truncated free algebras pass the D+1 rebuild as `rebuilt` to get
     stabilization flags.
     """
@@ -899,55 +880,50 @@ def derivations_report(a: Cdga, rebuilt: Optional[Cdga] = None) -> dict:
         raise NoAugmentation("derivations need an augmentation")
 
     def quotient_dims(alg: Cdga) -> dict[int, int]:
+        space, degrees = alg.space, alg.space.degrees()
         plus, adjusted = _augmentation_ideal(alg)
-        ibasis: dict[int, list[GradedElement]] = {}
+        ideal: dict[int, list[GradedElement]] = {n: [] for n in degrees}
         for n, lab in plus:
-            ibasis.setdefault(n, []).append(adjusted[lab])
-        # I^2
-        sq: dict[int, RowSpace] = {n: RowSpace(alg.space.dim(n))
-                                   for n in alg.space.degrees()}
-        flat = [v for n in sorted(ibasis) for v in ibasis[n]]
+            ideal[n].append(adjusted[lab])
+        products: dict[int, list] = {}
+        flat = [v for n in degrees for v in ideal[n]]
         for v1, v2 in itertools.product(flat, repeat=2):
             p = alg.multiply(v1, v2)
-            if p.is_zero():
-                continue
-            n = p.degree()
-            sq[n]._add(alg.space.to_vector(p, n))
-        # complex I/I^2: coordinates = I-basis reduced mod I^2
-        quo_basis: dict[int, list[GradedElement]] = {}
-        quo_coords: dict[int, Coordinates] = {}
-        for n in alg.space.degrees():
-            span = RowSpace(alg.space.dim(n))
-            kept, rows = [], []
-            for v in ibasis.get(n, []):
-                r = sq[n]._reduce(alg.space.to_vector(v, n))
-                if span._add(r):
-                    kept.append(v)
-                    rows.append(r)
-            if kept:
-                quo_basis[n] = kept
-            quo_coords[n] = Coordinates(rows, alg.space.dim(n))
-        # differential on I/I^2 and its homology, degreewise
-        space = GradedVectorSpace({n: ["q%d_%d" % (n, i) for i in range(len(v))]
-                                   for n, v in quo_basis.items()})
+            if not p.is_zero():
+                n = p.degree()
+                products.setdefault(n, []).append(space.to_vector(p, n))
+        square = {n: RowSpace(space.dim(n), products.get(n, ())).rows() for n in degrees}
 
-        def express(elt, n):
-            if elt.is_zero():
-                return GradedElement()
-            x = quo_coords[n].coords(sq[n]._reduce(alg.space.to_vector(elt, n)))
-            if x is None:
+        def rank(n: int, elts) -> int:
+            """r(n, elts), for elements of degree n."""
+            return RowSpace(space.dim(n), square.get(n, []) +
+                            [space.to_vector(e, n) for e in elts]).dim()
+
+        def dbar(x: GradedElement) -> GradedElement:
+            y = alg.d(x)
+            return y - alg.unit.scale(alg.eps(y))
+
+        image = {n: [dbar(v) for v in ideal[n]] for n in degrees}
+        for n in degrees:
+            below = ideal.get(n - 1, [])
+            if rank(n - 1, below + image[n]) != rank(n - 1, below):
                 raise CdgaAxiomViolation("element escapes the quotient I/I^2 "
-                                         "in degree %d" % n)
-            return space.from_vector(x, n)
-
-        def d_fn(n, lab):
-            img = alg.d(quo_basis[n][space.index(n, lab)])
-            img = img - alg.unit.scale(alg.eps(img))
-            return express(img, n - 1)
-
-        d_map = GradedLinearMap.from_function(space, space, -1, d_fn)
-        h = complex_homology(space, d_map)
-        return {-n: h.dim(n) for n in h.degrees() if h.dim(n)}
+                                         "in degree %d" % (n - 1))
+        for n in degrees:
+            if rank(n - 1, [dbar(space.from_vector(r, n)) for r in square[n]]) != \
+                    len(square.get(n - 1, [])):
+                raise CdgaAxiomViolation("d(I^2) leaves I^2 in degree %d" % (n - 1))
+        for n in degrees:
+            if rank(n - 2, [dbar(x) for x in image[n]]) != len(square.get(n - 2, [])):
+                raise CertificateFailure("boundaries are not all cycles in degree %d" % (n - 1))
+        quotient = {n: rank(n, ideal[n]) - len(square[n]) for n in degrees}
+        out_rank = {n: rank(n - 1, image[n]) - len(square.get(n - 1, [])) for n in degrees}
+        dims = {}
+        for n in degrees:
+            h = quotient[n] - out_rank[n] - out_rank.get(n + 1, 0)
+            if quotient[n] and h:
+                dims[-n] = h
+        return dims
 
     dims = quotient_dims(a)
     out = {"dims": dims}

@@ -330,9 +330,8 @@ def dgla_map_from_generators(src: Dgla, dst: Dgla,
     if dims_match and d_compatible:
         surjective = True
         for n in src.space.degrees():
-            span = RowSpace(dst.space.dim(n))
-            for lab in src.space.labels(n):
-                span._add(dst.space.to_vector(image_of(lab), n))
+            span = RowSpace(dst.space.dim(n), (dst.space.to_vector(image_of(lab), n)
+                                               for lab in src.space.labels(n)))
             if span.dim() != dst.space.dim(n):
                 surjective = False
     return {"d_compatible": d_compatible, "dims_match": dims_match,

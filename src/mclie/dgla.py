@@ -87,7 +87,9 @@ class Dgla(_DgAlgebra):
     def is_abelian(self) -> bool:
         """Every basis bracket vanishes.  Degree pairs whose bracket lands
         in a degree with a basis go first, so a non-abelian g answers after
-        a few brackets; every pair is still checked before True."""
+        a few brackets; every pair is still checked before True.  The
+        brackets are read through the uncached product, so an abelian g
+        of dimension n does not keep its n(n+1)/2 zero brackets."""
         live = [n for n in self.space.degrees() if self.space.labels(n)]
         pairs = sorted(itertools.combinations_with_replacement(live, 2),
                        key=lambda dd: dd[0] + dd[1] not in live)
@@ -98,7 +100,7 @@ class Dgla(_DgAlgebra):
             else:
                 label_pairs = itertools.product(labels, self.space.labels(d2))
             for l1, l2 in label_pairs:
-                if not self.bracket_labels(d1, l1, d2, l2).is_zero():
+                if not self._product_fn(d1, l1, d2, l2).is_zero():
                     return False
         return True
 

@@ -471,7 +471,7 @@ class QuotientLie:
 
         # each degree's surviving columns, mapped to their quotient positions
         self._kept = {deg: {i: p for p, i in enumerate(
-            i for i in range(len(cols)) if i not in self._ideal[deg]._rows)}
+            sorted(set(range(len(cols))) - set(self._ideal[deg].pivots)))}
             for deg, cols in self._columns.items()}
         self.space = GradedVectorSpace({
             deg: [lie.label_of_tree[self._columns[deg][i]] for i in keep]
@@ -613,7 +613,7 @@ class QuotientLie:
                     lie.label_of_tree[g], self._free_element(dd, self._den ** 2)))
         for deg, rs in self._ideal.items():
             cols = self._columns[deg]
-            for row in rs._rows.values():
+            for row in rs.rows():
                 if not self._project(self._free_d_sum((cols[j], x) for j, x in row.items())).is_zero():
                     raise InvalidPresentation(
                         "differential does not preserve the relation ideal")
@@ -636,7 +636,7 @@ class QuotientLie:
         for deg, keep in self._kept.items():
             below, rank = self._ideal.get(deg - 1), self._kept.get(deg - 1)
             cols, pos, out = self._columns[deg], self._pos, []
-            if below is None or not below._rows:
+            if below is None or not below.dim():
                 # nothing to reduce: every column below survives in place
                 for i in keep:
                     out.append(sorted((pos[s], c) for s, c in self._free_d_tree(cols[i]).items()))

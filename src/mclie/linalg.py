@@ -18,7 +18,10 @@ and takes only sparse vectors: the homology cells and cycles, the
 quotient Lie algebras, Coordinates and the cdga constructions all feed it
 that way, and Coordinates.coords and HomologyReport.class_of answer in
 sparse coordinates, in index order.  The reduced row echelon form is
-unique, so every derived report is reproducible bit for bit.
+unique, so every derived report is reproducible bit for bit.  Callers
+outside this module never read its rows or a map's blocks: they ask a
+RowSpace for the span of their vectors, its rows(), kernel() or dim(), and
+a GradedLinearMap for its image(n) or power(k).
 
 rref and solve_matrix are the two entry points for dense matrices (lists
 of row lists).  No library code calls them; they stay because the
@@ -29,7 +32,7 @@ Coordinates in a subspace come from here: a subspace with a basis of its
 own (a connected cover, a strict factor u*A, an eventual image) reads
 them through its inclusion map's GradedLinearMap.solve, and a homology
 class through HomologyReport.class_of.  Outside this module only the
-transfer data and the derivations report build a Coordinates.
+transfer data builds a Coordinates.
 """
 
 from __future__ import annotations
@@ -84,11 +87,8 @@ def rref(rows: Iterable[Sequence[Fraction]], ncols: int):
     """Reduced row echelon form of dense rows ncols wide: (nonzero reduced
     rows, pivot columns) in pivot order, read off a RowSpace.  The form is
     unique, so it is the leftmost-pivot Gauss-Jordan result."""
-    span = RowSpace(ncols)
-    for r in rows:
-        span._add(_sparse(r))
-    pivots = span.pivots
-    return [[span._rows[pc].get(j, ZERO) for j in range(ncols)] for pc in pivots], pivots
+    span = RowSpace(ncols, map(_sparse, rows))
+    return [[row.get(j, ZERO) for j in range(ncols)] for row in span.rows()], span.pivots
 
 
 def solve_matrix(rows: Sequence[Sequence[Fraction]], ncols: int,
@@ -117,13 +117,30 @@ class RowSpace:
     operation.
     """
 
-    def __init__(self, ncols: int):
+    def __init__(self, ncols: int, vectors: Iterable[Mapping[int, Fraction]] = ()):
         self.ncols = ncols
         self._rows: dict[int, dict[int, Fraction]] = {}
+        for v in vectors:
+            self._add(v)
 
     @property
     def pivots(self) -> list[int]:
         return sorted(self._rows)
+
+    def rows(self) -> list[dict[int, Fraction]]:
+        """The reduced rows in pivot order, shared with the span: read
+        them, do not change them."""
+        return [self._rows[pc] for pc in self.pivots]
+
+    def kernel(self) -> list[dict[int, Fraction]]:
+        """Basis of the right kernel of the rows, one sparse vector per
+        free column, in column order."""
+        ker = {fc: {fc: ONE} for fc in range(self.ncols) if fc not in self._rows}
+        for pc, row in self._rows.items():
+            for j, x in row.items():
+                if j in ker:
+                    ker[j][pc] = -x
+        return list(ker.values())
 
     def _reduce(self, vec: Mapping[int, Fraction]) -> dict[int, Fraction]:
         """vec minus its components along the rows, as a new dict."""
@@ -178,11 +195,7 @@ class Coordinates:
     """
 
     def __init__(self, vectors: Sequence[Mapping[int, Fraction]], ncols: int):
-        self.span = RowSpace(ncols)
-        for i, v in enumerate(vectors):
-            tagged = dict(v)
-            tagged[ncols + i] = -ONE
-            self.span._add(tagged)
+        self.span = RowSpace(ncols, ({**v, ncols + i: -ONE} for i, v in enumerate(vectors)))
 
     def coords(self, vec: Mapping[int, Fraction]) -> Optional[dict[int, Fraction]]:
         """The nonzero coefficients on the input vectors, {i: c} in index
@@ -525,6 +538,24 @@ class GradedLinearMap:
         return GradedLinearMap._from_blocks(other.source, self.target,
                                             self.shift + other.shift, blocks)
 
+    def power(self, k: int) -> "GradedLinearMap":
+        """The map composed with itself k >= 1 times, by repeated squaring."""
+        square, out = self, None
+        while True:
+            if k & 1:
+                out = square if out is None else square.compose(out)
+            k >>= 1
+            if not k:
+                return out
+            square = square.compose(square)
+
+    def image(self, n: int) -> list[dict[int, Fraction]]:
+        """The reduced echelon basis of the image of degree n, in degree n
+        + shift, as sparse vectors in pivot order."""
+        cols, den = self._blocks.get(n, ((), 1))
+        return RowSpace(self.target.dim(n + self.shift),
+                        (_fractions(col, den) for col in cols)).rows()
+
     def is_zero(self) -> bool:
         return not self._blocks
 
@@ -772,10 +803,9 @@ class HomologyReport:
                 cells.setdefault((weights.get(lab, 1), n), []).append(i)
         self._spans: dict[tuple[int, int], RowSpace] = {}
         for (w, n), idx in cells.items():
-            span = self._spans[(w, n)] = RowSpace(space.dim(n - 1))
             cols, den = d._blocks.get(n, ((), 1))
-            for i in idx if cols else ():
-                span._add(_fractions(cols[i], den))
+            self._spans[(w, n)] = RowSpace(space.dim(n - 1),
+                                           (_fractions(cols[i], den) for i in idx if cols))
         rank = {key: span.dim() for key, span in self._spans.items()}
         self.cell_dims = {(w, n): len(idx) - rank[(w, n)] - rank.get((w - self.shift, n + 1), 0)
                           for (w, n), idx in sorted(cells.items())}
@@ -800,8 +830,7 @@ class HomologyReport:
         """Cycles of degree n whose classes form a basis of H_n."""
         if n not in self._reps:
             rows = self._boundary_rows(n)
-            span = RowSpace(self.space.dim(n))
-            span._rows = {pc: dict(row) for pc, row in rows.items()}
+            span = RowSpace(self.space.dim(n), (rows[pc] for pc in sorted(rows)))
             ker = _cycles(self.d, n)
             chosen = [v for v in ker if span._add(v)]
             # computed evidence that every boundary is a cycle
@@ -833,17 +862,6 @@ class HomologyReport:
         return "HomologyReport(%s)" % {n: self.dims[n] for n in self.degrees()}
 
 
-def _kernel(span: RowSpace) -> list[dict[int, Fraction]]:
-    """Basis of the right kernel of span's rows, one sparse vector per
-    free column, in column order."""
-    ker = {fc: {fc: ONE} for fc in range(span.ncols) if fc not in span._rows}
-    for pc, row in span._rows.items():
-        for j, x in row.items():
-            if j in ker:
-                ker[j][pc] = -x
-    return list(ker.values())
-
-
 def _cycles(d: GradedLinearMap, n: int) -> list[dict[int, Fraction]]:
     """Basis of the kernel of d on degree n: the rows of d_n reduced into a
     RowSpace, then one sparse vector per free column, in column order."""
@@ -852,10 +870,7 @@ def _cycles(d: GradedLinearMap, n: int) -> list[dict[int, Fraction]]:
     for j, col in enumerate(cols):
         for i, x in col:
             rows.setdefault(i, {})[j] = QQ(x, den)
-    span = RowSpace(d.source.dim(n))
-    for row in rows.values():
-        span._add(row)
-    return _kernel(span)
+    return RowSpace(d.source.dim(n), rows.values()).kernel()
 
 
 def homology(space: GradedVectorSpace, d: GradedLinearMap) -> HomologyReport:
@@ -892,48 +907,71 @@ def _char_poly(m: list[list[Fraction]]) -> list[Fraction]:
     return coeffs
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
+def _divmod(a: Sequence, b: Sequence) -> tuple[list, list]:
+    """Quotient and remainder of polynomials given as coefficient lists,
+    highest first, b[0] != 0; the remainder has no leading zeros."""
+    a, quo = list(a), []
+    while len(a) >= len(b):
+        f = QQ(a[0]) / b[0]
+        quo.append(f)
+        a = [x - f * y for x, y in zip(a[1:], b[1:])] + a[len(b):]
+    while a and not a[0]:
+        a.pop(0)
+    return quo, a
 
 
-def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
-    """All rational roots (with the leading coefficient 1 convention kept
-    general); exact, by the rational root theorem after clearing
-    denominators."""
-    while len(coeffs) > 1 and not coeffs[0]:
-        coeffs = coeffs[1:]
-    roots = set()
-    # strip zero roots
-    work = list(coeffs)
-    while work and not work[-1]:
-        roots.add(ZERO)
-        work = work[:-1]
-    if len(work) <= 1:
-        return sorted(roots)
-    from math import lcm
-    den = 1
-    for c in work:
-        den = lcm(den, c.denominator)
-    ints = [int(c * den) for c in work]
-    lead, const = ints[0], ints[-1]
-    for p in _divisors(const):
-        for q in _divisors(lead):
-            for cand in (QQ(p, q), QQ(-p, q)):
-                if cand in roots:
-                    continue
-                val = ZERO
-                for c in ints:
-                    val = val * cand + c
-                if val == 0:
-                    roots.add(cand)
+def _rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
+    """The distinct rational roots of a nonzero polynomial, its
+    coefficients highest first, in ascending order; exact, and without
+    factoring any coefficient.  With lead the leading coefficient after
+    clearing denominators, y = lead x turns the polynomial into a monic int
+    one, q, whose rational roots are ints.  The Sturm chain of q divided by
+    its last member, gcd(q, q'), is a Sturm chain of q's squarefree part:
+    it counts the distinct real roots in (lo, hi], and bisection over the
+    ints inside the Cauchy bound narrows every nonzero count down to one
+    int, kept only where q vanishes exactly."""
+    p = list(coeffs)
+    while len(p) > 1 and not p[0]:
+        p.pop(0)
+    if len(p) <= 1:
+        return []
+    den = math.lcm(*(c.denominator for c in p))
+    lead, m = int(p[0] * den), len(p) - 1
+    q = [1] + [int(c * den) * lead ** (i - 1) for i, c in enumerate(p) if i]
+    chain = [q, [c * (m - i) for i, c in enumerate(q[:-1])]]
+    while True:
+        r = _divmod(chain[-2], chain[-1])[1]
+        if not r:
+            break
+        chain.append([-c for c in r])
+    chain = [_divmod(c, chain[-1])[0] for c in chain]
+    # each times the lcm of its denominators: the same signs, on ints
+    chain = [[int(c * k) for c in poly] for poly in chain
+             for k in [math.lcm(*(c.denominator for c in poly))]]
+
+    def value(poly, y: int):
+        v = 0
+        for c in poly:
+            v = v * y + c
+        return v
+
+    def variations(y: int) -> int:
+        signs = [v > 0 for v in (value(c, y) for c in chain) if v]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    bound = 1 + max(abs(c) for c in q[1:])
+    roots, stack = [], [(-bound - 1, variations(-bound - 1), bound, variations(bound))]
+    while stack:
+        lo, vlo, hi, vhi = stack.pop()
+        if vlo == vhi:
+            continue
+        if hi - lo == 1:
+            if not value(q, hi):
+                roots.append(QQ(hi, lead))
+            continue
+        mid = (lo + hi) // 2
+        vmid = variations(mid)
+        stack += [(lo, vlo, mid, vmid), (mid, vmid, hi, vhi)]
     return sorted(roots)
 
 
@@ -973,11 +1011,8 @@ def idempotents(a) -> list[dict[int, Fraction]]:
             rmat = [[restr[j].get(i, ZERO) for j in range(k)] for i in range(k)]
             pieces = []
             for lam in _rational_roots(_char_poly(rmat)):
-                shifted = RowSpace(k)
-                for i in range(k):
-                    shifted._add(_sparse([x - lam if i == j else x
-                                          for j, x in enumerate(rmat[i])]))
-                ker = _kernel(shifted)
+                ker = RowSpace(k, (_sparse([x - lam if i == j else x for j, x in enumerate(rmat[i])])
+                                   for i in range(k))).kernel()
                 if ker:
                     pieces.append([linear_combination((c, v_basis[j]) for j, c in kv.items())
                                    for kv in ker])

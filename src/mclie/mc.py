@@ -36,7 +36,7 @@ from .linalg import (
     linear_combination,
     _accumulate,
     _element_of,
-    _kernel,
+    _rational_roots,
 )
 from .dgla import (
     Dgla,
@@ -781,7 +781,6 @@ def mc_vertices(g: Dgla, support: Optional[int] = None):
 # ---------------------------------------------------------------------------
 
 def _poly_rational_roots(coeff_map: Mapping[int, Fraction]) -> list[Fraction]:
-    from .linalg import _rational_roots
     deg = max(coeff_map)
     coeffs = [coeff_map.get(k, ZERO) for k in range(deg, -1, -1)]
     return _rational_roots(coeffs)
@@ -975,7 +974,7 @@ def family_samples(system: MCConstraintSystem, family: SolutionFamily,
             monos = [omega.space.basis_element(-p, lab)
                      for lab in omega.space.labels(-p)]
         coords.extend((sym, m) for m in monos)
-    span = RowSpace(len(coords))
+    rows = []
     for cons in family.constraints:
         cells: dict = {}
         for j, (sym, mono_elt) in enumerate(coords):
@@ -986,10 +985,9 @@ def family_samples(system: MCConstraintSystem, family: SolutionFamily,
                     terms.append((c, omega.d(mono_elt) if cdiff else mono_elt))
             for key, c in linear_combination(terms).coeffs.items():
                 cells.setdefault(key, {})[j] = c
-        for row in cells.values():
-            span._add(row)
+        rows.extend(cells.values())
     out = []
-    for vec in _kernel(span) + [{}]:
+    for vec in RowSpace(len(coords), rows).kernel() + [{}]:
         free_values: dict = {sym: {} for sym in frees}
         for j, c in sorted(vec.items()):
             sym, mono_elt = coords[j]
@@ -1080,13 +1078,8 @@ def induced_homology_iso(incl, src: Dgla, dst: Dgla, degree: int) -> bool:
         return False
     if hs.dim(degree) == 0:
         return True
-    images = RowSpace(hd.dim(degree))
-    for r in hs.representatives(degree):
-        x = hd.class_of(incl.apply(r), degree)
-        if x is None:
-            return False
-        images._add(x)
-    return images.dim() == hd.dim(degree)
+    images = [hd.class_of(incl.apply(r), degree) for r in hs.representatives(degree)]
+    return None not in images and RowSpace(hd.dim(degree), images).dim() == hd.dim(degree)
 
 
 COMPONENT_N_MAX = 4

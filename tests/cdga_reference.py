@@ -6,9 +6,19 @@ of GradedElements, with its own product of monomials (odd squares vanish,
 the sign counts the odd letters that pass each other, and a product over
 the truncation weight is zero).  A test oracle for the Leibniz kernel
 FreePolynomialCdga._d_mono, column by column for the int blocks of d that
-it feeds, and for the CE complex's generator products."""
+it feeds, and for the CE complex's generator products.
 
-from mclie.linalg import ONE, GradedElement, _accumulate, _element_of
+Two reports as mclie computed them before they came down to ranks: the
+derivations report on a labelled quotient complex I/I^2 with coordinates
+of its own, and the localization exactness report by iterating [u] on the
+classes k times per degree (k = dim H_n), on one linear combination at a
+time."""
+
+import itertools
+
+from mclie.cdga import CdgaAxiomViolation, LocalizationFailure, _augmentation_ideal, localize
+from mclie.linalg import (ONE, Coordinates, GradedElement, GradedLinearMap, GradedVectorSpace,
+                          RowSpace, _accumulate, _element_of, homology, linear_combination)
 
 
 def merge_reference(alg, m1, m2):
@@ -67,3 +77,89 @@ def leibniz_reference(alg, lab: str) -> GradedElement:
             _accumulate(out, term.coeffs, -ONE if prefix_parity % 2 else ONE)
         prefix_parity += cohdeg
     return _element_of(out)
+
+
+def quotient_dims_reference(alg) -> dict[int, int]:
+    """H(I/I^2) by cohomological degree, from the quotient complex: the
+    I-basis reduced mod I^2, a Coordinates over what survives, d of each
+    survivor expressed in it, and the homology of that complex."""
+    plus, adjusted = _augmentation_ideal(alg)
+    ibasis: dict[int, list[GradedElement]] = {}
+    for n, lab in plus:
+        ibasis.setdefault(n, []).append(adjusted[lab])
+    sq = {n: RowSpace(alg.space.dim(n)) for n in alg.space.degrees()}
+    flat = [v for n in sorted(ibasis) for v in ibasis[n]]
+    for v1, v2 in itertools.product(flat, repeat=2):
+        p = alg.multiply(v1, v2)
+        if not p.is_zero():
+            n = p.degree()
+            sq[n]._add(alg.space.to_vector(p, n))
+    quo_basis: dict[int, list[GradedElement]] = {}
+    quo_coords: dict[int, Coordinates] = {}
+    for n in alg.space.degrees():
+        span = RowSpace(alg.space.dim(n))
+        kept, rows = [], []
+        for v in ibasis.get(n, []):
+            r = sq[n]._reduce(alg.space.to_vector(v, n))
+            if span._add(r):
+                kept.append(v)
+                rows.append(r)
+        if kept:
+            quo_basis[n] = kept
+        quo_coords[n] = Coordinates(rows, alg.space.dim(n))
+    space = GradedVectorSpace({n: ["q%d_%d" % (n, i) for i in range(len(v))]
+                               for n, v in quo_basis.items()})
+
+    def express(elt, n):
+        if elt.is_zero():
+            return GradedElement()
+        x = quo_coords[n].coords(sq[n]._reduce(alg.space.to_vector(elt, n)))
+        if x is None:
+            raise CdgaAxiomViolation("element escapes the quotient I/I^2 in degree %d" % n)
+        return space.from_vector(x, n)
+
+    def d_fn(n, lab):
+        img = alg.d(quo_basis[n][space.index(n, lab)])
+        return express(img - alg.unit.scale(alg.eps(img)), n - 1)
+
+    h = homology(space, GradedLinearMap.from_function(space, space, -1, d_fn))
+    return {-n: h.dim(n) for n in h.degrees() if h.dim(n)}
+
+
+def derivations_reference(a, rebuilt=None) -> dict:
+    dims = quotient_dims_reference(a)
+    out = {"dims": dims}
+    if rebuilt is not None:
+        dims2 = quotient_dims_reference(rebuilt)
+        out["stable"] = {n: dims.get(n, 0) == dims2.get(n, 0) for n in set(dims) | set(dims2)}
+    return out
+
+
+def exactness_reference(a, u, loc=None) -> dict:
+    """The localization exactness report, [u] applied k times per degree
+    to each class as u times a combination of the representatives."""
+    if loc is None:
+        loc, _ = localize(a, u)
+    h_loc, h = loc.homology(), a.homology()
+    report = {}
+    ok = True
+    for n in sorted(set(h.degrees()) | set(h_loc.degrees())):
+        rs = h.representatives(n)
+        k = len(rs)
+        vecs = [{i: ONE} for i in range(k)]
+        for _ in range(k):
+            new = []
+            for v in vecs:
+                x = h.class_of(a.multiply(
+                    u, linear_combination((c, rs[i]) for i, c in v.items())), n)
+                if x is None:
+                    raise LocalizationFailure("u times a cycle is not a cycle in degree %d" % n)
+                new.append(x)
+            vecs = new
+        image = RowSpace(k)
+        for v in vecs:
+            image._add(v)
+        report[n] = {"H(A) localized": image.dim(), "H(A[u^-1])": h_loc.dim(n)}
+        ok = ok and image.dim() == h_loc.dim(n)
+    report["pass"] = ok
+    return report

@@ -3,12 +3,15 @@
 A dense Gauss-Jordan eliminator: an independent implementation of the
 reduced row echelon form that mclie's sparse RowSpace (and everything read
 off it) computes, with the kernel, solve and matrix product read off it.
-Dense blocks of a GradedLinearMap, both ways.  And the Chevalley-Eilenberg
+Dense blocks of a GradedLinearMap, both ways.  The Chevalley-Eilenberg
 generator differentials written the way the formula reads: one loop over
 the targets, and inside it every ordered basis pair, with no pair
-skipped."""
+skipped.  And the rational root finder by the rational root theorem, every
+p/q over the divisors of the constant and leading coefficients, found by
+trial division."""
 
 import itertools
+import math
 from fractions import Fraction
 
 from mclie.cdga import FreePolynomialCdga
@@ -138,3 +141,40 @@ def ce_generator_differentials(g, bound, truncate_by="length"):
             val = val + prod.scale(QQ(-1, 2) * sign * c)
         out[sigma[labk]] = val
     return out
+
+
+def _divisors(n):
+    n = abs(n)
+    out = set()
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.add(d)
+            out.add(n // d)
+        d += 1
+    return sorted(out)
+
+
+def rational_roots_by_divisors(coeffs):
+    """The distinct rational roots of a nonzero polynomial, coefficients
+    highest first, ascending: each candidate +-p/q evaluated exactly."""
+    while len(coeffs) > 1 and not coeffs[0]:
+        coeffs = coeffs[1:]
+    roots = set()
+    work = list(coeffs)
+    while work and not work[-1]:
+        roots.add(Fraction(0))
+        work = work[:-1]
+    if len(work) <= 1:
+        return sorted(roots)
+    den = math.lcm(*(c.denominator for c in work))
+    ints = [int(c * den) for c in work]
+    for p in _divisors(ints[-1]):
+        for q in _divisors(ints[0]):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                val = Fraction(0)
+                for c in ints:
+                    val = val * cand + c
+                if val == 0:
+                    roots.add(cand)
+    return sorted(roots)

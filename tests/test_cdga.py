@@ -475,6 +475,17 @@ def test_localize_matches_per_product_reference(seed):
     assert_same_localization(*_seeded_table_at_cocycle(seed))
 
 
+def test_exactness_report_matches_k_fold_reference():
+    # [u] raised to dim H once, against [u] applied k = dim H_n times per
+    # degree
+    from cdga_reference import exactness_reference
+    for seed in range(60):
+        a, u = _seeded_table_at_cocycle(1000 + seed)
+        loc, _ = localize(a, u)
+        assert repr(localization_exactness_report(a, u, loc)) == \
+            repr(exactness_reference(a, u, loc)), seed
+
+
 def _power_cases():
     cases = [_seeded_table_at_cocycle(seed) for seed in range(12)]
     omega = omega_simplex(3, 3)
@@ -776,6 +787,87 @@ def test_derivations_of_ce_algebra_of_abelian_line():
     assert rep["dims"] == {1: 1}
 
 
+def _derivation_cases():
+    """(id, cdga, its rebuild one step up) for the derivations oracle."""
+    from mclie.cehar import ce_complex
+    cases = []
+    for ref, g in [("heisenberg", build_builtin("heisenberg")),
+                   ("abelian:2:0", build_builtin("abelian:2:0")),
+                   ("two-degree abelian", abelian_dgla({0: ["a"], -1: ["b"]})),
+                   ("f_xa:3", f_xa_dgla(3))]:
+        for bound in (2, 3):
+            cases.append(("ce %s words %d" % (ref, bound), ce_complex(g, bound).algebra,
+                          ce_complex(g, bound + 1).algebra))
+    for c in (QQ(1), QQ(3, 2)):
+        def free(weight, c=c):
+            w2 = GradedElement({(-4, "w^2"): c})
+            return FreePolynomialCdga([("w", 2, 1), ("x", 3, 2)], weight, {"x": w2},
+                                      {"w": QQ(0), "x": QQ(0)})
+        cases.append(("free d x = %s w^2" % c, free(4), free(5)))
+    cases.append(("forms on the 1-simplex", omega_simplex(1, 3), omega_simplex(1, 4)))
+    cases.append(("square-zero table", q_eps(), q_eps()))
+    cases.append(("Q x Q", qxq(), qxq()))
+    return cases
+
+
+DERIVATION_CASES = _derivation_cases()
+
+
+@pytest.mark.parametrize("a, rebuilt", [c[1:] for c in DERIVATION_CASES],
+                         ids=[c[0] for c in DERIVATION_CASES])
+def test_derivations_report_matches_quotient_complex_reference(a, rebuilt):
+    from cdga_reference import derivations_reference
+    # repr: the same keys in the same order
+    assert repr(derivations_report(a)) == repr(derivations_reference(a))
+    assert repr(derivations_report(a, rebuilt)) == repr(derivations_reference(a, rebuilt))
+
+
+def test_derivations_report_refuses_an_escape():
+    # eps(1) = 2 and d y = 1: dbar y = 1 - 2 * 1 = -1 lies outside I + I^2,
+    # which is 0 in degree 0
+    from cdga_reference import derivations_reference
+    a = FiniteTableCdga({0: ["1"], -1: ["y"]}, {}, "1",
+                        {"y": GradedElement({(0, "1"): QQ(1)})},
+                        augmentation={"1": QQ(2)}, check="skip")
+    for report in (derivations_report, derivations_reference):
+        with pytest.raises(CdgaAxiomViolation,
+                           match="^element escapes the quotient I/I\\^2 in degree 0$"):
+            report(a)
+
+
+def test_derivations_report_refuses_a_nonzero_dbar_squared():
+    # d x = w, d 1 = z and eps(w) = 1, with w w = 2 w - 1 so that (w - 1)^2
+    # = 0 and I^2 = 0: dbar x = w - 1 and dbar(w - 1) = -z, so dbar dbar is
+    # nonzero from degree 1, and degree 0 is named
+    from cdga_reference import derivations_reference
+    from mclie.linalg import CertificateFailure
+    w, z = GradedElement({(0, "w"): QQ(1)}), GradedElement({(-1, "z"): QQ(1)})
+    x = GradedElement({(1, "x"): QQ(1)})
+    a = FiniteTableCdga({0: ["1", "w"], 1: ["z"], -1: ["x"]},
+                        {("w", "w"): w.scale(2) - GradedElement({(0, "1"): QQ(1)}),
+                         ("w", "z"): z, ("w", "x"): x}, "1", {"x": w, "1": z},
+                        augmentation={"1": QQ(1), "w": QQ(1)}, check="skip")
+    for report in (derivations_report, derivations_reference):
+        with pytest.raises(CertificateFailure,
+                           match="^boundaries are not all cycles in degree 0$"):
+            report(a)
+
+
+def test_derivations_report_refuses_a_dbar_that_leaves_i_squared():
+    # d v = w, d 1 = z and eps(w) = 1 with w w = w and w z = z: I^2 is
+    # spanned by (w - 1)^2 = 1 - w, and dbar(1 - w) = z lies outside I^2 =
+    # 0 in degree -1, so dbar is no map on I/I^2; the quotient complex of
+    # the old report read a homology off it regardless
+    from cdga_reference import derivations_reference
+    w, z = GradedElement({(0, "w"): QQ(1)}), GradedElement({(-1, "z"): QQ(1)})
+    a = FiniteTableCdga({0: ["1", "w"], 1: ["z"], -1: ["v"]},
+                        {("w", "w"): w, ("w", "z"): z}, "1", {"v": w, "1": z},
+                        augmentation={"1": QQ(1), "w": QQ(1)}, check="skip")
+    assert derivations_reference(a)["dims"]
+    with pytest.raises(CdgaAxiomViolation, match="^d\\(I\\^2\\) leaves I\\^2 in degree -1$"):
+        derivations_report(a)
+
+
 def test_split_z_graded_uses_localization_factors():
     # a Z-graded disconnected algebra: the idempotent factors come from the
     # localization colimit rather than a strict product decomposition
@@ -805,7 +897,7 @@ def test_cohomology_algebra_raises_named_errors(monkeypatch):
     with pytest.raises(ZeroCohomology, match="degree 0"):
         cohomology_algebra(a)
     import mclie.cdga
-    monkeypatch.setattr(mclie.cdga.Coordinates, "coords", lambda self, v: None)
+    monkeypatch.setattr(mclie.linalg.Coordinates, "coords", lambda self, v: None)
     with pytest.raises(NonCocycle, match="not a cycle"):
         cohomology_algebra(qxq())
 
@@ -819,7 +911,7 @@ def test_strict_factor_raises_named_error(monkeypatch, capsys):
     a = build_builtin("qk:3")
     u = idempotent_split(a)[0][0]
     import mclie.cdga
-    monkeypatch.setattr(mclie.cdga.Coordinates, "coords", lambda self, v: None)
+    monkeypatch.setattr(mclie.linalg.Coordinates, "coords", lambda self, v: None)
     with pytest.raises(LocalizationFailure, match="not invertible on the image"):
         _strict_factor(a, u)
     monkeypatch.undo()

@@ -152,6 +152,18 @@ augment e = 0
     assert "connected-factors: PASS" in out
 
 
+def test_split_with_a_24_digit_structure_constant(tmp_path, capsys):
+    # H^0 = Q x Q with e e = 10^23 e: the idempotents are e / 10^23 and
+    # 1 - e / 10^23, found without trial division of 10^23
+    d = tmp_path / "long.def"
+    d.write_text("kind cdga\nbasis 1 0\nbasis e 0\nunit 1\n"
+                 "mul e e = 100000000000000000000000 e\n")
+    rc, out, err = run_cli(["split", str(d)], capsys)
+    assert rc == 0 and err == ""
+    assert "  factor 0 (strict): idempotent 1/100000000000000000000000 e" in out.splitlines()
+    assert out.splitlines()[-1] == "connected-factors: PASS"
+
+
 def test_split_non_split_exit_code(capsys):
     rc, out, err = run_cli(["split", "--builtin", "q_eps"], capsys)
     assert rc == 1

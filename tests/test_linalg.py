@@ -13,6 +13,7 @@ from dense_reference import (
     dense_rref,
     dense_solve,
     map_from_blocks,
+    rational_roots_by_divisors,
 )
 from test_cli import FREE_PRODUCT_PAIRS
 from mclie.cdga import Cdga
@@ -27,6 +28,7 @@ from mclie.linalg import (
     NonSplitAlgebra,
     RowSpace,
     _cycles,
+    _rational_roots,
     homology,
     idempotents,
     rref,
@@ -322,6 +324,74 @@ def _random_element(rng, space):
                           for k in items[:rng.randint(0, len(items))]})
 
 
+def test_power_and_image_match_dense_reference():
+    # power(k) against k - 1 dense products, and image(n) against the dense
+    # rref of block n's columns, on maps with zero and absent blocks
+    rng = random.Random(20261020)
+    for _ in range(100):
+        u, v = _random_space(rng, "u"), _random_space(rng, "v")
+        shift = rng.choice([-1, 0, 1])
+        fb = _random_blocks(rng, u, v, shift)
+        f = map_from_blocks(u, v, shift, fb)
+        for n in range(-3, 5):
+            width = v.dim(n + shift)
+            block = _dense_block(fb, u, v, shift, n)
+            columns = [[row[j] for row in block] for j in range(u.dim(n))]
+            assert [dense(x, width) for x in f.image(n)] == dense_rref(columns, width)[0]
+        ub = _random_blocks(rng, u, u, 0)
+        g = map_from_blocks(u, u, 0, ub)
+        for k in range(1, 10):
+            power = g.power(k)
+            assert (power.source, power.target, power.shift) == (u, u, 0)
+            for n in range(-3, 5):
+                want = _dense_block(ub, u, u, 0, n)
+                for _ in range(k - 1):
+                    want = dense_product(_dense_block(ub, u, u, 0, n), want, u.dim(n), u.dim(n))
+                assert dense_block(power, n) == want
+
+
+def _polynomial_cases(rng, count):
+    """Nonzero polynomials, coefficients highest first: half of them
+    products of rational roots and quadratics, half random coefficient
+    lists."""
+    def times(a, b):
+        out = [QQ(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    for t in range(count):
+        if t % 2:
+            p = [QQ(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))]
+            for _ in range(rng.randint(0, 4)):
+                if rng.random() < 0.6:
+                    p = times(p, [QQ(1), -QQ(rng.randint(-9, 9), rng.randint(1, 6))])
+                else:
+                    p = times(p, [QQ(1), QQ(rng.randint(-5, 5)), QQ(rng.randint(-5, 5))])
+        else:
+            p = [QQ(rng.randint(-20, 20), rng.randint(1, 4)) for _ in range(rng.randint(1, 6))]
+            if not any(p):
+                p[-1] = QQ(1)
+        yield p
+
+
+def test_rational_roots_match_divisor_reference():
+    for p in _polynomial_cases(random.Random(20261021), 3000):
+        assert _rational_roots(p) == rational_roots_by_divisors(p), p
+
+
+def test_rational_roots_of_a_long_constant_need_no_divisors():
+    # (x - 1)(x - 10^23) and (10^23 x - 1)(x + 2): the divisor search would
+    # run for hours, the Sturm bisection takes about 80 steps per root
+    big = 10 ** 23
+    assert _rational_roots([QQ(1), QQ(-1 - big), QQ(big)]) == [QQ(1), QQ(big)]
+    assert _rational_roots([QQ(big), QQ(2 * big - 1), QQ(-2)]) == [QQ(-2), QQ(1, big)]
+    # x (x - 1/2)^2 (x^2 - 2): a zero root, a double root, an irrational pair
+    assert _rational_roots([QQ(1), QQ(-1), QQ(-7, 4), QQ(2), QQ(-1, 2), QQ(0)]) == \
+        [QQ(0), QQ(1, 2)]
+
+
 def test_sparse_map_matches_dense_reference():
     rng = random.Random(20261018)
     for _ in range(200):
@@ -455,8 +525,8 @@ def test_rank_nullity_failure_raises_certificate_failure(monkeypatch):
     assert mclie.cehar.CertificateFailure is CertificateFailure
     # drop the last cycle of each degree: in degree 0 that is b = d(a), so
     # a boundary is no longer among the cycles
-    kernel = mclie.linalg._kernel
-    monkeypatch.setattr(mclie.linalg, "_kernel", lambda span: kernel(span)[:-1])
+    kernel = mclie.linalg.RowSpace.kernel
+    monkeypatch.setattr(mclie.linalg.RowSpace, "kernel", lambda span: kernel(span)[:-1])
     h = homology(*two_term_identity())
     with pytest.raises(CertificateFailure, match="in degree 0$"):
         h.representatives(0)

@@ -819,10 +819,21 @@ def test_is_abelian_answers_after_a_few_brackets(monkeypatch):
     # degree -4, where there is no basis; the pairs of generators land
     g = g_s_dgla(100, 2)
     calls = []
-    real = g.bracket_labels
-    monkeypatch.setattr(g, "bracket_labels", lambda *a: calls.append(a) or real(*a))
+    real = g._product_fn
+    monkeypatch.setattr(g, "_product_fn", lambda *a: calls.append(a) or real(*a))
     assert not g.is_abelian()
     assert len(calls) <= 3
+
+
+def test_is_abelian_caches_no_bracket():
+    # an abelian g answers True after reading all 3,240 pairs, and keeps
+    # none; at 80 basis elements construction runs no axiom check to fill
+    # the cache first
+    from mclie.defs import build_builtin
+    g = build_builtin("abelian:80:-1")
+    assert g._products == {}
+    assert g.is_abelian()
+    assert g._products == {}
 
 
 def test_step_budget_is_a_resource_cap(monkeypatch, capsys):
