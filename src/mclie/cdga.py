@@ -157,7 +157,7 @@ class Cdga(_DgAlgebra):
                             "augmentation is not multiplicative on (%s, %s)" % (l1, l2))
         return skipped
 
-    def _triple_failure(self, table: list[list[dict[int, Fraction]]],
+    def _triple_failure(self, table: list[list[dict[int, int]]],
                         degrees: list[int]) -> Optional[tuple[int, int, int]]:
         """The first basis triple (i, j, k), in itertools.product order,
         with (uv)w - u(vw) nonzero, contracted over the table; None when
@@ -169,7 +169,7 @@ class Cdga(_DgAlgebra):
                 vw = row_j[k]
                 if not (uv or vw):
                     continue
-                acc: dict[int, Fraction] = {}
+                acc: dict[int, int] = {}
                 for a, c in uv.items():
                     _accumulate(acc, table[a][k], c)
                 for b, c in vw.items():
@@ -294,19 +294,20 @@ class FreePolynomialCdga(Cdga):
     def _evaluation(self, values: Mapping[str, Fraction]) -> dict[str, Fraction]:
         """The algebra map to Q with the given generator values (0 where
         none is given), extended multiplicatively: its nonzero values on
-        the basis monomials."""
+        the basis monomials.  A monomial stops at its first generator
+        with value 0, before any power or product."""
         out = {}
         for mono, lab in self._label_of_mono.items():
-            val = ONE
-            for gi, e in mono:
-                a = values.get(self.generators[gi][0], ZERO)
-                if self.generators[gi][1] != 0 and a:
+            for gi, _ in mono:
+                if not values.get(self.generators[gi][0]):
+                    break
+                if self.generators[gi][1] != 0:
                     raise CdgaAxiomViolation(
                         "augmentation nonzero on a nonzero-degree generator")
-                val *= a ** e
-                if not val:
-                    break
-            if val:
+            else:
+                val = ONE
+                for gi, e in mono:
+                    val *= values[self.generators[gi][0]] ** e
                 out[lab] = val
         return out
 

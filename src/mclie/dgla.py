@@ -113,7 +113,7 @@ class Dgla(_DgAlgebra):
         caps skipped (see _check_axioms)."""
         return self._check_axioms(pair_cap, triple_cap)
 
-    def _triple_failure(self, table: list[list[dict[int, Fraction]]],
+    def _triple_failure(self, table: list[list[dict[int, int]]],
                         degrees: list[int]) -> Optional[tuple[int, int, int]]:
         """The first basis triple (i, j, k), in itertools.product order,
         with [u,[v,w]] - [[u,v],w] - (-1)^{|u||v|} [v,[u,w]] nonzero,
@@ -126,7 +126,7 @@ class Dgla(_DgAlgebra):
                 vw, uw = row_j[k], row_i[k]
                 if not (uv or vw or uw):
                     continue
-                acc: dict[int, Fraction] = {}
+                acc: dict[int, int] = {}
                 for b, c in vw.items():
                     _accumulate(acc, row_i[b], c)
                 for a, c in uv.items():

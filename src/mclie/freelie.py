@@ -50,7 +50,6 @@ from .linalg import (
     GradedVectorSpace,
     RowSpace,
     _accumulate,
-    _cleared,
     _element_of,
 )
 
@@ -441,15 +440,17 @@ class QuotientLie:
     rewriting (FreeLieTruncation._hall).  The ideal is a RowSpace per
     degree on its basis trees in (weight, label) order, saturated by
     bracketing with the generators what it leaves of each element that
-    enlarges it.  The quotient basis is the non-pivot labels, so each
-    carries a weight witness and brackets remain weight-filtered.  The
-    differential is the presentation's, extended to the free algebra by
-    the graded Leibniz rule on ints as den d(tree), where den is the lcm of
-    the denominators of d on the generators.  d_map hands the quotient's d
-    to its GradedLinearMap as those ints over den, one block per degree:
-    as they are where the ideal one degree below has no rows (a free
-    presentation), else reduced against them first, with the rows'
-    denominators cleared into the block's.
+    enlarges it.  Saturation, projection and d_map hand it ints and read
+    back ints over one denominator (RowSpace._scaled), so the reducer
+    builds no Fraction for them.  The quotient basis is the non-pivot
+    labels, so each carries a weight witness and brackets remain
+    weight-filtered.  The differential is the presentation's, extended to
+    the free algebra by the graded Leibniz rule on ints as den d(tree),
+    where den is the lcm of the denominators of d on the generators.
+    d_map hands the quotient's d to its GradedLinearMap as those ints over
+    den, one block per degree: as they are where the ideal one degree below
+    has no rows (a free presentation), else reduced against them first,
+    with the reductions' denominators cleared into the block's.
     """
 
     def __init__(self, presentation: LiePresentation, m: int):
@@ -503,9 +504,10 @@ class QuotientLie:
 
         def enlarge(terms):
             # queue what the ideal leaves of an element, once added: the
-            # rest of the element is a sum of elements queued before
+            # rest of the element is a sum of elements queued before.  The
+            # rest is queued as ints, a multiple of it: the span is the same
             for deg, vec in self._vecs(terms).items():
-                rest = self._ideal[deg]._reduce(vec)
+                rest = self._ideal[deg]._scaled(vec)[0]
                 if rest:
                     self._ideal[deg]._add(rest)
                     queue.append({self._columns[deg][i]: c for i, c in rest.items()})
@@ -533,10 +535,12 @@ class QuotientLie:
         out: dict = {}
         vecs = self._vecs(terms)
         for deg in sorted(vecs):
-            cols = self._columns[deg]
-            v = self._ideal[deg]._reduce(vecs[deg])
+            cols, ideal = self._columns[deg], self._ideal[deg]
+            # an ideal with no rows leaves the element as it is, uncopied:
+            # every bracket of a free presentation comes this way
+            v, vden = ideal._scaled(vecs[deg]) if ideal.dim() else (vecs[deg], 1)
             # one block of keys per degree: the keys never collide
-            out.update({(deg, self.free.label_of_tree[cols[i]]): Fraction(v[i], den)
+            out.update({(deg, self.free.label_of_tree[cols[i]]): Fraction(v[i], den * vden)
                         for i in sorted(v)})
         return _element_of(out)
 
@@ -643,10 +647,12 @@ class QuotientLie:
                 blocks[deg] = (out, self._den)
                 continue
             for i in keep:
-                dt = self._free_d_tree(cols[i])
-                v = below._reduce({pos[s]: c for s, c in dt.items()}) if dt else dt
-                out.append([(rank[j], v[j]) for j in sorted(v)])
-            blocks[deg] = _cleared(out, self._den)
+                v, vden = below._scaled({pos[s]: c for s, c in self._free_d_tree(cols[i]).items()})
+                out.append(([(rank[j], v[j]) for j in sorted(v)], vden))
+            # every column over the lcm of the reductions' denominators
+            m = math.lcm(*(vden for _, vden in out))
+            blocks[deg] = ([[(j, x * (m // vden)) for j, x in col] for col, vden in out],
+                           self._den * m)
         return GradedLinearMap._from_blocks(self.space, self.space, -1, blocks)
 
 

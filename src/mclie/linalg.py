@@ -8,17 +8,20 @@ degree 0: H^0 of a cdga, held as a Cdga with zero differential.
 All arithmetic is exact, on fractions.Fraction or on Python ints; there is
 no floating point anywhere.  Vectors are sparse, in and out: {index:
 Fraction} dicts of nonzero entries, as GradedVectorSpace.to_vector returns
-them and from_vector reads them.  A linear map stores each degree once, as
-sparse int columns over one least denominator: the presented dgla's d and a
-truncated free cdga's d arrive as ints, compose (and so the d*d check)
-multiplies ints, and a reader builds a Fraction only for an entry it hands
-out.
+them and from_vector reads them.  The inner loops run on ints over one
+denominator and build a Fraction only for an entry they hand out.  A
+linear map stores each degree once, as sparse int columns over one least
+denominator: the presented dgla's d and a truncated free cdga's d arrive as
+ints, and compose (and so the d*d check) multiplies ints.  RowSpace keeps
+each row as a primitive int vector, and the axiom checker contracts a
+structure-constant table cleared to ints.
 RowSpace, an incremental reduced row echelon form, is the one row reducer
-and takes only sparse vectors: the homology cells and cycles, the
-quotient Lie algebras, Coordinates and the cdga constructions all feed it
-that way, and Coordinates.coords and HomologyReport.class_of answer in
-sparse coordinates, in index order.  The reduced row echelon form is
-unique, so every derived report is reproducible bit for bit.  Callers
+and takes only sparse vectors, of ints or Fractions: the homology cells and
+cycles and the quotient Lie algebras hand it int vectors, Coordinates and
+the cdga constructions Fractions, and Coordinates.coords and
+HomologyReport.class_of answer in sparse coordinates, in index order.  The
+reduced row echelon form is unique, and a span is the same for any scaling
+of its vectors, so every derived report is reproducible bit for bit.  Callers
 outside this module never read its rows or a map's blocks: they ask a
 RowSpace for the span of their vectors, its rows(), kernel() or dim(), and
 a GradedLinearMap for its image(n) or power(k).
@@ -74,7 +77,7 @@ class CertificateFailure(Exception):
 
 
 # ---------------------------------------------------------------------------
-# row reduction: RowSpace keeps sparse {column: Fraction} rows; rref and
+# row reduction: RowSpace keeps sparse primitive int rows; rref and
 # solve_matrix read dense matrices (lists of row lists) into it
 # ---------------------------------------------------------------------------
 
@@ -107,79 +110,115 @@ def solve_matrix(rows: Sequence[Sequence[Fraction]], ncols: int,
 
 class RowSpace:
     """Incrementally maintained subspace in reduced row echelon form, on
-    sparse vectors: {column: Fraction} dicts of nonzero entries.
+    sparse vectors: {column: c} dicts of nonzero ints or Fractions, in and
+    out.
 
-    _rows maps each pivot to its row, which is 1 at its pivot and 0 at
-    every other pivot.  So _reduce(v) subtracts only the rows whose pivots
-    occur in v, at O(nnz(v) nnz(row)) cost, and _add rewrites only the rows
-    nonzero at the new pivot.  Pivots lie in the first ncols columns;
-    entries past them (as in Coordinates) are carried through every row
-    operation.
+    Each row is held once, as a primitive int vector that is positive at
+    its pivot: _ints maps the pivot to it, and the reduced row is that
+    vector divided by its pivot entry, so it is 0 at every other pivot.
+    _scaled(v) clears v's denominators once and subtracts only the rows
+    whose pivots occur in v, at O(nnz(v) nnz(row)) cost on ints; _reduce
+    builds one Fraction per entry of the result, and _add rewrites only
+    the rows nonzero at the new pivot, as p R - h v, and divides out their
+    content.  Scaling a vector does not change the span, so a caller
+    holding int vectors over a denominator hands in the ints.  Pivots lie
+    in the first ncols columns; entries past them (as in Coordinates) are
+    carried through every row operation.
     """
 
-    def __init__(self, ncols: int, vectors: Iterable[Mapping[int, Fraction]] = ()):
+    def __init__(self, ncols: int, vectors: Iterable[Mapping[int, "int | Fraction"]] = ()):
         self.ncols = ncols
-        self._rows: dict[int, dict[int, Fraction]] = {}
+        self._ints: dict[int, dict[int, int]] = {}
         for v in vectors:
             self._add(v)
 
     @property
     def pivots(self) -> list[int]:
-        return sorted(self._rows)
+        return sorted(self._ints)
+
+    @property
+    def _rows(self) -> dict[int, dict[int, Fraction]]:
+        """The reduced rows as Fractions, {pivot: row}, built on each read."""
+        return {pc: {j: QQ(x, row[pc]) for j, x in row.items()}
+                for pc, row in self._ints.items()}
 
     def rows(self) -> list[dict[int, Fraction]]:
-        """The reduced rows in pivot order, shared with the span: read
-        them, do not change them."""
-        return [self._rows[pc] for pc in self.pivots]
+        """The reduced rows in pivot order, as Fractions built on each read."""
+        rows = self._rows
+        return [rows[pc] for pc in sorted(rows)]
 
     def kernel(self) -> list[dict[int, Fraction]]:
         """Basis of the right kernel of the rows, one sparse vector per
         free column, in column order."""
-        ker = {fc: {fc: ONE} for fc in range(self.ncols) if fc not in self._rows}
-        for pc, row in self._rows.items():
+        ker = {fc: {fc: ONE} for fc in range(self.ncols) if fc not in self._ints}
+        for pc, row in self._ints.items():
             for j, x in row.items():
                 if j in ker:
-                    ker[j][pc] = -x
+                    ker[j][pc] = QQ(-x, row[pc])
         return list(ker.values())
 
-    def _reduce(self, vec: Mapping[int, Fraction]) -> dict[int, Fraction]:
-        """vec minus its components along the rows, as a new dict."""
-        rows = self._rows
-        out = dict(vec)
+    def _scaled(self, vec: Mapping[int, "int | Fraction"]) -> tuple[dict[int, int], int]:
+        """vec minus its components along the rows, as (ints, den > 0):
+        vec times the lcm of its denominators and of the pivot entries of
+        the rows it meets, reduced on ints."""
+        rows = self._ints
         # every row is zero at the other pivots, so vec's own entries there
-        # are the factors
-        for pc, f in [(j, x) for j, x in vec.items() if j in rows]:
-            for j, x in rows[pc].items():
-                s = out.get(j, ZERO) - f * x
+        # give the factors
+        hits = [j for j in vec if j in rows]
+        den = math.lcm(*(x.denominator for x in vec.values()))
+        scale = den * math.lcm(*(rows[pc][pc] for pc in hits))
+        out = {j: x.numerator * (scale // x.denominator) for j, x in vec.items()}
+        for pc in hits:
+            row = rows[pc]
+            f = out[pc] // row[pc]
+            for j, x in row.items():
+                s = out.get(j, 0) - f * x
                 if s:
                     out[j] = s
                 else:
                     del out[j]
-        return out
+        return out, scale
 
-    def _add(self, vec: Mapping[int, Fraction]) -> bool:
+    def _reduce(self, vec: Mapping[int, "int | Fraction"]) -> dict[int, Fraction]:
+        """vec minus its components along the rows, as a new dict."""
+        out, den = self._scaled(vec)
+        return {j: QQ(x, den) for j, x in out.items()}
+
+    def _add(self, vec: Mapping[int, "int | Fraction"]) -> bool:
         """Insert vec; True if it enlarged the span."""
-        v = self._reduce(vec)
+        v = self._scaled(vec)[0]
         pc = min((j for j in v if j < self.ncols), default=None)
         if pc is None:
             return False
-        f = v[pc]
-        if f != ONE:
-            v = {j: x / f for j, x in v.items()}
-        for row in self._rows.values():
-            g = row.get(pc)
-            if g:
+        g = math.gcd(*v.values())
+        if v[pc] < 0:
+            g = -g
+        if g != 1:
+            v = {j: x // g for j, x in v.items()}
+        p = v[pc]
+        for row in self._ints.values():
+            h = row.get(pc)
+            if h:
+                g = math.gcd(p, h)
+                a, b = p // g, h // g
+                if a != 1:
+                    for j in row:
+                        row[j] *= a
                 for j, x in v.items():
-                    s = row.get(j, ZERO) - g * x
+                    s = row.get(j, 0) - b * x
                     if s:
                         row[j] = s
                     else:
                         del row[j]
-        self._rows[pc] = v
+                g = math.gcd(*row.values())
+                if g != 1:
+                    for j in row:
+                        row[j] //= g
+        self._ints[pc] = v
         return True
 
     def dim(self) -> int:
-        return len(self._rows)
+        return len(self._ints)
 
 
 class Coordinates:
@@ -201,10 +240,10 @@ class Coordinates:
         """The nonzero coefficients on the input vectors, {i: c} in index
         order, or None outside their span."""
         ncols = self.span.ncols
-        x = self.span._reduce(vec)
+        x, den = self.span._scaled(vec)
         if any(j < ncols for j in x):
             return None
-        return {j - ncols: c for j, c in sorted(x.items())}
+        return {j - ncols: QQ(c, den) for j, c in sorted(x.items())}
 
     def rank(self) -> int:
         return self.span.dim()
@@ -411,11 +450,6 @@ def _cleared(cols: Sequence[Sequence[tuple[int, "int | Fraction"]]], den: int = 
             for col in cols], den * m
 
 
-def _fractions(col: Sequence[tuple[int, int]], den: int) -> dict[int, Fraction]:
-    """An int column over den as a sparse {row: Fraction} vector."""
-    return {i: QQ(x, den) for i, x in col}
-
-
 class GradedLinearMap:
     """Degree-homogeneous linear map between graded spaces.
 
@@ -440,7 +474,7 @@ class GradedLinearMap:
         self.target = target
         self.shift = shift
         self._blocks = self._reduced({n: _cleared(cols) for n, cols in (columns or {}).items()})
-        self._coordinates: dict[int, Coordinates] = {}
+        self._coordinates: dict[int, tuple[Coordinates, int]] = {}
 
     @classmethod
     def _from_blocks(cls, source: GradedVectorSpace, target: GradedVectorSpace,
@@ -551,10 +585,10 @@ class GradedLinearMap:
 
     def image(self, n: int) -> list[dict[int, Fraction]]:
         """The reduced echelon basis of the image of degree n, in degree n
-        + shift, as sparse vectors in pivot order."""
-        cols, den = self._blocks.get(n, ((), 1))
-        return RowSpace(self.target.dim(n + self.shift),
-                        (_fractions(col, den) for col in cols)).rows()
+        + shift, as sparse vectors in pivot order: the span of the int
+        columns, which den does not change."""
+        cols, _ = self._blocks.get(n, ((), 1))
+        return RowSpace(self.target.dim(n + self.shift), map(dict, cols)).rows()
 
     def is_zero(self) -> bool:
         return not self._blocks
@@ -569,14 +603,14 @@ class GradedLinearMap:
             n = d - self.shift
             if n not in self._coordinates:
                 cols, den = self._blocks.get(n, ([()] * self.source.dim(n), 1))
-                self._coordinates[n] = Coordinates([_fractions(col, den) for col in cols],
-                                                   self.target.dim(d))
-            x = self._coordinates[n].coords(
-                self.target.to_vector(target_elt.homogeneous_part(d), d))
+                self._coordinates[n] = Coordinates(list(map(dict, cols)), self.target.dim(d)), den
+            coords, den = self._coordinates[n]
+            x = coords.coords(self.target.to_vector(target_elt.homogeneous_part(d), d))
             if x is None:
                 return None
+            # coordinates on the int columns, which are den times the map's;
             # one source degree per target degree: the keys never collide
-            out.update(self.source.from_vector(x, n).coeffs)
+            out.update(self.source.from_vector({i: c * den for i, c in x.items()}, n).coeffs)
         return _element_of(out)
 
 
@@ -607,15 +641,19 @@ class _DgAlgebra:
     under its own public aliases.  Its verify_axioms calls _check_axioms,
     the one pair loop (the symmetry, then Leibniz) and the one triple loop.
 
-    The checker works on basis positions, not on GradedElements.  Whenever
-    either loop runs it fills one structure-constant table, table[i][j] =
-    e_i * e_j as {k: c} without zeros, from the lazy cache (_table_row),
-    and the pair loop reads d the same way (_d_table).  Each law is then a
-    contraction over the table: the pair loop compares table[i][j] with
-    the mirrored table[j][i] and sums the Leibniz terms into one dict, and
-    _triple_failure(table, degrees) contracts the triple law and returns
-    the first failing triple (i, j, k) in itertools.product order, or None.
-    A triple whose table entries are all empty is skipped at once.
+    The checker works on basis positions, not on GradedElements, and on
+    ints.  Whenever either loop runs it fills one structure-constant table,
+    table[i][j] = e_i * e_j as {k: c} without zeros, from the lazy cache
+    (_table_row), times the lcm D of its denominators; the pair loop reads
+    the columns of d from d_map's blocks, times the lcm D_d of theirs
+    (_d_table).  Each law is then a contraction over the int table whose
+    terms share one denominator, D^2 for the symmetry and the triple law
+    and D D_d for Leibniz, so it vanishes exactly when the law holds: the
+    pair loop compares table[i][j] with the mirrored table[j][i] and sums
+    the Leibniz terms into one dict, and _triple_failure(table, degrees)
+    contracts the triple law and returns the first failing triple (i, j,
+    k) in itertools.product order, or None.  A triple whose table entries
+    are all empty is skipped at once.
 
     The class, its product methods and the checker's helpers are
     underscored because perfbench's tracer times every call of a public
@@ -707,15 +745,19 @@ class _DgAlgebra:
         return [{pos[key]: c for key, c in self._product_labels(d1, l1, d2, l2).coeffs.items()}
                 for d2, l2 in items]
 
-    def _d_table(self) -> list[dict[int, Fraction]]:
+    def _d_table(self) -> list[dict[int, int]]:
         """The columns of d as {k: c} on basis positions, one per basis
-        element in basis order."""
+        element in basis order: ints over the lcm of the blocks'
+        denominators."""
+        blocks = self.d_map._blocks
+        den = math.lcm(*(den for _, den in blocks.values()))
         start: dict[int, int] = {}
-        out: list[dict[int, Fraction]] = []
+        out: list[dict[int, int]] = []
         for n in self.space.degrees():
             start[n] = len(out)
-            cols, den = self.d_map._blocks.get(n, ([()] * self.space.dim(n), 1))
-            out.extend({start[n - 1] + r: QQ(x, den) for r, x in col} for col in cols)
+            cols, bden = blocks.get(n, ([()] * self.space.dim(n), den))
+            f = den // bden
+            out.extend({start[n - 1] + r: x * f for r, x in col} for col in cols)
         return out
 
     def _check_axioms(self, pair_cap: int, triple_cap: int) -> list[tuple[str, int, int]]:
@@ -731,6 +773,9 @@ class _DgAlgebra:
         if n <= pair_cap or n <= triple_cap:
             pos = {key: p for p, key in enumerate(items)}
             table = [self._table_row(items, pos, i) for i in range(n)]
+            den = math.lcm(*(c.denominator for row in table for e in row for c in e.values()))
+            table = [[{k: c.numerator * (den // c.denominator) for k, c in e.items()}
+                      for e in row] for row in table]
         if n <= pair_cap:
             dcols = self._d_table()
             flip = int(self._SIGN < 0)
@@ -745,7 +790,7 @@ class _DgAlgebra:
                 du, dv = dcols[i], dcols[j]
                 if not (uv or du or dv):
                     continue
-                acc: dict[int, Fraction] = {}
+                acc: dict[int, int] = {}
                 for a, c in uv.items():
                     _accumulate(acc, dcols[a], c)
                 for a, c in du.items():
@@ -767,7 +812,7 @@ class _DgAlgebra:
 
 
 class HomologyReport:
-    """Homology of the complex (space, d), d of shift -1, on the sparse
+    """Homology of the complex (space, d), d of shift -1, on the sparse int
     columns of d; cohomological objects are stored with degrees negated.
     d*d = 0 is taken as checked, once per differential: _DgAlgebra.__init__
     checks it, and homology() does for a bare complex.
@@ -776,7 +821,8 @@ class HomologyReport:
     from weights has weight 1.  The weights are kept only when every term
     of d shifts weight by one amount, shift (0 for d = 0), so that d maps
     each cell into one cell; otherwise each cell is a whole degree and
-    shift is 0.  One RowSpace per cell reduces the columns of d out of it:
+    shift is 0.  One RowSpace per cell reduces the int columns of d out of
+    it (den times d's, with the same span), so a rank builds no Fraction:
     cell_dims[(w, n)] = |cell| - rank(d out of it) - rank(d into it), in
     sorted order, and dims sums them per degree.  The cells' rows into
     degree n have disjoint supports, so together they are the reduced
@@ -803,9 +849,8 @@ class HomologyReport:
                 cells.setdefault((weights.get(lab, 1), n), []).append(i)
         self._spans: dict[tuple[int, int], RowSpace] = {}
         for (w, n), idx in cells.items():
-            cols, den = d._blocks.get(n, ((), 1))
-            self._spans[(w, n)] = RowSpace(space.dim(n - 1),
-                                           (_fractions(cols[i], den) for i in idx if cols))
+            cols, _ = d._blocks.get(n, ((), 1))
+            self._spans[(w, n)] = RowSpace(space.dim(n - 1), (dict(cols[i]) for i in idx if cols))
         rank = {key: span.dim() for key, span in self._spans.items()}
         self.cell_dims = {(w, n): len(idx) - rank[(w, n)] - rank.get((w - self.shift, n + 1), 0)
                           for (w, n), idx in sorted(cells.items())}
@@ -819,7 +864,7 @@ class HomologyReport:
 
     def _boundary_rows(self, n: int) -> dict[int, dict[int, Fraction]]:
         return {pc: row for (_, m), span in self._spans.items() if m == n + 1
-                for pc, row in span._rows.items()}
+                for pc, row in zip(span.pivots, span.rows())}
 
     def boundaries(self, n: int) -> list[GradedElement]:
         """The reduced boundary basis of degree n, in pivot order."""
@@ -863,13 +908,14 @@ class HomologyReport:
 
 
 def _cycles(d: GradedLinearMap, n: int) -> list[dict[int, Fraction]]:
-    """Basis of the kernel of d on degree n: the rows of d_n reduced into a
-    RowSpace, then one sparse vector per free column, in column order."""
-    rows: dict[int, dict[int, Fraction]] = {}
-    cols, den = d._blocks.get(n, ((), 1))
+    """Basis of the kernel of d on degree n: the int rows of den d_n, which
+    have the same kernel, reduced into a RowSpace, then one sparse vector
+    per free column, in column order."""
+    rows: dict[int, dict[int, int]] = {}
+    cols, _ = d._blocks.get(n, ((), 1))
     for j, col in enumerate(cols):
         for i, x in col:
-            rows.setdefault(i, {})[j] = QQ(x, den)
+            rows.setdefault(i, {})[j] = x
     return RowSpace(d.source.dim(n), rows.values()).kernel()
 
 

@@ -12,7 +12,8 @@ Two reports as mclie computed them before they came down to ranks: the
 derivations report on a labelled quotient complex I/I^2 with coordinates
 of its own, and the localization exactness report by iterating [u] on the
 classes k times per degree (k = dim H_n), on one linear combination at a
-time."""
+time.  And the evaluation of a truncated free cdga at generator values as
+a Fraction product of powers on every monomial."""
 
 import itertools
 
@@ -163,3 +164,21 @@ def exactness_reference(a, u, loc=None) -> dict:
         ok = ok and image.dim() == h_loc.dim(n)
     report["pass"] = ok
     return report
+
+
+def evaluation_reference(alg, values):
+    """FreePolynomialCdga._evaluation as a product of powers on every
+    monomial, the nonzero-degree check on each factor before it."""
+    out = {}
+    for mono, lab in alg._label_of_mono.items():
+        val = ONE
+        for gi, e in mono:
+            a = values.get(alg.generators[gi][0], 0)
+            if alg.generators[gi][1] != 0 and a:
+                raise CdgaAxiomViolation("augmentation nonzero on a nonzero-degree generator")
+            val *= a ** e
+            if not val:
+                break
+        if val:
+            out[lab] = val
+    return out

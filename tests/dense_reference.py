@@ -3,6 +3,7 @@
 A dense Gauss-Jordan eliminator: an independent implementation of the
 reduced row echelon form that mclie's sparse RowSpace (and everything read
 off it) computes, with the kernel, solve and matrix product read off it.
+The sparse RowSpace as it stood on Fraction rows, FractionRowSpace.
 Dense blocks of a GradedLinearMap, both ways.  The Chevalley-Eilenberg
 generator differentials written the way the formula reads: one loop over
 the targets, and inside it every ordered basis pair, with no pair
@@ -13,9 +14,10 @@ trial division."""
 import itertools
 import math
 from fractions import Fraction
+from typing import Iterable, Mapping
 
 from mclie.cdga import FreePolynomialCdga
-from mclie.linalg import QQ, GradedElement, GradedLinearMap
+from mclie.linalg import ONE, QQ, ZERO, GradedElement, GradedLinearMap
 
 
 def dense_rref(rows, ncols):
@@ -76,6 +78,85 @@ def dense_kernel(rows, ncols):
                 v[pc] = -row[fc]
             basis.append(v)
     return basis
+
+
+class FractionRowSpace:
+    """mclie's RowSpace as it stood on {column: Fraction} rows, before its
+    rows became primitive ints: an incrementally maintained subspace in
+    reduced row echelon form, on sparse vectors: {column: Fraction} dicts
+    of nonzero entries.
+
+    _rows maps each pivot to its row, which is 1 at its pivot and 0 at
+    every other pivot.  So _reduce(v) subtracts only the rows whose pivots
+    occur in v, at O(nnz(v) nnz(row)) cost, and _add rewrites only the rows
+    nonzero at the new pivot.  Pivots lie in the first ncols columns;
+    entries past them (as in Coordinates) are carried through every row
+    operation.
+    """
+
+    def __init__(self, ncols: int, vectors: Iterable[Mapping[int, Fraction]] = ()):
+        self.ncols = ncols
+        self._rows: dict[int, dict[int, Fraction]] = {}
+        for v in vectors:
+            self._add(v)
+
+    @property
+    def pivots(self) -> list[int]:
+        return sorted(self._rows)
+
+    def rows(self) -> list[dict[int, Fraction]]:
+        """The reduced rows in pivot order, shared with the span: read
+        them, do not change them."""
+        return [self._rows[pc] for pc in self.pivots]
+
+    def kernel(self) -> list[dict[int, Fraction]]:
+        """Basis of the right kernel of the rows, one sparse vector per
+        free column, in column order."""
+        ker = {fc: {fc: ONE} for fc in range(self.ncols) if fc not in self._rows}
+        for pc, row in self._rows.items():
+            for j, x in row.items():
+                if j in ker:
+                    ker[j][pc] = -x
+        return list(ker.values())
+
+    def _reduce(self, vec: Mapping[int, Fraction]) -> dict[int, Fraction]:
+        """vec minus its components along the rows, as a new dict."""
+        rows = self._rows
+        out = dict(vec)
+        # every row is zero at the other pivots, so vec's own entries there
+        # are the factors
+        for pc, f in [(j, x) for j, x in vec.items() if j in rows]:
+            for j, x in rows[pc].items():
+                s = out.get(j, ZERO) - f * x
+                if s:
+                    out[j] = s
+                else:
+                    del out[j]
+        return out
+
+    def _add(self, vec: Mapping[int, Fraction]) -> bool:
+        """Insert vec; True if it enlarged the span."""
+        v = self._reduce(vec)
+        pc = min((j for j in v if j < self.ncols), default=None)
+        if pc is None:
+            return False
+        f = v[pc]
+        if f != ONE:
+            v = {j: x / f for j, x in v.items()}
+        for row in self._rows.values():
+            g = row.get(pc)
+            if g:
+                for j, x in v.items():
+                    s = row.get(j, ZERO) - g * x
+                    if s:
+                        row[j] = s
+                    else:
+                        del row[j]
+        self._rows[pc] = v
+        return True
+
+    def dim(self) -> int:
+        return len(self._rows)
 
 
 def dense_product(a, b, rows, cols):

@@ -2,14 +2,22 @@
 structure constants, against the GradedElement checker it replaced
 (axiom_reference), on random finite-table cdgas and dglas in mixed
 degrees: valid ones, and ones with one structure constant or one entry of
-d broken."""
+d broken.  Tables whose constants have large coprime denominators, and
+`mclie check` on broken table files."""
 
+import contextlib
+import io
+import math
+import os
 import random
+import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import axiom_reference
+from mclie.cli import main
 from mclie.cdga import CdgaAxiomViolation, FiniteTableCdga, FreePolynomialCdga
 from mclie.dgla import AxiomViolation, Dgla, dgla_from_table
 from mclie.linalg import QQ, Coordinates, GradedElement, GradedVectorSpace
@@ -176,3 +184,141 @@ def test_table_checker_matches_reference(seed, kind, broken, pair_cap, triple_ca
         _outcome(lambda: axiom_reference.verify_axioms(alg, pair_cap, triple_cap))
     if not broken:
         assert alg.verify_axioms(MAX_BASIS, MAX_BASIS) == []
+
+
+# --- structure constants with large coprime denominators
+
+P61, BIG = 2 ** 61 - 1, 10 ** 30 + 57
+LARGE = [QQ(P61, BIG), QQ(-BIG, P61), QQ(1, P61), QQ(BIG), QQ(2, 3 * BIG), QQ(-P61)]
+
+
+def _rescaled(alg):
+    """alg's structure constants in the basis f_i = c_i e_i, c_i cycling
+    through LARGE (the unit label "1" keeps c = 1), as (table of every
+    ordered pair, differentials)."""
+    items = alg.basis_items()
+    c = {lab: QQ(1) if lab == "1" else LARGE[i % len(LARGE)] for i, (_, lab) in enumerate(items)}
+
+    def in_f(elt, scale):
+        return GradedElement({(n, lab): x * scale / c[lab] for (n, lab), x in elt.coeffs.items()})
+
+    table = {(l1, l2): in_f(alg._product_labels(d1, l1, d2, l2), c[l1] * c[l2])
+             for d1, l1 in items for d2, l2 in items}
+    diffs = {lab: in_f(alg.d(alg.space.basis_element(n, lab)), c[lab]) for n, lab in items}
+    return table, diffs
+
+
+def _large_sources():
+    """A truncated free cdga with d(y) = z, and heisenberg (x) a free cdga
+    with d, both with nonzero products in several degrees."""
+    a = FreePolynomialCdga([("x", 0, 1), ("y", 1, 1), ("z", 2, 1)], 3,
+                           {"y": GradedElement({(-2, "z"): QQ(1)})}, check="skip")
+    basis, brackets = LIE_ALGEBRAS[3]
+    lie = dgla_from_table(basis, {pair: GradedElement({(0, lab): QQ(c) for lab, c in val.items()})
+                                  for pair, val in brackets.items()})
+    b = FreePolynomialCdga([("t", 0, 1), ("dt", 1, 1)], 1,
+                           {"t": GradedElement({(-1, "dt"): QQ(1)})}, check="skip")
+    return [("cdga", a), ("dgla", _tensor(lie, b))]
+
+
+@pytest.mark.parametrize("kind", ["cdga", "dgla"])
+def test_tables_with_large_coprime_denominators_pass(kind):
+    source = dict(_large_sources())[kind]
+    space = source.space
+    table, diffs = _rescaled(source)
+    dens = math.lcm(*(c.denominator for e in list(table.values()) + list(diffs.values())
+                      for c in e.coeffs.values()))
+    assert dens % P61 == 0 and dens % BIG == 0
+
+    def build(table, check):
+        if kind == "cdga":
+            return FiniteTableCdga({-n: labs for n, labs in space.basis.items()},
+                                   table, "1", diffs, check=check)
+        return dgla_from_table(space.basis, table, diffs, check=check)
+
+    alg = build(table, "full")
+    assert alg.total_dim() <= type(alg)._TRIPLE_CAP
+    assert alg.verify_axioms() == []
+    assert axiom_reference.verify_axioms(alg, 10 ** 6, 10 ** 6) == []
+    # one constant moved by 1/(P61 BIG) breaks a law, found as the
+    # reference finds it
+    pair = next(p for p, e in table.items() if e.coeffs and "1" not in p)
+    (n, lab), _ = next(iter(table[pair].coeffs.items()))
+    table = dict(table)
+    table[pair] = table[pair] + GradedElement({(n, lab): QQ(1, P61 * BIG)})
+    broken = build(table, "skip")
+    got = _outcome(lambda: broken.verify_axioms())
+    assert got[0] != "skipped"
+    assert got == _outcome(lambda: axiom_reference.verify_axioms(broken, 10 ** 6, 10 ** 6))
+
+
+# --- mclie check on random finite-table files that break one law
+
+
+def _text(elt, name):
+    return " + ".join("%s %s" % (c, name[lab]) for (_, lab), c in elt.coeffs.items()) or "0"
+
+
+def _definition(kind, space, table, diffs, name):
+    """A definition file for the table, every ordered pair written out
+    (zero products as 0, so no mirror is filled in), labels renamed."""
+    lines = ["kind %s" % kind]
+    for n in space.degrees():
+        lines += ["basis %s %d" % (name[lab], -n if kind == "cdga" else n)
+                  for lab in space.labels(n)]
+    if kind == "cdga":
+        lines.append("unit %s" % name["1"])
+    word = "mul" if kind == "cdga" else "bracket"
+    lines += ["%s %s %s = %s" % (word, name[l1], name[l2], _text(e, name))
+              for (l1, l2), e in table.items()]
+    lines += ["d %s = %s" % (name[lab], _text(e, name)) for lab, e in diffs.items() if e.coeffs]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from(["cdga", "dgla"]),
+       st.sampled_from(["product", "product", "differential"]))
+def test_check_on_a_broken_table_file_names_the_reference_failure(seed, kind, broken):
+    rng = random.Random(seed)
+    if kind == "cdga":
+        source = _free_cdga(rng, MAX_BASIS)
+    else:
+        basis, brackets = rng.choice(LIE_ALGEBRAS)
+        lie = dgla_from_table(basis, {
+            pair: GradedElement({(n, lab): QQ(c) for lab, c in val.items()
+                                 for n in basis if lab in basis[n]})
+            for pair, val in brackets.items()})
+        source = _tensor(lie, _free_cdga(rng, MAX_BASIS // lie.total_dim()))
+    space = source.space
+    table, diffs = _rebased(rng, source)
+    _break(rng, type(source), space, table, diffs, broken)
+    name = {lab: "one" if lab == "1" else "b%d" % i
+            for i, (_, lab) in enumerate(source.basis_items())}
+    renamed = GradedVectorSpace({n: [name[lab] for lab in labs] for n, labs in space.basis.items()})
+
+    def rename(e):
+        return GradedElement({(n, name[lab]): c for (n, lab), c in e.coeffs.items()})
+
+    table_r = {(name[l1], name[l2]): rename(e) for (l1, l2), e in table.items()}
+    diffs_r = {name[lab]: rename(e) for lab, e in diffs.items()}
+    try:
+        if kind == "cdga":
+            alg = FiniteTableCdga({-n: labs for n, labs in renamed.basis.items()},
+                                  table_r, "one", diffs_r, check="skip")
+        else:
+            alg = dgla_from_table(renamed.basis, table_r, diffs_r, check="skip")
+        want = _outcome(lambda: axiom_reference.verify_axioms(alg, 10 ** 6, 10 ** 6))
+    except (CdgaAxiomViolation, AxiomViolation) as e:
+        want = type(e).__name__, str(e)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "broken.def")
+        with open(path, "w") as f:
+            f.write(_definition(kind, space, table, diffs, name))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["check", path])
+    if want[0] == "skipped":
+        assert (rc, err.getvalue()) == (0, "")
+    else:
+        assert rc == 1
+        assert err.getvalue() == "%s: %s\n" % want

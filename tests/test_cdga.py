@@ -1,13 +1,14 @@
 import hashlib
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import path_reference
-from cdga_reference import leibniz_reference, multiply_reference
+from cdga_reference import evaluation_reference, leibniz_reference, multiply_reference
 from dense_reference import dense_rref, dense_solve
 from mclie.linalg import QQ, GradedElement, NonSplitAlgebra
 from mclie.dgla import abelian_dgla, sphere_dgla, f_xa_dgla
@@ -1208,3 +1209,25 @@ def test_leibniz_reference_draws_the_cases_that_matter():
     assert seen == {"odd letter after an odd prefix", "even letter of exponent > 1",
                     "term over the truncation", "odd square",
                     "d with a letter of nonzero d", "fractional coefficient"}
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_evaluation_matches_product_reference(seed):
+    # the same values, in the same key order, and the same refusal of a
+    # nonzero value on a nonzero-degree generator, reached before a zero
+    rng = random.Random(seed)
+    gens = [("g%d" % i, rng.choice([0, 0, 1, 2]), rng.randint(1, 2))
+            for i in range(rng.randint(1, 4))]
+    alg = FreePolynomialCdga(gens, rng.randint(1, 4), check="skip")
+    values = {name: rng.choice([QQ(0), QQ(0), QQ(1), QQ(-2, 3), QQ(5)])
+              for name, _, _ in gens if rng.random() < 0.8}
+
+    def outcome(fn):
+        try:
+            return list(fn(values).items())
+        except CdgaAxiomViolation as e:
+            return str(e)
+
+    got = outcome(alg._evaluation)
+    assert got == outcome(lambda v: evaluation_reference(alg, v))
+    assert isinstance(got, str) or all(type(c) is Fraction for _, c in got)

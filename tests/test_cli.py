@@ -164,6 +164,22 @@ def test_split_with_a_24_digit_structure_constant(tmp_path, capsys):
     assert out.splitlines()[-1] == "connected-factors: PASS"
 
 
+def test_localize_a_table_with_large_coprime_constants(tmp_path, capsys):
+    # p = (2^61 - 1)/(10^30 + 57) e for an idempotent e, on which u
+    # vanishes; the base component keeps q, r, t and the acyclic cone s, ds
+    p, q = 2 ** 61 - 1, 10 ** 30 + 57
+    d = tmp_path / "large.def"
+    d.write_text("kind cdga\nbasis one 0\nbasis p 0\nbasis q 0\nbasis r -1\nbasis t -1\n"
+                 "basis s -1\nbasis ds 0\nunit one\nmul p p = %d/%d p\nmul q r = %d/%d t\n"
+                 "d s = %d/%d ds\n" % (p, q, q, p, p, q))
+    rc, out, err = run_cli(["localize", str(d), "--at", "one - %d/%d p + %d/%d q" % (q, p, p, q)],
+                           capsys)
+    assert rc == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[-3:] == ["  H^-1 = 2  [exact]", "  H^0 = 2  [exact]",
+                          "exactness H(A[u^-1]) = H(A)[u^-1]: PASS"]
+
+
 def test_split_non_split_exit_code(capsys):
     rc, out, err = run_cli(["split", "--builtin", "q_eps"], capsys)
     assert rc == 1

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_reference import (
+    FractionRowSpace,
     dense_block,
     dense_kernel,
     dense_product,
@@ -672,6 +674,81 @@ def test_rowspace_matches_dense_rref(seed, ncols, extra, count):
         assert got == _reduce_by(ref_rows, ref_pivots, v)
         assert all(type(x) is Fraction and x for x in reduced.values())
         assert not any(got[pc] for pc in ref_pivots)
+
+
+# --- RowSpace on primitive int rows against the Fraction RowSpace it replaced
+
+P61, BIG = 2 ** 61 - 1, 10 ** 30 + 57  # coprime: a prime and a 31-digit odd int
+
+
+def _entry(rng, kind):
+    """A nonzero entry: an int, a small Fraction, or a Fraction whose
+    numerator or denominator reaches about 10^30."""
+    if kind == "mixed":
+        kind = rng.choice(["int", "fraction", "large"])
+    if kind == "int":
+        return rng.choice([-6, -3, -2, -1, 1, 2, 3, 4, 12])
+    if kind == "fraction":
+        return QQ(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]), rng.randint(1, 6))
+    return QQ(rng.choice([-1, 1, 2, -3, P61, -BIG, 6 * P61]), rng.choice([1, 2, P61, BIG, 3 * BIG]))
+
+
+def _vectors(rng, kind, width, count):
+    """Sparse vectors of the given kind, some of them combinations of
+    earlier ones, so that dependent vectors and cancellations occur."""
+    vecs = []
+    for _ in range(count):
+        r = rng.random()
+        if r < 0.25 and len(vecs) >= 2:
+            (a, b), s, t = rng.sample(vecs, 2), _entry(rng, kind), _entry(rng, kind)
+            v = {j: s * a.get(j, 0) + t * b.get(j, 0) for j in {**a, **b}}
+            v = {j: x for j, x in v.items() if x}
+        elif r < 0.3:
+            v = {}
+        else:
+            density = rng.choice([0.2, 0.5, 1.0])
+            v = {j: _entry(rng, kind) for j in range(width) if rng.random() < density}
+        vecs.append(dict(rng.sample(sorted(v.items()), len(v))))  # any key order
+    return vecs
+
+
+def _fraction_items(rs):
+    return [(pc, list(row.items())) for pc, row in rs._rows.items()]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from(["int", "fraction", "mixed", "large"]),
+       st.integers(0, 7), st.integers(0, 3), st.integers(0, 12))
+def test_rowspace_matches_fraction_reference(seed, kind, ncols, extra, count):
+    # extra columns are carried, as in Coordinates.  The reference divides
+    # an int row by an int pivot into floats, so it reads each vector as
+    # Fractions; the int RowSpace reads the vector as it is, and a third
+    # one reads it scaled by a random nonzero number, which changes no span
+    rng = random.Random(seed)
+    width = ncols + extra
+    vecs = _vectors(rng, kind, width, count)
+    new, ref, scaled = RowSpace(ncols), FractionRowSpace(ncols), RowSpace(ncols)
+    for v in vecs:
+        grew = ref._add({j: QQ(x) for j, x in v.items()})
+        assert new._add(v) == grew
+        c = _entry(rng, kind)
+        assert scaled._add({j: c * x for j, x in v.items()}) == grew
+        assert new.pivots == ref.pivots == scaled.pivots
+        assert _fraction_items(new) == _fraction_items(ref) == _fraction_items(scaled)
+    assert new.dim() == ref.dim()
+    assert new.rows() == ref.rows()
+    assert [list(k.items()) for k in new.kernel()] == [list(k.items()) for k in ref.kernel()]
+    assert all(type(x) is Fraction and x for row in new.rows() for x in row.values())
+    for v in _vectors(rng, kind, width, 6) + vecs[:3]:
+        got = new._reduce(v)
+        assert list(got.items()) == list(ref._reduce({j: QQ(x) for j, x in v.items()}).items())
+        assert all(type(x) is Fraction and x for x in got.values())
+        ints, den = new._scaled(v)
+        assert den > 0 and all(type(x) is int for x in ints.values())
+        assert list(ints) == list(got) and all(QQ(x, den) == got[j] for j, x in ints.items())
+    # every stored row is primitive and positive at its pivot
+    for pc, row in new._ints.items():
+        assert row[pc] > 0 and math.gcd(*row.values()) == 1
 
 
 # -- homology per (weight, degree) cell ----------------------------------------
