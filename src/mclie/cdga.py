@@ -748,15 +748,13 @@ def _image_algebra(a: Cdga, power: GradedLinearMap, name: Callable[[int, int], s
     def to_image(elt: GradedElement) -> GradedElement:
         return preimage(inclusion, power.apply(elt))
 
-    if space.total_dim() == 0:
-        return Cdga(space, d_fn, mult_fn, GradedElement(), check="skip"), to_image
     return Cdga(space, d_fn, mult_fn, to_image(a.unit), check="auto"), to_image
 
 
 def cohomology_algebra(a: Cdga):
     """H^0 as a Cdga in degree 0 with zero differential, basis h0..h{k-1}
     the classes of the representative cycles, together with those cycles:
-    the algebra the idempotents of idempotent_split come from.  Its
+    the algebra linalg.idempotents splits for idempotent_split.  Its
     associativity is checked on every triple, whatever k."""
     h = a.homology()
     reps = h.representatives(0)
@@ -784,10 +782,12 @@ def idempotent_split(a: Cdga):
     """Split a homologically disconnected cdga along the primitive
     idempotents of H^0: returns a list of (idempotent cocycle, factor,
     factor kind) where kind is "strict" (u*A, for non-negatively graded A)
-    or "localization" (A[u^-1]).
+    or "localization" (A[u^-1]).  linalg.idempotents finds those of H^0 by
+    minimal polynomials and Lagrange interpolation, and each is lifted to
+    the same combination of representative cocycles.
 
-    Raises NonSplitAlgebra (from the idempotent machinery) when H^0 is not
-    a finite product of copies of Q.
+    Raises NonSplitAlgebra when H^0 is not a finite product of copies of Q:
+    some minimal polynomial there has an irrational or repeated root.
     """
     h0, reps = cohomology_algebra(a)
     idems = algebra_idempotents(h0)

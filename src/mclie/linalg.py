@@ -3,7 +3,8 @@ degree-shifting linear maps, homology (one HomologyReport: ranks per
 (weight, degree) cell for every reader, cycles and representatives only
 when read), the core that dglas and cdgas share (with their one axiom
 checker), and the primitive idempotents of a split commutative algebra in
-degree 0: H^0 of a cdga, held as a Cdga with zero differential.
+degree 0: H^0 of a cdga, held as a Cdga with zero differential, by minimal
+polynomials and Lagrange interpolation.
 
 All arithmetic is exact, on fractions.Fraction or on Python ints; there is
 no floating point anywhere.  Vectors are sparse, in and out: {index:
@@ -935,24 +936,6 @@ def homology(space: GradedVectorSpace, d: GradedLinearMap) -> HomologyReport:
 # idempotent splitting of a commutative algebra in degree 0
 # ---------------------------------------------------------------------------
 
-def _char_poly(m: list[list[Fraction]]) -> list[Fraction]:
-    """Characteristic polynomial coefficients [1, c1, ..., cn] of m
-    (Faddeev-LeVerrier)."""
-    n = len(m)
-    coeffs = [ONE]
-    mk = [row[:] for row in m]
-    for k in range(1, n + 1):
-        ck = -sum(mk[i][i] for i in range(n)) / k
-        coeffs.append(ck)
-        if k == n:
-            break
-        for i in range(n):
-            mk[i][i] += ck
-        mk = [[sum(m[i][t] * mk[t][j] for t in range(n)) for j in range(n)]
-              for i in range(n)]
-    return coeffs
-
-
 def _divmod(a: Sequence, b: Sequence) -> tuple[list, list]:
     """Quotient and remainder of polynomials given as coefficient lists,
     highest first, b[0] != 0; the remainder has no leading zeros."""
@@ -964,6 +947,14 @@ def _divmod(a: Sequence, b: Sequence) -> tuple[list, list]:
     while a and not a[0]:
         a.pop(0)
     return quo, a
+
+
+def _value(poly: Sequence, y):
+    """poly, its coefficients highest first, at y (Horner)."""
+    v = 0
+    for c in poly:
+        v = v * y + c
+    return v
 
 
 def _rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
@@ -995,14 +986,8 @@ def _rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
     chain = [[int(c * k) for c in poly] for poly in chain
              for k in [math.lcm(*(c.denominator for c in poly))]]
 
-    def value(poly, y: int):
-        v = 0
-        for c in poly:
-            v = v * y + c
-        return v
-
     def variations(y: int) -> int:
-        signs = [v > 0 for v in (value(c, y) for c in chain) if v]
+        signs = [v > 0 for v in (_value(c, y) for c in chain) if v]
         return sum(s != t for s, t in zip(signs, signs[1:]))
 
     bound = 1 + max(abs(c) for c in q[1:])
@@ -1012,7 +997,7 @@ def _rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
         if vlo == vhi:
             continue
         if hi - lo == 1:
-            if not value(q, hi):
+            if not _value(q, hi):
                 roots.append(QQ(hi, lead))
             continue
         mid = (lo + hi) // 2
@@ -1022,67 +1007,54 @@ def _rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
 
 
 def idempotents(a) -> list[dict[int, Fraction]]:
-    """Orthogonal primitive idempotents of a split algebra, by simultaneous
-    rational eigenspace splitting of the multiplication operators, as
-    sparse coordinate vectors {i: c} in its basis, in index order, sorted
-    by their coordinate lists.
-
-    a is a commutative algebra concentrated in degree 0, a cdga such as the
-    H^0 of cdga.cohomology_algebra: it is read through its degree-0 basis,
+    """Orthogonal primitive idempotents of a split algebra, as sparse
+    coordinate vectors {i: c} in its basis, in index order, sorted by their
+    coordinate lists.  a is a commutative algebra in degree 0, such as the
+    H^0 of cdga.cohomology_algebra, read through its degree-0 basis,
     a.multiply and a.unit.
 
-    Raises NonSplitAlgebra when some multiplication operator has an
-    irrational or non-semisimple spectrum, i.e. the algebra is not a finite
-    product of copies of Q.
+    Each basis element g refines each idempotent e found so far, starting
+    from the unit.  x = g e lies in eA, whose unit is e; its minimal
+    polynomial there comes from the first power x^k in the span of e, x,
+    ..., x^(k-1).  In a split algebra it has k distinct rational roots l_i,
+    and e is the sum of the orthogonal Lagrange idempotents
+    e_i = prod_{j != i} (x - l_j e) / (l_i - l_j), with x e_i = l_i e_i.
+    So after the last g every basis element acts on each e as a scalar:
+    eA = Q e, and e is primitive.  Raises NonSplitAlgebra when a minimal
+    polynomial has an irrational or repeated root: a is no finite product
+    of copies of Q.
     """
     space = a.space
     n = space.dim(0)
-    # subspaces as lists of basis elements
-    subspaces = [space.basis_elements(0)]
-    for eg in space.basis_elements(0):
-        new_subspaces = []
-        for v_basis in subspaces:
-            k = len(v_basis)
-            if k == 1:
-                new_subspaces.append(v_basis)
-                continue
-            # restrict e_g* to the subspace: solve e_g*v_j = sum_i r_ij v_i
-            in_basis = Coordinates([space.to_vector(v, 0) for v in v_basis], n)
-            restr = []
-            for vb in v_basis:
-                coords = in_basis.coords(space.to_vector(a.multiply(eg, vb), 0))
-                if coords is None:
-                    raise NonSplitAlgebra("subspace not invariant")
-                restr.append(coords)
-            rmat = [[restr[j].get(i, ZERO) for j in range(k)] for i in range(k)]
-            pieces = []
-            for lam in _rational_roots(_char_poly(rmat)):
-                ker = RowSpace(k, (_sparse([x - lam if i == j else x for j, x in enumerate(rmat[i])])
-                                   for i in range(k))).kernel()
-                if ker:
-                    pieces.append([linear_combination((c, v_basis[j]) for j, c in kv.items())
-                                   for kv in ker])
-            if sum(map(len, pieces)) != k:
+    idems = [a.unit]
+    for g in space.basis_elements(0):
+        refined = []
+        for e in idems:
+            x = a.multiply(g, e)
+            powers = [e]
+            for _ in range(n):
+                top = a.multiply(powers[-1], x)
+                coords = Coordinates([space.to_vector(p, 0) for p in powers], n).coords(
+                    space.to_vector(top, 0))
+                if coords is not None:
+                    break
+                powers.append(top)
+            # x^k = sum_i c_i x^i: the minimal polynomial, highest first
+            k = len(powers)
+            roots = _rational_roots([ONE] + [-coords.get(i, ZERO) for i in range(k - 1, -1, -1)])
+            if len(roots) != k:
                 raise NonSplitAlgebra(
                     "multiplication operator has irrational or non-semisimple spectrum")
-            new_subspaces.extend(pieces)
-        subspaces = new_subspaces
-    if any(len(v) != 1 for v in subspaces):
-        raise NonSplitAlgebra("common eigenspaces are not one-dimensional")
-    idems = []
-    for (vec,) in subspaces:
-        sq = a.multiply(vec, vec)
-        # v*v = mu*v on a common eigenline; mu = 0 would mean a nilpotent line
-        first = min(vec.coeffs, key=lambda key: space.index(*key))
-        mu = sq.coeffs.get(first, ZERO) / vec.coeffs[first]
-        if not mu:
-            raise NonSplitAlgebra("nilpotent eigenline")
-        if vec.scale(mu) != sq:
-            raise NonSplitAlgebra("eigenline not multiplicatively closed")
-        idems.append(vec.scale(1 / mu))
+            for lam in roots:
+                f = e
+                for mu in roots:
+                    if mu != lam:
+                        f = a.multiply(f, x - e.scale(mu)).scale(1 / (lam - mu))
+                refined.append(f)
+        idems = refined
     # exact verification of the defining identities
     for i, e in enumerate(idems):
-        if a.multiply(e, e) != e:
+        if e.is_zero() or a.multiply(e, e) != e:
             raise NonSplitAlgebra("candidate idempotent fails e*e = e")
         if any(not a.multiply(e, f).is_zero() for f in idems[i + 1:]):
             raise NonSplitAlgebra("candidate idempotents not orthogonal")

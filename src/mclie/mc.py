@@ -37,6 +37,7 @@ from .linalg import (
     _accumulate,
     _element_of,
     _rational_roots,
+    _value,
 )
 from .dgla import (
     Dgla,
@@ -780,46 +781,26 @@ def mc_vertices(g: Dgla, support: Optional[int] = None):
 # gauge orbits and pi_0
 # ---------------------------------------------------------------------------
 
-def _poly_rational_roots(coeff_map: Mapping[int, Fraction]) -> list[Fraction]:
-    deg = max(coeff_map)
-    coeffs = [coeff_map.get(k, ZERO) for k in range(deg, -1, -1)]
-    return _rational_roots(coeffs)
-
-
 def _gauge_connection(g: Dgla, b: GradedElement, xi: GradedElement,
                       eta: GradedElement) -> Optional[Fraction]:
-    """Some rational t with gauge(t*b, xi) = eta, or None."""
-    poly = _gauge_series(g, b, xi)
-    keys = set()
-    for coeff in poly.values():
-        keys.update(coeff.coeffs)
-    keys.update(eta.coeffs)
-    per_key: dict = {}
-    for key in keys:
-        cm = {k: v.coeffs.get(key, ZERO) for k, v in poly.items()}
-        cm[0] = cm.get(0, ZERO) - eta.coeffs.get(key, ZERO)
-        per_key[key] = {k: c for k, c in cm.items() if c}
-    nontrivial = [cm for cm in per_key.values() if cm]
-    if not nontrivial:
+    """The least rational t with gauge(t*b, xi) = eta, or None.  Each
+    coordinate of gauge(t*b, xi) - eta is a polynomial in t; the candidates
+    are the rational roots of the first nonzero one, and each is checked
+    exactly on every coordinate."""
+    series = _gauge_series(g, b, xi)
+    top = max(series, default=0)
+    keys = set(eta.coeffs).union(*(c.coeffs for c in series.values()))
+    polys = []
+    for key in sorted(keys):
+        p = [series[k].coeffs.get(key, ZERO) if k in series else ZERO
+             for k in range(top, -1, -1)]
+        p[-1] -= eta.coeffs.get(key, ZERO)
+        if any(p):
+            polys.append(p)
+    if not polys:
         return ZERO  # identical elements
-    if any(list(cm) == [0] for cm in nontrivial):
-        return None
-    candidates = None
-    for cm in nontrivial:
-        roots = set(_poly_rational_roots(cm))
-        candidates = roots if candidates is None else (candidates & roots)
-        if not candidates:
-            return None
-    for t in sorted(candidates):
-        ok = True
-        for cm in per_key.values():
-            val = ZERO
-            for k, c in cm.items():
-                val += c * t ** k
-            if val:
-                ok = False
-                break
-        if ok:
+    for t in _rational_roots(polys[0]):
+        if not any(_value(p, t) for p in polys):
             return t
     return None
 
@@ -847,8 +828,11 @@ def partition_by_gauge(g: Dgla, vertices: Sequence[GradedElement]):
     """Partition a finite vertex list into gauge orbits by single-generator
     moves gauge(t*b, -) with exact rational t, closed transitively.
 
+    Each pair i < j is tried in one direction: the gauge action is a group
+    action, so gauge(t*b, v_j) = v_i exactly when gauge(-t*b, v_i) = v_j.
+
     Returns (representatives, orbits, witnesses); a witness (i, j) ->
-    (label, t) records gauge(t * basis[label], v_i) = v_j.
+    (label, t) records gauge(t * basis[label], v_i) = v_j, for i < j.
     """
     n = len(vertices)
     parent = list(range(n))
@@ -871,13 +855,7 @@ def partition_by_gauge(g: Dgla, vertices: Sequence[GradedElement]):
             continue
         for bidx, b in enumerate(g0):
             t = _gauge_connection(g, b, vertices[i], vertices[j])
-            if t is None:
-                t = _gauge_connection(g, b, vertices[j], vertices[i])
-                if t is not None:
-                    witnesses[(j, i)] = (g.space.labels(0)[bidx], t)
-                    union(i, j)
-                    break
-            else:
+            if t is not None:
                 witnesses[(i, j)] = (g.space.labels(0)[bidx], t)
                 union(i, j)
                 break

@@ -180,10 +180,35 @@ def test_localize_a_table_with_large_coprime_constants(tmp_path, capsys):
                           "exactness H(A[u^-1]) = H(A)[u^-1]: PASS"]
 
 
-def test_split_non_split_exit_code(capsys):
-    rc, out, err = run_cli(["split", "--builtin", "q_eps"], capsys)
-    assert rc == 1
-    assert "NonSplitAlgebra" in err
+def test_split_non_split_exit_code(capsys, tmp_path):
+    # Q[eps]/eps^2 and Q[t]/(t^2 - 2): exit 1, one stderr line, no report
+    path = tmp_path / "sqrt2.def"
+    path.write_text("kind cdga\nbasis 1 0\nbasis t 0\nunit 1\nmul t t = 2 1\n")
+    for source in (["--builtin", "q_eps"], [str(path)]):
+        rc, out, err = run_cli(["split", *source], capsys)
+        assert rc == 1 and out == ""
+        assert err.splitlines() == [
+            "NonSplitAlgebra: multiplication operator has irrational or non-semisimple spectrum"]
+
+
+# recorded when idempotents still split by simultaneous eigenspaces of the
+# multiplication operators, with the file named q3.def
+SCRAMBLED_Q3_DIGEST = "25d6031695fdf8f692f16adc09647bd12574cf19a2b507858e872c15fc48a29e"
+
+
+def test_split_scrambled_q3_report(capsys, tmp_path):
+    # Q^3 on 1, f = E2 + 2 E3 and g = 1/2 E1 - 5/3 E3, with E1, E2, E3 its
+    # primitive idempotents: every product mixes all three basis elements
+    path = tmp_path / "q3.def"
+    path.write_text("kind cdga\nbasis 1 0\nbasis f 0\nbasis g 0\nunit 1\n"
+                    "mul f f = 6/7 1 + 1/7 f + -12/7 g\n"
+                    "mul f g = -10/7 1 + 10/7 f + 20/7 g\n"
+                    "mul g g = 65/42 1 + -65/42 f + -109/42 g\n")
+    rc, out, err = run_cli(["split", str(path)], capsys)
+    assert rc == 0 and err == ""
+    assert "  factors = 3  [exact]\n" in out and out.endswith("connected-factors: PASS\n")
+    report = out.replace(str(path), "q3.def")
+    assert hashlib.sha256(report.encode()).hexdigest() == SCRAMBLED_Q3_DIGEST
 
 
 def test_localize_report(capsys):

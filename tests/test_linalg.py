@@ -17,6 +17,7 @@ from dense_reference import (
     map_from_blocks,
     rational_roots_by_divisors,
 )
+import split_reference
 from test_cli import FREE_PRODUCT_PAIRS
 from mclie.cdga import Cdga
 from mclie.linalg import (
@@ -227,6 +228,12 @@ def test_idempotents_ground_field():
     assert idempotents(a) == [{0: QQ(1)}]
 
 
+def test_idempotents_refuse_the_zero_algebra():
+    # 1 = 0: the unit the splitting starts from is no idempotent to return
+    with pytest.raises(NonSplitAlgebra):
+        idempotents(degree0_algebra([], {}, []))
+
+
 def test_idempotents_dual_numbers_not_split():
     # Q[eps]/(eps^2): multiplication by eps is nilpotent, not semisimple
     table = {(0, 0): [QQ(1), QQ(0)], (0, 1): [QQ(0), QQ(1)],
@@ -266,6 +273,76 @@ def test_idempotents_scrambled_basis():
     for e in idems:
         assert list(e) == sorted(e)
         assert dense_multiply(b, dense(e, k), dense(e, k)) == dense(e, k)
+
+
+# the two-dimensional summands that are not split: Q[eps]/eps^2 and
+# Q[t]/(t^2 - 2), as the products of their second basis element with itself
+NON_SPLIT = {"eps": [QQ(0), QQ(0)], "sqrt2": [QQ(2), QQ(0)]}
+
+
+def _scrambled_algebra(rng, k, extra):
+    """Q^k, times the summand NON_SPLIT[extra] when extra is given, in the
+    basis of the columns of a random invertible matrix: a product L U of
+    unitriangular matrices with small int entries, its columns permuted and
+    scaled by fractions with numerators and denominators up to 10^25."""
+    n = k + 2 * bool(extra)
+    old = {(i, j): [QQ(0)] * n for i in range(n) for j in range(n)}
+    for i in range(k):
+        old[(i, i)][i] = QQ(1)
+    unit = [QQ(1)] * k + [QQ(1), QQ(0)] * bool(extra)
+    if extra:
+        # the summand's unit is e_k, and e_(k+1) is eps or t
+        old[(k, k)][k] = old[(k, k + 1)][k + 1] = old[(k + 1, k)][k + 1] = QQ(1)
+        old[(k + 1, k + 1)][k:] = NON_SPLIT[extra]
+
+    def small():
+        return QQ(rng.randrange(-2, 3)) if rng.random() < 0.6 else QQ(0)
+
+    low = [[QQ(int(i == j)) if i <= j else small() for j in range(n)] for i in range(n)]
+    up = [[QQ(int(i == j)) if i >= j else small() for j in range(n)] for i in range(n)]
+    m = dense_product(low, up, n, n)
+    perm = rng.sample(range(n), n)
+    scale = [QQ(rng.randrange(-10 ** 25, 10 ** 25) or 1, rng.randrange(1, 10 ** 25))
+             for _ in range(n)]
+    p = [[m[t][c] * s for c, s in zip(perm, scale)] for t in range(n)]
+
+    def old_product(u, v):
+        out = [QQ(0)] * n
+        for i, x in enumerate(u):
+            for j, y in enumerate(v):
+                if x and y:
+                    for t, c in enumerate(old[(i, j)]):
+                        out[t] += x * y * c
+        return out
+
+    cols = [[p[t][j] for t in range(n)] for j in range(n)]
+    table = {(i, j): dense_solve(p, n, old_product(cols[i], cols[j]))
+             for i in range(n) for j in range(n)}
+    return degree0_algebra(["f%d" % i for i in range(n)], table, dense_solve(p, n, unit))
+
+
+def _split_outcome(split, a):
+    try:
+        return split(a)
+    except NonSplitAlgebra as e:
+        return "NonSplitAlgebra", str(e)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 6),
+       st.sampled_from([None, None, "eps", "sqrt2"]))
+def test_idempotents_match_eigenspace_reference(seed, k, extra):
+    # minimal polynomials and Lagrange idempotents against the simultaneous
+    # eigenspace splitting by characteristic polynomials: the same sorted
+    # idempotents, or the same refusal
+    a = _scrambled_algebra(random.Random(seed), k, extra)
+    got = _split_outcome(idempotents, a)
+    assert got == _split_outcome(split_reference.idempotents, a)
+    if extra:
+        assert got == ("NonSplitAlgebra",
+                       "multiplication operator has irrational or non-semisimple spectrum")
+    else:
+        assert len(got) == k
 
 
 # --- sparse-column GradedLinearMap against dense references -------------------

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -12,6 +13,7 @@ from mc_reference import (
     pair_expansion_constraints,
     rescan_propagate,
 )
+import split_reference
 from mclie.linalg import QQ, GradedElement
 from mclie.dgla import (
     abelian_dgla,
@@ -457,6 +459,39 @@ def test_gauge_connection_finds_rational_parameter():
     sizes = sorted(len(o) for o in orbits)
     assert sizes == [1, 3]
     assert witnesses
+
+
+F_XA = {m: f_xa_dgla(m) for m in (4, 5, 6)}
+
+
+def _rational(rng, size):
+    return QQ(rng.randrange(-size, size + 1), rng.randrange(1, size + 1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from(sorted(F_XA)), st.integers(1, 4))
+def test_gauge_connection_matches_two_direction_reference(seed, m, points):
+    # one coordinate's roots, checked on every coordinate, and one direction
+    # per pair, against the intersection of every coordinate's roots and
+    # both directions: the same t or None, and the same partition
+    from mclie.dgla import gauge_act
+    from mclie.mc import _gauge_connection, partition_by_gauge
+    rng = random.Random(seed)
+    g = F_XA[m]
+    a, x = g.element("a"), g.element("x")
+    vertices = [GradedElement(), x, x.scale(_rational(rng, 5))]
+    params = [_rational(rng, 10 ** rng.choice([1, 6])) for _ in range(points)]
+    vertices += [gauge_act(g, a.scale(t), x) for t in params]
+    rng.shuffle(vertices)
+    gens = [a, a.scale(_rational(rng, 100) or QQ(1))]
+    found = 0
+    for b, xi, eta in itertools.product(gens, vertices, vertices):
+        t = _gauge_connection(g, b, xi, eta)
+        assert t == split_reference._gauge_connection(g, b, xi, eta)
+        found += t is not None
+    # x and its orbit points are joined in both directions by every b
+    assert found >= 2 * (points + 1) ** 2
+    assert partition_by_gauge(g, vertices) == split_reference.partition_by_gauge(g, vertices)
 
 
 def test_linear_differential_constraints_are_families():
