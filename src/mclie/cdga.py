@@ -26,6 +26,7 @@ from .linalg import (
     ONE,
     ZERO,
     CertificateFailure,
+    DegreeMismatch,
     GradedElement,
     GradedLinearMap,
     GradedVectorSpace,
@@ -157,27 +158,6 @@ class Cdga(_DgAlgebra):
                             "augmentation is not multiplicative on (%s, %s)" % (l1, l2))
         return skipped
 
-    def _triple_failure(self, table: list[list[dict[int, int]]],
-                        degrees: list[int]) -> Optional[tuple[int, int, int]]:
-        """The first basis triple (i, j, k), in itertools.product order,
-        with (uv)w - u(vw) nonzero, contracted over the table; None when
-        associativity holds."""
-        n = len(table)
-        for i, j in itertools.product(range(n), repeat=2):
-            uv, row_i, row_j = table[i][j], table[i], table[j]
-            for k in range(n):
-                vw = row_j[k]
-                if not (uv or vw):
-                    continue
-                acc: dict[int, int] = {}
-                for a, c in uv.items():
-                    _accumulate(acc, table[a][k], c)
-                for b, c in vw.items():
-                    _accumulate(acc, row_i[b], -c)
-                if acc:
-                    return i, j, k
-        return None
-
 
 def _evaluate(values: Mapping[str, Fraction], elt: GradedElement) -> Fraction:
     """The linear form with the given values on basis labels (0 where none
@@ -207,13 +187,14 @@ class FiniteTableCdga(Cdga):
         basis = {-n: labs for n, labs in basis_cohomological.items()}
         space = GradedVectorSpace(basis)
         degree_of = {lab: n for n in space.degrees() for lab in space.labels(n)}
+        if degree_of[unit_label] != 0:
+            raise DegreeMismatch("the unit %s is not in degree 0" % unit_label)
         full = self._mirror_filled(space, table)
         for lab, n in degree_of.items():
             full.setdefault((unit_label, lab), space.basis_element(n, lab))
             full.setdefault((lab, unit_label), space.basis_element(n, lab))
         differentials = differentials or {}
-        unit = space.basis_element(degree_of[unit_label], unit_label)
-        self.table = full
+        unit = space.basis_element(0, unit_label)
         super().__init__(space, lambda n, lab: differentials.get(lab, GradedElement()),
                          lambda d1, l1, d2, l2: full.get((l1, l2), GradedElement()),
                          unit, augmentation, check)
@@ -231,6 +212,8 @@ class FreePolynomialCdga(Cdga):
     d shifts every truncation weight alike.  d is built once, by the
     Leibniz rule on monomial tuples and ints over the lcm _den of the
     generator differentials' denominators, and handed over as int blocks.
+    The basis comes from one walk, _monomials, which raises
+    TruncationTooLarge at the cap as it builds; CEComplex calls it too.
     """
 
     def __init__(self, generators: Sequence[tuple], max_weight: int,
@@ -244,7 +227,10 @@ class FreePolynomialCdga(Cdga):
         self._dgens = dict(dgens or {})
         self._aug_gens = dict(augmentation_gens) if augmentation_gens is not None else None
 
-        monos = self._enumerate_monomials()
+        # (weight, label) is unique, so the monomial itself is never compared
+        monos = sorted((w, self._format(self.generators, m), m)
+                       for w, ms in self._monomials(self.generators, max_weight).items()
+                       for m in ms)
         self._label_of_mono: dict[tuple, str] = {}
         self._mono_of_label: dict[str, tuple] = {}
         basis: dict[int, list[str]] = {}
@@ -314,50 +300,32 @@ class FreePolynomialCdga(Cdga):
     # monomials are tuples of (generator index, exponent), sorted by index
 
     @staticmethod
-    def _check_size(generators, max_weight: int) -> None:
-        """Count the truncated basis as _enumerate_monomials walks it,
-        building nothing, and raise TruncationTooLarge once the count
-        passes freelie.BASIS_SIZE_CAP."""
-        by_weight = {0: 1}
+    def _monomials(generators, max_weight: int) -> dict[int, list[tuple]]:
+        """weight -> the truncated basis monomials of that weight.  Each new
+        list is counted before it is built, and TruncationTooLarge fires
+        once the count passes freelie.BASIS_SIZE_CAP; a generator extends
+        only the weights it fits on, so a heavy one costs nothing."""
+        by_weight: dict[int, list[tuple]] = {0: [()]}
         count = 1
-        for name, cohdeg, weight in generators:
+        for i, (name, cohdeg, weight) in enumerate(generators):
             if not cohdeg % 2 and weight < 1:
                 raise ValueError("even generator %r needs truncation weight >= 1" % name)
             max_e = 1 if cohdeg % 2 else max_weight // weight
             new = []
-            for w0, k in by_weight.items():
+            for w0, monos in by_weight.items():
                 for e in range(1, max_e + 1):
-                    if w0 + e * weight > max_weight:
+                    w = w0 + e * weight
+                    if w > max_weight:
                         break
-                    count += k
+                    count += len(monos)
                     if count > freelie.BASIS_SIZE_CAP:
                         raise TruncationTooLarge(
                             "truncated basis would have at least %d elements (cap %d)"
                             % (count, freelie.BASIS_SIZE_CAP))
-                    new.append((w0 + e * weight, k))
-            for w, k in new:
-                by_weight[w] = by_weight.get(w, 0) + k
-
-    def _enumerate_monomials(self):
-        gens = self.generators
-        self._check_size(gens, self.max_weight)
-        # weight -> the monomials of that weight; a generator extends only
-        # the weights it fits on, so a heavy one costs nothing per monomial
-        by_weight: dict[int, list[tuple]] = {0: [()]}
-        for i, (name, cohdeg, weight) in enumerate(gens):
-            max_e = 1 if cohdeg % 2 else self.max_weight // weight
-            new = []
-            for w0, monos in by_weight.items():
-                for e in range(1, max_e + 1):
-                    w = w0 + e * weight
-                    if w > self.max_weight:
-                        break
                     new.append((w, [mono + ((i, e),) for mono in monos]))
             for w, monos in new:
                 by_weight.setdefault(w, []).extend(monos)
-        # (weight, label) is unique, so the monomial itself is never compared
-        return sorted((w, self._format(gens, m), m)
-                      for w, monos in by_weight.items() for m in monos)
+        return by_weight
 
     def _mono_cohdeg(self, mono) -> int:
         return sum(self.generators[i][1] * e for i, e in mono)

@@ -134,8 +134,8 @@ class CEComplex:
         weights = (g.weights or {}) if truncate_by == "weight" else {}
         weight_of = {(n, lab): weights.get(lab, 1) for n, lab in items}
         gens = [(self.sigma_of[lab], n + 1, weight_of[(n, lab)]) for n, lab in items]
-        # the size cap fires before d_II asks for a single bracket
-        FreePolynomialCdga._check_size(gens, bound)
+        # the basis walk: its size cap fires before d_II asks for a bracket
+        FreePolynomialCdga._monomials(gens, bound)
         # s(i) s(j) has weight w_i + w_j, so i meets only the cells of
         # weight at most bound - w_i
         partners = {cap: [key for key in items if weight_of[key] <= cap]

@@ -113,30 +113,6 @@ class Dgla(_DgAlgebra):
         caps skipped (see _check_axioms)."""
         return self._check_axioms(pair_cap, triple_cap)
 
-    def _triple_failure(self, table: list[list[dict[int, int]]],
-                        degrees: list[int]) -> Optional[tuple[int, int, int]]:
-        """The first basis triple (i, j, k), in itertools.product order,
-        with [u,[v,w]] - [[u,v],w] - (-1)^{|u||v|} [v,[u,w]] nonzero,
-        contracted over the table; None when Jacobi holds."""
-        n = len(table)
-        for i, j in itertools.product(range(n), repeat=2):
-            uv, row_i, row_j = table[i][j], table[i], table[j]
-            odd = (degrees[i] * degrees[j]) % 2
-            for k in range(n):
-                vw, uw = row_j[k], row_i[k]
-                if not (uv or vw or uw):
-                    continue
-                acc: dict[int, int] = {}
-                for b, c in vw.items():
-                    _accumulate(acc, row_i[b], c)
-                for a, c in uv.items():
-                    _accumulate(acc, table[a][k], -c)
-                for b, c in uw.items():
-                    _accumulate(acc, row_j[b], c if odd else -c)
-                if acc:
-                    return i, j, k
-        return None
-
 
 class DglaPresentation:
     """Re-materializable origin of a dgla: a Lie presentation."""

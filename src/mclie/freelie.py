@@ -509,8 +509,10 @@ class QuotientLie:
             for deg, vec in self._vecs(terms).items():
                 rest = self._ideal[deg]._scaled(vec)[0]
                 if rest:
-                    self._ideal[deg]._add(rest)
+                    # copied before _insert, which may keep rest as a row
+                    # that later inserts rewrite in place
                     queue.append({self._columns[deg][i]: c for i, c in rest.items()})
+                    self._ideal[deg]._insert(rest)
 
         for r in self.presentation.relations:
             for _, lab in r.coeffs:

@@ -119,12 +119,13 @@ class RowSpace:
     vector divided by its pivot entry, so it is 0 at every other pivot.
     _scaled(v) clears v's denominators once and subtracts only the rows
     whose pivots occur in v, at O(nnz(v) nnz(row)) cost on ints; _reduce
-    builds one Fraction per entry of the result, and _add rewrites only
-    the rows nonzero at the new pivot, as p R - h v, and divides out their
-    content.  Scaling a vector does not change the span, so a caller
-    holding int vectors over a denominator hands in the ints.  Pivots lie
-    in the first ncols columns; entries past them (as in Coordinates) are
-    carried through every row operation.
+    builds one Fraction per entry of the result, and _add hands the
+    reduced ints to _insert, which rewrites only the rows nonzero at the
+    new pivot, as p R - h v, and divides out their content.  Scaling a
+    vector does not change the span, so a caller holding int vectors over
+    a denominator hands in the ints.  Pivots lie in the first ncols
+    columns; entries past them (as in Coordinates) are carried through
+    every row operation.
     """
 
     def __init__(self, ncols: int, vectors: Iterable[Mapping[int, "int | Fraction"]] = ()):
@@ -187,7 +188,12 @@ class RowSpace:
 
     def _add(self, vec: Mapping[int, "int | Fraction"]) -> bool:
         """Insert vec; True if it enlarged the span."""
-        v = self._scaled(vec)[0]
+        return self._insert(self._scaled(vec)[0])
+
+    def _insert(self, v: dict[int, int]) -> bool:
+        """Insert v, ints that _scaled already reduced; True if it enlarged
+        the span.  v itself may be kept as a row, which later inserts
+        rewrite in place."""
         pc = min((j for j in v if j < self.ncols), default=None)
         if pc is None:
             return False
@@ -636,11 +642,11 @@ class _DgAlgebra:
 
     A subclass sets _SIGN (v*u = _SIGN (-1)^{|u||v|} u*v: -1 for a Lie
     bracket, +1 for a commutative product), _SYMMETRY (the name of that
-    axiom), _TRIPLE_LAW (the law on basis triples, "Jacobi" or
-    "associativity") with its hook _triple_failure, _VIOLATION (the
-    exception a failed axiom raises) and _TRIPLE_CAP, and names the product
-    under its own public aliases.  Its verify_axioms calls _check_axioms,
-    the one pair loop (the symmetry, then Leibniz) and the one triple loop.
+    axiom), _TRIPLE_LAW (the name of the law on basis triples, "Jacobi" or
+    "associativity"), _VIOLATION (the exception a failed axiom raises) and
+    _TRIPLE_CAP, and names the product under its own public aliases.  Its
+    verify_axioms calls _check_axioms, the one pair loop (the symmetry,
+    then Leibniz) and the one triple loop for both laws.
 
     The checker works on basis positions, not on GradedElements, and on
     ints.  Whenever either loop runs it fills one structure-constant table,
@@ -649,12 +655,12 @@ class _DgAlgebra:
     the columns of d from d_map's blocks, times the lcm D_d of theirs
     (_d_table).  Each law is then a contraction over the int table whose
     terms share one denominator, D^2 for the symmetry and the triple law
-    and D D_d for Leibniz, so it vanishes exactly when the law holds: the
-    pair loop compares table[i][j] with the mirrored table[j][i] and sums
-    the Leibniz terms into one dict, and _triple_failure(table, degrees)
-    contracts the triple law and returns the first failing triple (i, j,
-    k) in itertools.product order, or None.  A triple whose table entries
-    are all empty is skipped at once.
+    and D D_d for Leibniz, so it vanishes exactly when the law holds.  The
+    triple loop contracts u(vw) - (uv)w and, for a Lie bracket (_SIGN <
+    0), subtracts (-1)^{|u||v|} v(uw): Jacobi is associativity plus that
+    one term, and there is no _triple_failure hook.  A triple whose terms
+    are all empty is skipped; an associative product reads its third term
+    from one shared row of empty dicts.
 
     The class, its product methods and the checker's helpers are
     underscored because perfbench's tracer times every call of a public
@@ -694,10 +700,14 @@ class _DgAlgebra:
                        table: Mapping[tuple[str, str], GradedElement]
                        ) -> dict[tuple[str, str], GradedElement]:
         """table with each missing mirror pair (l2, l1) filled in by the
-        graded symmetry, after the given pairs in their order."""
+        graded symmetry, after the given pairs in their order; raises
+        DegreeMismatch on an entry not homogeneous of degree |l1| + |l2|."""
         degree_of = {lab: n for n in space.degrees() for lab in space.labels(n)}
         full = dict(table)
         for (l1, l2), val in table.items():
+            n = degree_of[l1] + degree_of[l2]
+            if any(d != n for d, _ in val.coeffs):
+                raise DegreeMismatch("product of (%s, %s) not in degree %d" % (l1, l2, n))
             if (l2, l1) not in full:
                 full[(l2, l1)] = val.scale(cls._mirror_sign(degree_of[l1], degree_of[l2]))
         return full
@@ -765,11 +775,13 @@ class _DgAlgebra:
         """The graded symmetry and the Leibniz rule on every ordered pair
         of basis elements when there are at most pair_cap of them, and
         _TRIPLE_LAW on every ordered triple when at most triple_cap; raises
-        _VIOLATION naming the first failure.  Returns (law, basis size,
-        cap) for each law a cap skipped.  Both loops contract one table
-        of structure constants (see the class docstring)."""
+        _VIOLATION naming the first failure, in itertools.product order.
+        Returns (law, basis size, cap) for each law a cap skipped.  Both
+        loops contract one table of structure constants, and the triple
+        loop reads the Lie term from _SIGN (see the class docstring)."""
         items = self.basis_items()
         n = len(items)
+        flip = int(self._SIGN < 0)
         skipped = []
         if n <= pair_cap or n <= triple_cap:
             pos = {key: p for p, key in enumerate(items)}
@@ -779,7 +791,6 @@ class _DgAlgebra:
                       for e in row] for row in table]
         if n <= pair_cap:
             dcols = self._d_table()
-            flip = int(self._SIGN < 0)
             for i, j in itertools.product(range(n), repeat=2):
                 (d1, l1), (d2, l2) = items[i], items[j]
                 uv, vu = table[i][j], table[j][i]
@@ -803,10 +814,27 @@ class _DgAlgebra:
         else:
             skipped += [(self._SYMMETRY, n, pair_cap), ("Leibniz", n, pair_cap)]
         if n <= triple_cap:
-            failure = self._triple_failure(table, [d for d, _ in items])
-            if failure is not None:
-                raise self._VIOLATION("%s fails on (%s, %s, %s)" % (
-                    (self._TRIPLE_LAW,) + tuple(items[p][1] for p in failure)))
+            # u(vw) - (uv)w, and for a Lie bracket - (-1)^{|u||v|} v(uw)
+            empty = [{}] * n
+            for i, j in itertools.product(range(n), repeat=2):
+                uv, row_i, row_j = table[i][j], table[i], table[j]
+                third = row_i if flip else empty
+                odd = (items[i][0] * items[j][0]) % 2
+                for k in range(n):
+                    vw, uw = row_j[k], third[k]
+                    if not (uv or vw or uw):
+                        continue
+                    acc = {}
+                    for b, c in vw.items():
+                        _accumulate(acc, row_i[b], c)
+                    for a, c in uv.items():
+                        _accumulate(acc, table[a][k], -c)
+                    if uw:  # never for an associative product
+                        for b, c in uw.items():
+                            _accumulate(acc, row_j[b], c if odd else -c)
+                    if acc:
+                        raise self._VIOLATION("%s fails on (%s, %s, %s)" % (
+                            self._TRIPLE_LAW, items[i][1], items[j][1], items[k][1]))
         else:
             skipped.append((self._TRIPLE_LAW, n, triple_cap))
         return skipped

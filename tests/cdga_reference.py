@@ -13,11 +13,18 @@ derivations report on a labelled quotient complex I/I^2 with coordinates
 of its own, and the localization exactness report by iterating [u] on the
 classes k times per degree (k = dim H_n), on one linear combination at a
 time.  And the evaluation of a truncated free cdga at generator values as
-a Fraction product of powers on every monomial."""
+a Fraction product of powers on every monomial.
+
+The truncated basis as FreePolynomialCdga built it before one walk both
+counted and built it: _check_size counted the monomials, building
+nothing, and _enumerate_monomials walked them again to build them."""
 
 import itertools
 
-from mclie.cdga import CdgaAxiomViolation, LocalizationFailure, _augmentation_ideal, localize
+from mclie import freelie
+from mclie.cdga import (CdgaAxiomViolation, FreePolynomialCdga, LocalizationFailure,
+                        _augmentation_ideal, localize)
+from mclie.freelie import TruncationTooLarge
 from mclie.linalg import (ONE, Coordinates, GradedElement, GradedLinearMap, GradedVectorSpace,
                           RowSpace, _accumulate, _element_of, homology, linear_combination)
 
@@ -182,3 +189,62 @@ def evaluation_reference(alg, values):
         if val:
             out[lab] = val
     return out
+
+
+class MonomialsReference:
+    """The two basis walks of FreePolynomialCdga, verbatim, on generators
+    (name, cohdeg, weight) and a truncation weight:
+    MonomialsReference(gens, w)._enumerate_monomials() is the sorted list
+    of (weight, label, monomial), or raises what the count raised."""
+
+    _format = staticmethod(FreePolynomialCdga._format)
+
+    def __init__(self, generators, max_weight: int):
+        self.generators = generators
+        self.max_weight = max_weight
+
+    @staticmethod
+    def _check_size(generators, max_weight: int) -> None:
+        """Count the truncated basis as _enumerate_monomials walks it,
+        building nothing, and raise TruncationTooLarge once the count
+        passes freelie.BASIS_SIZE_CAP."""
+        by_weight = {0: 1}
+        count = 1
+        for name, cohdeg, weight in generators:
+            if not cohdeg % 2 and weight < 1:
+                raise ValueError("even generator %r needs truncation weight >= 1" % name)
+            max_e = 1 if cohdeg % 2 else max_weight // weight
+            new = []
+            for w0, k in by_weight.items():
+                for e in range(1, max_e + 1):
+                    if w0 + e * weight > max_weight:
+                        break
+                    count += k
+                    if count > freelie.BASIS_SIZE_CAP:
+                        raise TruncationTooLarge(
+                            "truncated basis would have at least %d elements (cap %d)"
+                            % (count, freelie.BASIS_SIZE_CAP))
+                    new.append((w0 + e * weight, k))
+            for w, k in new:
+                by_weight[w] = by_weight.get(w, 0) + k
+
+    def _enumerate_monomials(self):
+        gens = self.generators
+        self._check_size(gens, self.max_weight)
+        # weight -> the monomials of that weight; a generator extends only
+        # the weights it fits on, so a heavy one costs nothing per monomial
+        by_weight: dict[int, list[tuple]] = {0: [()]}
+        for i, (name, cohdeg, weight) in enumerate(gens):
+            max_e = 1 if cohdeg % 2 else self.max_weight // weight
+            new = []
+            for w0, monos in by_weight.items():
+                for e in range(1, max_e + 1):
+                    w = w0 + e * weight
+                    if w > self.max_weight:
+                        break
+                    new.append((w, [mono + ((i, e),) for mono in monos]))
+            for w, monos in new:
+                by_weight.setdefault(w, []).extend(monos)
+        # (weight, label) is unique, so the monomial itself is never compared
+        return sorted((w, self._format(gens, m), m)
+                      for w, monos in by_weight.items() for m in monos)

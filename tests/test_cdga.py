@@ -1170,6 +1170,46 @@ def test_free_cdga_d_columns_match_the_reference(case):
     assert alg._den == max(dens)
 
 
+@st.composite
+def monomial_walks(draw):
+    """1-5 generators (name, cohdeg 0-3, weight 1-3), a quarter of the lists
+    with one of them replaced by an even generator of weight 0; a
+    truncation weight 1-8; and a basis cap 1-200."""
+    k = draw(st.integers(1, 5))
+    gens = [("x%d" % i, draw(st.integers(0, 3)), draw(st.integers(1, 3))) for i in range(k)]
+    if draw(st.integers(0, 3)) == 0:
+        gens[draw(st.integers(0, k - 1))] = ("e", draw(st.sampled_from([0, 2])), 0)
+    return gens, draw(st.integers(1, 8)), draw(st.integers(1, 200))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(monomial_walks())
+def test_monomial_walk_matches_count_then_build_reference(case):
+    # one walk that counts each list before building it, against the count
+    # walk and the build walk it replaced: the same basis, or the same
+    # exception with the same message
+    import mclie.freelie
+    from cdga_reference import MonomialsReference
+    from mclie.freelie import TruncationTooLarge
+    gens, max_weight, cap = case
+
+    def outcome(walk):
+        try:
+            return walk()
+        except (TruncationTooLarge, ValueError) as e:
+            return type(e), str(e)
+
+    def walk():
+        return sorted((w, FreePolynomialCdga._format(gens, m), m)
+                      for w, monos in FreePolynomialCdga._monomials(gens, max_weight).items()
+                      for m in monos)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mclie.freelie, "BASIS_SIZE_CAP", cap)
+        want = outcome(MonomialsReference(gens, max_weight)._enumerate_monomials)
+        assert outcome(walk) == want
+
+
 def test_leibniz_reference_draws_the_cases_that_matter():
     # what the derandomized test relies on: an odd letter with a nonzero d
     # behind an odd letter (the Koszul sign), an even letter of exponent

@@ -737,6 +737,24 @@ def test_split_checks_associativity_of_h0_above_the_triple_cap(tmp_path, capsys)
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("table,message", [
+    ("kind cdga\nbasis 1 0\nbasis a 2\nunit 1\nmul a a = 1 a\n",
+     "product of (a, a) not in degree -4"),
+    ("kind dgla\nbasis a 0\nbasis b 0\nbasis y -1\nbracket a b = 1 y\n",
+     "product of (a, b) not in degree 0"),
+    ("kind cdga\nbasis 1 0\nbasis e 2\nunit e\n",
+     "the unit e is not in degree 0"),
+], ids=["cdga-product", "dgla-bracket", "cdga-unit"])
+def test_table_in_the_wrong_degree_exits_2(tmp_path, capsys, table, message):
+    # a product or a unit off its degree is no graded algebra: refused as
+    # the table is read, before any axiom check
+    d = tmp_path / "wrong_degree.def"
+    d.write_text(table)
+    rc, out, err = run_cli(["check", str(d)], capsys)
+    assert (rc, out) == (2, "")
+    assert err == "DegreeMismatch: %s\n" % message
+
+
 @pytest.mark.parametrize("args", [
     ["disjoint-product", "FILE", "zero"],
     ["free-product", "FILE", "zero"],

@@ -418,6 +418,11 @@ def _jacobi_breaker(n):
                              {"x": _gen(0, "y")})),
     ("Jacobi fails on (a, b, c)",
      lambda: dgla_from_table(*_jacobi_breaker(3))),
+    # [u,v] = [v,w] = 0, so only the term (-1)^{|u||v|} [v,[u,w]] sees the
+    # failure on (u, v, w); a loop that skipped it would name (u, w, v)
+    ("Jacobi fails on (u, v, w)",
+     lambda: dgla_from_table({0: ["u", "v", "w", "z", "t"]},
+                             {("u", "w"): _gen(0, "z"), ("v", "z"): _gen(0, "t")})),
 ])
 def test_dgla_axiom_failures_name_the_check(message, build):
     _raises_exactly(message, build)
