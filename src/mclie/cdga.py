@@ -30,6 +30,7 @@ from .linalg import (
     GradedElement,
     GradedLinearMap,
     GradedVectorSpace,
+    McLieError,
     RowSpace,
     idempotents as algebra_idempotents,
     linear_combination,
@@ -44,40 +45,35 @@ CDGA_PAIR_CAP = 80
 CDGA_TRIPLE_CAP = 26
 
 
-class OddDegreeUnit(Exception):
+class OddDegreeUnit(McLieError):
     """Inverting an odd-degree cocycle only yields the terminal algebra."""
 
 
-class NonCocycle(Exception):
+class NonCocycle(McLieError):
     """The element is not a cocycle: localization requires du = 0, and only
     cocycles have classes in H."""
 
 
-class ZeroCohomology(Exception):
+class ZeroCohomology(McLieError):
     """H vanishes in the requested degree, so it has no algebra structure
     to split (H^0 = 0 when the unit is a boundary)."""
 
 
-class NoAugmentation(Exception):
+class NoAugmentation(McLieError):
     """The operation needs an augmented cdga."""
 
 
-class CdgaAxiomViolation(Exception):
-    pass
+class CdgaAxiomViolation(McLieError):
+    """A cdga axiom failed on construction."""
 
 
-class LocalizationFailure(Exception):
+class LocalizationFailure(McLieError):
     """A computed localization or strict factor contradicts its own
     construction."""
 
 
-class EvenDegreeUnit(Exception):
+class EvenDegreeUnit(McLieError):
     """The colimit model inverts only cocycles of degree 0."""
-
-
-class TruncationNotDgStable(Exception):
-    """A generator differential lowers truncation weight, so the truncation
-    ideal would not be differential-stable."""
 
 
 class Cdga(_DgAlgebra):
@@ -254,7 +250,7 @@ class FreePolynomialCdga(Cdga):
             val = self._dgens.get(name, GradedElement())
             for (d, lab), _ in val.coeffs.items():
                 if d != -(cohdeg + 1):
-                    raise CdgaAxiomViolation(
+                    raise InvalidDifferential(
                         "d(%s) must be homogeneous of cohomological degree %d"
                         % (name, cohdeg + 1))
                 if lab not in self.weights:
@@ -262,7 +258,7 @@ class FreePolynomialCdga(Cdga):
                         "d(%s) has the term %s, beyond the weight-%d truncation"
                         % (name, lab, max_weight))
                 if self.weights[lab] < weight:
-                    raise TruncationNotDgStable(
+                    raise InvalidDifferential(
                         "d(%s) lowers truncation weight" % name)
             if val.coeffs:
                 inside[i] = val.coeffs

@@ -13,13 +13,10 @@ import functools
 import json
 import sys
 
-from .linalg import DegreeMismatch, NonSplitAlgebra
-from .freelie import InvalidDifferential, InvalidPresentation, TruncationTooLarge
+from .linalg import McLieError
 from .dgla import (
     AxiomViolation,
     Dgla,
-    NotMaurerCartan,
-    NotNilpotent,
     disjoint_product,
     free_product_dgla,
     homology_stability,
@@ -27,18 +24,11 @@ from .dgla import (
 from .cdga import (
     Cdga,
     CdgaAxiomViolation,
-    EvenDegreeUnit,
-    LocalizationFailure,
-    NoAugmentation,
-    NonCocycle,
-    OddDegreeUnit,
-    ZeroCohomology,
     idempotent_split,
     localization_exactness_report,
     localize,
 )
 from .cehar import (
-    CertificateFailure,
     ce_cohomology,
     compare_free_product,
     harrison,
@@ -47,8 +37,6 @@ from .cehar import (
 from .dgla import mc_residual
 from .mc import (
     COMPONENT_N_MAX,
-    IncompleteSolve,
-    SolveBudgetExhausted,
     derive_constraints,
     pi0_moduli,
     verify_component_decomposition,
@@ -59,8 +47,11 @@ from .defs import DefinitionError, element_degrees, load_algebra, parse_element
 PASS, FAIL = "PASS", "FAIL"
 
 
-class UsageError(Exception):
+class UsageError(McLieError):
     """The command line asks for something the subcommand cannot do."""
+
+    exit_code = 2
+    prefix = "error"
 
 
 class Report:
@@ -475,36 +466,20 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     ns.defs = list(ns.defs) + ["builtin:%s" % b for b in ns.builtin]
-    if not ns.defs:
-        print("error: no definitions given", file=sys.stderr)
-        return 2
     # defs bounds the numerals it reads, but an exact result may be longer
     # than Python's default int -> str bound, and is printed whole
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
     try:
+        if not ns.defs:
+            raise UsageError("no definitions given")
         if ns.cmd in NEEDS_WEIGHT and ns.weight is None:
             raise UsageError("%s requires --weight" % ns.cmd)
         return COMMANDS[ns.cmd](ns, argv)
-    except DefinitionError as e:
-        print("parse error: %s" % e, file=sys.stderr)
-        return 2
-    except UsageError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except (DegreeMismatch, InvalidDifferential, InvalidPresentation) as e:
-        print("%s: %s" % (type(e).__name__, e), file=sys.stderr)
-        return 2
-    except (TruncationTooLarge, SolveBudgetExhausted) as e:
-        print("resource cap: %s" % e, file=sys.stderr)
-        return 3
-    except (NonSplitAlgebra, OddDegreeUnit, EvenDegreeUnit, NonCocycle,
-            ZeroCohomology, NoAugmentation, IncompleteSolve, AxiomViolation,
-            NotMaurerCartan, NotNilpotent, CdgaAxiomViolation, CertificateFailure,
-            LocalizationFailure) as e:
-        print("%s: %s" % (type(e).__name__, e), file=sys.stderr)
-        return 1
+    except McLieError as e:
+        print("%s: %s" % (e.prefix or type(e).__name__, e), file=sys.stderr)
+        return e.exit_code
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)

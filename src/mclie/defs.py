@@ -33,7 +33,7 @@ import re
 from fractions import Fraction
 from typing import Optional
 
-from .linalg import QQ, GradedElement, linear_combination
+from .linalg import QQ, GradedElement, McLieError, linear_combination
 from .freelie import LiePresentation
 from .dgla import (
     Dgla,
@@ -49,7 +49,10 @@ from .dgla import (
 from .cdga import Cdga, FiniteTableCdga, omega_simplex
 
 
-class DefinitionError(Exception):
+class DefinitionError(McLieError):
+    exit_code = 2
+    prefix = "parse error"
+
     def __init__(self, message: str, line: Optional[int] = None,
                  column: Optional[int] = None):
         self.message = message
@@ -250,6 +253,8 @@ def parse_definition(text: str, name: str = "<definition>") -> AlgebraDefinition
         elif head == "basis":
             if len(parts) != 3:
                 raise DefinitionError("basis LABEL DEGREE", lineno)
+            if any(lab == parts[1] for lab, _ in defn.basis):
+                raise DefinitionError("basis label %r declared twice" % parts[1], lineno)
             defn.basis.append((parts[1], parse_integer(parts[2], lineno)))
         elif head == "bracket":
             if len(parts) < 5 or parts[3] != "=":

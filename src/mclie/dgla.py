@@ -26,6 +26,7 @@ from .linalg import (
     GradedElement,
     GradedLinearMap,
     GradedVectorSpace,
+    McLieError,
     linear_combination,
     _DgAlgebra,
     _accumulate,
@@ -46,15 +47,15 @@ AXIOM_PAIR_CAP = 60
 AXIOM_TRIPLE_CAP = 24
 
 
-class NotMaurerCartan(Exception):
+class NotMaurerCartan(McLieError):
     """The element does not satisfy the Maurer-Cartan equation."""
 
 
-class NotNilpotent(Exception):
+class NotNilpotent(McLieError):
     """ad of the gauge parameter did not vanish within the expected bound."""
 
 
-class AxiomViolation(Exception):
+class AxiomViolation(McLieError):
     """A dgla axiom failed on construction."""
 
 

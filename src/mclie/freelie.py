@@ -48,6 +48,7 @@ from .linalg import (
     GradedElement,
     GradedLinearMap,
     GradedVectorSpace,
+    McLieError,
     RowSpace,
     _accumulate,
     _element_of,
@@ -61,21 +62,29 @@ Word = tuple  # tuple of generator indices
 BASIS_SIZE_CAP = 20000
 
 
-class TruncationTooLarge(Exception):
+class TruncationTooLarge(McLieError):
     """The requested truncated basis exceeds BASIS_SIZE_CAP."""
 
+    exit_code = 3
+    prefix = "resource cap"
 
-class NotLieElement(Exception):
+
+class NotLieElement(McLieError):
     """A tensor-algebra element failed to rewrite into the Lyndon basis."""
 
 
-class InvalidDifferential(Exception):
-    """Generator differentials are incompatible with the weight truncation
-    or fail d*d = 0."""
+class InvalidDifferential(McLieError):
+    """Generator differentials are off degree, incompatible with the weight
+    truncation, or fail d*d = 0."""
+
+    exit_code = 2
 
 
-class InvalidPresentation(Exception):
-    """Relations or differentials of a presentation are inconsistent."""
+class InvalidPresentation(McLieError):
+    """Generators, weight bound, relations or differentials of a
+    presentation are malformed or inconsistent."""
+
+    exit_code = 2
 
 
 def lyndon_words(weights: Sequence[int], m: int):
@@ -179,7 +188,7 @@ class FreeLieTruncation:
 
     def __init__(self, generators: Sequence[tuple], m: int):
         if m < 1:
-            raise ValueError("weight bound must be >= 1")
+            raise InvalidPresentation("weight bound must be >= 1")
         self.m = m
         self.gen_names: list[str] = []
         self.gen_degrees: list[int] = []
@@ -187,9 +196,9 @@ class FreeLieTruncation:
         self.gen_index: dict[str, int] = {}
         for name, degree, weight in _read_generators(generators):
             if name in self.gen_index:
-                raise ValueError("duplicate generator %r" % name)
+                raise InvalidPresentation("duplicate generator %r" % name)
             if weight < 1:
-                raise ValueError("generator weights must be >= 1")
+                raise InvalidPresentation("generator weights must be >= 1")
             self.gen_index[name] = len(self.gen_names)
             self.gen_names.append(name)
             self.gen_degrees.append(degree)

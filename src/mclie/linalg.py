@@ -63,15 +63,26 @@ def rational(x) -> Fraction:
     raise TypeError("not an exact rational: %r" % (x,))
 
 
-class NonSplitAlgebra(Exception):
+class McLieError(Exception):
+    """Base of every failure mclie defines.  The CLI prints it on one stderr
+    line, "prefix: message" (the class name when prefix is None), and exits
+    with exit_code: 1 a failed verdict, 2 malformed input, 3 a resource cap."""
+
+    exit_code = 1
+    prefix = None
+
+
+class NonSplitAlgebra(McLieError):
     """The algebra is not isomorphic to a finite product of copies of Q."""
 
 
-class DegreeMismatch(Exception):
+class DegreeMismatch(McLieError):
     """An element was not homogeneous of the required degree."""
 
+    exit_code = 2
 
-class CertificateFailure(Exception):
+
+class CertificateFailure(McLieError):
     """A computed certificate did not hold: the boundaries lying inside
     the cycles of a homology degree, the Harrison unit slot, the Hodge
     splitting of a transfer, a transfer solve, or a minimal-model check."""

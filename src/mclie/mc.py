@@ -32,6 +32,7 @@ from .linalg import (
     QQ,
     ZERO,
     GradedElement,
+    McLieError,
     RowSpace,
     linear_combination,
     _accumulate,
@@ -53,13 +54,16 @@ from .dgla import (
 from .cdga import _tensor_label, tensor_dgla_forms
 
 
-class IncompleteSolve(Exception):
+class IncompleteSolve(McLieError):
     """The structured solver could not certify a complete solution list."""
 
 
 class SolveBudgetExhausted(IncompleteSolve):
     """The structured solver ran out of steps: a resource cap, not a shape
     the rules cannot decide."""
+
+    exit_code = 3
+    prefix = "resource cap"
 
 
 # states the structured solver may pop before it gives up

@@ -11,6 +11,7 @@ import path_reference
 from cdga_reference import evaluation_reference, leibniz_reference, multiply_reference
 from dense_reference import dense_rref, dense_solve
 from mclie.linalg import QQ, GradedElement, NonSplitAlgebra
+from mclie.freelie import InvalidDifferential
 from mclie.dgla import abelian_dgla, sphere_dgla, f_xa_dgla
 from mclie.defs import build_builtin
 from mclie.cdga import (
@@ -247,6 +248,20 @@ def test_localize_requires_cocycle():
                            {"s": GradedElement({(-1, "ds"): QQ(1)})})
     with pytest.raises(NonCocycle):
         localize(b, b.generator_element("s"))
+
+
+@pytest.mark.parametrize("generators,dgens,message", [
+    # d(s) = ds has weight 1 under s of weight 2: the truncation ideal is
+    # not d-stable
+    ([("s", 0, 2), ("ds", 1, 1)], {"s": GradedElement({(-1, "ds"): QQ(1)})},
+     "d\\(s\\) lowers truncation weight"),
+    # d(s) = t lies in cohomological degree 0, not 1
+    ([("s", 0, 1), ("t", 0, 1)], {"s": GradedElement({(0, "t"): QQ(1)})},
+     "d\\(s\\) must be homogeneous of cohomological degree 1"),
+], ids=["lowers-weight", "wrong-degree"])
+def test_free_cdga_refuses_a_bad_generator_differential(generators, dgens, message):
+    with pytest.raises(InvalidDifferential, match="^%s$" % message):
+        FreePolynomialCdga(generators, 2, dgens)
 
 
 def test_localize_odd_degree_rejected():

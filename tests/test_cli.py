@@ -710,6 +710,63 @@ def test_failed_certificate_exits_1(monkeypatch, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+# each failure mclie defines: (module, class, exit code, stderr prefix)
+EXIT_POLICY = [
+    ("linalg", "McLieError", 1, "McLieError"),
+    ("linalg", "NonSplitAlgebra", 1, "NonSplitAlgebra"),
+    ("linalg", "DegreeMismatch", 2, "DegreeMismatch"),
+    ("linalg", "CertificateFailure", 1, "CertificateFailure"),
+    ("freelie", "TruncationTooLarge", 3, "resource cap"),
+    ("freelie", "NotLieElement", 1, "NotLieElement"),
+    ("freelie", "InvalidDifferential", 2, "InvalidDifferential"),
+    ("freelie", "InvalidPresentation", 2, "InvalidPresentation"),
+    ("dgla", "NotMaurerCartan", 1, "NotMaurerCartan"),
+    ("dgla", "NotNilpotent", 1, "NotNilpotent"),
+    ("dgla", "AxiomViolation", 1, "AxiomViolation"),
+    ("cdga", "OddDegreeUnit", 1, "OddDegreeUnit"),
+    ("cdga", "NonCocycle", 1, "NonCocycle"),
+    ("cdga", "ZeroCohomology", 1, "ZeroCohomology"),
+    ("cdga", "NoAugmentation", 1, "NoAugmentation"),
+    ("cdga", "CdgaAxiomViolation", 1, "CdgaAxiomViolation"),
+    ("cdga", "LocalizationFailure", 1, "LocalizationFailure"),
+    ("cdga", "EvenDegreeUnit", 1, "EvenDegreeUnit"),
+    ("mc", "IncompleteSolve", 1, "IncompleteSolve"),
+    ("mc", "SolveBudgetExhausted", 3, "resource cap"),
+    ("defs", "DefinitionError", 2, "parse error"),
+    ("cli", "UsageError", 2, "error"),
+]
+
+
+@pytest.mark.parametrize("module,name,code,prefix", EXIT_POLICY,
+                         ids=[row[1] for row in EXIT_POLICY])
+def test_each_failure_exits_with_its_code(monkeypatch, capsys, module, name, code, prefix):
+    import importlib
+    import mclie.cli
+    cls = getattr(importlib.import_module("mclie." + module), name)
+
+    def fail(ns, argv):
+        raise cls("boom")
+    monkeypatch.setitem(mclie.cli.COMMANDS, "check", fail)
+    assert run_cli(["check", "zero"], capsys) == (code, "", "%s: boom\n" % prefix)
+
+
+def test_every_failure_derives_from_mclie_error():
+    import importlib
+    import inspect
+    import pkgutil
+    import mclie
+    from mclie.linalg import McLieError
+    defined = set()
+    for info in pkgutil.iter_modules(mclie.__path__):
+        module = importlib.import_module("mclie." + info.name)
+        for name, obj in vars(module).items():
+            if (inspect.isclass(obj) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__):
+                assert issubclass(obj, McLieError), name
+                defined.add((info.name, name))
+    assert defined == {(module, name) for module, name, _, _ in EXIT_POLICY}
+
+
 def test_split_with_unit_a_boundary_exits_1(tmp_path, capsys):
     # d y = 1 makes the unit a boundary: H^0 = 0 has nothing to split
     d = tmp_path / "unit_boundary.def"
@@ -753,6 +810,37 @@ def test_table_in_the_wrong_degree_exits_2(tmp_path, capsys, table, message):
     rc, out, err = run_cli(["check", str(d)], capsys)
     assert (rc, out) == (2, "")
     assert err == "DegreeMismatch: %s\n" % message
+
+
+@pytest.mark.parametrize("command", ["check", "homology"])
+@pytest.mark.parametrize("text,message", [
+    ("kind dgla\nbasis a -1\nbasis a -1\n",
+     "parse error: basis label 'a' declared twice (line 3)"),
+    ("kind dgla\nbasis a 0\nbasis a 1\n",
+     "parse error: basis label 'a' declared twice (line 3)"),
+    ("kind dgla\nbasis a 0\nbasis b -1\nbasis a -1\nd a = 1 b\n",
+     "parse error: basis label 'a' declared twice (line 4)"),
+    ("kind cdga\nbasis 1 0\nbasis a 0\nbasis a 1\nunit 1\n",
+     "parse error: basis label 'a' declared twice (line 4)"),
+    ("kind free-dgla\nweight 2\ngenerator a 0\ngenerator a -1\n",
+     "InvalidPresentation: duplicate generator 'a'"),
+    ("kind free-dgla\nweight 0\ngenerator a 0\n",
+     "InvalidPresentation: weight bound must be >= 1"),
+    ("kind free-dgla\nweight -1\ngenerator a 0\n",
+     "InvalidPresentation: weight bound must be >= 1"),
+    ("kind free-dgla\nweight 2\ngenerator a 0 0\n",
+     "InvalidPresentation: generator weights must be >= 1"),
+    ("kind free-dgla\nweight 2\ngenerator a 0 -2\n",
+     "InvalidPresentation: generator weights must be >= 1"),
+], ids=["basis-same-degree", "basis-other-degree", "basis-in-d", "basis-cdga",
+        "generator", "weight-0", "weight-negative", "generator-weight-0",
+        "generator-weight-negative"])
+def test_malformed_definitions_exit_2(tmp_path, capsys, command, text, message):
+    # a label declared twice, in any degree, is refused as the file is
+    # read; a free dgla's generators and weights by FreeLieTruncation
+    d = tmp_path / "malformed.def"
+    d.write_text(text)
+    assert run_cli([command, str(d)], capsys) == (2, "", message + "\n")
 
 
 @pytest.mark.parametrize("args", [
@@ -1066,6 +1154,62 @@ def test_generated_free_dgla_files_exit_cleanly(text):
                 assert len(err.getvalue().splitlines()) == 1
             codes.append(rc)
     assert codes[0] == codes[1]
+
+
+DEFINITION_LABELS = ["1", "a", "x", "y", "[x,y]"]
+DEFINITION_DIRECTIVES = {"dgla": ["basis", "bracket", "d"],
+                         "free-dgla": ["weight", "generator", "d", "relation"],
+                         "cdga": ["basis", "unit", "mul", "d", "augment"]}
+
+
+@st.composite
+def definition_files(draw):
+    """Definition texts of 1-6 directive lines after the kind, over a few
+    labels, so that a label is often repeated, undeclared, a numeral or a
+    bracket; degrees -2..2 and weights -1..3."""
+    kind = draw(st.sampled_from(sorted(DEFINITION_DIRECTIVES)))
+    label = st.sampled_from(DEFINITION_LABELS)
+    degree, weight = st.integers(-2, 2), st.integers(-1, 3)
+    coeff = st.sampled_from(["1", "-1", "2", "1/2"])
+
+    def element():
+        terms = draw(st.lists(st.tuples(coeff, label), min_size=1, max_size=2))
+        return " + ".join("%s %s" % t for t in terms)
+    make = {
+        "weight": lambda: "weight %d" % draw(weight),
+        "generator": lambda: "generator %s %d %d" % (draw(label), draw(degree),
+                                                     draw(weight)),
+        "basis": lambda: "basis %s %d" % (draw(label), draw(degree)),
+        "bracket": lambda: "bracket %s %s = %s" % (draw(label), draw(label), element()),
+        "mul": lambda: "mul %s %s = %s" % (draw(label), draw(label), element()),
+        "d": lambda: "d %s = %s" % (draw(label), element()),
+        "relation": lambda: "relation %s" % element(),
+        "unit": lambda: "unit %s" % draw(label),
+        "augment": lambda: "augment %s = %s" % (draw(label), draw(coeff)),
+    }
+    heads = st.sampled_from(DEFINITION_DIRECTIVES[kind])
+    lines = [make[draw(heads)]() for _ in range(draw(st.integers(1, 6)))]
+    return "\n".join(["kind " + kind] + lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(definition_files())
+def test_generated_definition_files_exit_cleanly(text):
+    # every input gets an exit code 0-3, and a failure one stderr line,
+    # never a traceback
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        path = "%s/generated.def" % tmp
+        with open(path, "w") as f:
+            f.write(text)
+        for command in ("check", "homology"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main([command, path])
+            assert rc in (0, 1, 2, 3)
+            assert "Traceback" not in out.getvalue() + err.getvalue()
+            if rc:
+                assert len(err.getvalue().splitlines()) == 1
 
 
 @pytest.mark.parametrize("weight,lines", [
