@@ -31,7 +31,7 @@ print("\nL(A x B) = L(A) u L(B) for A = B = Q x Q:",
       "PASS" if report["bijective"] else "FAIL")
 
 print("\nfree-product cohomology, Heisenberg * line, weights < 4:")
-rep = compare_free_product(heisenberg_dgla(), abelian_dgla({0: ["z"]}), 4, 4)
+rep = compare_free_product(heisenberg_dgla(), abelian_dgla({0: ["z"]}), 4)
 for (w, n), cell in sorted(rep["cells"].items()):
     if cell["product"] or cell["factors"]:
         print("  weight %d, degree %d: product %d = factors %d"

@@ -30,6 +30,7 @@ from .linalg import (
     GradedElement,
     GradedLinearMap,
     GradedVectorSpace,
+    InvalidArgument,
     McLieError,
     RowSpace,
     idempotents as algebra_idempotents,
@@ -305,7 +306,7 @@ class FreePolynomialCdga(Cdga):
         count = 1
         for i, (name, cohdeg, weight) in enumerate(generators):
             if not cohdeg % 2 and weight < 1:
-                raise ValueError("even generator %r needs truncation weight >= 1" % name)
+                raise InvalidArgument("even generator %r needs truncation weight >= 1" % name)
             max_e = 1 if cohdeg % 2 else max_weight // weight
             new = []
             for w0, monos in by_weight.items():
@@ -432,7 +433,7 @@ class DeRhamForms(FreePolynomialCdga):
 
     def __init__(self, n: int, max_degree: int, check: str = "auto"):
         if n < 0 or max_degree < 1:
-            raise ValueError("need n >= 0 and D >= 1")
+            raise InvalidArgument("need n >= 0 and D >= 1")
         self.simplex_dim = n
         gens = []
         dgens = {}
@@ -491,7 +492,7 @@ def omega_face_map(omega: DeRhamForms, face: int) -> CdgaMorphism:
     the chart (t_1..t_n); the target is Omega(Delta^{n-1})."""
     n = omega.simplex_dim
     if n == 0:
-        raise ValueError("no faces of a point")
+        raise InvalidArgument("no faces of a point")
     target = DeRhamForms(n - 1, omega.max_weight, check="skip")
     images = {}
     # vertices of the face are the vertices of Delta^n except `face`;
@@ -586,7 +587,7 @@ def _tensor_with_forms(alg: _DgAlgebra, omega: DeRhamForms,
 
 def path_object(a: Cdga, t_degree: int = 3):
     """The path object A (x) Omega(Delta^1), forms truncated at polynomial
-    degree t_degree >= 1 (ValueError below it); returns (path, p0, p1, inc)
+    degree t_degree >= 1 (InvalidArgument below it); returns (path, p0, p1, inc)
     where p0, p1 are the evaluations at t1 = 0 and t1 = 1 and inc, a |-> a (x) 1,
     the constant inclusion, each a dict label -> GradedElement (see
     apply_linear)."""

@@ -38,6 +38,7 @@ from .linalg import (
     GradedElement,
     GradedLinearMap,
     GradedVectorSpace,
+    InvalidArgument,
     RowSpace,
     _accumulate,
     _element_of,
@@ -122,7 +123,7 @@ class CEComplex:
 
     def __init__(self, g: Dgla, bound: int, truncate_by: str = "length"):
         if bound < 1:
-            raise ValueError("CE truncation bound must be >= 1, got %d" % bound)
+            raise InvalidArgument("CE truncation bound must be >= 1, got %d" % bound)
         self.g = g
         self.bound = bound
         self.truncate_by = truncate_by
@@ -170,7 +171,7 @@ class CEComplex:
         homology of the algebra's cells of that weight, less the unit's
         class in the cell (0, 0)."""
         if self.truncate_by != "weight":
-            raise ValueError("weight blocks need a CE complex truncated by weight")
+            raise InvalidArgument("weight blocks need a CE complex truncated by weight")
         return {-n: v for (w, n), c in self.algebra.homology().cell_dims.items()
                 if w == weight and (v := c - ((w, n) == (0, 0)))}
 
@@ -402,18 +403,17 @@ def _check_weight_graded(g: Dgla) -> None:
                 "the term %s, not of weight %d" % (l1, l2, off[0], w))
 
 
-def compare_free_product(g: Dgla, h: Dgla, m: int, word_bound: int) -> dict:
+def compare_free_product(g: Dgla, h: Dgla, m: int) -> dict:
     """Per-(weight, degree) comparison of H(C_+(g*h)) against
     H(C_+(g)) + H(C_+(h)) in the faithful window weight < m.
 
     Inputs must be weight-graded with zero differential (the appendix
     hypothesis), and both halves are checked: a nonzero differential
-    raises ValueError, and a bracket [u, v] with a term of another weight
+    raises InvalidArgument, and a bracket [u, v] with a term of another weight
     raises InvalidDifferential.  One with w(u) + w(v) < m is refused when
     the CE complexes are built (see CEComplex); the CE complexes never
     read the heavier brackets, so each factor's own basis brackets are
     then checked against its weights (_check_weight_graded).
-    word_bound must be at least m - 1 so the window is complete.
 
     The CE complexes are truncated at weight m - 1, so they read only the
     cells of g*h of weight below m.  When its presentation has no
@@ -431,11 +431,9 @@ def compare_free_product(g: Dgla, h: Dgla, m: int, word_bound: int) -> dict:
     cannot hold, raises t to its weight.  Any other presentation is built
     at m as before, so a heavy relation there is still refused.
     """
-    if word_bound < m - 1:
-        raise ValueError("need word_bound >= m - 1 for a faithful window")
     for alg in (g, h):
         if not alg.d_map.is_zero():
-            raise ValueError("free-product comparison needs zero differentials")
+            raise InvalidArgument("free-product comparison needs zero differentials")
     if h.total_dim() == 0:
         prod = g
     elif g.total_dim() == 0:
@@ -602,7 +600,7 @@ class MinimalModel:
 
     def __init__(self, g: Dgla, arity_bound: int = 3):
         if arity_bound < 2 or arity_bound > 3:
-            raise ValueError("transfer implemented for arities 2 and 3")
+            raise InvalidArgument("transfer implemented for arities 2 and 3")
         self.g = g
         self.arity_bound = arity_bound
         self.transfer = TransferData(g)
@@ -652,8 +650,8 @@ class MinimalModel:
         """The honest finite dgla (H, l2, d = 0); only valid when l3 = 0,
         i.e. when no homotopy corrections survived."""
         if self.l3:
-            raise ValueError("model carries arity-3 corrections; "
-                             "it is an L-infinity structure, not a plain dgla")
+            raise InvalidArgument("model carries arity-3 corrections; "
+                                  "it is an L-infinity structure, not a plain dgla")
         basis: dict[int, list[str]] = {}
         for n, i in self.generators:
             basis.setdefault(n, []).append("h%d_%d" % (n, i))

@@ -42,7 +42,7 @@ from .mc import (
     verify_component_decomposition,
     verify_theorem_f,
 )
-from .defs import DefinitionError, element_degrees, load_algebra, parse_element
+from .defs import element_degrees, load_algebra, parse_element
 
 PASS, FAIL = "PASS", "FAIL"
 
@@ -122,22 +122,14 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-# the kind of definition each subcommand takes; check and homology take both
-KINDS = {"ce": Dgla, "free-product": Dgla, "disjoint-product": Dgla,
-         "mc-verify": Dgla, "mc-constraints": Dgla, "mc-moduli": Dgla,
-         "verify": Dgla, "minimal-model": Dgla,
-         "harrison": Cdga, "localize": Cdga, "split": Cdga}
-
-
 def _load(ns, ref: str):
     """Load a definition for the subcommand, checking that it is of the
-    kind the subcommand takes."""
+    kind the subcommand takes (ns.kind; None takes both)."""
     alg = load_algebra(ref, ns.size, ns.weight)
-    kind = KINDS.get(ns.cmd)
-    if kind is not None and not isinstance(alg, kind):
+    if ns.kind is not None and not isinstance(alg, ns.kind):
         raise UsageError("%s is a %s; %s takes a %s" % (
             ref, "dgla" if isinstance(alg, Dgla) else "cdga", ns.cmd,
-            kind.__name__.lower()))
+            ns.kind.__name__.lower()))
     return alg
 
 
@@ -160,25 +152,18 @@ def cmd_homology(ns, argv) -> int:
     alg = _load(ns, ns.defs[0])
     rep = Report(_echo(argv), {"definition": ns.defs[0]})
     if isinstance(alg, Dgla) and alg.presentation is not None:
-        flags = homology_stability(alg)
-        degrees = sorted(flags)
-        if ns.range:
-            lo, hi = ns.range
-            degrees = [n for n in degrees if lo <= n <= hi]
-        for n in degrees:
-            v = flags[n]
+        table = {}
+        for n, v in homology_stability(alg).items():
             flag = "stable" if v["stable"] else "unstable"
             if v.get("edge"):
                 flag += ", edge +%d" % v["edge"]
-            rep.value("H_%d" % n, v["dim"], flag)
+            table[n] = v["dim"], flag
     else:
         h = alg.homology()
-        degrees = h.degrees()
-        if ns.range:
-            lo, hi = ns.range
-            degrees = [n for n in degrees if lo <= n <= hi]
-        for n in degrees:
-            rep.value("H_%d" % n, h.dim(n), "exact")
+        table = {n: (h.dim(n), "exact") for n in h.degrees()}
+    for n in sorted(table):
+        if ns.range is None or ns.range[0] <= n <= ns.range[1]:
+            rep.value("H_%d" % n, *table[n])
     return rep.emit(ns.json)
 
 
@@ -202,10 +187,10 @@ def cmd_harrison(ns, argv) -> int:
     return rep.emit(ns.json)
 
 
-def cmd_product(ns, argv, kind: str) -> int:
+def cmd_product(ns, argv) -> int:
     g = _load(ns, ns.defs[0])
     h = _load(ns, ns.defs[1])
-    if kind == "free":
+    if ns.cmd == "free-product":
         p = free_product_dgla(g, h, ns.weight)
     else:
         p = disjoint_product(g, h, ns.weight)
@@ -213,7 +198,7 @@ def cmd_product(ns, argv, kind: str) -> int:
                                "weight": ns.weight})
     for n in p.space.degrees():
         rep.value("dim_%d" % n, p.space.dim(n), "weight <= %d" % ns.weight)
-    if kind == "disjoint":
+    if ns.cmd == "disjoint-product":
         rep.line("  distinguished MC element: %r" % p.distinguished_mc)
     return rep.emit(ns.json)
 
@@ -287,28 +272,23 @@ def cmd_verify(ns, argv) -> int:
         rep.value("degrees", "%d checked, %d vacuous" % (checked, vacuous),
                   "H_0..H_%d per class" % (COMPONENT_N_MAX - 1))
         rep.verdict("cover-homology-isomorphisms", report["pass"])
-    elif what == "free-product-cohomology":
+    else:  # free-product-cohomology
         m = ns.weight or 4
-        words = ns.words or m - 1
-        if m < 2 or words < m - 1:
-            raise DefinitionError("free-product-cohomology needs --weight >= 2 "
-                                  "and --words >= weight - 1")
+        if m < 2:
+            raise UsageError("free-product-cohomology needs --weight >= 2")
         if len(ns.defs) != 2:
-            raise DefinitionError("free-product-cohomology needs two "
-                                  "definitions")
+            raise UsageError("free-product-cohomology needs two definitions")
         g = _load(ns, ns.defs[0])
         h = _load(ns, ns.defs[1])
         if not (g.d_map.is_zero() and h.d_map.is_zero()):
             raise UsageError("free-product-cohomology needs definitions with "
                              "zero differential")
-        report = compare_free_product(g, h, m, words)
+        report = compare_free_product(g, h, m)
         for (w, n), cell in sorted(report["cells"].items()):
             rep.value("w=%d,deg=%d" % (w, n),
                       "%d|%d" % (cell["product"], cell["factors"]),
                       "faithful window" if cell["equal"] else "mismatch")
         rep.verdict("free-product-cohomology", report["pass"])
-    else:
-        raise DefinitionError("unknown verification %r" % what)
     return rep.emit(ns.json)
 
 
@@ -360,24 +340,6 @@ def cmd_minimal_model(ns, argv) -> int:
     return rep.emit(ns.json)
 
 
-COMMANDS = {
-    "check": cmd_check,
-    "homology": cmd_homology,
-    "ce": cmd_ce,
-    "harrison": cmd_harrison,
-    "free-product": lambda ns, argv: cmd_product(ns, argv, "free"),
-    "disjoint-product": lambda ns, argv: cmd_product(ns, argv, "disjoint"),
-    "mc-verify": cmd_mc_verify,
-    "mc-constraints": cmd_mc_constraints,
-    "mc-moduli": cmd_mc_moduli,
-    "verify": cmd_verify,
-    "localize": cmd_localize,
-    "split": cmd_split,
-    "minimal-model": cmd_minimal_model,
-}
-NEEDS_WEIGHT = {"harrison", "free-product", "disjoint-product"}
-
-
 # built on first use and shared by every main() call; never mutate it
 @functools.cache
 def make_parser() -> argparse.ArgumentParser:
@@ -387,8 +349,12 @@ def make_parser() -> argparse.ArgumentParser:
                     "Maurer-Cartan spaces")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p, ndefs="*"):
-        p.add_argument("defs", nargs=ndefs,
+    def common(p, run, kind, needs_weight=False):
+        """The options every subcommand takes, and its handler run(ns, argv),
+        the kind of definition it loads (Dgla, Cdga, or None for both) and
+        whether it requires --weight."""
+        p.set_defaults(run=run, kind=kind, needs_weight=needs_weight)
+        p.add_argument("defs", nargs="*",
                        help="definition files or builtin names")
         p.add_argument("--builtin", action="append", default=[],
                        help="add a builtin definition (may repeat)")
@@ -398,43 +364,42 @@ def make_parser() -> argparse.ArgumentParser:
                        help="also write a machine-readable report")
 
     p = sub.add_parser("check", help="run the construction axiom suite")
-    common(p)
+    common(p, cmd_check, None)
     p = sub.add_parser("homology", help="homology table with flags")
-    common(p)
+    common(p, cmd_homology, None)
     p.add_argument("--range", type=_parse_range, default=None,
                    help="a..b degree range")
     p = sub.add_parser("ce", help="Chevalley-Eilenberg cohomology table")
-    common(p)
+    common(p, cmd_ce, Dgla)
     p.add_argument("--words", type=_positive_int, required=True)
     p.add_argument("--range", type=_parse_range, default=None)
     p = sub.add_parser("harrison", help="Harrison complex of an augmented cdga")
-    common(p)
+    common(p, cmd_harrison, Cdga, needs_weight=True)
     p = sub.add_parser("free-product", help="free product of two dglas")
-    common(p)
+    common(p, cmd_product, Dgla, needs_weight=True)
     p = sub.add_parser("disjoint-product", help="(g * s)^x * h")
-    common(p)
+    common(p, cmd_product, Dgla, needs_weight=True)
     p = sub.add_parser("mc-verify", help="exact MC residual of an element")
-    common(p)
+    common(p, cmd_mc_verify, Dgla)
     p.add_argument("--element", required=True)
     p = sub.add_parser("mc-constraints", help="print the MC constraint system")
-    common(p)
+    common(p, cmd_mc_constraints, Dgla)
     p.add_argument("--simplex", type=_nonnegative_int, required=True)
     p = sub.add_parser("mc-moduli", help="pi_0 with completeness certificate")
-    common(p)
+    common(p, cmd_mc_moduli, Dgla)
     p.add_argument("--support", type=_positive_int, default=None)
     p = sub.add_parser("verify", help="theorem checks")
     p.add_argument("what", choices=["theorem-f", "components",
                                     "free-product-cohomology"])
-    common(p)
+    common(p, cmd_verify, Dgla)
     p.add_argument("--support", type=_positive_int, default=None)
-    p.add_argument("--words", type=_positive_int, default=None)
     p = sub.add_parser("localize", help="localization at a cocycle")
-    common(p)
+    common(p, cmd_localize, Cdga)
     p.add_argument("--at", required=True)
     p = sub.add_parser("split", help="idempotent splitting of H^0")
-    common(p)
+    common(p, cmd_split, Cdga)
     p = sub.add_parser("minimal-model", help="homotopy-transfer minimal model")
-    common(p)
+    common(p, cmd_minimal_model, Dgla)
     p.add_argument("--arity", type=int, choices=[2, 3], default=3)
     return parser
 
@@ -474,9 +439,9 @@ def main(argv=None) -> int:
     try:
         if not ns.defs:
             raise UsageError("no definitions given")
-        if ns.cmd in NEEDS_WEIGHT and ns.weight is None:
+        if ns.needs_weight and ns.weight is None:
             raise UsageError("%s requires --weight" % ns.cmd)
-        return COMMANDS[ns.cmd](ns, argv)
+        return ns.run(ns, argv)
     except McLieError as e:
         print("%s: %s" % (e.prefix or type(e).__name__, e), file=sys.stderr)
         return e.exit_code

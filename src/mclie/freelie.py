@@ -48,6 +48,7 @@ from .linalg import (
     GradedElement,
     GradedLinearMap,
     GradedVectorSpace,
+    InvalidArgument,
     McLieError,
     RowSpace,
     _accumulate,
@@ -707,7 +708,7 @@ def free_product_presentation(first: LiePresentation,
     names = {g[0] for g in first.generators}
     for g in second.generators:
         if g[0] in names:
-            raise ValueError("generator name clash in free product: %r" % (g[0],))
+            raise InvalidArgument("generator name clash in free product: %r" % (g[0],))
     return LiePresentation(first.generators + second.generators,
                            first.relations + second.relations,
                            {**first.dgens, **second.dgens})

@@ -72,6 +72,14 @@ class McLieError(Exception):
     prefix = None
 
 
+class InvalidArgument(McLieError, ValueError):
+    """A library call was given an argument outside its domain: a bound,
+    an arity, a name or a label the construction cannot take.  It is still
+    a ValueError, so callers that catch ValueError keep working."""
+
+    exit_code = 2
+
+
 class NonSplitAlgebra(McLieError):
     """The algebra is not isomorphic to a finite product of copies of Q."""
 
@@ -285,7 +293,7 @@ class GradedVectorSpace:
             if not labels:
                 continue
             if len(set(labels)) != len(labels):
-                raise ValueError("duplicate basis labels in degree %d" % n)
+                raise InvalidArgument("duplicate basis labels in degree %d" % n)
             self.basis[int(n)] = labels
             self._index[int(n)] = {lab: i for i, lab in enumerate(labels)}
 

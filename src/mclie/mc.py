@@ -32,6 +32,7 @@ from .linalg import (
     QQ,
     ZERO,
     GradedElement,
+    InvalidArgument,
     McLieError,
     RowSpace,
     linear_combination,
@@ -1016,7 +1017,7 @@ def verify_theorem_f(dglas: Sequence[Dgla], m: int,
     the factor moduli, plus the acyclicity of each g u 0 in stabilized
     cells (the homology-level consequence)."""
     if not dglas:
-        raise ValueError("verify_theorem_f needs at least one factor")
+        raise InvalidArgument("verify_theorem_f needs at least one factor")
     product = dglas[0]
     for h in dglas[1:]:
         product = disjoint_product(product, h, m, check="skip")

@@ -26,7 +26,8 @@ from mclie.cdga import (CdgaAxiomViolation, FreePolynomialCdga, LocalizationFail
                         _augmentation_ideal, localize)
 from mclie.freelie import TruncationTooLarge
 from mclie.linalg import (ONE, Coordinates, GradedElement, GradedLinearMap, GradedVectorSpace,
-                          RowSpace, _accumulate, _element_of, homology, linear_combination)
+                          InvalidArgument, RowSpace, _accumulate, _element_of, homology,
+                          linear_combination)
 
 
 def merge_reference(alg, m1, m2):
@@ -212,7 +213,7 @@ class MonomialsReference:
         count = 1
         for name, cohdeg, weight in generators:
             if not cohdeg % 2 and weight < 1:
-                raise ValueError("even generator %r needs truncation weight >= 1" % name)
+                raise InvalidArgument("even generator %r needs truncation weight >= 1" % name)
             max_e = 1 if cohdeg % 2 else max_weight // weight
             new = []
             for w0, k in by_weight.items():

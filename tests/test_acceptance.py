@@ -263,7 +263,7 @@ def weighted_exterior_oracle(dim, weights, bracket_coeffs):
 
 def test_criterion_06_free_product_cohomology():
     ok = True
-    m, P = 4, 4
+    m = 4
     heis = heisenberg_dgla()
     line = abelian_dgla({0: ["z"]})
     line2 = abelian_dgla({0: ["w"]})
@@ -276,7 +276,7 @@ def test_criterion_06_free_product_cohomology():
         id(zero_dgla()): {},
     }
     for g, h in pairs:
-        report = compare_free_product(g, h, m, P)
+        report = compare_free_product(g, h, m)
         ok = ok and report["pass"]
         # factor tables against the independent exterior oracle, w < m
         for alg in (g, h):

@@ -407,7 +407,7 @@ def test_harrison_product_comparison():
 def test_compare_free_product_abelian_abelian():
     g = abelian_dgla({0: ["a"]})
     h = abelian_dgla({0: ["b"]})
-    report = compare_free_product(g, h, 4, 4)
+    report = compare_free_product(g, h, 4)
     assert report["pass"], report
     # degree-1 weight-1 cell: dim 2 = 1 + 1
     assert report["cells"][(1, 1)]["product"] == 2
@@ -416,7 +416,7 @@ def test_compare_free_product_abelian_abelian():
 def test_compare_free_product_heisenberg_abelian():
     g = heisenberg_dgla()
     h = abelian_dgla({0: ["z"]})
-    report = compare_free_product(g, h, 4, 4)
+    report = compare_free_product(g, h, 4)
     assert report["pass"], report
 
 
@@ -471,12 +471,12 @@ def test_product_truncation_reads_generator_names_with_commas_and_brackets():
     h = abelian_dgla({0: ["z"]})
     for m in (4, 5):
         assert _product_truncation(awkward, h, m) == _product_truncation(plain, h, m) == m - 1
-        assert compare_free_product(awkward, h, m, m) == compare_free_product(plain, h, m, m)
+        assert compare_free_product(awkward, h, m) == compare_free_product(plain, h, m)
 
 
 def test_compare_free_product_with_zero():
     g = heisenberg_dgla()
-    report = compare_free_product(g, zero_dgla(), 4, 4)
+    report = compare_free_product(g, zero_dgla(), 4)
     assert report["pass"], report
 
 

@@ -11,8 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mclie.cdga
+import mclie.cehar
+import mclie.dgla
+import mclie.freelie
+import mclie.linalg
+import mclie.mc
 from mclie.cli import main, make_parser
-from mclie.defs import BUILTIN_HELP
+from mclie.defs import BUILTIN_HELP, build_builtin
 from mclie.linalg import QQ, GradedElement
 
 
@@ -473,6 +479,9 @@ d x = 1/2 [x,x]
     ["minimal-model", "--builtin", "heisenberg", "--arity", "5"],
     ["verify", "free-product-cohomology", "heisenberg", "abelian:1:0",
      "--weight", "4", "--words", "2"],
+    # verify takes no --words, not even one its window would allow
+    ["verify", "free-product-cohomology", "heisenberg", "abelian:1:0",
+     "--weight", "4", "--words", "3"],
     ["verify", "free-product-cohomology", "heisenberg", "abelian:1:0",
      "--weight", "1"],
     ["homology", "f_xa:3", "--range", "3..1"],
@@ -713,6 +722,7 @@ def test_failed_certificate_exits_1(monkeypatch, capsys):
 # each failure mclie defines: (module, class, exit code, stderr prefix)
 EXIT_POLICY = [
     ("linalg", "McLieError", 1, "McLieError"),
+    ("linalg", "InvalidArgument", 2, "InvalidArgument"),
     ("linalg", "NonSplitAlgebra", 1, "NonSplitAlgebra"),
     ("linalg", "DegreeMismatch", 2, "DegreeMismatch"),
     ("linalg", "CertificateFailure", 1, "CertificateFailure"),
@@ -744,9 +754,9 @@ def test_each_failure_exits_with_its_code(monkeypatch, capsys, module, name, cod
     import mclie.cli
     cls = getattr(importlib.import_module("mclie." + module), name)
 
-    def fail(ns, argv):
+    def fail(*args):
         raise cls("boom")
-    monkeypatch.setitem(mclie.cli.COMMANDS, "check", fail)
+    monkeypatch.setattr(mclie.cli, "load_algebra", fail)
     assert run_cli(["check", "zero"], capsys) == (code, "", "%s: boom\n" % prefix)
 
 
@@ -765,6 +775,62 @@ def test_every_failure_derives_from_mclie_error():
                 assert issubclass(obj, McLieError), name
                 defined.add((info.name, name))
     assert defined == {(module, name) for module, name, _, _ in EXIT_POLICY}
+
+
+def _massey_model():
+    # [v,v] = x = d y is exact, yet the arity-3 correction survives
+    x = GradedElement({(2, "x"): QQ(1)})
+    g = mclie.dgla.dgla_from_table(
+        {1: ["v"], 2: ["x"], 3: ["y"], 4: ["z"]},
+        {("v", "v"): x, ("v", "y"): GradedElement({(4, "z"): QQ(1)})}, {"y": x})
+    return mclie.cehar.minimal_model(g, 3)
+
+
+# (id, call, message): argument checks the library raises InvalidArgument for
+PRES_A = ("a", -1, 1)
+LIBRARY_ARGUMENT_CHECKS = [
+    ("even-generator-weight-0",
+     lambda: mclie.cdga.FreePolynomialCdga([("x", 0, 0)], 2),
+     "even generator 'x' needs truncation weight >= 1"),
+    ("forms-on-no-simplex", lambda: mclie.cdga.DeRhamForms(-1, 1), "need n >= 0 and D >= 1"),
+    ("forms-of-degree-0", lambda: mclie.cdga.DeRhamForms(1, 0), "need n >= 0 and D >= 1"),
+    ("face-of-a-point",
+     lambda: mclie.cdga.omega_face_map(mclie.cdga.omega_simplex(0, 1), 0),
+     "no faces of a point"),
+    ("ce-bound-0", lambda: mclie.cehar.CEComplex(build_builtin("heisenberg"), 0),
+     "CE truncation bound must be >= 1, got 0"),
+    ("weight-blocks-by-length",
+     lambda: mclie.cehar.ce_complex(build_builtin("heisenberg"), 1).weight_block_dims(1),
+     "weight blocks need a CE complex truncated by weight"),
+    ("compare-nonzero-d",
+     lambda: mclie.cehar.compare_free_product(build_builtin("sphere"),
+                                              build_builtin("heisenberg"), 3),
+     "free-product comparison needs zero differentials"),
+    ("name-clash",
+     lambda: mclie.freelie.free_product_presentation(mclie.freelie.LiePresentation([PRES_A]),
+                                                     mclie.freelie.LiePresentation([PRES_A])),
+     "generator name clash in free product: 'a'"),
+    ("arity-4", lambda: mclie.cehar.MinimalModel(build_builtin("heisenberg"), 4),
+     "transfer implemented for arities 2 and 3"),
+    ("as-dgla-with-l3", lambda: _massey_model().as_dgla(),
+     "model carries arity-3 corrections; it is an L-infinity structure, not a plain dgla"),
+    ("theorem-f-no-factor", lambda: mclie.mc.verify_theorem_f([], 4),
+     "verify_theorem_f needs at least one factor"),
+    ("duplicate-labels", lambda: mclie.linalg.GradedVectorSpace({0: ["a", "a"]}),
+     "duplicate basis labels in degree 0"),
+]
+
+
+@pytest.mark.parametrize("call, message", [row[1:] for row in LIBRARY_ARGUMENT_CHECKS],
+                         ids=[row[0] for row in LIBRARY_ARGUMENT_CHECKS])
+def test_library_argument_checks_raise_invalid_argument(call, message):
+    # an McLieError the CLI maps to exit 2, and still a ValueError
+    with pytest.raises(mclie.linalg.InvalidArgument) as info:
+        call()
+    assert str(info.value) == message
+    assert isinstance(info.value, mclie.linalg.McLieError)
+    assert isinstance(info.value, ValueError)
+    assert info.value.exit_code == 2
 
 
 def test_split_with_unit_a_boundary_exits_1(tmp_path, capsys):
@@ -943,12 +1009,56 @@ def test_smallest_valid_counts_still_run(capsys):
      "heisenberg is a dgla; localize takes a cdga"),
     (["harrison", "heisenberg", "--weight", "2"],
      "heisenberg is a dgla; harrison takes a cdga"),
+    (["disjoint-product", "heisenberg", "qxq", "--weight", "2"],
+     "qxq is a cdga; disjoint-product takes a dgla"),
+    (["mc-verify", "qxq", "--element", "e"],
+     "qxq is a cdga; mc-verify takes a dgla"),
 ])
 def test_definition_of_the_wrong_kind_exits_2(args, message, capsys):
     rc, out, err = run_cli(args, capsys)
     assert rc == 2
     assert out == ""
     assert err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("args", [
+    ["harrison", "qxq"],
+    ["free-product", "heisenberg", "zero"],
+    ["disjoint-product", "heisenberg", "zero"],
+])
+def test_weighted_constructions_without_weight_exit_2(args, capsys):
+    assert run_cli(args, capsys) == (2, "", "error: %s requires --weight\n" % args[0])
+
+
+def test_every_subcommand_declares_its_handler_kind_and_weight():
+    import argparse
+    from mclie.cdga import Cdga
+    from mclie.dgla import Dgla
+    action, = [a for a in make_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    subs = action.choices
+    assert len(subs) == 13
+    for name, p in subs.items():
+        assert callable(p.get_default("run")), name
+        assert p.get_default("kind") in (None, Dgla, Cdga), name
+        assert p.get_default("needs_weight") in (False, True), name
+    assert {n for n, p in subs.items() if p.get_default("kind") is None} == {"check", "homology"}
+    assert {n for n, p in subs.items() if p.get_default("kind") is Cdga} == {
+        "harrison", "localize", "split"}
+    assert {n for n, p in subs.items() if p.get_default("needs_weight")} == {
+        "harrison", "free-product", "disjoint-product"}
+
+
+@pytest.mark.parametrize("args, message", [
+    (["verify", "free-product-cohomology", "heisenberg", "abelian:1:0", "--weight", "1"],
+     "error: free-product-cohomology needs --weight >= 2"),
+    (["verify", "free-product-cohomology", "heisenberg"],
+     "error: free-product-cohomology needs two definitions"),
+    (["verify", "free-product-cohomology", "heisenberg", "abelian:1:0", "sphere"],
+     "error: free-product-cohomology needs two definitions"),
+])
+def test_free_product_cohomology_refusals_are_usage_errors(args, message, capsys):
+    assert run_cli(args, capsys) == (2, "", message + "\n")
 
 
 @pytest.mark.parametrize("args", [
